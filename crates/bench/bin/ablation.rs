@@ -9,7 +9,7 @@
 //!    much of the query speedup comes from packing versus from the
 //!    reduction itself.
 
-use rmd_bench::{checked_reduce, run_suite, write_record, SuiteStats};
+use rmd_bench::{aggregate, checked_reduce, run_suite_runs, write_record, SuiteStats};
 use rmd_core::Objective;
 use rmd_loops::{suite, OpSet};
 use rmd_machine::models::cydra5_subset;
@@ -52,7 +52,8 @@ fn main() {
     );
     let mut budget_sweep = Vec::new();
     for budget in [1.0f64, 2.0, 4.0, 6.0, 8.0] {
-        let s: SuiteStats = run_suite(&m, &m, &loops, Representation::Discrete, budget);
+        let runs = run_suite_runs(&m, &m, &loops, Representation::Discrete, budget, 1);
+        let s: SuiteStats = aggregate(&runs, budget);
         println!(
             "{:>7}N {:>9.1}% {:>14.2} {:>10.2} {:>13.1}%",
             budget,
@@ -87,13 +88,8 @@ fn main() {
         if k * nres as u32 > 64 {
             break;
         }
-        let s = run_suite(
-            &red.reduced,
-            &m,
-            &loops,
-            Representation::Bitvec(WordLayout::with_k(64, k)),
-            6.0,
-        );
+        let repr = Representation::Bitvec(WordLayout::with_k(64, k));
+        let s = aggregate(&run_suite_runs(&red.reduced, &m, &loops, repr, 6.0, 1), 6.0);
         println!(
             "{:>4} {:>10} {:>16.2} {:>12.2}",
             k, nres, s.counters.weighted_avg, s.counters.check_avg

@@ -8,7 +8,7 @@
 //!   sched. decisions / op  1.00 / 78.7% /  1.52 /   6.00   (budget 6N)
 //! With a 2N budget the decisions/op average drops to 1.14.
 
-use rmd_bench::{run_suite, write_record, Distribution, SuiteStats};
+use rmd_bench::{aggregate, run_suite_runs, write_record, Distribution, SuiteStats};
 use rmd_loops::{suite, OpSet};
 use rmd_machine::models::cydra5_subset;
 use rmd_sched::Representation;
@@ -36,7 +36,10 @@ fn main() {
     let loops = suite(&ops, 1327, 0xC5);
 
     println!("Scheduling {} loops on `{}` (discrete representation)\n", loops.len(), m.name());
-    let s6 = run_suite(&m, &m, &loops, Representation::Discrete, 6.0);
+    let s6 = aggregate(
+        &run_suite_runs(&m, &m, &loops, Representation::Discrete, 6.0, 1),
+        6.0,
+    );
 
     println!("{:24} {:>8} {:>8} {:>8} {:>8}", "measurement", "min", "at-min", "avg", "max");
     row("number of operations", &s6.ops);
@@ -56,7 +59,10 @@ fn main() {
     );
 
     println!("\n--- budget 2N (paper: decisions/op drops to 1.14) ---");
-    let s2 = run_suite(&m, &m, &loops, Representation::Discrete, 2.0);
+    let s2 = aggregate(
+        &run_suite_runs(&m, &m, &loops, Representation::Discrete, 2.0, 1),
+        2.0,
+    );
     row("sched. decisions / op", &s2.decisions_per_op);
     println!(
         "attempts over budget: {:.1}%  (paper: 11.3%)",

@@ -6,7 +6,9 @@
 //!   original 3.46 -> discrete 2.11 -> bitvec 1-cycle 1.91 ->
 //!   2-cycle 1.35 -> 4-cycle 1.21, a 2.9x faster query module overall.
 
-use rmd_bench::{checked_reduce, run_suite, table6_representations, write_record, SuiteStats};
+use rmd_bench::{
+    aggregate, checked_reduce, run_suite_runs, table6_representations, write_record, SuiteStats,
+};
 use rmd_core::Objective;
 use rmd_loops::{suite, OpSet};
 use rmd_machine::models::cydra5_subset;
@@ -49,7 +51,15 @@ fn main() {
 
     // Column 1: the original (unreduced) description, discrete module.
     println!("running: original description (discrete) ...");
-    let s = run_suite(&original, &original, &loops, Representation::Discrete, 6.0);
+    let runs = run_suite_runs(
+        &original,
+        &original,
+        &loops,
+        Representation::Discrete,
+        6.0,
+        1,
+    );
+    let s = aggregate(&runs, 6.0);
     columns.push(column("original discrete", &s));
 
     // Reduced columns: the query machine is the reduction, the MII comes
@@ -68,7 +78,10 @@ fn main() {
             }
             other => other,
         };
-        let s = run_suite(&red.reduced, &original, &loops, repr, 6.0);
+        let s = aggregate(
+            &run_suite_runs(&red.reduced, &original, &loops, repr, 6.0, 1),
+            6.0,
+        );
         columns.push(column(&label, &s));
     }
 

@@ -30,7 +30,7 @@
 //! `speedup`) are for trend-watching, not cross-host comparison.
 
 use crate::{
-    aggregate, reduction_report, run_suite_runs, run_suite_runs_parallel, SuiteStats,
+    aggregate, reduction_report, run_suite_runs, SuiteStats,
     BACKEND_NAMES,
 };
 use rmd_loops::Loop;
@@ -473,7 +473,7 @@ fn sweep_speedups(
         .iter()
         .map(|&t| {
             let t0 = Instant::now();
-            let parallel = run_suite_runs_parallel(m, m, loops, repr, budget_ratio, t);
+            let parallel = run_suite_runs(m, m, loops, repr, budget_ratio, t);
             let wall = t0.elapsed().as_secs_f64();
             ThreadSpeedup {
                 threads: t,
@@ -493,7 +493,7 @@ fn scheduler_bench(m: &MachineDescription, opts: &BenchOptions) -> SchedulerBenc
     let budget_ratio = 6.0;
 
     let t0 = Instant::now();
-    let serial = run_suite_runs(m, m, &loops, repr, budget_ratio);
+    let serial = run_suite_runs(m, m, &loops, repr, budget_ratio, 1);
     let serial_wall = t0.elapsed().as_secs_f64();
 
     let base: &[usize] = if opts.quick { &[2] } else { &[2, 8] };
@@ -579,7 +579,7 @@ fn stress_bench(m: &MachineDescription, opts: &BenchOptions) -> StressBench {
     let budget_ratio = 6.0;
 
     let t0 = Instant::now();
-    let serial = run_suite_runs(m, m, &loops, repr, budget_ratio);
+    let serial = run_suite_runs(m, m, &loops, repr, budget_ratio, 1);
     let serial_wall = t0.elapsed().as_secs_f64();
 
     let base: &[usize] = if opts.quick { &[2] } else { &[1, 2, 4, 8] };
@@ -907,7 +907,7 @@ mod tests {
             out_dir: PathBuf::from("."),
             backend: None,
         };
-        let rec = bench_machine(&example_machine(), &opts);
+        let rec = crate::with_tracing_lock(|| bench_machine(&example_machine(), &opts));
         assert_eq!(rec.schema, SCHEMA);
         assert!(rec.scheduler.is_none());
         assert_eq!(rec.phases.len(), rmd_core::REDUCTION_PHASES.len());
@@ -950,7 +950,7 @@ mod tests {
             out_dir: std::env::temp_dir().join("rmd-benchcmd-test"),
             backend: None,
         };
-        let mut rec = bench_machine(&example_machine(), &opts);
+        let mut rec = crate::with_tracing_lock(|| bench_machine(&example_machine(), &opts));
         rec.machine = "benchcmd-unit".into(); // avoid clobbering real records
         let path = write_bench_record(&rec, &opts.out_dir).unwrap();
         assert!(path.ends_with("BENCH_benchcmd_unit.json"));
@@ -1039,10 +1039,10 @@ mod tests {
         let ops = rmd_loops::OpSet::for_cydra_subset(&m);
         let loops = stress_suite(&ops, 200, STRESS_SEED);
         let repr = Representation::Bitvec(WordLayout::widest(64, m.num_resources()));
-        let serial = run_suite_runs(&m, &m, &loops, repr, 6.0);
+        let serial = run_suite_runs(&m, &m, &loops, repr, 6.0, 1);
         // The full-bench sweep points: byte-identical at every count.
         for threads in [1usize, 2, 4, 8, opts.threads] {
-            let parallel = run_suite_runs_parallel(&m, &m, &loops, repr, 6.0, threads);
+            let parallel = run_suite_runs(&m, &m, &loops, repr, 6.0, threads);
             assert_eq!(serial, parallel, "threads={threads}: stress run must be bit-identical");
         }
         assert_eq!(serial.len(), 200);

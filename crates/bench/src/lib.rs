@@ -121,16 +121,25 @@ pub fn reduction_report(machine: &MachineDescription, word_bits: &[u32]) -> Redu
 }
 
 /// Runs [`reduction_report`] for several machines across up to
-/// `threads` worker threads (see [`parallel::run_indexed`]); reports
-/// come back in input order, identical to mapping serially.
+/// `threads` worker threads (see [`parallel::run_indexed`]), the
+/// largest machines (operations × resources) first; reports come back
+/// in input order, identical to mapping serially.
 pub fn reduction_reports_parallel(
     machines: &[&MachineDescription],
     word_bits: &[u32],
     threads: usize,
 ) -> Vec<ReductionReport> {
-    parallel::run_indexed(machines.len(), threads, |i| {
-        reduction_report(machines[i], word_bits)
-    })
+    let costs: Vec<u64> = machines
+        .iter()
+        .map(|m| (m.num_operations() * m.num_resources()) as u64)
+        .collect();
+    parallel::run_indexed(
+        machines.len(),
+        threads,
+        &costs,
+        || (),
+        |(), i| reduction_report(machines[i], word_bits),
+    )
 }
 
 /// Reduces under `objective` and asserts exact equivalence.
@@ -302,10 +311,16 @@ pub struct LoopRun {
     pub counters: WorkCounters,
 }
 
-/// A fresh per-worker mask cache when the representation can use one.
-fn mask_cache_for(machine: &MachineDescription, repr: Representation) -> Option<ModuloMaskCache> {
+/// Per-worker steady-state buffers — a mask cache and scheduling
+/// scratch — when the representation can use a cache.
+fn worker_state(
+    machine: &MachineDescription,
+    repr: Representation,
+) -> Option<(ModuloMaskCache, SchedScratch)> {
     match repr {
-        Representation::Bitvec(layout) => Some(ModuloMaskCache::new(machine, layout)),
+        Representation::Bitvec(layout) => {
+            Some((ModuloMaskCache::new(machine, layout), SchedScratch::new()))
+        }
         Representation::Discrete => None,
     }
 }
@@ -335,26 +350,28 @@ pub fn loop_costs(machine: &MachineDescription, loops: &[Loop]) -> Vec<u64> {
         .collect()
 }
 
-/// Schedules one loop: the worker body shared by the serial and
-/// parallel suite runners.
+/// Schedules one loop: the worker body of [`run_suite_runs`].
 fn run_one(
     ims: &IterativeModuloScheduler,
     machine: &MachineDescription,
     mii_machine: &MachineDescription,
     l: &Loop,
     repr: Representation,
-    cache: Option<&mut ModuloMaskCache>,
-    scratch: &mut SchedScratch,
+    state: &mut Option<(ModuloMaskCache, SchedScratch)>,
 ) -> LoopRun {
     let m = mii::mii(&l.graph, mii_machine);
-    let mut r = match cache {
-        Some(c) => ims.schedule_with_mii_cached_scratch(&l.graph, machine, repr, m, c, scratch),
-        None => ims.schedule_with_mii_scratch(&l.graph, machine, repr, m, scratch),
+    let mut r = match state {
+        Some((cache, scratch)) => {
+            ims.schedule_with_mii_cached_scratch(&l.graph, machine, repr, m, cache, scratch)
+        }
+        None => ims.schedule_with_mii(&l.graph, machine, repr, m),
     }
     .unwrap_or_else(|e| panic!("{}: {e}", l.name));
     // `times`/`per_attempt_ratio` are retained in the record; the ops
     // vector is not, so hand its capacity back to the scratch.
-    scratch.recycle_ops(std::mem::take(&mut r.chosen));
+    if let Some((_, scratch)) = state {
+        scratch.recycle_ops(std::mem::take(&mut r.chosen));
+    }
     LoopRun {
         ops: l.graph.num_nodes(),
         ii: r.ii,
@@ -367,63 +384,25 @@ fn run_one(
     }
 }
 
-/// Schedules every loop of `loops` serially, returning per-loop results
-/// in suite order. [`aggregate`] folds them into [`SuiteStats`];
-/// [`run_suite`] is the one-call wrapper.
-pub fn run_suite_runs(
-    machine: &MachineDescription,
-    mii_machine: &MachineDescription,
-    loops: &[Loop],
-    repr: Representation,
-    budget_ratio: f64,
-) -> Vec<LoopRun> {
-    run_suite_runs_with(
-        machine,
-        mii_machine,
-        loops,
-        repr,
-        ImsConfig {
-            budget_ratio,
-            ..ImsConfig::default()
-        },
-    )
-}
-
-/// [`run_suite_runs`] with full control over the scheduler
-/// configuration — the hook the slot-search identity tests and the
-/// `query_window` bench use to pit [`rmd_sched::SlotSearch::PerCycle`]
-/// against [`rmd_sched::SlotSearch::Window`] on otherwise identical
-/// runs.
-pub fn run_suite_runs_with(
-    machine: &MachineDescription,
-    mii_machine: &MachineDescription,
-    loops: &[Loop],
-    repr: Representation,
-    config: ImsConfig,
-) -> Vec<LoopRun> {
-    let ims = IterativeModuloScheduler::new(config);
-    let mut cache = mask_cache_for(machine, repr);
-    let mut scratch = SchedScratch::new();
-    loops
-        .iter()
-        .map(|l| run_one(&ims, machine, mii_machine, l, repr, cache.as_mut(), &mut scratch))
-        .collect()
-}
-
-/// Schedules every loop of `loops` across up to `threads` worker
-/// threads with cost-sharded work-stealing (see
-/// [`parallel::run_indexed_costed`]): loops are claimed in descending
-/// [`loop_costs`] order so the expensive ones start first, cheap loops
-/// are claimed in batches, and the worker count is capped at the host's
-/// available parallelism.
+/// Schedules every loop of `loops` on `machine` with the given
+/// representation and budget ratio, returning per-loop results in suite
+/// order; [`aggregate`] folds them into the paper's [`SuiteStats`].
+/// `mii_machine` supplies the MII (pass the original description when
+/// `machine` is a reduction so trajectories are comparable).
 ///
-/// Results are identical to [`run_suite_runs`] and come back in suite
-/// order: each loop is scheduled independently by a deterministic
-/// scheduler, each worker owns a private [`ModuloMaskCache`] +
-/// [`SchedScratch`] pair (sharing is only of immutable compiled masks,
-/// never of reservation or scratch state), and merging is positional.
-/// Only wall-clock time depends on the thread count.
-pub fn run_suite_runs_parallel(
+/// `threads` is a parallelism budget for [`parallel::run_indexed`]: at
+/// one worker the loops run inline in suite order; otherwise they are
+/// claimed in descending [`loop_costs`] order so the expensive ones
+/// start first, cheap loops are claimed in batches, and the worker
+/// count is capped at the host's available parallelism.
+///
+/// Results are identical at every thread count: each loop is scheduled
+/// independently by a deterministic scheduler, each worker owns a
+/// private [`ModuloMaskCache`] + [`SchedScratch`] pair (sharing is only
+/// of immutable compiled masks, never of reservation or scratch state),
+/// and merging is positional. Only wall-clock time depends on the
+/// thread count.
+pub fn run_suite_runs(
     machine: &MachineDescription,
     mii_machine: &MachineDescription,
     loops: &[Loop],
@@ -435,22 +414,19 @@ pub fn run_suite_runs_parallel(
         budget_ratio,
         ..ImsConfig::default()
     });
-    let costs = loop_costs(machine, loops);
-    parallel::run_indexed_costed(
+    parallel::run_indexed(
         loops.len(),
         threads,
-        &costs,
-        || (mask_cache_for(machine, repr), SchedScratch::new()),
-        |(cache, scratch), i| {
-            run_one(&ims, machine, mii_machine, &loops[i], repr, cache.as_mut(), scratch)
-        },
+        &loop_costs(machine, loops),
+        || worker_state(machine, repr),
+        |state, i| run_one(&ims, machine, mii_machine, &loops[i], repr, state),
     )
 }
 
 /// Folds per-loop results into the paper's Table 5/6 statistics.
 ///
-/// Deterministic in the input order: the serial and parallel runners
-/// both present runs in suite order, so their [`SuiteStats`] agree
+/// Deterministic in the input order: [`run_suite_runs`] presents runs
+/// in suite order at every thread count, so their [`SuiteStats`] agree
 /// bit-for-bit.
 pub fn aggregate(runs: &[LoopRun], budget_ratio: f64) -> SuiteStats {
     let mut ops_v = Vec::new();
@@ -505,23 +481,6 @@ pub fn aggregate(runs: &[LoopRun], budget_ratio: f64) -> SuiteStats {
     }
 }
 
-/// Schedules every loop of `loops` on `machine` with the given
-/// representation and budget ratio, aggregating the paper's statistics.
-/// `mii_machine` supplies the MII (pass the original description when
-/// `machine` is a reduction so trajectories are comparable).
-pub fn run_suite(
-    machine: &MachineDescription,
-    mii_machine: &MachineDescription,
-    loops: &[Loop],
-    repr: Representation,
-    budget_ratio: f64,
-) -> SuiteStats {
-    aggregate(
-        &run_suite_runs(machine, mii_machine, loops, repr, budget_ratio),
-        budget_ratio,
-    )
-}
-
 /// The representations compared in Table 6, in paper column order,
 /// for a machine with `num_resources` reduced resources.
 pub fn table6_representations(num_resources: usize) -> Vec<(String, Objective, Representation)> {
@@ -560,11 +519,19 @@ pub fn write_record<T: Serialize>(id: &str, record: &T) {
     println!("\n[recorded results/{id}.json]");
 }
 
+/// Serializes the tests that toggle the process-global tracing flag
+/// (`rmd profile` runs and the bench record's traced `phases` pass).
+#[cfg(test)]
+pub(crate) fn with_tracing_lock<R>(f: impl FnOnce() -> R) -> R {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    f()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rmd_machine::models::{cydra5_subset, mips_r3000};
-    use rmd_sched::SlotSearch;
 
     #[test]
     fn distribution_basics() {
@@ -593,44 +560,23 @@ mod tests {
         let m = cydra5_subset();
         let ops = rmd_loops::OpSet::for_cydra_subset(&m);
         let loops = rmd_loops::suite(&ops, 25, 42);
-        let stats = run_suite(&m, &m, &loops, Representation::Discrete, 6.0);
+        let runs = run_suite_runs(&m, &m, &loops, Representation::Discrete, 6.0, 1);
+        let stats = aggregate(&runs, 6.0);
         assert_eq!(stats.loops, 25);
         assert!(stats.at_mii > 0.5, "at_mii = {}", stats.at_mii);
         assert!(stats.counters.check_calls > 0);
     }
 
-    /// `runs` with the `check_window` counter zeroed — every other field
-    /// must match bit-for-bit between slot-search strategies.
-    fn sans_window_counter(runs: &[LoopRun]) -> Vec<LoopRun> {
-        let mut out = runs.to_vec();
-        for r in &mut out {
-            r.counters.check_window = rmd_query::FnCounter::default();
-        }
-        out
-    }
-
     #[test]
-    fn window_suite_is_byte_identical_to_per_cycle_at_all_thread_counts() {
+    fn suite_is_byte_identical_at_all_thread_counts() {
         let m = cydra5_subset();
         let ops = rmd_loops::OpSet::for_cydra_subset(&m);
         let loops = rmd_loops::suite(&ops, 24, 0xC5);
         let repr = Representation::Bitvec(WordLayout::widest(64, m.num_resources()));
-        let per_cycle = run_suite_runs_with(
-            &m,
-            &m,
-            &loops,
-            repr,
-            ImsConfig {
-                slot_search: SlotSearch::PerCycle,
-                ..ImsConfig::default()
-            },
-        );
-        // The default path (serial and parallel) searches by window.
-        let window = run_suite_runs(&m, &m, &loops, repr, 6.0);
-        assert_eq!(sans_window_counter(&per_cycle), sans_window_counter(&window));
-        for threads in [1, 2, 8] {
-            let par = run_suite_runs_parallel(&m, &m, &loops, repr, 6.0, threads);
-            assert_eq!(window, par, "threads = {threads}");
+        let serial = run_suite_runs(&m, &m, &loops, repr, 6.0, 1);
+        for threads in [2, 8] {
+            let par = run_suite_runs(&m, &m, &loops, repr, 6.0, threads);
+            assert_eq!(serial, par, "threads = {threads}");
         }
     }
 
@@ -645,7 +591,7 @@ mod tests {
         let ops = rmd_loops::OpSet::for_cydra_subset(&m);
         let loops = rmd_loops::suite(&ops, 24, 0xC5);
         let repr = Representation::Bitvec(WordLayout::widest(64, m.num_resources()));
-        let runs = run_suite_runs(&m, &m, &loops, repr, 6.0);
+        let runs = run_suite_runs(&m, &m, &loops, repr, 6.0, 1);
         let mut merged = WorkCounters::new();
         for r in &runs {
             merged.merge(&r.counters);

@@ -8,25 +8,21 @@
 //! results are returned **in index order** regardless of which worker
 //! computed them: determinism is positional, not temporal.
 //!
-//! Two claiming disciplines exist:
-//!
-//! * [`run_indexed_with`] claims one index per `fetch_add` in index
-//!   order — the simple baseline.
-//! * [`run_indexed_costed`] claims through a [`ClaimPlan`]: the index
-//!   space is ordered by a caller-supplied per-item cost estimate
-//!   (expensive items dispatch first, so the slowest item never starts
-//!   last) and grouped so that runs of cheap items are claimed by a
-//!   single `fetch_add` — tiny items stop paying a cache-line ping
-//!   each. Neither the order nor the grouping can change results:
-//!   every index is claimed exactly once and results land in their
-//!   original positions, a property the proptests below pin under
-//!   random cost distributions, thread counts, and grain sizes.
+//! [`run_indexed`] claims through a [`ClaimPlan`]: the index space is
+//! ordered by a caller-supplied per-item cost estimate (expensive items
+//! dispatch first, so the slowest item never starts last) and grouped
+//! so that runs of cheap items are claimed by a single `fetch_add` —
+//! tiny items stop paying a cache-line ping each. Neither the order nor
+//! the grouping can change results: every index is claimed exactly once
+//! and results land in their original positions, a property the
+//! proptests below pin under random cost distributions, worker counts,
+//! and grain sizes.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The number of logical CPUs actually available to this process — the
-/// worker-count ceiling [`run_indexed_costed`] applies. Requesting more
-/// OS threads than cores cannot add throughput; it only adds context
+/// worker-count ceiling [`run_indexed`] applies. Requesting more OS
+/// threads than cores cannot add throughput; it only adds context
 /// switching and duplicates per-worker caches, which is how a parallel
 /// pass ends up *slower* than serial on a small host.
 pub fn host_parallelism() -> usize {
@@ -113,114 +109,58 @@ impl ClaimPlan {
     }
 }
 
-/// Runs `f` over the indices `0..n` on up to `threads` OS threads and
-/// returns the results in index order.
+/// Runs `f` over the indices `0..n` and returns the results in index
+/// order.
 ///
-/// Each worker thread gets its own state from `init`, threaded through
-/// every call it claims — the hook for per-thread caches that must not
-/// be shared across workers. `threads` is clamped to `1..=n` (a zero
-/// request means serial), and `threads == 1` runs inline on the calling
-/// thread, so the serial path is exactly "call `f` in index order".
+/// `threads` is a *parallelism budget* (rayon semantics), not an
+/// OS-thread demand: workers are capped at [`host_parallelism`] (and at
+/// `n`), since spawning more workers than cores only loses time to
+/// oversubscription while changing no result. A budget that resolves to
+/// a single worker runs inline on the calling thread in index order, so
+/// "serial" is literally "call `f` in index order" — on a single-core
+/// host this function *is* the serial path. Otherwise a [`ClaimPlan`]
+/// built from the per-item `costs` dispatches the work.
+///
+/// Each worker gets its own state from `init`, threaded through every
+/// call it claims — the hook for per-thread caches that must not be
+/// shared across workers.
 ///
 /// # Panics
 ///
-/// Propagates a panic from any worker after all workers have stopped.
-pub fn run_indexed_with<S, R, I, F>(n: usize, threads: usize, init: I, f: F) -> Vec<R>
+/// Panics if `costs.len() != n`, and propagates a panic from any worker
+/// after all workers have stopped.
+pub fn run_indexed<S, R, I, F>(n: usize, threads: usize, costs: &[u64], init: I, f: F) -> Vec<R>
 where
     R: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> R + Sync,
 {
-    let threads = threads.clamp(1, n.max(1));
-    if threads == 1 {
+    assert_eq!(costs.len(), n, "one cost estimate per work item");
+    let workers = threads.min(host_parallelism()).min(n);
+    if workers <= 1 {
+        // A budget of one worker is the serial discipline: walk the
+        // items in index (memory) order. Dispatching a lone worker in
+        // cost order would stride randomly through the item array —
+        // measurably slower on large suites — and buys nothing, since
+        // cost order exists only to balance load *across* workers.
         let mut state = init();
         return (0..n).map(|i| f(&mut state, i)).collect();
     }
-
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let (next, init, f) = (&next, &init, &f);
-                scope.spawn(move || {
-                    let mut state = init();
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        out.push((i, f(&mut state, i)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(part) => {
-                    for (i, r) in part {
-                        debug_assert!(slots[i].is_none(), "index {i} claimed twice");
-                        slots[i] = Some(r);
-                    }
-                }
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|r| r.expect("every index in 0..n is claimed exactly once"))
-        .collect()
+    claim_groups(&ClaimPlan::new(costs, threads), workers, init, f)
 }
 
-/// Stateless convenience wrapper over [`run_indexed_with`].
-pub fn run_indexed<R, F>(n: usize, threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    run_indexed_with(n, threads, || (), |(), i| f(i))
-}
-
-/// Runs `f` over the indices `0..n` on exactly `workers` OS threads
-/// (clamped to `1..=n`), claiming work through `plan`: one atomic
-/// `fetch_add` claims a whole claim group. Results are returned in
-/// index order — the plan affects only *when* each index runs, never
-/// where its result lands.
-///
-/// # Panics
-///
-/// Panics if the plan was built for a different index space, and
-/// propagates a panic from any worker after all workers have stopped.
-pub fn run_claim_plan<S, R, I, F>(n: usize, workers: usize, plan: &ClaimPlan, init: I, f: F) -> Vec<R>
+/// The threaded half of [`run_indexed`]: `workers` scoped threads claim
+/// one plan group per atomic `fetch_add` until the plan is exhausted,
+/// and results merge by index — the plan affects only *when* each index
+/// runs, never where its result lands.
+fn claim_groups<S, R, I, F>(plan: &ClaimPlan, workers: usize, init: I, f: F) -> Vec<R>
 where
     R: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> R + Sync,
 {
-    assert_eq!(plan.order.len(), n, "claim plan covers a different index space");
-    let workers = workers.clamp(1, n.max(1));
-    if workers == 1 {
-        // Inline, in plan order: the dispatch order stays observable
-        // (per-worker caches warm the same way as one parallel worker)
-        // while results still land positionally.
-        let mut state = init();
-        let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        for &i in &plan.order {
-            slots[i as usize] = Some(f(&mut state, i as usize));
-        }
-        return slots
-            .into_iter()
-            .map(|r| r.expect("plan covers every index exactly once"))
-            .collect();
-    }
-
+    let n = plan.order.len();
     let next = AtomicUsize::new(0);
-    let num_groups = plan.num_groups();
     let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
     std::thread::scope(|scope| {
@@ -232,7 +172,7 @@ where
                     let mut out = Vec::new();
                     loop {
                         let g = next.fetch_add(1, Ordering::Relaxed);
-                        if g >= num_groups {
+                        if g >= plan.num_groups() {
                             break;
                         }
                         for &i in plan.group(g) {
@@ -261,45 +201,6 @@ where
         .collect()
 }
 
-/// Cost-aware counterpart of [`run_indexed_with`]: builds a
-/// [`ClaimPlan`] from the per-item cost estimates and runs it on at
-/// most `threads` workers, additionally capped at
-/// [`host_parallelism`]. The `threads` argument is a *parallelism
-/// budget* (rayon semantics), not an OS-thread demand — spawning more
-/// workers than cores only loses time to oversubscription while
-/// changing no result. A budget that resolves to a single worker skips
-/// planning entirely and runs inline in index order, so on a
-/// single-core host this function *is* the serial path.
-///
-/// # Panics
-///
-/// Panics if `costs.len() != n`, and propagates worker panics.
-pub fn run_indexed_costed<S, R, I, F>(
-    n: usize,
-    threads: usize,
-    costs: &[u64],
-    init: I,
-    f: F,
-) -> Vec<R>
-where
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> R + Sync,
-{
-    assert_eq!(costs.len(), n, "one cost estimate per work item");
-    let workers = threads.min(host_parallelism());
-    if workers <= 1 || n <= 1 {
-        // A budget of one worker is the serial discipline: walk the
-        // items in index (memory) order. Dispatching a lone worker in
-        // cost order would stride randomly through the item array —
-        // measurably slower on large suites — and buys nothing, since
-        // cost order exists only to balance load *across* workers.
-        let mut state = init();
-        return (0..n).map(|i| f(&mut state, i)).collect();
-    }
-    run_claim_plan(n, workers, &ClaimPlan::new(costs, threads), init, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,8 +208,9 @@ mod tests {
 
     #[test]
     fn results_come_back_in_index_order() {
+        let costs = vec![1u64; 37];
         for threads in [1usize, 2, 3, 8, 64] {
-            let got = run_indexed(37, threads, |i| i * i);
+            let got = run_indexed(37, threads, &costs, || (), |(), i| i * i);
             let want: Vec<usize> = (0..37).map(|i| i * i).collect();
             assert_eq!(got, want, "threads={threads}");
         }
@@ -316,14 +218,16 @@ mod tests {
 
     #[test]
     fn zero_items_and_zero_threads_are_fine() {
-        assert_eq!(run_indexed(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(run_indexed(3, 0, |i| i), vec![0, 1, 2]);
+        assert_eq!(run_indexed(0, 4, &[], || (), |(), i| i), Vec::<usize>::new());
+        assert_eq!(run_indexed(3, 0, &[1, 1, 1], || (), |(), i| i), vec![0, 1, 2]);
     }
 
     #[test]
     fn every_index_claimed_exactly_once() {
         let counts: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        let _ = run_indexed(100, 8, |i| counts[i].fetch_add(1, Ordering::Relaxed));
+        let _ = run_indexed(100, 8, &[1; 100], || (), |(), i| {
+            counts[i].fetch_add(1, Ordering::Relaxed)
+        });
         for (i, c) in counts.iter().enumerate() {
             assert_eq!(c.load(Ordering::Relaxed), 1, "index {i}");
         }
@@ -332,35 +236,35 @@ mod tests {
     #[test]
     fn worker_state_is_private_and_reused() {
         // Each worker's state counts how many items it processed; the
-        // per-item results record the worker-local sequence number, so
-        // summing (last seen + 1) over distinct workers equals n.
-        let results = run_indexed_with(
-            50,
-            4,
-            || 0usize,
-            |seen, _i| {
-                let s = *seen;
-                *seen += 1;
-                s
-            },
-        );
+        // per-item results record the worker-local sequence number.
+        // Sequence numbers start at 0 and are contiguous, so the number
+        // of 0s equals the number of workers that processed at least
+        // one item.
+        let seq = |seen: &mut usize, _i: usize| {
+            let s = *seen;
+            *seen += 1;
+            s
+        };
+        let results = run_indexed(50, 4, &[1; 50], || 0usize, seq);
         assert_eq!(results.len(), 50);
-        // Worker-local sequence numbers start at 0 and are contiguous,
-        // so the total number of 0s equals the number of workers that
-        // processed at least one item.
+        let zeros = results.iter().filter(|&&s| s == 0).count();
+        assert!((1..=4).contains(&zeros), "zeros={zeros}");
+        // Same on exactly four threads, whatever the host's core count.
+        let plan = ClaimPlan::with_grain(&[1; 50], 1);
+        let results = claim_groups(&plan, 4, || 0usize, seq);
         let zeros = results.iter().filter(|&&s| s == 0).count();
         assert!((1..=4).contains(&zeros), "zeros={zeros}");
     }
 
     #[test]
     fn worker_panics_propagate() {
-        let r = std::panic::catch_unwind(|| {
-            run_indexed(8, 2, |i| {
-                assert!(i != 5, "boom");
-                i
-            })
-        });
-        assert!(r.is_err());
+        let boom = |_: &mut (), i: usize| {
+            assert!(i != 5, "boom");
+            i
+        };
+        assert!(std::panic::catch_unwind(|| run_indexed(8, 2, &[1; 8], || (), boom)).is_err());
+        let plan = ClaimPlan::with_grain(&[1; 8], 1);
+        assert!(std::panic::catch_unwind(|| claim_groups(&plan, 2, || (), boom)).is_err());
     }
 
     #[test]
@@ -409,7 +313,7 @@ mod tests {
         let plan = ClaimPlan::new(&[], 8);
         assert_eq!(plan.num_groups(), 0);
         assert_eq!(plan.order(), &[] as &[u32]);
-        let got: Vec<u32> = run_claim_plan(0, 4, &plan, || (), |(), i| i as u32);
+        let got: Vec<u32> = claim_groups(&plan, 4, || (), |(), i| i as u32);
         assert!(got.is_empty());
     }
 
@@ -417,7 +321,7 @@ mod tests {
     fn costed_results_come_back_in_index_order() {
         let costs: Vec<u64> = (0..37).map(|i| (i * 7 % 13) as u64).collect();
         for threads in [1usize, 2, 3, 8, 64] {
-            let got = run_indexed_costed(37, threads, &costs, || (), |(), i| i * i);
+            let got = run_indexed(37, threads, &costs, || (), |(), i| i * i);
             let want: Vec<usize> = (0..37).map(|i| i * i).collect();
             assert_eq!(got, want, "threads={threads}");
         }
@@ -429,7 +333,7 @@ mod tests {
         for workers in [1usize, 2, 8] {
             let plan = ClaimPlan::new(&costs, workers);
             let counts: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-            let _ = run_claim_plan(100, workers, &plan, || (), |(), i| {
+            let _ = claim_groups(&plan, workers, || (), |(), i| {
                 counts[i].fetch_add(1, Ordering::Relaxed)
             });
             for (i, c) in counts.iter().enumerate() {
@@ -445,9 +349,9 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(128))]
 
-            /// Satellite (d): random cost distributions × thread counts
-            /// × chunk sizes always yield every index claimed exactly
-            /// once and positionally ordered results.
+            /// Random cost distributions × worker counts × grain sizes
+            /// always yield every index claimed exactly once and
+            /// positionally ordered results.
             #[test]
             fn chunked_claiming_is_positional_and_exhaustive(
                 costs in prop::collection::vec(0u64..1_000, 0..120),
@@ -481,7 +385,7 @@ mod tests {
                 // returns results positionally.
                 let counts: Vec<std::sync::atomic::AtomicUsize> =
                     (0..n).map(|_| std::sync::atomic::AtomicUsize::new(0)).collect();
-                let got = run_claim_plan(n, workers, &plan, || (), |(), i| {
+                let got = claim_groups(&plan, workers, || (), |(), i| {
                     counts[i].fetch_add(1, Ordering::Relaxed);
                     i * 2 + 1
                 });

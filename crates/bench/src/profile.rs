@@ -12,14 +12,14 @@
 //! never perturbs what it measures beyond the tracing overhead itself.
 
 use crate::benchcmd::{suite_supported, SUITE_SEED};
-use crate::{run_suite_runs_parallel, LoopRun};
+use crate::{run_suite_runs, LoopRun};
 use rmd_core::{reduce_with_fallback, Objective, ReduceOptions, REDUCTION_PHASES};
 use rmd_machine::{MachineDescription, OpId};
 use rmd_query::{
     BitvecModule, CompiledModule, ContentionQuery, DiscreteModule, MeteredQuery,
     ModuloBitvecModule, ModuloDiscreteModule, ModuloMaskCache, OpInstance, QueryFn, WordLayout,
 };
-use rmd_sched::{mii, ImsConfig, IterativeModuloScheduler, Representation};
+use rmd_sched::{mii, ImsConfig, IterativeModuloScheduler, Representation, SchedScratch};
 use rmd_obs::{Event, EventKind, MetricRegistry};
 use serde::Serialize;
 use std::fmt::Write as _;
@@ -227,10 +227,11 @@ fn profile_scheduler(m: &MachineDescription, count: usize, seed: u64, reg: &mut 
     let repr = Representation::Bitvec(layout);
     let ims = IterativeModuloScheduler::new(ImsConfig::default());
     let mut cache = ModuloMaskCache::new(m, layout);
+    let mut scratch = SchedScratch::new();
     for l in &loops {
         let lower = mii::mii(&l.graph, m);
         let r = ims
-            .schedule_with_mii_cached(&l.graph, m, repr, lower, &mut cache)
+            .schedule_with_mii_cached_scratch(&l.graph, m, repr, lower, &mut cache, &mut scratch)
             .unwrap_or_else(|e| panic!("{}: {e}", l.name));
         r.counters.export_to(reg, "sched.query");
         reg.inc("sched.loops", 1);
@@ -239,6 +240,7 @@ fn profile_scheduler(m: &MachineDescription, count: usize, seed: u64, reg: &mut 
         reg.inc("sched.reversed_by_dependence", r.reversed_by_dependence);
         reg.inc("sched.attempts", u64::from(r.attempts));
         reg.observe("sched.ii", u64::from(r.ii));
+        scratch.recycle(r);
     }
     cache.export_to(reg, "sched.mask_cache");
 }
@@ -493,7 +495,7 @@ pub fn suite_metrics(
     budget_ratio: f64,
     threads: usize,
 ) -> MetricRegistry {
-    let runs = run_suite_runs_parallel(machine, mii_machine, loops, repr, budget_ratio, threads);
+    let runs = run_suite_runs(machine, mii_machine, loops, repr, budget_ratio, threads);
     let mut reg = MetricRegistry::new();
     for r in &runs {
         fold_run(&mut reg, r);
@@ -515,14 +517,8 @@ fn fold_run(reg: &mut MetricRegistry, r: &LoopRun) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::with_tracing_lock as with_profile_lock;
     use rmd_machine::models::{cydra5_subset, example_machine};
-
-    /// Serializes tests that toggle the global tracing flag.
-    fn with_profile_lock<R>(f: impl FnOnce() -> R) -> R {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _g = LOCK.lock().unwrap();
-        f()
-    }
 
     #[test]
     fn profile_covers_every_reduction_phase() {

@@ -3,10 +3,7 @@
 //! results, aggregate statistics, and reduction reports as the serial
 //! path — cost-sharded claiming and per-worker scratch reuse included.
 
-use rmd_bench::{
-    aggregate, reduction_report, reduction_reports_parallel, run_suite_runs,
-    run_suite_runs_parallel,
-};
+use rmd_bench::{aggregate, reduction_report, reduction_reports_parallel, run_suite_runs};
 use rmd_machine::models::{cydra5_subset, example_machine, mips_r3000};
 use rmd_query::WordLayout;
 use rmd_sched::Representation;
@@ -24,11 +21,11 @@ fn suite_results_identical_across_thread_counts() {
         Representation::Discrete,
         Representation::Bitvec(WordLayout::widest(64, m.num_resources())),
     ] {
-        let serial = run_suite_runs(&m, &m, &loops, repr, budget_ratio);
+        let serial = run_suite_runs(&m, &m, &loops, repr, budget_ratio, 1);
         let serial_stats =
             serde_json::to_string(&aggregate(&serial, budget_ratio)).expect("serialize");
         for threads in THREAD_COUNTS {
-            let parallel = run_suite_runs_parallel(&m, &m, &loops, repr, budget_ratio, threads);
+            let parallel = run_suite_runs(&m, &m, &loops, repr, budget_ratio, threads);
             assert_eq!(
                 serial, parallel,
                 "{repr:?} at {threads} threads diverged from serial"
@@ -50,8 +47,8 @@ fn schedules_themselves_are_identical() {
     let ops = rmd_loops::OpSet::for_cydra_subset(&m);
     let loops = rmd_loops::suite(&ops, 16, 7);
     let repr = Representation::Bitvec(WordLayout::widest(64, m.num_resources()));
-    let serial = run_suite_runs(&m, &m, &loops, repr, 6.0);
-    let parallel = run_suite_runs_parallel(&m, &m, &loops, repr, 6.0, 8);
+    let serial = run_suite_runs(&m, &m, &loops, repr, 6.0, 1);
+    let parallel = run_suite_runs(&m, &m, &loops, repr, 6.0, 8);
     for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
         assert_eq!(s.times, p.times, "loop {i} ({})", loops[i].name);
         assert_eq!(s.ii, p.ii, "loop {i}");

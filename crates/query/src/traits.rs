@@ -71,13 +71,6 @@ pub trait ContentionQuery {
     /// Number of currently scheduled instances.
     fn num_scheduled(&self) -> usize;
 
-    /// Finds the first contention-free cycle for `op` in
-    /// `[from, from + window)`, issuing one `check` per probed cycle —
-    /// the slot-search idiom of every scheduler in this workspace.
-    fn find_first_free(&mut self, op: OpId, from: u32, window: u32) -> Option<u32> {
-        (from..from.saturating_add(window)).find(|&t| self.check(op, t))
-    }
-
     /// Availability bitmask for `op` over the window
     /// `[start, start + len)`: bit `i` is set iff
     /// `check(op, start + i)` would return `true`. `len` is clamped to
@@ -151,18 +144,6 @@ mod tests {
     use crate::discrete::DiscreteModule;
     use rmd_machine::models::example_machine;
 
-    #[test]
-    fn find_first_free_scans_the_window() {
-        let m = example_machine();
-        let b = m.op_by_name("B").unwrap();
-        let mut q = DiscreteModule::new(&m);
-        q.assign(OpInstance(0), b, 0);
-        // 1..=3 conflict (F[B][B]); 4 is the first free cycle.
-        assert_eq!(q.find_first_free(b, 1, 10), Some(4));
-        assert_eq!(q.find_first_free(b, 1, 3), None);
-        assert_eq!(q.counters().check.calls, 3 + 4);
-    }
-
     /// Delegates the required methods only, so the provided
     /// `check_window` / `first_free_in` bodies are the ones under test
     /// even when the inner backend overrides them.
@@ -227,8 +208,8 @@ mod tests {
         let b = m.op_by_name("B").unwrap();
         let mut q = DefaultsOnly(DiscreteModule::new(&m));
         q.assign(OpInstance(0), b, 0);
-        // Same first hit and same `check` accounting as the scalar loop
-        // in `find_first_free_scans_the_window`.
+        // 1..=3 conflict (F[B][B]); 4 is the first free cycle. A scalar
+        // loop would charge one `check` per probed cycle: 4 + 3.
         assert_eq!(q.first_free_in(b, 1, 10), Some(4));
         assert_eq!(q.first_free_in(b, 1, 3), None);
         assert_eq!(q.counters().check.calls, 3 + 4);

@@ -8,8 +8,7 @@ use core::fmt;
 use rmd_machine::alternatives::AltGroups;
 use rmd_machine::{MachineDescription, OpId};
 use rmd_query::{
-    ContentionQuery, ModuloBitvecModule, ModuloDiscreteModule, ModuloMaskCache, OpInstance,
-    WordLayout, WorkCounters,
+    ContentionQuery, ModuloDiscreteModule, ModuloMaskCache, OpInstance, WordLayout, WorkCounters,
 };
 
 /// Which internal representation the contention query module uses.
@@ -21,20 +20,6 @@ pub enum Representation {
     Bitvec(WordLayout),
 }
 
-/// How the scheduler probes the II window for a contention-free slot.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SlotSearch {
-    /// One [`check`](ContentionQuery::check) (or `check_with_alt`) per
-    /// candidate cycle — the paper's literal formulation.
-    PerCycle,
-    /// Batched window queries
-    /// ([`first_free_in`](ContentionQuery::first_free_in) /
-    /// [`rmd_query::first_free_with_alt`]): byte-identical schedules and
-    /// `check` accounting, answered from fewer backend word loads.
-    #[default]
-    Window,
-}
-
 /// Scheduler configuration.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct ImsConfig {
@@ -44,8 +29,6 @@ pub struct ImsConfig {
     pub budget_ratio: f64,
     /// Give up if no schedule is found at II ≤ `max_ii`.
     pub max_ii: u32,
-    /// Slot-search strategy; [`SlotSearch::Window`] by default.
-    pub slot_search: SlotSearch,
 }
 
 impl Default for ImsConfig {
@@ -53,7 +36,6 @@ impl Default for ImsConfig {
         ImsConfig {
             budget_ratio: 6.0,
             max_ii: 4096,
-            slot_search: SlotSearch::Window,
         }
     }
 }
@@ -168,73 +150,25 @@ impl IterativeModuloScheduler {
         repr: Representation,
         mii: u32,
     ) -> Result<ImsResult, ImsError> {
-        let mut scratch = SchedScratch::new();
-        self.schedule_inner(g, machine, repr, mii, None, None, &mut scratch)
+        self.schedule_inner(g, machine, repr, mii, None, None, &mut SchedScratch::new())
     }
 
-    /// Like [`schedule_with_mii`](Self::schedule_with_mii), drawing the
-    /// per-attempt working buffers from a caller-owned
-    /// [`SchedScratch`] so back-to-back schedules reuse allocations.
-    /// Results are byte-identical to the scratch-free path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ImsError::NoFeasibleIi`] as for
-    /// [`schedule`](Self::schedule).
-    pub fn schedule_with_mii_scratch(
-        &self,
-        g: &DepGraph,
-        machine: &MachineDescription,
-        repr: Representation,
-        mii: u32,
-        scratch: &mut SchedScratch,
-    ) -> Result<ImsResult, ImsError> {
-        self.schedule_inner(g, machine, repr, mii, None, None, scratch)
-    }
-
-    /// Like [`schedule_with_mii`](Self::schedule_with_mii), drawing
-    /// bitvector reservation tables from `cache` instead of recompiling
-    /// the per-(op, slot) word masks for every II attempted. A suite run
-    /// schedules many loops against one machine, and IIs repeat heavily
-    /// across loops, so the cache turns per-attempt mask expansion into
-    /// a lookup. Schedules, statistics, and work counters are identical
-    /// to the uncached path — the cache only changes *when* masks are
-    /// built, never what they contain (mask expansion was never charged
-    /// to [`WorkCounters`]).
+    /// The steady-state entry point of the suite runner and the serve
+    /// daemon: [`schedule_with_mii`](Self::schedule_with_mii) drawing
+    /// bitvector reservation tables from `cache` and working buffers
+    /// (the reservation-table module included) from `scratch`. A suite
+    /// run schedules many loops against one machine, and IIs repeat
+    /// heavily across loops, so the cache turns per-attempt mask
+    /// expansion into a lookup, and a warm scratch/cache pair schedules
+    /// a previously seen loop shape with zero heap allocations.
+    /// Schedules, statistics, and work counters are byte-identical to
+    /// [`schedule_with_mii`](Self::schedule_with_mii) — the cache only
+    /// changes *when* masks are built, never what they contain (mask
+    /// expansion was never charged to [`WorkCounters`]).
     ///
     /// The cache must have been created for the same machine this call
     /// schedules against; with [`Representation::Discrete`] it is
     /// ignored.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ImsError::NoFeasibleIi`] as for
-    /// [`schedule`](Self::schedule).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `repr` is a bitvector layout different from the
-    /// cache's.
-    pub fn schedule_with_mii_cached(
-        &self,
-        g: &DepGraph,
-        machine: &MachineDescription,
-        repr: Representation,
-        mii: u32,
-        cache: &mut ModuloMaskCache,
-    ) -> Result<ImsResult, ImsError> {
-        let mut scratch = SchedScratch::new();
-        self.schedule_with_mii_cached_scratch(g, machine, repr, mii, cache, &mut scratch)
-    }
-
-    /// The cached path with caller-owned scratch — the steady-state
-    /// entry point of the suite runners and the serve daemon: mask
-    /// expansions come from `cache`, working buffers and the
-    /// reservation-table module itself from `scratch`. A warm
-    /// scratch/cache pair schedules a previously seen loop shape with
-    /// zero heap allocations; results are byte-identical to
-    /// [`schedule_with_mii`](Self::schedule_with_mii), counters
-    /// included.
     ///
     /// # Errors
     ///
@@ -288,6 +222,10 @@ impl IterativeModuloScheduler {
         self.schedule_inner(g, machine, repr, mii, Some(groups), None, &mut scratch)
     }
 
+    /// The one II search behind every entry point. A bitvector call
+    /// without a caller-owned `cache` builds one local to the call, so
+    /// every bitvector attempt draws its module from
+    /// [`ModuloMaskCache::module_reusing`].
     #[allow(clippy::too_many_arguments)]
     fn schedule_inner(
         &self,
@@ -296,9 +234,17 @@ impl IterativeModuloScheduler {
         repr: Representation,
         mii: u32,
         groups: Option<&AltGroups>,
-        mut cache: Option<&mut ModuloMaskCache>,
+        cache: Option<&mut ModuloMaskCache>,
         scratch: &mut SchedScratch,
     ) -> Result<ImsResult, ImsError> {
+        let mut local_cache = None;
+        let mut cache = match repr {
+            Representation::Discrete => None,
+            Representation::Bitvec(layout) => Some(match cache {
+                Some(c) => c,
+                None => local_cache.insert(ModuloMaskCache::new(machine, layout)),
+            }),
+        };
         let n = g.num_nodes();
         let budget_total = ((self.config.budget_ratio * n as f64).ceil() as u64).max(1);
 
@@ -316,33 +262,25 @@ impl IterativeModuloScheduler {
         while ii <= self.config.max_ii {
             attempts += 1;
             let span = rmd_obs::span_with("sched", "attempt", "ii", u64::from(ii));
-            // Per-attempt reservation table. The cached bitvector path
-            // refits the module held in the scratch in place (no boxing,
-            // no per-attempt construction); the other paths build a
-            // fresh module as before.
-            let outcome = match repr {
-                Representation::Discrete => {
+            // Per-attempt reservation table. The bitvector path refits
+            // the module held in the scratch in place (no boxing, no
+            // per-attempt construction); the discrete path builds a
+            // fresh module.
+            let outcome = match cache.as_deref_mut() {
+                None => {
                     let mut module = ModuloDiscreteModule::new(machine, ii);
                     let o = self.attempt(g, ii, budget_total, &mut module, groups, scratch);
                     counters.merge(module.counters());
                     o
                 }
-                Representation::Bitvec(layout) => match cache.as_deref_mut() {
-                    Some(c) => {
-                        let mut slot = scratch.module.take();
-                        let module = c.module_reusing(ii, &mut slot);
-                        let o = self.attempt(g, ii, budget_total, module, groups, scratch);
-                        counters.merge(module.counters());
-                        scratch.module = slot;
-                        o
-                    }
-                    None => {
-                        let mut module = ModuloBitvecModule::new(machine, ii, layout);
-                        let o = self.attempt(g, ii, budget_total, &mut module, groups, scratch);
-                        counters.merge(module.counters());
-                        o
-                    }
-                },
+                Some(c) => {
+                    let mut slot = scratch.module.take();
+                    let module = c.module_reusing(ii, &mut slot);
+                    let o = self.attempt(g, ii, budget_total, module, groups, scratch);
+                    counters.merge(module.counters());
+                    scratch.module = slot;
+                    o
+                }
             };
             decisions_total += outcome.decisions;
             reversed_by_resource += outcome.reversed_by_resource;
@@ -439,34 +377,15 @@ impl IterativeModuloScheduler {
                 }
             }
             let min_t = estart as u32;
-            let max_t = min_t + ii - 1;
 
-            // Slot search within one II window; with alternatives, any
+            // Slot search over the one II window min_t..min_t + II,
+            // stopping at the first free cycle; with alternatives, any
             // contention-free alternative of the base op wins the slot.
             let base = g.op(v);
-            let search_span = rmd_obs::span_with("sched", "slot_search", "min_t", u64::from(min_t));
-            let found: Option<(u32, OpId)> = match self.config.slot_search {
-                SlotSearch::PerCycle => {
-                    let mut found = None;
-                    for t in min_t..=max_t {
-                        let hit = match groups {
-                            None => module.check(base, t).then_some(base),
-                            Some(gr) => rmd_query::check_with_alt(module, gr, base, t),
-                        };
-                        if let Some(op) = hit {
-                            found = Some((t, op));
-                            break;
-                        }
-                    }
-                    found
-                }
-                // The window spans exactly min_t..=max_t (len = II), and
-                // the batched search stops at the first free cycle, so
-                // both strategies accept the same slot.
-                SlotSearch::Window => match groups {
-                    None => module.first_free_in(base, min_t, ii).map(|t| (t, base)),
-                    Some(gr) => rmd_query::first_free_with_alt(module, gr, base, min_t, ii),
-                },
+            let search_span = rmd_obs::span_with("sched", "find_slot", "min_t", u64::from(min_t));
+            let found: Option<(u32, OpId)> = match groups {
+                None => module.first_free_in(base, min_t, ii).map(|t| (t, base)),
+                Some(gr) => rmd_query::first_free_with_alt(module, gr, base, min_t, ii),
             };
             drop(search_span);
             // Forced placement when the window is full (Rau: estart if
@@ -697,7 +616,14 @@ mod tests {
             let repr = Representation::Bitvec(layout);
             let plain = ims.schedule_with_mii(&g, &m, repr, mii).expect("test setup");
             let cached = ims
-                .schedule_with_mii_cached(&g, &m, repr, mii, &mut cache)
+                .schedule_with_mii_cached_scratch(
+                    &g,
+                    &m,
+                    repr,
+                    mii,
+                    &mut cache,
+                    &mut SchedScratch::new(),
+                )
                 .expect("test setup");
             assert_eq!(plain.times, cached.times);
             assert_eq!(plain.chosen, cached.chosen);
@@ -741,7 +667,14 @@ mod tests {
             let mii = crate::mii::mii(g, &m);
             let plain = ims.schedule_with_mii(g, &m, repr, mii).expect("test setup");
             let cached = ims
-                .schedule_with_mii_cached(g, &m, repr, mii, &mut cache)
+                .schedule_with_mii_cached_scratch(
+                    g,
+                    &m,
+                    repr,
+                    mii,
+                    &mut cache,
+                    &mut SchedScratch::new(),
+                )
                 .expect("test setup");
             assert_eq!(plain.times, cached.times);
             assert_eq!(plain.chosen, cached.chosen);
@@ -760,12 +693,13 @@ mod tests {
         let mut cache = ModuloMaskCache::new(&m, WordLayout::with_k(64, 1));
         let g = chain(&m, &["load.w.0", "fadd"], 5);
         let ims = IterativeModuloScheduler::new(ImsConfig::default());
-        let _ = ims.schedule_with_mii_cached(
+        let _ = ims.schedule_with_mii_cached_scratch(
             &g,
             &m,
             Representation::Bitvec(WordLayout::with_k(64, 2)),
             1,
             &mut cache,
+            &mut SchedScratch::new(),
         );
     }
 
@@ -789,61 +723,125 @@ mod tests {
         assert_eq!(attempts.last().unwrap().arg, Some(("ii", u64::from(r.ii))));
     }
 
+    /// Forwards only the required [`ContentionQuery`] methods, so the
+    /// trait defaults answer everything else: `first_free_in` scans the
+    /// window one `check` per cycle — the paper's literal slot search,
+    /// kept as the oracle for the backends' batched overrides.
+    struct PerCycle<'a>(&'a mut dyn ContentionQuery);
+
+    impl ContentionQuery for PerCycle<'_> {
+        fn check(&mut self, op: OpId, cycle: u32) -> bool {
+            self.0.check(op, cycle)
+        }
+        fn assign(&mut self, inst: OpInstance, op: OpId, cycle: u32) {
+            self.0.assign(inst, op, cycle);
+        }
+        fn assign_free(&mut self, inst: OpInstance, op: OpId, cycle: u32) -> Vec<OpInstance> {
+            self.0.assign_free(inst, op, cycle)
+        }
+        fn free(&mut self, inst: OpInstance, op: OpId, cycle: u32) {
+            self.0.free(inst, op, cycle);
+        }
+        fn counters(&self) -> &WorkCounters {
+            self.0.counters()
+        }
+        fn counters_mut(&mut self) -> &mut WorkCounters {
+            self.0.counters_mut()
+        }
+        fn reset(&mut self) {
+            self.0.reset();
+        }
+        fn num_scheduled(&self) -> usize {
+            self.0.num_scheduled()
+        }
+    }
+
     #[test]
-    fn window_slot_search_is_byte_identical_to_per_cycle() {
-        // The tentpole invariant: batched window queries must reproduce
-        // the scalar slot search exactly — same schedules, same work
-        // accounting — with `check_window` the only counter allowed to
-        // differ (it is new work metadata, not new work).
+    fn window_probe_is_byte_identical_to_per_cycle_oracle() {
+        // Batched window queries must reproduce the per-cycle scan
+        // exactly — same placements, same work accounting — with
+        // `check_window` the only counter allowed to differ (it is work
+        // metadata, not work).
         let m = cydra5_subset();
-        let mut graphs = vec![
+        let layout = WordLayout::widest(64, m.num_resources());
+        let alt_groups = rmd_machine::models::cydra5_alt_groups(&m);
+        let load0 = m.op_by_name("load.w.0").expect("test setup");
+        let fadd = m.op_by_name("fadd").expect("test setup");
+        // Resource pressure: forced placements and evictions exercise
+        // the full-window (found = None) path too; port-0 loads give the
+        // alternatives somewhere to go.
+        let mut pressured = DepGraph::new();
+        for _ in 0..6 {
+            pressured.add_node(fadd);
+        }
+        let mut loads = DepGraph::new();
+        for _ in 0..2 {
+            let a = loads.add_node(fadd);
+            for _ in 0..2 {
+                let l = loads.add_node(load0);
+                loads.add_edge(l, a, 21, 0, DepKind::Flow);
+            }
+        }
+        let graphs = [
             chain(&m, &["load.w.0", "fadd", "store.w.0"], 8),
             chain(
                 &m,
                 &["load.w.0", "load.w.1", "fmul", "fadd", "store.w.1"],
                 5,
             ),
+            pressured,
+            loads,
         ];
-        // Resource pressure: forced placements and evictions exercise
-        // the full-window (found = None) path too.
-        let fadd = m.op_by_name("fadd").expect("test setup");
-        let mut pressured = DepGraph::new();
-        for _ in 0..6 {
-            pressured.add_node(fadd);
-        }
-        graphs.push(pressured);
 
-        let per_cycle_ims = IterativeModuloScheduler::new(ImsConfig {
-            slot_search: SlotSearch::PerCycle,
-            ..ImsConfig::default()
-        });
-        let window_ims = IterativeModuloScheduler::new(ImsConfig::default());
+        let ims = IterativeModuloScheduler::new(ImsConfig::default());
+        let mut cache = ModuloMaskCache::new(&m, layout);
         for (i, g) in graphs.iter().enumerate() {
-            for repr in [
-                Representation::Discrete,
-                Representation::Bitvec(WordLayout::widest(64, m.num_resources())),
-            ] {
-                let a = per_cycle_ims.schedule(g, &m, repr).expect("test setup");
-                let b = window_ims.schedule(g, &m, repr).expect("test setup");
-                let ctx = format!("graph {i}, {repr:?}");
-                assert_eq!(a.times, b.times, "{ctx}");
-                assert_eq!(a.chosen, b.chosen, "{ctx}");
-                assert_eq!(a.ii, b.ii, "{ctx}");
-                assert_eq!(a.mii, b.mii, "{ctx}");
-                assert_eq!(a.decisions, b.decisions, "{ctx}");
-                assert_eq!(a.reversed_by_resource, b.reversed_by_resource, "{ctx}");
-                assert_eq!(a.reversed_by_dependence, b.reversed_by_dependence, "{ctx}");
-                assert_eq!(a.attempts, b.attempts, "{ctx}");
-                assert_eq!(a.per_attempt_ratio, b.per_attempt_ratio, "{ctx}");
-                assert_eq!(a.counters.check, b.counters.check, "{ctx}");
-                assert_eq!(a.counters.assign, b.counters.assign, "{ctx}");
-                assert_eq!(a.counters.assign_free, b.counters.assign_free, "{ctx}");
-                assert_eq!(a.counters.free, b.counters.free, "{ctx}");
-                assert_eq!(a.counters.transitions, b.counters.transitions, "{ctx}");
-                // The scalar path never issues window queries; the
-                // window path meters every slot search through one.
-                assert_eq!(a.counters.check_window.calls, 0, "{ctx}");
-                assert!(b.counters.check_window.calls > 0, "{ctx}");
+            let budget = 6 * g.num_nodes() as u64;
+            for repr in [Representation::Discrete, Representation::Bitvec(layout)] {
+                for groups in [None, Some(&alt_groups)] {
+                    let mut module = |ii| -> Box<dyn ContentionQuery> {
+                        match repr {
+                            Representation::Discrete => Box::new(ModuloDiscreteModule::new(&m, ii)),
+                            Representation::Bitvec(_) => Box::new(cache.module(ii)),
+                        }
+                    };
+                    // Walk the II search attempt by attempt until one
+                    // succeeds, comparing every attempt on the way.
+                    let mut ii = crate::mii::mii(g, &m);
+                    loop {
+                        let ctx =
+                            format!("graph {i}, {repr:?}, alts {}, ii {ii}", groups.is_some());
+                        let (mut window, mut scalar) = (module(ii), module(ii));
+                        let a = ims.attempt(
+                            g,
+                            ii,
+                            budget,
+                            window.as_mut(),
+                            groups,
+                            &mut SchedScratch::new(),
+                        );
+                        let b = ims.attempt(
+                            g,
+                            ii,
+                            budget,
+                            &mut PerCycle(scalar.as_mut()),
+                            groups,
+                            &mut SchedScratch::new(),
+                        );
+                        assert_eq!(a.times, b.times, "{ctx}");
+                        assert_eq!(a.decisions, b.decisions, "{ctx}");
+                        assert_eq!(a.reversed_by_resource, b.reversed_by_resource, "{ctx}");
+                        assert_eq!(a.reversed_by_dependence, b.reversed_by_dependence, "{ctx}");
+                        let (mut wc, mut sc) = (*window.counters(), *scalar.counters());
+                        wc.check_window = rmd_query::FnCounter::default();
+                        sc.check_window = rmd_query::FnCounter::default();
+                        assert_eq!(wc, sc, "{ctx}");
+                        if a.times.is_some() {
+                            break;
+                        }
+                        ii += 1;
+                    }
+                }
             }
         }
     }
@@ -856,7 +854,6 @@ mod tests {
         let m = cydra5_subset();
         let layout = WordLayout::widest(64, m.num_resources());
         let mut cache = ModuloMaskCache::new(&m, layout);
-        let mut plain_cache = ModuloMaskCache::new(&m, layout);
         let mut scratch = SchedScratch::new();
         let ims = IterativeModuloScheduler::new(ImsConfig::default());
 
@@ -883,7 +880,7 @@ mod tests {
                 let ctx = format!("graph {i}, {repr:?}");
                 let plain = ims.schedule_with_mii(g, &m, repr, mii).expect("test setup");
                 let scratched = ims
-                    .schedule_with_mii_scratch(g, &m, repr, mii, &mut scratch)
+                    .schedule_with_mii_cached_scratch(g, &m, repr, mii, &mut cache, &mut scratch)
                     .expect("test setup");
                 assert_eq!(plain.times, scratched.times, "{ctx}");
                 assert_eq!(plain.chosen, scratched.chosen, "{ctx}");
@@ -893,17 +890,6 @@ mod tests {
                 assert_eq!(plain.per_attempt_ratio, scratched.per_attempt_ratio, "{ctx}");
                 assert_eq!(plain.counters, scratched.counters, "{ctx}");
                 scratch.recycle(scratched);
-
-                let cached_plain = ims
-                    .schedule_with_mii_cached(g, &m, repr, mii, &mut plain_cache)
-                    .expect("test setup");
-                let cached_scratched = ims
-                    .schedule_with_mii_cached_scratch(g, &m, repr, mii, &mut cache, &mut scratch)
-                    .expect("test setup");
-                assert_eq!(cached_plain.times, cached_scratched.times, "{ctx} cached");
-                assert_eq!(cached_plain.counters, cached_scratched.counters, "{ctx} cached");
-                assert_eq!(plain.times, cached_scratched.times, "{ctx} cached-vs-plain");
-                scratch.recycle(cached_scratched);
             }
         }
     }
@@ -949,7 +935,6 @@ mod edge_tests {
         let ims = IterativeModuloScheduler::new(ImsConfig {
             budget_ratio: 6.0,
             max_ii: 2, // below ResMII: the II loop never runs
-            ..ImsConfig::default()
         });
         let e = ims.schedule(&g, &m, Representation::Discrete).unwrap_err();
         assert_eq!(e, ImsError::NoFeasibleIi { max_ii: 2 });

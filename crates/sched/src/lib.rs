@@ -58,9 +58,7 @@ mod scratch;
 mod validate;
 
 pub use graph::{DepGraph, DepKind, Edge, NodeId};
-pub use ims::{
-    ImsConfig, ImsError, ImsResult, IterativeModuloScheduler, Representation, SlotSearch,
-};
+pub use ims::{ImsConfig, ImsError, ImsResult, IterativeModuloScheduler, Representation};
 pub use list::{schedule_trace, BoundaryOp, ListResult, ListScheduler, TraceResult};
 pub use scratch::SchedScratch;
 pub use validate::{validate, validate_list, ScheduleError};

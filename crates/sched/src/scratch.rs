@@ -2,7 +2,7 @@
 //!
 //! The iterative modulo scheduler's per-attempt working set — height
 //! priorities, partial-schedule vectors, the ready queue, eviction
-//! buffers, and (on the cached bitvector path) the reservation-table
+//! buffers, and (on the bitvector path) the reservation-table
 //! module itself — is sized by the loop being scheduled. A suite run
 //! schedules thousands of loops back to back, and a serve daemon
 //! schedules for hours; reallocating that working set per loop is pure
@@ -15,9 +15,9 @@
 //! Scratch never changes results: schedules, statistics, and work
 //! counters are byte-identical with or without it (the buffers are
 //! cleared and re-filled exactly as a fresh allocation would be). One
-//! scratch per worker thread is the intended shape — the parallel suite
-//! runner threads one through each worker's state, and the serial path
-//! uses one for the whole run so the comparison stays honest.
+//! scratch per worker thread is the intended shape — the suite runner
+//! threads one through each worker's state, and a serial run uses one
+//! for the whole suite so the comparison stays honest.
 
 use rmd_machine::OpId;
 use rmd_query::{ModuloBitvecModule, OpInstance};
@@ -27,12 +27,14 @@ use crate::ims::ImsResult;
 
 /// Reusable buffers for [`IterativeModuloScheduler`] attempts; see the
 /// module docs. Create one per worker thread with
-/// [`new`](Self::new) and pass it to the `*_scratch` scheduling entry
-/// points; [`recycle`](Self::recycle) returns a consumed result's
+/// [`new`](Self::new) and pass it to
+/// [`schedule_with_mii_cached_scratch`]; [`recycle`](Self::recycle)
+/// returns a consumed result's
 /// vectors to the pool so even the output side allocates nothing in
 /// steady state.
 ///
 /// [`IterativeModuloScheduler`]: crate::IterativeModuloScheduler
+/// [`schedule_with_mii_cached_scratch`]: crate::IterativeModuloScheduler::schedule_with_mii_cached_scratch
 #[derive(Debug, Default)]
 pub struct SchedScratch {
     /// Height-based priority per node (Rau's HeightR).
@@ -50,7 +52,7 @@ pub struct SchedScratch {
     pub(crate) queue: BinaryHeap<(i64, core::cmp::Reverse<u32>)>,
     /// Eviction victims of the latest `assign_free_into`.
     pub(crate) evicted: Vec<OpInstance>,
-    /// The reservation-table module reused across cached-bitvec
+    /// The reservation-table module reused across bitvector
     /// attempts (words, owner table, and registry keep their capacity).
     pub(crate) module: Option<ModuloBitvecModule>,
     /// Pools of returned result vectors (see [`recycle`](Self::recycle)).

@@ -600,7 +600,6 @@ impl ServeEngine {
         let config = ImsConfig {
             budget_ratio: budget_ratio.unwrap_or(defaults.budget_ratio),
             max_ii: max_ii.unwrap_or(defaults.max_ii),
-            ..defaults
         };
         // The request graph is built in a reused arena taken off the
         // engine; it is put back after a successful reply. Early error
@@ -695,7 +694,7 @@ impl ServeEngine {
         let _suite_span = rmd_obs::span_with("serve", "schedule", "req", idx);
         let mut runs = Vec::with_capacity(suite.len());
         for chunk in suite.chunks(SUITE_DEADLINE_CHUNK) {
-            runs.extend(rmd_bench::run_suite_runs_parallel(
+            runs.extend(rmd_bench::run_suite_runs(
                 &entry.sched_machine,
                 &entry.original,
                 chunk,

@@ -154,7 +154,7 @@ fn chaos_soak_ten_thousand_requests() {
         let ops = rmd_loops::OpSet::for_cydra_subset(&cydra);
         let suite = rmd_loops::suite(&ops, SUITE_LOOPS, SUITE_SEED);
         let layout = WordLayout::widest(64, cydra_red.num_resources());
-        let runs = rmd_bench::run_suite_runs_parallel(
+        let runs = rmd_bench::run_suite_runs(
             &cydra_red,
             &cydra,
             &suite,

@@ -9,12 +9,15 @@
 //! chunks. The cases here sit exactly on those seams: zero-length
 //! windows, the 64-cycle chunk boundary, windows that start far beyond
 //! the schedule horizon, and windows that run off the end of the cycle
-//! domain.
+//! domain. At every seam the batched searches must also charge the
+//! `check` counter exactly what the scalar loops they replace charge —
+//! the accounting the paper's Table 6 rests on.
 
+use rmd_machine::alternatives::AltGroups;
 use rmd_machine::{MachineBuilder, MachineDescription, OpId};
 use rmd_query::{
-    BitvecModule, CompiledModule, ContentionQuery, DiscreteModule, ModuloBitvecModule,
-    ModuloDiscreteModule, OpInstance, WordLayout,
+    check_with_alt, first_free_with_alt, BitvecModule, CompiledModule, ContentionQuery,
+    DiscreteModule, FnCounter, ModuloBitvecModule, ModuloDiscreteModule, OpInstance, WordLayout,
 };
 
 /// A machine built for window probing: `nop` reserves one resource in
@@ -81,9 +84,52 @@ fn scalar_first_free(
         .find(|&c| q.check(op, c))
 }
 
-/// Asserts that the backend's window answers equal its own scalar
-/// reference at `(op, start, len)` — the conformance every edge case
-/// below reduces to.
+/// The scalar reference for `first_free_with_alt`: `check_with_alt`
+/// cycle by cycle over the full window.
+fn scalar_first_free_with_alt(
+    q: &mut dyn ContentionQuery,
+    groups: &AltGroups,
+    op: OpId,
+    start: u32,
+    len: u32,
+) -> Option<(u32, OpId)> {
+    let end = u64::from(start) + u64::from(len);
+    (u64::from(start)..end)
+        .take_while(|&c| c <= u64::from(u32::MAX))
+        .find_map(|c| check_with_alt(q, groups, op, c as u32).map(|alt| (c as u32, alt)))
+}
+
+/// Runs `probe` and returns its answer with what it charged to the
+/// `check` counter.
+fn charged<T>(
+    q: &mut dyn ContentionQuery,
+    probe: impl FnOnce(&mut dyn ContentionQuery) -> T,
+) -> (T, FnCounter) {
+    let before = q.counters().check;
+    let got = probe(q);
+    let after = q.counters().check;
+    let cost = FnCounter {
+        calls: after.calls - before.calls,
+        units: after.units - before.units,
+    };
+    (got, cost)
+}
+
+/// The two alternative groupings of `window_machine`: the identity
+/// (no real alternatives, so `first_free_with_alt` takes the batched
+/// path) and `nop`/`div` as alternatives of one another.
+fn groupings() -> [AltGroups; 2] {
+    let m = window_machine();
+    let pair = vec![m.op_by_name("nop").unwrap(), m.op_by_name("div").unwrap()];
+    [
+        AltGroups::identity(&m),
+        AltGroups::from_groups(&m, vec![("pair".to_owned(), pair)]),
+    ]
+}
+
+/// Asserts that the backend's window answers — and their `check`
+/// charges — equal its own scalar reference at `(op, start, len)`: the
+/// conformance every edge case below reduces to.
 fn assert_conforms(name: &str, q: &mut dyn ContentionQuery, op: OpId, start: u32, len: u32) {
     let want_mask = scalar_mask(q, op, start, len);
     let got_mask = q.check_window(op, start, len);
@@ -92,12 +138,32 @@ fn assert_conforms(name: &str, q: &mut dyn ContentionQuery, op: OpId, start: u32
         "{name}: check_window({op:?}, {start}, {len}) = {got_mask:#x}, \
          scalar reference assembles {want_mask:#x}"
     );
-    let want_first = scalar_first_free(q, op, start, len);
-    let got_first = q.first_free_in(op, start, len);
+    let (want_first, scalar_cost) = charged(q, |q| scalar_first_free(q, op, start, len));
+    let (got_first, window_cost) = charged(q, |q| q.first_free_in(op, start, len));
     assert_eq!(
         got_first, want_first,
         "{name}: first_free_in({op:?}, {start}, {len}) disagrees with the scalar scan"
     );
+    assert_eq!(
+        window_cost, scalar_cost,
+        "{name}: first_free_in({op:?}, {start}, {len}) charged check differently \
+         from the scalar scan"
+    );
+    for (g, groups) in groupings().iter().enumerate() {
+        let (want, scalar_cost) =
+            charged(q, |q| scalar_first_free_with_alt(q, groups, op, start, len));
+        let (got, window_cost) = charged(q, |q| first_free_with_alt(q, groups, op, start, len));
+        assert_eq!(
+            got, want,
+            "{name}: first_free_with_alt({op:?}, {start}, {len}), grouping {g}, \
+             disagrees with the check_with_alt scan"
+        );
+        assert_eq!(
+            window_cost, scalar_cost,
+            "{name}: first_free_with_alt({op:?}, {start}, {len}), grouping {g}, \
+             charged check differently from the check_with_alt scan"
+        );
+    }
 }
 
 #[test]
@@ -118,6 +184,7 @@ fn zero_length_windows_are_empty_and_find_nothing() {
                     None,
                     "{name}: zero-length window at {start} must find nothing"
                 );
+                assert_conforms(name, q.as_mut(), op, start, 0);
             }
         }
     }
@@ -137,7 +204,9 @@ fn window_length_clamps_to_64() {
                 "{name}: check_window len {len} must clamp to the 64-cycle mask"
             );
         }
-        assert_conforms(name, q.as_mut(), div, 0, 64);
+        for len in [1u32, 64, 65, 130] {
+            assert_conforms(name, q.as_mut(), div, 0, len);
+        }
     }
 }
 
@@ -198,15 +267,11 @@ fn far_beyond_horizon_windows_conform() {
         q.assign(OpInstance(0), div, 2);
         for start in [1_000u32, 65_536, 1_000_000] {
             for op in [nop, div] {
-                assert_conforms(name, q.as_mut(), op, start, 64);
                 // A 130-cycle window forces the chunked first_free_in
                 // path far beyond anything ever assigned.
-                let want = scalar_first_free(q.as_mut(), op, start, 130);
-                assert_eq!(
-                    q.first_free_in(op, start, 130),
-                    want,
-                    "{name}: chunked scan at {start} disagrees with scalar"
-                );
+                for len in [64u32, 130] {
+                    assert_conforms(name, q.as_mut(), op, start, len);
+                }
             }
         }
         // Linear backends must report the out-of-horizon window fully
@@ -247,6 +312,9 @@ fn windows_saturate_at_the_cycle_domain_boundary() {
         // A window that *starts* on the last representable cycle.
         assert_eq!(q.check_window(nop, u32::MAX, 64), 0b1, "{name}");
         assert_eq!(q.first_free_in(nop, u32::MAX, 64), Some(u32::MAX), "{name}");
-        assert_conforms(name, q.as_mut(), nop, start, 64);
+        for len in [4u32, 64, 200] {
+            assert_conforms(name, q.as_mut(), nop, start, len);
+        }
+        assert_conforms(name, q.as_mut(), nop, u32::MAX, 64);
     }
 }
