@@ -29,16 +29,10 @@
 //! the bench; the derived throughput numbers (`queries_per_sec`,
 //! `speedup`) are for trend-watching, not cross-host comparison.
 
-use crate::{
-    aggregate, reduction_report, run_suite_runs, SuiteStats,
-    BACKEND_NAMES,
-};
+use crate::{aggregate, reduction_report, run_suite_runs, SuiteStats};
 use rmd_loops::Loop;
 use rmd_machine::{MachineDescription, OpId};
-use rmd_query::{
-    BitvecModule, CompiledModule, ContentionQuery, DiscreteModule, ModuloBitvecModule,
-    ModuloDiscreteModule, OpInstance, WordLayout, WorkCounters,
-};
+use rmd_query::{BitvecModule, ContentionQuery, OpInstance, WordLayout, WorkCounters};
 use rmd_sched::Representation;
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -77,10 +71,6 @@ pub struct BenchOptions {
     pub threads: usize,
     /// Directory the `BENCH_*.json` records are written to.
     pub out_dir: PathBuf,
-    /// Query backend the `query_window` workload runs against (a
-    /// [`BACKEND_NAMES`] entry; `None` means `"bitvec"`). The CLI
-    /// validates user input before it reaches here.
-    pub backend: Option<&'static str>,
 }
 
 /// A sensible default worker-thread count: the host's available
@@ -244,7 +234,8 @@ pub struct QueryBench {
 /// load counters pin the mechanical saving.
 #[derive(Clone, Debug, Serialize)]
 pub struct QueryWindowBench {
-    /// Backend the workload ran against (a [`BACKEND_NAMES`] entry).
+    /// Backend the workload ran against: always `"bitvec"`, since every
+    /// record measures [`BitvecModule`].
     pub backend: String,
     /// Workload rounds (each scans the whole cycle span once).
     pub rounds: u32,
@@ -367,26 +358,17 @@ fn query_bench(m: &MachineDescription, rounds: u32) -> QueryBench {
     }
 }
 
-/// Builds the named query backend over `m`. The modulo backends use an
-/// II of the longest reservation table so every operation fits.
-fn backend_module(m: &MachineDescription, name: &str) -> Box<dyn ContentionQuery> {
-    let layout = WordLayout::widest(64, m.num_resources());
-    let ii = m.max_table_length().max(1);
-    match name {
-        "discrete" => Box::new(DiscreteModule::new(m)),
-        "bitvec" => Box::new(BitvecModule::new(m, layout)),
-        "compiled" => Box::new(CompiledModule::new(m, layout)),
-        "modulo_discrete" => Box::new(ModuloDiscreteModule::new(m, ii)),
-        "modulo_bitvec" => Box::new(ModuloBitvecModule::new(m, ii, layout)),
-        other => panic!("unknown backend `{other}` (the CLI validates names)"),
-    }
-}
-
-fn query_window_bench(m: &MachineDescription, rounds: u32, backend: &str) -> QueryWindowBench {
+/// Runs the scalar-vs-window workload on `q`, a fresh module over `m`.
+/// The record always labels it `"bitvec"`: [`bench_machine`] passes a
+/// [`BitvecModule`], and the tests pass the other modules only to
+/// compare masks.
+fn query_window_bench(
+    m: &MachineDescription,
+    rounds: u32,
+    q: &mut dyn ContentionQuery,
+) -> QueryWindowBench {
     let span = 512u32;
     let nops = m.num_operations().max(1) as u32;
-    let mut module = backend_module(m, backend);
-    let q: &mut dyn ContentionQuery = module.as_mut();
 
     // Greedy fill so each window sees a mix of free and busy cycles.
     let mut inst = 0u32;
@@ -436,7 +418,7 @@ fn query_window_bench(m: &MachineDescription, rounds: u32, backend: &str) -> Que
     let window_mask_loads = q.counters().check_window.units - window_loads_before;
 
     QueryWindowBench {
-        backend: backend.to_owned(),
+        backend: "bitvec".to_owned(),
         rounds,
         windows: u64::from(rounds) * u64::from(windows_per_round),
         scalar_wall_ms: scalar_wall * 1e3,
@@ -643,7 +625,7 @@ pub fn bench_machine(machine: &MachineDescription, opts: &BenchOptions) -> Bench
         query_window: query_window_bench(
             machine,
             window_rounds,
-            opts.backend.unwrap_or(BACKEND_NAMES[1]),
+            &mut BitvecModule::new(machine, WordLayout::widest(64, machine.num_resources())),
         ),
         scheduler: suite_supported(machine).then(|| scheduler_bench(machine, opts)),
         serve: None,
@@ -850,6 +832,7 @@ fn parse_number(b: &[u8], pos: &mut usize) -> bool {
 mod tests {
     use super::*;
     use rmd_machine::models::{cydra5_subset, example_machine};
+    use rmd_query::{DiscreteModule, ModuloBitvecModule, ModuloDiscreteModule};
 
     #[test]
     fn json_validator_accepts_and_rejects() {
@@ -905,7 +888,6 @@ mod tests {
             quick: true,
             threads: 2,
             out_dir: PathBuf::from("."),
-            backend: None,
         };
         let rec = crate::with_tracing_lock(|| bench_machine(&example_machine(), &opts));
         assert_eq!(rec.schema, SCHEMA);
@@ -935,8 +917,24 @@ mod tests {
     #[test]
     fn query_window_masks_agree_on_every_backend() {
         let m = cydra5_subset();
-        for name in crate::BACKEND_NAMES {
-            let qw = query_window_bench(&m, 2, name);
+        // The modulo modules use the longest table as II, so every
+        // operation fits.
+        let layout = WordLayout::widest(64, m.num_resources());
+        let ii = m.max_table_length().max(1);
+        let backends: [(&str, Box<dyn ContentionQuery>); 4] = [
+            ("discrete", Box::new(DiscreteModule::new(&m))),
+            ("bitvec", Box::new(BitvecModule::new(&m, layout))),
+            (
+                "modulo_discrete",
+                Box::new(ModuloDiscreteModule::new(&m, ii)),
+            ),
+            (
+                "modulo_bitvec",
+                Box::new(ModuloBitvecModule::new(&m, ii, layout)),
+            ),
+        ];
+        for (name, mut q) in backends {
+            let qw = query_window_bench(&m, 2, q.as_mut());
             assert!(qw.masks_identical, "{name}: {qw:?}");
             assert!(qw.windows > 0, "{name}");
         }
@@ -948,7 +946,6 @@ mod tests {
             quick: true,
             threads: 2,
             out_dir: std::env::temp_dir().join("rmd-benchcmd-test"),
-            backend: None,
         };
         let mut rec = crate::with_tracing_lock(|| bench_machine(&example_machine(), &opts));
         rec.machine = "benchcmd-unit".into(); // avoid clobbering real records
@@ -972,7 +969,6 @@ mod tests {
             quick: true,
             threads: 8,
             out_dir: PathBuf::from("."),
-            backend: None,
         };
         let sb = scheduler_bench(&m, &opts);
         let swept: Vec<usize> = sb.speedup_by_threads.iter().map(|s| s.threads).collect();
@@ -1032,7 +1028,6 @@ mod tests {
             quick: true,
             threads: 2,
             out_dir: PathBuf::from("."),
-            backend: None,
         };
         // The quick count is already CI-sized; shrink further for the
         // unit test by running the core directly on a small suite.

@@ -16,16 +16,6 @@ pub mod compare;
 pub mod parallel;
 pub mod profile;
 
-/// The query-backend vocabulary accepted by the `--backend` filter of
-/// `rmd bench` and `rmd profile`, in profile-report order.
-pub const BACKEND_NAMES: [&str; 5] = [
-    "discrete",
-    "bitvec",
-    "compiled",
-    "modulo_discrete",
-    "modulo_bitvec",
-];
-
 /// One column of a paper Table 1–4 style report.
 #[derive(Clone, Debug, Serialize)]
 pub struct ColumnStats {

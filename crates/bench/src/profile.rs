@@ -1,6 +1,6 @@
 //! The engine behind the `rmd profile` CLI subcommand.
 //!
-//! Runs the whole stack — reduction pipeline, all five query backends,
+//! Runs the whole stack — reduction pipeline, all four query backends,
 //! and (where the machine supports the loop suite) the iterative modulo
 //! scheduler — under [`rmd_obs`] tracing and folds the result into one
 //! [`Profile`]: the raw event stream (exportable as JSONL or Chrome
@@ -16,8 +16,8 @@ use crate::{run_suite_runs, LoopRun};
 use rmd_core::{reduce_with_fallback, Objective, ReduceOptions, REDUCTION_PHASES};
 use rmd_machine::{MachineDescription, OpId};
 use rmd_query::{
-    BitvecModule, CompiledModule, ContentionQuery, DiscreteModule, MeteredQuery,
-    ModuloBitvecModule, ModuloDiscreteModule, ModuloMaskCache, OpInstance, QueryFn, WordLayout,
+    BitvecModule, ContentionQuery, DiscreteModule, MeteredQuery, ModuloBitvecModule,
+    ModuloDiscreteModule, ModuloMaskCache, OpInstance, QueryFn, WordLayout,
 };
 use rmd_sched::{mii, ImsConfig, IterativeModuloScheduler, Representation, SchedScratch};
 use rmd_obs::{Event, EventKind, MetricRegistry};
@@ -36,10 +36,6 @@ pub struct ProfileOptions {
     pub loops: usize,
     /// Suite generator seed.
     pub seed: u64,
-    /// Restrict the per-backend metering to one backend (a
-    /// [`crate::BACKEND_NAMES`] entry; `None` meters all five). The CLI
-    /// validates user input before it reaches here.
-    pub backend: Option<&'static str>,
 }
 
 impl Default for ProfileOptions {
@@ -47,7 +43,6 @@ impl Default for ProfileOptions {
         ProfileOptions {
             loops: DEFAULT_PROFILE_LOOPS,
             seed: SUITE_SEED,
-            backend: None,
         }
     }
 }
@@ -174,47 +169,31 @@ fn metered_workload<Q: ContentionQuery>(
     }
 }
 
-/// Profiles the five query backends with per-function latency
+/// Profiles the four query backends with per-function latency
 /// histograms, merging each backend's metrics into `reg` under
-/// `query.<backend>`. With a `filter` (a [`crate::BACKEND_NAMES`]
-/// entry) only that backend is metered.
-fn profile_backends(m: &MachineDescription, reg: &mut MetricRegistry, filter: Option<&str>) {
+/// `query.<backend>`.
+fn profile_backends(m: &MachineDescription, reg: &mut MetricRegistry) {
     let layout = WordLayout::widest(64, m.num_resources());
     // An II at least as long as the longest table keeps every operation
     // `fits()`-admissible in the modulo backends.
     let ii = m.max_table_length().max(1);
     let cycles = 256u32;
-    let wants = |name: &str| filter.map_or(true, |f| f == name);
 
-    if wants("discrete") {
-        let mut q = MeteredQuery::new(DiscreteModule::new(m));
-        metered_workload(&mut q, m, cycles);
-        reg.merge(&q.export_registry("query.discrete"));
-    }
+    let mut q = MeteredQuery::new(DiscreteModule::new(m));
+    metered_workload(&mut q, m, cycles);
+    reg.merge(&q.export_registry("query.discrete"));
 
-    if wants("bitvec") {
-        let mut q = MeteredQuery::new(BitvecModule::new(m, layout));
-        metered_workload(&mut q, m, cycles);
-        reg.merge(&q.export_registry("query.bitvec"));
-    }
+    let mut q = MeteredQuery::new(BitvecModule::new(m, layout));
+    metered_workload(&mut q, m, cycles);
+    reg.merge(&q.export_registry("query.bitvec"));
 
-    if wants("compiled") {
-        let mut q = MeteredQuery::new(CompiledModule::new(m, layout));
-        metered_workload(&mut q, m, cycles);
-        reg.merge(&q.export_registry("query.compiled"));
-    }
+    let mut q = MeteredQuery::new(ModuloDiscreteModule::new(m, ii));
+    metered_workload(&mut q, m, 2 * ii);
+    reg.merge(&q.export_registry("query.modulo_discrete"));
 
-    if wants("modulo_discrete") {
-        let mut q = MeteredQuery::new(ModuloDiscreteModule::new(m, ii));
-        metered_workload(&mut q, m, 2 * ii);
-        reg.merge(&q.export_registry("query.modulo_discrete"));
-    }
-
-    if wants("modulo_bitvec") {
-        let mut q = MeteredQuery::new(ModuloBitvecModule::new(m, ii, layout));
-        metered_workload(&mut q, m, 2 * ii);
-        reg.merge(&q.export_registry("query.modulo_bitvec"));
-    }
+    let mut q = MeteredQuery::new(ModuloBitvecModule::new(m, ii, layout));
+    metered_workload(&mut q, m, 2 * ii);
+    reg.merge(&q.export_registry("query.modulo_bitvec"));
 }
 
 /// Schedules `count` suite loops under tracing, merging scheduler work
@@ -269,7 +248,7 @@ pub fn profile_machine(machine: &MachineDescription, opts: &ProfileOptions) -> P
     }
 
     // 2. Per-backend latency + work-unit metering.
-    profile_backends(machine, &mut registry, opts.backend);
+    profile_backends(machine, &mut registry);
 
     // 3. Scheduler (per-II attempt spans + merged counters).
     if opts.loops > 0 && suite_supported(machine) {
@@ -533,17 +512,11 @@ mod tests {
     }
 
     #[test]
-    fn profile_meters_all_five_backends() {
+    fn profile_meters_all_four_backends() {
         let p = with_profile_lock(|| {
             profile_machine(&example_machine(), &ProfileOptions::default())
         });
-        for backend in [
-            "discrete",
-            "bitvec",
-            "compiled",
-            "modulo_discrete",
-            "modulo_bitvec",
-        ] {
+        for backend in ["discrete", "bitvec", "modulo_discrete", "modulo_bitvec"] {
             let key = format!("query.{backend}.check.latency_ns");
             let h = p.registry.histogram(&key).unwrap_or_else(|| {
                 panic!("missing latency histogram `{key}`")
@@ -574,27 +547,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_filter_meters_only_the_requested_backend() {
-        let p = with_profile_lock(|| {
-            profile_machine(
-                &example_machine(),
-                &ProfileOptions {
-                    backend: Some("compiled"),
-                    ..ProfileOptions::default()
-                },
-            )
-        });
-        assert!(p.registry.counter("query.compiled.check.calls") > 0);
-        for other in ["discrete", "bitvec", "modulo_discrete", "modulo_bitvec"] {
-            assert_eq!(
-                p.registry.counter(&format!("query.{other}.check.calls")),
-                0,
-                "{other} should be filtered out"
-            );
-        }
-    }
-
-    #[test]
     fn profile_schedules_suite_loops_when_supported() {
         let p = with_profile_lock(|| {
             profile_machine(
@@ -602,7 +554,6 @@ mod tests {
                 &ProfileOptions {
                     loops: 8,
                     seed: SUITE_SEED,
-                    backend: None,
                 },
             )
         });

@@ -278,8 +278,8 @@ pub enum Command {
         replay: bool,
     },
     /// `rmd bench [<machine>...] [--quick] [--threads N] [--out DIR]
-    /// [--backend NAME] [--compare OLD.json [--against NEW.json]]
-    /// [--metric PATH] [--tolerance FRAC]`
+    /// [--compare OLD.json [--against NEW.json]] [--metric PATH]
+    /// [--tolerance FRAC]`
     Bench {
         /// Machines to benchmark; empty means the default pair
         /// (`fig1` + `cydra5-subset`).
@@ -292,9 +292,6 @@ pub enum Command {
         /// Output directory for `BENCH_*.json`; `None` means the
         /// current directory (the repo root, by convention).
         out: Option<String>,
-        /// Query backend for the `query_window` workload (validated
-        /// against [`rmd_bench::BACKEND_NAMES`] at parse time).
-        backend: Option<&'static str>,
         /// Baseline `BENCH_*.json` record: diff the fresh run (or the
         /// `against` record) against it and exit 11 when the guard
         /// metric regresses beyond tolerance.
@@ -310,7 +307,7 @@ pub enum Command {
         tolerance: Option<f64>,
     },
     /// `rmd profile <machine> [--loops N] [--format text|jsonl|chrome]
-    /// [--out FILE] [--table6] [--backend NAME]`
+    /// [--out FILE] [--table6]`
     Profile {
         /// Model name or `.mdl` path.
         machine: String,
@@ -325,9 +322,6 @@ pub enum Command {
         /// Also render the per-function work-unit table and record it
         /// under `results/`.
         table6: bool,
-        /// Meter only this query backend (validated against
-        /// [`rmd_bench::BACKEND_NAMES`] at parse time).
-        backend: Option<&'static str>,
     },
     /// `rmd serve [--socket PATH] [--queue N] [--deadline-ms N]
     /// [--chaos SEED] [--metrics FILE] [--metrics-every N]
@@ -436,7 +430,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let Some(cmd) = it.next() else {
         return Ok(Command::Help);
     };
-    match cmd.as_str() {
+    let command = match cmd.as_str() {
         "stats" => Ok(Command::Stats {
             machine: required(&mut it, "stats", "<machine>")?,
         }),
@@ -645,7 +639,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut quick = false;
             let mut threads = None;
             let mut out = None;
-            let mut backend = None;
             let mut compare = None;
             let mut against = None;
             let mut metric = None;
@@ -653,7 +646,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             while let Some(a) = it.next() {
                 match a.as_str() {
                     "--quick" => quick = true,
-                    "--backend" => backend = Some(parse_backend(it.next())?),
                     "--compare" => {
                         compare = Some(it.next().cloned().ok_or_else(|| {
                             CliError::Usage(
@@ -738,7 +730,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 quick,
                 threads,
                 out,
-                backend,
                 compare,
                 against,
                 metric,
@@ -751,10 +742,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut format = ProfileFormat::Text;
             let mut out = None;
             let mut table6 = false;
-            let mut backend = None;
             while let Some(a) = it.next() {
                 match a.as_str() {
-                    "--backend" => backend = Some(parse_backend(it.next())?),
                     "--loops" => {
                         let v = it.next().ok_or_else(|| {
                             CliError::Usage("--loops expects a number".to_owned())
@@ -791,7 +780,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 format,
                 out,
                 table6,
-                backend,
             })
         }
         "serve" => {
@@ -868,7 +856,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "models" => Ok(Command::Models),
-        "help" | "--help" | "-h" => Ok(Command::Help),
+        "help" | "--help" | "-h" => return Ok(Command::Help),
         "reduce" => {
             let machine = required(&mut it, "reduce", "<machine>")?;
             let mut objective = ParsedObjective::ResUses;
@@ -916,29 +904,15 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         other => Err(CliError::Usage(format!(
             "unknown command `{other}` (try `rmd help`)"
         ))),
+    }?;
+    // Commands with option loops consume every argument; the
+    // positional-only ones must not silently ignore what follows.
+    if let Some(extra) = it.next() {
+        return Err(CliError::Usage(format!(
+            "unexpected argument `{extra}` to `rmd {cmd}`"
+        )));
     }
-}
-
-/// Validates a `--backend` argument against the shared
-/// [`rmd_bench::BACKEND_NAMES`] vocabulary, returning the canonical
-/// static name. Unknown names are a usage error (exit 2) that lists
-/// the valid backends.
-fn parse_backend(v: Option<&String>) -> Result<&'static str, CliError> {
-    let list = rmd_bench::BACKEND_NAMES.join(", ");
-    match v {
-        None => Err(CliError::Usage(format!(
-            "--backend expects one of: {list}"
-        ))),
-        Some(v) => rmd_bench::BACKEND_NAMES
-            .iter()
-            .find(|&&n| n == v.as_str())
-            .copied()
-            .ok_or_else(|| {
-                CliError::Usage(format!(
-                    "unknown backend `{v}` (valid backends: {list})"
-                ))
-            }),
-    }
+    Ok(command)
 }
 
 /// Parses a `--mutant OP:SEED` argument against the rmd-fault operator
@@ -975,9 +949,6 @@ fn required(
         .ok_or_else(|| CliError::Usage(format!("`rmd {cmd}` requires {what}")))
 }
 
-/// Built-in model names accepted anywhere a machine is expected.
-pub const MODEL_NAMES: [&str; 5] = ["fig1", "mips", "alpha", "cydra5", "cydra5-subset"];
-
 /// Loads a machine from a built-in model name or an `.mdl` file path,
 /// then checks it against the default validation [`Limits`].
 ///
@@ -987,13 +958,9 @@ pub const MODEL_NAMES: [&str; 5] = ["fig1", "mips", "alpha", "cydra5", "cydra5-s
 /// (with positions), [`CliError::Validation`] when the parsed machine
 /// exceeds a resource limit.
 pub fn load_machine(spec: &str) -> Result<MachineDescription, CliError> {
-    let m = match spec {
-        "fig1" => models::example_machine(),
-        "mips" => models::mips_r3000(),
-        "alpha" => models::alpha21064(),
-        "cydra5" => models::cydra5(),
-        "cydra5-subset" => models::cydra5_subset(),
-        _ => {
+    let m = match models::by_name(spec) {
+        Some(m) => m,
+        None => {
             let text = std::fs::read_to_string(spec).map_err(|e| CliError::Parse {
                 spec: spec.to_owned(),
                 message: format!("cannot read: {e}"),
@@ -1014,13 +981,9 @@ pub fn load_machine(spec: &str) -> Result<MachineDescription, CliError> {
 /// failures. Built-in names lint the expanded model; `.mdl` paths are
 /// re-parsed with a source map so findings carry declaration spans.
 fn lint_spec(spec: &str) -> Result<rmd_analyze::Report, CliError> {
-    let mut report = match spec {
-        "fig1" => rmd_analyze::lint_machine(&models::example_machine()),
-        "mips" => rmd_analyze::lint_machine(&models::mips_r3000()),
-        "alpha" => rmd_analyze::lint_machine(&models::alpha21064()),
-        "cydra5" => rmd_analyze::lint_machine(&models::cydra5()),
-        "cydra5-subset" => rmd_analyze::lint_machine(&models::cydra5_subset()),
-        _ => {
+    let mut report = match models::by_name(spec) {
+        Some(m) => rmd_analyze::lint_machine(&m),
+        None => {
             let text = std::fs::read_to_string(spec).map_err(|e| CliError::Parse {
                 spec: spec.to_owned(),
                 message: format!("cannot read: {e}"),
@@ -1045,7 +1008,7 @@ const CERTIFY_ERROR: &str = "RMD-C002";
 /// file stem for `.mdl` paths (the same convention `bench` and
 /// `profile` use to key their records).
 fn spec_key(spec: &str) -> String {
-    if MODEL_NAMES.contains(&spec) {
+    if models::NAMES.contains(&spec) {
         spec.to_owned()
     } else {
         std::path::Path::new(spec)
@@ -1448,7 +1411,7 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             out.push_str(HELP);
         }
         Command::Models => {
-            for name in MODEL_NAMES {
+            for name in models::NAMES {
                 let m = load_machine(name)?;
                 let _ = writeln!(
                     out,
@@ -1583,7 +1546,6 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             quick,
             threads,
             out: out_dir,
-            backend,
             compare,
             against,
             metric,
@@ -1609,7 +1571,6 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
                 quick: *quick,
                 threads: threads.unwrap_or_else(benchcmd::default_threads),
                 out_dir: out_dir.as_deref().unwrap_or(".").into(),
-                backend: *backend,
             };
             for spec in &specs {
                 let m = load_machine(spec)?;
@@ -1717,13 +1678,11 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             format,
             out: out_file,
             table6,
-            backend,
         } => {
             use rmd_bench::profile;
             let m = load_machine(machine)?;
             let opts = profile::ProfileOptions {
                 loops: loops.unwrap_or(profile::DEFAULT_PROFILE_LOOPS),
-                backend: *backend,
                 ..profile::ProfileOptions::default()
             };
             let p = profile::profile_machine(&m, &opts);
@@ -1755,14 +1714,7 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
                 }
                 let mut rec = profile::profile_record(&p);
                 // Key the record by the requested spec, like `bench`.
-                rec.machine = if MODEL_NAMES.contains(&machine.as_str()) {
-                    machine.clone()
-                } else {
-                    std::path::Path::new(machine)
-                        .file_stem()
-                        .map(|s| s.to_string_lossy().into_owned())
-                        .unwrap_or_else(|| machine.clone())
-                };
+                rec.machine = spec_key(machine);
                 let dir = std::path::Path::new("results");
                 let path =
                     profile::write_profile_record(&rec, dir).map_err(|e| CliError::Export {
@@ -1938,8 +1890,6 @@ OPTIONS (bench):
     --quick                                  smaller workloads (CI smoke)
     --threads <N>                            worker threads [host cores, min 4]
     --out <DIR>                              output directory [.]
-    --backend <NAME>                         query_window workload backend
-                                             [bitvec]
     --compare <OLD.json>                     diff the fresh record (exactly
                                              one machine) against this
                                              baseline; exit 11 when the
@@ -1958,7 +1908,6 @@ OPTIONS (profile):
     --table6                                 append the per-function work
                                              table and record it under
                                              results/PROFILE_<name>.json
-    --backend <NAME>                         meter only this query backend
 
 OPTIONS (serve):
     --socket <PATH>                          serve a unix socket instead of
@@ -1984,9 +1933,6 @@ OPTIONS (serve):
     --uncertified                            serve without the certificate
                                              gate
 
-Valid --backend names: discrete, bitvec, compiled, modulo_discrete,
-modulo_bitvec; anything else is a usage error (exit 2).
-
 Bench with no machines runs the default pair (fig1, cydra5-subset) and
 writes one BENCH_<name>.json record per machine into the output
 directory; record filenames use canonical underscore spelling
@@ -1997,7 +1943,7 @@ and the invocation exits 11 when the guard metric falls below
 old * (1 - tolerance). Metrics are higher-is-better, so improvements
 never fail the guard.
 
-Profile runs the reduction pipeline, all five query backends, and the
+Profile runs the reduction pipeline, all four query backends, and the
 loop-suite scheduler under rmd-obs tracing; `jsonl` dumps the raw event
 stream, `chrome` a trace loadable in chrome://tracing, and `prom` the
 merged metric registry as Prometheus/OpenMetrics text exposition.
@@ -2015,7 +1961,7 @@ the proof cannot be completed.
 
 Fuzz generates seeded, structure-aware machine descriptions and checks
 render/parse round-trips, lints, both reduction objectives, and a
-differential query trace across all five backends plus the automata
+differential query trace across all four backends plus the automata
 baseline. Failures are minimized, cross-checked by the static prover,
 and (with --corpus) written as self-contained regression entries; a
 failing campaign or a violated replay expectation exits 10. Equal
@@ -2275,6 +2221,12 @@ mod tests {
             &["reduce", "mips", "--k", "2"][..],
             &["frobnicate"][..],
             &["reduce", "mips", "--objective", "speed"][..],
+            &["stats", "fig1", "--bogus"][..],
+            &["matrix", "fig1", "extra"][..],
+            &["render", "fig1", "fig1"][..],
+            &["table", "fig1", "--k", "2"][..],
+            &["verify", "fig1", "fig1", "mips"][..],
+            &["models", "--x"][..],
         ] {
             let e = usage_error(bad);
             assert!(matches!(e, CliError::Usage(_)), "{bad:?} -> {e:?}");
@@ -2401,7 +2353,7 @@ mod lint_tests {
 
     #[test]
     fn builtin_models_lint_without_errors() {
-        for name in MODEL_NAMES {
+        for name in models::NAMES {
             let out = run(&Command::Lint {
                 machine: name.into(),
                 format: ReportFormat::Text,
@@ -2735,29 +2687,26 @@ mod bench_tests {
     }
 
     /// One row of the bench parse table: argv, then the expected
-    /// machines / quick / threads / out / backend fields of
-    /// [`Command::Bench`].
+    /// machines / quick / threads / out fields of [`Command::Bench`].
     type BenchRow<'a> = (
         &'a [&'a str],
         &'a [&'a str],
         bool,
         Option<usize>,
         Option<&'a str>,
-        Option<&'static str>,
     );
 
     #[test]
     fn parses_bench_command_lines() {
         let table: &[BenchRow] = &[
-            (&["bench"], &[], false, None, None, None),
-            (&["bench", "--quick"], &[], true, None, None, None),
-            (&["bench", "fig1"], &["fig1"], false, None, None, None),
+            (&["bench"], &[], false, None, None),
+            (&["bench", "--quick"], &[], true, None, None),
+            (&["bench", "fig1"], &["fig1"], false, None, None),
             (
                 &["bench", "fig1", "cydra5-subset", "--threads", "3"],
                 &["fig1", "cydra5-subset"],
                 false,
                 Some(3),
-                None,
                 None,
             ),
             (
@@ -2766,18 +2715,9 @@ mod bench_tests {
                 true,
                 None,
                 Some("/tmp/b"),
-                None,
-            ),
-            (
-                &["bench", "fig1", "--backend", "modulo_bitvec"],
-                &["fig1"],
-                false,
-                None,
-                None,
-                Some("modulo_bitvec"),
             ),
         ];
-        for (argv, machines, quick, threads, out, backend) in table {
+        for (argv, machines, quick, threads, out) in table {
             let c = parse_args(&args(argv)).expect("valid bench command line");
             assert_eq!(
                 c,
@@ -2786,7 +2726,6 @@ mod bench_tests {
                     quick: *quick,
                     threads: *threads,
                     out: out.map(str::to_owned),
-                    backend: *backend,
                     compare: None,
                     against: None,
                     metric: None,
@@ -2805,21 +2744,11 @@ mod bench_tests {
             &["bench", "--threads", "many"][..],
             &["bench", "--out"][..],
             &["bench", "--bogus"][..],
-            &["bench", "--backend"][..],
-            &["bench", "--backend", "warp-drive"][..],
+            &["bench", "fig1", "--backend", "bitvec"][..],
         ] {
             let e = usage_error(bad);
             assert!(matches!(e, CliError::Usage(_)), "{bad:?} -> {e:?}");
             assert_eq!(e.exit_code(), 2, "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn unknown_backend_lists_the_valid_names() {
-        let e = usage_error(&["bench", "--backend", "warp-drive"]);
-        let msg = e.to_string();
-        for name in rmd_bench::BACKEND_NAMES {
-            assert!(msg.contains(name), "missing `{name}` in: {msg}");
         }
     }
 
@@ -2832,7 +2761,6 @@ mod bench_tests {
             quick: true,
             threads: Some(1),
             out: None,
-            backend: None,
             compare: None,
             against: None,
             metric: None,
@@ -2851,7 +2779,6 @@ mod bench_tests {
             quick: true,
             threads: Some(2),
             out: Some(dir.to_string_lossy().into_owned()),
-            backend: None,
             compare: None,
             against: None,
             metric: None,
@@ -2927,7 +2854,6 @@ mod bench_tests {
             quick: true,
             threads: None,
             out: None,
-            backend: None,
             compare: Some(old.to_owned()),
             against: Some(new.to_owned()),
             metric: None,
@@ -3014,28 +2940,25 @@ mod profile_tests {
     }
 
     /// One row of the profile parse table: argv, then the expected
-    /// loops / format / out / table6 / backend fields of
-    /// [`Command::Profile`].
+    /// loops / format / out / table6 fields of [`Command::Profile`].
     type ProfileRow<'a> = (
         &'a [&'a str],
         Option<usize>,
         ProfileFormat,
         Option<&'a str>,
         bool,
-        Option<&'static str>,
     );
 
     #[test]
     fn parses_profile_command_lines() {
         let rows: &[ProfileRow] = &[
-            (&["profile", "fig1"], None, ProfileFormat::Text, None, false, None),
+            (&["profile", "fig1"], None, ProfileFormat::Text, None, false),
             (
                 &["profile", "mips", "--loops", "8"],
                 Some(8),
                 ProfileFormat::Text,
                 None,
                 false,
-                None,
             ),
             (
                 &["profile", "fig1", "--format", "jsonl"],
@@ -3043,7 +2966,6 @@ mod profile_tests {
                 ProfileFormat::Jsonl,
                 None,
                 false,
-                None,
             ),
             (
                 &["profile", "fig1", "--format", "chrome", "--out", "t.json"],
@@ -3051,7 +2973,6 @@ mod profile_tests {
                 ProfileFormat::Chrome,
                 Some("t.json"),
                 false,
-                None,
             ),
             (
                 &["profile", "cydra5-subset", "--table6"],
@@ -3059,18 +2980,9 @@ mod profile_tests {
                 ProfileFormat::Text,
                 None,
                 true,
-                None,
-            ),
-            (
-                &["profile", "fig1", "--backend", "bitvec"],
-                None,
-                ProfileFormat::Text,
-                None,
-                false,
-                Some("bitvec"),
             ),
         ];
-        for (argv, loops, format, out, table6, backend) in rows {
+        for (argv, loops, format, out, table6) in rows {
             let c = parse_args(&args(argv)).expect("valid profile command line");
             assert_eq!(
                 c,
@@ -3080,7 +2992,6 @@ mod profile_tests {
                     format: *format,
                     out: out.map(str::to_owned),
                     table6: *table6,
-                    backend: *backend,
                 },
                 "argv: {argv:?}"
             );
@@ -3097,8 +3008,7 @@ mod profile_tests {
             &["profile", "fig1", "--format", "xml"][..],
             &["profile", "fig1", "--out"][..],
             &["profile", "fig1", "--bogus"][..],
-            &["profile", "fig1", "--backend"][..],
-            &["profile", "fig1", "--backend", "abacus"][..],
+            &["profile", "fig1", "--backend", "bitvec"][..],
         ] {
             let e = parse_args(&args(argv)).expect_err("should be a usage error");
             assert_eq!(e.exit_code(), 2, "argv: {argv:?}");
@@ -3113,7 +3023,6 @@ mod profile_tests {
             format: ProfileFormat::Text,
             out: None,
             table6: false,
-            backend: None,
         })
         .expect("profile fig1");
         for phase in rmd_core::REDUCTION_PHASES {
@@ -3134,7 +3043,6 @@ mod profile_tests {
             format: ProfileFormat::Jsonl,
             out: Some(path.to_string_lossy().into_owned()),
             table6: false,
-            backend: None,
         })
         .expect("profile fig1 --format jsonl --out");
         assert!(out.contains("[wrote "), "{out}");
@@ -3157,7 +3065,6 @@ mod profile_tests {
             format: ProfileFormat::Prom,
             out: None,
             table6: false,
-            backend: None,
         })
         .expect("profile fig1 --format prom");
         assert!(out.contains("# TYPE reduce_runs counter"), "{out}");
@@ -3182,7 +3089,6 @@ mod profile_tests {
             format: ProfileFormat::Jsonl,
             out: Some("/nonexistent-dir/trace.jsonl".into()),
             table6: false,
-            backend: None,
         })
         .expect_err("export must fail");
         assert_eq!(e.exit_code(), 7);

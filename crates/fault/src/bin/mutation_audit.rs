@@ -7,20 +7,9 @@
 //! ```
 
 use rmd_fault::audit_model;
-use rmd_machine::{models, MachineDescription};
+use rmd_machine::models;
 
 const DEFAULT_MODELS: [&str; 3] = ["fig1", "cydra5-subset", "mips"];
-
-fn model_by_name(name: &str) -> Option<MachineDescription> {
-    match name {
-        "fig1" => Some(models::example_machine()),
-        "mips" => Some(models::mips_r3000()),
-        "alpha" => Some(models::alpha21064()),
-        "cydra5" => Some(models::cydra5()),
-        "cydra5-subset" => Some(models::cydra5_subset()),
-        _ => None,
-    }
-}
 
 struct Options {
     models: Vec<String>,
@@ -40,12 +29,9 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--model" => {
                 let v = it.next().ok_or("--model expects a name or `all`")?;
                 if v == "all" {
-                    opts.models = ["fig1", "mips", "alpha", "cydra5", "cydra5-subset"]
-                        .iter()
-                        .map(|s| s.to_string())
-                        .collect();
+                    opts.models = models::NAMES.iter().map(|s| s.to_string()).collect();
                 } else {
-                    model_by_name(v).ok_or_else(|| format!("unknown model `{v}`"))?;
+                    models::by_name(v).ok_or_else(|| format!("unknown model `{v}`"))?;
                     opts.models = vec![v.clone()];
                 }
             }
@@ -83,7 +69,7 @@ fn main() {
     let mut all_perfect = true;
     let mut any_semantic = false;
     for name in &opts.models {
-        let machine = model_by_name(name).expect("validated during parsing");
+        let machine = models::by_name(name).expect("validated during parsing");
         let report = audit_model(&machine, opts.seeds, opts.base_seed);
         print!("{}", report.render());
         println!();

@@ -12,8 +12,8 @@
 //! 4. **differential replay** — a query trace recorded against the
 //!    original (linear and modulo) must replay answer-for-answer over
 //!    every backend of the reduced description: discrete, bitvec,
-//!    compiled, modulo-discrete, modulo-bitvec, and the automata
-//!    baseline (skipped with accounting when its state cap trips).
+//!    modulo-discrete, modulo-bitvec, and the automata baseline
+//!    (skipped with accounting when its state cap trips).
 //!
 //! A failing case is **shrunk** — operations, then usages, then unused
 //! resources are greedily removed while the failure persists — and the
@@ -36,8 +36,7 @@ use rmd_certify::{certify_machine, certify_pair, CertifyFailure, CertifyOptions}
 use rmd_core::{try_reduce, verify_equivalence, Objective, ReduceOptions};
 use rmd_machine::{mdl, MachineBuilder, MachineDescription, ResourceId};
 use rmd_query::{
-    BitvecModule, CompiledModule, DiscreteModule, ModuloBitvecModule, ModuloDiscreteModule,
-    WordLayout,
+    BitvecModule, DiscreteModule, ModuloBitvecModule, ModuloDiscreteModule, WordLayout,
 };
 use std::fmt::Write as _;
 
@@ -286,11 +285,6 @@ pub fn check_machine(
     if caught.is_none() && packed {
         if let Some(d) = replay_diff(&trace, &expected, &mut BitvecModule::new(&rut, layout)) {
             caught = Some(format!("bitvec: {d}"));
-        }
-    }
-    if caught.is_none() && packed {
-        if let Some(d) = replay_diff(&trace, &expected, &mut CompiledModule::new(&rut, layout)) {
-            caught = Some(format!("compiled: {d}"));
         }
     }
     if caught.is_none() {

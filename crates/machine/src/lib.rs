@@ -47,8 +47,6 @@ mod builder;
 mod fingerprint;
 pub mod fnv;
 mod ids;
-#[cfg(feature = "json")]
-pub mod json;
 mod machine;
 pub mod mdl;
 pub mod models;

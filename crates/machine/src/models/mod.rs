@@ -22,9 +22,27 @@ pub use mips::mips_r3000;
 
 use crate::MachineDescription;
 
+/// The names tools accept for the prebuilt machines, in listing order.
+pub const NAMES: [&str; 5] = ["fig1", "mips", "alpha", "cydra5", "cydra5-subset"];
+
+/// Builds the prebuilt machine called `name` (one of [`NAMES`]).
+pub fn by_name(name: &str) -> Option<MachineDescription> {
+    match name {
+        "fig1" => Some(example_machine()),
+        "mips" => Some(mips_r3000()),
+        "alpha" => Some(alpha21064()),
+        "cydra5" => Some(cydra5()),
+        "cydra5-subset" => Some(cydra5_subset()),
+        _ => None,
+    }
+}
+
 /// All prebuilt machines, for sweeping tests and benches.
 pub fn all_machines() -> Vec<MachineDescription> {
-    vec![example_machine(), mips_r3000(), alpha21064(), cydra5(), cydra5_subset()]
+    NAMES
+        .iter()
+        .map(|name| by_name(name).expect("every listed name builds"))
+        .collect()
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! single resource usage or a single non-empty word").
 //!
 //! These types used to live in `rmd-query`; they moved here so that
-//! every backend — discrete, bitvector, compiled, modulo, automata —
+//! every backend — discrete, bitvector, modulo, automata —
 //! shares one counting path ([`WorkCounters::record`]) and one bridge
 //! into the metric registry ([`WorkCounters::export_to`]), while
 //! `rmd-query` re-exports them unchanged for existing callers.

@@ -16,11 +16,6 @@
 //!   *optimistic* mode without owner fields and falls back to an *update*
 //!   mode (rebuilding owners by scanning the scheduled-operation list)
 //!   the first time it must unschedule something.
-//! * [`CompiledModule`] — the same packed words with an owner table
-//!   maintained from the first `assign` on, so `assign&free` never pays
-//!   the bitvector module's rebuild transition. A third linear backend
-//!   with distinct internals, exercised by the cross-backend
-//!   conformance suite.
 //!
 //! Both exist in linear-schedule form and in modulo form
 //! ([`ModuloDiscreteModule`], [`ModuloBitvecModule`]) for software
@@ -64,7 +59,6 @@ mod bitvec;
 mod compiled;
 mod counters;
 mod discrete;
-mod eager;
 mod metered;
 mod modulo;
 mod registry;
@@ -76,7 +70,6 @@ pub use alt::{check_with_alt, first_free_with_alt};
 pub use bitvec::{BitvecModule, WordLayout};
 pub use counters::{FnCounter, QueryFn, WorkCounters};
 pub use discrete::DiscreteModule;
-pub use eager::CompiledModule;
 pub use metered::MeteredQuery;
 pub use modulo::{ModuloBitvecModule, ModuloDiscreteModule, ModuloMaskCache};
 pub use registry::OpInstance;

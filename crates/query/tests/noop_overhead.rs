@@ -7,9 +7,7 @@
 //! style nit. A counting global allocator makes the claim testable.
 
 use rmd_machine::models::{example_machine, mips_r3000};
-use rmd_query::{
-    BitvecModule, CompiledModule, ContentionQuery, DiscreteModule, MeteredQuery, WordLayout,
-};
+use rmd_query::{BitvecModule, ContentionQuery, DiscreteModule, MeteredQuery, WordLayout};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -103,18 +101,15 @@ fn metered_check_path_does_not_allocate_when_tracing_is_off() {
 
         let mut discrete = MeteredQuery::new(DiscreteModule::new(&m));
         let mut bitvec = MeteredQuery::new(BitvecModule::new(&m, layout));
-        let mut compiled = MeteredQuery::new(CompiledModule::new(&m, layout));
 
         // Warm-up pass: let lazy tables and counters reach steady state
         // before measuring.
         check_storm(&mut discrete, num_ops);
         check_storm(&mut bitvec, num_ops);
-        check_storm(&mut compiled, num_ops);
 
         for (name, allocs) in [
             ("discrete", allocations_during(|| check_storm(&mut discrete, num_ops))),
             ("bitvec", allocations_during(|| check_storm(&mut bitvec, num_ops))),
-            ("compiled", allocations_during(|| check_storm(&mut compiled, num_ops))),
         ] {
             assert_eq!(
                 allocs, 0,
@@ -137,22 +132,16 @@ fn metered_window_path_does_not_allocate_when_tracing_is_off() {
         let layout = WordLayout::widest(64, m.num_resources());
 
         let mut bitvec = MeteredQuery::new(BitvecModule::new(&m, layout));
-        let mut compiled = MeteredQuery::new(CompiledModule::new(&m, layout));
 
         // Warm-up pass: let lazy tables and counters reach steady state
         // before measuring.
         window_storm(&mut bitvec, num_ops);
-        window_storm(&mut compiled, num_ops);
 
-        for (name, allocs) in [
-            ("bitvec", allocations_during(|| window_storm(&mut bitvec, num_ops))),
-            ("compiled", allocations_during(|| window_storm(&mut compiled, num_ops))),
-        ] {
-            assert_eq!(
-                allocs, 0,
-                "{name} window path allocated {allocs} times on `{}` with tracing off",
-                m.name()
-            );
-        }
+        let allocs = allocations_during(|| window_storm(&mut bitvec, num_ops));
+        assert_eq!(
+            allocs, 0,
+            "bitvec window path allocated {allocs} times on `{}` with tracing off",
+            m.name()
+        );
     }
 }

@@ -439,18 +439,11 @@ impl ServeEngine {
 
     fn load_source(&self, source: &MachineSource) -> Result<MachineDescription, ServeError> {
         let m = match source {
-            MachineSource::Model(name) => match name.as_str() {
-                "fig1" => models::example_machine(),
-                "mips" => models::mips_r3000(),
-                "alpha" => models::alpha21064(),
-                "cydra5" => models::cydra5(),
-                "cydra5-subset" => models::cydra5_subset(),
-                other => {
-                    return Err(ServeError::BadRequest {
-                        detail: format!("unknown built-in model {other:?}"),
-                    })
-                }
-            },
+            MachineSource::Model(name) => {
+                models::by_name(name).ok_or_else(|| ServeError::BadRequest {
+                    detail: format!("unknown built-in model {name:?}"),
+                })?
+            }
             MachineSource::Mdl(src) => {
                 let (m, _) = mdl::parse_machine(src)
                     .map_err(|e| ServeError::Rmd(RmdError::Parse(e)))?;

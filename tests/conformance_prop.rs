@@ -1,7 +1,6 @@
 //! Cross-backend conformance: every contention query backend — the
 //! discrete reserved table, the bitvector table (at several packings),
-//! the eager compiled-mask module, and the forward/reverse automaton
-//! pair — must agree on **every** `check`, `check_window`,
+//! and the forward/reverse automaton pair — must agree on **every** `check`, `check_window`,
 //! `first_free_in`, `assign&free`, and `free` outcome of a random query
 //! trace over a random machine.
 //!
@@ -17,9 +16,7 @@ use proptest::prelude::*;
 use rmd_automata::{AutomataModule, Automaton, Direction};
 use rmd_integration::{arb_machine_spec, build_single_issue_machine, Lcg, MachineSpec};
 use rmd_machine::{MachineDescription, OpId};
-use rmd_query::{
-    BitvecModule, CompiledModule, ContentionQuery, DiscreteModule, OpInstance, WordLayout,
-};
+use rmd_query::{BitvecModule, ContentionQuery, DiscreteModule, OpInstance, WordLayout};
 
 /// Fixed schedule horizon for the automata backend; trace cycles are
 /// bounded so every operation fits, keeping all backends in the regime
@@ -43,7 +40,6 @@ fn replay(m: &MachineDescription, seed: u64) {
             "bitvec-k1",
             Box::new(BitvecModule::new(m, WordLayout::with_k(64, 1))),
         ),
-        ("compiled", Box::new(CompiledModule::new(m, widest))),
         ("automata", Box::new(AutomataModule::new(m, &fwd, &rev, HORIZON))),
     ];
 

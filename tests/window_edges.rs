@@ -1,6 +1,6 @@
 //! Edge-case coverage for `check_window` / `first_free_in`, pinned
-//! across all five query backends (discrete, bitvec, compiled,
-//! modulo-discrete, modulo-bitvec).
+//! across all four query backends (discrete, bitvec, modulo-discrete,
+//! modulo-bitvec).
 //!
 //! The window contract (rmd-query traits): bit `i` of
 //! `check_window(op, start, len)` is set iff `check(op, start + i)`
@@ -16,8 +16,8 @@
 use rmd_machine::alternatives::AltGroups;
 use rmd_machine::{MachineBuilder, MachineDescription, OpId};
 use rmd_query::{
-    check_with_alt, first_free_with_alt, BitvecModule, CompiledModule, ContentionQuery,
-    DiscreteModule, FnCounter, ModuloBitvecModule, ModuloDiscreteModule, OpInstance, WordLayout,
+    check_with_alt, first_free_with_alt, BitvecModule, ContentionQuery, DiscreteModule, FnCounter,
+    ModuloBitvecModule, ModuloDiscreteModule, OpInstance, WordLayout,
 };
 
 /// A machine built for window probing: `nop` reserves one resource in
@@ -33,7 +33,7 @@ fn window_machine() -> MachineDescription {
     b.build().expect("test machine builds")
 }
 
-/// One of each of the five bench backends over `m`. The modulo modules
+/// One of each of the four bench backends over `m`. The modulo modules
 /// use the II every bench workload uses: the longest reservation table.
 fn backends(m: &MachineDescription) -> Vec<(&'static str, Box<dyn ContentionQuery>)> {
     let layout = WordLayout::widest(64, m.num_resources());
@@ -41,7 +41,6 @@ fn backends(m: &MachineDescription) -> Vec<(&'static str, Box<dyn ContentionQuer
     vec![
         ("discrete", Box::new(DiscreteModule::new(m))),
         ("bitvec", Box::new(BitvecModule::new(m, layout))),
-        ("compiled", Box::new(CompiledModule::new(m, layout))),
         (
             "modulo_discrete",
             Box::new(ModuloDiscreteModule::new(m, ii)),
@@ -224,7 +223,6 @@ fn first_free_crosses_the_chunk_boundary() {
     let linear: Vec<(&str, Box<dyn ContentionQuery>)> = vec![
         ("discrete", Box::new(DiscreteModule::new(&m))),
         ("bitvec", Box::new(BitvecModule::new(&m, layout))),
-        ("compiled", Box::new(CompiledModule::new(&m, layout))),
     ];
     for (name, mut q) in linear {
         // div holds the divider for 8 cycles, so placements at
