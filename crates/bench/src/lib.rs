@@ -11,8 +11,6 @@ use rmd_sched::{mii, ImsConfig, IterativeModuloScheduler, Representation, SchedS
 use serde::Serialize;
 use std::path::Path;
 
-pub mod benchcmd;
-pub mod compare;
 pub mod parallel;
 pub mod profile;
 
@@ -108,28 +106,6 @@ pub fn reduction_report(machine: &MachineDescription, word_bits: &[u32]) -> Redu
         max_latency: cf.max_latency(),
         columns,
     }
-}
-
-/// Runs [`reduction_report`] for several machines across up to
-/// `threads` worker threads (see [`parallel::run_indexed`]), the
-/// largest machines (operations × resources) first; reports come back
-/// in input order, identical to mapping serially.
-pub fn reduction_reports_parallel(
-    machines: &[&MachineDescription],
-    word_bits: &[u32],
-    threads: usize,
-) -> Vec<ReductionReport> {
-    let costs: Vec<u64> = machines
-        .iter()
-        .map(|m| (m.num_operations() * m.num_resources()) as u64)
-        .collect();
-    parallel::run_indexed(
-        machines.len(),
-        threads,
-        &costs,
-        || (),
-        |(), i| reduction_report(machines[i], word_bits),
-    )
 }
 
 /// Reduces under `objective` and asserts exact equivalence.
@@ -509,19 +485,207 @@ pub fn write_record<T: Serialize>(id: &str, record: &T) {
     println!("\n[recorded results/{id}.json]");
 }
 
-/// Serializes the tests that toggle the process-global tracing flag
-/// (`rmd profile` runs and the bench record's traced `phases` pass).
-#[cfg(test)]
-pub(crate) fn with_tracing_lock<R>(f: impl FnOnce() -> R) -> R {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    f()
+/// Checks that `s` is one well-formed JSON value (full syntax: objects,
+/// arrays, strings with escapes, numbers, literals). Predates the
+/// `serde_json` shim's parser and is kept as an independent
+/// well-formedness oracle: it accepts exactly the JSON grammar without
+/// building a value tree, so record-emission tests cross-check against
+/// it rather than trusting one parser to validate its own sibling.
+pub fn json_is_well_formed(s: &str) -> bool {
+    let bytes = s.as_bytes();
+    let mut pos = 0usize;
+    skip_ws(bytes, &mut pos);
+    if !parse_value(bytes, &mut pos) {
+        return false;
+    }
+    skip_ws(bytes, &mut pos);
+    pos == bytes.len()
+}
+
+fn skip_ws(b: &[u8], pos: &mut usize) {
+    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
+        *pos += 1;
+    }
+}
+
+fn parse_value(b: &[u8], pos: &mut usize) -> bool {
+    match b.get(*pos) {
+        Some(b'{') => parse_object(b, pos),
+        Some(b'[') => parse_array(b, pos),
+        Some(b'"') => parse_string(b, pos),
+        Some(b't') => parse_lit(b, pos, b"true"),
+        Some(b'f') => parse_lit(b, pos, b"false"),
+        Some(b'n') => parse_lit(b, pos, b"null"),
+        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
+        _ => false,
+    }
+}
+
+fn parse_lit(b: &[u8], pos: &mut usize, lit: &[u8]) -> bool {
+    if b[*pos..].starts_with(lit) {
+        *pos += lit.len();
+        true
+    } else {
+        false
+    }
+}
+
+fn parse_object(b: &[u8], pos: &mut usize) -> bool {
+    *pos += 1; // '{'
+    skip_ws(b, pos);
+    if b.get(*pos) == Some(&b'}') {
+        *pos += 1;
+        return true;
+    }
+    loop {
+        skip_ws(b, pos);
+        if !parse_string(b, pos) {
+            return false;
+        }
+        skip_ws(b, pos);
+        if b.get(*pos) != Some(&b':') {
+            return false;
+        }
+        *pos += 1;
+        skip_ws(b, pos);
+        if !parse_value(b, pos) {
+            return false;
+        }
+        skip_ws(b, pos);
+        match b.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(b'}') => {
+                *pos += 1;
+                return true;
+            }
+            _ => return false,
+        }
+    }
+}
+
+fn parse_array(b: &[u8], pos: &mut usize) -> bool {
+    *pos += 1; // '['
+    skip_ws(b, pos);
+    if b.get(*pos) == Some(&b']') {
+        *pos += 1;
+        return true;
+    }
+    loop {
+        skip_ws(b, pos);
+        if !parse_value(b, pos) {
+            return false;
+        }
+        skip_ws(b, pos);
+        match b.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(b']') => {
+                *pos += 1;
+                return true;
+            }
+            _ => return false,
+        }
+    }
+}
+
+fn parse_string(b: &[u8], pos: &mut usize) -> bool {
+    if b.get(*pos) != Some(&b'"') {
+        return false;
+    }
+    *pos += 1;
+    while let Some(&c) = b.get(*pos) {
+        match c {
+            b'"' => {
+                *pos += 1;
+                return true;
+            }
+            b'\\' => {
+                *pos += 1;
+                match b.get(*pos) {
+                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
+                    Some(b'u') => {
+                        *pos += 1;
+                        for _ in 0..4 {
+                            if !b.get(*pos).is_some_and(u8::is_ascii_hexdigit) {
+                                return false;
+                            }
+                            *pos += 1;
+                        }
+                    }
+                    _ => return false,
+                }
+            }
+            0x00..=0x1F => return false,
+            _ => *pos += 1,
+        }
+    }
+    false
+}
+
+fn parse_number(b: &[u8], pos: &mut usize) -> bool {
+    if b.get(*pos) == Some(&b'-') {
+        *pos += 1;
+    }
+    let digits = |b: &[u8], pos: &mut usize| {
+        let start = *pos;
+        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos > start
+    };
+    if !digits(b, pos) {
+        return false;
+    }
+    if b.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if !digits(b, pos) {
+            return false;
+        }
+    }
+    if matches!(b.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(b.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if !digits(b, pos) {
+            return false;
+        }
+    }
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rmd_machine::models::{cydra5_subset, mips_r3000};
+
+    #[test]
+    fn json_validator_accepts_and_rejects() {
+        for good in [
+            "{}",
+            "[]",
+            "null",
+            "-1.5e3",
+            "\"a\\nb\\u00e9\"",
+            "{\"a\": [1, 2.5, true, null], \"b\": {\"c\": \"d\"}}",
+        ] {
+            assert!(json_is_well_formed(good), "{good}");
+        }
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            "{\"a\":}",
+            "{\"a\" 1}",
+            "tru",
+            "1.2.3",
+            "\"unterminated",
+            "{} {}",
+            "01e",
+            "\"bad\\q\"",
+        ] {
+            assert!(!json_is_well_formed(bad), "{bad}");
+        }
+    }
 
     #[test]
     fn distribution_basics() {

@@ -7,13 +7,13 @@
 //! trace JSON), a merged [`MetricRegistry`], and per-phase wall-clock
 //! aggregates over the canonical [`REDUCTION_PHASES`] list.
 //!
-//! Everything here is additive instrumentation: the workloads reuse the
-//! deterministic shapes the bench harness already runs, so a profile
-//! never perturbs what it measures beyond the tracing overhead itself.
+//! Everything here is additive instrumentation: the workloads are
+//! deterministic (a seeded slice of the §8 loop suite and a fixed
+//! query workload), so a profile never perturbs what it measures beyond
+//! the tracing overhead itself.
 
-use crate::benchcmd::{suite_supported, SUITE_SEED};
-use crate::{run_suite_runs, LoopRun};
 use rmd_core::{reduce_with_fallback, Objective, ReduceOptions, REDUCTION_PHASES};
+use rmd_loops::OpSet;
 use rmd_machine::{MachineDescription, OpId};
 use rmd_query::{
     BitvecModule, ContentionQuery, DiscreteModule, MeteredQuery, ModuloBitvecModule,
@@ -28,24 +28,8 @@ use std::fmt::Write as _;
 /// §8 suite — enough for meaningful per-II spans without a long run).
 pub const DEFAULT_PROFILE_LOOPS: usize = 64;
 
-/// Options of one `rmd profile` invocation.
-#[derive(Clone, Copy, Debug)]
-pub struct ProfileOptions {
-    /// Loops to schedule (0 skips the scheduler section; ignored for
-    /// machines outside the suite vocabulary).
-    pub loops: usize,
-    /// Suite generator seed.
-    pub seed: u64,
-}
-
-impl Default for ProfileOptions {
-    fn default() -> Self {
-        ProfileOptions {
-            loops: DEFAULT_PROFILE_LOOPS,
-            seed: SUITE_SEED,
-        }
-    }
-}
+/// Suite generator seed, matching the `table5`/`table6` binaries.
+const SUITE_SEED: u64 = 0xC5;
 
 /// Wall-clock aggregate of one reduction phase (summed over its spans).
 #[derive(Clone, Debug, Serialize)]
@@ -129,10 +113,9 @@ pub fn aggregate_phases(events: &[Event]) -> Vec<PhaseTiming> {
 }
 
 /// A deterministic check/assign/assign&free/free workload exercising
-/// every protocol function through a [`MeteredQuery`] wrapper. The
-/// shape mirrors the bench harness's query workload: greedy fill over a
-/// cycle window, a few forced placements, then tear-down of what is
-/// still live.
+/// every protocol function through a [`MeteredQuery`] wrapper: greedy
+/// fill over a cycle window, a few forced placements, then tear-down of
+/// what is still live.
 fn metered_workload<Q: ContentionQuery>(
     q: &mut MeteredQuery<Q>,
     m: &MachineDescription,
@@ -196,12 +179,11 @@ fn profile_backends(m: &MachineDescription, reg: &mut MetricRegistry) {
     reg.merge(&q.export_registry("query.modulo_bitvec"));
 }
 
-/// Schedules `count` suite loops under tracing, merging scheduler work
-/// counters, the II histogram, and modulo-mask-cache statistics into
-/// `reg`.
-fn profile_scheduler(m: &MachineDescription, count: usize, seed: u64, reg: &mut MetricRegistry) {
-    let ops = rmd_loops::OpSet::for_cydra_subset(m);
-    let loops = rmd_loops::suite(&ops, count, seed);
+/// Schedules `count` suite loops drawn from `ops` under tracing,
+/// merging scheduler work counters, the II histogram, and
+/// modulo-mask-cache statistics into `reg`.
+fn profile_scheduler(m: &MachineDescription, ops: &OpSet, count: usize, reg: &mut MetricRegistry) {
+    let loops = rmd_loops::suite(ops, count, SUITE_SEED);
     let layout = WordLayout::widest(64, m.num_resources());
     let repr = Representation::Bitvec(layout);
     let ims = IterativeModuloScheduler::new(ImsConfig::default());
@@ -225,12 +207,14 @@ fn profile_scheduler(m: &MachineDescription, count: usize, seed: u64, reg: &mut 
 }
 
 /// Runs every applicable workload on `machine` under tracing and
-/// returns the collected [`Profile`].
+/// returns the collected [`Profile`]. `loops` suite loops are scheduled
+/// when the machine carries the suite vocabulary (0 skips the
+/// scheduler section).
 ///
 /// Tracing is enabled for the duration of the call and restored to
 /// disabled afterwards; stale events recorded by this thread beforehand
 /// are discarded.
-pub fn profile_machine(machine: &MachineDescription, opts: &ProfileOptions) -> Profile {
+pub fn profile_machine(machine: &MachineDescription, loops: usize) -> Profile {
     rmd_obs::set_enabled(true);
     let _ = rmd_obs::drain_events();
     let mut registry = MetricRegistry::new();
@@ -251,8 +235,10 @@ pub fn profile_machine(machine: &MachineDescription, opts: &ProfileOptions) -> P
     profile_backends(machine, &mut registry);
 
     // 3. Scheduler (per-II attempt spans + merged counters).
-    if opts.loops > 0 && suite_supported(machine) {
-        profile_scheduler(machine, opts.loops, opts.seed, &mut registry);
+    if loops > 0 {
+        if let Ok(ops) = OpSet::try_for_cydra_subset(machine) {
+            profile_scheduler(machine, &ops, loops, &mut registry);
+        }
     }
 
     let events = rmd_obs::drain_events();
@@ -459,51 +445,21 @@ pub fn render_profile(p: &Profile) -> String {
     out
 }
 
-/// Deterministic suite-wide metrics: schedules `loops` across up to
-/// `threads` workers and folds every per-loop result into one registry.
-///
-/// Because per-loop results are deterministic, results come back in
-/// suite order, and every registry operation is associative and
-/// commutative, the returned registry is **identical for any thread
-/// count** — the property the metrics determinism test pins.
-pub fn suite_metrics(
-    machine: &MachineDescription,
-    mii_machine: &MachineDescription,
-    loops: &[rmd_loops::Loop],
-    repr: Representation,
-    budget_ratio: f64,
-    threads: usize,
-) -> MetricRegistry {
-    let runs = run_suite_runs(machine, mii_machine, loops, repr, budget_ratio, threads);
-    let mut reg = MetricRegistry::new();
-    for r in &runs {
-        fold_run(&mut reg, r);
-    }
-    reg
-}
-
-/// Folds one per-loop result into a registry (additive, so folding in
-/// any grouping yields the same totals).
-fn fold_run(reg: &mut MetricRegistry, r: &LoopRun) {
-    r.counters.export_to(reg, "sched.query");
-    reg.inc("sched.loops", 1);
-    reg.inc("sched.reversed_by_resource", r.reversed_by_resource);
-    reg.inc("sched.reversed_by_dependence", r.reversed_by_dependence);
-    reg.observe("sched.ii", u64::from(r.ii));
-    reg.observe("sched.ops", r.ops as u64);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::with_tracing_lock as with_profile_lock;
     use rmd_machine::models::{cydra5_subset, example_machine};
+
+    /// Serializes the tests that toggle the process-global tracing flag.
+    fn with_profile_lock<R>(f: impl FnOnce() -> R) -> R {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        f()
+    }
 
     #[test]
     fn profile_covers_every_reduction_phase() {
-        let p = with_profile_lock(|| {
-            profile_machine(&example_machine(), &ProfileOptions::default())
-        });
+        let p = with_profile_lock(|| profile_machine(&example_machine(), DEFAULT_PROFILE_LOOPS));
         assert_eq!(p.phases.len(), REDUCTION_PHASES.len());
         for t in &p.phases {
             assert!(t.spans >= 1, "phase `{}` has no spans", t.phase);
@@ -513,9 +469,7 @@ mod tests {
 
     #[test]
     fn profile_meters_all_four_backends() {
-        let p = with_profile_lock(|| {
-            profile_machine(&example_machine(), &ProfileOptions::default())
-        });
+        let p = with_profile_lock(|| profile_machine(&example_machine(), DEFAULT_PROFILE_LOOPS));
         for backend in ["discrete", "bitvec", "modulo_discrete", "modulo_bitvec"] {
             let key = format!("query.{backend}.check.latency_ns");
             let h = p.registry.histogram(&key).unwrap_or_else(|| {
@@ -528,9 +482,7 @@ mod tests {
 
     #[test]
     fn profile_meters_window_queries() {
-        let p = with_profile_lock(|| {
-            profile_machine(&example_machine(), &ProfileOptions::default())
-        });
+        let p = with_profile_lock(|| profile_machine(&example_machine(), DEFAULT_PROFILE_LOOPS));
         for backend in ["discrete", "bitvec"] {
             let key = format!("query.{backend}.check_window.latency_ns");
             let h = p
@@ -548,15 +500,7 @@ mod tests {
 
     #[test]
     fn profile_schedules_suite_loops_when_supported() {
-        let p = with_profile_lock(|| {
-            profile_machine(
-                &cydra5_subset(),
-                &ProfileOptions {
-                    loops: 8,
-                    seed: SUITE_SEED,
-                },
-            )
-        });
+        let p = with_profile_lock(|| profile_machine(&cydra5_subset(), 8));
         assert_eq!(p.registry.counter("sched.loops"), 8);
         assert!(p.registry.counter("sched.query.check.calls") > 0);
         assert!(
@@ -589,29 +533,12 @@ mod tests {
     }
 
     #[test]
-    fn suite_metrics_identical_across_thread_counts() {
-        let m = cydra5_subset();
-        let ops = rmd_loops::OpSet::for_cydra_subset(&m);
-        let loops = rmd_loops::suite(&ops, 24, SUITE_SEED);
-        let repr = Representation::Bitvec(WordLayout::widest(64, m.num_resources()));
-        let r1 = suite_metrics(&m, &m, &loops, repr, 6.0, 1);
-        let r2 = suite_metrics(&m, &m, &loops, repr, 6.0, 2);
-        let r8 = suite_metrics(&m, &m, &loops, repr, 6.0, 8);
-        assert_eq!(r1, r2);
-        assert_eq!(r1, r8);
-        assert_eq!(r1.counter("sched.loops"), 24);
-        assert!(r1.histogram("sched.ii").is_some());
-    }
-
-    #[test]
     fn profile_record_serializes_well_formed_json() {
-        let p = with_profile_lock(|| {
-            profile_machine(&example_machine(), &ProfileOptions::default())
-        });
+        let p = with_profile_lock(|| profile_machine(&example_machine(), DEFAULT_PROFILE_LOOPS));
         let rec = profile_record(&p);
         assert_eq!(rec.schema, PROFILE_SCHEMA);
         let json = serde_json::to_string_pretty(&rec).unwrap();
-        assert!(crate::benchcmd::json_is_well_formed(&json), "{json}");
+        assert!(crate::json_is_well_formed(&json), "{json}");
         assert!(json.contains("\"phase\": \"genset\""), "{json}");
     }
 }

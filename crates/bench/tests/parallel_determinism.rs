@@ -1,10 +1,10 @@
 //! The parallel suite runner must be a pure wall-clock optimization:
 //! at 1, 2, 4, and 8 threads it yields byte-identical per-loop
-//! results, aggregate statistics, and reduction reports as the serial
-//! path — cost-sharded claiming and per-worker scratch reuse included.
+//! results and aggregate statistics as the serial path — cost-sharded
+//! claiming and per-worker scratch reuse included.
 
-use rmd_bench::{aggregate, reduction_report, reduction_reports_parallel, run_suite_runs};
-use rmd_machine::models::{cydra5_subset, example_machine, mips_r3000};
+use rmd_bench::{aggregate, run_suite_runs};
+use rmd_machine::models::cydra5_subset;
 use rmd_query::WordLayout;
 use rmd_sched::Representation;
 
@@ -53,24 +53,5 @@ fn schedules_themselves_are_identical() {
         assert_eq!(s.times, p.times, "loop {i} ({})", loops[i].name);
         assert_eq!(s.ii, p.ii, "loop {i}");
         assert_eq!(s.counters, p.counters, "loop {i}");
-    }
-}
-
-#[test]
-fn reduction_reports_identical_across_thread_counts() {
-    let machines = [example_machine(), mips_r3000(), cydra5_subset()];
-    let refs: Vec<&rmd_machine::MachineDescription> = machines.iter().collect();
-    let word_bits = [32u32, 64];
-    let serial: Vec<String> = refs
-        .iter()
-        .map(|m| serde_json::to_string(&reduction_report(m, &word_bits)).expect("serialize"))
-        .collect();
-    for threads in THREAD_COUNTS {
-        let parallel = reduction_reports_parallel(&refs, &word_bits, threads);
-        let got: Vec<String> = parallel
-            .iter()
-            .map(|r| serde_json::to_string(r).expect("serialize"))
-            .collect();
-        assert_eq!(serial, got, "reduction sweep at {threads} threads");
     }
 }

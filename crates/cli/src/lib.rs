@@ -11,7 +11,6 @@
 //! rmd lint   <machine> [options]        # description lints
 //! rmd certify <machine> [options]       # static equivalence proof -> cert
 //! rmd fuzz   [options]                  # generative differential fuzzing
-//! rmd bench  [<machine>...] [options]   # perf workloads -> BENCH_*.json
 //! rmd profile <machine> [options]       # traced run -> phase/latency report
 //! rmd models                            # list built-in models
 //! ```
@@ -47,8 +46,6 @@ use std::fmt::Write as _;
 /// | `Certify`        | 9         | equivalence certification failed          |
 /// | `Fuzz`           | 10        | fuzz campaign found divergences, or a     |
 /// |                  |           | corpus replay violated an expectation     |
-/// | `BenchRegression`| 11        | `bench --compare` guard metric regressed  |
-/// |                  |           | beyond tolerance                          |
 /// | `Internal`       | 1         | unexpected pipeline failure               |
 #[derive(Clone, PartialEq, Debug)]
 #[non_exhaustive]
@@ -118,15 +115,6 @@ pub enum CliError {
         /// One-line failure summary for stderr.
         message: String,
     },
-    /// `rmd bench --compare` found the guard metric regressed beyond
-    /// tolerance against the baseline record.
-    BenchRegression {
-        /// The full rendered comparison report; the binary prints this
-        /// on stdout before exiting.
-        report: String,
-        /// One-line regression summary for stderr.
-        message: String,
-    },
     /// An unexpected internal failure.
     Internal(String),
 }
@@ -145,7 +133,6 @@ impl CliError {
             CliError::Serve { .. } => 8,
             CliError::Certify { .. } => 9,
             CliError::Fuzz { .. } => 10,
-            CliError::BenchRegression { .. } => 11,
             CliError::Internal(_) => 1,
         }
     }
@@ -167,7 +154,6 @@ impl std::fmt::Display for CliError {
             CliError::Serve { message } => write!(f, "serve: {message}"),
             CliError::Certify { message, .. } => write!(f, "certify: {message}"),
             CliError::Fuzz { message, .. } => write!(f, "fuzz: {message}"),
-            CliError::BenchRegression { message, .. } => write!(f, "bench: {message}"),
             CliError::Internal(m) => write!(f, "internal error: {m}"),
         }
     }
@@ -187,7 +173,6 @@ impl From<RmdError> for CliError {
 }
 
 /// A parsed command line.
-// `PartialEq` only: `Bench::tolerance` is an `Option<f64>`.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Command {
     /// `rmd stats <machine>`
@@ -276,35 +261,6 @@ pub enum Command {
         corpus: Option<String>,
         /// Replay the corpus directory instead of running a campaign.
         replay: bool,
-    },
-    /// `rmd bench [<machine>...] [--quick] [--threads N] [--out DIR]
-    /// [--compare OLD.json [--against NEW.json]] [--metric PATH]
-    /// [--tolerance FRAC]`
-    Bench {
-        /// Machines to benchmark; empty means the default pair
-        /// (`fig1` + `cydra5-subset`).
-        machines: Vec<String>,
-        /// Shrink every workload for CI smoke runs.
-        quick: bool,
-        /// Worker threads for the parallel suite run; `None` picks a
-        /// host-derived default.
-        threads: Option<usize>,
-        /// Output directory for `BENCH_*.json`; `None` means the
-        /// current directory (the repo root, by convention).
-        out: Option<String>,
-        /// Baseline `BENCH_*.json` record: diff the fresh run (or the
-        /// `against` record) against it and exit 11 when the guard
-        /// metric regresses beyond tolerance.
-        compare: Option<String>,
-        /// With `compare`: diff this already-written record instead of
-        /// running any benchmark (a pure file-vs-file comparison).
-        against: Option<String>,
-        /// Dotted path of the guard metric
-        /// ([`rmd_bench::compare::DEFAULT_METRIC`] when `None`).
-        metric: Option<String>,
-        /// Tolerated relative drop in `[0, 1)`
-        /// ([`rmd_bench::compare::DEFAULT_TOLERANCE`] when `None`).
-        tolerance: Option<f64>,
     },
     /// `rmd profile <machine> [--loops N] [--format text|jsonl|chrome]
     /// [--out FILE] [--table6]`
@@ -634,108 +590,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 replay,
             })
         }
-        "bench" => {
-            let mut machines = Vec::new();
-            let mut quick = false;
-            let mut threads = None;
-            let mut out = None;
-            let mut compare = None;
-            let mut against = None;
-            let mut metric = None;
-            let mut tolerance = None;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--quick" => quick = true,
-                    "--compare" => {
-                        compare = Some(it.next().cloned().ok_or_else(|| {
-                            CliError::Usage(
-                                "--compare expects a baseline BENCH_*.json path".to_owned(),
-                            )
-                        })?);
-                    }
-                    "--against" => {
-                        against = Some(it.next().cloned().ok_or_else(|| {
-                            CliError::Usage("--against expects a BENCH_*.json path".to_owned())
-                        })?);
-                    }
-                    "--metric" => {
-                        metric = Some(it.next().cloned().ok_or_else(|| {
-                            CliError::Usage(
-                                "--metric expects a dotted record path".to_owned(),
-                            )
-                        })?);
-                    }
-                    "--tolerance" => {
-                        let v = it.next().ok_or_else(|| {
-                            CliError::Usage("--tolerance expects a fraction in [0, 1)".to_owned())
-                        })?;
-                        let t: f64 = v.parse().map_err(|_| {
-                            CliError::Usage(format!(
-                                "--tolerance expects a fraction in [0, 1), got `{v}`"
-                            ))
-                        })?;
-                        if !(0.0..1.0).contains(&t) {
-                            return Err(CliError::Usage(format!(
-                                "--tolerance expects a fraction in [0, 1), got `{v}`"
-                            )));
-                        }
-                        tolerance = Some(t);
-                    }
-                    "--threads" => {
-                        let v = it.next().ok_or_else(|| {
-                            CliError::Usage("--threads expects a positive number".to_owned())
-                        })?;
-                        let n: usize = v.parse().map_err(|_| {
-                            CliError::Usage(format!(
-                                "--threads expects a positive number, got `{v}`"
-                            ))
-                        })?;
-                        if n == 0 {
-                            return Err(CliError::Usage(
-                                "--threads expects a positive number, got `0`".to_owned(),
-                            ));
-                        }
-                        threads = Some(n);
-                    }
-                    "--out" => {
-                        out = Some(it.next().cloned().ok_or_else(|| {
-                            CliError::Usage("--out expects a directory".to_owned())
-                        })?);
-                    }
-                    other if other.starts_with("--") => {
-                        return Err(CliError::Usage(format!("unknown option `{other}`")))
-                    }
-                    machine => machines.push(machine.to_owned()),
-                }
-            }
-            if compare.is_none() {
-                if against.is_some() {
-                    return Err(CliError::Usage(
-                        "--against requires --compare".to_owned(),
-                    ));
-                }
-                if metric.is_some() || tolerance.is_some() {
-                    return Err(CliError::Usage(
-                        "--metric/--tolerance require --compare".to_owned(),
-                    ));
-                }
-            }
-            if compare.is_some() && against.is_none() && machines.len() != 1 {
-                return Err(CliError::Usage(
-                    "--compare without --against needs exactly one machine to bench".to_owned(),
-                ));
-            }
-            Ok(Command::Bench {
-                machines,
-                quick,
-                threads,
-                out,
-                compare,
-                against,
-                metric,
-                tolerance,
-            })
-        }
         "profile" => {
             let machine = required(&mut it, "profile", "<machine>")?;
             let mut loops = None;
@@ -1005,8 +859,8 @@ const CERTIFY_MISMATCH: &str = "RMD-C001";
 const CERTIFY_ERROR: &str = "RMD-C002";
 
 /// The display key for a machine spec: the model name itself, or the
-/// file stem for `.mdl` paths (the same convention `bench` and
-/// `profile` use to key their records).
+/// file stem for `.mdl` paths (the same convention `certify` and
+/// `profile --table6` use to key their records).
 fn spec_key(spec: &str) -> String {
     if models::NAMES.contains(&spec) {
         spec.to_owned()
@@ -1016,37 +870,6 @@ fn spec_key(spec: &str) -> String {
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| spec.to_owned())
     }
-}
-
-/// Runs the `bench --compare` guard on two loaded records: appends the
-/// delta report to `out` on success, or returns
-/// [`CliError::BenchRegression`] (exit 11) when the guard metric fell
-/// below `old * (1 - tolerance)`.
-fn run_compare(
-    old: &serde_json::Value,
-    new: &serde_json::Value,
-    metric: Option<&str>,
-    tolerance: Option<f64>,
-    out: &mut String,
-) -> Result<(), CliError> {
-    let metric = metric.unwrap_or(rmd_bench::compare::DEFAULT_METRIC);
-    let tolerance = tolerance.unwrap_or(rmd_bench::compare::DEFAULT_TOLERANCE);
-    let cmp = rmd_bench::compare::compare_records(old, new, metric, tolerance)
-        .map_err(CliError::Internal)?;
-    if cmp.regressed {
-        return Err(CliError::BenchRegression {
-            report: cmp.report,
-            message: format!(
-                "{}: {} -> {} regressed beyond {:.0}% tolerance",
-                cmp.metric,
-                cmp.old_value,
-                cmp.new_value,
-                tolerance * 100.0
-            ),
-        });
-    }
-    out.push_str(&cmp.report);
-    Ok(())
 }
 
 /// One-line proof statistics for a successful `certify_pair` run.
@@ -1541,137 +1364,6 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             let text = run_fuzz(*seed, *count, size, *mutant, corpus.as_deref(), *replay)?;
             out.push_str(&text);
         }
-        Command::Bench {
-            machines,
-            quick,
-            threads,
-            out: out_dir,
-            compare,
-            against,
-            metric,
-            tolerance,
-        } => {
-            use rmd_bench::benchcmd;
-            // Pure file-vs-file trajectory check: no benchmark runs at
-            // all, just two committed records and the guard.
-            if let (Some(baseline), Some(new_path)) = (compare, against) {
-                let old_rec = rmd_bench::compare::load_record(std::path::Path::new(baseline))
-                    .map_err(CliError::Internal)?;
-                let new_rec = rmd_bench::compare::load_record(std::path::Path::new(new_path))
-                    .map_err(CliError::Internal)?;
-                run_compare(&old_rec, &new_rec, metric.as_deref(), *tolerance, &mut out)?;
-                return Ok(out);
-            }
-            let specs: Vec<String> = if machines.is_empty() {
-                vec!["fig1".to_owned(), "cydra5-subset".to_owned()]
-            } else {
-                machines.clone()
-            };
-            let opts = benchcmd::BenchOptions {
-                quick: *quick,
-                threads: threads.unwrap_or_else(benchcmd::default_threads),
-                out_dir: out_dir.as_deref().unwrap_or(".").into(),
-            };
-            for spec in &specs {
-                let m = load_machine(spec)?;
-                let mut rec = benchcmd::bench_machine(&m, &opts);
-                // The serve load-driver lives in rmd-serve; glue its
-                // report into the plain-data record section here so
-                // rmd-bench stays free of a daemon dependency.
-                let load_opts = rmd_serve::LoadOptions {
-                    requests: if *quick { 32 } else { 200 },
-                    ..rmd_serve::LoadOptions::default()
-                };
-                let load = rmd_serve::run_load(&m, &load_opts).map_err(|e| {
-                    CliError::Internal(format!("serve load driver failed: {e}"))
-                })?;
-                rec.serve = Some(benchcmd::ServeBench {
-                    requests: load.requests,
-                    ok: load.ok,
-                    errors: load.errors,
-                    shed: load.shed,
-                    req_per_s: load.req_per_s,
-                    p50_ns: load.p50_ns,
-                    p99_ns: load.p99_ns,
-                });
-                // Key the record by the spec the user asked for (model
-                // name, or file stem for .mdl paths), in canonical
-                // underscore spelling, so filenames are predictable
-                // regardless of internal machine names and spelling
-                // variants (`cydra5-subset` vs `cydra5_subset`) can
-                // never fork the trajectory into near-duplicate files.
-                rec.machine = benchcmd::sanitize_machine_name(&spec_key(spec));
-                let path = benchcmd::write_bench_record(&rec, &opts.out_dir)
-                    .map_err(|e| CliError::Internal(format!("cannot write bench record: {e}")))?;
-                let _ = writeln!(
-                    out,
-                    "{}: {:.0} queries/s, {:.1} reductions/s",
-                    rec.machine, rec.query.queries_per_sec, rec.reduction.reductions_per_sec
-                );
-                if let Some(s) = &rec.scheduler {
-                    let _ = writeln!(
-                        out,
-                        "  suite: {} loops / {} ops; serial {:.0} ms, parallel {:.0} ms \
-                         on {} threads (speedup {:.2}, identical schedules: {})",
-                        s.loops,
-                        s.ops_scheduled,
-                        s.serial_wall_ms,
-                        s.parallel_wall_ms,
-                        rec.threads,
-                        s.speedup,
-                        s.schedules_identical
-                    );
-                    for e in &s.speedup_by_threads {
-                        let _ = writeln!(
-                            out,
-                            "    @{} threads: {:.0} ms (speedup {:.2}, identical: {})",
-                            e.threads, e.parallel_wall_ms, e.speedup, e.schedules_identical
-                        );
-                    }
-                }
-                if let Some(s) = &rec.stress {
-                    let _ = writeln!(
-                        out,
-                        "  stress: {} loops / {} ops; serial {:.0} ms, parallel {:.0} ms \
-                         (speedup {:.2}, identical schedules: {})",
-                        s.loops,
-                        s.ops_scheduled,
-                        s.serial_wall_ms,
-                        s.parallel_wall_ms,
-                        s.speedup,
-                        s.schedules_identical
-                    );
-                    for e in &s.speedup_by_threads {
-                        let _ = writeln!(
-                            out,
-                            "    @{} threads: {:.0} ms (speedup {:.2}, identical: {})",
-                            e.threads, e.parallel_wall_ms, e.speedup, e.schedules_identical
-                        );
-                    }
-                }
-                if let Some(s) = &rec.serve {
-                    let _ = writeln!(
-                        out,
-                        "  serve: {:.0} req/s, p50 {:.1} us, p99 {:.1} us, {} shed",
-                        s.req_per_s,
-                        s.p50_ns as f64 / 1e3,
-                        s.p99_ns as f64 / 1e3,
-                        s.shed
-                    );
-                }
-                let _ = writeln!(out, "  [recorded {}]", path.display());
-                if let Some(baseline) = compare {
-                    // Guard the fresh trajectory point against the
-                    // committed baseline (exit 11 on a regression).
-                    let old_rec =
-                        rmd_bench::compare::load_record(std::path::Path::new(baseline))
-                            .map_err(CliError::Internal)?;
-                    let new_rec = rmd_bench::compare::load_record(&path)
-                        .map_err(CliError::Internal)?;
-                    run_compare(&old_rec, &new_rec, metric.as_deref(), *tolerance, &mut out)?;
-                }
-            }
-        }
         Command::Profile {
             machine,
             loops,
@@ -1681,11 +1373,7 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
         } => {
             use rmd_bench::profile;
             let m = load_machine(machine)?;
-            let opts = profile::ProfileOptions {
-                loops: loops.unwrap_or(profile::DEFAULT_PROFILE_LOOPS),
-                ..profile::ProfileOptions::default()
-            };
-            let p = profile::profile_machine(&m, &opts);
+            let p = profile::profile_machine(&m, loops.unwrap_or(profile::DEFAULT_PROFILE_LOOPS));
             let rendered = match format {
                 ProfileFormat::Text => profile::render_profile(&p),
                 ProfileFormat::Jsonl => rmd_obs::export::events_to_jsonl(&p.events),
@@ -1713,7 +1401,7 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
                     out.push_str(&profile::render_work_table(&p));
                 }
                 let mut rec = profile::profile_record(&p);
-                // Key the record by the requested spec, like `bench`.
+                // Key the record by the requested spec, like `certify`.
                 rec.machine = spec_key(machine);
                 let dir = std::path::Path::new("results");
                 let path =
@@ -1843,7 +1531,6 @@ USAGE:
     rmd certify <machine> [options]          prove reductions equivalent ->
                                              certs/<machine>.json
     rmd fuzz   [options]                     generative differential fuzzing
-    rmd bench  [<machine>...] [options]      perf workloads -> BENCH_*.json
     rmd profile <machine> [options]          traced run -> phase/latency report
     rmd serve  [options]                     line-JSON scheduling daemon
     rmd models                               list built-in models
@@ -1886,21 +1573,6 @@ OPTIONS (fuzz):
     --replay                                 replay the corpus directory
                                              [corpus] instead of fuzzing
 
-OPTIONS (bench):
-    --quick                                  smaller workloads (CI smoke)
-    --threads <N>                            worker threads [host cores, min 4]
-    --out <DIR>                              output directory [.]
-    --compare <OLD.json>                     diff the fresh record (exactly
-                                             one machine) against this
-                                             baseline; exit 11 when the
-                                             guard metric regresses
-    --against <NEW.json>                     with --compare: diff two
-                                             existing records, run nothing
-    --metric <PATH>                          guard metric, dotted path
-                                             [query.queries_per_sec]
-    --tolerance <FRAC>                       tolerated relative drop in
-                                             [0, 1) [0.5]
-
 OPTIONS (profile):
     --loops <N>                              suite loops to schedule [64]
     --format text|jsonl|chrome|prom          report format [text]
@@ -1932,16 +1604,6 @@ OPTIONS (serve):
                                              for [certs]
     --uncertified                            serve without the certificate
                                              gate
-
-Bench with no machines runs the default pair (fig1, cydra5-subset) and
-writes one BENCH_<name>.json record per machine into the output
-directory; record filenames use canonical underscore spelling
-(BENCH_cydra5_subset.json). With --compare the run becomes a trajectory
-guard: the fresh record (or, with --against, a second existing record)
-is diffed against the baseline, every shared numeric leaf is reported,
-and the invocation exits 11 when the guard metric falls below
-old * (1 - tolerance). Metrics are higher-is-better, so improvements
-never fail the guard.
 
 Profile runs the reduction pipeline, all four query backends, and the
 loop-suite scheduler under rmd-obs tracing; `jsonl` dumps the raw event
@@ -2109,6 +1771,33 @@ mod tests {
     }
 
     #[test]
+    fn parses_serve_telemetry_flags() {
+        let c = parse_args(&args(&[
+            "serve",
+            "--metrics-every",
+            "100",
+            "--slow-ms",
+            "5",
+            "--uncertified",
+        ]))
+        .expect("valid serve telemetry flags");
+        assert!(
+            matches!(
+                c,
+                Command::Serve { metrics_every: Some(100), slow_ms: Some(5), .. }
+            ),
+            "{c:?}"
+        );
+        for bad in [
+            &["serve", "--metrics-every"][..],
+            &["serve", "--metrics-every", "-1"],
+            &["serve", "--slow-ms", "soon"],
+        ] {
+            assert_eq!(usage_error(bad).exit_code(), 2, "{bad:?}");
+        }
+    }
+
+    #[test]
     fn parses_fuzz_with_options() {
         let c = parse_args(&args(&["fuzz"])).expect("defaults parse");
         assert_eq!(
@@ -2227,6 +1916,9 @@ mod tests {
             &["table", "fig1", "--k", "2"][..],
             &["verify", "fig1", "fig1", "mips"][..],
             &["models", "--x"][..],
+            // `bench` is not a command: perfbench is the benchmark.
+            &["bench"][..],
+            &["bench", "fig1", "--compare", "x.json"][..],
         ] {
             let e = usage_error(bad);
             assert!(matches!(e, CliError::Usage(_)), "{bad:?} -> {e:?}");
@@ -2672,266 +2364,6 @@ mod table_tests {
 }
 
 #[cfg(test)]
-mod bench_tests {
-    use super::*;
-
-    fn args(s: &[&str]) -> Vec<String> {
-        s.iter().map(|s| s.to_string()).collect()
-    }
-
-    fn usage_error(args_: &[&str]) -> CliError {
-        match parse_args(&args(args_)) {
-            Err(e) => e,
-            Ok(c) => unreachable!("expected a usage error, parsed {c:?}"),
-        }
-    }
-
-    /// One row of the bench parse table: argv, then the expected
-    /// machines / quick / threads / out fields of [`Command::Bench`].
-    type BenchRow<'a> = (
-        &'a [&'a str],
-        &'a [&'a str],
-        bool,
-        Option<usize>,
-        Option<&'a str>,
-    );
-
-    #[test]
-    fn parses_bench_command_lines() {
-        let table: &[BenchRow] = &[
-            (&["bench"], &[], false, None, None),
-            (&["bench", "--quick"], &[], true, None, None),
-            (&["bench", "fig1"], &["fig1"], false, None, None),
-            (
-                &["bench", "fig1", "cydra5-subset", "--threads", "3"],
-                &["fig1", "cydra5-subset"],
-                false,
-                Some(3),
-                None,
-            ),
-            (
-                &["bench", "mips", "--quick", "--out", "/tmp/b"],
-                &["mips"],
-                true,
-                None,
-                Some("/tmp/b"),
-            ),
-        ];
-        for (argv, machines, quick, threads, out) in table {
-            let c = parse_args(&args(argv)).expect("valid bench command line");
-            assert_eq!(
-                c,
-                Command::Bench {
-                    machines: machines.iter().map(|s| s.to_string()).collect(),
-                    quick: *quick,
-                    threads: *threads,
-                    out: out.map(str::to_owned),
-                    compare: None,
-                    against: None,
-                    metric: None,
-                    tolerance: None,
-                },
-                "{argv:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn rejects_bad_bench_usage_with_exit_code_2() {
-        for bad in [
-            &["bench", "--threads"][..],
-            &["bench", "--threads", "0"][..],
-            &["bench", "--threads", "many"][..],
-            &["bench", "--out"][..],
-            &["bench", "--bogus"][..],
-            &["bench", "fig1", "--backend", "bitvec"][..],
-        ] {
-            let e = usage_error(bad);
-            assert!(matches!(e, CliError::Usage(_)), "{bad:?} -> {e:?}");
-            assert_eq!(e.exit_code(), 2, "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn bench_rejects_unknown_machine_names() {
-        // An unknown model name falls through to the file-read path and
-        // surfaces as a parse error (exit 3), like every other command.
-        let e = run(&Command::Bench {
-            machines: vec!["not-a-model".into()],
-            quick: true,
-            threads: Some(1),
-            out: None,
-            compare: None,
-            against: None,
-            metric: None,
-            tolerance: None,
-        })
-        .expect_err("unknown machine must fail");
-        assert!(matches!(e, CliError::Parse { .. }), "{e:?}");
-        assert_eq!(e.exit_code(), 3);
-    }
-
-    #[test]
-    fn bench_quick_writes_a_well_formed_record() {
-        let dir = std::env::temp_dir().join(format!("rmd-bench-test-{}", std::process::id()));
-        let out = run(&Command::Bench {
-            machines: vec!["fig1".into()],
-            quick: true,
-            threads: Some(2),
-            out: Some(dir.to_string_lossy().into_owned()),
-            compare: None,
-            against: None,
-            metric: None,
-            tolerance: None,
-        })
-        .expect("quick bench on fig1");
-        assert!(out.contains("fig1:"), "{out}");
-        assert!(out.contains("queries/s"), "{out}");
-        let path = dir.join("BENCH_fig1.json");
-        let body = std::fs::read_to_string(&path).expect("record written");
-        assert!(rmd_bench::benchcmd::json_is_well_formed(&body), "{body}");
-        assert!(body.contains("\"schema\": \"rmd-bench/6\""), "{body}");
-        assert!(body.contains("\"machine\": \"fig1\""), "{body}");
-        assert!(body.contains("\"phases\""), "{body}");
-        assert!(body.contains("\"query_window\""), "{body}");
-        assert!(body.contains("\"host_parallelism\""), "{body}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn parses_bench_compare_flags() {
-        let c = parse_args(&args(&[
-            "bench",
-            "fig1",
-            "--quick",
-            "--compare",
-            "old.json",
-            "--metric",
-            "serve.req_per_s",
-            "--tolerance",
-            "0.9",
-        ]))
-        .expect("valid compare command line");
-        assert!(
-            matches!(
-                &c,
-                Command::Bench { compare: Some(p), against: None, metric: Some(m), tolerance: Some(t), .. }
-                    if p == "old.json" && m == "serve.req_per_s" && *t == 0.9
-            ),
-            "{c:?}"
-        );
-        // File-vs-file mode needs no machines at all.
-        let c = parse_args(&args(&["bench", "--compare", "a.json", "--against", "b.json"]))
-            .expect("file-vs-file parses");
-        assert!(
-            matches!(&c, Command::Bench { machines, against: Some(_), .. } if machines.is_empty()),
-            "{c:?}"
-        );
-    }
-
-    #[test]
-    fn rejects_bad_compare_usage_with_exit_code_2() {
-        for bad in [
-            &["bench", "--compare"][..],
-            &["bench", "fig1", "--against", "b.json"][..],
-            &["bench", "fig1", "--metric", "x"][..],
-            &["bench", "fig1", "--tolerance", "0.5"][..],
-            &["bench", "fig1", "--compare", "a.json", "--tolerance", "1.5"][..],
-            &["bench", "fig1", "--compare", "a.json", "--tolerance", "lots"][..],
-            // --compare without --against must bench exactly one machine.
-            &["bench", "--compare", "a.json"][..],
-            &["bench", "fig1", "mips", "--compare", "a.json"][..],
-        ] {
-            let e = usage_error(bad);
-            assert!(matches!(e, CliError::Usage(_)), "{bad:?} -> {e:?}");
-            assert_eq!(e.exit_code(), 2, "{bad:?}");
-        }
-    }
-
-    fn compare_cmd(old: &str, new: &str) -> Command {
-        Command::Bench {
-            machines: vec![],
-            quick: true,
-            threads: None,
-            out: None,
-            compare: Some(old.to_owned()),
-            against: Some(new.to_owned()),
-            metric: None,
-            tolerance: None,
-        }
-    }
-
-    #[test]
-    fn bench_compare_file_vs_file_guards_the_trajectory() {
-        let dir = std::env::temp_dir().join(format!("rmd-compare-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let old = dir.join("old.json");
-        let bad = dir.join("bad.json");
-        std::fs::write(
-            &old,
-            r#"{"schema":"rmd-bench/6","machine":"fig1","query":{"queries_per_sec":1000.0}}"#,
-        )
-        .unwrap();
-        std::fs::write(
-            &bad,
-            r#"{"schema":"rmd-bench/6","machine":"fig1","query":{"queries_per_sec":1.0}}"#,
-        )
-        .unwrap();
-        // Identical records compare clean and print the delta report.
-        let out = run(&compare_cmd(
-            &old.to_string_lossy(),
-            &old.to_string_lossy(),
-        ))
-        .expect("identical records never regress");
-        assert!(out.contains("-> ok"), "{out}");
-        assert!(out.contains("query.queries_per_sec"), "{out}");
-        // A 1000x cliff trips the guard: exit code 11 with the report.
-        let e = run(&compare_cmd(&old.to_string_lossy(), &bad.to_string_lossy()))
-            .expect_err("cliff must regress");
-        assert_eq!(e.exit_code(), 11);
-        assert!(
-            matches!(&e, CliError::BenchRegression { report, .. } if report.contains("REGRESSED")),
-            "{e:?}"
-        );
-        assert!(e.to_string().contains("regressed beyond"), "{e}");
-        // The committed repo record compared against itself is clean —
-        // exactly what the bench-guard CI job relies on.
-        let committed =
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fig1.json");
-        let out = run(&compare_cmd(committed, committed)).expect("committed record vs itself");
-        assert!(out.contains("-> ok"), "{out}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn parses_serve_telemetry_flags() {
-        let c = parse_args(&args(&[
-            "serve",
-            "--metrics-every",
-            "100",
-            "--slow-ms",
-            "5",
-            "--uncertified",
-        ]))
-        .expect("valid serve telemetry flags");
-        assert!(
-            matches!(
-                c,
-                Command::Serve { metrics_every: Some(100), slow_ms: Some(5), .. }
-            ),
-            "{c:?}"
-        );
-        for bad in [
-            &["serve", "--metrics-every"][..],
-            &["serve", "--metrics-every", "-1"],
-            &["serve", "--slow-ms", "soon"],
-        ] {
-            assert_eq!(usage_error(bad).exit_code(), 2, "{bad:?}");
-        }
-    }
-}
-
-#[cfg(test)]
 mod profile_tests {
     use super::*;
 
@@ -3050,7 +2482,7 @@ mod profile_tests {
         assert!(!body.is_empty());
         for line in body.lines() {
             assert!(
-                rmd_bench::benchcmd::json_is_well_formed(line),
+                rmd_bench::json_is_well_formed(line),
                 "bad JSONL line: {line}"
             );
         }

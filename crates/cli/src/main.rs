@@ -4,8 +4,7 @@
 //! 4 validation, 5 verification failure, 6 lint findings at error
 //! severity, 7 export failure, 8 serve transport failure, 9
 //! certification failure, 10 fuzz divergence or corpus-replay
-//! violation, 11 bench-trajectory regression (see
-//! `rmd_cli::CliError`).
+//! violation (see `rmd_cli::CliError`).
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -13,16 +12,14 @@ fn main() {
         Ok(cmd) => match rmd_cli::run(&cmd) {
             Ok(out) => print!("{out}"),
             Err(e) => {
-                // Lint, certify, fuzz, and bench-compare failures still
-                // print the full report (findings, counterexample
-                // trace, minimized machines, metric deltas) on stdout
-                // so machine-readable formats stay intact; only the
-                // one-line summary goes to stderr.
+                // Lint, certify, and fuzz failures still print the full
+                // report (findings, counterexample trace, minimized
+                // machines) on stdout so machine-readable formats stay
+                // intact; only the one-line summary goes to stderr.
                 match &e {
                     rmd_cli::CliError::Lint { report, .. }
                     | rmd_cli::CliError::Certify { report, .. }
-                    | rmd_cli::CliError::Fuzz { report, .. }
-                    | rmd_cli::CliError::BenchRegression { report, .. } => print!("{report}"),
+                    | rmd_cli::CliError::Fuzz { report, .. } => print!("{report}"),
                     _ => {}
                 }
                 eprintln!("error: {e}");

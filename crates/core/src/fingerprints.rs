@@ -1,6 +1,6 @@
 //! Stable fingerprints of reduction sub-results.
 //!
-//! The forbidden-latency matrix is the paper's equivalence criterion:
+//! The forbidden-latency matrix is the paper's equivalence condition:
 //! two descriptions are interchangeable for scheduling exactly when
 //! their matrices agree. [`matrix_fingerprint`] condenses a matrix into
 //! a 64-bit FNV-1a hash over its `(x, y, latency)` triples in row-major

@@ -59,7 +59,7 @@ impl fmt::Display for EquivalenceError {
 impl std::error::Error for EquivalenceError {}
 
 /// Verifies that `left` and `right` produce identical forbidden-latency
-/// matrices — the paper's formal correctness criterion for a reduced
+/// matrices — the paper's formal correctness condition for a reduced
 /// machine description.
 ///
 /// Operations are matched by position (the reduction preserves operation

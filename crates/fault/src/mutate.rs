@@ -115,7 +115,7 @@ pub struct Mutant {
 impl Mutant {
     /// Whether the mutant changes observable scheduling constraints.
     ///
-    /// For description-level mutants this is the paper's criterion: the
+    /// For description-level mutants this is the paper's condition: the
     /// forbidden-latency matrix differs from the original's. Bitvector
     /// word corruption is semantic by construction — the operator only
     /// plants phantom reservations on cycles a real operation usage can

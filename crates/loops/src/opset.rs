@@ -35,18 +35,30 @@ impl OpSet {
     ///
     /// Panics if `m` lacks any of the subset operations.
     pub fn for_cydra_subset(m: &MachineDescription) -> Self {
-        let get = |n: &str| m.op_by_name(n).unwrap_or_else(|| panic!("machine lacks op `{n}`"));
+        Self::try_for_cydra_subset(m).unwrap_or_else(|n| panic!("machine lacks op `{n}`"))
+    }
+
+    /// Resolves the vocabulary against `m`, the fallible form of
+    /// [`OpSet::for_cydra_subset`] for machines that may not carry it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the name of the first subset operation `m` lacks, checked
+    /// in the order loads, stores, address adds, `fadd`, `fmul`,
+    /// `fmul.d`, `iadd`, `recip`, `brtop`.
+    pub fn try_for_cydra_subset(m: &MachineDescription) -> Result<Self, &'static str> {
+        let get = |n: &'static str| m.op_by_name(n).ok_or(n);
         let mut latency = vec![1i32; m.num_operations()];
         let mut set = |op: OpId, l: i32| latency[op.index()] = l;
-        let load = [get("load.w.0"), get("load.w.1")];
-        let store = [get("store.w.0"), get("store.w.1")];
-        let aadd = [get("aadd.0"), get("aadd.1")];
-        let fadd = get("fadd");
-        let fmul = get("fmul");
-        let fmuld = get("fmul.d");
-        let iadd = get("iadd");
-        let recip = get("recip");
-        let brtop = get("brtop");
+        let load = [get("load.w.0")?, get("load.w.1")?];
+        let store = [get("store.w.0")?, get("store.w.1")?];
+        let aadd = [get("aadd.0")?, get("aadd.1")?];
+        let fadd = get("fadd")?;
+        let fmul = get("fmul")?;
+        let fmuld = get("fmul.d")?;
+        let iadd = get("iadd")?;
+        let recip = get("recip")?;
+        let brtop = get("brtop")?;
         // Producer latencies: one past the write-back cycle.
         set(load[0], 21);
         set(load[1], 21);
@@ -58,7 +70,7 @@ impl OpSet {
         set(iadd, 3);
         set(recip, 11);
         set(brtop, 1);
-        OpSet {
+        Ok(OpSet {
             load,
             store,
             aadd,
@@ -69,7 +81,7 @@ impl OpSet {
             recip,
             brtop,
             latency,
-        }
+        })
     }
 
     /// Result latency of `op` (cycles until a consumer may issue).
@@ -90,12 +102,14 @@ mod tests {
         assert_eq!(ops.latency(ops.load[0]), 21);
         assert_eq!(ops.latency(ops.fadd), 7);
         assert_ne!(ops.load[0], ops.load[1]);
+        assert!(OpSet::try_for_cydra_subset(&m).is_ok());
     }
 
     #[test]
-    #[should_panic(expected = "machine lacks op")]
+    #[should_panic(expected = "machine lacks op `load.w.0`")]
     fn panics_on_wrong_machine() {
         let m = rmd_machine::models::mips_r3000();
+        assert_eq!(OpSet::try_for_cydra_subset(&m).err(), Some("load.w.0"));
         let _ = OpSet::for_cydra_subset(&m);
     }
 }

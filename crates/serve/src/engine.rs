@@ -661,25 +661,11 @@ impl ServeEngine {
         let entry = self.machines.get(fp).expect("looked up above");
         // The generator vocabulary must resolve against this machine;
         // a missing op is a client error, not a panic.
-        const SUITE_OPS: [&str; 11] = [
-            "load.w.0", "load.w.1", "store.w.0", "store.w.1", "aadd.0", "aadd.1", "fadd",
-            "fmul", "fmul.d", "iadd", "recip",
-        ];
-        for name in SUITE_OPS {
-            if entry.original.op_by_name(name).is_none() {
-                return Err(ServeError::BadRequest {
-                    detail: format!(
-                        "machine lacks op {name:?} required by the suite generator"
-                    ),
-                });
+        let ops = rmd_loops::OpSet::try_for_cydra_subset(&entry.original).map_err(|name| {
+            ServeError::BadRequest {
+                detail: format!("machine lacks op {name:?} required by the suite generator"),
             }
-        }
-        if entry.original.op_by_name("brtop").is_none() {
-            return Err(ServeError::BadRequest {
-                detail: "machine lacks op \"brtop\" required by the suite generator".to_string(),
-            });
-        }
-        let ops = rmd_loops::OpSet::for_cydra_subset(&entry.original);
+        })?;
         let suite = rmd_loops::suite(&ops, loops, seed);
         deadline.check()?;
         // Dispatch in chunks through the existing parallel engine so

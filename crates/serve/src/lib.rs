@@ -21,7 +21,6 @@
 //! - [`signal`] — SIGTERM flag (the workspace's one unsafe block).
 //! - [`flight`] — the crash flight recorder (black-box ring + dumps).
 //! - [`mod@fingerprint`] — machine fingerprints keying the cache.
-//! - [`loadgen`] — the `rmd bench serve` in-process load driver.
 
 #![warn(missing_docs)]
 
@@ -31,7 +30,6 @@ pub mod engine;
 pub mod error;
 pub mod fingerprint;
 pub mod flight;
-pub mod loadgen;
 pub mod proto;
 pub mod signal;
 
@@ -41,4 +39,3 @@ pub use engine::{EngineConfig, ServeEngine};
 pub use flight::{FlightEntry, FlightRecorder};
 pub use error::ServeError;
 pub use fingerprint::fingerprint;
-pub use loadgen::{run_load, LoadOptions, LoadReport};

@@ -142,6 +142,21 @@ fn hostile_frames_get_typed_replies_and_service_continues() {
         );
     }
 
+    // fig1 lacks the loop-suite vocabulary: a suite frame is a typed
+    // client error naming the first missing op, never a panic.
+    let line = format!(r#"{{"type":"suite","fingerprint":"{fp}","loops":1}}"#);
+    let (reply, _) = engine.handle_line(&line, Instant::now());
+    let v: serde_json::Value = serde_json::from_str(&reply).unwrap();
+    assert_eq!(kind_of(&v), Some("bad_request"), "{reply}");
+    assert_eq!(code_of(&v), Some(103), "{reply}");
+    assert_eq!(
+        v.get("error")
+            .and_then(|e| e.get("detail"))
+            .and_then(|d| d.as_str()),
+        Some(r#"machine lacks op "load.w.0" required by the suite generator"#),
+        "{reply}"
+    );
+
     // And real work still succeeds at the end of the gauntlet.
     let line = format!(
         r#"{{"type":"schedule","fingerprint":"{fp}","nodes":["A","B"],"edges":[[0,1,2,0]]}}"#
