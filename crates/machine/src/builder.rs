@@ -60,12 +60,6 @@ impl MachineBuilder {
         ResourceId((self.resources.len() - 1) as u32)
     }
 
-    /// Declares `n` resources named `prefix0..prefix{n-1}` and returns
-    /// their ids. Convenient for banks of identical stages.
-    pub fn resource_bank(&mut self, prefix: &str, n: usize) -> Vec<ResourceId> {
-        (0..n).map(|i| self.resource(format!("{prefix}{i}"))).collect()
-    }
-
     /// Starts declaring an operation; finish it with
     /// [`OperationBuilder::finish`].
     pub fn operation(&mut self, name: impl Into<String>) -> OperationBuilder<'_> {
@@ -131,14 +125,6 @@ impl OperationBuilder<'_> {
         self
     }
 
-    /// Reserves `resource` in every cycle of `cycles`.
-    pub fn usages<I: IntoIterator<Item = u32>>(mut self, resource: ResourceId, cycles: I) -> Self {
-        for c in cycles {
-            self.table.reserve(resource, c);
-        }
-        self
-    }
-
     /// Reserves `resource` for the half-open cycle range `from..to`.
     pub fn span(mut self, resource: ResourceId, from: u32, to: u32) -> Self {
         for c in from..to {
@@ -194,16 +180,6 @@ mod tests {
             b.build(),
             Err(MachineError::DuplicateOperation(n)) if n == "op"
         ));
-    }
-
-    #[test]
-    fn resource_bank_names_sequentially() {
-        let mut b = MachineBuilder::new("m");
-        let bank = b.resource_bank("stage", 3);
-        b.operation("op").usage(bank[2], 0).finish();
-        let m = b.build().unwrap();
-        assert_eq!(m.resource(bank[0]).name(), "stage0");
-        assert_eq!(m.resource(bank[2]).name(), "stage2");
     }
 
     #[test]

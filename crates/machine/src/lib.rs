@@ -20,7 +20,8 @@
 //!   recursive-descent parser, and pretty-printer.
 //! * [`models`] — the paper's running example machine plus descriptions of
 //!   the DEC Alpha 21064, MIPS R3000/R3010, and Cydra 5 reconstructed from
-//!   public architecture documentation.
+//!   public architecture documentation, parsed from the shipped
+//!   `machines/*.mdl` files.
 //! * [`render`] — ASCII rendering of reservation tables (paper Figures 1
 //!   and 4).
 //!

@@ -1,167 +1,11 @@
 //! DEC Alpha 21064 (EV4).
-//!
-//! Reconstructed from the *DECchip 21064 Microprocessor Hardware Reference
-//! Manual*. The 21064 is dual-issue: the IBox pairs one E-box/A-box
-//! instruction with one F-box instruction per cycle, so integer and FP
-//! operations issue through distinct slotting resources and only collide
-//! on the stages and buses they genuinely share. The F-box divider is not
-//! pipelined; a double-precision divide occupies it for ~59 cycles, which
-//! is what puts the largest forbidden latencies just under 58, as in Bala
-//! & Rubin's description of this machine.
-//!
-//! Mirroring machine-generated descriptions, each class also walks through
-//! private decode/score-boarding stages. These are pure redundancy — no
-//! cross-class conflicts — and exist precisely so that the reduction has
-//! realistic slack to remove (the paper's original Alpha description had
-//! 87 resources for 12 classes).
 
-use crate::{MachineBuilder, MachineDescription};
+use crate::MachineDescription;
 
-/// Builds the DEC Alpha 21064 machine description (12 operation classes).
+/// The DEC Alpha 21064 machine description (12 operation classes), parsed
+/// from `machines/alpha21064.mdl`.
 pub fn alpha21064() -> MachineDescription {
-    let mut b = MachineBuilder::new("alpha-21064");
-
-    // Issue slotting: one E/A-box op and one F-box op per cycle.
-    let e_slot = b.resource("ebox-slot");
-    let f_slot = b.resource("fbox-slot");
-
-    // E-box (integer) stages.
-    let e_alu = b.resource("ebox-alu");
-    let e_shift = b.resource("ebox-shifter");
-    let e_wb = b.resource("ebox-wb");
-    let imul = b.resource("ebox-imul"); // non-pipelined multiplier
-    // A-box (load/store) stages.
-    let a_addr = b.resource("abox-addr");
-    let dcache = b.resource("dcache");
-    let wbuffer = b.resource("write-buffer");
-    let ld_bus = b.resource("load-fill-bus");
-    // IBox branch logic.
-    let br_logic = b.resource("ibox-branch");
-    // F-box stages.
-    let f_s1 = b.resource("fbox-s1");
-    let f_s2 = b.resource("fbox-s2");
-    let f_s3 = b.resource("fbox-s3");
-    let f_s4 = b.resource("fbox-s4");
-    let f_rnd = b.resource("fbox-round");
-    let f_wb = b.resource("fbox-wb");
-    let f_div = b.resource("fbox-divider");
-
-    // Private per-class decode/scoreboard stage chains (redundant by
-    // construction; eliminated by reduction).
-    let classes = [
-        "intop", "shift", "imull", "load", "store", "branch", "jsr", "fpadd", "fpmul",
-        "fpcvt", "divs", "divt",
-    ];
-    let mut dec = Vec::new();
-    for c in classes {
-        dec.push((
-            b.resource(format!("dec-{c}-0")),
-            b.resource(format!("dec-{c}-1")),
-            b.resource(format!("score-{c}")),
-        ));
-    }
-
-    macro_rules! front {
-        ($ob:expr, $slot:expr, $i:expr) => {
-            $ob.usage($slot, 0)
-                .usage(dec[$i].0, 0)
-                .usage(dec[$i].1, 1)
-                .usage(dec[$i].2, 1)
-        };
-    }
-
-    front!(b.operation("intop").weight(30.0), e_slot, 0)
-        .usage(e_alu, 0)
-        .usage(e_wb, 1)
-        .finish();
-
-    front!(b.operation("shift").weight(8.0), e_slot, 1)
-        .usage(e_alu, 0)
-        .usage(e_shift, 0)
-        .usage(e_wb, 1)
-        .finish();
-
-    // Integer multiply: the 21064 multiplies in the E-box over 21 cycles,
-    // non-pipelined; the first iteration borrows the barrel shifter.
-    front!(b.operation("imull").weight(0.8), e_slot, 2)
-        .usage(e_alu, 0)
-        .usage(e_shift, 1)
-        .span(imul, 0, 21)
-        .usage(e_wb, 22)
-        .finish();
-
-    front!(b.operation("load").weight(22.0), e_slot, 3)
-        .usage(a_addr, 0)
-        .usage(dcache, 1)
-        .usage(ld_bus, 2)
-        .usage(e_wb, 2)
-        .finish();
-
-    front!(b.operation("store").weight(12.0), e_slot, 4)
-        .usage(a_addr, 0)
-        .usage(dcache, 1)
-        .usage(wbuffer, 2)
-        .finish();
-
-    front!(b.operation("branch").weight(12.0), e_slot, 5)
-        .usage(br_logic, 0)
-        .usage(e_alu, 0)
-        .finish();
-
-    // jsr computes the return address and redirects fetch: the branch
-    // logic is busy an extra cycle.
-    front!(b.operation("jsr").weight(1.5), e_slot, 6)
-        .usages(br_logic, [0, 1])
-        .usage(e_alu, 0)
-        .usage(e_wb, 1)
-        .finish();
-
-    // FP add/sub/compare: fully pipelined, 6-cycle latency.
-    front!(b.operation("fpadd").weight(8.0), f_slot, 7)
-        .usage(f_s1, 1)
-        .usage(f_s2, 2)
-        .usage(f_s3, 3)
-        .usage(f_rnd, 4)
-        .usage(f_wb, 5)
-        .finish();
-
-    // FP multiply: fully pipelined, 6-cycle latency, own early stages.
-    front!(b.operation("fpmul").weight(6.0), f_slot, 8)
-        .usage(f_s1, 1)
-        .usage(f_s2, 2)
-        .usage(f_s4, 3)
-        .usage(f_rnd, 4)
-        .usage(f_wb, 5)
-        .finish();
-
-    // Converts skip the second stage and enter the shared third stage
-    // immediately, which is what separates the add and multiply pipes'
-    // forbidden-latency signatures.
-    front!(b.operation("fpcvt").weight(2.0), f_slot, 9)
-        .usage(f_s1, 1)
-        .usage(f_s3, 1)
-        .usage(f_rnd, 3)
-        .usage(f_wb, 4)
-        .finish();
-
-    // FP divide single: divider busy ~30 cycles, not pipelined.
-    front!(b.operation("divs").weight(0.6), f_slot, 10)
-        .usage(f_s1, 1)
-        .span(f_div, 2, 31)
-        .usage(f_rnd, 32)
-        .usage(f_wb, 33)
-        .finish();
-
-    // FP divide double: divider busy ~59 cycles; the largest forbidden
-    // latencies of the machine (just under 58) come from this class.
-    front!(b.operation("divt").weight(0.4), f_slot, 11)
-        .usage(f_s1, 1)
-        .span(f_div, 2, 59)
-        .usage(f_rnd, 60)
-        .usage(f_wb, 61)
-        .finish();
-
-    b.build().expect("alpha model is valid")
+    super::builtin("alpha")
 }
 
 #[cfg(test)]

@@ -1,24 +1,6 @@
 //! Cydra 5 numeric processor.
-//!
-//! Reconstructed from Beck, Yen & Anderson, "The Cydra 5 minisupercomputer:
-//! Architecture and implementation" (J. Supercomputing 1993) and Dehnert &
-//! Towle, "Compiling for the Cydra 5". The configuration matches the
-//! paper's: seven functional units — two memory ports, two address
-//! generators, an FP adder (which also executes integer ALU operations),
-//! an FP multiplier (which also hosts the non-pipelined iterative
-//! divide/square-root datapath), and a branch unit.
-//!
-//! Cross-unit structural hazards come from the shared register-file write
-//! buses (`wb*`), the two result crossbars (`xbarA`/`xbarB`, each serving
-//! half the units), the two main-memory data buses, and the predicate bus
-//! — exactly the kind of "resources expressed close to the actual
-//! hardware" redundancy the reduction exists to remove. Main memory has
-//! the Cydra's characteristically long (~21 cycle) load path; thanks to
-//! pseudo-random bank interleaving the ports remain fully pipelined, and the
-//! iterative multiplier ops occupy their datapath for up to 40 cycles,
-//! which keeps every forbidden latency below 41 as in the paper.
 
-use crate::{MachineBuilder, MachineDescription};
+use crate::MachineDescription;
 
 /// The operation names of the benchmark subset (paper Table 2 / Figure 4):
 /// the classes actually used by the 1327-loop suite. Innermost numeric
@@ -30,433 +12,16 @@ pub const CYDRA5_SUBSET_OPS: [&str; 12] = [
     "fmul.d", "iadd", "recip", "brtop",
 ];
 
-/// Builds the full Cydra 5 machine description.
+/// The full Cydra 5 machine description, parsed from `machines/cydra5.mdl`.
 pub fn cydra5() -> MachineDescription {
-    let mut b = MachineBuilder::new("cydra5");
-
-    // --- Shared interconnect ----------------------------------------
-    let wb = b.resource_bank("wb", 5); // register-file write buses
-    let xbar_a = b.resource("xbarA"); // cross-register-bank result crossbar A
-    let xbar_b = b.resource("xbarB"); // cross-register-bank result crossbar B
-    let dbus = b.resource_bank("dbus", 2); // main-memory data buses
-    let abus = b.resource_bank("abus", 2); // address buses
-    let gpr_rd = b.resource_bank("gpr_rd", 4); // register read ports
-    let pred_bus = b.resource("pred_bus"); // predicate result bus
-    let loop_ctl = b.resource("loop_ctl"); // loop-control logic (brtop)
-
-    // --- Memory ports ------------------------------------------------
-    // in-latch, 4 pipe stages, tag check, interleaved-bank launch.
-    let mem_in = [b.resource("mem0_in"), b.resource("mem1_in")];
-    let mem_s: Vec<Vec<_>> = (0..2).map(|p| b.resource_bank(&format!("mem{p}_s"), 4)).collect();
-    let mem_tag = [b.resource("mem0_tag"), b.resource("mem1_tag")];
-    let mem_bank = [b.resource("mem0_bank"), b.resource("mem1_bank")];
-    let stbuf = b.resource("stbuf"); // store buffer shared by both ports
-
-    // --- Address generators -------------------------------------------
-    let adr_in = [b.resource("adr0_in"), b.resource("adr1_in")];
-    let adr_s: Vec<Vec<_>> = (0..2).map(|a| b.resource_bank(&format!("adr{a}_s"), 2)).collect();
-
-    // --- FP adder (+ integer ALU) -------------------------------------
-    let fadd_in = b.resource("fadd_in");
-    let fadd_s = b.resource_bank("fadd_s", 3);
-    let fadd_norm = b.resource("fadd_norm");
-    let fadd_round = b.resource("fadd_round");
-    let cvt_unit = b.resource("cvt_unit");
-
-    // --- FP multiplier (+ iterative divide/sqrt) ----------------------
-    let fmul_in = b.resource("fmul_in");
-    let fmul_s = b.resource_bank("fmul_s", 4);
-    let fmul_div = b.resource("fmul_div"); // non-pipelined iterative datapath
-
-    // --- Branch unit ---------------------------------------------------
-    let brn_in = b.resource("brn_in");
-    let brn_s = b.resource_bank("brn_s", 2);
-
-    let xbar = [xbar_a, xbar_b]; // per memory/address unit index
-
-    // ===================================================================
-    // Memory-port classes, per port p. Loads return over the data bus
-    // ~cycle 17 and write back at ~20 (the Cydra's long main-memory
-    // path); the pseudo-randomly interleaved banks keep the port fully
-    // pipelined, so the bank launch occupies a single cycle. Port p loads
-    // return through crossbar p and the dedicated write bus p.
-    for p in 0..2usize {
-        b.operation(format!("load.w.{p}"))
-            .weight(10.0)
-            .usage(mem_in[p], 0)
-            .usage(abus[p], 0)
-            .usage(mem_s[p][0], 1)
-            .usage(mem_s[p][1], 2)
-            .usage(mem_tag[p], 2)
-            .usage(mem_bank[p], 3)
-            .usage(dbus[p], 17)
-            .usage(mem_s[p][2], 18)
-            .usage(mem_s[p][3], 19)
-            .usage(xbar[p], 19)
-            .usage(wb[p], 20)
-            .finish();
-        b.operation(format!("load.d.{p}"))
-            .weight(4.0)
-            .usage(mem_in[p], 0)
-            .usage(abus[p], 0)
-            .usage(mem_s[p][0], 1)
-            .usage(mem_s[p][1], 2)
-            .usage(mem_tag[p], 2)
-            .usages(mem_bank[p], [3, 4])
-            .usages(dbus[p], [17, 18])
-            .usages(mem_s[p][2], [18, 19])
-            .usages(mem_s[p][3], [19, 20])
-            .usages(xbar[p], [19, 20])
-            .usages(wb[p], [20, 21])
-            .finish();
-        // Indexed load: the address mux takes a second pass through the
-        // first pipe stage.
-        b.operation(format!("load.x.{p}"))
-            .weight(2.0)
-            .usage(mem_in[p], 0)
-            .usage(abus[p], 0)
-            .usages(mem_s[p][0], [1, 2])
-            .usage(mem_s[p][1], 3)
-            .usage(mem_tag[p], 3)
-            .usage(mem_bank[p], 4)
-            .usage(dbus[p], 18)
-            .usage(mem_s[p][2], 19)
-            .usage(mem_s[p][3], 20)
-            .usage(xbar[p], 20)
-            .usage(wb[p], 21)
-            .finish();
-        // Stores drain through the store buffer and claim the same
-        // bank/data-bus slot allocation a load would, so port traffic
-        // interleaves cleanly (the hardware's store queue guarantees it).
-        b.operation(format!("store.w.{p}"))
-            .weight(6.0)
-            .usage(mem_in[p], 0)
-            .usage(abus[p], 0)
-            .usage(gpr_rd[2 + p], 0)
-            .usage(mem_s[p][0], 1)
-            .usage(mem_s[p][1], 2)
-            .usage(mem_tag[p], 2)
-            .usage(stbuf, 3)
-            .usage(mem_bank[p], 3)
-            .usage(dbus[p], 17)
-            .finish();
-        b.operation(format!("store.d.{p}"))
-            .weight(2.0)
-            .usage(mem_in[p], 0)
-            .usage(abus[p], 0)
-            .usage(gpr_rd[2 + p], 0)
-            .usage(mem_s[p][0], 1)
-            .usage(mem_s[p][1], 2)
-            .usage(mem_tag[p], 2)
-            .usages(stbuf, [3, 4])
-            .usages(mem_bank[p], [3, 4])
-            .usages(dbus[p], [17, 18])
-            .finish();
-        // Prefetch: launches the bank access but returns no data.
-        b.operation(format!("pref.{p}"))
-            .weight(0.5)
-            .usage(mem_in[p], 0)
-            .usage(abus[p], 0)
-            .usage(mem_s[p][0], 1)
-            .usage(mem_s[p][1], 2)
-            .usage(mem_tag[p], 2)
-            .usage(mem_bank[p], 3)
-            .finish();
-    }
-
-    // ===================================================================
-    // Address-generator classes, per unit a. Both units write through the
-    // shared `wb2` bus, so they conflict with each other (and with the
-    // integer results of the FP adder). Post-modify addressing drives the
-    // unit's address bus one (aadd) or two (asub) cycles after issue.
-    for a in 0..2usize {
-        b.operation(format!("aadd.{a}"))
-            .weight(8.0)
-            .usage(adr_in[a], 0)
-            .usage(gpr_rd[a], 0)
-            .usage(adr_s[a][0], 0)
-            .usage(adr_s[a][1], 1)
-            .usage(abus[a], 1)
-            .usage(xbar[a], 1)
-            .usage(wb[2], 2)
-            .finish();
-        b.operation(format!("asub.{a}"))
-            .weight(2.0)
-            .usage(adr_in[a], 0)
-            .usage(gpr_rd[a], 0)
-            .usage(adr_s[a][0], 0)
-            .usage(adr_s[a][1], 1)
-            .usage(abus[a], 2)
-            .usage(xbar[a], 1)
-            .usage(wb[2], 2)
-            .finish();
-        b.operation(format!("amul.{a}"))
-            .weight(0.8)
-            .usage(adr_in[a], 0)
-            .usage(gpr_rd[a], 0)
-            .usages(adr_s[a][0], [0, 1])
-            .usages(adr_s[a][1], [1, 2])
-            .usage(xbar[a], 2)
-            .usage(wb[2], 3)
-            .finish();
-        b.operation(format!("amove.{a}"))
-            .weight(1.5)
-            .usage(adr_in[a], 0)
-            .usage(adr_s[a][0], 0)
-            .usage(xbar[a], 0)
-            .usage(wb[2], 1)
-            .finish();
-    }
-
-    // ===================================================================
-    // FP adder unit (crossbar group A): FP add/sub/compare/convert plus
-    // the integer ALU ops.
-    let fp_add_like: [(&str, f64); 2] = [("fadd", 8.0), ("fsub", 4.0)];
-    for (name, w) in fp_add_like {
-        b.operation(name)
-            .weight(w)
-            .usage(fadd_in, 0)
-            .usage(gpr_rd[0], 0)
-            .usage(fadd_s[0], 1)
-            .usage(fadd_s[1], 2)
-            .usage(fadd_s[2], 3)
-            .usage(fadd_norm, 4)
-            .usage(fadd_round, 5)
-            .usage(wb[4], 6)
-            .finish();
-    }
-    // fmax also broadcasts over the crossbar (its result steers selects
-    // on other units), which couples it across unit groups.
-    b.operation("fmax")
-        .weight(0.7)
-        .usage(fadd_in, 0)
-        .usage(gpr_rd[0], 0)
-        .usage(fadd_s[0], 1)
-        .usage(fadd_s[1], 2)
-        .usage(fadd_s[2], 3)
-        .usage(fadd_norm, 4)
-        .usage(fadd_round, 5)
-        .usage(xbar_a, 5)
-        .usage(wb[4], 6)
-        .finish();
-    // Double precision: datapath passes are double-pumped.
-    for (name, w) in [("fadd.d", 4.0), ("fsub.d", 2.0)] {
-        b.operation(name)
-            .weight(w)
-            .usage(fadd_in, 0)
-            .usage(gpr_rd[0], 0)
-            .usage(fadd_s[0], 1)
-            .usage(fadd_s[1], 2)
-            .usage(fadd_s[2], 3)
-            .usages(fadd_norm, [4, 5])
-            .usage(fadd_round, 6)
-            .usages(xbar_a, [6, 7])
-            .usages(wb[4], [7, 8])
-            .finish();
-    }
-    // Compares produce predicates, not register results.
-    b.operation("fcmp")
-        .weight(2.0)
-        .usage(fadd_in, 0)
-        .usage(gpr_rd[0], 0)
-        .usage(fadd_s[0], 1)
-        .usage(fadd_s[1], 2)
-        .usage(fadd_s[2], 3)
-        .usage(pred_bus, 4)
-        .finish();
-    b.operation("fcmp.d")
-        .weight(1.0)
-        .usage(fadd_in, 0)
-        .usage(gpr_rd[0], 0)
-        .usages(fadd_s[0], [1, 2])
-        .usages(fadd_s[1], [2, 3])
-        .usages(fadd_s[2], [3, 4])
-        .usage(pred_bus, 5)
-        .finish();
-    // Conversions use the dedicated convert datapath plus the rounder.
-    for (name, w, extra) in [("cvt.if", 1.5, 0u32), ("cvt.fi", 1.5, 0), ("cvt.fd", 0.8, 1)] {
-        b.operation(name)
-            .weight(w)
-            .usage(fadd_in, 0)
-            .usage(gpr_rd[0], 0)
-            .usages(cvt_unit, 1..=(2 + extra))
-            .usage(fadd_round, 3 + extra)
-            .usage(xbar_a, 3 + extra)
-            .usage(wb[4], 4 + extra)
-            .finish();
-    }
-    // Integer ALU ops execute on the adder unit's first stage and share
-    // the address units' write bus — short latency, high frequency.
-    for (name, w) in [("iadd", 10.0), ("isub", 3.0), ("iand", 2.0), ("ior", 2.0)] {
-        b.operation(name)
-            .weight(w)
-            .usage(fadd_in, 0)
-            .usage(gpr_rd[0], 0)
-            .usage(fadd_s[0], 1)
-            .usage(wb[2], 2)
-            .finish();
-    }
-    for (name, w) in [("ishl", 1.5), ("ishr", 1.5)] {
-        b.operation(name)
-            .weight(w)
-            .usage(fadd_in, 0)
-            .usage(gpr_rd[0], 0)
-            .usage(fadd_norm, 1) // shifts use the normalizer's barrel shifter
-            .usage(xbar_a, 1)
-            .usage(wb[2], 3)
-            .finish();
-    }
-    b.operation("icmp")
-        .weight(3.0)
-        .usage(fadd_in, 0)
-        .usage(gpr_rd[0], 0)
-        .usage(fadd_s[0], 1)
-        .usage(pred_bus, 2)
-        .finish();
-    // Sign manipulation: normalizer then rounder, full FP write-back.
-    b.operation("fneg")
-        .weight(0.6)
-        .usage(fadd_in, 0)
-        .usage(gpr_rd[0], 0)
-        .usage(fadd_norm, 1)
-        .usage(fadd_round, 2)
-        .usage(xbar_a, 2)
-        .usage(wb[1], 3)
-        .finish();
-
-    // ===================================================================
-    // FP multiplier unit (crossbar group B): pipelined multiplies,
-    // iterative divide/sqrt.
-    b.operation("fmul")
-        .weight(7.0)
-        .usage(fmul_in, 0)
-        .usage(gpr_rd[1], 0)
-        .usage(fmul_s[0], 1)
-        .usage(fmul_s[1], 2)
-        .usage(fmul_s[2], 3)
-        .usage(fmul_s[3], 4)
-        .usage(wb[3], 5)
-        .finish();
-    b.operation("fmul.d")
-        .weight(4.0)
-        .usage(fmul_in, 0)
-        .usage(gpr_rd[1], 0)
-        .usage(fmul_s[0], 1)
-        .usage(fmul_s[1], 2)
-        .usage(fmul_s[2], 3)
-        .usage(fmul_s[3], 4)
-        .usages(wb[3], [6, 7])
-        .finish();
-    b.operation("imul")
-        .weight(1.2)
-        .usage(fmul_in, 0)
-        .usage(gpr_rd[1], 0)
-        .usage(fmul_s[0], 1)
-        .usage(fmul_s[1], 2)
-        .usage(fmul_s[2], 3)
-        .usage(xbar_b, 3)
-        .usage(wb[2], 4)
-        .finish();
-    // High-word integer multiply: one extra array pass.
-    b.operation("imul.h")
-        .weight(0.4)
-        .usage(fmul_in, 0)
-        .usage(gpr_rd[1], 0)
-        .usage(fmul_s[0], 1)
-        .usages(fmul_s[1], [2, 3])
-        .usage(fmul_s[2], 4)
-        .usage(xbar_b, 4)
-        .usage(wb[2], 5)
-        .finish();
-    // Reciprocal seed + Newton step: short occupancy of the iterative
-    // datapath (the Cydra compiled divides into these).
-    b.operation("recip")
-        .weight(0.9)
-        .usage(fmul_in, 0)
-        .usage(gpr_rd[1], 0)
-        .usage(fmul_s[0], 1)
-        .span(fmul_div, 2, 9)
-        .usage(fmul_s[3], 9)
-        .usage(xbar_b, 9)
-        .usage(wb[3], 10)
-        .finish();
-    // Full iterative divide/sqrt classes: the datapath is not pipelined
-    // and the longest (sqrt.d) holds it through cycle 39, which bounds
-    // every forbidden latency of the machine below 41.
-    for (name, w, busy_end, lat) in [
-        ("fdiv", 0.5, 18u32, 19u32),
-        ("fdiv.d", 0.3, 26, 27),
-        ("sqrt", 0.2, 33, 34),
-        ("sqrt.d", 0.1, 38, 39),
-    ] {
-        b.operation(name)
-            .weight(w)
-            .usage(fmul_in, 0)
-            .usage(gpr_rd[1], 0)
-            .usage(fmul_s[0], 1)
-            .span(fmul_div, 2, busy_end)
-            .usage(fmul_s[3], busy_end)
-            .usage(xbar_b, busy_end)
-            .usage(wb[3], lat)
-            .finish();
-    }
-
-    // ===================================================================
-    // Branch unit (crossbar group B for its link-register write).
-    b.operation("brtop") // modulo-loop back branch: also advances loop ctl
-        .weight(5.0)
-        .usage(brn_in, 0)
-        .usage(brn_s[0], 0)
-        .usage(brn_s[1], 1)
-        .usage(loop_ctl, 1)
-        .usage(pred_bus, 2)
-        .finish();
-    b.operation("br")
-        .weight(2.0)
-        .usage(brn_in, 0)
-        .usage(brn_s[0], 0)
-        .usage(brn_s[1], 1)
-        .finish();
-    b.operation("brc")
-        .weight(1.5)
-        .usage(brn_in, 0)
-        .usage(gpr_rd[3], 0)
-        .usage(brn_s[0], 0)
-        .usage(brn_s[1], 1)
-        .finish();
-    b.operation("br.link")
-        .weight(0.5)
-        .usage(brn_in, 0)
-        .usage(brn_s[0], 0)
-        .usage(brn_s[1], 1)
-        .usage(xbar_b, 1)
-        .usage(wb[3], 2)
-        .finish();
-    b.operation("pred.set")
-        .weight(1.0)
-        .usage(brn_in, 0)
-        .usage(brn_s[0], 0)
-        .usage(pred_bus, 1)
-        .finish();
-    // Move between the general and control register banks.
-    b.operation("mm.move")
-        .weight(0.7)
-        .usage(brn_in, 0)
-        .usage(gpr_rd[3], 0)
-        .usage(brn_s[0], 0)
-        .usage(xbar_b, 0)
-        .usage(wb[0], 1)
-        .finish();
-
-    b.build().expect("cydra5 model is valid")
+    super::builtin("cydra5")
 }
 
-/// The benchmark subset of the Cydra 5 (paper Table 2 / Figure 4): only
-/// the [`CYDRA5_SUBSET_OPS`] classes, with unused resources dropped.
+/// The benchmark subset of the Cydra 5 (paper Table 2 / Figure 4), parsed
+/// from `machines/cydra5_subset.mdl`: only the [`CYDRA5_SUBSET_OPS`]
+/// classes, with unused resources dropped.
 pub fn cydra5_subset() -> MachineDescription {
-    cydra5()
-        .restrict(&CYDRA5_SUBSET_OPS)
-        .expect("subset is valid")
+    super::builtin("cydra5-subset")
 }
 
 /// Alternative-operation groups for a Cydra 5 machine (full or subset):
@@ -519,6 +84,11 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn subset_is_the_restriction_of_the_full_machine() {
+        assert_eq!(cydra5_subset(), cydra5().restrict(&CYDRA5_SUBSET_OPS).unwrap());
     }
 
     #[test]

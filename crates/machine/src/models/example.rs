@@ -1,41 +1,11 @@
 //! The paper's Figure 1 running example.
 
-use crate::{MachineBuilder, MachineDescription};
+use crate::MachineDescription;
 
-/// The hypothetical two-operation machine of the paper's Figure 1.
-///
-/// * Operation `A` models a fully pipelined functional unit: it flows
-///   through three stages in consecutive cycles (3 usages).
-/// * Operation `B` models a partially pipelined unit: resource `mul-stage`
-///   is held for 4 consecutive cycles and `round-stage` for 2 (8 usages
-///   total).
-///
-/// The resulting forbidden latencies are exactly the paper's:
-/// `F[A][A] = {0}`, `F[B][A] = {1}`, `F[A][B] = {-1}`, and
-/// `F[B][B] = {0, ±1, ±2, ±3}`. Reduction shrinks this description to 2
-/// synthesized resources with 1 usage for `A` and 4 for `B` (Figure 1d).
+/// The hypothetical two-operation machine of the paper's Figure 1, parsed
+/// from `machines/example.mdl`.
 pub fn example_machine() -> MachineDescription {
-    let mut b = MachineBuilder::new("fig1-example");
-    let r0 = b.resource("stage0");
-    let r1 = b.resource("stage1");
-    let r2 = b.resource("stage2");
-    let r3 = b.resource("mul-stage");
-    let r4 = b.resource("round-stage");
-
-    // A: fully pipelined, one stage per cycle.
-    b.operation("A").usage(r0, 0).usage(r1, 1).usage(r2, 2).finish();
-
-    // B: enters the shared stages one cycle "ahead" of A (creating the
-    // cross latency 1 in F[B][A]), then occupies the multiply stage for 4
-    // cycles and the rounding stage for 2.
-    b.operation("B")
-        .usage(r1, 0)
-        .usage(r2, 1)
-        .usages(r3, [2, 3, 4, 5])
-        .usages(r4, [6, 7])
-        .finish();
-
-    b.build().expect("example machine is valid")
+    super::builtin("fig1")
 }
 
 #[cfg(test)]

@@ -1,193 +1,11 @@
 //! MIPS R3000 integer unit + R3010 floating-point accelerator.
-//!
-//! Reconstructed from Kane & Heinrich, *MIPS RISC Architecture* and the
-//! R3010 datapath: the FPA has an unpack stage, a two-stage adder with
-//! rounding and packing, a four-stage multiplier array, and a
-//! non-pipelined divider. The R3000 side has a single-issue pipeline with
-//! a dedicated, non-pipelined integer multiply/divide unit (12-cycle
-//! multiply, 33-cycle divide into HI/LO).
-//!
-//! Like Proebsting & Fraser's original description (15 classes, 428
-//! forbidden latencies, all < 34), this model is written close to the
-//! hardware, so it carries redundancy: every instruction reserves the
-//! fetch and issue stages, and FP operations walk through shared
-//! unpack/round/pack/writeback stages that largely shadow one another.
 
-use crate::{MachineBuilder, MachineDescription};
+use crate::MachineDescription;
 
-/// Builds the MIPS R3000/R3010 machine description (15 operation classes).
+/// The MIPS R3000/R3010 machine description (15 operation classes), parsed
+/// from `machines/mips_r3000.mdl`.
 pub fn mips_r3000() -> MachineDescription {
-    let mut b = MachineBuilder::new("mips-r3000-r3010");
-
-    // --- R3000 integer pipeline -------------------------------------
-    let fetch = b.resource("if");
-    let issue = b.resource("rd"); // register read / issue stage
-    let alu = b.resource("alu");
-    let dmem = b.resource("mem");
-    let wb = b.resource("wb");
-    let pc = b.resource("pc-adder");
-    // Non-pipelined integer multiply/divide unit.
-    let imd = b.resource("imuldiv");
-    let hilo = b.resource("hilo");
-
-    // --- R3010 floating point accelerator ---------------------------
-    let fp_issue = b.resource("fp-issue");
-    let unpack = b.resource("fp-unpack");
-    let add1 = b.resource("fp-add1");
-    let add2 = b.resource("fp-add2");
-    let round = b.resource("fp-round");
-    let pack = b.resource("fp-pack");
-    let mul1 = b.resource("fp-mul1");
-    let mul2 = b.resource("fp-mul2");
-    let mul3 = b.resource("fp-mul3");
-    let mul4 = b.resource("fp-mul4");
-    let div = b.resource("fp-div");
-    let fp_wb = b.resource("fp-wb");
-    let exc = b.resource("fp-exc"); // exception detect stage
-    let cpbus = b.resource("cp-bus"); // coprocessor transfer bus
-
-    // Every instruction occupies fetch and issue in cycle 0.
-    macro_rules! front {
-        ($ob:expr) => {
-            $ob.usage(fetch, 0).usage(issue, 0)
-        };
-    }
-
-    front!(b.operation("alu").weight(30.0))
-        .usage(alu, 0)
-        .usage(wb, 1)
-        .finish();
-
-    front!(b.operation("load").weight(20.0))
-        .usage(alu, 0) // address computation
-        .usage(dmem, 1)
-        .usage(wb, 2)
-        .finish();
-
-    // The write-through store holds the data port for two cycles while the
-    // write buffer drains.
-    front!(b.operation("store").weight(12.0))
-        .usage(alu, 0)
-        .usages(dmem, [1, 2])
-        .finish();
-
-    front!(b.operation("branch").weight(12.0))
-        .usage(alu, 0)
-        .usage(pc, 0)
-        .finish();
-
-    // Integer multiply: 12-cycle non-pipelined unit, result to HI/LO.
-    front!(b.operation("mult").weight(2.0))
-        .span(imd, 0, 12)
-        .usage(hilo, 11)
-        .finish();
-
-    // Integer divide: 33-cycle non-pipelined (largest latencies: < 34).
-    front!(b.operation("div").weight(0.5))
-        .span(imd, 0, 33)
-        .usage(hilo, 32)
-        .finish();
-
-    front!(b.operation("mfhi").weight(2.0))
-        .usage(hilo, 0)
-        .usage(alu, 0)
-        .usage(wb, 1)
-        .finish();
-
-    // FP add single: unpack, two adder passes, round, pack.
-    front!(b.operation("add.s").weight(6.0))
-        .usage(fp_issue, 0)
-        .usage(unpack, 0)
-        .usage(add1, 1)
-        .usage(round, 1)
-        .usage(pack, 1)
-        .usage(fp_wb, 1)
-        .usage(exc, 1)
-        .finish();
-
-    // FP add double: the adder datapath is 32 bits wide, so doubles pass
-    // through the add/round stages twice.
-    front!(b.operation("add.d").weight(4.0))
-        .usage(fp_issue, 0)
-        .usage(unpack, 0)
-        .usage(add1, 1)
-        .usage(add2, 1)
-        .usages(round, [1, 2])
-        .usage(pack, 2)
-        .usage(fp_wb, 2)
-        .usage(exc, 2)
-        .finish();
-
-    // FP multiply single: 4-stage array, one pass.
-    front!(b.operation("mul.s").weight(4.0))
-        .usage(fp_issue, 0)
-        .usage(unpack, 0)
-        .usage(mul1, 1)
-        .usage(mul2, 2)
-        .usage(mul3, 3)
-        .usage(round, 3)
-        .usage(pack, 3)
-        .usage(fp_wb, 3)
-        .usage(exc, 3)
-        .finish();
-
-    // FP multiply double: array stages are double-pumped.
-    front!(b.operation("mul.d").weight(3.0))
-        .usage(fp_issue, 0)
-        .usage(unpack, 0)
-        .usages(mul1, [1, 2])
-        .usages(mul2, [2, 3])
-        .usage(mul3, 3)
-        .usage(mul4, 4)
-        .usage(round, 4)
-        .usage(pack, 4)
-        .usage(fp_wb, 4)
-        .usage(exc, 4)
-        .finish();
-
-    // FP divide single: 12-cycle non-pipelined divider.
-    front!(b.operation("div.s").weight(0.8))
-        .usage(fp_issue, 0)
-        .usage(unpack, 0)
-        .span(div, 1, 11)
-        .usage(round, 11)
-        .usage(pack, 11)
-        .usage(fp_wb, 11)
-        .usage(exc, 11)
-        .finish();
-
-    // FP divide double: 19-cycle non-pipelined divider.
-    front!(b.operation("div.d").weight(0.4))
-        .usage(fp_issue, 0)
-        .usage(unpack, 0)
-        .span(div, 1, 18)
-        .usage(round, 18)
-        .usage(pack, 18)
-        .usage(fp_wb, 18)
-        .usage(exc, 18)
-        .finish();
-
-    // Convert: unpack, one add pass, round, pack (3 cycles).
-    front!(b.operation("cvt").weight(1.5))
-        .usage(fp_issue, 0)
-        .usage(unpack, 0)
-        .usage(add1, 1)
-        .usage(round, 2)
-        .usage(pack, 2)
-        .usage(fp_wb, 2)
-        .usage(exc, 2)
-        .finish();
-
-    // Move between CPU and FPA register files over the coprocessor bus;
-    // the transfer lands in the FPA register file one cycle later than an
-    // FP result would.
-    front!(b.operation("mtc1").weight(2.5))
-        .usage(cpbus, 0)
-        .usage(fp_issue, 0)
-        .usage(fp_wb, 2)
-        .finish();
-
-    b.build().expect("mips model is valid")
+    super::builtin("mips")
 }
 
 #[cfg(test)]

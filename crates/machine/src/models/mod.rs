@@ -1,4 +1,5 @@
-//! Prebuilt target machine descriptions.
+//! Prebuilt target machine descriptions, each the parse of one shipped
+//! `machines/*.mdl` file.
 //!
 //! The PLDI '96 paper evaluates its reduction on three machines whose
 //! descriptions were proprietary (HP's Cydra 5 compiler model, Bala &
@@ -6,9 +7,13 @@
 //! R3000/R3010 description). The models here are reconstructed from the
 //! public architecture documentation of those machines and tuned to sit in
 //! the same complexity regime (operation-class counts, latency magnitudes,
-//! and description redundancy); see DESIGN.md §5 for the substitution
-//! rationale. [`example_machine`] is the paper's own Figure 1 machine,
-//! reproduced exactly.
+//! and description redundancy); the `//` comments of each file hold the
+//! reconstruction rationale, and DESIGN.md §5 the substitution argument.
+//! [`example_machine`] is the paper's own Figure 1 machine, reproduced
+//! exactly.
+//!
+//! To change a built-in, edit its file and regenerate its certificate
+//! under `certs/` with `rmd certify`.
 
 mod alpha;
 mod cydra5;
@@ -20,29 +25,36 @@ pub use cydra5::{cydra5, cydra5_alt_groups, cydra5_subset, CYDRA5_SUBSET_OPS};
 pub use example::example_machine;
 pub use mips::mips_r3000;
 
-use crate::MachineDescription;
+use crate::{mdl, MachineDescription};
 
 /// The names tools accept for the prebuilt machines, in listing order.
 pub const NAMES: [&str; 5] = ["fig1", "mips", "alpha", "cydra5", "cydra5-subset"];
 
-/// Builds the prebuilt machine called `name` (one of [`NAMES`]).
+/// Each prebuilt machine's name and the text of the file it is parsed from.
+const SOURCES: [(&str, &str); 5] = [
+    ("fig1", include_str!("../../../../machines/example.mdl")),
+    ("mips", include_str!("../../../../machines/mips_r3000.mdl")),
+    ("alpha", include_str!("../../../../machines/alpha21064.mdl")),
+    ("cydra5", include_str!("../../../../machines/cydra5.mdl")),
+    ("cydra5-subset", include_str!("../../../../machines/cydra5_subset.mdl")),
+];
+
+/// Builds the prebuilt machine called `name` (one of [`NAMES`]) by parsing
+/// its shipped file.
 pub fn by_name(name: &str) -> Option<MachineDescription> {
-    match name {
-        "fig1" => Some(example_machine()),
-        "mips" => Some(mips_r3000()),
-        "alpha" => Some(alpha21064()),
-        "cydra5" => Some(cydra5()),
-        "cydra5-subset" => Some(cydra5_subset()),
-        _ => None,
-    }
+    let (_, src) = SOURCES.iter().find(|(n, _)| *n == name)?;
+    let (m, _) = mdl::parse_machine(src).unwrap_or_else(|e| panic!("built-in {name}: {e}"));
+    Some(m)
+}
+
+/// The prebuilt machine called `name`, for the named constructors.
+fn builtin(name: &str) -> MachineDescription {
+    by_name(name).expect("a prebuilt machine name")
 }
 
 /// All prebuilt machines, for sweeping tests and benches.
 pub fn all_machines() -> Vec<MachineDescription> {
-    NAMES
-        .iter()
-        .map(|name| by_name(name).expect("every listed name builds"))
-        .collect()
+    NAMES.into_iter().map(builtin).collect()
 }
 
 #[cfg(test)]

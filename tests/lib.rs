@@ -1,7 +1,8 @@
 //! Shared strategies and helpers for the integration tests.
 
 use proptest::prelude::*;
-use rmd_machine::{MachineBuilder, MachineDescription};
+use rmd_latency::ForbiddenMatrix;
+use rmd_machine::{mdl, MachineBuilder, MachineDescription};
 
 /// A compact description of a random machine: per operation, a list of
 /// `(resource, cycle)` usages.
@@ -61,6 +62,21 @@ pub fn build_single_issue_machine(spec: &MachineSpec) -> MachineDescription {
         ob.finish();
     }
     b.build().expect("spec machines are valid")
+}
+
+/// Prints `m` as MDL and reparses the text, asserting that the result is
+/// an equal machine with an identical forbidden matrix. `what` names the
+/// machine in failure messages.
+pub fn assert_mdl_round_trip(m: &MachineDescription, what: &str) {
+    let printed = mdl::print(m);
+    let (back, _) =
+        mdl::parse_machine(&printed).unwrap_or_else(|e| panic!("{what} reprint: {e}"));
+    assert_eq!(&back, m, "{what}: print/reparse equality");
+    assert_eq!(
+        ForbiddenMatrix::compute(&back),
+        ForbiddenMatrix::compute(m),
+        "{what}: forbidden-matrix round trip"
+    );
 }
 
 /// Deterministic pseudo-random sequence generator for query scripts.

@@ -1,103 +1,39 @@
-//! Golden files: `machines/*.mdl` ships textual renderings of the
-//! built-in models, and this test keeps them byte-identical to what
-//! `mdl::print` produces from the in-code constructors. Regenerate
-//! after editing a model with:
-//!
-//! ```text
-//! cargo test -p rmd-integration --test mdl_golden -- --ignored
-//! ```
+//! The shipped machine files under `machines/`. Each built-in model is the
+//! parse of one of them, and `mdl_roundtrip.rs::model_machines_round_trip`
+//! round-trips those; this test finds the rest with `read_dir`, so a new
+//! file cannot be skipped.
 
-use rmd_latency::ForbiddenMatrix;
-use rmd_machine::{mdl, models, MachineDescription};
+use rmd_integration::assert_mdl_round_trip;
+use rmd_machine::{mdl, models};
 use std::path::PathBuf;
 
-/// The models that ship as golden `.mdl` files, keyed by file stem.
-fn golden_models() -> Vec<(&'static str, MachineDescription)> {
-    vec![
-        ("example", models::example_machine()),
-        ("cydra5_subset", models::cydra5_subset()),
-        ("alpha21064", models::alpha21064()),
-        ("mips_r3000", models::mips_r3000()),
-    ]
-}
-
-fn golden_path(stem: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../machines/{stem}.mdl"))
-}
-
-#[test]
-fn shipped_renderings_match_the_builtin_models() {
-    for (stem, m) in golden_models() {
-        let path = golden_path(stem);
-        let shipped = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "{}: {e} — regenerate with \
-                 `cargo test -p rmd-integration --test mdl_golden -- --ignored`",
-                path.display()
-            )
-        });
-        assert_eq!(
-            shipped,
-            mdl::print(&m),
-            "{stem}: machines/{stem}.mdl is stale; regenerate with \
-             `cargo test -p rmd-integration --test mdl_golden -- --ignored`"
-        );
-    }
-}
-
-#[test]
-fn shipped_renderings_reparse_to_equivalent_machines() {
-    // Byte equality above is about review hygiene; this is the semantic
-    // guarantee — the shipped text denotes exactly the built-in model.
-    for (stem, m) in golden_models() {
-        let text = std::fs::read_to_string(golden_path(stem)).expect("golden present");
-        let (back, _) =
-            mdl::parse_machine(&text).unwrap_or_else(|e| panic!("{stem}: {e}"));
-        assert_eq!(back, m, "{stem}: reparse equality");
-        assert_eq!(
-            ForbiddenMatrix::compute(&back),
-            ForbiddenMatrix::compute(&m),
-            "{stem}: forbidden-matrix round trip"
-        );
-    }
-}
-
-/// Machines that exist only as files (no in-code constructor): the
-/// hand-written zoo plus vliw_dsp. No byte-identity oracle exists for
-/// these, so the guarantee is purely semantic: parse, pretty-print,
-/// reparse, and demand an equivalent machine with an identical
-/// forbidden matrix.
-const FILE_ONLY_MACHINES: &[&str] = &[
-    "vliw_dsp",
-    "zoo_deep_np",
-    "zoo_clustered",
-    "zoo_wide_issue",
-];
-
+/// Every file whose machine is not a built-in survives parse, print,
+/// reparse as an equal machine with an identical forbidden matrix.
 #[test]
 fn file_only_machines_round_trip_through_the_printer() {
-    for stem in FILE_ONLY_MACHINES {
-        let text = std::fs::read_to_string(golden_path(stem))
-            .unwrap_or_else(|e| panic!("{stem}: {e}"));
-        let (m, _) = mdl::parse_machine(&text).unwrap_or_else(|e| panic!("{stem}: {e}"));
-        let printed = mdl::print(&m);
-        let (back, _) =
-            mdl::parse_machine(&printed).unwrap_or_else(|e| panic!("{stem} reprint: {e}"));
-        assert_eq!(back, m, "{stem}: print/reparse equality");
-        assert_eq!(
-            ForbiddenMatrix::compute(&back),
-            ForbiddenMatrix::compute(&m),
-            "{stem}: forbidden-matrix round trip"
-        );
+    let builtins = models::all_machines();
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../machines");
+    let (mut builtin_sources, mut file_only) = (0, 0);
+    for entry in std::fs::read_dir(&dir).expect("machines/ is readable") {
+        let path = entry.expect("directory entry").path();
+        if path.extension().and_then(|x| x.to_str()) != Some("mdl") {
+            continue;
+        }
+        let name = path.display().to_string();
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let (m, _) = mdl::parse_machine(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        if builtins.contains(&m) {
+            builtin_sources += 1;
+            continue;
+        }
+        assert_mdl_round_trip(&m, &name);
+        file_only += 1;
     }
-}
-
-#[test]
-#[ignore = "writes machines/*.mdl; run explicitly after editing a built-in model"]
-fn regenerate_golden_renderings() {
-    for (stem, m) in golden_models() {
-        let path = golden_path(stem);
-        std::fs::write(&path, mdl::print(&m))
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    }
+    assert_eq!(
+        builtin_sources,
+        builtins.len(),
+        "each built-in model is the parse of one file under {}",
+        dir.display()
+    );
+    assert!(file_only > 0, "no file-only machines under {}", dir.display());
 }

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use rmd_core::{reduce, verify_equivalence, Objective};
-use rmd_integration::{arb_machine_spec, build_machine};
+use rmd_integration::{arb_machine_spec, assert_mdl_round_trip, build_machine};
 use rmd_machine::mdl;
 
 proptest! {
@@ -29,13 +29,13 @@ proptest! {
     }
 }
 
+/// Every built-in model survives print and reparse as an equal machine
+/// with an identical forbidden matrix. The other files under `machines/`
+/// are covered by `mdl_golden.rs`.
 #[test]
 fn model_machines_round_trip() {
     for m in rmd_machine::models::all_machines() {
-        let text = mdl::print(&m);
-        let (m2, _) = mdl::parse_machine(&text)
-            .unwrap_or_else(|e| panic!("{}: {e}", m.name()));
-        assert_eq!(m, m2, "{} round-trip", m.name());
+        assert_mdl_round_trip(&m, m.name());
     }
 }
 
