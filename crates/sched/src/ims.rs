@@ -126,7 +126,9 @@ impl IterativeModuloScheduler {
     /// # Errors
     ///
     /// Returns [`ImsError::NoFeasibleIi`] if the budget is exhausted at
-    /// every II up to `config.max_ii`.
+    /// every II up to `config.max_ii`. It is returned before any attempt
+    /// if a circuit of distance-0 edges has positive total delay, since
+    /// no II satisfies such a circuit.
     pub fn schedule(
         &self,
         g: &DepGraph,
@@ -237,6 +239,14 @@ impl IterativeModuloScheduler {
         cache: Option<&mut ModuloMaskCache>,
         scratch: &mut SchedScratch,
     ) -> Result<ImsResult, ImsError> {
+        // A positive circuit of distance-0 edges holds at no II, so no
+        // attempt can succeed; worse, an attempt never checks self-edges
+        // and would accept a positive distance-0 one.
+        if mii::has_unsatisfiable_circuit(g) {
+            return Err(ImsError::NoFeasibleIi {
+                max_ii: self.config.max_ii,
+            });
+        }
         let mut local_cache = None;
         let mut cache = match repr {
             Representation::Discrete => None,
@@ -966,6 +976,47 @@ mod edge_tests {
             .expect("test setup");
         assert_eq!(r.mii, 5);
         assert_eq!(r.ii, 5);
+        crate::validate(&g, &m, &r).expect("test setup");
+    }
+
+    #[test]
+    fn positive_zero_distance_self_edge_is_refused() {
+        let (m, x) = contended();
+        let mut g = DepGraph::new();
+        let n = g.add_node(x);
+        g.add_edge(n, n, 1, 0, DepKind::Flow);
+        let e = IterativeModuloScheduler::default()
+            .schedule(&g, &m, Representation::Discrete)
+            .unwrap_err();
+        assert_eq!(e, ImsError::NoFeasibleIi { max_ii: 4096 });
+    }
+
+    #[test]
+    fn positive_zero_distance_two_cycle_is_refused() {
+        let (m, x) = contended();
+        let mut g = DepGraph::new();
+        let a = g.add_node(x);
+        let b = g.add_node(x);
+        g.add_edge(a, b, 3, 0, DepKind::Flow);
+        g.add_edge(b, a, -2, 0, DepKind::Flow);
+        let e = IterativeModuloScheduler::default()
+            .schedule(&g, &m, Representation::Discrete)
+            .unwrap_err();
+        assert_eq!(e, ImsError::NoFeasibleIi { max_ii: 4096 });
+    }
+
+    #[test]
+    fn zero_sum_zero_distance_cycle_still_schedules() {
+        let (m, x) = contended();
+        let mut g = DepGraph::new();
+        let a = g.add_node(x);
+        let b = g.add_node(x);
+        g.add_edge(a, b, 3, 0, DepKind::Flow);
+        g.add_edge(b, a, -3, 0, DepKind::Flow);
+        let r = IterativeModuloScheduler::default()
+            .schedule(&g, &m, Representation::Discrete)
+            .expect("test setup");
+        assert_eq!(r.times[b.index()], r.times[a.index()] + 3);
         crate::validate(&g, &m, &r).expect("test setup");
     }
 

@@ -5,71 +5,124 @@
 //! their maximum. These are the standard bounds of Rau's Iterative Modulo
 //! Scheduling and appear in the paper's Table 5 as the "MII" against
 //! which schedule quality (II/MII) is judged.
+//!
+//! Every loop computes [`mii`] before it is scheduled, so it does no work
+//! the maximum does not need. ResMII comes first. A circuit's weight
+//! `Σ delay − II · Σ distance` never rises with II, so one positive-circuit
+//! probe at II = ResMII settles most loops: without a positive circuit
+//! there, RecMII ≤ ResMII. Only when the probe finds one does [`mii`]
+//! search for RecMII, and then only above ResMII.
 
 use crate::graph::DepGraph;
-use rmd_machine::MachineDescription;
+use rmd_machine::{MachineDescription, Usage};
 
 /// Resource-constrained MII: each resource has II modulo slots per
-/// iteration and every usage claims one, so
-/// `ResMII = max_r Σ_nodes usages_r(op(node))`.
+/// iteration and every usage claims one, so ResMII is at least the
+/// pressure `max_r Σ_nodes usages_r(op(node))`.
 ///
-/// Additionally, one operation's own table must not self-overlap
-/// (two usages of a resource in cycles `c ≡ c' (mod II)`), which imposes
-/// a per-operation lower bound folded in here as well.
+/// Additionally, one operation's own table must not self-overlap (two
+/// usages of a resource in cycles `c ≡ c' (mod II)`). Self-overlap is not
+/// monotone in II: usages at cycles 0 and 3 collide at II 1 and II 3 but
+/// not at II 2. So the result is the smallest II at or above the pressure
+/// at which no operation of the graph self-overlaps. No operation does
+/// once II exceeds the widest distance between two usages of one
+/// resource by one operation, so the scan stops there.
 pub fn res_mii(g: &DepGraph, m: &MachineDescription) -> u32 {
     let mut per_resource = vec![0u32; m.num_resources()];
+    let mut widest = 0;
     for n in g.nodes() {
-        let op = m.operation(g.op(n));
-        for u in op.table().usages() {
+        // The first usage of the current resource's run.
+        let mut first: Option<&Usage> = None;
+        for u in m.operation(g.op(n)).table().usages() {
             per_resource[u.resource.index()] += 1;
-        }
-    }
-    let pressure = per_resource.into_iter().max().unwrap_or(1).max(1);
-
-    // Self-overlap bound: find the smallest II at which every op fits.
-    let mut ii = pressure;
-    'outer: loop {
-        for n in g.nodes() {
-            let t = m.operation(g.op(n)).table();
-            for r in t.resources() {
-                let cycles = t.usage_set(r);
-                for (i, &c) in cycles.iter().enumerate() {
-                    for &c2 in &cycles[i + 1..] {
-                        if c % ii == c2 % ii {
-                            ii += 1;
-                            continue 'outer;
-                        }
-                    }
-                }
+            match first {
+                Some(f) if f.resource == u.resource => widest = widest.max(u.cycle - f.cycle),
+                _ => first = Some(u),
             }
         }
-        return ii;
     }
+    let mut ii = per_resource.into_iter().max().unwrap_or(1).max(1);
+    while ii <= widest
+        && g.nodes()
+            .any(|n| self_overlaps(m.operation(g.op(n)).table().usages(), ii))
+    {
+        ii += 1;
+    }
+    ii
+}
+
+/// Whether two usages of one resource fall in the same slot modulo `ii`.
+/// `usages` is sorted by `(resource, cycle)`, so each resource's usages
+/// form one run and only pairs within a run are compared.
+fn self_overlaps(usages: &[Usage], ii: u32) -> bool {
+    usages.iter().enumerate().any(|(i, a)| {
+        usages[i + 1..]
+            .iter()
+            .take_while(|b| b.resource == a.resource)
+            .any(|b| a.cycle % ii == b.cycle % ii)
+    })
 }
 
 /// Recurrence-constrained MII: the smallest II such that no dependence
-/// circuit has positive slack `Σ delay − II · Σ distance > 0`; i.e.
+/// circuit has positive weight `Σ delay − II · Σ distance`; i.e.
 /// `RecMII = max over circuits ⌈Σ delay / Σ distance⌉`.
 ///
-/// Computed by binary search on II with a Bellman-Ford-style positive-
-/// cycle detection on edge weights `delay − II · distance`. Returns 1
-/// for recurrence-free graphs.
+/// Computed by binary search on II over `[1, Σ positive delays]`, each
+/// probe a Bellman-Ford positive-circuit check. Returns 1 for graphs
+/// without a loop-carried edge, and `Σ positive delays` when a circuit of
+/// distance-0 edges is positive, which no II satisfies.
 pub fn rec_mii(g: &DepGraph) -> u32 {
     if !g.has_recurrence() {
         return 1;
     }
-    // Upper bound: sum of positive delays is always feasible.
-    let hi: i64 = g
-        .edges()
+    first_feasible_ii(g, 1, positive_delay_sum(g), &mut Vec::new())
+}
+
+/// The minimum initiation interval: `max(ResMII, RecMII)`.
+///
+/// Equal to `res_mii(g, m).max(rec_mii(g))`, but RecMII is searched for
+/// only above ResMII, and only when some circuit is still positive at
+/// II = ResMII. At most two heap allocations per call, whatever the graph.
+pub fn mii(g: &DepGraph, m: &MachineDescription) -> u32 {
+    let res = res_mii(g, m);
+    if !g.has_recurrence() {
+        return res;
+    }
+    let hi = positive_delay_sum(g);
+    let mut dist = Vec::new();
+    if hi <= i64::from(res) || !has_positive_cycle(g, i64::from(res), &mut dist) {
+        return res;
+    }
+    first_feasible_ii(g, i64::from(res) + 1, hi, &mut dist)
+}
+
+/// Whether some circuit of distance-0 edges has positive total delay: a
+/// dependence that no II satisfies. Only a distance-0 edge to the same or
+/// a lower-numbered node can close such a circuit, so graphs without one
+/// are answered by a scan of the edges.
+pub(crate) fn has_unsatisfiable_circuit(g: &DepGraph) -> bool {
+    // At II = Σ positive delays + 1, every circuit with a loop-carried
+    // edge has negative weight; only distance-0 circuits can be positive.
+    g.edges().iter().any(|e| e.distance == 0 && e.to <= e.from)
+        && has_positive_cycle(g, positive_delay_sum(g) + 1, &mut Vec::new())
+}
+
+/// The sum of positive edge delays, at least 1. No circuit with a
+/// loop-carried edge is positive at this II.
+fn positive_delay_sum(g: &DepGraph) -> i64 {
+    g.edges()
         .iter()
         .map(|e| i64::from(e.delay.max(0)))
         .sum::<i64>()
-        .max(1);
-    let mut lo = 1i64;
-    let mut hi = hi;
+        .max(1)
+}
+
+/// The smallest II in `lo..=hi` at which no circuit is positive, or `hi`
+/// if every II in the range has one; `dist` is the probes' shared buffer.
+fn first_feasible_ii(g: &DepGraph, mut lo: i64, mut hi: i64, dist: &mut Vec<i64>) -> u32 {
     while lo < hi {
         let mid = (lo + hi) / 2;
-        if has_positive_cycle(g, mid) {
+        if has_positive_cycle(g, mid, dist) {
             lo = mid + 1;
         } else {
             hi = mid;
@@ -79,10 +132,11 @@ pub fn rec_mii(g: &DepGraph) -> u32 {
 }
 
 /// Longest-path relaxation: true iff some circuit has positive weight
-/// under `w(e) = delay − ii · distance`.
-fn has_positive_cycle(g: &DepGraph, ii: i64) -> bool {
+/// under `w(e) = delay − ii · distance`. `dist` is working space.
+fn has_positive_cycle(g: &DepGraph, ii: i64, dist: &mut Vec<i64>) -> bool {
     let n = g.num_nodes();
-    let mut dist = vec![0i64; n];
+    dist.clear();
+    dist.resize(n, 0);
     for round in 0..=n {
         let mut changed = false;
         for e in g.edges() {
@@ -101,11 +155,6 @@ fn has_positive_cycle(g: &DepGraph, ii: i64) -> bool {
         }
     }
     false
-}
-
-/// The minimum initiation interval: `max(ResMII, RecMII)`.
-pub fn mii(g: &DepGraph, m: &MachineDescription) -> u32 {
-    res_mii(g, m).max(rec_mii(g))
 }
 
 #[cfg(test)]
@@ -173,6 +222,23 @@ mod tests {
         g.add_edge(a, c, 4, 0, DepKind::Flow);
         g.add_edge(c, a, 4, 2, DepKind::Flow); // ratio 8/2 = 4
         assert_eq!(rec_mii(&g), 4);
+    }
+
+    #[test]
+    fn mii_is_res_mii_when_rec_mii_clamps_below_it() {
+        // The distance-0 self-loop is positive at every II, so RecMII
+        // clamps to Σ positive delays (2), below ResMII (3).
+        let m = machine();
+        let add = m.op_by_name("add").expect("test setup");
+        let mut g = DepGraph::new();
+        let a = g.add_node(add);
+        let b = g.add_node(add);
+        g.add_node(add);
+        g.add_edge(a, a, 1, 0, DepKind::Flow);
+        g.add_edge(a, b, 1, 1, DepKind::Flow);
+        assert_eq!(rec_mii(&g), 2);
+        assert_eq!(res_mii(&g, &m), 3);
+        assert_eq!(mii(&g, &m), 3);
     }
 
     #[test]

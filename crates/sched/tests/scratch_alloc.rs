@@ -8,6 +8,10 @@
 //! queue, eviction list, reservation-table words/owner/registry, and
 //! the result vectors via [`SchedScratch::recycle`]) was sized by the
 //! first run and is reused in place.
+//!
+//! The MII every loop computes before it is scheduled is held to a
+//! fixed number of allocations per call, whatever the graph's size and
+//! however many IIs its search probes.
 
 use rmd_machine::models::cydra5_subset;
 use rmd_machine::MachineDescription;
@@ -75,6 +79,28 @@ fn chain(m: &MachineDescription, names: &[&str], delay: i32) -> DepGraph {
     g
 }
 
+/// Shapes covering the interesting paths: a latency chain (window slot
+/// search), resource pressure (forced placement, assign&free eviction,
+/// the owner-table transition), and a recurrence (II escalation from
+/// RecMII).
+fn guard_graphs(m: &MachineDescription) -> [DepGraph; 3] {
+    let fadd = m.op_by_name("fadd").expect("test setup");
+    let mut pressured = DepGraph::new();
+    for _ in 0..6 {
+        pressured.add_node(fadd);
+    }
+    let mut recurrence = DepGraph::new();
+    let a = recurrence.add_node(fadd);
+    let b = recurrence.add_node(fadd);
+    recurrence.add_edge(a, b, 7, 0, DepKind::Flow);
+    recurrence.add_edge(b, a, 7, 1, DepKind::Flow);
+    [
+        chain(m, &["load.w.0", "fadd", "store.w.0"], 8),
+        pressured,
+        recurrence,
+    ]
+}
+
 #[test]
 fn warm_scratch_schedules_without_allocating() {
     assert!(
@@ -88,27 +114,7 @@ fn warm_scratch_schedules_without_allocating() {
     let mut scratch = SchedScratch::new();
     let ims = IterativeModuloScheduler::new(ImsConfig::default());
 
-    // Shapes covering the interesting paths: a latency chain (window
-    // slot search), resource pressure (forced placement, assign&free
-    // eviction, the owner-table transition), and a recurrence (II
-    // escalation from RecMII).
-    let fadd = m.op_by_name("fadd").expect("test setup");
-    let mut pressured = DepGraph::new();
-    for _ in 0..6 {
-        pressured.add_node(fadd);
-    }
-    let mut recurrence = DepGraph::new();
-    let a = recurrence.add_node(fadd);
-    let b = recurrence.add_node(fadd);
-    recurrence.add_edge(a, b, 7, 0, DepKind::Flow);
-    recurrence.add_edge(b, a, 7, 1, DepKind::Flow);
-    let graphs = [
-        chain(&m, &["load.w.0", "fadd", "store.w.0"], 8),
-        pressured,
-        recurrence,
-    ];
-
-    for (i, g) in graphs.iter().enumerate() {
+    for (i, g) in guard_graphs(&m).iter().enumerate() {
         let mii = rmd_sched::mii::mii(g, &m);
         // First run: sizes every buffer (and expands this II's masks).
         let warm = ims
@@ -127,6 +133,37 @@ fn warm_scratch_schedules_without_allocating() {
         });
         assert!(times_match, "graph {i}: warm run changed the schedule");
         assert_eq!(allocs, 0, "graph {i}: warm run allocated");
+    }
+}
+
+#[test]
+fn mii_allocates_at_most_twice_per_call() {
+    let m = cydra5_subset();
+    // Recurrence-bound at about 150 nodes: a latency chain of `fadd`s,
+    // each node with a loop-carried edge back up the chain, so the
+    // RecMII search probes many IIs above ResMII.
+    let fadd = m.op_by_name("fadd").expect("test setup");
+    let mut heavy = DepGraph::new();
+    let nodes: Vec<_> = (0..150).map(|_| heavy.add_node(fadd)).collect();
+    for (i, w) in nodes.windows(2).enumerate() {
+        heavy.add_edge(w[0], w[1], 7, 0, DepKind::Flow);
+        heavy.add_edge(
+            w[1],
+            nodes[i.saturating_sub(40)],
+            7,
+            1 + i as u32 % 3,
+            DepKind::Flow,
+        );
+    }
+    assert!(
+        rmd_sched::mii::mii(&heavy, &m) > rmd_sched::mii::res_mii(&heavy, &m),
+        "test setup: the heavy graph must be recurrence-bound"
+    );
+    let graphs = guard_graphs(&m);
+    for (i, g) in graphs.iter().chain([&heavy]).enumerate() {
+        let mut mii = 0;
+        let allocs = allocations_during(|| mii = rmd_sched::mii::mii(g, &m));
+        assert!(allocs <= 2, "graph {i} (MII {mii}): {allocs} allocations");
     }
 }
 

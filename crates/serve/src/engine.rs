@@ -605,7 +605,10 @@ impl ServeEngine {
             return Err(e);
         }
         deadline.check()?;
-        let lower = mii(&g, &entry.original);
+        let lower = {
+            let _g = rmd_obs::span_with("sched", "mii", "nodes", g.num_nodes() as u64);
+            mii(&g, &entry.original)
+        };
         let ims = IterativeModuloScheduler::new(config);
         let sched_span = rmd_obs::span_with("serve", "schedule", "req", idx);
         let r = ims
@@ -916,6 +919,26 @@ mod tests {
     }
 
     #[test]
+    fn positive_zero_distance_self_loop_is_unschedulable() {
+        let mut e = engine();
+        let fp = submit_fig1(&mut e);
+        let line = format!(
+            r#"{{"type":"schedule","fingerprint":"{fp}","nodes":["A"],"edges":[[0,0,1,0]],"id":3}}"#
+        );
+        let (reply, _) = e.handle_line(&line, Instant::now());
+        let v: serde_json::Value = serde_json::from_str(&reply).unwrap();
+        assert_eq!(v.get("ok").and_then(|o| o.as_bool()), Some(false), "{reply}");
+        assert_eq!(
+            v.get("error").and_then(|e| e.get("kind")).and_then(|k| k.as_str()),
+            Some("unschedulable"),
+            "{reply}"
+        );
+        // The engine keeps serving.
+        let line = format!(r#"{{"type":"schedule","fingerprint":"{fp}","nodes":["A"]}}"#);
+        ok_reply(&mut e, &line);
+    }
+
+    #[test]
     fn unknown_fingerprint_is_typed() {
         let mut e = engine();
         let (reply, _) = e.handle_line(
@@ -1129,8 +1152,12 @@ mod tests {
             .collect();
         assert_eq!(names.first(), Some(&"parse"), "{names:?}");
         assert_eq!(names.last(), Some(&"reply"), "{names:?}");
-        assert!(names.contains(&"cache_lookup"), "{names:?}");
-        assert!(names.contains(&"schedule"), "{names:?}");
+        let at = |name: &str| {
+            let at = names.iter().position(|&n| n == name);
+            at.unwrap_or_else(|| panic!("no {name} span: {names:?}"))
+        };
+        assert!(at("cache_lookup") < at("mii"), "{names:?}");
+        assert!(at("mii") < at("schedule"), "{names:?}");
         // Every other reply field matches the untraced reply.
         let p: serde_json::Value = serde_json::from_str(&before).unwrap();
         assert_eq!(v.get("times"), p.get("times"));
