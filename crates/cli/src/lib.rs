@@ -1,27 +1,15 @@
 //! Implementation of the `rmd` command-line tool.
 //!
-//! The binary wraps the reduction pipeline for interactive use:
-//!
-//! ```text
-//! rmd stats  <machine>                  # classes, latencies, table sizes
-//! rmd reduce <machine> [options]        # reduce and print/emit MDL
-//! rmd verify <machine-a> <machine-b>    # exact equivalence check
-//! rmd matrix <machine>                  # the forbidden-latency matrix
-//! rmd render <machine>                  # ASCII reservation tables
-//! rmd lint   <machine> [options]        # description lints
-//! rmd certify <machine> [options]       # static equivalence proof -> cert
-//! rmd fuzz   [options]                  # generative differential fuzzing
-//! rmd profile <machine> [options]       # traced run -> phase/latency report
-//! rmd models                            # list built-in models
-//! ```
-//!
-//! `<machine>` is either a path to an `.mdl` file or the name of a
-//! built-in model (`fig1`, `mips`, `alpha`, `cydra5`, `cydra5-subset`).
-//! The library form exists so the argument parser and command logic are
-//! unit-testable.
+//! The binary wraps the reduction pipeline for interactive use; `rmd
+//! help` lists every command and option. The library form exists so the
+//! argument parser and command logic are unit-testable.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+
+mod args;
+
+pub use args::{help, parse_args};
 
 use rmd_core::{try_reduce, verify_equivalence, Limits, Objective, ReduceOptions, RmdError};
 use rmd_latency::{ClassPartition, ForbiddenMatrix};
@@ -172,46 +160,46 @@ impl From<RmdError> for CliError {
     }
 }
 
-/// A parsed command line.
+/// A parsed command line: one variant per `rmd` subcommand.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Command {
-    /// `rmd stats <machine>`
+    /// `rmd stats`.
     Stats {
         /// Model name or `.mdl` path.
         machine: String,
     },
-    /// `rmd reduce <machine> [--objective res-uses|word] [--k N] [--emit-mdl]`
+    /// `rmd reduce`.
     Reduce {
         /// Model name or `.mdl` path.
         machine: String,
         /// Selection objective.
-        objective: ParsedObjective,
+        objective: Objective,
         /// Also print the reduced machine as MDL.
         emit_mdl: bool,
     },
-    /// `rmd verify <a> <b>`
+    /// `rmd verify`.
     Verify {
         /// First machine.
         left: String,
         /// Second machine.
         right: String,
     },
-    /// `rmd matrix <machine>`
+    /// `rmd matrix`.
     Matrix {
         /// Model name or `.mdl` path.
         machine: String,
     },
-    /// `rmd render <machine>`
+    /// `rmd render`.
     Render {
         /// Model name or `.mdl` path.
         machine: String,
     },
-    /// `rmd table <machine>`: a paper-style reduction report.
+    /// `rmd table`: a paper-style reduction report.
     Table {
         /// Model name or `.mdl` path.
         machine: String,
     },
-    /// `rmd lint <machine> [--format text|json|sarif] [--deny warnings]`
+    /// `rmd lint`.
     Lint {
         /// Model name or `.mdl` path.
         machine: String,
@@ -220,9 +208,7 @@ pub enum Command {
         /// Escalate warnings to errors before deciding the exit code.
         deny_warnings: bool,
     },
-    /// `rmd certify <machine> [--out DIR] [--against <machine>]
-    /// [--mutant OP:SEED] [--format text|json|sarif] [--max-ii N]
-    /// [--budget N]`
+    /// `rmd certify`.
     Certify {
         /// Model name or `.mdl` path of the original description.
         machine: String,
@@ -244,14 +230,13 @@ pub enum Command {
         /// Override the global pass's product-state budget.
         budget: Option<u64>,
     },
-    /// `rmd fuzz [--seed N] [--count N] [--size small|medium|large]
-    /// [--mutant OP:SEED] [--corpus DIR] [--replay]`
+    /// `rmd fuzz`.
     Fuzz {
         /// Base seed of the campaign.
         seed: u64,
         /// Generated machines to push through the pipeline.
         count: u32,
-        /// Generator size preset name (`small`, `medium`, `large`).
+        /// Generator size preset name, for [`rmd_fault::GenConfig::preset`].
         size: String,
         /// Inject this seeded rmd-fault mutation into every case's
         /// reduction output (the harness self-test mode).
@@ -262,8 +247,7 @@ pub enum Command {
         /// Replay the corpus directory instead of running a campaign.
         replay: bool,
     },
-    /// `rmd profile <machine> [--loops N] [--format text|jsonl|chrome]
-    /// [--out FILE] [--table6]`
+    /// `rmd profile`.
     Profile {
         /// Model name or `.mdl` path.
         machine: String,
@@ -279,9 +263,7 @@ pub enum Command {
         /// under `results/`.
         table6: bool,
     },
-    /// `rmd serve [--socket PATH] [--queue N] [--deadline-ms N]
-    /// [--chaos SEED] [--metrics FILE] [--metrics-every N]
-    /// [--slow-ms N]`
+    /// `rmd serve`.
     Serve {
         /// Serve a unix socket at this path instead of stdin/stdout.
         socket: Option<String>,
@@ -307,9 +289,9 @@ pub enum Command {
         /// Serve without the certificate gate.
         uncertified: bool,
     },
-    /// `rmd models`
+    /// `rmd models`.
     Models,
-    /// `rmd help` or no args.
+    /// `rmd help`, or no arguments.
     Help,
 }
 
@@ -342,465 +324,14 @@ pub enum ReportFormat {
 }
 
 impl ReportFormat {
-    /// Parses a `--format` argument shared by `lint` and `certify`.
-    fn parse(v: Option<&str>) -> Result<ReportFormat, CliError> {
-        match v {
-            Some("text") => Ok(ReportFormat::Text),
-            Some("json") => Ok(ReportFormat::Json),
-            Some("sarif") => Ok(ReportFormat::Sarif),
-            other => Err(CliError::Usage(format!(
-                "--format expects `text`, `json`, or `sarif`, got {other:?}"
-            ))),
+    /// Renders `report` in this format; `Text` is the caller's `text`.
+    fn render(self, report: &rmd_analyze::Report, text: String) -> String {
+        match self {
+            ReportFormat::Text => text,
+            ReportFormat::Json => report.render_json() + "\n",
+            ReportFormat::Sarif => report.render_sarif() + "\n",
         }
     }
-}
-
-/// Objective selection on the command line.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ParsedObjective {
-    /// `--objective res-uses` (default).
-    ResUses,
-    /// `--objective word --k N`.
-    Word {
-        /// Cycles per word.
-        k: u32,
-    },
-}
-
-impl From<ParsedObjective> for Objective {
-    fn from(p: ParsedObjective) -> Objective {
-        match p {
-            ParsedObjective::ResUses => Objective::ResUses,
-            ParsedObjective::Word { k } => Objective::KCycleWord { k },
-        }
-    }
-}
-
-/// Parses an argument vector (without the program name).
-///
-/// # Errors
-///
-/// Returns [`CliError::Usage`] for malformed command lines.
-pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
-    let mut it = args.iter();
-    let Some(cmd) = it.next() else {
-        return Ok(Command::Help);
-    };
-    let command = match cmd.as_str() {
-        "stats" => Ok(Command::Stats {
-            machine: required(&mut it, "stats", "<machine>")?,
-        }),
-        "matrix" => Ok(Command::Matrix {
-            machine: required(&mut it, "matrix", "<machine>")?,
-        }),
-        "render" => Ok(Command::Render {
-            machine: required(&mut it, "render", "<machine>")?,
-        }),
-        "verify" => Ok(Command::Verify {
-            left: required(&mut it, "verify", "<machine-a>")?,
-            right: required(&mut it, "verify", "<machine-b>")?,
-        }),
-        "table" => Ok(Command::Table {
-            machine: required(&mut it, "table", "<machine>")?,
-        }),
-        "lint" => {
-            let machine = required(&mut it, "lint", "<machine>")?;
-            let mut format = ReportFormat::Text;
-            let mut deny_warnings = false;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--format" => {
-                        format = ReportFormat::parse(it.next().map(String::as_str))?;
-                    }
-                    "--deny" => match it.next().map(String::as_str) {
-                        Some("warnings") => deny_warnings = true,
-                        other => {
-                            return Err(CliError::Usage(format!(
-                                "--deny expects `warnings`, got {other:?}"
-                            )))
-                        }
-                    },
-                    other => {
-                        return Err(CliError::Usage(format!("unknown option `{other}`")))
-                    }
-                }
-            }
-            Ok(Command::Lint {
-                machine,
-                format,
-                deny_warnings,
-            })
-        }
-        "certify" => {
-            let machine = required(&mut it, "certify", "<machine>")?;
-            let mut against = None;
-            let mut mutant = None;
-            let mut out = None;
-            let mut format = ReportFormat::Text;
-            let mut max_ii = None;
-            let mut budget = None;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--against" => {
-                        against = Some(it.next().cloned().ok_or_else(|| {
-                            CliError::Usage("--against expects a machine".to_owned())
-                        })?);
-                    }
-                    "--mutant" => {
-                        let v = it.next().ok_or_else(|| {
-                            CliError::Usage("--mutant expects OP:SEED".to_owned())
-                        })?;
-                        mutant = Some(parse_mutant(v)?);
-                    }
-                    "--out" => {
-                        out = Some(it.next().cloned().ok_or_else(|| {
-                            CliError::Usage("--out expects a directory".to_owned())
-                        })?);
-                    }
-                    "--format" => {
-                        format = ReportFormat::parse(it.next().map(String::as_str))?;
-                    }
-                    "--max-ii" => {
-                        let v = it.next().ok_or_else(|| {
-                            CliError::Usage("--max-ii expects a positive number".to_owned())
-                        })?;
-                        let n: u32 = v.parse().map_err(|_| {
-                            CliError::Usage(format!(
-                                "--max-ii expects a positive number, got `{v}`"
-                            ))
-                        })?;
-                        if n == 0 {
-                            return Err(CliError::Usage(
-                                "--max-ii must be at least 1".to_owned(),
-                            ));
-                        }
-                        max_ii = Some(n);
-                    }
-                    "--budget" => {
-                        let v = it.next().ok_or_else(|| {
-                            CliError::Usage("--budget expects a number".to_owned())
-                        })?;
-                        budget = Some(v.parse().map_err(|_| {
-                            CliError::Usage(format!("--budget expects a number, got `{v}`"))
-                        })?);
-                    }
-                    other => {
-                        return Err(CliError::Usage(format!("unknown option `{other}`")))
-                    }
-                }
-            }
-            if against.is_some() && mutant.is_some() {
-                return Err(CliError::Usage(
-                    "--against and --mutant are mutually exclusive".to_owned(),
-                ));
-            }
-            if out.is_some() && (against.is_some() || mutant.is_some()) {
-                return Err(CliError::Usage(
-                    "--out only applies when certifying a machine against its own \
-                     reductions"
-                        .to_owned(),
-                ));
-            }
-            Ok(Command::Certify {
-                machine,
-                against,
-                mutant,
-                out,
-                format,
-                max_ii,
-                budget,
-            })
-        }
-        "fuzz" => {
-            let mut seed = 0u64;
-            let mut count = 100u32;
-            let mut size = "small".to_owned();
-            let mut mutant = None;
-            let mut corpus = None;
-            let mut replay = false;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--seed" => {
-                        let v = it.next().ok_or_else(|| {
-                            CliError::Usage("--seed expects a number".to_owned())
-                        })?;
-                        seed = v.parse().map_err(|_| {
-                            CliError::Usage(format!("--seed expects a number, got `{v}`"))
-                        })?;
-                    }
-                    "--count" => {
-                        let v = it.next().ok_or_else(|| {
-                            CliError::Usage("--count expects a positive number".to_owned())
-                        })?;
-                        let n: u32 = v.parse().map_err(|_| {
-                            CliError::Usage(format!(
-                                "--count expects a positive number, got `{v}`"
-                            ))
-                        })?;
-                        if n == 0 {
-                            return Err(CliError::Usage(
-                                "--count must be at least 1".to_owned(),
-                            ));
-                        }
-                        count = n;
-                    }
-                    "--size" => {
-                        let v = it.next().ok_or_else(|| {
-                            CliError::Usage(
-                                "--size expects `small`, `medium`, or `large`".to_owned(),
-                            )
-                        })?;
-                        if rmd_fault::GenConfig::preset(v).is_none() {
-                            return Err(CliError::Usage(format!(
-                                "--size expects `small`, `medium`, or `large`, got `{v}`"
-                            )));
-                        }
-                        size = v.clone();
-                    }
-                    "--mutant" => {
-                        let v = it.next().ok_or_else(|| {
-                            CliError::Usage("--mutant expects OP:SEED".to_owned())
-                        })?;
-                        mutant = Some(parse_mutant(v)?);
-                    }
-                    "--corpus" => {
-                        corpus = Some(it.next().cloned().ok_or_else(|| {
-                            CliError::Usage("--corpus expects a directory".to_owned())
-                        })?);
-                    }
-                    "--replay" => replay = true,
-                    other => {
-                        return Err(CliError::Usage(format!("unknown option `{other}`")))
-                    }
-                }
-            }
-            if replay && mutant.is_some() {
-                return Err(CliError::Usage(
-                    "--replay re-injects each entry's recorded mutant; --mutant does \
-                     not apply"
-                        .to_owned(),
-                ));
-            }
-            Ok(Command::Fuzz {
-                seed,
-                count,
-                size,
-                mutant,
-                corpus,
-                replay,
-            })
-        }
-        "profile" => {
-            let machine = required(&mut it, "profile", "<machine>")?;
-            let mut loops = None;
-            let mut format = ProfileFormat::Text;
-            let mut out = None;
-            let mut table6 = false;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--loops" => {
-                        let v = it.next().ok_or_else(|| {
-                            CliError::Usage("--loops expects a number".to_owned())
-                        })?;
-                        loops = Some(v.parse().map_err(|_| {
-                            CliError::Usage(format!("--loops expects a number, got `{v}`"))
-                        })?);
-                    }
-                    "--format" => match it.next().map(String::as_str) {
-                        Some("text") => format = ProfileFormat::Text,
-                        Some("jsonl") => format = ProfileFormat::Jsonl,
-                        Some("chrome") => format = ProfileFormat::Chrome,
-                        Some("prom") => format = ProfileFormat::Prom,
-                        other => {
-                            return Err(CliError::Usage(format!(
-                                "--format expects `text`, `jsonl`, `chrome`, or `prom`, got {other:?}"
-                            )))
-                        }
-                    },
-                    "--out" => {
-                        out = Some(it.next().cloned().ok_or_else(|| {
-                            CliError::Usage("--out expects a file path".to_owned())
-                        })?);
-                    }
-                    "--table6" => table6 = true,
-                    other => {
-                        return Err(CliError::Usage(format!("unknown option `{other}`")))
-                    }
-                }
-            }
-            Ok(Command::Profile {
-                machine,
-                loops,
-                format,
-                out,
-                table6,
-            })
-        }
-        "serve" => {
-            let mut socket = None;
-            let mut queue = None;
-            let mut deadline_ms = None;
-            let mut chaos = None;
-            let mut metrics = None;
-            let mut metrics_every = None;
-            let mut slow_ms = None;
-            let mut certs = None;
-            let mut uncertified = false;
-            fn num<T: std::str::FromStr>(
-                flag: &str,
-                v: Option<&String>,
-            ) -> Result<T, CliError> {
-                v.and_then(|v| v.parse().ok()).ok_or_else(|| {
-                    CliError::Usage(format!("{flag} expects a non-negative number"))
-                })
-            }
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--socket" => {
-                        socket = Some(it.next().cloned().ok_or_else(|| {
-                            CliError::Usage("--socket expects a path".to_owned())
-                        })?);
-                    }
-                    "--queue" => {
-                        let n: usize = num("--queue", it.next())?;
-                        if n == 0 {
-                            return Err(CliError::Usage(
-                                "--queue must be at least 1".to_owned(),
-                            ));
-                        }
-                        queue = Some(n);
-                    }
-                    "--deadline-ms" => deadline_ms = Some(num("--deadline-ms", it.next())?),
-                    "--chaos" => chaos = Some(num("--chaos", it.next())?),
-                    "--metrics-every" => {
-                        metrics_every = Some(num("--metrics-every", it.next())?);
-                    }
-                    "--slow-ms" => slow_ms = Some(num("--slow-ms", it.next())?),
-                    "--metrics" => {
-                        metrics = Some(it.next().cloned().ok_or_else(|| {
-                            CliError::Usage("--metrics expects a file path".to_owned())
-                        })?);
-                    }
-                    "--certs" => {
-                        certs = Some(it.next().cloned().ok_or_else(|| {
-                            CliError::Usage("--certs expects a directory".to_owned())
-                        })?);
-                    }
-                    "--uncertified" => uncertified = true,
-                    other => {
-                        return Err(CliError::Usage(format!("unknown option `{other}`")))
-                    }
-                }
-            }
-            if uncertified && certs.is_some() {
-                return Err(CliError::Usage(
-                    "--certs and --uncertified are mutually exclusive".to_owned(),
-                ));
-            }
-            Ok(Command::Serve {
-                socket,
-                queue,
-                deadline_ms,
-                chaos,
-                metrics,
-                metrics_every,
-                slow_ms,
-                certs,
-                uncertified,
-            })
-        }
-        "models" => Ok(Command::Models),
-        "help" | "--help" | "-h" => return Ok(Command::Help),
-        "reduce" => {
-            let machine = required(&mut it, "reduce", "<machine>")?;
-            let mut objective = ParsedObjective::ResUses;
-            let mut k: Option<u32> = None;
-            let mut want_word = false;
-            let mut emit_mdl = false;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--objective" => match it.next().map(String::as_str) {
-                        Some("res-uses") => want_word = false,
-                        Some("word") => want_word = true,
-                        other => {
-                            return Err(CliError::Usage(format!(
-                                "--objective expects `res-uses` or `word`, got {other:?}"
-                            )))
-                        }
-                    },
-                    "--k" => {
-                        let v = it.next().ok_or_else(|| {
-                            CliError::Usage("--k expects a number".to_owned())
-                        })?;
-                        k = Some(v.parse().map_err(|_| {
-                            CliError::Usage(format!("--k expects a number, got `{v}`"))
-                        })?);
-                    }
-                    "--emit-mdl" => emit_mdl = true,
-                    other => {
-                        return Err(CliError::Usage(format!("unknown option `{other}`")))
-                    }
-                }
-            }
-            if want_word {
-                objective = ParsedObjective::Word { k: k.unwrap_or(4) };
-            } else if k.is_some() {
-                return Err(CliError::Usage(
-                    "--k only applies with --objective word".to_owned(),
-                ));
-            }
-            Ok(Command::Reduce {
-                machine,
-                objective,
-                emit_mdl,
-            })
-        }
-        other => Err(CliError::Usage(format!(
-            "unknown command `{other}` (try `rmd help`)"
-        ))),
-    }?;
-    // Commands with option loops consume every argument; the
-    // positional-only ones must not silently ignore what follows.
-    if let Some(extra) = it.next() {
-        return Err(CliError::Usage(format!(
-            "unexpected argument `{extra}` to `rmd {cmd}`"
-        )));
-    }
-    Ok(command)
-}
-
-/// Parses a `--mutant OP:SEED` argument against the rmd-fault operator
-/// vocabulary, e.g. `drop-usage:3`. Unknown operators are a usage error
-/// that lists the valid names.
-fn parse_mutant(spec: &str) -> Result<(rmd_fault::MutationOp, u64), CliError> {
-    let list = rmd_fault::ALL_OPERATORS.map(|o| o.name()).join(", ");
-    let Some((name, seed)) = spec.split_once(':') else {
-        return Err(CliError::Usage(format!(
-            "--mutant expects OP:SEED (operators: {list})"
-        )));
-    };
-    let op = rmd_fault::ALL_OPERATORS
-        .into_iter()
-        .find(|o| o.name() == name)
-        .ok_or_else(|| {
-            CliError::Usage(format!(
-                "unknown mutation operator `{name}` (valid operators: {list})"
-            ))
-        })?;
-    let seed: u64 = seed.parse().map_err(|_| {
-        CliError::Usage(format!("--mutant expects a numeric seed, got `{seed}`"))
-    })?;
-    Ok((op, seed))
-}
-
-fn required(
-    it: &mut core::slice::Iter<'_, String>,
-    cmd: &str,
-    what: &str,
-) -> Result<String, CliError> {
-    it.next()
-        .cloned()
-        .ok_or_else(|| CliError::Usage(format!("`rmd {cmd}` requires {what}")))
 }
 
 /// Loads a machine from a built-in model name or an `.mdl` file path,
@@ -814,17 +345,7 @@ fn required(
 pub fn load_machine(spec: &str) -> Result<MachineDescription, CliError> {
     let m = match models::by_name(spec) {
         Some(m) => m,
-        None => {
-            let text = std::fs::read_to_string(spec).map_err(|e| CliError::Parse {
-                spec: spec.to_owned(),
-                message: format!("cannot read: {e}"),
-            })?;
-            let (m, _) = mdl::parse_machine(&text).map_err(|e| CliError::Parse {
-                spec: spec.to_owned(),
-                message: e.to_string(),
-            })?;
-            m
-        }
+        None => parse_spec(spec, mdl::parse_machine)?.0,
     };
     Limits::default().validate(&m).map_err(CliError::from)?;
     Ok(m)
@@ -838,19 +359,37 @@ fn lint_spec(spec: &str) -> Result<rmd_analyze::Report, CliError> {
     let mut report = match models::by_name(spec) {
         Some(m) => rmd_analyze::lint_machine(&m),
         None => {
-            let text = std::fs::read_to_string(spec).map_err(|e| CliError::Parse {
-                spec: spec.to_owned(),
-                message: format!("cannot read: {e}"),
-            })?;
-            let (d, map) = mdl::parse_with_source_map(&text).map_err(|e| CliError::Parse {
-                spec: spec.to_owned(),
-                message: e.to_string(),
-            })?;
+            let (d, map) = parse_spec(spec, mdl::parse_with_source_map)?;
             rmd_analyze::lint_alt(&d, Some(&map))
         }
     };
     report.subject = spec.to_owned();
     Ok(report)
+}
+
+/// Reads and parses the `.mdl` file behind a machine spec that names no
+/// built-in model. A mistyped model name lands here too, so a read
+/// failure lists the built-in names.
+fn parse_spec<T>(spec: &str, parse: fn(&str) -> Result<T, mdl::ParseError>) -> Result<T, CliError> {
+    let text = std::fs::read_to_string(spec).map_err(|e| CliError::Parse {
+        spec: spec.to_owned(),
+        message: format!(
+            "cannot read: {e}; built-in models are {}",
+            models::NAMES.join(", ")
+        ),
+    })?;
+    parse(&text).map_err(|e| CliError::Parse {
+        spec: spec.to_owned(),
+        message: e.to_string(),
+    })
+}
+
+/// Maps a failed write of `path` to a [`CliError::Export`] (exit 7).
+fn export_error(path: impl AsRef<std::path::Path>) -> impl FnOnce(std::io::Error) -> CliError {
+    move |e| CliError::Export {
+        path: path.as_ref().display().to_string(),
+        message: e.to_string(),
+    }
 }
 
 /// Finding id for a disproved equivalence (`rmd certify`).
@@ -872,21 +411,27 @@ fn spec_key(spec: &str) -> String {
     }
 }
 
+/// How far the global product pass got.
+fn global_pass(completed: bool, states: u64) -> String {
+    let how = if completed {
+        "complete"
+    } else {
+        "skipped at budget"
+    };
+    format!("{how} ({states} states)")
+}
+
 /// One-line proof statistics for a successful `certify_pair` run.
 fn render_stats(stats: &rmd_certify::EquivalenceStats) -> String {
-    let global = if stats.global.completed {
-        format!("complete ({} states)", stats.global.product_states)
-    } else {
-        format!("skipped at budget ({} states)", stats.global.product_states)
-    };
     format!(
         "  {} pairs, {} product states (max {}); modulo II<={} ({} comparisons); \
-         global pass {global}; {} schedules revalidated\n",
+         global pass {}; {} schedules revalidated\n",
         stats.pairs,
         stats.pair_product_states,
         stats.max_pair_states,
         stats.modulo.max_ii,
         stats.modulo.comparisons,
+        global_pass(stats.global.completed, stats.global.product_states),
         stats.schedules_checked,
     )
 }
@@ -906,15 +451,10 @@ fn render_cert_text(cert: &rmd_certify::Certificate) -> String {
         cert.fingerprint, cert.matrix_fingerprint, cert.operations, cert.resources
     );
     for o in &cert.objectives {
-        let global = if o.global_completed {
-            format!("complete ({} states)", o.global_states)
-        } else {
-            format!("skipped at budget ({} states)", o.global_states)
-        };
         let _ = writeln!(
             s,
             "  {}: {} resources, {} usages; {} pairs, {} states (max {}); \
-             modulo II<={}; global pass {global}; {} schedules",
+             modulo II<={}; global pass {}; {} schedules",
             o.objective,
             o.reduced_resources,
             o.reduced_usages,
@@ -922,34 +462,11 @@ fn render_cert_text(cert: &rmd_certify::Certificate) -> String {
             o.pair_product_states,
             o.max_pair_states,
             o.modulo_max_ii,
+            global_pass(o.global_completed, o.global_states),
             o.schedules_checked,
         );
     }
     s
-}
-
-/// Renders a clean (equivalence-proved) pair result in the requested
-/// format. The report carries no findings; JSON and SARIF renderings
-/// are the machine-readable "no findings" documents.
-fn render_certify_clean(
-    report: &rmd_analyze::Report,
-    format: ReportFormat,
-    headline: &str,
-    stats: &rmd_certify::EquivalenceStats,
-) -> String {
-    match format {
-        ReportFormat::Text => format!("{headline}\n{}", render_stats(stats)),
-        ReportFormat::Json => {
-            let mut j = report.render_json();
-            j.push('\n');
-            j
-        }
-        ReportFormat::Sarif => {
-            let mut s = report.render_sarif();
-            s.push('\n');
-            s
-        }
-    }
 }
 
 /// Converts a certification failure into the exit-9 [`CliError::Certify`],
@@ -965,7 +482,7 @@ fn certify_failure(
     failure: &rmd_certify::CertifyFailure,
 ) -> CliError {
     let message = failure.to_string();
-    let (id, mut text) = match failure {
+    let (id, text) = match failure {
         rmd_certify::CertifyFailure::Mismatch(cex) => {
             let mut t = String::from("NOT equivalent.\n");
             t.push_str(&cex.render(original));
@@ -997,21 +514,8 @@ fn certify_failure(
         message: text.trim_end().to_owned(),
         span: None,
     });
-    let rendered = match format {
-        ReportFormat::Text => text,
-        ReportFormat::Json => {
-            text = report.render_json();
-            text.push('\n');
-            text
-        }
-        ReportFormat::Sarif => {
-            text = report.render_sarif();
-            text.push('\n');
-            text
-        }
-    };
     CliError::Certify {
-        report: rendered,
+        report: format.render(&report, text),
         message,
     }
 }
@@ -1023,15 +527,9 @@ fn write_certificate(
     dir: &str,
 ) -> Result<std::path::PathBuf, CliError> {
     let dir = std::path::Path::new(dir);
-    std::fs::create_dir_all(dir).map_err(|e| CliError::Export {
-        path: dir.display().to_string(),
-        message: e.to_string(),
-    })?;
+    std::fs::create_dir_all(dir).map_err(export_error(dir))?;
     let path = dir.join(format!("{}.json", cert.machine));
-    std::fs::write(&path, cert.render_json()).map_err(|e| CliError::Export {
-        path: path.display().to_string(),
-        message: e.to_string(),
-    })?;
+    std::fs::write(&path, cert.render_json()).map_err(export_error(&path))?;
     Ok(path)
 }
 
@@ -1052,7 +550,7 @@ fn run_certify(
     let mut report = rmd_analyze::Report::new(spec);
     report.fingerprint = Some(rmd_machine::content_fingerprint(&original));
 
-    if let Some((op, seed)) = mutant {
+    let (suspect, headline) = if let Some((op, seed)) = mutant {
         let mu = rmd_fault::mutate(&original, op, seed).ok_or_else(|| {
             CliError::Usage(format!("--mutant {op}:{seed} does not apply to `{spec}`"))
         })?;
@@ -1067,62 +565,44 @@ fn run_certify(
                 )))
             }
         };
-        return match rmd_certify::certify_pair(&original, &suspect, options) {
-            Ok(stats) => {
-                let headline = format!(
-                    "mutant {op}:{seed} of `{spec}` ({}) is neutral: certified equivalent",
-                    mu.what
-                );
-                Ok(render_certify_clean(&report, format, &headline, &stats))
-            }
-            Err(failure) => Err(certify_failure(
-                report,
-                format,
-                &original,
-                Some(&suspect),
-                &failure,
-            )),
-        };
-    }
-
-    if let Some(b_spec) = against {
-        let suspect = load_machine(b_spec)?;
-        return match rmd_certify::certify_pair(&original, &suspect, options) {
-            Ok(stats) => {
-                let headline = format!(
-                    "equivalent: `{spec}` and `{b_spec}` admit the same placements in \
-                     every reachable scheduling state"
-                );
-                Ok(render_certify_clean(&report, format, &headline, &stats))
-            }
-            Err(failure) => Err(certify_failure(
-                report,
-                format,
-                &original,
-                Some(&suspect),
-                &failure,
-            )),
-        };
-    }
-
-    match rmd_certify::certify_machine(&original, &spec_key(spec), options) {
-        Ok(cert) => {
-            let mut text = match format {
-                ReportFormat::Text => render_cert_text(&cert),
-                ReportFormat::Json => cert.render_json(),
-                ReportFormat::Sarif => {
-                    let mut s = report.render_sarif();
-                    s.push('\n');
-                    s
+        let headline = format!(
+            "mutant {op}:{seed} of `{spec}` ({}) is neutral: certified equivalent",
+            mu.what
+        );
+        (suspect, headline)
+    } else if let Some(b_spec) = against {
+        let headline = format!(
+            "equivalent: `{spec}` and `{b_spec}` admit the same placements in \
+             every reachable scheduling state"
+        );
+        (load_machine(b_spec)?, headline)
+    } else {
+        return match rmd_certify::certify_machine(&original, &spec_key(spec), options) {
+            Ok(cert) => {
+                // JSON output is the certificate itself.
+                let mut text = if format == ReportFormat::Json {
+                    cert.render_json()
+                } else {
+                    format.render(&report, render_cert_text(&cert))
+                };
+                if let Some(dir) = out_dir {
+                    let path = write_certificate(&cert, dir)?;
+                    let _ = writeln!(text, "[wrote {}]", path.display());
                 }
-            };
-            if let Some(dir) = out_dir {
-                let path = write_certificate(&cert, dir)?;
-                let _ = writeln!(text, "[wrote {}]", path.display());
+                Ok(text)
             }
-            Ok(text)
-        }
-        Err(failure) => Err(certify_failure(report, format, &original, None, &failure)),
+            Err(failure) => Err(certify_failure(report, format, &original, None, &failure)),
+        };
+    };
+    match rmd_certify::certify_pair(&original, &suspect, options) {
+        Ok(stats) => Ok(format.render(&report, format!("{headline}\n{}", render_stats(&stats)))),
+        Err(failure) => Err(certify_failure(
+            report,
+            format,
+            &original,
+            Some(&suspect),
+            &failure,
+        )),
     }
 }
 
@@ -1194,18 +674,11 @@ fn run_fuzz(
     if !report.is_clean() {
         if let Some(dir_str) = corpus {
             let dir = std::path::Path::new(dir_str);
-            std::fs::create_dir_all(dir).map_err(|e| CliError::Export {
-                path: dir_str.to_owned(),
-                message: e.to_string(),
-            })?;
+            std::fs::create_dir_all(dir).map_err(export_error(dir))?;
             for f in &report.failures {
                 let path = dir.join(format!("fuzz-{:016x}.mdl", f.case_seed));
-                std::fs::write(&path, rmd_fault::render_corpus_entry(f)).map_err(|e| {
-                    CliError::Export {
-                        path: path.display().to_string(),
-                        message: e.to_string(),
-                    }
-                })?;
+                std::fs::write(&path, rmd_fault::render_corpus_entry(f))
+                    .map_err(export_error(&path))?;
                 let _ = writeln!(rendered, "[wrote {}]", path.display());
             }
         }
@@ -1230,9 +703,7 @@ fn run_fuzz(
 pub fn run(cmd: &Command) -> Result<String, CliError> {
     let mut out = String::new();
     match cmd {
-        Command::Help => {
-            out.push_str(HELP);
-        }
+        Command::Help => out.push_str(&help()),
         Command::Models => {
             for name in models::NAMES {
                 let m = load_machine(name)?;
@@ -1307,19 +778,7 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             if *deny_warnings {
                 report.escalate_warnings();
             }
-            let rendered = match format {
-                ReportFormat::Text => report.render_text(),
-                ReportFormat::Json => {
-                    let mut j = report.render_json();
-                    j.push('\n');
-                    j
-                }
-                ReportFormat::Sarif => {
-                    let mut s = report.render_sarif();
-                    s.push('\n');
-                    s
-                }
-            };
+            let rendered = format.render(&report, report.render_text());
             if report.errors() > 0 {
                 return Err(CliError::Lint {
                     report: rendered,
@@ -1386,10 +845,7 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             };
             match out_file {
                 Some(path) => {
-                    std::fs::write(path, &rendered).map_err(|e| CliError::Export {
-                        path: path.clone(),
-                        message: e.to_string(),
-                    })?;
+                    std::fs::write(path, &rendered).map_err(export_error(path))?;
                     let _ = writeln!(out, "[wrote {path}]");
                 }
                 None => out.push_str(&rendered),
@@ -1404,11 +860,9 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
                 // Key the record by the requested spec, like `certify`.
                 rec.machine = spec_key(machine);
                 let dir = std::path::Path::new("results");
-                let path =
-                    profile::write_profile_record(&rec, dir).map_err(|e| CliError::Export {
-                        path: dir.join(format!("PROFILE_{}.json", rec.machine)).display().to_string(),
-                        message: e.to_string(),
-                    })?;
+                let path = profile::write_profile_record(&rec, dir).map_err(export_error(
+                    dir.join(format!("PROFILE_{}.json", rec.machine)),
+                ))?;
                 let _ = writeln!(out, "[recorded {}]", path.display());
             }
         }
@@ -1478,17 +932,12 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             emit_mdl,
         } => {
             let m = load_machine(machine)?;
-            let red = try_reduce(&m, (*objective).into(), &ReduceOptions::default())
-                .map_err(CliError::from)?;
+            let red =
+                try_reduce(&m, *objective, &ReduceOptions::default()).map_err(CliError::from)?;
             verify_equivalence(&m, &red.reduced).map_err(|e| CliError::Verification {
                 message: format!("reduction broke equivalence: {e}"),
             })?;
-            let _ = writeln!(
-                out,
-                "reduced `{}` under {:?}:",
-                m.name(),
-                Objective::from(*objective)
-            );
+            let _ = writeln!(out, "reduced `{}` under {objective:?}:", m.name());
             let _ = writeln!(
                 out,
                 "  resources  {:4} -> {:4}",
@@ -1516,135 +965,6 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// The help text.
-pub const HELP: &str = "\
-rmd — reduced multipipeline machine descriptions (PLDI '96)
-
-USAGE:
-    rmd stats  <machine>                     description statistics
-    rmd reduce <machine> [options]           reduce + verify
-    rmd verify <machine-a> <machine-b>       exact equivalence check
-    rmd matrix <machine>                     forbidden-latency matrix
-    rmd render <machine>                     ASCII reservation tables
-    rmd table  <machine>                     paper-style reduction report
-    rmd lint   <machine> [options]           lint the description
-    rmd certify <machine> [options]          prove reductions equivalent ->
-                                             certs/<machine>.json
-    rmd fuzz   [options]                     generative differential fuzzing
-    rmd profile <machine> [options]          traced run -> phase/latency report
-    rmd serve  [options]                     line-JSON scheduling daemon
-    rmd models                               list built-in models
-
-OPTIONS (reduce):
-    --objective res-uses|word                selection objective [res-uses]
-    --k <N>                                  cycles per word (with `word`) [4]
-    --emit-mdl                               print the reduced machine as MDL
-
-OPTIONS (lint):
-    --format text|json|sarif                 report format [text]
-    --deny warnings                          treat warnings as errors
-
-OPTIONS (certify):
-    --out <DIR>                              write the certificate JSON to
-                                             DIR/<machine>.json
-    --against <machine>                      prove equivalence of two given
-                                             descriptions instead of the
-                                             machine's own reductions
-    --mutant <OP:SEED>                       certify a seeded rmd-fault
-                                             mutant against the original;
-                                             counterexamples are replayed
-                                             through the runtime query
-                                             modules
-    --format text|json|sarif                 result format [text]
-    --max-ii <N>                             cap the modulo pass's II bound
-                                             (default: the complete bound)
-    --budget <N>                             global-pass product-state
-                                             budget
-
-OPTIONS (fuzz):
-    --seed <N>                               base campaign seed [0]
-    --count <N>                              machines to generate [100]
-    --size small|medium|large                generator size envelope [small]
-    --mutant <OP:SEED>                       corrupt every case's reduction
-                                             with this seeded rmd-fault
-                                             operator (harness self-test)
-    --corpus <DIR>                           write minimized failures here
-                                             as replayable .mdl entries
-    --replay                                 replay the corpus directory
-                                             [corpus] instead of fuzzing
-
-OPTIONS (profile):
-    --loops <N>                              suite loops to schedule [64]
-    --format text|jsonl|chrome|prom          report format [text]
-    --out <FILE>                             write the report to FILE
-    --table6                                 append the per-function work
-                                             table and record it under
-                                             results/PROFILE_<name>.json
-
-OPTIONS (serve):
-    --socket <PATH>                          serve a unix socket instead of
-                                             stdin/stdout
-    --queue <N>                              admission-queue depth [64];
-                                             overflow is shed with a typed
-                                             `overloaded` reply
-    --deadline-ms <N>                        default per-request deadline
-                                             [0 = none]
-    --chaos <SEED>                           deterministic fault injection
-                                             (corrupt/slow/panic ~1/10 each)
-    --metrics <FILE>                         write flushed rmd-obs metrics
-                                             JSON here [stderr]
-    --metrics-every <N>                      also emit a metrics snapshot
-                                             (JSONL) every N requests while
-                                             serving [0 = off]
-    --slow-ms <N>                            log a structured JSONL record
-                                             for every request over N ms
-                                             [0 = off]
-    --certs <DIR>                            admit only machines some
-                                             certificate in DIR vouches
-                                             for [certs]
-    --uncertified                            serve without the certificate
-                                             gate
-
-Profile runs the reduction pipeline, all four query backends, and the
-loop-suite scheduler under rmd-obs tracing; `jsonl` dumps the raw event
-stream, `chrome` a trace loadable in chrome://tracing, and `prom` the
-merged metric registry as Prometheus/OpenMetrics text exposition.
-Export failures (--out / --table6) exit with code 7.
-
-Lint exits 0 when no error-severity findings remain and 6 otherwise;
-the report is always printed on stdout.
-
-Certify statically proves that every reduction of the machine admits
-exactly the same placements as the original, in every reachable linear
-and modulo scheduling state, and writes a deterministic certificate
-that `rmd serve` checks before admitting the machine. It exits 0 on a
-proof and 9 on a disproof (printing the counterexample trace) or when
-the proof cannot be completed.
-
-Fuzz generates seeded, structure-aware machine descriptions and checks
-render/parse round-trips, lints, both reduction objectives, and a
-differential query trace across all four backends plus the automata
-baseline. Failures are minimized, cross-checked by the static prover,
-and (with --corpus) written as self-contained regression entries; a
-failing campaign or a violated replay expectation exits 10. Equal
-seeds reproduce identical campaigns.
-
-Serve answers every request in-band with a typed JSON reply and exits 0
-on a graceful drain (SIGTERM, EOF, or a `shutdown` request); only
-transport setup failures (e.g. the socket path cannot be bound) exit
-with code 8. Machines are admitted only when a certificate under the
---certs directory vouches for their content fingerprint, unless
---uncertified is given; uncertified machines are refused with a typed
-`uncertified` reply. Live telemetry: a `{\"type\":\"metrics\"}` frame
-returns a registry snapshot in-band, `\"trace\":true` on any request
-returns its span tree inline (replies without it stay byte-identical
-to the offline CLI), and panics, quarantines, and drains dump a
-flight-recorder black box of the last requests to stderr.
-
-<machine> is a built-in model name (fig1, mips, alpha, cydra5,
-cydra5-subset) or a path to an .mdl file.
-";
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1669,7 +989,7 @@ mod tests {
             c,
             Command::Reduce {
                 machine: "mips".into(),
-                objective: ParsedObjective::Word { k: 7 },
+                objective: Objective::KCycleWord { k: 7 },
                 emit_mdl: true,
             }
         );
@@ -1919,6 +1239,11 @@ mod tests {
             // `bench` is not a command: perfbench is the benchmark.
             &["bench"][..],
             &["bench", "fig1", "--compare", "x.json"][..],
+            // Operand slots never take an option token.
+            &["stats", "--help"][..],
+            &["certify", "--help"][..],
+            &["profile", "--table6"][..],
+            &["reduce", "mips", "--objective", "word", "--k", "0"][..],
         ] {
             let e = usage_error(bad);
             assert!(matches!(e, CliError::Usage(_)), "{bad:?} -> {e:?}");
@@ -1941,7 +1266,7 @@ mod tests {
         assert!(s.contains("operation classes"));
         let r = run(&Command::Reduce {
             machine: "fig1".into(),
-            objective: ParsedObjective::ResUses,
+            objective: Objective::ResUses,
             emit_mdl: true,
         })
         .expect("reduce on builtin model");
@@ -1970,12 +1295,19 @@ mod tests {
 
     #[test]
     fn load_machine_reports_missing_files_as_parse_errors() {
-        match load_machine("/no/such/file.mdl") {
-            Err(e @ CliError::Parse { .. }) => {
-                assert_eq!(e.exit_code(), 3);
-                assert!(e.to_string().contains("cannot read"));
+        // A mistyped built-in name is read as a path; its error names
+        // the built-ins.
+        for (spec, expect) in [
+            ("/no/such/file.mdl", "cannot read"),
+            ("cydra", "cydra5-subset"),
+        ] {
+            match load_machine(spec) {
+                Err(e @ CliError::Parse { .. }) => {
+                    assert_eq!(e.exit_code(), 3);
+                    assert!(e.to_string().contains(expect), "{e}");
+                }
+                other => unreachable!("expected a parse error, got {other:?}"),
             }
-            other => unreachable!("expected a parse error, got {other:?}"),
         }
     }
 
@@ -1983,7 +1315,7 @@ mod tests {
     fn emitted_mdl_reparses() {
         let out = run(&Command::Reduce {
             machine: "cydra5-subset".into(),
-            objective: ParsedObjective::Word { k: 4 },
+            objective: Objective::KCycleWord { k: 4 },
             emit_mdl: true,
         })
         .expect("reduce succeeds");

@@ -28,7 +28,7 @@ fn main() {
         },
         Err(e) => {
             eprintln!("error: {e}\n");
-            eprint!("{}", rmd_cli::HELP);
+            eprint!("{}", rmd_cli::help());
             std::process::exit(e.exit_code());
         }
     }
