@@ -254,7 +254,7 @@ impl From<&WorkCounters> for CounterSummary {
     }
 }
 
-/// Per-loop outcome of a suite run — the unit of work sharded by the
+/// Per-loop outcome of a suite run — the unit of work claimed by the
 /// parallel runner and folded (always in suite order) by [`aggregate`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct LoopRun {
@@ -289,31 +289,6 @@ fn worker_state(
         }
         Representation::Discrete => None,
     }
-}
-
-/// Cheap per-loop cost estimates driving the parallel runner's
-/// [`parallel::ClaimPlan`]: `ops × resource-pressure bound` — the
-/// dominant terms of IMS work (each attempt places about `ops`
-/// operations and the slot-search window is one II wide, with the
-/// pressure bound a lower bound on II). Dispatch metadata only: the
-/// estimate decides which loop a worker claims next, never what any
-/// loop's schedule looks like.
-pub fn loop_costs(machine: &MachineDescription, loops: &[Loop]) -> Vec<u64> {
-    let mut per_res = vec![0u64; machine.num_resources()];
-    loops
-        .iter()
-        .map(|l| {
-            per_res.iter_mut().for_each(|c| *c = 0);
-            for n in l.graph.nodes() {
-                let t = machine.operation(l.graph.op(n)).table();
-                for u in t.usages() {
-                    per_res[u.resource.index()] += 1;
-                }
-            }
-            let pressure = per_res.iter().copied().max().unwrap_or(1).max(1);
-            (l.graph.num_nodes() as u64).saturating_mul(pressure).max(1)
-        })
-        .collect()
 }
 
 /// Schedules one loop: the worker body of [`run_suite_runs`].
@@ -357,10 +332,9 @@ fn run_one(
 /// `machine` is a reduction so trajectories are comparable).
 ///
 /// `threads` is a parallelism budget for [`parallel::run_indexed`]: at
-/// one worker the loops run inline in suite order; otherwise they are
-/// claimed in descending [`loop_costs`] order so the expensive ones
-/// start first, cheap loops are claimed in batches, and the worker
-/// count is capped at the host's available parallelism.
+/// one worker the loops run inline in suite order; otherwise workers,
+/// capped at the host's available parallelism, claim one loop at a
+/// time.
 ///
 /// Results are identical at every thread count: each loop is scheduled
 /// independently by a deterministic scheduler, each worker owns a
@@ -383,7 +357,6 @@ pub fn run_suite_runs(
     parallel::run_indexed(
         loops.len(),
         threads,
-        &loop_costs(machine, loops),
         || worker_state(machine, repr),
         |state, i| run_one(&ims, machine, mii_machine, &loops[i], repr, state),
     )

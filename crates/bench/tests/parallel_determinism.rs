@@ -1,7 +1,7 @@
 //! The parallel suite runner must be a pure wall-clock optimization:
 //! at 1, 2, 4, and 8 threads it yields byte-identical per-loop
-//! results and aggregate statistics as the serial path — cost-sharded
-//! claiming and per-worker scratch reuse included.
+//! results and aggregate statistics as the serial path — per-index
+//! work stealing and per-worker scratch reuse included.
 
 use rmd_bench::{aggregate, run_suite_runs};
 use rmd_machine::models::cydra5_subset;

@@ -108,12 +108,6 @@ impl ModuloDiscreteModule {
         let s = (cycle as u64 + c as u64) % self.ii as u64;
         s as usize * self.compiled.num_resources + r as usize
     }
-
-    /// Whether an operation with `count` usages of one resource slot per
-    /// iteration can ever fit: used by ResMII-style feasibility checks.
-    pub fn num_slots(&self) -> usize {
-        self.owner.len()
-    }
 }
 
 impl ContentionQuery for ModuloDiscreteModule {

@@ -486,10 +486,10 @@ struct AttemptOutcome {
     reversed_by_dependence: u64,
 }
 
-/// Allocating form of [`heights_into`], kept for the brute-force
-/// comparison test.
-#[cfg(test)]
-fn heights(g: &DepGraph, ii: u32) -> Vec<i64> {
+/// Allocating form of [`heights_into`]. At II = 0 the weight is the
+/// plain delay, which makes it the acyclic critical-path height the
+/// list scheduler prioritizes by.
+pub(crate) fn heights(g: &DepGraph, ii: u32) -> Vec<i64> {
     let mut h = Vec::new();
     heights_into(g, ii, &mut h);
     h

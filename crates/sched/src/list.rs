@@ -1,7 +1,7 @@
 //! Operation-driven list scheduling with boundary conditions.
 
 use crate::graph::{DepGraph, NodeId};
-use crate::ims::Representation;
+use crate::ims::{heights, Representation};
 use rmd_machine::{MachineDescription, OpId};
 use rmd_query::{
     BitvecModule, ContentionQuery, DiscreteModule, OpInstance, WorkCounters,
@@ -113,7 +113,7 @@ impl ListScheduler {
 
         // Priority: critical-path height; ties broken by topological rank
         // so predecessors always precede (0-delay edges included).
-        let height = acyclic_heights(g);
+        let height = heights(g, 0);
         let topo = topo_ranks(g);
         let mut order: Vec<NodeId> = g.nodes().collect();
         order.sort_by_key(|v| (-height[v.index()], topo[v.index()], v.0));
@@ -221,26 +221,6 @@ pub fn schedule_trace(
         entries,
         total_cycles: total,
     }
-}
-
-fn acyclic_heights(g: &DepGraph) -> Vec<i64> {
-    let n = g.num_nodes();
-    let mut h = vec![0i64; n];
-    // Reverse-topological relaxation (graph is acyclic; simple fixpoint).
-    for _ in 0..=n {
-        let mut changed = false;
-        for e in g.edges() {
-            let cand = h[e.to.index()] + i64::from(e.delay);
-            if cand > h[e.from.index()] {
-                h[e.from.index()] = cand;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    h
 }
 
 fn topo_ranks(g: &DepGraph) -> Vec<usize> {

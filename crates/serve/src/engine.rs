@@ -35,12 +35,8 @@ use std::time::{Duration, Instant};
 pub struct EngineConfig {
     /// Maximum machines cached at once (LRU beyond that).
     pub machine_cap: usize,
-    /// Entry cap for each machine's [`ModuloMaskCache`].
-    pub mask_cache_cap: usize,
     /// Deadline applied when a request names none; `0` disables.
     pub default_deadline_ms: u64,
-    /// Worker-thread cap for suite requests.
-    pub max_threads: usize,
     /// Per-frame size limit in bytes.
     pub max_frame_bytes: usize,
     /// Deterministic fault injection, when enabled.
@@ -50,21 +46,16 @@ pub struct EngineConfig {
     /// content fingerprint; others are refused with an `uncertified`
     /// reply. `None` (the default) disables the gate.
     pub cert_dir: Option<std::path::PathBuf>,
-    /// Request summaries retained by the crash flight recorder.
-    pub flight_capacity: usize,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             machine_cap: 8,
-            mask_cache_cap: 64,
             default_deadline_ms: 0,
-            max_threads: 8,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             chaos: None,
             cert_dir: None,
-            flight_capacity: DEFAULT_FLIGHT_CAPACITY,
         }
     }
 }
@@ -91,6 +82,13 @@ fn certificate_vouches(dir: &std::path::Path, fp: &str) -> bool {
 
 /// Loops scheduled between deadline checks in a suite request.
 const SUITE_DEADLINE_CHUNK: usize = 32;
+
+/// Worker-thread cap for suite requests; a larger `threads` field is
+/// clamped to it (and the reply echoes the clamped value).
+const MAX_SUITE_THREADS: usize = 8;
+
+/// Entry cap for each cached machine's [`ModuloMaskCache`].
+const MASK_CACHE_CAP: usize = 64;
 
 /// A cached machine: the description to schedule against plus the
 /// shared (LRU-bounded) mask cache and reusable scheduling scratch for
@@ -154,7 +152,6 @@ pub struct ServeEngine {
 impl ServeEngine {
     /// A fresh engine.
     pub fn new(cfg: EngineConfig) -> Self {
-        let flight = FlightRecorder::new(cfg.flight_capacity);
         ServeEngine {
             cfg,
             machines: HashMap::new(),
@@ -164,7 +161,7 @@ impl ServeEngine {
             started: Instant::now(),
             draining: false,
             touched: None,
-            flight,
+            flight: FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY),
             graph_scratch: DepGraph::new(),
         }
     }
@@ -517,7 +514,7 @@ impl ServeEngine {
         let sched_machine = red.machine;
         let sched_layout = WordLayout::widest(64, sched_machine.num_resources());
         let mask_cache =
-            ModuloMaskCache::with_cap(&sched_machine, sched_layout, self.cfg.mask_cache_cap);
+            ModuloMaskCache::with_cap(&sched_machine, sched_layout, MASK_CACHE_CAP);
         self.tick += 1;
         let entry = MachineEntry {
             original: m,
@@ -660,7 +657,7 @@ impl ServeEngine {
             self.lookup(fp)?;
         }
         self.chaos_panic_point(action);
-        let threads = threads.unwrap_or(1).clamp(1, self.cfg.max_threads);
+        let threads = threads.unwrap_or(1).clamp(1, MAX_SUITE_THREADS);
         let entry = self.machines.get(fp).expect("looked up above");
         // The generator vocabulary must resolve against this machine;
         // a missing op is a client error, not a panic.
@@ -812,9 +809,10 @@ fn build_graph_into(
 }
 
 /// FNV-1a digest over every loop's achieved II and issue times — a
-/// compact, order-sensitive schedule identity usable for offline
-/// byte-identity checks.
-fn suite_digest(runs: &[rmd_bench::LoopRun]) -> String {
+/// compact, order-sensitive schedule identity: a suite reply's
+/// `schedule_digest`, and the offline reference the soak test compares
+/// daemon replies against.
+pub fn suite_digest(runs: &[rmd_bench::LoopRun]) -> String {
     let mut h = rmd_machine::fnv::Fnv64::new();
     for r in runs {
         h.write(&u64::from(r.ii).to_le_bytes());
@@ -823,12 +821,6 @@ fn suite_digest(runs: &[rmd_bench::LoopRun]) -> String {
         }
     }
     format!("{:016x}", h.finish())
-}
-
-/// Computes the digest of an offline (library-level) suite run — the
-/// reference the soak test compares daemon replies against.
-pub fn offline_suite_digest(runs: &[rmd_bench::LoopRun]) -> String {
-    suite_digest(runs)
 }
 
 #[cfg(test)]
@@ -1013,18 +1005,42 @@ mod tests {
 
     #[test]
     fn suite_runs_and_is_deterministic() {
+        // 80 loops span three deadline chunks; every thread count must
+        // give the reply of one offline serial run over the same loops.
         let mut e = engine();
         let v = ok_reply(&mut e, r#"{"type":"machine","model":"cydra5-subset"}"#);
         let fp = v.get("fingerprint").and_then(|f| f.as_str()).unwrap().to_string();
-        let line =
-            format!(r#"{{"type":"suite","fingerprint":"{fp}","loops":16,"seed":7,"threads":2}}"#);
-        let a = ok_reply(&mut e, &line);
-        let b = ok_reply(&mut e, &line);
-        assert_eq!(
-            a.get("schedule_digest").and_then(|d| d.as_str()),
-            b.get("schedule_digest").and_then(|d| d.as_str())
+        let mut replies = Vec::new();
+        for (threads, clamped) in [(1u64, 1u64), (2, 2), (8, 8), (16, 8)] {
+            let line = format!(
+                r#"{{"type":"suite","fingerprint":"{fp}","loops":80,"seed":7,"threads":{threads}}}"#
+            );
+            let v = ok_reply(&mut e, &line);
+            let echoed = v.get("threads").and_then(|t| t.as_u64());
+            assert_eq!(echoed, Some(clamped), "{v:?}");
+            assert_eq!(v.get("loops").and_then(|l| l.as_u64()), Some(80));
+            replies.push(v);
+        }
+        for v in &replies[1..] {
+            for k in ["schedule_digest", "at_mii", "sum_ii"] {
+                assert!(v.get(k).is_some(), "{k} missing");
+                assert_eq!(v.get(k), replies[0].get(k), "{k}");
+            }
+        }
+        let entry = &e.machines[&fp];
+        let ops = rmd_loops::OpSet::for_cydra_subset(&entry.original);
+        let offline = rmd_bench::run_suite_runs(
+            &entry.sched_machine,
+            &entry.original,
+            &rmd_loops::suite(&ops, 80, 7),
+            Representation::Bitvec(entry.layout),
+            ImsConfig::default().budget_ratio,
+            1,
         );
-        assert_eq!(a.get("loops").and_then(|l| l.as_u64()), Some(16));
+        assert_eq!(
+            replies[0].get("schedule_digest").and_then(|d| d.as_str()),
+            Some(suite_digest(&offline).as_str())
+        );
     }
 
     #[test]

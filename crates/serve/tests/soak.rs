@@ -15,7 +15,7 @@ use rmd_sched::{
     mii::mii, DepGraph, DepKind, ImsConfig, IterativeModuloScheduler, Representation,
 };
 use rmd_serve::daemon::{serve_stream, SharedWriter};
-use rmd_serve::engine::offline_suite_digest;
+use rmd_serve::engine::suite_digest;
 use rmd_serve::{signal, Chaos, EngineConfig, ServeEngine, ServeOptions};
 use std::collections::HashMap;
 use std::io::{BufReader, Cursor, Read, Write};
@@ -162,7 +162,7 @@ fn chaos_soak_ten_thousand_requests() {
             ImsConfig::default().budget_ratio,
             SUITE_THREADS,
         );
-        offline_suite_digest(&runs)
+        suite_digest(&runs)
     };
 
     let mut kinds: HashMap<String, u64> = HashMap::new();
