@@ -1,9 +1,8 @@
 //! Deterministic hazard-detection automata.
 
-use crate::state::{StateKey, StateShape};
+use crate::state::{self, StateArena, StateShape};
 use core::fmt;
 use rmd_machine::{MachineDescription, OpId};
-use std::collections::HashMap;
 
 /// Index of an automaton state.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -116,47 +115,34 @@ impl Automaton {
                 .map(|o| o.table().reversed())
                 .collect(),
         };
-        let masks: Vec<StateKey> = tables
-            .iter()
-            .map(|t| shape.table_mask(t, keep))
-            .collect();
+        let masks: Vec<Vec<u64>> = tables.iter().map(|t| shape.table_mask(t, keep)).collect();
         let num_ops = masks.len();
 
-        let mut index: HashMap<StateKey, u32> = HashMap::new();
-        let mut keys: Vec<StateKey> = Vec::new();
+        let mut states = StateArena::new(shape.blocks);
         let mut issue_t: Vec<u32> = Vec::new();
         let mut advance_t: Vec<u32> = Vec::new();
+        let mut state = vec![0; shape.blocks];
+        let mut succ = vec![0; shape.blocks];
+        states.intern(&state);
 
-        let start = shape.empty();
-        index.insert(start.clone(), 0);
-        keys.push(start);
-
-        let mut next = 0usize;
-        while next < keys.len() {
-            if keys.len() > max_states {
+        let mut next = 0u32;
+        while (next as usize) < states.len() {
+            if states.len() > max_states {
                 return Err(BuildError::TooManyStates { limit: max_states });
             }
-            let state = keys[next].clone();
+            state.copy_from_slice(states.get(next));
             // Issue transitions.
             for mask in masks.iter() {
-                if shape.conflicts(&state, mask) {
+                if state::conflicts(&state, mask) {
                     issue_t.push(NONE);
                 } else {
-                    let succ = shape.union(&state, mask);
-                    let id = *index.entry(succ.clone()).or_insert_with(|| {
-                        keys.push(succ);
-                        (keys.len() - 1) as u32
-                    });
-                    issue_t.push(id);
+                    state::union(&state, mask, &mut succ);
+                    issue_t.push(states.intern(&succ).0);
                 }
             }
             // Advance transition.
-            let succ = shape.advance(&state);
-            let id = *index.entry(succ.clone()).or_insert_with(|| {
-                keys.push(succ);
-                (keys.len() - 1) as u32
-            });
-            advance_t.push(id);
+            shape.advance(&state, &mut succ);
+            advance_t.push(states.intern(&succ).0);
             next += 1;
         }
 

@@ -56,4 +56,5 @@ pub use module::AutomataModule;
 pub use cursor::Cursor;
 pub use factored::{partition_resources, FactoredAutomata};
 pub use minimize::{build_minimized, minimize, Minimized};
-pub use space::{SpaceState, StateSpace};
+pub use space::StateSpace;
+pub use state::StateArena;

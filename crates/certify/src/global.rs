@@ -10,13 +10,15 @@
 //! pass runs under a product-state budget and records itself as skipped
 //! when the budget is hit. A skipped global pass does not weaken the
 //! certificate: it is strictly redundant with the pairwise proof.
+//!
+//! A product state is the left machine's packed commitment words
+//! followed by the right machine's, interned in one [`StateArena`], so a
+//! transition allocates nothing.
 
 use crate::cex::{CexKind, Counterexample};
-use crate::product::IdBitset;
 use crate::CertifyFailure;
-use rmd_automata::StateSpace;
+use rmd_automata::{StateArena, StateSpace};
 use rmd_machine::{MachineDescription, OpId};
-use std::collections::HashMap;
 
 /// Outcome of the global commitment-product pass.
 #[derive(Clone, Copy, Debug)]
@@ -47,64 +49,54 @@ pub(crate) fn certify_global(
     let a = StateSpace::new(left);
     let b = StateSpace::new(right);
     let n = a.num_ops().min(b.num_ops());
+    let split = a.state_words();
 
-    let key = |sa: &rmd_automata::SpaceState, sb: &rmd_automata::SpaceState| {
-        let mut k = Vec::with_capacity(sa.words().len() + sb.words().len());
-        k.extend_from_slice(sa.words());
-        k.extend_from_slice(sb.words());
-        k
-    };
-
-    let mut ids: HashMap<Vec<u64>, u32> = HashMap::new();
-    let mut states = vec![(a.start(), b.start())];
+    let mut states = StateArena::new(split + b.state_words());
+    let mut cur = vec![0; states.width()];
+    let mut next = cur.clone();
+    states.intern(&cur);
     let mut parents = vec![(0u32, Step::Root)];
-    ids.insert(key(&a.start(), &b.start()), 0);
-
-    let mut frontier = IdBitset::new();
-    frontier.insert(0);
-    while !frontier.is_empty() {
-        for id in frontier.drain() {
-            let (sa, sb) = states[id as usize].clone();
-            for op in 0..n {
-                let op = OpId(op as u32);
-                let ca = a.can_issue(&sa, op);
-                let cb = b.can_issue(&sb, op);
-                if ca != cb {
-                    return Err(CertifyFailure::Mismatch(Box::new(build_cex(
-                        &parents, id, op, ca, cb,
-                    ))));
-                }
+    // Ids are handed out in discovery order and only fresh states are
+    // expanded, so visiting ids in order is breadth-first.
+    let mut id = 0u32;
+    let mut fits = vec![false; n];
+    while (id as usize) < states.len() {
+        cur.copy_from_slice(states.get(id));
+        let (sa, sb) = cur.split_at(split);
+        for (op, fit) in fits.iter_mut().enumerate() {
+            let op = OpId(op as u32);
+            let ca = a.can_issue(sa, op);
+            let cb = b.can_issue(sb, op);
+            if ca != cb {
+                return Err(CertifyFailure::Mismatch(Box::new(build_cex(
+                    &parents, id, op, ca, cb,
+                ))));
             }
-            let mut push = |na: rmd_automata::SpaceState,
-                            nb: rmd_automata::SpaceState,
-                            step: Step,
-                            frontier: &mut IdBitset| {
-                let next = ids.len() as u32;
-                let id2 = *ids.entry(key(&na, &nb)).or_insert(next);
-                if id2 == next {
-                    states.push((na, nb));
-                    parents.push((id, step));
-                    frontier.insert(id2);
-                }
-            };
-            push(a.advance(&sa), b.advance(&sb), Step::Advance, &mut frontier);
-            for op in 0..n {
-                let op_id = OpId(op as u32);
-                if let Some(na) = a.issue(&sa, op_id) {
-                    // Bisimulation above guarantees the right side agrees.
-                    if let Some(nb) = b.issue(&sb, op_id) {
-                        push(na, nb, Step::Issue(op as u32), &mut frontier);
-                    }
-                }
-            }
-            if states.len() as u64 > budget {
-                return Ok(GlobalStats {
-                    completed: false,
-                    product_states: states.len() as u64,
-                    budget,
-                });
+            *fit = ca;
+        }
+        let (na, nb) = next.split_at_mut(split);
+        a.advance(sa, na);
+        b.advance(sb, nb);
+        if states.intern(&next).1 {
+            parents.push((id, Step::Advance));
+        }
+        // Bisimulation above guarantees both sides admit the same ops.
+        for op in (0..n as u32).filter(|&op| fits[op as usize]) {
+            let (na, nb) = next.split_at_mut(split);
+            a.issue(sa, OpId(op), na);
+            b.issue(sb, OpId(op), nb);
+            if states.intern(&next).1 {
+                parents.push((id, Step::Issue(op)));
             }
         }
+        if states.len() as u64 > budget {
+            return Ok(GlobalStats {
+                completed: false,
+                product_states: states.len() as u64,
+                budget,
+            });
+        }
+        id += 1;
     }
     Ok(GlobalStats {
         completed: true,
@@ -162,6 +154,32 @@ mod tests {
         // The diagonal product of a space with itself has exactly the
         // space's own reachable count (measured elsewhere: 116).
         assert_eq!(stats.product_states, 116);
+    }
+
+    /// `certify_pair` stops at the linear pass's mismatch first, so the
+    /// global pass is driven directly here: the counterexample it walks
+    /// back from the arena's parent pointers must replay to the
+    /// divergence.
+    #[test]
+    fn broken_reduction_yields_a_replayable_counterexample() {
+        use rmd_query::{DiscreteModule, Response};
+        let m = models::example_machine();
+        let broken = crate::tests::broken(&m);
+        let cex = match certify_global(&m, &broken, 1 << 20) {
+            Err(CertifyFailure::Mismatch(cex)) => cex,
+            other => panic!("expected mismatch, got {other:?}"),
+        };
+        assert!(!cex.places.is_empty(), "an empty pipeline admits everything");
+        assert_ne!(cex.left_admits, cex.right_admits);
+        let trace = cex.to_trace(m.name());
+        let la = trace.replay(&mut DiscreteModule::new(&m));
+        let ra = trace.replay(&mut DiscreteModule::new(&broken));
+        let last = trace.len() - 1;
+        for (l, r) in la[..last].iter().zip(&ra[..last]) {
+            assert_eq!(l.response, r.response, "the prefix replays alike");
+        }
+        assert_eq!(la[last].response, Response::Admitted(cex.left_admits));
+        assert_eq!(ra[last].response, Response::Admitted(cex.right_admits));
     }
 
     #[test]

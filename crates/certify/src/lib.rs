@@ -372,18 +372,24 @@ mod tests {
         }
     }
 
+    /// A deliberately broken "reduction" of `m`: every operation uses
+    /// one shared resource at cycle 0.
+    pub(crate) fn broken(m: &MachineDescription) -> MachineDescription {
+        let mut b = rmd_machine::MachineBuilder::new("fig1-broken");
+        let q = b.resource("q0");
+        for op in m.operations() {
+            b.operation(op.name()).usage(q, 0).finish();
+        }
+        b.build().expect("valid machine")
+    }
+
     /// A deliberately broken "reduction" must yield a counterexample
     /// whose trace replays with divergent final answers.
     #[test]
     fn broken_reduction_yields_a_replayable_counterexample() {
         use rmd_query::{DiscreteModule, Response};
         let m = models::example_machine();
-        let mut b = rmd_machine::MachineBuilder::new("fig1-broken");
-        let q = b.resource("q0");
-        for op in m.operations() {
-            b.operation(op.name()).usage(q, 0).finish();
-        }
-        let broken = b.build().expect("valid machine");
+        let broken = broken(&m);
         let cex = match certify_pair(&m, &broken, &CertifyOptions::default()) {
             Err(CertifyFailure::Mismatch(cex)) => cex,
             other => panic!("expected mismatch, got {other:?}"),

@@ -24,53 +24,6 @@ use crate::{CertifyError, CertifyFailure};
 use rmd_machine::OpId;
 use std::collections::HashMap;
 
-/// A dense-id bitset used as the BFS frontier index: one bit per
-/// interned product state, drained a wave at a time.
-pub(crate) struct IdBitset {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl IdBitset {
-    pub fn new() -> Self {
-        IdBitset {
-            words: Vec::new(),
-            len: 0,
-        }
-    }
-
-    pub fn insert(&mut self, id: u32) {
-        let (w, b) = (id as usize / 64, id as usize % 64);
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        if self.words[w] & (1 << b) == 0 {
-            self.words[w] |= 1 << b;
-            self.len += 1;
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Drain all set bits in increasing id order.
-    pub fn drain(&mut self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.len);
-        for (w, word) in self.words.iter_mut().enumerate() {
-            let mut v = *word;
-            while v != 0 {
-                let b = v.trailing_zeros();
-                out.push((w * 64 + b as usize) as u32);
-                v &= v - 1;
-            }
-            *word = 0;
-        }
-        self.len = 0;
-        out
-    }
-}
-
 /// How a product state was reached from its parent.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Step {
@@ -119,67 +72,63 @@ pub(crate) fn certify_pair_linear(
     states.push(start);
     parents.push((0, Step::Root));
 
-    let mut frontier = IdBitset::new();
-    frontier.insert(0);
-    while !frontier.is_empty() {
-        let wave = frontier.drain();
-        for id in wave {
-            let (s, issued) = states[id as usize];
-            // Contention bisimulation: both machines must admit exactly
-            // the same candidates in this state.
-            for (slot, op) in [(0usize, x), (1usize, y)] {
-                if slot == 1 && y == x {
-                    break;
-                }
-                let left = s[slot] & 1 == 0;
-                let right = s[2 + slot] & 1 == 0;
-                if left != right {
-                    return Err(CertifyFailure::Mismatch(Box::new(build_cex(
-                        &states, &parents, id, x, y, op, left, right,
-                    ))));
-                }
+    // Ids are handed out in discovery order and only fresh states are
+    // expanded, so visiting ids in order is breadth-first.
+    let mut id = 0u32;
+    while (id as usize) < states.len() {
+        let (s, issued) = states[id as usize];
+        // Contention bisimulation: both machines must admit exactly
+        // the same candidates in this state.
+        for (slot, op) in [(0usize, x), (1usize, y)] {
+            if slot == 1 && y == x {
+                break;
             }
-            // Expand: one cycle of time, then each both-sides-legal issue.
-            let mut push = |next: PairState, step: Step, frontier: &mut IdBitset| {
-                let n = ids.len() as u32;
-                let id2 = *ids.entry(next).or_insert(n);
-                if id2 == n {
-                    states.push(next);
-                    parents.push((id, step));
-                    frontier.insert(id2);
-                }
-            };
-            // Once every mask is empty, further advances revisit the
-            // start of an already-explored suffix — don't re-enqueue.
-            if s != [0, 0, 0, 0] {
-                push(
-                    ([s[0] >> 1, s[1] >> 1, s[2] >> 1, s[3] >> 1], issued),
-                    Step::Advance,
-                    &mut frontier,
-                );
-            }
-            for (slot, op) in [(0usize, x), (1usize, y)] {
-                if slot == 1 && y == x {
-                    break;
-                }
-                if issued >= issue_cap || s[slot] & 1 != 0 {
-                    continue; // bisimulation above guarantees both agree
-                }
-                let next = [
-                    s[0] | a.get(op, x),
-                    s[1] | a.get(op, y),
-                    s[2] | b.get(op, x),
-                    s[3] | b.get(op, y),
-                ];
-                push((next, issued + 1), Step::Issue(slot as u8), &mut frontier);
-            }
-            if states.len() as u64 > max_states {
-                return Err(CertifyFailure::Error(CertifyError::StateBudget {
-                    pair: (x, y),
-                    budget: max_states,
-                }));
+            let left = s[slot] & 1 == 0;
+            let right = s[2 + slot] & 1 == 0;
+            if left != right {
+                return Err(CertifyFailure::Mismatch(Box::new(build_cex(
+                    &states, &parents, id, x, y, op, left, right,
+                ))));
             }
         }
+        // Expand: one cycle of time, then each both-sides-legal issue.
+        let mut push = |next: PairState, step: Step| {
+            let n = ids.len() as u32;
+            if *ids.entry(next).or_insert(n) == n {
+                states.push(next);
+                parents.push((id, step));
+            }
+        };
+        // Once every mask is empty, further advances revisit the
+        // start of an already-explored suffix — don't re-enqueue.
+        if s != [0, 0, 0, 0] {
+            push(
+                ([s[0] >> 1, s[1] >> 1, s[2] >> 1, s[3] >> 1], issued),
+                Step::Advance,
+            );
+        }
+        for (slot, op) in [(0usize, x), (1usize, y)] {
+            if slot == 1 && y == x {
+                break;
+            }
+            if issued >= issue_cap || s[slot] & 1 != 0 {
+                continue; // bisimulation above guarantees both agree
+            }
+            let next = [
+                s[0] | a.get(op, x),
+                s[1] | a.get(op, y),
+                s[2] | b.get(op, x),
+                s[3] | b.get(op, y),
+            ];
+            push((next, issued + 1), Step::Issue(slot as u8));
+        }
+        if states.len() as u64 > max_states {
+            return Err(CertifyFailure::Error(CertifyError::StateBudget {
+                pair: (x, y),
+                budget: max_states,
+            }));
+        }
+        id += 1;
     }
     Ok(states.len() as u64)
 }
@@ -248,15 +197,5 @@ mod tests {
                 assert!(states < 4096, "pair ({x},{y}) blew up: {states}");
             }
         }
-    }
-
-    #[test]
-    fn drain_returns_ids_in_order() {
-        let mut b = IdBitset::new();
-        b.insert(70);
-        b.insert(3);
-        b.insert(3);
-        assert_eq!(b.drain(), vec![3, 70]);
-        assert!(b.is_empty());
     }
 }
