@@ -23,9 +23,11 @@ use rmd_machine::{mdl, models, MachineDescription};
 use rmd_obs::{Event, EventKind, MetricRegistry};
 use rmd_query::{ModuloMaskCache, WordLayout};
 use rmd_sched::{
-    mii::mii, DepGraph, ImsConfig, ImsError, IterativeModuloScheduler, Representation,
+    mii::mii, DepGraph, ImsConfig, ImsError, IterativeModuloScheduler, NodeId, Representation,
     SchedScratch,
 };
+use serde_json::Tape;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -90,6 +92,11 @@ const MAX_SUITE_THREADS: usize = 8;
 /// Entry cap for each cached machine's [`ModuloMaskCache`].
 const MASK_CACHE_CAP: usize = 64;
 
+/// Token-tape capacity kept between frames: 4,096 tokens of 24 bytes,
+/// about 800 schedule edges. A frame that needed more frees the rest
+/// once decoded, so one large frame does not stay resident.
+const TAPE_TOKENS_KEPT: usize = 4096;
+
 /// A cached machine: the description to schedule against plus the
 /// shared (LRU-bounded) mask cache and reusable scheduling scratch for
 /// it.
@@ -147,6 +154,8 @@ pub struct ServeEngine {
     /// Dependence graph reused across `schedule` requests (node and
     /// edge arenas keep their capacity; see [`DepGraph::clear`]).
     graph_scratch: DepGraph,
+    /// Token tape every frame is decoded into, reused across requests.
+    tape: Tape,
 }
 
 impl ServeEngine {
@@ -163,6 +172,7 @@ impl ServeEngine {
             touched: None,
             flight: FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY),
             graph_scratch: DepGraph::new(),
+            tape: Tape::new(),
         }
     }
 
@@ -222,8 +232,9 @@ impl ServeEngine {
         };
 
         let parse_start = rmd_obs::now_ns();
-        let frame = parse_frame(line, self.cfg.max_frame_bytes);
+        let frame = parse_frame(line, &mut self.tape, self.cfg.max_frame_bytes);
         let parse_dur = rmd_obs::now_ns().saturating_sub(parse_start);
+        self.tape.shrink_to(TAPE_TOKENS_KEPT);
         let id = frame.id.clone();
         let kind = request_kind(&frame);
         let tracing_was = if frame.trace {
@@ -262,7 +273,7 @@ impl ServeEngine {
         // trips a black-box dump that includes the offender itself.
         self.flight.record(FlightEntry {
             req: idx,
-            id,
+            id: id.map(Cow::into_owned),
             kind,
             fingerprint: self.touched.clone(),
             latency_ns: elapsed,
@@ -311,7 +322,7 @@ impl ServeEngine {
 
     fn handle_frame(
         &mut self,
-        frame: Frame,
+        frame: Frame<'_>,
         admitted_at: Instant,
         action: ChaosAction,
         idx: u64,
@@ -338,24 +349,21 @@ impl ServeEngine {
         }
         let shutdown = matches!(req, Request::Shutdown);
         let id = frame.id.as_deref();
-        let ty = match &req {
-            Request::Machine { .. } => "machine",
-            Request::Schedule { .. } => "schedule",
-            Request::Suite { .. } => "suite",
-            Request::Status => "status",
-            Request::Metrics => "metrics",
-            Request::Shutdown => "shutdown",
+        let latency_histogram = match &req {
+            Request::Machine { .. } => "serve.latency_ns.machine",
+            Request::Schedule { .. } => "serve.latency_ns.schedule",
+            Request::Suite { .. } => "serve.latency_ns.suite",
+            Request::Status => "serve.latency_ns.status",
+            Request::Metrics => "serve.latency_ns.metrics",
+            Request::Shutdown => "serve.latency_ns.shutdown",
         };
         self.touched = None;
-        let id_owned = id.map(str::to_string);
         let t0 = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.execute(req, id_owned.as_deref(), deadline, action, idx)
+            self.execute(req, id, deadline, action, idx)
         }));
-        self.metrics.observe(
-            &format!("serve.latency_ns.{ty}"),
-            t0.elapsed().as_nanos() as u64,
-        );
+        self.metrics
+            .observe(latency_histogram, t0.elapsed().as_nanos() as u64);
         match outcome {
             Ok(r) => (r, shutdown),
             Err(payload) => {
@@ -382,7 +390,7 @@ impl ServeEngine {
 
     fn execute(
         &mut self,
-        req: Request,
+        req: Request<'_>,
         id: Option<&str>,
         deadline: Deadline,
         action: ChaosAction,
@@ -434,7 +442,7 @@ impl ServeEngine {
         }
     }
 
-    fn load_source(&self, source: &MachineSource) -> Result<MachineDescription, ServeError> {
+    fn load_source(&self, source: &MachineSource<'_>) -> Result<MachineDescription, ServeError> {
         let m = match source {
             MachineSource::Model(name) => {
                 models::by_name(name).ok_or_else(|| ServeError::BadRequest {
@@ -457,7 +465,7 @@ impl ServeEngine {
     fn exec_machine(
         &mut self,
         id: Option<&str>,
-        source: MachineSource,
+        source: MachineSource<'_>,
         strict: bool,
         max_steps: Option<u64>,
         deadline: Deadline,
@@ -573,7 +581,7 @@ impl ServeEngine {
         &mut self,
         id: Option<&str>,
         fp: &str,
-        nodes: &[String],
+        nodes: &[Cow<'_, str>],
         edges: &[EdgeSpec],
         budget_ratio: Option<f64>,
         max_ii: Option<u32>,
@@ -785,25 +793,25 @@ fn splice_trace(reply: String, events: &[Event]) -> String {
 
 /// Builds the dependence graph of a `schedule` request into a reused
 /// arena (cleared first), resolving node names against the submitted
-/// machine.
+/// machine. Node `i` of the request is node `i` of the graph.
 fn build_graph_into(
     g: &mut DepGraph,
     machine: &MachineDescription,
-    nodes: &[String],
+    nodes: &[Cow<'_, str>],
     edges: &[EdgeSpec],
 ) -> Result<(), ServeError> {
     g.clear();
-    let mut ids = Vec::with_capacity(nodes.len());
     for name in nodes {
         let op = machine
             .op_by_name(name)
             .ok_or_else(|| ServeError::BadRequest {
                 detail: format!("machine has no operation named {name:?}"),
             })?;
-        ids.push(g.add_node(op));
+        g.add_node(op);
     }
     for e in edges {
-        g.add_edge(ids[e.from], ids[e.to], e.delay, e.distance, e.kind);
+        let (from, to) = (NodeId(e.from as u32), NodeId(e.to as u32));
+        g.add_edge(from, to, e.delay, e.distance, e.kind);
     }
     Ok(())
 }
@@ -859,6 +867,38 @@ mod tests {
         assert_eq!(times.len(), 2);
         assert!(v.get("ii").and_then(|i| i.as_u64()).unwrap() >= 1);
         assert_eq!(v.get("id").and_then(|i| i.as_u64()), Some(1));
+    }
+
+    #[test]
+    fn numeric_ids_are_echoed_verbatim() {
+        let mut e = engine();
+        for id in [
+            "7",
+            "-0",
+            "1.0",
+            "1e2",
+            "1e300",
+            "12345678901234567890",
+            "9007199254740993",
+            "1e999",
+        ] {
+            let (reply, _) =
+                e.handle_line(&format!(r#"{{"type":"status","id":{id}}}"#), Instant::now());
+            assert!(
+                reply.starts_with(&format!(r#"{{"ok":true,"id":{id},"type":"status","#)),
+                "{reply}"
+            );
+            assert!(serde_json::from_str(&reply).is_ok(), "{reply}");
+            let (reply, _) =
+                e.handle_line(&format!(r#"{{"type":"nope","id":{id}}}"#), Instant::now());
+            assert!(
+                reply.starts_with(&format!(r#"{{"ok":false,"id":{id},"error":"#)),
+                "{reply}"
+            );
+        }
+        // String ids are decoded and re-encoded, as before.
+        let (reply, _) = e.handle_line(r#"{"type":"status","id":"a\u0041\/"}"#, Instant::now());
+        assert!(reply.starts_with(r#"{"ok":true,"id":"aA/","#), "{reply}");
     }
 
     #[test]

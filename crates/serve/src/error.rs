@@ -8,7 +8,7 @@
 //! stable numeric code, so clients can branch without string-matching.
 
 use rmd_core::RmdError;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// A typed failure reply. Codes are stable API: protocol errors are
 /// `10x`, the `RmdError` taxonomy is `11x`, resource exhaustion `12x`,
@@ -167,7 +167,7 @@ impl ServeError {
         out.push_str("{\"ok\":false,\"id\":");
         out.push_str(id.unwrap_or("null"));
         out.push_str(",\"error\":{\"code\":");
-        out.push_str(&self.code().to_string());
+        let _ = write!(out, "{}", self.code());
         out.push_str(",\"kind\":");
         rmd_obs::export::push_json_string(&mut out, self.kind());
         out.push_str(",\"detail\":");
@@ -175,7 +175,7 @@ impl ServeError {
         out.push('}');
         if let ServeError::Overloaded { retry_after_ms } = self {
             out.push_str(",\"retry_after_ms\":");
-            out.push_str(&retry_after_ms.to_string());
+            let _ = write!(out, "{retry_after_ms}");
         }
         out.push('}');
         out

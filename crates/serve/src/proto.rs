@@ -19,11 +19,25 @@
 //! Replies carry the request's `id` verbatim (or `null` when the frame
 //! was too broken to extract one), so pipelined clients can match them
 //! even though the daemon already answers strictly in admission order.
+//! A numeric id is echoed as its source text; a string id is decoded
+//! and re-encoded.
+//!
+//! # Decoding
+//!
+//! [`parse_frame`] parses the line into a caller-owned
+//! [`serde_json::Tape`], which keeps its capacity from frame to frame
+//! (the engine trims it after a large frame), and reads the request
+//! through borrowed [`ValueRef`] handles on it.
+//! The decoded [`Frame`] borrows the fingerprint, node names, model
+//! name and MDL text from the line; only strings holding an escape are
+//! copied.
 
 use crate::error::ServeError;
 use rmd_obs::export::push_json_string;
 use rmd_sched::DepKind;
-use serde_json::Value;
+use serde_json::{Tape, ValueRef};
+use std::borrow::Cow;
+use std::fmt::Write;
 
 /// Default per-frame size limit (bytes). A megabyte comfortably holds
 /// the largest `.mdl` sources while bounding a hostile client's memory.
@@ -34,11 +48,11 @@ pub const MAX_SUITE_LOOPS: usize = 100_000;
 
 /// Where a `machine` request's description comes from.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MachineSource {
+pub enum MachineSource<'a> {
     /// A built-in model name (`fig1`, `cydra5-subset`, …).
-    Model(String),
+    Model(Cow<'a, str>),
     /// Inline MDL source text.
-    Mdl(String),
+    Mdl(Cow<'a, str>),
 }
 
 /// One dependence edge of a `schedule` request:
@@ -58,14 +72,14 @@ pub struct EdgeSpec {
     pub kind: DepKind,
 }
 
-/// A parsed request body.
+/// A parsed request body, borrowing its strings from the frame's line.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Request {
+pub enum Request<'a> {
     /// Submit a machine; the daemon reduces (with fallback unless
     /// `strict`), verifies, and caches it under its fingerprint.
     Machine {
         /// Model name or inline MDL.
-        source: MachineSource,
+        source: MachineSource<'a>,
         /// Fail with a typed error instead of falling back to the
         /// original tables when reduction or verification fails.
         strict: bool,
@@ -75,9 +89,9 @@ pub enum Request {
     /// Schedule one dependence graph against a cached machine.
     Schedule {
         /// Fingerprint of a previously submitted machine.
-        fingerprint: String,
+        fingerprint: Cow<'a, str>,
         /// Operation names, one per node.
-        nodes: Vec<String>,
+        nodes: Vec<Cow<'a, str>>,
         /// Dependence edges.
         edges: Vec<EdgeSpec>,
         /// Scheduler budget ratio override.
@@ -88,7 +102,7 @@ pub enum Request {
     /// Schedule a generated loop suite against a cached machine.
     Suite {
         /// Fingerprint of a previously submitted machine.
-        fingerprint: String,
+        fingerprint: Cow<'a, str>,
         /// Number of loops to generate.
         loops: usize,
         /// Suite generator seed.
@@ -108,19 +122,19 @@ pub enum Request {
 /// A framed request: the client-chosen id and deadline survive even
 /// when the body failed to parse, so the error reply can carry them.
 #[derive(Clone, Debug)]
-pub struct Frame {
+pub struct Frame<'a> {
     /// The request's `id` member, pre-rendered as a JSON token.
-    pub id: Option<String>,
+    pub id: Option<Cow<'a, str>>,
     /// The request's `deadline_ms` member.
     pub deadline_ms: Option<u64>,
     /// The request's `trace` member: when `true`, the reply carries
     /// the request's span tree as an inline Chrome-trace slice.
     pub trace: bool,
     /// The parsed body, or the typed error to reply with.
-    pub body: Result<Request, ServeError>,
+    pub body: Result<Request<'a>, ServeError>,
 }
 
-impl Frame {
+impl Frame<'_> {
     /// A frame that failed before parsing (no id recoverable).
     pub fn broken(e: ServeError) -> Self {
         Frame {
@@ -132,34 +146,34 @@ impl Frame {
     }
 }
 
-/// Renders an `id` member back into a JSON token. Only strings and
-/// numbers are accepted — other types would make reply matching
-/// ambiguous.
-fn render_id(v: &Value) -> Result<String, ServeError> {
-    match v {
-        Value::String(s) => {
+/// Renders an `id` member back into a JSON token: a number as its
+/// source text, a string re-encoded. Only strings and numbers are
+/// accepted — other types would make reply matching ambiguous.
+fn render_id<'a>(v: ValueRef<'a, '_>) -> Result<Cow<'a, str>, ServeError> {
+    if let Some(text) = v.number_text() {
+        return Ok(Cow::Borrowed(text));
+    }
+    match v.as_str() {
+        Some(s) => {
             let mut out = String::with_capacity(s.len() + 2);
-            push_json_string(&mut out, s);
-            Ok(out)
+            push_json_string(&mut out, &s);
+            Ok(Cow::Owned(out))
         }
-        Value::Number(n) if n.fract() == 0.0 => Ok(format!("{}", *n as i64)),
-        Value::Number(n) => Ok(format!("{n}")),
-        _ => Err(ServeError::BadRequest {
+        None => Err(ServeError::BadRequest {
             detail: "id must be a string or number".to_string(),
         }),
     }
 }
 
-fn need_str(v: &Value, key: &str) -> Result<String, ServeError> {
+fn need_str<'a>(v: ValueRef<'a, '_>, key: &str) -> Result<Cow<'a, str>, ServeError> {
     v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
+        .and_then(|s| s.as_str())
         .ok_or_else(|| ServeError::BadRequest {
             detail: format!("missing or non-string {key:?} member"),
         })
 }
 
-fn opt_u64(v: &Value, key: &str) -> Result<Option<u64>, ServeError> {
+fn opt_u64(v: ValueRef<'_, '_>, key: &str) -> Result<Option<u64>, ServeError> {
     match v.get(key) {
         None => Ok(None),
         Some(m) => m.as_u64().map(Some).ok_or_else(|| ServeError::BadRequest {
@@ -168,7 +182,7 @@ fn opt_u64(v: &Value, key: &str) -> Result<Option<u64>, ServeError> {
     }
 }
 
-fn opt_bool(v: &Value, key: &str) -> Result<bool, ServeError> {
+fn opt_bool(v: ValueRef<'_, '_>, key: &str) -> Result<bool, ServeError> {
     match v.get(key) {
         None => Ok(false),
         Some(b) => b.as_bool().ok_or_else(|| ServeError::BadRequest {
@@ -177,9 +191,9 @@ fn opt_bool(v: &Value, key: &str) -> Result<bool, ServeError> {
     }
 }
 
-fn parse_edge(i: usize, v: &Value) -> Result<EdgeSpec, ServeError> {
+fn parse_edge(i: usize, v: ValueRef<'_, '_>) -> Result<EdgeSpec, ServeError> {
     let bad = |detail: String| ServeError::BadRequest { detail };
-    let parts = v
+    let mut parts = v
         .as_array()
         .ok_or_else(|| bad(format!("edge {i} must be an array")))?;
     if !(parts.len() == 4 || parts.len() == 5) {
@@ -187,25 +201,28 @@ fn parse_edge(i: usize, v: &Value) -> Result<EdgeSpec, ServeError> {
             "edge {i} must be [from, to, delay, distance] with an optional kind"
         )));
     }
-    let idx = |j: usize, what: &str| {
-        parts[j]
-            .as_u64()
+    let mut idx = |what: &str| {
+        parts
+            .next()
+            .and_then(|p| p.as_u64())
             .map(|n| n as usize)
             .ok_or_else(|| bad(format!("edge {i}: {what} must be a non-negative integer")))
     };
-    let from = idx(0, "from")?;
-    let to = idx(1, "to")?;
-    let delay = parts[2]
-        .as_i64()
+    let from = idx("from")?;
+    let to = idx("to")?;
+    let delay = parts
+        .next()
+        .and_then(|p| p.as_i64())
         .and_then(|d| i32::try_from(d).ok())
         .ok_or_else(|| bad(format!("edge {i}: delay must be an i32 integer")))?;
-    let distance = parts[3]
-        .as_u64()
+    let distance = parts
+        .next()
+        .and_then(|p| p.as_u64())
         .and_then(|d| u32::try_from(d).ok())
         .ok_or_else(|| bad(format!("edge {i}: distance must be a u32 integer")))?;
-    let kind = match parts.get(4) {
+    let kind = match parts.next() {
         None => DepKind::Flow,
-        Some(k) => match k.as_str() {
+        Some(k) => match k.as_str().as_deref() {
             Some("flow") => DepKind::Flow,
             Some("anti") => DepKind::Anti,
             Some("output") => DepKind::Output,
@@ -226,20 +243,20 @@ fn parse_edge(i: usize, v: &Value) -> Result<EdgeSpec, ServeError> {
     })
 }
 
-fn parse_body(v: &Value) -> Result<Request, ServeError> {
+fn parse_body<'a>(v: ValueRef<'a, '_>) -> Result<Request<'a>, ServeError> {
     let ty = v
         .get("type")
-        .and_then(Value::as_str)
+        .and_then(|t| t.as_str())
         .ok_or_else(|| ServeError::BadRequest {
             detail: "missing or non-string \"type\" member".to_string(),
         })?;
-    match ty {
+    match &*ty {
         "machine" => {
-            let model = v.get("model").and_then(Value::as_str);
-            let mdl = v.get("mdl").and_then(Value::as_str);
+            let model = v.get("model").and_then(|m| m.as_str());
+            let mdl = v.get("mdl").and_then(|m| m.as_str());
             let source = match (model, mdl) {
-                (Some(m), None) => MachineSource::Model(m.to_string()),
-                (None, Some(s)) => MachineSource::Mdl(s.to_string()),
+                (Some(m), None) => MachineSource::Model(m),
+                (None, Some(s)) => MachineSource::Mdl(s),
                 _ => {
                     return Err(ServeError::BadRequest {
                         detail: "machine request needs exactly one of \"model\" or \"mdl\""
@@ -261,21 +278,19 @@ fn parse_body(v: &Value) -> Result<Request, ServeError> {
         }
         "schedule" => {
             let fingerprint = need_str(v, "fingerprint")?;
-            let nodes: Vec<String> = v
-                .get("nodes")
-                .and_then(Value::as_array)
-                .ok_or_else(|| ServeError::BadRequest {
+            let names = v.get("nodes").and_then(|n| n.as_array()).ok_or_else(|| {
+                ServeError::BadRequest {
                     detail: "missing or non-array \"nodes\" member".to_string(),
-                })?
-                .iter()
-                .map(|n| {
-                    n.as_str().map(str::to_string).ok_or_else(|| {
-                        ServeError::BadRequest {
-                            detail: "every node must be an operation name string".to_string(),
-                        }
-                    })
-                })
-                .collect::<Result<_, _>>()?;
+                }
+            })?;
+            // Sized up front, here and for the edges: collecting through
+            // `Result` would grow the vector several times per frame.
+            let mut nodes = Vec::with_capacity(names.len());
+            for n in names {
+                nodes.push(n.as_str().ok_or_else(|| ServeError::BadRequest {
+                    detail: "every node must be an operation name string".to_string(),
+                })?);
+            }
             if nodes.is_empty() {
                 return Err(ServeError::BadRequest {
                     detail: "\"nodes\" must not be empty".to_string(),
@@ -283,15 +298,16 @@ fn parse_body(v: &Value) -> Result<Request, ServeError> {
             }
             let edges = match v.get("edges") {
                 None => Vec::new(),
-                Some(e) => e
-                    .as_array()
-                    .ok_or_else(|| ServeError::BadRequest {
+                Some(e) => {
+                    let list = e.as_array().ok_or_else(|| ServeError::BadRequest {
                         detail: "\"edges\" must be an array".to_string(),
-                    })?
-                    .iter()
-                    .enumerate()
-                    .map(|(i, e)| parse_edge(i, e))
-                    .collect::<Result<Vec<_>, _>>()?,
+                    })?;
+                    let mut edges = Vec::with_capacity(list.len());
+                    for (i, e) in list.enumerate() {
+                        edges.push(parse_edge(i, e)?);
+                    }
+                    edges
+                }
             };
             for e in &edges {
                 if e.from >= nodes.len() || e.to >= nodes.len() {
@@ -360,16 +376,17 @@ fn parse_body(v: &Value) -> Result<Request, ServeError> {
     }
 }
 
-/// Parses one protocol line into a [`Frame`]. Never panics: every
-/// malformation maps to a typed error carried in the frame body.
-pub fn parse_frame(line: &str, max_bytes: usize) -> Frame {
+/// Parses one protocol line into a [`Frame`], using `tape` as the
+/// decoding buffer. Never panics: every malformation maps to a typed
+/// error carried in the frame body.
+pub fn parse_frame<'a>(line: &'a str, tape: &mut Tape, max_bytes: usize) -> Frame<'a> {
     if line.len() > max_bytes {
         return Frame::broken(ServeError::Oversized {
             limit: max_bytes,
             actual: line.len(),
         });
     }
-    let v = match serde_json::from_str(line) {
+    let v = match tape.parse(line) {
         Ok(v) => v,
         Err(e) => {
             return Frame::broken(ServeError::Malformed {
@@ -377,7 +394,7 @@ pub fn parse_frame(line: &str, max_bytes: usize) -> Frame {
             })
         }
     };
-    if !matches!(v, Value::Object(_)) {
+    if !v.is_object() {
         return Frame::broken(ServeError::Malformed {
             detail: "frame must be a JSON object".to_string(),
         });
@@ -393,7 +410,7 @@ pub fn parse_frame(line: &str, max_bytes: usize) -> Frame {
             }
         }
     };
-    let deadline_ms = match opt_u64(&v, "deadline_ms") {
+    let deadline_ms = match opt_u64(v, "deadline_ms") {
         Ok(d) => d,
         Err(e) => {
             return Frame {
@@ -404,7 +421,7 @@ pub fn parse_frame(line: &str, max_bytes: usize) -> Frame {
             }
         }
     };
-    let trace = match opt_bool(&v, "trace") {
+    let trace = match opt_bool(v, "trace") {
         Ok(t) => t,
         Err(e) => {
             return Frame {
@@ -415,7 +432,7 @@ pub fn parse_frame(line: &str, max_bytes: usize) -> Frame {
             }
         }
     };
-    let body = parse_body(&v);
+    let body = parse_body(v);
     Frame {
         id,
         deadline_ms,
@@ -450,7 +467,7 @@ impl ReplyBuilder {
     /// Appends a numeric member.
     pub fn num(mut self, key: &str, v: u64) -> Self {
         self.key(key);
-        self.out.push_str(&v.to_string());
+        let _ = write!(self.out, "{v}");
         self
     }
 
@@ -469,7 +486,7 @@ impl ReplyBuilder {
             if i > 0 {
                 self.out.push(',');
             }
-            self.out.push_str(&v.to_string());
+            let _ = write!(self.out, "{v}");
         }
         self.out.push(']');
         self
@@ -499,19 +516,20 @@ impl ReplyBuilder {
 mod tests {
     use super::*;
 
+    fn parse(line: &str) -> Frame<'_> {
+        parse_frame(line, &mut Tape::new(), DEFAULT_MAX_FRAME_BYTES)
+    }
+
     #[test]
     fn parses_machine_request() {
-        let f = parse_frame(
-            r#"{"type":"machine","model":"fig1","id":7,"deadline_ms":250}"#,
-            DEFAULT_MAX_FRAME_BYTES,
-        );
+        let f = parse(r#"{"type":"machine","model":"fig1","id":7,"deadline_ms":250}"#);
         assert_eq!(f.id.as_deref(), Some("7"));
         assert_eq!(f.deadline_ms, Some(250));
         assert!(!f.trace);
         assert_eq!(
             f.body.unwrap(),
             Request::Machine {
-                source: MachineSource::Model("fig1".to_string()),
+                source: MachineSource::Model(Cow::Borrowed("fig1")),
                 strict: false,
                 max_steps: None,
             }
@@ -520,10 +538,9 @@ mod tests {
 
     #[test]
     fn parses_schedule_request_with_edge_kinds() {
-        let f = parse_frame(
+        let f = parse(
             r#"{"type":"schedule","fingerprint":"rmd-x","nodes":["fadd","fmul"],
                "edges":[[0,1,7,0],[1,0,1,1,"anti"]],"id":"a b"}"#,
-            DEFAULT_MAX_FRAME_BYTES,
         );
         assert_eq!(f.id.as_deref(), Some("\"a b\""));
         match f.body.unwrap() {
@@ -539,21 +556,33 @@ mod tests {
     }
 
     #[test]
+    fn strings_borrow_from_the_line_unless_escaped() {
+        let f = parse(r#"{"type":"schedule","fingerprint":"rmd-x","nodes":["fadd","f\u006dul"]}"#);
+        match f.body.unwrap() {
+            Request::Schedule {
+                fingerprint, nodes, ..
+            } => {
+                assert!(matches!(fingerprint, Cow::Borrowed("rmd-x")));
+                assert!(matches!(nodes[0], Cow::Borrowed("fadd")));
+                assert!(matches!(&nodes[1], Cow::Owned(s) if s == "fmul"));
+            }
+            other => panic!("wrong request: {other:?}"),
+        }
+    }
+
+    #[test]
     fn parses_metrics_and_trace_members() {
-        let f = parse_frame(r#"{"type":"metrics","id":1}"#, DEFAULT_MAX_FRAME_BYTES);
+        let f = parse(r#"{"type":"metrics","id":1}"#);
         assert_eq!(f.body.unwrap(), Request::Metrics);
         assert!(!f.trace);
 
-        let f = parse_frame(
-            r#"{"type":"status","trace":true}"#,
-            DEFAULT_MAX_FRAME_BYTES,
-        );
+        let f = parse(r#"{"type":"status","trace":true}"#);
         assert_eq!(f.body.unwrap(), Request::Status);
         assert!(f.trace);
 
         // A non-boolean trace member is a typed error, and the flag
         // stays off so the error reply is untraced.
-        let f = parse_frame(r#"{"type":"status","trace":1}"#, DEFAULT_MAX_FRAME_BYTES);
+        let f = parse(r#"{"type":"status","trace":1}"#);
         assert_eq!(f.body.unwrap_err().kind(), "bad_request");
         assert!(!f.trace);
     }
@@ -577,11 +606,11 @@ mod tests {
             (r#"{"type":"status","deadline_ms":-4}"#, "bad_request"),
         ];
         for (line, kind) in cases {
-            let f = parse_frame(line, DEFAULT_MAX_FRAME_BYTES);
+            let f = parse(line);
             let e = f.body.expect_err(line);
             assert_eq!(e.kind(), kind, "{line}");
         }
-        let f = parse_frame("{\"type\":\"status\"}", 4);
+        let f = parse_frame("{\"type\":\"status\"}", &mut Tape::new(), 4);
         assert_eq!(f.body.unwrap_err().kind(), "oversized");
     }
 
@@ -594,10 +623,12 @@ mod tests {
             .nums("times", [0u64, 3, 9])
             .finish();
         let v = serde_json::from_str(&r).expect("valid JSON");
-        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
-        assert_eq!(v.get("id").and_then(Value::as_u64), Some(42));
+        assert_eq!(v.get("ok").and_then(serde_json::Value::as_bool), Some(true));
+        assert_eq!(v.get("id").and_then(serde_json::Value::as_u64), Some(42));
         assert_eq!(
-            v.get("times").and_then(Value::as_array).map(|a| a.len()),
+            v.get("times")
+                .and_then(serde_json::Value::as_array)
+                .map(|a| a.len()),
             Some(3)
         );
     }

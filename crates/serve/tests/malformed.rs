@@ -165,3 +165,67 @@ fn hostile_frames_get_typed_replies_and_service_continues() {
     let v: serde_json::Value = serde_json::from_str(&reply).unwrap();
     assert_eq!(v.get("ok").and_then(|o| o.as_bool()), Some(true), "{reply}");
 }
+
+/// Frames the JSON parser rejects, with their full replies: the
+/// message and byte offset of every parse error are part of the
+/// protocol, so a parser change must keep them byte for byte.
+#[test]
+fn parse_error_replies_are_pinned_byte_for_byte() {
+    let deep = format!(
+        r#"{{"type":"status","pad":{}{}}}"#,
+        "[".repeat(128),
+        "]".repeat(128)
+    );
+    let cases: Vec<(&str, String, &str)> = vec![
+        (
+            "truncated JSON",
+            r#"{"type":"status","id":"#.to_string(),
+            r#"{"ok":false,"id":null,"error":{"code":100,"kind":"malformed","detail":"unexpected end of input at byte 22"}}"#,
+        ),
+        (
+            "interleaved pipelined frames on one line",
+            r#"{"type":"status","id":1}{"type":"status","id":2}"#.to_string(),
+            r#"{"ok":false,"id":null,"error":{"code":100,"kind":"malformed","detail":"trailing data after JSON value at byte 24"}}"#,
+        ),
+        (
+            "non-object top level",
+            "[1,2,3]".to_string(),
+            r#"{"ok":false,"id":null,"error":{"code":100,"kind":"malformed","detail":"frame must be a JSON object"}}"#,
+        ),
+        (
+            "bad escape",
+            r#"{"type":"status","id":"a\qb"}"#.to_string(),
+            r#"{"ok":false,"id":null,"error":{"code":100,"kind":"malformed","detail":"invalid escape character at byte 26"}}"#,
+        ),
+        (
+            "lone high surrogate",
+            r#"{"type":"status","id":"\ud83d"}"#.to_string(),
+            r#"{"ok":false,"id":null,"error":{"code":100,"kind":"malformed","detail":"invalid \\u escape at byte 29"}}"#,
+        ),
+        (
+            "high surrogate followed by a plain character",
+            r#"{"type":"status","id":"\ud83dx"}"#.to_string(),
+            r#"{"ok":false,"id":null,"error":{"code":100,"kind":"malformed","detail":"invalid \\u escape at byte 29"}}"#,
+        ),
+        (
+            "129-deep nesting",
+            deep,
+            r#"{"ok":false,"id":null,"error":{"code":100,"kind":"malformed","detail":"nesting too deep at byte 150"}}"#,
+        ),
+        (
+            "raw control character in a string",
+            "{\"type\":\"status\",\"id\":\"a\u{1}b\"}".to_string(),
+            r#"{"ok":false,"id":null,"error":{"code":100,"kind":"malformed","detail":"control character in string at byte 24"}}"#,
+        ),
+        (
+            "raw tab in a string",
+            "{\"type\":\"status\",\"id\":\"a\tb\"}".to_string(),
+            r#"{"ok":false,"id":null,"error":{"code":100,"kind":"malformed","detail":"control character in string at byte 24"}}"#,
+        ),
+    ];
+    let mut engine = ServeEngine::new(EngineConfig::default());
+    for (name, line, want) in cases {
+        let (reply, _) = engine.handle_line(&line, Instant::now());
+        assert_eq!(reply, want, "{name}");
+    }
+}

@@ -1,12 +1,17 @@
 //! In-tree stand-in for the subset of `serde_json` used by this
 //! workspace: serializing benchmark records with `to_string` /
 //! `to_string_pretty` over the in-tree `serde` shim, plus a small
-//! recursive-descent parser ([`from_str`] → [`Value`]) for the
-//! `rmd serve` line-delimited request protocol.
+//! recursive-descent parser for the `rmd serve` line-delimited request
+//! protocol. The parser writes a flat token [`Tape`] that borrows the
+//! source text; [`from_str`] builds an owned [`Value`] from it, and a
+//! caller that reads many documents can keep one `Tape` and read each
+//! document through [`ValueRef`] handles instead. The `Tape` API is
+//! this shim's own: the real crate has no such type.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// Serialization error. The shim's writers are infallible, so this
@@ -204,19 +209,257 @@ impl std::error::Error for ParseJsonError {}
 /// Parse `src` as a single JSON value; trailing non-whitespace (for
 /// example a second value on the same line) is an error.
 pub fn from_str(src: &str) -> Result<Value, ParseJsonError> {
-    let mut p = Parser {
-        bytes: src.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing data after JSON value"));
-    }
-    Ok(v)
+    Ok(Tape::new().parse(src)?.to_value())
 }
+
+/// A parsed JSON document as a flat token list over its source text:
+/// the decoding buffer behind [`from_str`], and a reusable one for
+/// callers that read many documents (the serve protocol keeps one per
+/// daemon). Strings and numbers are source spans, read only on
+/// request; each container records where its tokens end, so skipping a
+/// value is one step. Parsing again reuses the buffer's capacity.
+#[derive(Debug, Default)]
+pub struct Tape {
+    tokens: Vec<Token>,
+}
+
+/// One tape entry. Offsets are byte positions in the source.
+#[derive(Clone, Copy, Debug)]
+enum Token {
+    Null,
+    Bool(bool),
+    /// The number's source text `start..end`, read on request.
+    Number {
+        start: usize,
+        end: usize,
+    },
+    /// The literal `start..end`, quotes included; `escaped` when it
+    /// holds a backslash escape.
+    String {
+        start: usize,
+        end: usize,
+        escaped: bool,
+    },
+    /// `len` elements; `next` is the index of the token after them.
+    Array {
+        len: usize,
+        next: usize,
+    },
+    /// `len` members, each a string key token and then its value;
+    /// `next` is the index of the token after them.
+    Object {
+        len: usize,
+        next: usize,
+    },
+}
+
+impl Tape {
+    /// An empty tape.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Parses `src` as a single JSON value into this tape, replacing
+    /// what it held, and returns the root. Grammar, error messages and
+    /// byte offsets are those of [`from_str`].
+    pub fn parse<'src, 't>(
+        &'t mut self,
+        src: &'src str,
+    ) -> Result<ValueRef<'src, 't>, ParseJsonError> {
+        self.tokens.clear();
+        let mut p = Parser {
+            bytes: src.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
+        p.skip_ws();
+        p.value(&mut self.tokens)?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(p.err("trailing data after JSON value"));
+        }
+        Ok(ValueRef {
+            src,
+            tokens: &self.tokens,
+            at: 0,
+        })
+    }
+
+    /// Frees the capacity past `min_capacity` tokens (as
+    /// `Vec::shrink_to`), so a long-lived tape does not keep the buffer
+    /// of the largest document it ever read. The last document is
+    /// unreachable once its root's borrow ends, so nothing is lost.
+    pub fn shrink_to(&mut self, min_capacity: usize) {
+        self.tokens.clear();
+        self.tokens.shrink_to(min_capacity);
+    }
+}
+
+/// A borrowed value on a [`Tape`], with [`Value`]'s accessors. Strings
+/// borrow from the source text `'src` unless they hold an escape.
+#[derive(Clone, Copy, Debug)]
+pub struct ValueRef<'src, 't> {
+    src: &'src str,
+    tokens: &'t [Token],
+    at: usize,
+}
+
+impl<'src, 't> ValueRef<'src, 't> {
+    fn token(&self) -> Token {
+        self.tokens[self.at]
+    }
+
+    /// The `count` values that follow this token, each skipped whole.
+    fn children(&self, count: usize) -> Elements<'src, 't> {
+        Elements {
+            next: ValueRef {
+                at: self.at + 1,
+                ..*self
+            },
+            left: count,
+        }
+    }
+
+    /// Whether this is an object.
+    pub fn is_object(&self) -> bool {
+        matches!(self.token(), Token::Object { .. })
+    }
+
+    /// The first member `key` of an object, or `None` for other values
+    /// (as [`Value::get`]).
+    pub fn get(&self, key: &str) -> Option<ValueRef<'src, 't>> {
+        let Token::Object { len, .. } = self.token() else {
+            return None;
+        };
+        let mut items = self.children(2 * len);
+        while let (Some(k), Some(v)) = (items.next(), items.next()) {
+            if k.as_str().as_deref() == Some(key) {
+                return Some(v);
+            }
+        }
+        None
+    }
+
+    /// The string payload, if this is a string: borrowed from the
+    /// source unless it holds an escape.
+    pub fn as_str(&self) -> Option<Cow<'src, str>> {
+        let Token::String {
+            start,
+            end,
+            escaped,
+        } = self.token()
+        else {
+            return None;
+        };
+        if !escaped {
+            return Some(Cow::Borrowed(&self.src[start + 1..end - 1]));
+        }
+        let mut p = Parser {
+            bytes: self.src.as_bytes(),
+            pos: start,
+            depth: 0,
+        };
+        let mut out = String::with_capacity(end - start);
+        p.string(Some(&mut out))
+            .expect("the tape holds a parsed string");
+        Some(Cow::Owned(out))
+    }
+
+    /// The boolean payload, if this is a bool.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self.token() {
+            Token::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload, if this is a number: its source text read
+    /// by `str::parse`, so a magnitude past `f64::MAX` is infinite.
+    pub fn as_f64(&self) -> Option<f64> {
+        let text = self.number_text()?;
+        Some(text.parse().expect("JSON numbers are valid f64 literals"))
+    }
+
+    /// The number as a `u64`, if it is one exactly (as
+    /// [`Value::as_u64`]).
+    pub fn as_u64(&self) -> Option<u64> {
+        Value::Number(self.as_f64()?).as_u64()
+    }
+
+    /// The number as an `i64`, if it is one exactly (as
+    /// [`Value::as_i64`]).
+    pub fn as_i64(&self) -> Option<i64> {
+        Value::Number(self.as_f64()?).as_i64()
+    }
+
+    /// The number's source text, if this is a number.
+    pub fn number_text(&self) -> Option<&'src str> {
+        match self.token() {
+            Token::Number { start, end } => Some(&self.src[start..end]),
+            _ => None,
+        }
+    }
+
+    /// The elements, if this is an array.
+    pub fn as_array(&self) -> Option<Elements<'src, 't>> {
+        match self.token() {
+            Token::Array { len, .. } => Some(self.children(len)),
+            _ => None,
+        }
+    }
+
+    /// An owned copy of this value.
+    fn to_value(self) -> Value {
+        match self.token() {
+            Token::Null => Value::Null,
+            Token::Bool(b) => Value::Bool(b),
+            Token::Number { .. } => Value::Number(self.as_f64().unwrap_or_default()),
+            Token::String { .. } => Value::String(self.as_str().unwrap_or_default().into_owned()),
+            Token::Array { len, .. } => {
+                Value::Array(self.children(len).map(Self::to_value).collect())
+            }
+            Token::Object { len, .. } => {
+                let mut items = self.children(2 * len);
+                let mut members = Vec::with_capacity(len);
+                while let (Some(k), Some(v)) = (items.next(), items.next()) {
+                    let key = k.as_str().unwrap_or_default().into_owned();
+                    members.push((key, v.to_value()));
+                }
+                Value::Object(members)
+            }
+        }
+    }
+}
+
+/// The elements of an array on a [`Tape`], in order.
+#[derive(Clone, Debug)]
+pub struct Elements<'src, 't> {
+    next: ValueRef<'src, 't>,
+    left: usize,
+}
+
+impl<'src, 't> Iterator for Elements<'src, 't> {
+    type Item = ValueRef<'src, 't>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let v = self.next;
+        self.next.at = match v.token() {
+            Token::Array { next, .. } | Token::Object { next, .. } => next,
+            _ => v.at + 1,
+        };
+        Some(v)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Elements<'_, '_> {}
 
 /// Nesting depth bound: protocol frames are shallow, and a bound keeps
 /// adversarial input from overflowing the parser's recursion.
@@ -259,7 +502,7 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, ParseJsonError> {
+    fn literal(&mut self, word: &str, v: Token) -> Result<Token, ParseJsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
@@ -268,83 +511,114 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, ParseJsonError> {
+    /// Appends the value at the cursor, and everything inside it, to
+    /// `tape`.
+    fn value(&mut self, tape: &mut Vec<Token>) -> Result<(), ParseJsonError> {
         if self.depth >= MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
-        match self.peek() {
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.err("unexpected character")),
-            None => Err(self.err("unexpected end of input")),
-        }
+        let start = self.pos;
+        let token = match self.peek() {
+            Some(b'n') => self.literal("null", Token::Null)?,
+            Some(b't') => self.literal("true", Token::Bool(true))?,
+            Some(b'f') => self.literal("false", Token::Bool(false))?,
+            Some(b'"') => {
+                let escaped = self.string(None)?;
+                Token::String {
+                    start,
+                    end: self.pos,
+                    escaped,
+                }
+            }
+            Some(b'[') => return self.array(tape),
+            Some(b'{') => return self.object(tape),
+            Some(b'-' | b'0'..=b'9') => {
+                self.number()?;
+                Token::Number {
+                    start,
+                    end: self.pos,
+                }
+            }
+            Some(_) => return Err(self.err("unexpected character")),
+            None => return Err(self.err("unexpected end of input")),
+        };
+        tape.push(token);
+        Ok(())
     }
 
-    fn array(&mut self) -> Result<Value, ParseJsonError> {
+    fn array(&mut self, tape: &mut Vec<Token>) -> Result<(), ParseJsonError> {
         self.eat(b'[', "expected '['")?;
         self.depth += 1;
-        let mut items = Vec::new();
+        let at = tape.len();
+        tape.push(Token::Array { len: 0, next: 0 });
+        let mut len = 0;
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Array(items));
+        if self.peek() != Some(b']') {
+            loop {
+                self.skip_ws();
+                self.value(tape)?;
+                len += 1;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b']') => break,
+                    _ => return Err(self.err("expected ',' or ']' in array")),
                 }
-                _ => return Err(self.err("expected ',' or ']' in array")),
             }
         }
+        self.pos += 1;
+        self.depth -= 1;
+        tape[at] = Token::Array {
+            len,
+            next: tape.len(),
+        };
+        Ok(())
     }
 
-    fn object(&mut self) -> Result<Value, ParseJsonError> {
+    fn object(&mut self, tape: &mut Vec<Token>) -> Result<(), ParseJsonError> {
         self.eat(b'{', "expected '{'")?;
         self.depth += 1;
-        let mut members = Vec::new();
+        let at = tape.len();
+        tape.push(Token::Object { len: 0, next: 0 });
+        let mut len = 0;
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Value::Object(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':', "expected ':' after object key")?;
-            self.skip_ws();
-            let v = self.value()?;
-            members.push((key, v));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Object(members));
+        if self.peek() != Some(b'}') {
+            loop {
+                self.skip_ws();
+                let start = self.pos;
+                let escaped = self.string(None)?;
+                tape.push(Token::String {
+                    start,
+                    end: self.pos,
+                    escaped,
+                });
+                self.skip_ws();
+                self.eat(b':', "expected ':' after object key")?;
+                self.skip_ws();
+                self.value(tape)?;
+                len += 1;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b'}') => break,
+                    _ => return Err(self.err("expected ',' or '}' in object")),
                 }
-                _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }
+        self.pos += 1;
+        self.depth -= 1;
+        tape[at] = Token::Object {
+            len,
+            next: tape.len(),
+        };
+        Ok(())
     }
 
-    fn string(&mut self) -> Result<String, ParseJsonError> {
+    /// Reads a string literal, appending its decoded text to `out` when
+    /// one is given; returns whether it held an escape.
+    fn string(&mut self, mut out: Option<&mut String>) -> Result<bool, ParseJsonError> {
         self.eat(b'"', "expected '\"'")?;
-        let mut out = String::new();
+        let mut escaped = false;
         loop {
             let start = self.pos;
             // Consume a run of plain (unescaped, non-quote) bytes at once.
@@ -354,27 +628,32 @@ impl Parser<'_> {
                 }
                 self.pos += 1;
             }
-            // The input is a &str, so any byte run that stops on an
-            // ASCII delimiter is valid UTF-8.
-            out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).expect("utf8 input"));
+            if let Some(out) = out.as_deref_mut() {
+                // The input is a &str, so any byte run that stops on an
+                // ASCII delimiter is valid UTF-8.
+                out.push_str(
+                    std::str::from_utf8(&self.bytes[start..self.pos]).expect("utf8 input"),
+                );
+            }
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(escaped);
                 }
                 Some(b'\\') => {
+                    escaped = true;
                     self.pos += 1;
                     let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
                     self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
+                    let c = match esc {
+                        b'"' => '"',
+                        b'\\' => '\\',
+                        b'/' => '/',
+                        b'b' => '\u{0008}',
+                        b'f' => '\u{000C}',
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
                         b'u' => {
                             let hi = self.hex4()?;
                             let c = if (0xD800..0xDC00).contains(&hi) {
@@ -386,8 +665,7 @@ impl Parser<'_> {
                                     if !(0xDC00..0xE000).contains(&lo) {
                                         return Err(self.err("invalid low surrogate"));
                                     }
-                                    let cp =
-                                        0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                                    let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
                                     char::from_u32(cp)
                                 } else {
                                     None
@@ -395,9 +673,12 @@ impl Parser<'_> {
                             } else {
                                 char::from_u32(hi)
                             };
-                            out.push(c.ok_or_else(|| self.err("invalid \\u escape"))?);
+                            c.ok_or_else(|| self.err("invalid \\u escape"))?
                         }
                         _ => return Err(self.err("invalid escape character")),
+                    };
+                    if let Some(out) = out.as_deref_mut() {
+                        out.push(c);
                     }
                 }
                 Some(_) => return Err(self.err("control character in string")),
@@ -422,8 +703,9 @@ impl Parser<'_> {
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Value, ParseJsonError> {
-        let start = self.pos;
+    /// Reads a number literal; its value is parsed from the span on
+    /// request ([`ValueRef::as_f64`]).
+    fn number(&mut self) -> Result<(), ParseJsonError> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
@@ -458,10 +740,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| self.err("number out of range"))
+        Ok(())
     }
 }
 
@@ -554,6 +833,67 @@ mod tests {
         assert_eq!(e.message, "nesting too deep");
         let ok = "[".repeat(100) + &"]".repeat(100);
         assert!(from_str(&ok).is_ok());
+    }
+
+    #[test]
+    fn tape_handles_borrow_and_skip() {
+        let src =
+            r#"{"nodes":["a",{"x":[1,[2]]},"b\u0041"],"id":-0,"id":7,"big":12345678901234567890}"#;
+        let mut tape = Tape::new();
+        let root = tape.parse(src).unwrap();
+        assert!(root.is_object());
+        let nodes: Vec<_> = root
+            .get("nodes")
+            .and_then(|n| n.as_array())
+            .unwrap()
+            .collect();
+        assert_eq!(nodes.len(), 3);
+        assert!(matches!(nodes[0].as_str(), Some(Cow::Borrowed("a"))));
+        assert!(matches!(nodes[2].as_str(), Some(Cow::Owned(s)) if s == "bA"));
+        assert_eq!(
+            nodes[1]
+                .get("x")
+                .and_then(|x| x.as_array())
+                .map(|a| a.len()),
+            Some(2)
+        );
+        // The first of duplicate keys wins, as in `Value::get`.
+        let id = root.get("id").unwrap();
+        assert_eq!(id.number_text(), Some("-0"));
+        assert_eq!(id.as_f64().map(f64::to_bits), Some((-0.0f64).to_bits()));
+        assert_eq!(id.as_u64(), Some(0));
+        let big = root.get("big").unwrap();
+        assert_eq!(big.number_text(), Some("12345678901234567890"));
+        assert_eq!(big.as_u64(), None);
+        assert_eq!(root.get("missing").map(|v| v.as_bool()), None);
+        assert!(root.as_str().is_none() && root.as_array().is_none());
+    }
+
+    #[test]
+    fn shrink_to_frees_a_large_documents_capacity() {
+        let mut tape = Tape::new();
+        let big = format!("[{}0]", "0,".repeat(10_000));
+        let len = tape.parse(&big).unwrap().as_array().map(|a| a.len());
+        assert_eq!(len, Some(10_001));
+        assert!(tape.tokens.capacity() > 10_000);
+        tape.shrink_to(64);
+        assert!(tape.tokens.capacity() < 10_000);
+        assert_eq!(
+            tape.parse("[7]").unwrap().to_value(),
+            from_str("[7]").unwrap()
+        );
+    }
+
+    #[test]
+    fn tape_is_reused_and_matches_from_str() {
+        let mut tape = Tape::new();
+        for src in ["[1,2,3]", "\"x\"", "{\"k\":null}", " true "] {
+            let v = tape.parse(src).unwrap().to_value();
+            assert_eq!(v, from_str(src).unwrap(), "{src}");
+        }
+        let e = tape.parse("[1,").unwrap_err();
+        assert_eq!(e, from_str("[1,").unwrap_err());
+        assert_eq!(tape.parse("5").unwrap().as_i64(), Some(5));
     }
 
     #[test]
