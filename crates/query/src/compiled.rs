@@ -113,6 +113,11 @@ impl CompiledMasks {
 /// plus one contiguous word list), so the hot `check` path is a slice
 /// index followed by word AND/OR — no `Option` probe, no insertion, no
 /// allocation.
+///
+/// The update-mode paths work one usage at a time instead. For them an
+/// II-entry table holds each slot's packed position, its word and the
+/// bit of resource 0, so a usage's flag bit is a lookup plus its
+/// resource index, with no division by `k`.
 #[derive(Clone, Debug)]
 pub(crate) struct ModuloMasks {
     ii: u32,
@@ -121,6 +126,9 @@ pub(crate) struct ModuloMasks {
     start: Vec<u32>,
     /// All slot lists, concatenated in (op, slot) order.
     words: Vec<(u32, u64)>,
+    /// `pos[slot] = (slot / k, (slot % k) · num_resources)`: the word
+    /// holding the slot's cycle-bitvector and the bit of resource 0.
+    pos: Vec<(u32, u32)>,
 }
 
 impl ModuloMasks {
@@ -159,7 +167,13 @@ impl ModuloMasks {
                 start.push(words.len() as u32);
             }
         }
-        ModuloMasks { ii, start, words }
+        let pos = (0..ii).map(|s| (s / k, (s % k) * nr)).collect();
+        ModuloMasks {
+            ii,
+            start,
+            words,
+            pos,
+        }
     }
 
     /// The nonempty `(word, mask)` pairs of `op` issued in `slot`
@@ -168,6 +182,14 @@ impl ModuloMasks {
     pub fn of(&self, op: OpId, slot: u32) -> &[(u32, u64)] {
         let i = op.index() * self.ii as usize + slot as usize;
         &self.words[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+
+    /// The word and resource-0 bit of `slot`'s cycle-bitvector, one
+    /// entry per slot `0..ii`: resource `r` issued in `slot` is bit
+    /// `base + r` of word `word`.
+    #[inline]
+    pub fn positions(&self) -> &[(u32, u32)] {
+        &self.pos
     }
 
     /// The initiation interval the masks were expanded for.
@@ -241,6 +263,7 @@ mod tests {
         // (3+2)%4=1 (word 0, bit (1*2+1)=3).
         assert_eq!(mm.of(OpId(0), 3), &[(0, 0b1000), (1, 0b100)]);
         assert_eq!(mm.num_entries(), 8); // 4 slots x 2 words each
+        assert_eq!(mm.positions(), &[(0, 0), (0, 2), (1, 0), (1, 2)]); // 2 slots, 2 resources per word
     }
 
     #[test]

@@ -213,6 +213,45 @@ impl ContentionQuery for ModuloDiscreteModule {
     }
 }
 
+/// The modulo slots of one operation's usages, in usage order, for an
+/// issue in a given slot. Usages are sorted by cycle, so each step adds
+/// the gap since the previous usage and wraps by one subtraction; only
+/// a gap wider than II takes a division. A call therefore divides once,
+/// for the issue slot, however many usages it walks.
+struct SlotWalk {
+    ii: u32,
+    /// Slot of the usage at cycle offset `at`.
+    slot: u32,
+    at: u32,
+}
+
+impl SlotWalk {
+    /// Starts at the issue slot (`slot < ii`).
+    #[inline]
+    fn new(slot: u32, ii: u32) -> Self {
+        debug_assert!(slot < ii);
+        SlotWalk { ii, slot, at: 0 }
+    }
+
+    /// The slot of the usage `c` cycles after issue. `c` must not be
+    /// below the previous call's.
+    #[inline]
+    fn to(&mut self, c: u32) -> u32 {
+        debug_assert!(c >= self.at, "usages must be walked in cycle order");
+        let ii = u64::from(self.ii);
+        let mut s = u64::from(self.slot) + u64::from(c - self.at);
+        if s >= ii {
+            s -= ii;
+            if s >= ii {
+                s %= ii;
+            }
+        }
+        self.at = c;
+        self.slot = s as u32;
+        self.slot
+    }
+}
+
 /// Bitvector-representation modulo reservation table.
 ///
 /// The II slots are packed `k` cycle-bitvectors per word
@@ -220,7 +259,10 @@ impl ContentionQuery for ModuloDiscreteModule {
 /// the word masks of an operation depend on its issue slot modulo II;
 /// they are expanded eagerly at construction (and shareable across
 /// modules via [`ModuloMaskCache`]), so the hot `check` path is pure
-/// word AND/OR over a precompiled slice — no lazy-fill branch.
+/// word AND/OR over a precompiled slice — no lazy-fill branch. The
+/// update mode, which sets and clears one flag per usage, steps from
+/// usage to usage with one division per call and reads each slot's word
+/// and bit from the same expansion's position table.
 #[derive(Clone, Debug)]
 pub struct ModuloBitvecModule {
     usages: Arc<CompiledUsages>,
@@ -282,7 +324,7 @@ impl ModuloBitvecModule {
     /// Re-targets this module at a (possibly different) initiation
     /// interval, reusing every buffer the previous schedule already
     /// sized: the packed word vector, the owner table's capacity, and
-    /// the registry's hash capacity. The compiled usages and word
+    /// the registry's slab capacity. The compiled usages and word
     /// layout are unchanged — callers go through
     /// [`ModuloMaskCache::module_reusing`], which guards both.
     ///
@@ -321,15 +363,14 @@ impl ModuloBitvecModule {
 
     fn transition_to_update(&mut self) {
         let nr = self.usages.num_resources;
-        let ii = self.ii as u64;
         self.owner.clear();
         self.owner.resize(self.ii as usize * nr, None);
         let mut scanned = 0u64;
         for (inst, op, cycle) in self.registry.iter() {
+            let mut walk = SlotWalk::new(cycle % self.ii, self.ii);
             for &(r, c) in self.usages.of(op) {
                 scanned += 1;
-                let s = ((cycle as u64 + c as u64) % ii) as usize * nr + r as usize;
-                self.owner[s] = Some(inst);
+                self.owner[walk.to(c) as usize * nr + r as usize] = Some(inst);
             }
         }
         self.counters.charge_units(QueryFn::AssignFree, scanned);
@@ -337,20 +378,13 @@ impl ModuloBitvecModule {
         self.in_update = true;
     }
 
-    #[inline]
-    fn flag_pos(&self, r: u32, cycle: u32, c: u32) -> (usize, u64) {
-        let s = ((cycle as u64 + c as u64) % self.ii as u64) as u32;
-        let k = self.layout.k;
-        let bit = (s % k) * self.usages.num_resources as u32 + r;
-        ((s / k) as usize, 1u64 << bit)
-    }
-
     /// Word-parallel window scan over consecutive issue slots. The
     /// per-slot mask lists come from the eagerly expanded (and possibly
     /// [`ModuloMaskCache`]-shared) [`ModuloMasks`] arrays, so the inner
     /// loop is the same branch-light word AND as `check`; consecutive
     /// slots landing in one packed word share their load through a
-    /// one-entry cache.
+    /// one-entry cache. The issue slot is a cursor that steps with the
+    /// cycle and wraps at II, so the scan divides once, not per cycle.
     fn window_scan(&mut self, op: OpId, start: u32, len: u32, stop_at_free: bool) -> WindowScan {
         let len = len.min(64);
         if !self.fits[op.index()] {
@@ -365,11 +399,11 @@ impl ModuloBitvecModule {
         }
         let mut cache = LoadCache::new();
         let mut out = WindowScan::default();
+        let mut slot = start % self.ii;
         for i in 0..len {
             let Some(cycle) = start.checked_add(i) else {
                 break;
             };
-            let slot = cycle % self.ii;
             out.probed += 1;
             let mut clear = true;
             for &(w, m) in self.masks.of(op, slot) {
@@ -389,6 +423,10 @@ impl ModuloBitvecModule {
                 if stop_at_free {
                     break;
                 }
+            }
+            slot += 1;
+            if slot == self.ii {
+                slot = 0;
             }
         }
         out.loads = cache.loads;
@@ -426,9 +464,9 @@ impl ContentionQuery for ModuloBitvecModule {
             .record(QueryFn::Assign, self.masks.of(op, slot).len() as u64);
         if self.in_update {
             let nr = self.usages.num_resources;
+            let mut walk = SlotWalk::new(slot, self.ii);
             for &(r, c) in self.usages.of(op) {
-                let s = ((cycle as u64 + c as u64) % self.ii as u64) as usize * nr + r as usize;
-                self.owner[s] = Some(inst);
+                self.owner[walk.to(c) as usize * nr + r as usize] = Some(inst);
             }
         }
         self.registry.insert(inst, op, cycle);
@@ -475,31 +513,31 @@ impl ContentionQuery for ModuloBitvecModule {
         }
 
         let nr = self.usages.num_resources;
-        let ii = self.ii as u64;
-        for ui in 0..self.usages.of(op).len() {
-            let (r, c) = self.usages.of(op)[ui];
+        let pos = self.masks.positions();
+        let mut walk = SlotWalk::new(slot, self.ii);
+        for &(r, c) in self.usages.of(op) {
             units += 1;
-            let s = ((cycle as u64 + c as u64) % ii) as usize * nr + r as usize;
-            if let Some(holder) = self.owner[s] {
+            let s = walk.to(c) as usize;
+            if let Some(holder) = self.owner[s * nr + r as usize] {
                 if holder != inst {
                     let (hop, hcycle) = self
                         .registry
                         .remove(holder)
                         .expect("owner entries track registered instances");
-                    for hj in 0..self.usages.of(hop).len() {
-                        let (hr, hc) = self.usages.of(hop)[hj];
+                    let mut hwalk = SlotWalk::new(hcycle % self.ii, self.ii);
+                    for &(hr, hc) in self.usages.of(hop) {
                         units += 1;
-                        let hs = ((hcycle as u64 + hc as u64) % ii) as usize * nr + hr as usize;
-                        self.owner[hs] = None;
-                        let (w, m) = self.flag_pos(hr, hcycle, hc);
-                        self.words[w] &= !m;
+                        let hs = hwalk.to(hc) as usize;
+                        self.owner[hs * nr + hr as usize] = None;
+                        let (w, base) = pos[hs];
+                        self.words[w as usize] &= !(1u64 << (base + hr));
                     }
                     evicted.push(holder);
                 }
             }
-            self.owner[s] = Some(inst);
-            let (w, m) = self.flag_pos(r, cycle, c);
-            self.words[w] |= m;
+            self.owner[s * nr + r as usize] = Some(inst);
+            let (w, base) = pos[s];
+            self.words[w as usize] |= 1u64 << (base + r);
         }
         self.counters.record(QueryFn::AssignFree, units);
         self.registry.insert(inst, op, cycle);
@@ -517,9 +555,9 @@ impl ContentionQuery for ModuloBitvecModule {
             .record(QueryFn::Free, self.masks.of(op, slot).len() as u64);
         if self.in_update {
             let nr = self.usages.num_resources;
+            let mut walk = SlotWalk::new(slot, self.ii);
             for &(r, c) in self.usages.of(op) {
-                let s = ((cycle as u64 + c as u64) % self.ii as u64) as usize * nr + r as usize;
-                self.owner[s] = None;
+                self.owner[walk.to(c) as usize * nr + r as usize] = None;
             }
         }
     }

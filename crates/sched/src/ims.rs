@@ -127,8 +127,11 @@ impl IterativeModuloScheduler {
     ///
     /// Returns [`ImsError::NoFeasibleIi`] if the budget is exhausted at
     /// every II up to `config.max_ii`. It is returned before any attempt
-    /// if a circuit of distance-0 edges has positive total delay, since
-    /// no II satisfies such a circuit.
+    /// if a circuit of distance-0 edges has positive total delay, or a
+    /// path of them is longer than `u32::MAX` cycles, since no II
+    /// satisfies the one or gives the other's last op a start time. An
+    /// attempt that would place an op past `u32::MAX` fails like one
+    /// whose budget ran out.
     pub fn schedule(
         &self,
         g: &DepGraph,
@@ -241,8 +244,9 @@ impl IterativeModuloScheduler {
     ) -> Result<ImsResult, ImsError> {
         // A positive circuit of distance-0 edges holds at no II, so no
         // attempt can succeed; worse, an attempt never checks self-edges
-        // and would accept a positive distance-0 one.
-        if mii::has_unsatisfiable_circuit(g) {
+        // and would accept a positive distance-0 one. A distance-0 path
+        // longer than `u32::MAX` cycles fails every attempt as well.
+        if mii::has_unsatisfiable_circuit(g) || mii::has_overlong_chain(g) {
             return Err(ImsError::NoFeasibleIi {
                 max_ii: self.config.max_ii,
             });
@@ -329,12 +333,12 @@ impl IterativeModuloScheduler {
         })
     }
 
-    fn attempt(
+    fn attempt<Q: ContentionQuery + ?Sized>(
         &self,
         g: &DepGraph,
         ii: u32,
         budget: u64,
-        module: &mut dyn ContentionQuery,
+        module: &mut Q,
         groups: Option<&AltGroups>,
         s: &mut SchedScratch,
     ) -> AttemptOutcome {
@@ -346,36 +350,19 @@ impl IterativeModuloScheduler {
         s.prev_time.resize(n, None);
         s.node_ops.clear();
         s.node_ops.extend(g.nodes().map(|v| g.op(v)));
-        // Max-heap on (height, reverse node id) for determinism: unique
-        // keys make the pop order independent of insertion order, so
-        // reusing the heap's buffer cannot change the schedule.
-        s.queue.clear();
-        {
-            let height = &s.height;
-            s.queue
-                .extend(g.nodes().map(|v| (height[v.index()], core::cmp::Reverse(v.0))));
-        }
-        s.queued.clear();
-        s.queued.resize(n, true);
+        s.ready.fill(&s.height);
 
-        let mut decisions = 0u64;
-        let mut reversed_by_resource = 0u64;
-        let mut reversed_by_dependence = 0u64;
-
-        while let Some((_, core::cmp::Reverse(vid))) = s.queue.pop() {
+        let mut out = AttemptOutcome {
+            times: None,
+            decisions: 0,
+            reversed_by_resource: 0,
+            reversed_by_dependence: 0,
+        };
+        while let Some(vid) = s.ready.pop() {
             let v = NodeId(vid);
-            if !s.queued[v.index()] {
-                continue; // stale entry
+            if out.decisions >= budget {
+                return out;
             }
-            if decisions >= budget {
-                return AttemptOutcome {
-                    times: None,
-                    decisions,
-                    reversed_by_resource,
-                    reversed_by_dependence,
-                };
-            }
-            s.queued[v.index()] = false;
 
             // Earliest start from *scheduled* predecessors.
             let mut estart = 0i64;
@@ -386,7 +373,11 @@ impl IterativeModuloScheduler {
                     estart = estart.max(c);
                 }
             }
-            let min_t = estart as u32;
+            // A start past the last `u32` cycle fails the attempt
+            // rather than wrap. Window cycles past it read as busy.
+            let Ok(min_t) = u32::try_from(estart) else {
+                return out;
+            };
 
             // Slot search over the one II window min_t..min_t + II,
             // stopping at the first free cycle; with alternatives, any
@@ -401,27 +392,31 @@ impl IterativeModuloScheduler {
             // Forced placement when the window is full (Rau: estart if
             // never scheduled or estart > prev + 1; else prev + 1); the
             // base operation is forced, evicting whatever holds it.
-            let (t, op) = found.unwrap_or_else(|| {
-                let t = match s.prev_time[v.index()] {
-                    Some(prev) if min_t <= prev + 1 => prev + 1,
-                    _ => min_t,
-                };
-                (t, base)
-            });
+            let (t, op) = match found {
+                Some(placed) => placed,
+                None => {
+                    let forced = match s.prev_time[v.index()] {
+                        Some(prev) if min_t <= prev.saturating_add(1) => prev.checked_add(1),
+                        _ => Some(min_t),
+                    };
+                    // Forcing past the last `u32` cycle fails it too.
+                    let Some(t) = forced else {
+                        return out;
+                    };
+                    (t, base)
+                }
+            };
             s.node_ops[v.index()] = op;
 
-            decisions += 1;
+            out.decisions += 1;
             module.assign_free_into(OpInstance(v.0), op, t, &mut s.evicted);
             s.time[v.index()] = Some(t);
             s.prev_time[v.index()] = Some(t);
             for i in 0..s.evicted.len() {
-                let w = NodeId(s.evicted[i].0);
-                s.time[w.index()] = None;
-                reversed_by_resource += 1;
-                if !s.queued[w.index()] {
-                    s.queued[w.index()] = true;
-                    s.queue.push((s.height[w.index()], core::cmp::Reverse(w.0)));
-                }
+                let w = s.evicted[i].0;
+                s.time[w as usize] = None;
+                out.reversed_by_resource += 1;
+                s.ready.push(w);
             }
 
             // Unschedule successors whose dependence constraints the new
@@ -437,11 +432,8 @@ impl IterativeModuloScheduler {
                     if i64::from(tw) < lb {
                         module.free(OpInstance(w.0), s.node_ops[w.index()], tw);
                         s.time[w.index()] = None;
-                        reversed_by_dependence += 1;
-                        if !s.queued[w.index()] {
-                            s.queued[w.index()] = true;
-                            s.queue.push((s.height[w.index()], core::cmp::Reverse(w.0)));
-                        }
+                        out.reversed_by_dependence += 1;
+                        s.ready.push(w.0);
                     }
                 }
             }
@@ -462,20 +454,14 @@ impl IterativeModuloScheduler {
             }
         }
         debug_assert!(complete, "queue drained with unscheduled nodes");
-        let times = if complete {
+        if complete {
             let mut ops = s.take_ops();
             ops.extend_from_slice(&s.node_ops);
-            Some((times, ops))
+            out.times = Some((times, ops));
         } else {
             s.pool_times.push(times);
-            None
-        };
-        AttemptOutcome {
-            times,
-            decisions,
-            reversed_by_resource,
-            reversed_by_dependence,
         }
+        out
     }
 }
 
@@ -1003,6 +989,59 @@ mod edge_tests {
             .schedule(&g, &m, Representation::Discrete)
             .unwrap_err();
         assert_eq!(e, ImsError::NoFeasibleIi { max_ii: 4096 });
+    }
+
+    /// `len` fadds on cydra5-subset, each `delay` cycles after the last
+    /// at distance `distance`.
+    fn fadd_chain(len: usize, delay: i32, distance: u32) -> (MachineDescription, DepGraph) {
+        let m = rmd_machine::models::cydra5_subset();
+        let fadd = m.op_by_name("fadd").expect("test setup");
+        let mut g = DepGraph::new();
+        let nodes: Vec<_> = (0..len).map(|_| g.add_node(fadd)).collect();
+        for w in nodes.windows(2) {
+            g.add_edge(w[0], w[1], delay, distance, DepKind::Flow);
+        }
+        (m, g)
+    }
+
+    #[test]
+    fn start_times_past_u32_are_refused() {
+        let layout = |m: &MachineDescription| WordLayout::widest(64, m.num_resources());
+        // The fourth fadd would start 3 · (2³¹ − 1) cycles in, past
+        // `u32::MAX` at every II: refused before any attempt, where a
+        // wrapped start time would give a schedule `validate` rejects.
+        let (m, g) = fadd_chain(4, i32::MAX, 0);
+        assert!(crate::mii::has_overlong_chain(&g));
+        for repr in [Representation::Discrete, Representation::Bitvec(layout(&m))] {
+            let e = IterativeModuloScheduler::default()
+                .schedule(&g, &m, repr)
+                .unwrap_err();
+            assert_eq!(e, ImsError::NoFeasibleIi { max_ii: 4096 }, "{repr:?}");
+        }
+        // Three fadds end at u32::MAX − 1, the last start a `u32` can
+        // hold but one: still scheduled, and valid.
+        let (m, g) = fadd_chain(3, i32::MAX, 0);
+        assert!(!crate::mii::has_overlong_chain(&g));
+        for repr in [Representation::Discrete, Representation::Bitvec(layout(&m))] {
+            let r = IterativeModuloScheduler::default()
+                .schedule(&g, &m, repr)
+                .expect("test setup");
+            assert_eq!(r.times[2], u32::MAX - 1, "{repr:?}");
+            crate::validate(&g, &m, &r).expect("test setup");
+        }
+        // Loop-carried edges pass the pre-check, since a large enough II
+        // pulls each start back. Below that II every attempt fails where
+        // the fourth fadd would start past `u32::MAX`.
+        let (m, g) = fadd_chain(4, i32::MAX, 1);
+        assert!(!crate::mii::has_overlong_chain(&g));
+        let ims = IterativeModuloScheduler::new(ImsConfig {
+            budget_ratio: 6.0,
+            max_ii: 40,
+        });
+        for repr in [Representation::Discrete, Representation::Bitvec(layout(&m))] {
+            let e = ims.schedule(&g, &m, repr).unwrap_err();
+            assert_eq!(e, ImsError::NoFeasibleIi { max_ii: 40 }, "{repr:?}");
+        }
     }
 
     #[test]

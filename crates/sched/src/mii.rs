@@ -107,6 +107,36 @@ pub(crate) fn has_unsatisfiable_circuit(g: &DepGraph) -> bool {
         && has_positive_cycle(g, positive_delay_sum(g) + 1, &mut Vec::new())
 }
 
+/// Whether some path of distance-0 edges is longer than `u32::MAX`
+/// cycles. Its last operation would issue past the last cycle a start
+/// time can name, at every II. Only a graph whose positive distance-0
+/// delays add up past `u32::MAX` can have such a path, so other graphs
+/// are answered by a scan of the edges. Meant for graphs without a
+/// positive distance-0 circuit, where the relaxation settles.
+pub(crate) fn has_overlong_chain(g: &DepGraph) -> bool {
+    let limit = i64::from(u32::MAX);
+    let zero_distance = || g.edges().iter().filter(|e| e.distance == 0);
+    let positive: i64 = zero_distance().map(|e| i64::from(e.delay.max(0))).sum();
+    if positive <= limit {
+        return false;
+    }
+    let mut dist = vec![0i64; g.num_nodes()];
+    for _ in 0..g.num_nodes() {
+        let mut changed = false;
+        for e in zero_distance() {
+            let cand = dist[e.from.index()] + i64::from(e.delay);
+            if cand > dist[e.to.index()] {
+                dist[e.to.index()] = cand;
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    dist.iter().any(|&d| d > limit)
+}
+
 /// The sum of positive edge delays, at least 1. No circuit with a
 /// loop-carried edge is positive at this II.
 fn positive_delay_sum(g: &DepGraph) -> i64 {

@@ -3,7 +3,8 @@
 //! The iterative modulo scheduler's per-attempt working set — height
 //! priorities, partial-schedule vectors, the ready queue, eviction
 //! buffers, and (on the bitvector path) the reservation-table
-//! module itself — is sized by the loop being scheduled. A suite run
+//! module itself, whose instance registry is a slab indexed by node
+//! id — is sized by the loop being scheduled. A suite run
 //! schedules thousands of loops back to back, and a serve daemon
 //! schedules for hours; reallocating that working set per loop is pure
 //! overhead. [`SchedScratch`] owns all of it so scheduling loop N+1
@@ -19,9 +20,9 @@
 //! threads one through each worker's state, and a serial run uses one
 //! for the whole suite so the comparison stays honest.
 
+use core::cmp::Reverse;
 use rmd_machine::OpId;
 use rmd_query::{ModuloBitvecModule, OpInstance};
-use std::collections::BinaryHeap;
 
 use crate::ims::ImsResult;
 
@@ -46,10 +47,8 @@ pub struct SchedScratch {
     /// The operation currently placed per node (alternatives may differ
     /// from the graph's base op).
     pub(crate) node_ops: Vec<OpId>,
-    /// Whether each node has a live entry in `queue`.
-    pub(crate) queued: Vec<bool>,
-    /// Max-heap on `(height, Reverse(node id))`; cleared per attempt.
-    pub(crate) queue: BinaryHeap<(i64, core::cmp::Reverse<u32>)>,
+    /// The nodes waiting to be placed, in priority order.
+    pub(crate) ready: ReadyQueue,
     /// Eviction victims of the latest `assign_free_into`.
     pub(crate) evicted: Vec<OpInstance>,
     /// The reservation-table module reused across bitvector
@@ -106,5 +105,113 @@ impl SchedScratch {
         let mut v = self.pool_ratios.pop().unwrap_or_default();
         v.clear();
         v
+    }
+}
+
+/// The ready queue of one attempt. Heights are fixed within an attempt,
+/// so the nodes are ranked once, by height descending and then id
+/// ascending, and a bitset over ranks marks the queued ones. A pop
+/// takes the lowest set bit: the queued node of greatest height, the
+/// lowest id among equals. Keys are unique, so this is the order a
+/// max-heap on `(height, Reverse(id))` pops in, whatever the order of
+/// the pushes.
+#[derive(Debug, Default)]
+pub(crate) struct ReadyQueue {
+    /// `by_rank[i]` is the node of rank `i`.
+    by_rank: Vec<u32>,
+    /// `rank[v]` is node `v`'s rank.
+    rank: Vec<u32>,
+    /// Bit `i % 64` of word `i / 64` is set iff the node of rank `i`
+    /// is queued.
+    bits: Vec<u64>,
+    /// Every word below this index is zero.
+    low: usize,
+}
+
+impl ReadyQueue {
+    /// Ranks the nodes `0..height.len()` by `height` and queues them
+    /// all.
+    pub(crate) fn fill(&mut self, height: &[i64]) {
+        let n = height.len();
+        self.by_rank.clear();
+        self.by_rank.extend(0..n as u32);
+        self.by_rank
+            .sort_unstable_by_key(|&v| (Reverse(height[v as usize]), v));
+        self.rank.clear();
+        self.rank.resize(n, 0);
+        for (i, &v) in self.by_rank.iter().enumerate() {
+            self.rank[v as usize] = i as u32;
+        }
+        self.bits.clear();
+        self.bits.resize(n.div_ceil(64), u64::MAX);
+        if n % 64 != 0 {
+            self.bits[n / 64] = (1u64 << (n % 64)) - 1;
+        }
+        self.low = 0;
+    }
+
+    /// Queues node `v`; queuing a queued node changes nothing.
+    #[inline]
+    pub(crate) fn push(&mut self, v: u32) {
+        let r = self.rank[v as usize] as usize;
+        self.bits[r / 64] |= 1u64 << (r % 64);
+        self.low = self.low.min(r / 64);
+    }
+
+    /// Removes and returns the queued node of highest priority.
+    #[inline]
+    pub(crate) fn pop(&mut self) -> Option<u32> {
+        while let Some(&w) = self.bits.get(self.low) {
+            if w != 0 {
+                self.bits[self.low] = w & (w - 1);
+                return Some(self.by_rank[self.low * 64 + w.trailing_zeros() as usize]);
+            }
+            self.low += 1;
+        }
+        None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BinaryHeap;
+
+    /// Drives the rank queue and the max-heap it replaces through one
+    /// script of pops and pushes; with one entry per node they agree.
+    #[test]
+    fn ready_queue_pops_in_max_heap_order() {
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let mut q = ReadyQueue::default();
+        for n in [0usize, 1, 5, 63, 64, 65, 130] {
+            let height: Vec<i64> = (0..n).map(|_| (next() % 7) as i64 - 3).collect();
+            q.fill(&height);
+            let mut heap: BinaryHeap<(i64, Reverse<u32>)> = (0..n as u32)
+                .map(|v| (height[v as usize], Reverse(v)))
+                .collect();
+            let mut queued = vec![true; n];
+            for _ in 0..4 * n + 1 {
+                if next() % 3 == 0 && n > 0 {
+                    let v = (next() % n as u64) as u32;
+                    q.push(v);
+                    if !queued[v as usize] {
+                        queued[v as usize] = true;
+                        heap.push((height[v as usize], Reverse(v)));
+                    }
+                } else {
+                    let want = heap.pop().map(|(_, Reverse(v))| v);
+                    if let Some(v) = want {
+                        queued[v as usize] = false;
+                    }
+                    assert_eq!(q.pop(), want, "n = {n}");
+                }
+            }
+        }
     }
 }

@@ -971,6 +971,27 @@ mod tests {
     }
 
     #[test]
+    fn start_times_past_u32_are_unschedulable() {
+        // Four fadds chained by delay i32::MAX: the last would start
+        // past u32::MAX, so no start time in the reply could be right.
+        let mut e = engine();
+        let v = ok_reply(&mut e, r#"{"type":"machine","model":"cydra5-subset"}"#);
+        let fp = v.get("fingerprint").and_then(|f| f.as_str()).unwrap();
+        let d = i32::MAX;
+        let line = format!(
+            r#"{{"type":"schedule","fingerprint":"{fp}","nodes":["fadd","fadd","fadd","fadd"],"edges":[[0,1,{d},0],[1,2,{d},0],[2,3,{d},0]],"id":4}}"#
+        );
+        let (reply, _) = e.handle_line(&line, Instant::now());
+        let v: serde_json::Value = serde_json::from_str(&reply).unwrap();
+        assert_eq!(v.get("ok").and_then(|o| o.as_bool()), Some(false), "{reply}");
+        assert_eq!(
+            v.get("error").and_then(|e| e.get("kind")).and_then(|k| k.as_str()),
+            Some("unschedulable"),
+            "{reply}"
+        );
+    }
+
+    #[test]
     fn unknown_fingerprint_is_typed() {
         let mut e = engine();
         let (reply, _) = e.handle_line(
