@@ -102,7 +102,6 @@ impl Automaton {
         max_states: usize,
         keep: Option<&[bool]>,
     ) -> Result<Self, BuildError> {
-        let shape = StateShape::for_machine(machine);
         let tables: Vec<_> = match direction {
             Direction::Forward => machine
                 .operations()
@@ -115,8 +114,8 @@ impl Automaton {
                 .map(|o| o.table().reversed())
                 .collect(),
         };
-        let masks: Vec<Vec<u64>> = tables.iter().map(|t| shape.table_mask(t, keep)).collect();
-        let num_ops = masks.len();
+        let (shape, masks) = StateShape::with_masks(machine.num_resources(), &tables, keep);
+        let num_ops = tables.len();
 
         let mut states = StateArena::new(shape.blocks);
         let mut issue_t: Vec<u32> = Vec::new();
@@ -132,7 +131,8 @@ impl Automaton {
             }
             state.copy_from_slice(states.get(next));
             // Issue transitions.
-            for mask in masks.iter() {
+            for op in 0..num_ops {
+                let mask = &masks[op * shape.blocks..][..shape.blocks];
                 if state::conflicts(&state, mask) {
                     issue_t.push(NONE);
                 } else {

@@ -10,13 +10,15 @@
 //! purpose (the Cydra 5 commitment space exceeds 5 million states even
 //! after reduction). A [`StateArena`] interns the reached states.
 //!
-//! A state is a commitment matrix packed cycle-major: bit
-//! `cycle * num_resources + r` set iff resource `r` is committed that
-//! many cycles from now. Issuing an operation ORs in its
-//! reservation-table mask (legal only when disjoint); one cycle of time
-//! shifts every commitment toward the present, which in this layout is
-//! a right shift of the words by `num_resources` bits. The start state
-//! (an empty pipeline) is all zero words.
+//! A state is a commitment matrix packed over its live cells,
+//! resource-major: resource `r` owns one bit per cycle up to the last
+//! cycle any of the machine's tables reserves it, and a bit is set iff
+//! `r` is committed that many cycles from now. Issuing an operation ORs
+//! in its reservation-table mask (legal only when disjoint); one cycle
+//! of time shifts every commitment toward the present, which in this
+//! layout is a one-bit right shift of the words that clears the last
+//! bit of each resource's run. The start state (an empty pipeline) is
+//! all zero words.
 //!
 //! [`Automaton`]: crate::Automaton
 //! [`StateArena`]: crate::StateArena
@@ -28,26 +30,34 @@ use rmd_machine::{MachineDescription, OpId};
 /// enumerated lazily (no transition table is built).
 pub struct StateSpace {
     shape: StateShape,
-    masks: Vec<Vec<u64>>,
+    /// Operation `op`'s table mask is words `op * w..(op + 1) * w`, for
+    /// `w` words per state.
+    masks: Vec<u64>,
+    num_ops: usize,
 }
 
 impl StateSpace {
     /// Build the state space of `machine`. Cost is one mask per
     /// operation; no reachability is performed.
     pub fn new(machine: &MachineDescription) -> Self {
-        let shape = StateShape::for_machine(machine);
-        let masks = machine
-            .operations()
-            .iter()
-            .map(|op| shape.table_mask(op.table(), None))
-            .collect();
-        StateSpace { shape, masks }
+        let tables = machine.operations().iter().map(|op| op.table());
+        let (shape, masks) = StateShape::with_masks(machine.num_resources(), tables, None);
+        StateSpace {
+            shape,
+            masks,
+            num_ops: machine.num_operations(),
+        }
+    }
+
+    fn mask(&self, op: OpId) -> &[u64] {
+        let w = self.shape.blocks;
+        &self.masks[op.index() * w..][..w]
     }
 
     /// Number of operations (valid `OpId` indexes for
     /// [`can_issue`](StateSpace::can_issue)).
     pub fn num_ops(&self) -> usize {
-        self.masks.len()
+        self.num_ops
     }
 
     /// Number of `u64` words in each state's packed representation; the
@@ -59,13 +69,13 @@ impl StateSpace {
     /// Whether `op` can issue in `state` (its reservation table is
     /// disjoint from the current commitments).
     pub fn can_issue(&self, state: &[u64], op: OpId) -> bool {
-        !state::conflicts(state, &self.masks[op.index()])
+        !state::conflicts(state, self.mask(op))
     }
 
     /// Writes the state after issuing `op` in `state` into `out`. Only
     /// a transition when [`can_issue`](StateSpace::can_issue) holds.
     pub fn issue(&self, state: &[u64], op: OpId, out: &mut [u64]) {
-        state::union(state, &self.masks[op.index()], out);
+        state::union(state, self.mask(op), out);
     }
 
     /// Writes the state one cycle later into `out` (commitments at
@@ -111,6 +121,17 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), auto.num_states());
+    }
+
+    /// States carry only the cells some table can reserve: 315 of
+    /// alpha21064's 54 × 62 resource-cycle cells (5 words, not 53), 42
+    /// of vliw_dsp's 11 × 13 (1 word, not 3).
+    #[test]
+    fn states_pack_live_cells_only() {
+        let vliw = include_str!("../../../machines/vliw_dsp.mdl");
+        let (vliw, _) = rmd_machine::mdl::parse_machine(vliw).expect("shipped machine parses");
+        assert_eq!(StateSpace::new(&models::alpha21064()).state_words(), 5);
+        assert_eq!(StateSpace::new(&vliw).state_words(), 1);
     }
 
     #[test]

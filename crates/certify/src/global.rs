@@ -13,7 +13,9 @@
 //!
 //! A product state is the left machine's packed commitment words
 //! followed by the right machine's, interned in one [`StateArena`], so a
-//! transition allocates nothing.
+//! transition allocates nothing. Each side packs only the resource-cycle
+//! cells its tables can reserve ([`StateSpace`]): an alpha21064 state
+//! takes 5 words where the full resource × cycle matrix would take 53.
 
 use crate::cex::{CexKind, Counterexample};
 use crate::CertifyFailure;

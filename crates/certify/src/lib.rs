@@ -248,6 +248,7 @@ pub fn certify_pair(
     let mut pairs = 0u64;
     let mut total_states = 0u64;
     let mut max_states = 0u64;
+    let mut scratch = product::PairScratch::new();
     for x in 0..n {
         for y in x..n {
             let states = product::certify_pair_linear(
@@ -257,6 +258,7 @@ pub fn certify_pair(
                 y,
                 options.issue_cap.max(1),
                 options.pair_state_cap,
+                &mut scratch,
             )?;
             pairs += 1;
             total_states += states;

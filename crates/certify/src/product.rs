@@ -17,12 +17,17 @@
 //! bisimulation*: both machines must admit exactly the same candidates
 //! right now. Any disagreement is materialized as a counterexample trace
 //! by walking BFS parent pointers back to the empty-pipeline state.
+//!
+//! A product state is stored as nine `u64` words — the four masks, low
+//! half first, then the placement count — interned in a
+//! [`StateArena`] that one [`PairScratch`] lends to every pair of a
+//! certification run, cleared in between.
 
 use crate::cex::{CexKind, Counterexample};
 use crate::conflict::ConflictVectors;
 use crate::{CertifyError, CertifyFailure};
+use rmd_automata::StateArena;
 use rmd_machine::OpId;
-use std::collections::HashMap;
 
 /// How a product state was reached from its parent.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -47,6 +52,40 @@ enum Step {
 /// than a minimal witness needs, as redundancy against that very lemma.
 type PairState = ([u128; 4], u8);
 
+/// Words of a packed [`PairState`].
+const PAIR_WORDS: usize = 9;
+
+fn pack((masks, issued): PairState) -> [u64; PAIR_WORDS] {
+    let mut words = [0; PAIR_WORDS];
+    for (i, mask) in masks.into_iter().enumerate() {
+        words[2 * i] = mask as u64;
+        words[2 * i + 1] = (mask >> 64) as u64;
+    }
+    words[8] = u64::from(issued);
+    words
+}
+
+fn unpack(words: &[u64]) -> PairState {
+    let mask = |i: usize| u128::from(words[2 * i]) | u128::from(words[2 * i + 1]) << 64;
+    ([mask(0), mask(1), mask(2), mask(3)], words[8] as u8)
+}
+
+/// The BFS storage of the linear pass, reused by every pair: the
+/// interned product states and how each was first reached.
+pub(crate) struct PairScratch {
+    states: StateArena,
+    parents: Vec<(u32, Step)>,
+}
+
+impl PairScratch {
+    pub fn new() -> Self {
+        PairScratch {
+            states: StateArena::new(PAIR_WORDS),
+            parents: Vec::new(),
+        }
+    }
+}
+
 /// Exhaustively explore the product of the two conflict-mask systems
 /// for candidates `x` and `y` (possibly equal), checking contention
 /// bisimulation at every reachable state (up to `issue_cap` placements
@@ -63,20 +102,19 @@ pub(crate) fn certify_pair_linear(
     y: usize,
     issue_cap: u8,
     max_states: u64,
+    scratch: &mut PairScratch,
 ) -> Result<u64, CertifyFailure> {
-    let start: PairState = ([0, 0, 0, 0], 0);
-    let mut ids: HashMap<PairState, u32> = HashMap::new();
-    let mut states: Vec<PairState> = Vec::new();
-    let mut parents: Vec<(u32, Step)> = Vec::new();
-    ids.insert(start, 0);
-    states.push(start);
+    let PairScratch { states, parents } = scratch;
+    states.clear();
+    parents.clear();
+    states.intern(&pack(([0, 0, 0, 0], 0)));
     parents.push((0, Step::Root));
 
     // Ids are handed out in discovery order and only fresh states are
     // expanded, so visiting ids in order is breadth-first.
     let mut id = 0u32;
     while (id as usize) < states.len() {
-        let (s, issued) = states[id as usize];
+        let (s, issued) = unpack(states.get(id));
         // Contention bisimulation: both machines must admit exactly
         // the same candidates in this state.
         for (slot, op) in [(0usize, x), (1usize, y)] {
@@ -87,15 +125,13 @@ pub(crate) fn certify_pair_linear(
             let right = s[2 + slot] & 1 == 0;
             if left != right {
                 return Err(CertifyFailure::Mismatch(Box::new(build_cex(
-                    &states, &parents, id, x, y, op, left, right,
+                    parents, id, x, y, op, left, right,
                 ))));
             }
         }
         // Expand: one cycle of time, then each both-sides-legal issue.
         let mut push = |next: PairState, step: Step| {
-            let n = ids.len() as u32;
-            if *ids.entry(next).or_insert(n) == n {
-                states.push(next);
+            if states.intern(&pack(next)).1 {
                 parents.push((id, step));
             }
         };
@@ -135,9 +171,7 @@ pub(crate) fn certify_pair_linear(
 
 /// Reconstruct the issue/advance path from the root to `id` and convert
 /// it into placements at absolute cycles plus the divergent probe.
-#[allow(clippy::too_many_arguments)]
 fn build_cex(
-    states: &[PairState],
     parents: &[(u32, Step)],
     id: u32,
     x: usize,
@@ -157,7 +191,6 @@ fn build_cex(
         cur = parent;
     }
     path.reverse();
-    debug_assert_eq!(states[0], ([0, 0, 0, 0], 0));
     let mut cycle = 0u32;
     let mut places = Vec::new();
     for step in path {
@@ -189,9 +222,10 @@ mod tests {
         let m = models::example_machine();
         let cv = ConflictVectors::compute(&m).expect("span fits");
         let n = cv.num_ops();
+        let mut scratch = PairScratch::new();
         for x in 0..n {
             for y in x..n {
-                let states = certify_pair_linear(&cv, &cv, x, y, 2, 1 << 20)
+                let states = certify_pair_linear(&cv, &cv, x, y, 2, 1 << 20, &mut scratch)
                     .expect("machine equals itself");
                 assert!(states >= 2, "at least the empty and one successor");
                 assert!(states < 4096, "pair ({x},{y}) blew up: {states}");
