@@ -43,12 +43,8 @@ pub fn factored_cache_bits_per_cycle(
 /// state counts (e.g. after minimization), each rounded up to 8 bits as
 /// in the paper's arithmetic.
 pub fn cache_bits_from_counts(forward: &[usize], reverse: &[usize]) -> u32 {
-    let per = |counts: &[usize]| -> u32 {
-        counts
-            .iter()
-            .map(|&c| state_bits(c).div_ceil(8) * 8)
-            .sum()
-    };
+    let per =
+        |counts: &[usize]| -> u32 { counts.iter().map(|&c| state_bits(c).div_ceil(8) * 8).sum() };
     per(forward) + per(reverse)
 }
 
@@ -80,7 +76,10 @@ mod tests {
         let f = Automaton::build(&m, Direction::Forward, 1 << 16).unwrap();
         let r = Automaton::build(&m, Direction::Reverse, 1 << 16).unwrap();
         let bits = unrestricted_cache_bits_per_cycle(&f, &r);
-        assert_eq!(bits, state_bits(f.num_states()) + state_bits(r.num_states()));
+        assert_eq!(
+            bits,
+            state_bits(f.num_states()) + state_bits(r.num_states())
+        );
         assert!(bits > 0);
     }
 

@@ -220,7 +220,10 @@ mod tests {
         let m = alpha21064();
         let mono = Automaton::build(&m, Direction::Forward, 100_000);
         assert!(
-            matches!(mono, Err(crate::automaton::BuildError::TooManyStates { .. })),
+            matches!(
+                mono,
+                Err(crate::automaton::BuildError::TooManyStates { .. })
+            ),
             "expected blow-up, got {:?} states",
             mono.map(|a| a.num_states())
         );

@@ -52,9 +52,9 @@ mod state;
 pub mod unrestricted;
 
 pub use automaton::{Automaton, BuildError, Direction, StateId};
-pub use module::AutomataModule;
 pub use cursor::Cursor;
 pub use factored::{partition_resources, FactoredAutomata};
 pub use minimize::{build_minimized, minimize, Minimized};
+pub use module::AutomataModule;
 pub use space::StateSpace;
 pub use state::StateArena;

@@ -88,7 +88,10 @@ pub fn minimize(a: &Automaton) -> Minimized {
     }
     while let Some(b) = queue.pop_front() {
         let s = StateId(rep[b as usize]);
-        let visit = |tb: u32, renumber: &mut Vec<u32>, order: &mut Vec<u32>, queue: &mut std::collections::VecDeque<u32>| {
+        let visit = |tb: u32,
+                     renumber: &mut Vec<u32>,
+                     order: &mut Vec<u32>,
+                     queue: &mut std::collections::VecDeque<u32>| {
             if renumber[tb as usize] == u32::MAX {
                 renumber[tb as usize] = order.len() as u32;
                 order.push(tb);
@@ -100,7 +103,12 @@ pub fn minimize(a: &Automaton) -> Minimized {
                 visit(block[t.index()], &mut renumber, &mut order, &mut queue);
             }
         }
-        visit(block[a.advance(s).index()], &mut renumber, &mut order, &mut queue);
+        visit(
+            block[a.advance(s).index()],
+            &mut renumber,
+            &mut order,
+            &mut queue,
+        );
     }
 
     let reachable = order.len();
@@ -122,7 +130,10 @@ pub fn minimize(a: &Automaton) -> Minimized {
         .iter()
         .map(|&b| StateId(renumber[b as usize]))
         .collect();
-    Minimized { automaton, state_map }
+    Minimized {
+        automaton,
+        state_map,
+    }
 }
 
 fn num_blocks(block: &[u32]) -> u32 {
@@ -190,7 +201,12 @@ mod tests {
         let mut b = MachineBuilder::new("dup");
         let r0 = b.resource("r0");
         let r1 = b.resource("r1"); // shadow of r0
-        b.operation("x").usage(r0, 0).usage(r1, 0).usage(r0, 2).usage(r1, 2).finish();
+        b.operation("x")
+            .usage(r0, 0)
+            .usage(r1, 0)
+            .usage(r0, 2)
+            .usage(r1, 2)
+            .finish();
         let dup = b.build().unwrap();
         let mut b = MachineBuilder::new("single");
         let r0 = b.resource("r0");
@@ -198,8 +214,7 @@ mod tests {
         let single = b.build().unwrap();
 
         let a_dup = minimize(&Automaton::build(&dup, Direction::Forward, 1 << 16).unwrap());
-        let a_single =
-            minimize(&Automaton::build(&single, Direction::Forward, 1 << 16).unwrap());
+        let a_single = minimize(&Automaton::build(&single, Direction::Forward, 1 << 16).unwrap());
         assert_eq!(
             a_dup.automaton.num_states(),
             a_single.automaton.num_states(),

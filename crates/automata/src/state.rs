@@ -15,6 +15,10 @@
 //! Reachable states map one to one onto full `cycle × resource`
 //! matrices, so a BFS discovers them in the same order, under the same
 //! ids, as it would over the full matrices.
+//!
+//! A [`StateArena`] interns the states of one search. `clear()` and
+//! `reset(width)` empty it for the next search, at the same or another
+//! state width, and keep its storage.
 
 use rmd_machine::ReservationTable;
 use std::collections::hash_map::RandomState;
@@ -203,6 +207,30 @@ impl StateArena {
         self.len = 0;
         self.words.clear();
         self.index.fill(EMPTY);
+    }
+
+    /// [`clear`](Self::clear)s the arena and makes it hold states
+    /// `width` words wide, keeping its storage: the index keeps its
+    /// size and the state words their capacity, so a search that
+    /// follows a larger one neither regrows the index nor touches fresh
+    /// pages.
+    ///
+    /// ```
+    /// use rmd_automata::StateArena;
+    ///
+    /// let mut arena = StateArena::new(3);
+    /// for i in 0..100 {
+    ///     arena.intern(&[i, 0, 0]);
+    /// }
+    /// arena.reset(2);
+    /// assert!(arena.is_empty());
+    /// assert_eq!(arena.width(), 2);
+    /// assert_eq!(arena.intern(&[7, 0]), (0, true));
+    /// assert_eq!(arena.intern(&[7, 0]), (0, false));
+    /// ```
+    pub fn reset(&mut self, width: usize) {
+        self.width = width;
+        self.clear();
     }
 
     /// The state with id `id`.
@@ -477,6 +505,23 @@ mod tests {
         assert_eq!(arena.intern(&[99, 0]), (0, false));
         assert_eq!(arena.get(1), &[5, 0]);
         assert_eq!(arena.len(), 2);
+    }
+
+    #[test]
+    fn reset_changes_width_and_keeps_storage() {
+        let mut arena = StateArena::new(3);
+        for i in 0..1000 {
+            arena.intern(&[i, 0, 1]);
+        }
+        let storage = (arena.words.capacity(), arena.index.len());
+        arena.reset(1);
+        assert_eq!((arena.width(), arena.len()), (1, 0));
+        assert_eq!((arena.words.capacity(), arena.index.len()), storage);
+        for i in 0..1000 {
+            assert_eq!(arena.intern(&[i]), (i as u32, true));
+        }
+        assert_eq!(arena.intern(&[999]), (999, false));
+        assert_eq!((arena.words.capacity(), arena.index.len()), storage);
     }
 
     /// Single-bit states and runs of set bits at every offset, 1 to 9

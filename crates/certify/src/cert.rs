@@ -226,7 +226,10 @@ mod tests {
         let json = sample().render_json();
         assert!(Certificate::vouches_for(&json, "rmd-0123456789abcdef"));
         assert!(!Certificate::vouches_for(&json, "rmd-ffffffffffffffff"));
-        assert!(!Certificate::vouches_for("not json", "rmd-0123456789abcdef"));
+        assert!(!Certificate::vouches_for(
+            "not json",
+            "rmd-0123456789abcdef"
+        ));
         let wrong_schema = json.replace("rmd-cert/1", "rmd-cert/9");
         assert!(!Certificate::vouches_for(
             &wrong_schema,

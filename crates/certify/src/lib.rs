@@ -137,10 +137,9 @@ impl fmt::Display for CertifyError {
                 "pair (op{}, op{}) exceeded the product-state budget of {budget}",
                 pair.0, pair.1
             ),
-            CertifyError::OpCountMismatch { left, right } => write!(
-                f,
-                "operation sets differ: {left} operations vs {right}"
-            ),
+            CertifyError::OpCountMismatch { left, right } => {
+                write!(f, "operation sets differ: {left} operations vs {right}")
+            }
             CertifyError::Reduce(e) => write!(f, "reduction failed: {e}"),
             CertifyError::Schedule { report } => {
                 write!(f, "schedule re-validation found findings:\n{report}")
@@ -221,6 +220,23 @@ pub struct EquivalenceStats {
     pub schedules_checked: u64,
 }
 
+/// The BFS storage of the passes that intern states, lent to every pair
+/// a [`certify_machine`] call proves so the second objective reuses
+/// what the first one grew.
+struct Scratch {
+    pairs: product::PairScratch,
+    global: global::GlobalScratch,
+}
+
+impl Scratch {
+    fn new() -> Self {
+        Scratch {
+            pairs: product::PairScratch::new(),
+            global: global::GlobalScratch::new(),
+        }
+    }
+}
+
 /// Statically prove that `left` (the original description) and `right`
 /// (the reduced or otherwise suspect description) are query-equivalent.
 ///
@@ -233,6 +249,16 @@ pub fn certify_pair(
     left: &MachineDescription,
     right: &MachineDescription,
     options: &CertifyOptions,
+) -> Result<EquivalenceStats, CertifyFailure> {
+    prove_pair(left, right, options, &mut Scratch::new())
+}
+
+/// [`certify_pair`] on borrowed BFS storage.
+fn prove_pair(
+    left: &MachineDescription,
+    right: &MachineDescription,
+    options: &CertifyOptions,
+    scratch: &mut Scratch,
 ) -> Result<EquivalenceStats, CertifyFailure> {
     if left.num_operations() != right.num_operations() {
         return Err(CertifyFailure::Error(CertifyError::OpCountMismatch {
@@ -248,7 +274,6 @@ pub fn certify_pair(
     let mut pairs = 0u64;
     let mut total_states = 0u64;
     let mut max_states = 0u64;
-    let mut scratch = product::PairScratch::new();
     for x in 0..n {
         for y in x..n {
             let states = product::certify_pair_linear(
@@ -258,7 +283,7 @@ pub fn certify_pair(
                 y,
                 options.issue_cap.max(1),
                 options.pair_state_cap,
-                &mut scratch,
+                &mut scratch.pairs,
             )?;
             pairs += 1;
             total_states += states;
@@ -276,7 +301,7 @@ pub fn certify_pair(
     let schedules_checked = schedule_check::check_schedules(left, right)?;
 
     // Pass 4: global commitment-product belt, under budget.
-    let global = global::certify_global(left, right, options.global_budget)?;
+    let global = global::certify_global(left, right, options.global_budget, &mut scratch.global)?;
 
     Ok(EquivalenceStats {
         pairs,
@@ -311,11 +336,12 @@ pub fn certify_machine(
     options: &CertifyOptions,
 ) -> Result<Certificate, CertifyFailure> {
     let matrix = ForbiddenMatrix::compute(machine);
+    let mut scratch = Scratch::new();
     let mut objectives = Vec::new();
     for (label, objective) in certificate_objectives(machine) {
         let red = rmd_core::try_reduce(machine, objective, &ReduceOptions::default())
             .map_err(|e| CertifyFailure::Error(CertifyError::Reduce(e.to_string())))?;
-        let stats = certify_pair(machine, &red.reduced, options)?;
+        let stats = prove_pair(machine, &red.reduced, options, &mut scratch)?;
         objectives.push(ObjectiveCert {
             objective: label,
             reduced_fingerprint: content_fingerprint(&red.reduced),
