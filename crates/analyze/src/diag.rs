@@ -265,7 +265,8 @@ mod tests {
     fn text_render_is_clean_or_itemized() {
         let mut r = Report::new("m");
         assert_eq!(r.render_text(), "m: clean\n");
-        r.diagnostics.push(diag("RMD-L006", Severity::Error, "empty table"));
+        r.diagnostics
+            .push(diag("RMD-L006", Severity::Error, "empty table"));
         let t = r.render_text();
         assert!(t.contains("1 error(s)"), "{t}");
         assert!(t.contains("error[RMD-L006] empty table"), "{t}");
@@ -287,7 +288,8 @@ mod tests {
     fn sarif_maps_severities_and_spans() {
         use rmd_machine::mdl::Span;
         let mut r = Report::new("machines/example.mdl");
-        r.diagnostics.push(diag("RMD-L006", Severity::Error, "empty"));
+        r.diagnostics
+            .push(diag("RMD-L006", Severity::Error, "empty"));
         r.diagnostics.push(Diagnostic {
             id: "RMD-L009",
             severity: Severity::Info,
@@ -301,9 +303,18 @@ mod tests {
         });
         let s = r.render_sarif();
         assert!(s.contains("\"version\":\"2.1.0\""), "{s}");
-        assert!(s.contains("\"ruleId\":\"RMD-L006\",\"level\":\"error\""), "{s}");
-        assert!(s.contains("\"ruleId\":\"RMD-L009\",\"level\":\"note\""), "{s}");
-        assert!(s.contains("\"region\":{\"startLine\":3,\"startColumn\":7}"), "{s}");
+        assert!(
+            s.contains("\"ruleId\":\"RMD-L006\",\"level\":\"error\""),
+            "{s}"
+        );
+        assert!(
+            s.contains("\"ruleId\":\"RMD-L009\",\"level\":\"note\""),
+            "{s}"
+        );
+        assert!(
+            s.contains("\"region\":{\"startLine\":3,\"startColumn\":7}"),
+            "{s}"
+        );
         assert!(s.contains("\"uri\":\"machines/example.mdl\""), "{s}");
         assert_eq!(s.matches('{').count(), s.matches('}').count());
     }

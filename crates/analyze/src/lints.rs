@@ -374,10 +374,7 @@ impl Lint for DominatedAlternative {
                     out.push(diag(
                         self,
                         g.span,
-                        format!(
-                            "alternative {j} of `{}` duplicates alternative {k}",
-                            g.name
-                        ),
+                        format!("alternative {j} of `{}` duplicates alternative {k}", g.name),
                     ));
                 } else if let Some(k) =
                     (0..alts.len()).find(|&k| k != j && table_strict_subset(&alts[k], &alts[j]))

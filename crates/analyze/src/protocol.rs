@@ -54,9 +54,21 @@ mod tests {
         let m = example_machine();
         let a = m.op_by_name("A").unwrap();
         let mut t = QueryTrace::new(m.name());
-        t.push(QueryEvent::Assign { inst: OpInstance(0), op: a, cycle: 0 });
-        t.push(QueryEvent::Assign { inst: OpInstance(0), op: a, cycle: 9 });
-        t.push(QueryEvent::Free { inst: OpInstance(7), op: a, cycle: 0 });
+        t.push(QueryEvent::Assign {
+            inst: OpInstance(0),
+            op: a,
+            cycle: 0,
+        });
+        t.push(QueryEvent::Assign {
+            inst: OpInstance(0),
+            op: a,
+            cycle: 9,
+        });
+        t.push(QueryEvent::Free {
+            inst: OpInstance(7),
+            op: a,
+            cycle: 0,
+        });
         let r = check_trace(&t, &m);
         let ids: Vec<&str> = r.diagnostics.iter().map(|d| d.id).collect();
         assert_eq!(ids, vec!["RMD-P001", "RMD-P003"], "{r:?}");
@@ -70,8 +82,16 @@ mod tests {
         let a = m.op_by_name("A").unwrap();
         let mut t = QueryTrace::new(m.name());
         t.push(QueryEvent::Check { op: a, cycle: 0 });
-        t.push(QueryEvent::Assign { inst: OpInstance(0), op: a, cycle: 0 });
-        t.push(QueryEvent::Free { inst: OpInstance(0), op: a, cycle: 0 });
+        t.push(QueryEvent::Assign {
+            inst: OpInstance(0),
+            op: a,
+            cycle: 0,
+        });
+        t.push(QueryEvent::Free {
+            inst: OpInstance(0),
+            op: a,
+            cycle: 0,
+        });
         let r = check_trace(&t, &m);
         assert!(r.diagnostics.is_empty(), "{r:?}");
         assert!(r.render_text().contains("clean"));
@@ -84,8 +104,16 @@ mod tests {
         let m = example_machine();
         let a = m.op_by_name("A").unwrap();
         let mut t = QueryTrace::new(m.name());
-        t.push(QueryEvent::Assign { inst: OpInstance(0), op: a, cycle: 0 });
-        t.push(QueryEvent::Assign { inst: OpInstance(0), op: a, cycle: 9 });
+        t.push(QueryEvent::Assign {
+            inst: OpInstance(0),
+            op: a,
+            cycle: 0,
+        });
+        t.push(QueryEvent::Assign {
+            inst: OpInstance(0),
+            op: a,
+            cycle: 9,
+        });
         rmd_obs::set_enabled(true);
         let _ = rmd_obs::drain_events();
         let r = check_trace(&t, &m);
@@ -106,7 +134,11 @@ mod tests {
         // B uses one resource in several cycles; at ii=2 they collide
         // mod ii, so placing B at all skips the fits() precondition.
         let mut t = QueryTrace::modulo(m.name(), 2);
-        t.push(QueryEvent::Assign { inst: OpInstance(0), op: b, cycle: 0 });
+        t.push(QueryEvent::Assign {
+            inst: OpInstance(0),
+            op: b,
+            cycle: 0,
+        });
         let r = check_trace(&t, &m);
         assert_eq!(r.diagnostics.len(), 1, "{r:?}");
         assert_eq!(r.diagnostics[0].id, "RMD-P005");

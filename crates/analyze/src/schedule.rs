@@ -183,7 +183,11 @@ mod tests {
             .filter(|d| d.id == SCHED_RESOURCE)
             .count();
         assert_eq!(deps, 2, "{}", report.render_text());
-        assert!(res >= 2, "all collisions reported: {}", report.render_text());
+        assert!(
+            res >= 2,
+            "all collisions reported: {}",
+            report.render_text()
+        );
         assert_eq!(report.worst(), Some(Severity::Error));
     }
 
@@ -213,7 +217,10 @@ mod tests {
             report.render_text()
         );
         assert!(
-            report.diagnostics.iter().any(|d| d.id == SCHED_REDUCED_ONLY),
+            report
+                .diagnostics
+                .iter()
+                .any(|d| d.id == SCHED_REDUCED_ONLY),
             "{}",
             report.render_text()
         );

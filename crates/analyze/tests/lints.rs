@@ -11,25 +11,17 @@ fn fixture_dir() -> PathBuf {
 }
 
 fn lint_file(path: &Path) -> Report {
-    let src = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    let (d, map) = mdl::parse_with_source_map(&src)
-        .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let src = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let (d, map) =
+        mdl::parse_with_source_map(&src).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     lint_alt(&d, Some(&map))
 }
 
 #[test]
 fn every_fixture_is_flagged_by_its_lint() {
     for id in [
-        "RMD-L001",
-        "RMD-L002",
-        "RMD-L003",
-        "RMD-L004",
-        "RMD-L005",
-        "RMD-L006",
-        "RMD-L007",
-        "RMD-L008",
-        "RMD-L009",
+        "RMD-L001", "RMD-L002", "RMD-L003", "RMD-L004", "RMD-L005", "RMD-L006", "RMD-L007",
+        "RMD-L008", "RMD-L009",
     ] {
         let file = format!(
             "l{:03}_{}.mdl",
@@ -66,20 +58,16 @@ fn fixture_spans_point_into_the_source() {
         .expect("dead resource flagged");
     let span = d.span.expect("span recorded from the source map");
     assert!(span.line >= 1 && span.column >= 1);
-    assert!(report.render_text().contains(&format!("{}:{}", span.line, span.column)));
+    assert!(report
+        .render_text()
+        .contains(&format!("{}:{}", span.line, span.column)));
 }
 
 #[test]
 fn builtin_models_have_no_error_findings() {
     for m in models::all_machines() {
         let report = lint_machine(&m);
-        assert_eq!(
-            report.errors(),
-            0,
-            "{}: {}",
-            m.name(),
-            report.render_text()
-        );
+        assert_eq!(report.errors(), 0, "{}: {}", m.name(), report.render_text());
     }
 }
 
@@ -110,8 +98,20 @@ fn shipped_mdl_files_are_warning_free() {
         }
         seen += 1;
         let report = lint_file(&path);
-        assert_eq!(report.errors(), 0, "{}: {}", path.display(), report.render_text());
-        assert_eq!(report.warnings(), 0, "{}: {}", path.display(), report.render_text());
+        assert_eq!(
+            report.errors(),
+            0,
+            "{}: {}",
+            path.display(),
+            report.render_text()
+        );
+        assert_eq!(
+            report.warnings(),
+            0,
+            "{}: {}",
+            path.display(),
+            report.render_text()
+        );
     }
     assert!(seen >= 1, "machines/ must ship at least one .mdl");
 }
@@ -125,9 +125,21 @@ fn recorded_oracle_style_trace_checks_clean() {
     let b = m.op_by_name("B").unwrap();
     let mut t = QueryTrace::new(m.name());
     t.push(QueryEvent::Check { op: a, cycle: 0 });
-    t.push(QueryEvent::Assign { inst: OpInstance(0), op: a, cycle: 0 });
-    t.push(QueryEvent::AssignFree { inst: OpInstance(1), op: b, cycle: 1 });
-    t.push(QueryEvent::Free { inst: OpInstance(1), op: b, cycle: 1 });
+    t.push(QueryEvent::Assign {
+        inst: OpInstance(0),
+        op: a,
+        cycle: 0,
+    });
+    t.push(QueryEvent::AssignFree {
+        inst: OpInstance(1),
+        op: b,
+        cycle: 1,
+    });
+    t.push(QueryEvent::Free {
+        inst: OpInstance(1),
+        op: b,
+        cycle: 1,
+    });
     let report = check_trace(&t, &m);
     assert!(report.diagnostics.is_empty(), "{}", report.render_text());
 }
@@ -139,12 +151,29 @@ fn protocol_misuse_is_reported_with_p_ids() {
     let b = m.op_by_name("B").unwrap();
     let mut t = QueryTrace::new(m.name());
     // Double-assign of one instance, then a free naming the wrong op.
-    t.push(QueryEvent::Assign { inst: OpInstance(0), op: a, cycle: 0 });
-    t.push(QueryEvent::Assign { inst: OpInstance(0), op: a, cycle: 10 });
-    t.push(QueryEvent::Free { inst: OpInstance(0), op: b, cycle: 10 });
+    t.push(QueryEvent::Assign {
+        inst: OpInstance(0),
+        op: a,
+        cycle: 0,
+    });
+    t.push(QueryEvent::Assign {
+        inst: OpInstance(0),
+        op: a,
+        cycle: 10,
+    });
+    t.push(QueryEvent::Free {
+        inst: OpInstance(0),
+        op: b,
+        cycle: 10,
+    });
     let report = check_trace(&t, &m);
     let ids: Vec<&str> = report.diagnostics.iter().map(|d| d.id).collect();
-    assert_eq!(ids, vec!["RMD-P001", "RMD-P004"], "{}", report.render_text());
+    assert_eq!(
+        ids,
+        vec!["RMD-P001", "RMD-P004"],
+        "{}",
+        report.render_text()
+    );
     // JSON output round-trips the same findings.
     let json = report.render_json();
     assert!(json.contains("\"id\":\"RMD-P001\""), "{json}");

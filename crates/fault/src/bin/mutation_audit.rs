@@ -48,8 +48,9 @@ fn parse(args: &[String]) -> Result<Options, String> {
                     .map_err(|_| format!("--seed expects a number, got `{v}`"))?;
             }
             "--help" | "-h" => {
-                return Err("usage: mutation-audit [--model <name>|all] [--seeds N] [--seed S]"
-                    .to_owned())
+                return Err(
+                    "usage: mutation-audit [--model <name>|all] [--seeds N] [--seed S]".to_owned(),
+                )
             }
             other => return Err(format!("unknown option `{other}`")),
         }

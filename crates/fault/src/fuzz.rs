@@ -206,7 +206,13 @@ pub fn check_machine(
     // ---- 1. canonical rendering round-trips -------------------------
     let src = mdl::print(m);
     match mdl::parse_machine(&src) {
-        Err(e) => return fail("round-trip", format!("rendering does not parse: {e}"), flags),
+        Err(e) => {
+            return fail(
+                "round-trip",
+                format!("rendering does not parse: {e}"),
+                flags,
+            )
+        }
         Ok((parsed, _)) if parsed != *m => {
             return fail(
                 "round-trip",
@@ -290,8 +296,11 @@ pub fn check_machine(
     if caught.is_none() {
         let ii = span + 1;
         let (mtrace, mexpected) = record_modulo_trace(m, ii, span, trace_seed);
-        if let Some(d) = replay_diff(&mtrace, &mexpected, &mut ModuloDiscreteModule::new(&rut, ii))
-        {
+        if let Some(d) = replay_diff(
+            &mtrace,
+            &mexpected,
+            &mut ModuloDiscreteModule::new(&rut, ii),
+        ) {
             caught = Some(format!("modulo-discrete (ii {ii}): {d}"));
         }
         if caught.is_none() && packed {
@@ -375,8 +384,7 @@ pub fn fuzz(cfg: &FuzzConfig) -> FuzzReport {
                         CaseOutcome::Fail { stage, detail, .. } => (stage, detail),
                         CaseOutcome::Pass(_) => unreachable!("shrink preserves failure"),
                     };
-                let certify =
-                    certify_verdict(&shrunk, cfg.mutant, CertifyOptions::default());
+                let certify = certify_verdict(&shrunk, cfg.mutant, CertifyOptions::default());
                 report.failures.push(FailedCase {
                     case_seed,
                     trace_seed,
@@ -660,11 +668,18 @@ pub fn parse_corpus_entry(text: &str) -> Result<CorpusEntry, String> {
         let (key, value) = (key.trim(), value.trim());
         match key {
             "case-seed" => {
-                case_seed = Some(value.parse::<u64>().map_err(|e| format!("case-seed: {e}"))?)
+                case_seed = Some(
+                    value
+                        .parse::<u64>()
+                        .map_err(|e| format!("case-seed: {e}"))?,
+                )
             }
             "trace-seed" => {
-                trace_seed =
-                    Some(value.parse::<u64>().map_err(|e| format!("trace-seed: {e}"))?)
+                trace_seed = Some(
+                    value
+                        .parse::<u64>()
+                        .map_err(|e| format!("trace-seed: {e}"))?,
+                )
             }
             "mutant" => {
                 let (name, seed) = value
@@ -735,8 +750,7 @@ pub fn replay_corpus(entries: &[(String, String)]) -> Result<Vec<String>, String
     let mut summaries = Vec::with_capacity(entries.len());
     for (name, text) in entries {
         let entry = parse_corpus_entry(text).map_err(|e| format!("{name}: {e}"))?;
-        let summary =
-            replay_corpus_entry(&entry, 1 << 18).map_err(|e| format!("{name}: {e}"))?;
+        let summary = replay_corpus_entry(&entry, 1 << 18).map_err(|e| format!("{name}: {e}"))?;
         summaries.push(format!("{name}: {summary}"));
     }
     Ok(summaries)
@@ -769,12 +783,16 @@ mod tests {
         assert!(report.mutants_applied > 0, "{}", report.render());
         // Every non-neutral application must surface as a failure.
         let expected = report.mutants_applied - report.mutants_neutral;
-        assert_eq!(report.failures.len() as u32, expected, "{}", report.render());
+        assert_eq!(
+            report.failures.len() as u32,
+            expected,
+            "{}",
+            report.render()
+        );
         for f in &report.failures {
             assert_eq!(f.stage, "differential", "{}", f.detail);
             assert!(
-                f.certify.starts_with("static prover confirms")
-                    || f.certify.starts_with("n/a"),
+                f.certify.starts_with("static prover confirms") || f.certify.starts_with("n/a"),
                 "{}",
                 f.certify
             );
@@ -795,7 +813,10 @@ mod tests {
         assert_eq!(entry.trace_seed, f.trace_seed);
         assert_eq!(entry.mutant, f.mutant);
         assert!(entry.expect_caught);
-        assert_eq!(entry.machine, f.machine, "stored MDL reproduces the machine");
+        assert_eq!(
+            entry.machine, f.machine,
+            "stored MDL reproduces the machine"
+        );
         let summary = replay_corpus_entry(&entry, 1 << 18).expect("replay re-catches");
         assert!(summary.contains("still caught"));
     }

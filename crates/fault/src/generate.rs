@@ -192,8 +192,15 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> MachineDescription {
         if placements.len() == 1 {
             let (c, u) = placements[0];
             let op = b.operation(&name);
-            emit_alt(op, &clusters[c], u, crosses.then_some(xbus).flatten(), writeback, &mut rng)
-                .finish();
+            emit_alt(
+                op,
+                &clusters[c],
+                u,
+                crosses.then_some(xbus).flatten(),
+                writeback,
+                &mut rng,
+            )
+            .finish();
         } else {
             // Half the groups also reserve a shared per-operation
             // decode port at issue time: a usage common to *every*
@@ -207,13 +214,21 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> MachineDescription {
                 if let Some(dec) = shared {
                     op = op.usage(dec, 0);
                 }
-                emit_alt(op, &clusters[c], u, crosses.then_some(xbus).flatten(), writeback, &mut rng)
-                    .finish();
+                emit_alt(
+                    op,
+                    &clusters[c],
+                    u,
+                    crosses.then_some(xbus).flatten(),
+                    writeback,
+                    &mut rng,
+                )
+                .finish();
             }
         }
     }
 
-    b.build().expect("generated description is structurally valid")
+    b.build()
+        .expect("generated description is structurally valid")
 }
 
 /// Emits a machine whose every operation contends on one port: either
@@ -238,7 +253,8 @@ fn generate_degenerate(
             op.usage(port, 0).usage(port, again).finish();
         }
     }
-    b.build().expect("degenerate description is structurally valid")
+    b.build()
+        .expect("degenerate description is structurally valid")
 }
 
 /// Emits the reservation-table body of one alternative: issue at cycle
@@ -372,7 +388,10 @@ mod tests {
                 );
             }
         }
-        assert!(checked_groups > 0, "sweep never produced a shared-usage group");
+        assert!(
+            checked_groups > 0,
+            "sweep never produced a shared-usage group"
+        );
     }
 
     #[test]
@@ -385,4 +404,3 @@ mod tests {
         }
     }
 }
-

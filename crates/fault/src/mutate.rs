@@ -213,10 +213,7 @@ pub fn mutate(machine: &MachineDescription, op: MutationOp, seed: u64) -> Option
     })
 }
 
-fn drop_usage(
-    m: &MachineDescription,
-    rng: &mut SplitMix64,
-) -> Option<(String, MutantPayload)> {
+fn drop_usage(m: &MachineDescription, rng: &mut SplitMix64) -> Option<(String, MutantPayload)> {
     let mut parts = Parts::of(m);
     let candidates: Vec<usize> = (0..parts.ops.len())
         .filter(|&i| parts.ops[i].usages.len() >= 2)
@@ -234,10 +231,7 @@ fn drop_usage(
     Some((what, MutantPayload::Machine(parts.build("mut")?)))
 }
 
-fn shift_usage(
-    m: &MachineDescription,
-    rng: &mut SplitMix64,
-) -> Option<(String, MutantPayload)> {
+fn shift_usage(m: &MachineDescription, rng: &mut SplitMix64) -> Option<(String, MutantPayload)> {
     let mut parts = Parts::of(m);
     let oi = rng.index(parts.ops.len());
     let op = &mut parts.ops[oi];
@@ -306,13 +300,13 @@ fn drop_cover_latency(
         "dropped selected cover usage {}@{c} from `{}` ({objective:?})",
         parts.resources[r as usize], parts.ops[oi].name
     );
-    Some((what, MutantPayload::ReducedMachine(parts.build("cover-mut")?)))
+    Some((
+        what,
+        MutantPayload::ReducedMachine(parts.build("cover-mut")?),
+    ))
 }
 
-fn corrupt_word(
-    m: &MachineDescription,
-    rng: &mut SplitMix64,
-) -> Option<(String, MutantPayload)> {
+fn corrupt_word(m: &MachineDescription, rng: &mut SplitMix64) -> Option<(String, MutantPayload)> {
     // A packed word holds num_resources bits per cycle; the layout only
     // exists when a cycle's bits fit in one u64.
     if m.num_resources() > 64 {
@@ -342,10 +336,7 @@ fn corrupt_word(
     ))
 }
 
-fn truncate_table(
-    m: &MachineDescription,
-    rng: &mut SplitMix64,
-) -> Option<(String, MutantPayload)> {
+fn truncate_table(m: &MachineDescription, rng: &mut SplitMix64) -> Option<(String, MutantPayload)> {
     let mut parts = Parts::of(m);
     // Truncatable: dropping the final cycle leaves the table nonempty.
     let candidates: Vec<usize> = (0..parts.ops.len())
@@ -408,10 +399,7 @@ fn swap_alternative(
     Some((what, MutantPayload::Machine(parts.build("mut")?)))
 }
 
-fn perturb_class(
-    m: &MachineDescription,
-    rng: &mut SplitMix64,
-) -> Option<(String, MutantPayload)> {
+fn perturb_class(m: &MachineDescription, rng: &mut SplitMix64) -> Option<(String, MutantPayload)> {
     let mut parts = Parts::of(m);
     let oi = rng.index(parts.ops.len());
     let r = rng.index(parts.resources.len()) as u32;

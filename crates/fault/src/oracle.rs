@@ -183,7 +183,11 @@ fn record_into<Q: ContentionQuery>(
             q,
             trace,
             answers,
-            QueryEvent::Assign { inst: OpInstance(0), op: x, cycle: span },
+            QueryEvent::Assign {
+                inst: OpInstance(0),
+                op: x,
+                cycle: span,
+            },
         );
         for y in 0..num_ops {
             let y = OpId(y as u32);
@@ -195,7 +199,11 @@ fn record_into<Q: ContentionQuery>(
             q,
             trace,
             answers,
-            QueryEvent::Free { inst: OpInstance(0), op: x, cycle: span },
+            QueryEvent::Free {
+                inst: OpInstance(0),
+                op: x,
+                cycle: span,
+            },
         );
     }
 
@@ -223,7 +231,12 @@ fn record_into<Q: ContentionQuery>(
             2 => {
                 let inst = OpInstance(next_inst);
                 next_inst += 1;
-                let a = emit(q, trace, answers, QueryEvent::AssignFree { inst, op, cycle });
+                let a = emit(
+                    q,
+                    trace,
+                    answers,
+                    QueryEvent::AssignFree { inst, op, cycle },
+                );
                 if let Response::Evicted(evicted) = &a.response {
                     live.retain(|(i, _, _)| !evicted.contains(i));
                 }
@@ -277,8 +290,7 @@ fn differential_machines(
     }
     if packed {
         let lb = WordLayout::widest(64, b.num_resources());
-        if let Some(d) = replay_diff(&mtrace, &mexpected, &mut ModuloBitvecModule::new(b, ii, lb))
-        {
+        if let Some(d) = replay_diff(&mtrace, &mexpected, &mut ModuloBitvecModule::new(b, ii, lb)) {
             return Some(format!("modulo-bitvec (ii {ii}): {d}"));
         }
     }
@@ -289,11 +301,7 @@ fn differential_machines(
 /// [`BitvecModule`] against a clean [`DiscreteModule`] over the same
 /// machine — the two representations must answer identically, so a
 /// phantom reservation in the packed words is a divergent `check`.
-fn corrupt_word_divergence(
-    m: &MachineDescription,
-    cycle: u32,
-    resource: u32,
-) -> Option<String> {
+fn corrupt_word_divergence(m: &MachineDescription, cycle: u32, resource: u32) -> Option<String> {
     if m.num_resources() > 64 {
         return None;
     }
@@ -354,7 +362,11 @@ mod tests {
         let (mtrace, mexpected) = record_modulo_trace(&m, ii, span, 99);
         assert_eq!(mtrace.ii, Some(ii));
         assert_eq!(
-            replay_diff(&mtrace, &mexpected, &mut ModuloBitvecModule::new(&m, ii, layout)),
+            replay_diff(
+                &mtrace,
+                &mexpected,
+                &mut ModuloBitvecModule::new(&m, ii, layout)
+            ),
             None
         );
     }
