@@ -2,6 +2,7 @@
 
 use core::fmt;
 use rmd_machine::mdl::Span;
+use rmd_obs::export::push_json_string;
 
 /// How serious a finding is.
 ///
@@ -139,10 +140,13 @@ impl Report {
     /// them.
     pub fn render_json(&self) -> String {
         use fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(out, "{{\"subject\":\"{}\",", json_escape(&self.subject));
+        let mut out = String::from("{\"subject\":");
+        push_json_string(&mut out, &self.subject);
+        out.push(',');
         if let Some(fp) = &self.fingerprint {
-            let _ = write!(out, "\"fingerprint\":\"{}\",", json_escape(fp));
+            out.push_str("\"fingerprint\":");
+            push_json_string(&mut out, fp);
+            out.push(',');
         }
         let _ = write!(
             out,
@@ -155,13 +159,10 @@ impl Report {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "{{\"id\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\"",
-                json_escape(d.id),
-                d.severity,
-                json_escape(&d.message)
-            );
+            out.push_str("{\"id\":");
+            push_json_string(&mut out, d.id);
+            let _ = write!(out, ",\"severity\":\"{}\",\"message\":", d.severity);
+            push_json_string(&mut out, &d.message);
             if let Some(s) = d.span {
                 let _ = write!(out, ",\"line\":{},\"column\":{}", s.line, s.column);
             }
@@ -193,14 +194,13 @@ impl Report {
                 Severity::Warning => "warning",
                 Severity::Info => "note",
             };
-            let _ = write!(
-                out,
-                "{{\"ruleId\":\"{}\",\"level\":\"{level}\",\"message\":{{\"text\":\"{}\"}},\
-                 \"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":\"{}\"}}",
-                json_escape(d.id),
-                json_escape(&d.message),
-                json_escape(&self.subject)
-            );
+            out.push_str("{\"ruleId\":");
+            push_json_string(&mut out, d.id);
+            let _ = write!(out, ",\"level\":\"{level}\",\"message\":{{\"text\":");
+            push_json_string(&mut out, &d.message);
+            out.push_str("},\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\"uri\":");
+            push_json_string(&mut out, &self.subject);
+            out.push('}');
             if let Some(s) = d.span {
                 let _ = write!(
                     out,
@@ -213,26 +213,6 @@ impl Report {
         out.push_str("]}]}");
         out
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -325,11 +305,11 @@ mod tests {
         r.diagnostics.push(diag(
             "RMD-L001",
             Severity::Warning,
-            "line1\nline2\ttab \\ \u{1}",
+            "line1\nline2\ttab\r \\ \u{1}",
         ));
         let j = r.render_json();
         assert!(j.contains("\"subject\":\"a\\\"b\""), "{j}");
-        assert!(j.contains("line1\\nline2\\ttab \\\\ \\u0001"), "{j}");
+        assert!(j.contains("line1\\nline2\\ttab\\r \\\\ \\u0001"), "{j}");
         assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 }

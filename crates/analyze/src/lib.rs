@@ -1,26 +1,14 @@
-//! Static analysis for machine descriptions and query traces.
+//! Static analysis for machine descriptions: the `rmd lint` linter.
 //!
-//! Two analysis families, one diagnostic vocabulary:
-//!
-//! * **Description lints** (`RMD-L001` …) inspect a machine description
-//!   — parsed MDL with its pre-expansion alternative structure and
-//!   declaration spans, or an already-built
-//!   [`MachineDescription`](rmd_machine::MachineDescription) — for
-//!   declaration smells (dead, duplicate, dominated resources; dominated
-//!   alternatives; empty or over-long tables), violations of the
-//!   forbidden-matrix invariants the pipeline rests on (paper §3), and
-//!   redundancy headroom the reduction could reclaim (paper §5). See the
-//!   [`lints`] catalog.
-//! * **Protocol checks** (`RMD-P001` …) statically validate recorded
-//!   [`QueryTrace`](rmd_query::QueryTrace)s — the same format
-//!   `rmd-fault`'s differential replayer records — against the paper's
-//!   `check`/`assign`/`assign&free`/`free` query protocol (§7), without
-//!   running any query module. See [`check_trace`].
-//! * **Schedule certifiers** (`RMD-S001` …) re-validate an emitted
-//!   modulo schedule against the *unreduced* description by
-//!   re-simulating its resource usage directly from reservation tables,
-//!   so IMS output is never trusted on the reduced tables alone. See
-//!   [`certify_schedule`] and [`certify_schedule_pair`].
+//! The description lints (`RMD-L001` …) inspect a machine description
+//! — parsed MDL with its pre-expansion alternative structure and
+//! declaration spans, or an already-built
+//! [`MachineDescription`](rmd_machine::MachineDescription) — for
+//! declaration smells (dead, duplicate, dominated resources; dominated
+//! alternatives; empty or over-long tables), violations of the
+//! forbidden-matrix invariants the pipeline rests on (paper §3), and
+//! redundancy headroom the reduction could reclaim (paper §5). See the
+//! [`lints`] catalog.
 //!
 //! Findings are [`Diagnostic`]s with a stable catalog id, a
 //! [`Severity`], and (for MDL input) the declaration span to point an
@@ -53,13 +41,7 @@ mod diag;
 mod lint;
 pub mod lints;
 mod model;
-mod protocol;
-mod schedule;
 
 pub use diag::{Diagnostic, Report, Severity};
 pub use lint::{all_lints, lint_alt, lint_machine, lint_subject, Lint, INVALID_MACHINE};
 pub use model::{LintSubject, OpGroup};
-pub use protocol::{check_trace, violation_id};
-pub use schedule::{
-    certify_schedule, certify_schedule_pair, SCHED_DEPENDENCE, SCHED_REDUCED_ONLY, SCHED_RESOURCE,
-};

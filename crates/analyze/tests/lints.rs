@@ -1,9 +1,8 @@
 //! Integration tests: the fixture corpus (one seeded defect per lint
-//! id), cleanliness of the shipped machines, and trace protocol checks.
+//! id) and cleanliness of the shipped machines.
 
-use rmd_analyze::{check_trace, lint_alt, lint_machine, Report};
+use rmd_analyze::{lint_alt, lint_machine, Report};
 use rmd_machine::{mdl, models};
-use rmd_query::{OpInstance, QueryEvent, QueryTrace};
 use std::path::{Path, PathBuf};
 
 fn fixture_dir() -> PathBuf {
@@ -114,68 +113,4 @@ fn shipped_mdl_files_are_warning_free() {
         );
     }
     assert!(seen >= 1, "machines/ must ship at least one .mdl");
-}
-
-#[test]
-fn recorded_oracle_style_trace_checks_clean() {
-    // A protocol-correct trace (check-gated assigns, matching frees)
-    // over a built-in model yields a clean report.
-    let m = models::example_machine();
-    let a = m.op_by_name("A").unwrap();
-    let b = m.op_by_name("B").unwrap();
-    let mut t = QueryTrace::new(m.name());
-    t.push(QueryEvent::Check { op: a, cycle: 0 });
-    t.push(QueryEvent::Assign {
-        inst: OpInstance(0),
-        op: a,
-        cycle: 0,
-    });
-    t.push(QueryEvent::AssignFree {
-        inst: OpInstance(1),
-        op: b,
-        cycle: 1,
-    });
-    t.push(QueryEvent::Free {
-        inst: OpInstance(1),
-        op: b,
-        cycle: 1,
-    });
-    let report = check_trace(&t, &m);
-    assert!(report.diagnostics.is_empty(), "{}", report.render_text());
-}
-
-#[test]
-fn protocol_misuse_is_reported_with_p_ids() {
-    let m = models::example_machine();
-    let a = m.op_by_name("A").unwrap();
-    let b = m.op_by_name("B").unwrap();
-    let mut t = QueryTrace::new(m.name());
-    // Double-assign of one instance, then a free naming the wrong op.
-    t.push(QueryEvent::Assign {
-        inst: OpInstance(0),
-        op: a,
-        cycle: 0,
-    });
-    t.push(QueryEvent::Assign {
-        inst: OpInstance(0),
-        op: a,
-        cycle: 10,
-    });
-    t.push(QueryEvent::Free {
-        inst: OpInstance(0),
-        op: b,
-        cycle: 10,
-    });
-    let report = check_trace(&t, &m);
-    let ids: Vec<&str> = report.diagnostics.iter().map(|d| d.id).collect();
-    assert_eq!(
-        ids,
-        vec!["RMD-P001", "RMD-P004"],
-        "{}",
-        report.render_text()
-    );
-    // JSON output round-trips the same findings.
-    let json = report.render_json();
-    assert!(json.contains("\"id\":\"RMD-P001\""), "{json}");
-    assert!(json.contains("\"errors\":2"), "{json}");
 }

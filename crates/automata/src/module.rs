@@ -113,12 +113,6 @@ impl<'a> AutomataModule<'a> {
         self.horizon
     }
 
-    /// The pair scheduler's own overhead counters (automaton lookups,
-    /// cached-state writes) accumulated since the last rebuild.
-    pub fn pair_stats(&self) -> crate::unrestricted::PairStats {
-        self.sched.stats()
-    }
-
     /// Automaton transition lookups performed since the last call to
     /// `before`, charged to a work-unit counter.
     fn charge_lookups(&mut self, before: u64, unit: fn(&mut WorkCounters) -> &mut u64) {

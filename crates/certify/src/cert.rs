@@ -6,10 +6,11 @@
 //! the semantics both sides share, and per-objective proof statistics
 //! (reachable product-state counts, the II bound of the modulo pass,
 //! the status of the budget-gated global pass, and how many sample
-//! schedules the RMD-S re-validation checked). Rendering is fully
-//! deterministic — fixed key order, no timestamps — so golden
+//! schedules pass 3 re-validated with `rmd_sched::validate`). Rendering
+//! is fully deterministic — fixed key order, no timestamps — so golden
 //! `certs/*.json` files can be compared byte-for-byte in CI.
 
+use rmd_obs::export::push_json_string;
 use serde_json::Value;
 use std::fmt::Write as _;
 
@@ -42,7 +43,7 @@ pub struct ObjectiveCert {
     /// Product states the global pass explored.
     pub global_states: u64,
     /// Sample schedules re-validated against the original description
-    /// by the RMD-S certifier.
+    /// by `rmd_sched::validate`.
     pub schedules_checked: u64,
 }
 
@@ -73,23 +74,20 @@ impl Certificate {
         s.push_str("{\n");
         let _ = writeln!(s, "  \"schema\": \"{CERT_SCHEMA}\",");
         let _ = writeln!(s, "  \"status\": \"equivalent\",");
-        let _ = writeln!(s, "  \"machine\": \"{}\",", escape(&self.machine));
-        let _ = writeln!(s, "  \"fingerprint\": \"{}\",", escape(&self.fingerprint));
-        let _ = writeln!(
-            s,
-            "  \"matrix_fingerprint\": \"{}\",",
-            escape(&self.matrix_fingerprint)
-        );
+        push_string_field(&mut s, "  ", "machine", &self.machine);
+        push_string_field(&mut s, "  ", "fingerprint", &self.fingerprint);
+        push_string_field(&mut s, "  ", "matrix_fingerprint", &self.matrix_fingerprint);
         let _ = writeln!(s, "  \"operations\": {},", self.operations);
         let _ = writeln!(s, "  \"resources\": {},", self.resources);
         s.push_str("  \"objectives\": [\n");
         for (i, o) in self.objectives.iter().enumerate() {
             s.push_str("    {\n");
-            let _ = writeln!(s, "      \"objective\": \"{}\",", escape(&o.objective));
-            let _ = writeln!(
-                s,
-                "      \"reduced_fingerprint\": \"{}\",",
-                escape(&o.reduced_fingerprint)
+            push_string_field(&mut s, "      ", "objective", &o.objective);
+            push_string_field(
+                &mut s,
+                "      ",
+                "reduced_fingerprint",
+                &o.reduced_fingerprint,
             );
             let _ = writeln!(s, "      \"reduced_resources\": {},", o.reduced_resources);
             let _ = writeln!(s, "      \"reduced_usages\": {},", o.reduced_usages);
@@ -150,6 +148,13 @@ impl Certificate {
     }
 }
 
+/// Appends one `"key": "value",` line of a certificate.
+fn push_string_field(s: &mut String, indent: &str, key: &str, value: &str) {
+    let _ = write!(s, "{indent}\"{key}\": ");
+    push_json_string(s, value);
+    s.push_str(",\n");
+}
+
 fn parse_objective(v: &Value) -> Option<ObjectiveCert> {
     Some(ObjectiveCert {
         objective: v.get("objective")?.as_str()?.to_string(),
@@ -159,28 +164,12 @@ fn parse_objective(v: &Value) -> Option<ObjectiveCert> {
         pairs: v.get("pairs")?.as_u64()?,
         pair_product_states: v.get("pair_product_states")?.as_u64()?,
         max_pair_states: v.get("max_pair_states")?.as_u64()?,
-        modulo_max_ii: v.get("modulo_max_ii")?.as_u64()? as u32,
+        modulo_max_ii: u32::try_from(v.get("modulo_max_ii")?.as_u64()?).ok()?,
         modulo_comparisons: v.get("modulo_comparisons")?.as_u64()?,
         global_completed: v.get("global_completed")?.as_bool()?,
         global_states: v.get("global_states")?.as_u64()?,
         schedules_checked: v.get("schedules_checked")?.as_u64()?,
     })
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -219,6 +208,15 @@ mod tests {
         // Deterministic rendering: same value, same bytes.
         assert_eq!(json, sample().render_json());
         assert!(json.ends_with("}\n"));
+    }
+
+    #[test]
+    fn out_of_range_modulo_max_ii_is_rejected() {
+        let json = sample().render_json();
+        let wide = json.replace("\"modulo_max_ii\": 5,", "\"modulo_max_ii\": 4294967296,");
+        assert_ne!(wide, json);
+        assert_eq!(Certificate::parse(&wide), None);
+        assert!(!Certificate::vouches_for(&wide, "rmd-0123456789abcdef"));
     }
 
     #[test]

@@ -24,10 +24,9 @@
 //!    reached (place, advance, probe), and offsets beyond both spans are
 //!    trivially conflict-free, so success proves the machines admit the
 //!    same placements in *every* linear scheduling state. Paths are
-//!    bounded at [`CertifyOptions::issue_cap`] placements, which loses
-//!    nothing: a mask is an OR of per-placement conflict vectors, so any
-//!    divergent bit is already witnessed by the single placement that
-//!    contributes it.
+//!    bounded at [`ISSUE_CAP`] placements, which loses nothing: a mask
+//!    is an OR of per-placement conflict vectors, so any divergent bit
+//!    is already witnessed by the single placement that contributes it.
 //! 2. **Modulo pass** (cycle-normalized states): at every initiation
 //!    interval `II ≤ span`, fold the conflict vectors mod II (both
 //!    orders, covering negative offsets) and compare per-op feasibility
@@ -36,7 +35,7 @@
 //!    relation is a relabeling of the linear one — the bound is complete.
 //! 3. **Schedule pass**: schedule deterministic sample graphs with IMS on
 //!    the reduced description and re-validate each result against the
-//!    original via the RMD-S certifier lints in `rmd-analyze`.
+//!    original with [`rmd_sched::validate`].
 //! 4. **Global pass** (budget-gated belt): a product BFS over the raw
 //!    commitment spaces of both machines via `rmd-automata`'s
 //!    [`StateSpace`](rmd_automata::StateSpace), strictly redundant with
@@ -117,10 +116,16 @@ pub enum CertifyError {
         /// The reduction error, rendered.
         String,
     ),
-    /// The RMD-S schedule re-validation found findings.
+    /// A sample schedule built on the reduced description is invalid
+    /// on the original.
     Schedule {
-        /// The rendered RMD-S report.
-        report: String,
+        /// Index of the sample graph.
+        sample: usize,
+        /// The first violation against the original description.
+        error: rmd_sched::ScheduleError,
+        /// Whether the schedule is valid on the reduced description,
+        /// which pins the fault on the reduction, not the scheduler.
+        valid_on_reduced: bool,
     },
 }
 
@@ -141,8 +146,22 @@ impl fmt::Display for CertifyError {
                 write!(f, "operation sets differ: {left} operations vs {right}")
             }
             CertifyError::Reduce(e) => write!(f, "reduction failed: {e}"),
-            CertifyError::Schedule { report } => {
-                write!(f, "schedule re-validation found findings:\n{report}")
+            CertifyError::Schedule {
+                sample,
+                error,
+                valid_on_reduced,
+            } => {
+                write!(
+                    f,
+                    "sample schedule {sample} is invalid on the original: {error}"
+                )?;
+                if *valid_on_reduced {
+                    f.write_str(
+                        "; it is valid on the reduced description, so the reduction \
+                         does not preserve scheduling constraints",
+                    )?;
+                }
+                Ok(())
             }
         }
     }
@@ -185,12 +204,13 @@ pub struct CertifyOptions {
     pub global_budget: u64,
     /// Hard per-pair state cap for the linear pass (pathology guard).
     pub pair_state_cap: u64,
-    /// Placements explored per linear-pass path. One placement already
-    /// witnesses any mismatch (a candidate's mask is an OR of
-    /// per-placement vectors, so a divergent bit projects to a single
-    /// placement); the default of 2 adds one layer of redundancy.
-    pub issue_cap: u8,
 }
+
+/// Placements explored per linear-pass path. One placement already
+/// witnesses any mismatch (a candidate's mask is an OR of per-placement
+/// vectors, so a divergent bit projects to a single placement); the
+/// second adds one layer of redundancy.
+pub const ISSUE_CAP: u8 = 2;
 
 impl Default for CertifyOptions {
     fn default() -> Self {
@@ -198,7 +218,6 @@ impl Default for CertifyOptions {
             max_ii: None,
             global_budget: 1_500_000,
             pair_state_cap: 1 << 22,
-            issue_cap: 2,
         }
     }
 }
@@ -216,7 +235,7 @@ pub struct EquivalenceStats {
     pub modulo: ModuloStats,
     /// Global-pass statistics (may record a budget skip).
     pub global: GlobalStats,
-    /// Sample schedules re-validated by the RMD-S pass.
+    /// Sample schedules re-validated against the original by pass 3.
     pub schedules_checked: u64,
 }
 
@@ -281,7 +300,6 @@ fn prove_pair(
                 &b,
                 x,
                 y,
-                options.issue_cap.max(1),
                 options.pair_state_cap,
                 &mut scratch.pairs,
             )?;
@@ -297,7 +315,7 @@ fn prove_pair(
     let modulo = modulo::certify_modulo(&a, &b, max_ii)?;
 
     // Pass 3: IMS on the reduced description, re-validated on the
-    // original by the RMD-S certifier.
+    // original.
     let schedules_checked = schedule_check::check_schedules(left, right)?;
 
     // Pass 4: global commitment-product belt, under budget.

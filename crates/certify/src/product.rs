@@ -25,7 +25,7 @@
 
 use crate::cex::{CexKind, Counterexample};
 use crate::conflict::ConflictVectors;
-use crate::{CertifyError, CertifyFailure};
+use crate::{CertifyError, CertifyFailure, ISSUE_CAP};
 use rmd_automata::StateArena;
 use rmd_machine::OpId;
 
@@ -48,7 +48,7 @@ enum Step {
 /// disagree on some multi-placement state iff they disagree on some
 /// *single*-placement state (project the divergent OR bit to the one
 /// placement that contributes it — legal alone by monotonicity). The
-/// certifier explores up to `issue_cap ≥ 2` placements anyway, one more
+/// certifier explores up to [`ISSUE_CAP`] = 2 placements anyway, one more
 /// than a minimal witness needs, as redundancy against that very lemma.
 type PairState = ([u128; 4], u8);
 
@@ -88,7 +88,7 @@ impl PairScratch {
 
 /// Exhaustively explore the product of the two conflict-mask systems
 /// for candidates `x` and `y` (possibly equal), checking contention
-/// bisimulation at every reachable state (up to `issue_cap` placements
+/// bisimulation at every reachable state (up to [`ISSUE_CAP`] placements
 /// per path — complete; see [`PairState`]).
 ///
 /// Returns the number of reachable product states, or the first
@@ -100,7 +100,6 @@ pub(crate) fn certify_pair_linear(
     b: &ConflictVectors,
     x: usize,
     y: usize,
-    issue_cap: u8,
     max_states: u64,
     scratch: &mut PairScratch,
 ) -> Result<u64, CertifyFailure> {
@@ -147,7 +146,7 @@ pub(crate) fn certify_pair_linear(
             if slot == 1 && y == x {
                 break;
             }
-            if issued >= issue_cap || s[slot] & 1 != 0 {
+            if issued >= ISSUE_CAP || s[slot] & 1 != 0 {
                 continue; // bisimulation above guarantees both agree
             }
             let next = [
@@ -225,7 +224,7 @@ mod tests {
         let mut scratch = PairScratch::new();
         for x in 0..n {
             for y in x..n {
-                let states = certify_pair_linear(&cv, &cv, x, y, 2, 1 << 20, &mut scratch)
+                let states = certify_pair_linear(&cv, &cv, x, y, 1 << 20, &mut scratch)
                     .expect("machine equals itself");
                 assert!(states >= 2, "at least the empty and one successor");
                 assert!(states < 4096, "pair ({x},{y}) blew up: {states}");

@@ -1,18 +1,18 @@
-//! End-to-end schedule re-validation: the RMD-S pass of a certificate.
+//! End-to-end schedule re-validation: pass 3 of a certificate.
 //!
 //! The product passes prove the two descriptions answer every
 //! contention query identically; this pass closes the loop the way a
 //! compiler would hit it: schedule small, deterministic dependence
 //! graphs with IMS *on the reduced description*, then hand each result
-//! to [`rmd_analyze::certify_schedule_pair`], which re-simulates it
-//! against the **original** tables. The graphs are derived from the
+//! to [`rmd_sched::validate`], which re-simulates it against the
+//! **original** tables. The graphs are derived from the
 //! machine's own operations (an acyclic chain, a loop-carried
 //! recurrence, and a diamond), so every machine exercises its own
 //! pipelines without any external loop suite.
 
 use crate::{CertifyError, CertifyFailure};
 use rmd_machine::{MachineDescription, OpId};
-use rmd_sched::{DepGraph, DepKind, ImsConfig, IterativeModuloScheduler, Representation};
+use rmd_sched::{validate, DepGraph, DepKind, ImsConfig, IterativeModuloScheduler, Representation};
 
 /// Distinct sample operations spread across the op list: first, last,
 /// and two interior ops.
@@ -72,18 +72,20 @@ pub(crate) fn check_schedules(
 ) -> Result<u64, CertifyFailure> {
     let ims = IterativeModuloScheduler::new(ImsConfig::default());
     let mut checked = 0u64;
-    for (i, g) in sample_graphs(original).iter().enumerate() {
+    for (sample, g) in sample_graphs(original).iter().enumerate() {
         let result = match ims.schedule(g, reduced, Representation::Discrete) {
             Ok(r) => r,
             // An infeasible sample graph is not an equivalence question;
             // skip it rather than fail the certificate.
             Err(_) => continue,
         };
-        let subject = format!("{}#sample-{i}", original.name());
-        let report = rmd_analyze::certify_schedule_pair(g, original, reduced, &result, &subject);
-        if !report.diagnostics.is_empty() {
+        if let Err(error) = validate(g, original, &result) {
             return Err(CertifyFailure::Error(CertifyError::Schedule {
-                report: report.render_text(),
+                sample,
+                error,
+                // Valid on the reduced tables too: the reduction, not
+                // the scheduler, lost a constraint.
+                valid_on_reduced: validate(g, reduced, &result).is_ok(),
             }));
         }
         checked += 1;
@@ -96,6 +98,7 @@ mod tests {
     use super::*;
     use rmd_core::Objective;
     use rmd_machine::models;
+    use rmd_sched::ScheduleError;
 
     #[test]
     fn reduced_schedules_validate_against_the_original() {
@@ -103,6 +106,22 @@ mod tests {
             let red = rmd_core::reduce(&m, Objective::ResUses);
             let checked = check_schedules(&m, &red.reduced).expect("reduction is honest");
             assert!(checked >= 2, "machine {}: {checked}", m.name());
+        }
+    }
+
+    #[test]
+    fn reduced_only_validity_is_pinned_on_the_reduction() {
+        // A deliberately wrong "reduction" of fig1: one resource at
+        // cycle 0, so IMS overlaps ops the original keeps apart.
+        let m = models::example_machine();
+        let bogus = crate::tests::broken(&m);
+        match check_schedules(&m, &bogus) {
+            Err(CertifyFailure::Error(CertifyError::Schedule {
+                error: ScheduleError::ResourceConflict { .. },
+                valid_on_reduced: true,
+                ..
+            })) => {}
+            other => panic!("the original must reject the bogus schedule: {other:?}"),
         }
     }
 }

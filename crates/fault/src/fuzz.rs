@@ -28,16 +28,15 @@
 
 use crate::generate::{generate, GenConfig};
 use crate::mutate::{mutate, MutantPayload, MutationOp, ALL_OPERATORS};
-use crate::oracle::{record_linear_trace, record_modulo_trace, replay_diff, trace_oracle};
+use crate::oracle::{
+    record_linear_trace, record_modulo_trace, replay_backends, replay_diff, trace_oracle,
+};
 use crate::rng::mix_seed;
 use rmd_analyze::lint_machine;
 use rmd_automata::{AutomataModule, Automaton, Direction};
 use rmd_certify::{certify_machine, certify_pair, CertifyFailure, CertifyOptions};
 use rmd_core::{try_reduce, verify_equivalence, Objective, ReduceOptions};
 use rmd_machine::{mdl, MachineBuilder, MachineDescription, ResourceId};
-use rmd_query::{
-    BitvecModule, DiscreteModule, ModuloBitvecModule, ModuloDiscreteModule, WordLayout,
-};
 use std::fmt::Write as _;
 
 /// Seed-stream tags separating the generator and trace streams.
@@ -279,40 +278,12 @@ pub fn check_machine(
 
     // ---- 5. differential replay over every backend ------------------
     let span = m.max_table_length().max(rut.max_table_length()).max(1);
-    let packed = rut.num_resources() <= 64;
-    flags.packed_skipped = !packed;
-    let layout = WordLayout::widest(64, rut.num_resources().clamp(1, 64));
-
+    flags.packed_skipped = rut.num_resources() > 64;
     let (trace, expected) = record_linear_trace(m, span, trace_seed);
-    let mut caught: Option<String> = None;
-    if let Some(d) = replay_diff(&trace, &expected, &mut DiscreteModule::new(&rut)) {
-        caught = Some(format!("discrete: {d}"));
-    }
-    if caught.is_none() && packed {
-        if let Some(d) = replay_diff(&trace, &expected, &mut BitvecModule::new(&rut, layout)) {
-            caught = Some(format!("bitvec: {d}"));
-        }
-    }
-    if caught.is_none() {
-        let ii = span + 1;
-        let (mtrace, mexpected) = record_modulo_trace(m, ii, span, trace_seed);
-        if let Some(d) = replay_diff(
-            &mtrace,
-            &mexpected,
-            &mut ModuloDiscreteModule::new(&rut, ii),
-        ) {
-            caught = Some(format!("modulo-discrete (ii {ii}): {d}"));
-        }
-        if caught.is_none() && packed {
-            if let Some(d) = replay_diff(
-                &mtrace,
-                &mexpected,
-                &mut ModuloBitvecModule::new(&rut, ii, layout),
-            ) {
-                caught = Some(format!("modulo-bitvec (ii {ii}): {d}"));
-            }
-        }
-    }
+    let mut caught = replay_backends(&trace, &expected, &rut).or_else(|| {
+        let (mtrace, mexpected) = record_modulo_trace(m, span + 1, span, trace_seed);
+        replay_backends(&mtrace, &mexpected, &rut)
+    });
     if caught.is_none() {
         // The automata baseline: exact by construction, but its state
         // space can blow up on adversarial machines — skip with

@@ -8,18 +8,15 @@
 //! [`Counterexample`] converts to a [`QueryTrace`](rmd_query::QueryTrace)
 //! and lands here: the trace is *recorded* against query modules over
 //! the original description and *replayed* over the suspect's modules
-//! with [`replay_diff`]. A counterexample is
+//! with [`replay_backends`]. A counterexample is
 //! **confirmed** only when the runtime modules reproduce the divergence
 //! the prover predicted; a static false positive replays clean and is
 //! rejected.
 
-use crate::oracle::replay_diff;
+use crate::oracle::replay_backends;
 use rmd_certify::{CexKind, Counterexample};
 use rmd_machine::MachineDescription;
-use rmd_query::{
-    Answer, BitvecModule, DiscreteModule, ModuloBitvecModule, ModuloDiscreteModule, Response,
-    WordLayout,
-};
+use rmd_query::{Answer, DiscreteModule, ModuloDiscreteModule, Response};
 
 /// Replay a certify counterexample through the runtime query modules of
 /// both descriptions and report the first divergence.
@@ -35,40 +32,12 @@ pub fn confirm_counterexample(
     cex: &Counterexample,
 ) -> Option<String> {
     let trace = cex.to_trace(original.name());
-    let packed = original.num_resources() <= 64 && suspect.num_resources() <= 64;
-    match cex.kind {
-        CexKind::Linear => {
-            let expected = trace.replay(&mut DiscreteModule::new(original));
-            check_claim(&expected, cex)?;
-            if let Some(d) = replay_diff(&trace, &expected, &mut DiscreteModule::new(suspect)) {
-                return Some(format!("discrete: {d}"));
-            }
-            if packed {
-                let layout = WordLayout::widest(64, suspect.num_resources());
-                let mut q = BitvecModule::new(suspect, layout);
-                if let Some(d) = replay_diff(&trace, &expected, &mut q) {
-                    return Some(format!("bitvec: {d}"));
-                }
-            }
-            None
-        }
-        CexKind::Modulo { ii } => {
-            let expected = trace.replay(&mut ModuloDiscreteModule::new(original, ii));
-            check_claim(&expected, cex)?;
-            let mut q = ModuloDiscreteModule::new(suspect, ii);
-            if let Some(d) = replay_diff(&trace, &expected, &mut q) {
-                return Some(format!("modulo-discrete (ii {ii}): {d}"));
-            }
-            if packed {
-                let layout = WordLayout::widest(64, suspect.num_resources());
-                let mut q = ModuloBitvecModule::new(suspect, ii, layout);
-                if let Some(d) = replay_diff(&trace, &expected, &mut q) {
-                    return Some(format!("modulo-bitvec (ii {ii}): {d}"));
-                }
-            }
-            None
-        }
-    }
+    let expected = match cex.kind {
+        CexKind::Linear => trace.replay(&mut DiscreteModule::new(original)),
+        CexKind::Modulo { ii } => trace.replay(&mut ModuloDiscreteModule::new(original, ii)),
+    };
+    check_claim(&expected, cex)?;
+    replay_backends(&trace, &expected, suspect)
 }
 
 /// The original's own modules must answer the final probe exactly as

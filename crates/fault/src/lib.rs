@@ -44,6 +44,7 @@ pub use generate::{generate, GenConfig};
 pub use intake::confirm_counterexample;
 pub use mutate::{mutate, Mutant, MutantPayload, MutationOp, ALL_OPERATORS};
 pub use oracle::{
-    matrix_oracle, record_linear_trace, record_modulo_trace, replay_diff, trace_oracle,
+    matrix_oracle, record_linear_trace, record_modulo_trace, replay_backends, replay_diff,
+    trace_oracle,
 };
 pub use rng::SplitMix64;

@@ -8,10 +8,14 @@
 //!   [`QueryTrace`]: a deterministic `check`/`assign`/`assign_free`/
 //!   `free` sequence is **recorded** once against modules over the
 //!   original machine ([`record_linear_trace`], [`record_modulo_trace`])
-//!   and **replayed** ([`replay_diff`]) over every query-module
+//!   and **replayed** ([`replay_backends`]) over every query-module
 //!   representation of the mutant — discrete, bitvector, and both modulo
 //!   forms. Any divergent [`Answer`] — a `check` verdict, an
 //!   evicted-instance set, a scheduled count — kills the mutant.
+//!
+//! [`replay_backends`] is the crate's one replay over the runtime
+//! backends: the fuzz campaign and counterexample
+//! [intake](crate::intake) call it too.
 //!
 //! The trace oracle is *sound*: every answer it compares is a function
 //! of the forbidden-latency matrix alone, so a neutral mutant can never
@@ -24,8 +28,8 @@
 //! replay stops at the first divergent answer, replayed traces are
 //! protocol-clean on both sides — the debug-build
 //! [`ProtocolChecker`](rmd_query::ProtocolChecker) embedded in the
-//! modules never fires, and the same traces can be fed to
-//! `rmd-analyze`'s static protocol checks.
+//! modules never fires, and [`QueryTrace::check_protocol`] accepts the
+//! same traces.
 
 use crate::mutate::{Mutant, MutantPayload};
 use crate::rng::SplitMix64;
@@ -137,6 +141,49 @@ pub fn replay_diff<Q: ContentionQuery>(
         let got = event.apply(q);
         if got != *want {
             return Some(format!("event {i}: {event}: {got} vs expected {want}"));
+        }
+    }
+    None
+}
+
+/// Replays a recorded trace over every runtime backend of `suspect`,
+/// comparing each answer against `expected`: the discrete module, then
+/// the bitvector one when `suspect` has at most 64 resources (the
+/// packed modules are built from it alone), in their modulo forms when
+/// the trace carries an initiation interval.
+///
+/// Returns the first divergence, prefixed with the backend that showed
+/// it, or `None` if every backend answers as recorded.
+pub fn replay_backends(
+    trace: &QueryTrace,
+    expected: &[Answer],
+    suspect: &MachineDescription,
+) -> Option<String> {
+    let packed = suspect.num_resources() <= 64;
+    let layout = WordLayout::widest(64, suspect.num_resources());
+    match trace.ii {
+        None => {
+            if let Some(d) = replay_diff(trace, expected, &mut DiscreteModule::new(suspect)) {
+                return Some(format!("discrete: {d}"));
+            }
+            if packed {
+                let mut q = BitvecModule::new(suspect, layout);
+                if let Some(d) = replay_diff(trace, expected, &mut q) {
+                    return Some(format!("bitvec: {d}"));
+                }
+            }
+        }
+        Some(ii) => {
+            let mut q = ModuloDiscreteModule::new(suspect, ii);
+            if let Some(d) = replay_diff(trace, expected, &mut q) {
+                return Some(format!("modulo-discrete (ii {ii}): {d}"));
+            }
+            if packed {
+                let mut q = ModuloBitvecModule::new(suspect, ii, layout);
+                if let Some(d) = replay_diff(trace, expected, &mut q) {
+                    return Some(format!("modulo-bitvec (ii {ii}): {d}"));
+                }
+            }
         }
     }
     None
@@ -266,35 +313,15 @@ fn differential_machines(
             b.num_operations()
         ));
     }
-    let span = a.max_table_length().max(b.max_table_length()).max(1);
-    let ii = span + 1;
-    let packed = a.num_resources() <= 64 && b.num_resources() <= 64;
-
     // One linear recording serves both linear representations: the two
     // are verified interchangeable, so a mutant bitvector diverging from
     // the original's discrete answers is just as dead.
+    let span = a.max_table_length().max(b.max_table_length()).max(1);
     let (trace, expected) = record_linear_trace(a, span, trace_seed);
-    if let Some(d) = replay_diff(&trace, &expected, &mut DiscreteModule::new(b)) {
-        return Some(format!("discrete: {d}"));
-    }
-    if packed {
-        let lb = WordLayout::widest(64, b.num_resources());
-        if let Some(d) = replay_diff(&trace, &expected, &mut BitvecModule::new(b, lb)) {
-            return Some(format!("bitvec: {d}"));
-        }
-    }
-
-    let (mtrace, mexpected) = record_modulo_trace(a, ii, span, trace_seed);
-    if let Some(d) = replay_diff(&mtrace, &mexpected, &mut ModuloDiscreteModule::new(b, ii)) {
-        return Some(format!("modulo-discrete (ii {ii}): {d}"));
-    }
-    if packed {
-        let lb = WordLayout::widest(64, b.num_resources());
-        if let Some(d) = replay_diff(&mtrace, &mexpected, &mut ModuloBitvecModule::new(b, ii, lb)) {
-            return Some(format!("modulo-bitvec (ii {ii}): {d}"));
-        }
-    }
-    None
+    replay_backends(&trace, &expected, b).or_else(|| {
+        let (mtrace, mexpected) = record_modulo_trace(a, span + 1, span, trace_seed);
+        replay_backends(&mtrace, &mexpected, b)
+    })
 }
 
 /// Detects a corrupted bitvector word by differencing the corrupted
@@ -373,9 +400,9 @@ mod tests {
 
     #[test]
     fn recorded_traces_are_protocol_clean() {
-        // The static protocol checker accepts the oracle's traces: the
+        // The protocol checker accepts the oracle's traces: the
         // recording gates assigns on admitting checks and frees only
-        // live instances, so rmd-analyze can consume them unfiltered.
+        // live instances.
         let m = example_machine();
         let span = m.max_table_length().max(1);
         let (trace, _) = record_linear_trace(&m, span, 7);

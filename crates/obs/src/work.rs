@@ -50,17 +50,6 @@ impl QueryFn {
             QueryFn::CheckWindow => "check_window",
         }
     }
-
-    /// The paper's rendering (Table 6 row labels).
-    pub fn display_name(self) -> &'static str {
-        match self {
-            QueryFn::Check => "check",
-            QueryFn::Assign => "assign",
-            QueryFn::AssignFree => "assign&free",
-            QueryFn::Free => "free",
-            QueryFn::CheckWindow => "check_window",
-        }
-    }
 }
 
 /// Calls and work units of one query-module function.

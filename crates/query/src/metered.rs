@@ -67,12 +67,6 @@ impl<Q> MeteredQuery<Q> {
         &self.inner
     }
 
-    /// The wrapped module, mutably (latencies of direct calls through
-    /// this reference are not recorded).
-    pub fn inner_mut(&mut self) -> &mut Q {
-        &mut self.inner
-    }
-
     /// Unwraps the module, discarding the histograms.
     pub fn into_inner(self) -> Q {
         self.inner
@@ -89,16 +83,6 @@ impl<Q> MeteredQuery<Q> {
             QueryFn::Free => &self.free_ns,
             QueryFn::CheckWindow => &self.check_window_ns,
         }
-    }
-
-    /// Merges another wrapper's latency histograms into this one
-    /// (associative/commutative, like every obs merge).
-    pub fn merge_latencies(&mut self, other: &MeteredQuery<Q>) {
-        self.check_ns.merge(&other.check_ns);
-        self.assign_ns.merge(&other.assign_ns);
-        self.assign_free_ns.merge(&other.assign_free_ns);
-        self.free_ns.merge(&other.free_ns);
-        self.check_window_ns.merge(&other.check_window_ns);
     }
 
     #[inline]

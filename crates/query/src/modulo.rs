@@ -644,7 +644,8 @@ pub struct ModuloMaskCache {
     by_ii: HashMap<u32, CacheEntry>,
     /// Monotonic access clock for LRU ordering.
     tick: u64,
-    /// Maximum number of cached IIs; `None` is unbounded.
+    /// Maximum number of cached IIs, fixed at construction; `None` is
+    /// unbounded.
     entry_cap: Option<usize>,
     hits: u64,
     misses: u64,
@@ -684,33 +685,14 @@ impl ModuloMaskCache {
     ///
     /// # Panics
     ///
-    /// As [`new`](Self::new); additionally if `cap == 0`.
+    /// As [`new`](Self::new); additionally if `cap == 0`: a cache that
+    /// can hold nothing would silently disable sharing.
     pub fn with_cap(machine: &MachineDescription, layout: WordLayout, cap: usize) -> Self {
-        let mut c = Self::new(machine, layout);
-        c.set_entry_cap(Some(cap));
-        c
-    }
-
-    /// Sets (or removes) the entry cap, evicting least-recently-used
-    /// expansions immediately if the cache is over the new bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap == Some(0)`: a cache that can hold nothing would
-    /// silently disable sharing.
-    pub fn set_entry_cap(&mut self, cap: Option<usize>) {
-        assert!(cap != Some(0), "entry cap must be at least 1");
-        self.entry_cap = cap;
-        if let Some(cap) = cap {
-            while self.by_ii.len() > cap {
-                self.evict_lru();
-            }
+        assert!(cap > 0, "entry cap must be at least 1");
+        ModuloMaskCache {
+            entry_cap: Some(cap),
+            ..Self::new(machine, layout)
         }
-    }
-
-    /// The configured entry cap, if any.
-    pub fn entry_cap(&self) -> Option<usize> {
-        self.entry_cap
     }
 
     /// Removes the least-recently-used expansion. Eviction only drops
@@ -981,7 +963,6 @@ mod tests {
     fn lru_cap_evicts_least_recently_used() {
         let (m, _, _) = ops();
         let mut cache = ModuloMaskCache::with_cap(&m, WordLayout::with_k(64, 2), 2);
-        assert_eq!(cache.entry_cap(), Some(2));
         cache.module(4);
         cache.module(5);
         cache.module(4); // refresh 4 → LRU is now 5
@@ -996,21 +977,17 @@ mod tests {
     }
 
     #[test]
-    fn set_entry_cap_shrinks_immediately() {
+    fn cap_bounds_the_cache_and_new_is_unbounded() {
         let (m, _, _) = ops();
-        let mut cache = ModuloMaskCache::new(&m, WordLayout::with_k(64, 2));
+        let layout = WordLayout::with_k(64, 2);
+        let mut capped = ModuloMaskCache::with_cap(&m, layout, 2);
+        let mut unbounded = ModuloMaskCache::new(&m, layout);
         for ii in [3u32, 4, 5, 6, 7] {
-            cache.module(ii);
+            capped.module(ii);
+            unbounded.module(ii);
         }
-        assert_eq!(cache.num_cached(), 5);
-        cache.set_entry_cap(Some(2));
-        assert_eq!(cache.num_cached(), 2);
-        assert_eq!(cache.evictions(), 3);
-        cache.set_entry_cap(None);
-        for ii in [3u32, 4, 5, 6, 7] {
-            cache.module(ii);
-        }
-        assert_eq!(cache.num_cached(), 5);
+        assert_eq!((capped.num_cached(), capped.evictions()), (2, 3));
+        assert_eq!((unbounded.num_cached(), unbounded.evictions()), (5, 0));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * `rmd-fault`'s differential oracle records a trace against a module
 //!   over the original machine and replays it over modules built from a
 //!   mutant, comparing [`Answer`]s step by step.
-//! * `rmd-analyze`'s protocol checks run a [`ProtocolChecker`] over a
+//! * [`QueryTrace::check_protocol`] runs a [`ProtocolChecker`] over a
 //!   trace *statically* — no query module involved — to flag misuse:
 //!   double-assigns, frees without a matching assign, frees naming a
 //!   foreign owner, and modulo-wraparound misfits.

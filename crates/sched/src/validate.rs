@@ -167,3 +167,132 @@ pub fn validate_list(
     }
     Ok(())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::graph::DepKind;
+    use crate::ims::{ImsConfig, IterativeModuloScheduler, Representation};
+    use crate::list::BoundaryOp;
+    use rmd_machine::models::example_machine;
+    use rmd_query::WorkCounters;
+
+    fn chain(m: &MachineDescription, names: &[&str]) -> DepGraph {
+        let mut g = DepGraph::new();
+        let nodes: Vec<_> = names
+            .iter()
+            .map(|n| g.add_node(m.op_by_name(n).expect("op exists")))
+            .collect();
+        for w in nodes.windows(2) {
+            g.add_edge(w[0], w[1], 1, 0, DepKind::Flow);
+        }
+        g
+    }
+
+    fn resource(m: &MachineDescription, name: &str) -> u32 {
+        m.resources()
+            .iter()
+            .position(|r| r.name() == name)
+            .expect("resource exists") as u32
+    }
+
+    fn ims(g: &DepGraph, m: &MachineDescription) -> ImsResult {
+        IterativeModuloScheduler::new(ImsConfig::default())
+            .schedule(g, m, Representation::Discrete)
+            .expect("schedulable")
+    }
+
+    #[test]
+    fn ims_schedules_validate() {
+        let m = example_machine();
+        let g = chain(&m, &["A", "B", "A"]);
+        assert_eq!(validate(&g, &m, &ims(&g, &m)), Ok(()));
+    }
+
+    #[test]
+    fn collapsed_times_violate_the_first_dependence() {
+        let m = example_machine();
+        let g = chain(&m, &["B", "B", "B"]);
+        let mut r = ims(&g, &m);
+        r.times.fill(0);
+        assert_eq!(
+            validate(&g, &m, &r),
+            Err(ScheduleError::DependenceViolated {
+                from: 0,
+                to: 1,
+                required: 1,
+                actual: 0,
+            })
+        );
+    }
+
+    #[test]
+    fn colliding_nodes_name_the_first_holder() {
+        // Two independent Bs issued together: both enter `stage1` at
+        // cycle 0, and the node that reserved it first is named first.
+        let m = example_machine();
+        let b = m.op_by_name("B").unwrap();
+        let mut g = DepGraph::new();
+        g.add_node(b);
+        g.add_node(b);
+        let mut r = ims(&g, &m);
+        r.times.fill(0);
+        assert_eq!(
+            validate(&g, &m, &r),
+            Err(ScheduleError::ResourceConflict {
+                a: 0,
+                b: 1,
+                resource: resource(&m, "stage1"),
+                slot: 0,
+            })
+        );
+    }
+
+    #[test]
+    fn the_chosen_alternatives_table_is_checked() {
+        // Two A nodes at cycle 0 collide on `stage0`, but placed as A and
+        // B they share nothing: only the chosen tables count.
+        let m = example_machine();
+        let (a, b) = (m.op_by_name("A").unwrap(), m.op_by_name("B").unwrap());
+        let mut g = DepGraph::new();
+        g.add_node(a);
+        g.add_node(a);
+        let mut r = ims(&g, &m);
+        r.times = vec![0, 0];
+        r.ii = 16;
+        r.chosen = vec![a, b];
+        assert_eq!(validate(&g, &m, &r), Ok(()));
+        r.chosen = vec![a, a];
+        assert!(matches!(
+            validate(&g, &m, &r),
+            Err(ScheduleError::ResourceConflict { a: 0, b: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn list_schedules_collide_with_boundary_ops() {
+        // A B issued one cycle before the block still holds `mul-stage`
+        // at cycle 2, where a B issued at entry needs it. The boundary op
+        // is the first holder, under the pseudo index past the graph.
+        let m = example_machine();
+        let g = chain(&m, &["B"]);
+        let b = m.op_by_name("B").unwrap();
+        let list = |issue_cycle| ListResult {
+            times: vec![0],
+            length: 1,
+            counters: WorkCounters::new(),
+            boundary: vec![BoundaryOp { op: b, issue_cycle }],
+        };
+        assert_eq!(
+            validate_list(&g, &m, &list(-1)),
+            Err(ScheduleError::ResourceConflict {
+                a: 1,
+                b: 0,
+                resource: resource(&m, "mul-stage"),
+                slot: 2,
+            })
+        );
+        // Issued eight cycles earlier, the boundary B has drained.
+        assert_eq!(validate_list(&g, &m, &list(-8)), Ok(()));
+    }
+}

@@ -44,7 +44,7 @@ mod oracle {
                     &b,
                     x,
                     y,
-                    options.issue_cap.max(1),
+                    rmd_certify::ISSUE_CAP,
                     options.pair_state_cap,
                 )?;
                 pairs += 1;
