@@ -489,16 +489,10 @@ fn certify_failure(
             if let Some(s) = suspect {
                 match rmd_fault::confirm_counterexample(original, s, cex) {
                     Some(div) => {
-                        let _ = writeln!(
-                            t,
-                            "runtime replay confirms the divergence ({div})"
-                        );
+                        let _ = writeln!(t, "runtime replay confirms the divergence ({div})");
                     }
                     None => {
-                        let _ = writeln!(
-                            t,
-                            "runtime replay did NOT reproduce the divergence"
-                        );
+                        let _ = writeln!(t, "runtime replay did NOT reproduce the divergence");
                     }
                 }
             }
@@ -555,8 +549,9 @@ fn run_certify(
             CliError::Usage(format!("--mutant {op}:{seed} does not apply to `{spec}`"))
         })?;
         let suspect = match &mu.payload {
-            rmd_fault::MutantPayload::Machine(m)
-            | rmd_fault::MutantPayload::ReducedMachine(m) => m.clone(),
+            rmd_fault::MutantPayload::Machine(m) | rmd_fault::MutantPayload::ReducedMachine(m) => {
+                m.clone()
+            }
             rmd_fault::MutantPayload::QueryWord { .. } => {
                 return Err(CliError::Usage(format!(
                     "--mutant {op}:{seed} corrupts a query module's packed state, not \
@@ -651,7 +646,11 @@ fn run_fuzz(
                 for s in &summaries {
                     let _ = writeln!(out, "{s}");
                 }
-                let _ = writeln!(out, "replayed {} corpus entries, all expectations hold", summaries.len());
+                let _ = writeln!(
+                    out,
+                    "replayed {} corpus entries, all expectations hold",
+                    summaries.len()
+                );
                 Ok(out)
             }
             Err(message) => Err(CliError::Fuzz {
@@ -725,11 +724,7 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
                 .map_err(|e| CliError::Validation(RmdError::from(e)))?;
             let cf = ForbiddenMatrix::compute(&cm);
             let _ = writeln!(out, "{m}");
-            let _ = writeln!(
-                out,
-                "operation classes:       {}",
-                classes.num_classes()
-            );
+            let _ = writeln!(out, "operation classes:       {}", classes.num_classes());
             let _ = writeln!(
                 out,
                 "forbidden latencies:     {} (max {})",
@@ -754,8 +749,7 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
                 for (y, yop) in m.ops() {
                     let s = f.get(x, y);
                     if !s.is_empty() {
-                        let _ =
-                            writeln!(out, "F[{}][{}] = {s}", xop.name(), yop.name());
+                        let _ = writeln!(out, "F[{}][{}] = {s}", xop.name(), yop.name());
                     }
                 }
             }
@@ -1048,7 +1042,13 @@ mod tests {
             }
         );
         let c = parse_args(&args(&["serve", "--uncertified"])).expect("parses");
-        assert!(matches!(c, Command::Serve { uncertified: true, .. }));
+        assert!(matches!(
+            c,
+            Command::Serve {
+                uncertified: true,
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -1104,7 +1104,11 @@ mod tests {
         assert!(
             matches!(
                 c,
-                Command::Serve { metrics_every: Some(100), slow_ms: Some(5), .. }
+                Command::Serve {
+                    metrics_every: Some(100),
+                    slow_ms: Some(5),
+                    ..
+                }
             ),
             "{c:?}"
         );
@@ -1342,8 +1346,7 @@ mod lint_tests {
     #[test]
     fn parses_lint_with_options() {
         let c = parse_args(
-            &["lint", "mips", "--format", "json", "--deny", "warnings"]
-                .map(String::from),
+            &["lint", "mips", "--format", "json", "--deny", "warnings"].map(String::from),
         )
         .expect("valid command line");
         assert_eq!(
@@ -1452,10 +1455,7 @@ mod lint_tests {
         })
         .expect("fig1 lints clean of errors");
         assert!(out.contains("\"version\":\"2.1.0\""), "{out}");
-        assert!(
-            serde_json::from_str(&out).is_ok(),
-            "{out}"
-        );
+        assert!(serde_json::from_str(&out).is_ok(), "{out}");
     }
 
     #[test]
@@ -1481,15 +1481,7 @@ mod certify_tests {
     #[test]
     fn parses_certify_with_options() {
         let c = parse_args(&args(&[
-            "certify",
-            "fig1",
-            "--out",
-            "certs",
-            "--format",
-            "json",
-            "--max-ii",
-            "12",
-            "--budget",
+            "certify", "fig1", "--out", "certs", "--format", "json", "--max-ii", "12", "--budget",
             "1000",
         ]))
         .expect("valid command line");
@@ -1529,7 +1521,14 @@ mod certify_tests {
             &["certify", "fig1", "--mutant", "drop-usage"][..],
             &["certify", "fig1", "--mutant", "warp-drive:3"][..],
             &["certify", "fig1", "--mutant", "drop-usage:many"][..],
-            &["certify", "fig1", "--against", "mips", "--mutant", "drop-usage:3"][..],
+            &[
+                "certify",
+                "fig1",
+                "--against",
+                "mips",
+                "--mutant",
+                "drop-usage:3",
+            ][..],
             &["certify", "fig1", "--against", "mips", "--out", "certs"][..],
             &["certify", "fig1", "--format", "yaml"][..],
             &["certify", "fig1", "--max-ii", "0"][..],
@@ -1675,10 +1674,7 @@ mod certify_tests {
             panic!("expected a certify error");
         };
         assert!(report.contains("\"ruleId\":\"RMD-C002\""), "{report}");
-        assert!(
-            serde_json::from_str(&report).is_ok(),
-            "{report}"
-        );
+        assert!(serde_json::from_str(&report).is_ok(), "{report}");
     }
 }
 
@@ -1839,7 +1835,8 @@ mod profile_tests {
         for line in out.lines().filter(|l| !l.starts_with('#')) {
             let name = line.split([' ', '{']).next().unwrap();
             assert!(
-                name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
+                name.chars()
+                    .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
                 "bad prom name in line: {line}"
             );
         }
@@ -1856,6 +1853,9 @@ mod profile_tests {
         })
         .expect_err("export must fail");
         assert_eq!(e.exit_code(), 7);
-        assert!(e.to_string().contains("/nonexistent-dir/trace.jsonl"), "{e}");
+        assert!(
+            e.to_string().contains("/nonexistent-dir/trace.jsonl"),
+            "{e}"
+        );
     }
 }

@@ -190,9 +190,7 @@ mod tests {
         assert!(!out.used_fallback());
         for phase in crate::REDUCTION_PHASES {
             assert!(
-                events
-                    .iter()
-                    .any(|e| e.cat == "reduce" && e.name == *phase),
+                events.iter().any(|e| e.cat == "reduce" && e.name == *phase),
                 "missing phase span: {phase}"
             );
         }

@@ -66,7 +66,10 @@ impl fmt::Display for GenSetEvent {
                 write!(f, "process pair: {latency} ∈ F[c{x}][c{y}]")
             }
             GenSetEvent::Rule1 { resource } => {
-                write!(f, "  rule 1: fully compatible — merged into resource {resource}")
+                write!(
+                    f,
+                    "  rule 1: fully compatible — merged into resource {resource}"
+                )
             }
             GenSetEvent::Rule2 { from, new } => write!(
                 f,
@@ -77,7 +80,10 @@ impl fmt::Display for GenSetEvent {
                 "  rule 2: partially compatible with resource {from} — combination discarded"
             ),
             GenSetEvent::Rule3 { new } => {
-                write!(f, "  rule 3: pair not co-resident — added as resource {new}")
+                write!(
+                    f,
+                    "  rule 3: pair not co-resident — added as resource {new}"
+                )
             }
             GenSetEvent::Rule4 { class, new } => write!(
                 f,
@@ -165,9 +171,10 @@ impl WorkingSet {
 
     /// Is `cand` a subset of (or equal to) some live resource?
     fn subsumed(&self, cand: &SynthResource, sig: u64) -> bool {
-        self.slots.iter().zip(&self.sigs).any(|(s, &rs)| {
-            sig & !rs == 0 && s.as_ref().is_some_and(|r| cand.is_subset(r))
-        })
+        self.slots
+            .iter()
+            .zip(&self.sigs)
+            .any(|(s, &rs)| sig & !rs == 0 && s.as_ref().is_some_and(|r| cand.is_subset(r)))
     }
 
     /// Drops live resources that are strict subsets of `cand`.

@@ -98,7 +98,11 @@ pub fn select(f: &ForbiddenMatrix, pruned: &[SynthResource], objective: Objectiv
             for j in i..us.len() {
                 for t in pair_triples(us[i], us[j]) {
                     if let Some(&ti) = target_idx.get(&t) {
-                        candidates[ti].push(Candidate { res: ri, a: i, b: j });
+                        candidates[ti].push(Candidate {
+                            res: ri,
+                            a: i,
+                            b: j,
+                        });
                     }
                 }
             }
@@ -163,7 +167,16 @@ pub fn select(f: &ForbiddenMatrix, pruned: &[SynthResource], objective: Objectiv
             }
         }
         let (c, _) = best.expect("candidate list nonempty");
-        apply_candidate(pruned, &mut sel, c, k, &mut words, &mut covered, &mut uncovered_count, &target_idx);
+        apply_candidate(
+            pruned,
+            &mut sel,
+            c,
+            k,
+            &mut words,
+            &mut covered,
+            &mut uncovered_count,
+            &target_idx,
+        );
         if uncovered_count == 0 {
             break;
         }
@@ -208,7 +221,10 @@ pub fn select(f: &ForbiddenMatrix, pruned: &[SynthResource], objective: Objectiv
     let resources = drop_redundant(resources);
     let resources = consolidate(f, resources);
     let resources = drop_redundant(resources);
-    Selection { resources, objective }
+    Selection {
+        resources,
+        objective,
+    }
 }
 
 /// Drops resources whose entire generated forbidden set is also generated

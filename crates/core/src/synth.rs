@@ -139,11 +139,10 @@ impl SynthResource {
     /// Validates the resource against a forbidden matrix: every pair of
     /// usages must generate an already-forbidden latency.
     pub fn is_valid(&self, f: &ForbiddenMatrix) -> bool {
-        self.usages.iter().enumerate().all(|(i, &u)| {
-            self.usages[i..]
-                .iter()
-                .all(|&v| usages_compatible(f, u, v))
-        })
+        self.usages
+            .iter()
+            .enumerate()
+            .all(|(i, &u)| self.usages[i..].iter().all(|&v| usages_compatible(f, u, v)))
     }
 
     /// Returns a copy shifted so its earliest usage is in cycle 0.

@@ -43,7 +43,11 @@ pub fn events_to_jsonl(events: &[Event]) -> String {
         push_json_string(&mut out, e.name);
         out.push_str(",\"ph\":");
         push_json_string(&mut out, e.kind.tag());
-        let _ = write!(out, ",\"ts_ns\":{},\"dur_ns\":{},\"tid\":{}", e.start_ns, e.dur_ns, e.tid);
+        let _ = write!(
+            out,
+            ",\"ts_ns\":{},\"dur_ns\":{},\"tid\":{}",
+            e.start_ns, e.dur_ns, e.tid
+        );
         if let Some((k, v)) = e.arg {
             out.push_str(",\"args\":{");
             push_json_string(&mut out, k);
@@ -198,7 +202,10 @@ pub fn registry_to_prom(reg: &MetricRegistry) -> String {
         out.push_str("# TYPE ");
         push_prom_name(&mut out, k);
         out.push_str(" summary\n");
-        for (q, v) in [(0.5, h.approx_quantile(0.50)), (0.99, h.approx_quantile(0.99))] {
+        for (q, v) in [
+            (0.5, h.approx_quantile(0.50)),
+            (0.99, h.approx_quantile(0.99)),
+        ] {
             push_prom_name(&mut out, k);
             let _ = writeln!(out, "{{quantile=\"{q}\"}} {v}");
         }

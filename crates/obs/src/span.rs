@@ -138,7 +138,14 @@ thread_local! {
     });
 }
 
-fn record(cat: &'static str, name: &'static str, kind: EventKind, start_ns: u64, dur_ns: u64, arg: Option<(&'static str, u64)>) {
+fn record(
+    cat: &'static str,
+    name: &'static str,
+    kind: EventKind,
+    start_ns: u64,
+    dur_ns: u64,
+    arg: Option<(&'static str, u64)>,
+) {
     RECORDER.with(|r| {
         let mut r = r.borrow_mut();
         let tid = r.tid;
@@ -190,7 +197,14 @@ pub fn instant(cat: &'static str, name: &'static str) {
 #[inline]
 pub fn instant_with(cat: &'static str, name: &'static str, key: &'static str, value: u64) {
     if is_enabled() {
-        record(cat, name, EventKind::Instant, now_ns(), 0, Some((key, value)));
+        record(
+            cat,
+            name,
+            EventKind::Instant,
+            now_ns(),
+            0,
+            Some((key, value)),
+        );
     }
 }
 
@@ -252,7 +266,12 @@ pub fn span(cat: &'static str, name: &'static str) -> SpanGuard {
 
 /// Like [`span`], with one argument attached up front.
 #[inline]
-pub fn span_with(cat: &'static str, name: &'static str, key: &'static str, value: u64) -> SpanGuard {
+pub fn span_with(
+    cat: &'static str,
+    name: &'static str,
+    key: &'static str,
+    value: u64,
+) -> SpanGuard {
     let mut g = span(cat, name);
     g.set_arg(key, value);
     g

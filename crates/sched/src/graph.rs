@@ -161,12 +161,16 @@ impl DepGraph {
 
     /// Outgoing edges of `n`.
     pub fn succ_edges(&self, n: NodeId) -> impl Iterator<Item = &Edge> {
-        self.succs[n.index()].iter().map(|&i| &self.edges[i as usize])
+        self.succs[n.index()]
+            .iter()
+            .map(|&i| &self.edges[i as usize])
     }
 
     /// Incoming edges of `n`.
     pub fn pred_edges(&self, n: NodeId) -> impl Iterator<Item = &Edge> {
-        self.preds[n.index()].iter().map(|&i| &self.edges[i as usize])
+        self.preds[n.index()]
+            .iter()
+            .map(|&i| &self.edges[i as usize])
     }
 
     /// Whether the graph has any loop-carried edge.

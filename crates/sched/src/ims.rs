@@ -302,12 +302,7 @@ impl IterativeModuloScheduler {
             per_attempt_ratio.push(outcome.decisions as f64 / n as f64);
             drop(span);
             if outcome.reversed_by_resource > 0 {
-                rmd_obs::instant_with(
-                    "sched",
-                    "evictions",
-                    "count",
-                    outcome.reversed_by_resource,
-                );
+                rmd_obs::instant_with("sched", "evictions", "count", outcome.reversed_by_resource);
             }
             if outcome.times.is_none() {
                 rmd_obs::instant_with("sched", "budget_exhausted", "spent", outcome.decisions);
@@ -368,8 +363,8 @@ impl IterativeModuloScheduler {
             let mut estart = 0i64;
             for e in g.pred_edges(v) {
                 if let Some(tu) = s.time[e.from.index()] {
-                    let c = i64::from(tu) + i64::from(e.delay)
-                        - i64::from(ii) * i64::from(e.distance);
+                    let c =
+                        i64::from(tu) + i64::from(e.delay) - i64::from(ii) * i64::from(e.distance);
                     estart = estart.max(c);
                 }
             }
@@ -427,8 +422,8 @@ impl IterativeModuloScheduler {
                     continue;
                 }
                 if let Some(tw) = s.time[w.index()] {
-                    let lb = i64::from(t) + i64::from(e.delay)
-                        - i64::from(ii) * i64::from(e.distance);
+                    let lb =
+                        i64::from(t) + i64::from(e.delay) - i64::from(ii) * i64::from(e.distance);
                     if i64::from(tw) < lb {
                         module.free(OpInstance(w.0), s.node_ops[w.index()], tw);
                         s.time[w.index()] = None;
@@ -549,7 +544,9 @@ mod tests {
         g.add_edge(a, b, 7, 0, DepKind::Flow);
         g.add_edge(b, a, 7, 1, DepKind::Flow); // delay 14, distance 1
         let ims = IterativeModuloScheduler::new(ImsConfig::default());
-        let r = ims.schedule(&g, &m, Representation::Discrete).expect("test setup");
+        let r = ims
+            .schedule(&g, &m, Representation::Discrete)
+            .expect("test setup");
         assert_eq!(r.mii, 14);
         assert_eq!(r.ii, 14);
         validate(&g, &m, &r).expect("test setup");
@@ -565,7 +562,9 @@ mod tests {
             g.add_node(fadd);
         }
         let ims = IterativeModuloScheduler::new(ImsConfig::default());
-        let r = ims.schedule(&g, &m, Representation::Discrete).expect("test setup");
+        let r = ims
+            .schedule(&g, &m, Representation::Discrete)
+            .expect("test setup");
         assert!(r.mii >= 4);
         assert_eq!(r.ii, r.mii);
         validate(&g, &m, &r).expect("test setup");
@@ -583,7 +582,9 @@ mod tests {
             5,
         );
         let ims = IterativeModuloScheduler::new(ImsConfig::default());
-        let a = ims.schedule(&g, &m, Representation::Discrete).expect("test setup");
+        let a = ims
+            .schedule(&g, &m, Representation::Discrete)
+            .expect("test setup");
         let b = ims
             .schedule(
                 &g,
@@ -610,7 +611,9 @@ mod tests {
             let g = chain(&m, names, 5);
             let mii = crate::mii::mii(&g, &m);
             let repr = Representation::Bitvec(layout);
-            let plain = ims.schedule_with_mii(&g, &m, repr, mii).expect("test setup");
+            let plain = ims
+                .schedule_with_mii(&g, &m, repr, mii)
+                .expect("test setup");
             let cached = ims
                 .schedule_with_mii_cached_scratch(
                     &g,
@@ -708,7 +711,9 @@ mod tests {
         let ims = IterativeModuloScheduler::new(ImsConfig::default());
         rmd_obs::set_enabled(true);
         let _ = rmd_obs::drain_events();
-        let r = ims.schedule(&g, &m, Representation::Discrete).expect("test setup");
+        let r = ims
+            .schedule(&g, &m, Representation::Discrete)
+            .expect("test setup");
         let events = rmd_obs::drain_events();
         rmd_obs::set_enabled(false);
         let attempts: Vec<_> = events
@@ -867,7 +872,11 @@ mod tests {
             chain(&m, &["load.w.0", "fadd", "store.w.0"], 8),
             pressured,
             recurrence,
-            chain(&m, &["load.w.0", "load.w.1", "fmul", "fadd", "store.w.1"], 5),
+            chain(
+                &m,
+                &["load.w.0", "load.w.1", "fmul", "fadd", "store.w.1"],
+                5,
+            ),
             chain(&m, &["load.w.0", "fadd", "store.w.0"], 8), // repeat: warm
         ];
         for (i, g) in graphs.iter().enumerate() {
@@ -882,8 +891,14 @@ mod tests {
                 assert_eq!(plain.chosen, scratched.chosen, "{ctx}");
                 assert_eq!(plain.ii, scratched.ii, "{ctx}");
                 assert_eq!(plain.decisions, scratched.decisions, "{ctx}");
-                assert_eq!(plain.reversed_by_resource, scratched.reversed_by_resource, "{ctx}");
-                assert_eq!(plain.per_attempt_ratio, scratched.per_attempt_ratio, "{ctx}");
+                assert_eq!(
+                    plain.reversed_by_resource, scratched.reversed_by_resource,
+                    "{ctx}"
+                );
+                assert_eq!(
+                    plain.per_attempt_ratio, scratched.per_attempt_ratio,
+                    "{ctx}"
+                );
                 assert_eq!(plain.counters, scratched.counters, "{ctx}");
                 scratch.recycle(scratched);
             }
@@ -895,7 +910,9 @@ mod tests {
         let m = cydra5_subset();
         let g = chain(&m, &["load.w.0", "fadd", "store.w.0"], 8);
         let ims = IterativeModuloScheduler::new(ImsConfig::default());
-        let r = ims.schedule(&g, &m, Representation::Discrete).expect("test setup");
+        let r = ims
+            .schedule(&g, &m, Representation::Discrete)
+            .expect("test setup");
         assert!(r.decisions >= g.num_nodes() as u64);
         assert_eq!(r.per_attempt_ratio.len(), r.attempts as usize);
         assert!(r.counters.check.calls > 0);

@@ -3,9 +3,7 @@
 use crate::graph::{DepGraph, NodeId};
 use crate::ims::{heights, Representation};
 use rmd_machine::{MachineDescription, OpId};
-use rmd_query::{
-    BitvecModule, ContentionQuery, DiscreteModule, OpInstance, WorkCounters,
-};
+use rmd_query::{BitvecModule, ContentionQuery, DiscreteModule, OpInstance, WorkCounters};
 
 /// A dangling resource requirement from a predecessor basic block: an
 /// operation issued `issue_cycle` cycles relative to this block's entry
@@ -229,8 +227,7 @@ fn topo_ranks(g: &DepGraph) -> Vec<usize> {
     for e in g.edges() {
         indeg[e.to.index()] += 1;
     }
-    let mut queue: std::collections::VecDeque<usize> =
-        (0..n).filter(|&i| indeg[i] == 0).collect();
+    let mut queue: std::collections::VecDeque<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
     let mut rank = vec![0usize; n];
     let mut next = 0;
     while let Some(v) = queue.pop_front() {

@@ -54,7 +54,12 @@ impl fmt::Display for ScheduleError {
                 f,
                 "dependence n{from} -> n{to} violated: t = {actual} < required {required}"
             ),
-            ScheduleError::ResourceConflict { a, b, resource, slot } => write!(
+            ScheduleError::ResourceConflict {
+                a,
+                b,
+                resource,
+                slot,
+            } => write!(
                 f,
                 "nodes n{a} and n{b} both reserve resource r{resource} in slot {slot}"
             ),
@@ -139,10 +144,7 @@ pub fn validate_list(
         }
     }
     let mut taken: HashMap<(u32, i64), usize> = HashMap::new();
-    let mut reserve = |node: usize,
-                       op: rmd_machine::OpId,
-                       t: i64|
-     -> Result<(), ScheduleError> {
+    let mut reserve = |node: usize, op: rmd_machine::OpId, t: i64| -> Result<(), ScheduleError> {
         let table = machine.operation(op).table();
         for u in table.usages() {
             let slot = t + i64::from(u.cycle);

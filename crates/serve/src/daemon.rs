@@ -103,8 +103,12 @@ fn write_line(writer: &SharedWriter, line: &str) -> bool {
 /// processes and replies in admission order. Public so tests and the
 /// load driver can run the full admission pipeline over in-memory
 /// streams.
-pub fn serve_stream<R>(reader: R, writer: SharedWriter, engine: &mut ServeEngine, opts: &ServeOptions)
-where
+pub fn serve_stream<R>(
+    reader: R,
+    writer: SharedWriter,
+    engine: &mut ServeEngine,
+    opts: &ServeOptions,
+) where
     R: BufRead + Send + 'static,
 {
     let (tx, rx) = sync_channel::<(String, Instant)>(opts.queue_cap.max(1));
@@ -398,10 +402,14 @@ mod tests {
     #[test]
     fn pipelined_frames_answered_in_order() {
         let lines = concat!(
-            r#"{"type":"machine","model":"fig1","id":0}"#, "\n",
-            r#"{"type":"status","id":1}"#, "\n",
-            r#"{"type":"nope","id":2}"#, "\n",
-            r#"{"type":"status","id":3}"#, "\n",
+            r#"{"type":"machine","model":"fig1","id":0}"#,
+            "\n",
+            r#"{"type":"status","id":1}"#,
+            "\n",
+            r#"{"type":"nope","id":2}"#,
+            "\n",
+            r#"{"type":"status","id":3}"#,
+            "\n",
         );
         let (replies, summary) = run_lines(lines, &ServeOptions::default());
         assert_eq!(replies.len(), 4);
@@ -421,14 +429,19 @@ mod tests {
     #[test]
     fn shutdown_request_drains_and_exits() {
         let lines = concat!(
-            r#"{"type":"status","id":0}"#, "\n",
-            r#"{"type":"shutdown","id":1}"#, "\n",
+            r#"{"type":"status","id":0}"#,
+            "\n",
+            r#"{"type":"shutdown","id":1}"#,
+            "\n",
         );
         let (replies, _) = run_lines(lines, &ServeOptions::default());
         // Both frames were admitted before the shutdown reply flipped
         // the flag, so both are answered; the stream then ends.
         assert_eq!(replies.len(), 2);
-        assert_eq!(replies[1].get("draining").and_then(|v| v.as_bool()), Some(true));
+        assert_eq!(
+            replies[1].get("draining").and_then(|v| v.as_bool()),
+            Some(true)
+        );
     }
 
     #[test]
@@ -452,11 +465,16 @@ mod tests {
             ..ServeOptions::default()
         };
         let lines = concat!(
-            r#"{"type":"status","id":0}"#, "\n",
-            r#"{"type":"status","id":1}"#, "\n",
-            r#"{"type":"status","id":2}"#, "\n",
-            r#"{"type":"status","id":3}"#, "\n",
-            r#"{"type":"status","id":4}"#, "\n",
+            r#"{"type":"status","id":0}"#,
+            "\n",
+            r#"{"type":"status","id":1}"#,
+            "\n",
+            r#"{"type":"status","id":2}"#,
+            "\n",
+            r#"{"type":"status","id":3}"#,
+            "\n",
+            r#"{"type":"status","id":4}"#,
+            "\n",
         );
         let (replies, _) = run_lines(lines, &opts);
         assert_eq!(replies.len(), 5);

@@ -415,13 +415,32 @@ impl ServeEngine {
                 edges,
                 budget_ratio,
                 max_ii,
-            } => self.exec_schedule(id, &fingerprint, &nodes, &edges, budget_ratio, max_ii, deadline, action, idx),
+            } => self.exec_schedule(
+                id,
+                &fingerprint,
+                &nodes,
+                &edges,
+                budget_ratio,
+                max_ii,
+                deadline,
+                action,
+                idx,
+            ),
             Request::Suite {
                 fingerprint,
                 loops,
                 seed,
                 threads,
-            } => self.exec_suite(id, &fingerprint, loops, seed, threads, deadline, action, idx),
+            } => self.exec_suite(
+                id,
+                &fingerprint,
+                loops,
+                seed,
+                threads,
+                deadline,
+                action,
+                idx,
+            ),
             Request::Status => Ok(self.exec_status(id)),
             Request::Metrics => Ok(ReplyBuilder::ok(id, "metrics")
                 .raw(
@@ -450,14 +469,12 @@ impl ServeEngine {
                 })?
             }
             MachineSource::Mdl(src) => {
-                let (m, _) = mdl::parse_machine(src)
-                    .map_err(|e| ServeError::Rmd(RmdError::Parse(e)))?;
+                let (m, _) =
+                    mdl::parse_machine(src).map_err(|e| ServeError::Rmd(RmdError::Parse(e)))?;
                 m
             }
         };
-        Limits::default()
-            .validate(&m)
-            .map_err(ServeError::Rmd)?;
+        Limits::default().validate(&m).map_err(ServeError::Rmd)?;
         Ok(m)
     }
 
@@ -486,7 +503,10 @@ impl ServeEngine {
                 .bool("cached", true)
                 .bool("fallback", entry.fallback.is_some())
                 .num("resources", entry.original.num_resources() as u64)
-                .num("reduced_resources", entry.sched_machine.num_resources() as u64)
+                .num(
+                    "reduced_resources",
+                    entry.sched_machine.num_resources() as u64,
+                )
                 .num("operations", entry.original.num_operations() as u64)
                 .finish();
             return Ok(reply);
@@ -521,8 +541,7 @@ impl ServeEngine {
         });
         let sched_machine = red.machine;
         let sched_layout = WordLayout::widest(64, sched_machine.num_resources());
-        let mask_cache =
-            ModuloMaskCache::with_cap(&sched_machine, sched_layout, MASK_CACHE_CAP);
+        let mask_cache = ModuloMaskCache::with_cap(&sched_machine, sched_layout, MASK_CACHE_CAP);
         self.tick += 1;
         let entry = MachineEntry {
             original: m,
@@ -553,7 +572,10 @@ impl ServeEngine {
             .bool("cached", false)
             .bool("fallback", entry.fallback.is_some())
             .num("resources", entry.original.num_resources() as u64)
-            .num("reduced_resources", entry.sched_machine.num_resources() as u64)
+            .num(
+                "reduced_resources",
+                entry.sched_machine.num_resources() as u64,
+            )
             .num("operations", entry.original.num_operations() as u64)
             .finish();
         self.machines.insert(fp, entry);
@@ -572,7 +594,9 @@ impl ServeEngine {
             self.touched = Some(fp.to_string());
             Ok(())
         } else {
-            Err(ServeError::UnknownFingerprint { got: fp.to_string() })
+            Err(ServeError::UnknownFingerprint {
+                got: fp.to_string(),
+            })
         }
     }
 
@@ -852,7 +876,10 @@ mod tests {
 
     fn submit_fig1(engine: &mut ServeEngine) -> String {
         let v = ok_reply(engine, r#"{"type":"machine","model":"fig1"}"#);
-        v.get("fingerprint").and_then(|f| f.as_str()).unwrap().to_string()
+        v.get("fingerprint")
+            .and_then(|f| f.as_str())
+            .unwrap()
+            .to_string()
     }
 
     #[test]
@@ -959,9 +986,15 @@ mod tests {
         );
         let (reply, _) = e.handle_line(&line, Instant::now());
         let v: serde_json::Value = serde_json::from_str(&reply).unwrap();
-        assert_eq!(v.get("ok").and_then(|o| o.as_bool()), Some(false), "{reply}");
         assert_eq!(
-            v.get("error").and_then(|e| e.get("kind")).and_then(|k| k.as_str()),
+            v.get("ok").and_then(|o| o.as_bool()),
+            Some(false),
+            "{reply}"
+        );
+        assert_eq!(
+            v.get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(|k| k.as_str()),
             Some("unschedulable"),
             "{reply}"
         );
@@ -983,9 +1016,15 @@ mod tests {
         );
         let (reply, _) = e.handle_line(&line, Instant::now());
         let v: serde_json::Value = serde_json::from_str(&reply).unwrap();
-        assert_eq!(v.get("ok").and_then(|o| o.as_bool()), Some(false), "{reply}");
         assert_eq!(
-            v.get("error").and_then(|e| e.get("kind")).and_then(|k| k.as_str()),
+            v.get("ok").and_then(|o| o.as_bool()),
+            Some(false),
+            "{reply}"
+        );
+        assert_eq!(
+            v.get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(|k| k.as_str()),
             Some("unschedulable"),
             "{reply}"
         );
@@ -1001,7 +1040,9 @@ mod tests {
         let v = serde_json::from_str(&reply).unwrap();
         assert_eq!(v.get("ok").and_then(|o| o.as_bool()), Some(false));
         assert_eq!(
-            v.get("error").and_then(|e| e.get("kind")).and_then(|k| k.as_str()),
+            v.get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(|k| k.as_str()),
             Some("unknown_fingerprint")
         );
         // The engine keeps serving.
@@ -1018,7 +1059,9 @@ mod tests {
         );
         let v = serde_json::from_str(&reply).unwrap();
         assert_eq!(
-            v.get("error").and_then(|e| e.get("kind")).and_then(|k| k.as_str()),
+            v.get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(|k| k.as_str()),
             Some("timeout"),
             "{reply}"
         );
@@ -1059,7 +1102,9 @@ mod tests {
         let (reply, _) = e.handle_line(r#"{"type":"status"}"#, Instant::now());
         let v = serde_json::from_str(&reply).unwrap();
         assert_eq!(
-            v.get("error").and_then(|e| e.get("kind")).and_then(|k| k.as_str()),
+            v.get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(|k| k.as_str()),
             Some("shutting_down")
         );
     }
@@ -1070,7 +1115,11 @@ mod tests {
         // give the reply of one offline serial run over the same loops.
         let mut e = engine();
         let v = ok_reply(&mut e, r#"{"type":"machine","model":"cydra5-subset"}"#);
-        let fp = v.get("fingerprint").and_then(|f| f.as_str()).unwrap().to_string();
+        let fp = v
+            .get("fingerprint")
+            .and_then(|f| f.as_str())
+            .unwrap()
+            .to_string();
         let mut replies = Vec::new();
         for (threads, clamped) in [(1u64, 1u64), (2, 2), (8, 8), (16, 8)] {
             let line = format!(
@@ -1135,12 +1184,13 @@ mod tests {
             ..EngineConfig::default()
         });
         let fp = submit_fig1(&mut e);
-        let line =
-            format!(r#"{{"type":"schedule","fingerprint":"{fp}","nodes":["A"],"id":1}}"#);
+        let line = format!(r#"{{"type":"schedule","fingerprint":"{fp}","nodes":["A"],"id":1}}"#);
         let (reply, _) = e.handle_line(&line, Instant::now());
         let v = serde_json::from_str(&reply).unwrap();
         assert_eq!(
-            v.get("error").and_then(|e| e.get("kind")).and_then(|k| k.as_str()),
+            v.get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(|k| k.as_str()),
             Some("panicked"),
             "{reply}"
         );
@@ -1149,7 +1199,9 @@ mod tests {
         let (reply, _) = e.handle_line(&line, Instant::now());
         let v = serde_json::from_str(&reply).unwrap();
         assert_eq!(
-            v.get("error").and_then(|e| e.get("kind")).and_then(|k| k.as_str()),
+            v.get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(|k| k.as_str()),
             Some("unknown_fingerprint"),
             "{reply}"
         );
@@ -1192,8 +1244,14 @@ mod tests {
             .and_then(|m| m.get("histograms"))
             .and_then(|h| h.get("serve.latency_ns"))
             .expect("latency histogram");
-        assert!(hist.get("p50").and_then(serde_json::Value::as_u64).is_some());
-        assert!(hist.get("p99").and_then(serde_json::Value::as_u64).is_some());
+        assert!(hist
+            .get("p50")
+            .and_then(serde_json::Value::as_u64)
+            .is_some());
+        assert!(hist
+            .get("p99")
+            .and_then(serde_json::Value::as_u64)
+            .is_some());
     }
 
     #[test]
@@ -1269,7 +1327,10 @@ mod tests {
             v.get("reason").and_then(serde_json::Value::as_str),
             Some("panic+quarantine")
         );
-        let entries = v.get("entries").and_then(serde_json::Value::as_array).unwrap();
+        let entries = v
+            .get("entries")
+            .and_then(serde_json::Value::as_array)
+            .unwrap();
         let last = entries.last().unwrap();
         assert_eq!(last.get("id").and_then(serde_json::Value::as_u64), Some(42));
         assert_eq!(
@@ -1300,16 +1361,22 @@ mod tests {
             ..EngineConfig::default()
         });
         // No certificates on disk: refusal with the typed reply.
-        let (reply, _) =
-            e.handle_line(r#"{"type":"machine","model":"fig1","id":7}"#, Instant::now());
+        let (reply, _) = e.handle_line(
+            r#"{"type":"machine","model":"fig1","id":7}"#,
+            Instant::now(),
+        );
         let v = serde_json::from_str(&reply).unwrap();
         assert_eq!(
-            v.get("error").and_then(|e| e.get("kind")).and_then(|k| k.as_str()),
+            v.get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(|k| k.as_str()),
             Some("uncertified"),
             "{reply}"
         );
         assert_eq!(
-            v.get("error").and_then(|e| e.get("code")).and_then(|c| c.as_u64()),
+            v.get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(|c| c.as_u64()),
             Some(105)
         );
 
@@ -1328,8 +1395,7 @@ mod tests {
         assert_eq!(v.get("cached").and_then(|c| c.as_bool()), Some(true));
 
         // A machine the certificate does not vouch for is still refused.
-        let (reply, _) =
-            e.handle_line(r#"{"type":"machine","model":"mips"}"#, Instant::now());
+        let (reply, _) = e.handle_line(r#"{"type":"machine","model":"mips"}"#, Instant::now());
         assert!(reply.contains("\"uncertified\""), "{reply}");
 
         std::fs::remove_dir_all(&dir).ok();

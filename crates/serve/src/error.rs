@@ -272,7 +272,9 @@ mod tests {
         assert!(r.ends_with(",\"retry_after_ms\":50}"), "{r}");
         let v = serde_json::from_str(&r).expect("reply must be valid JSON");
         assert_eq!(
-            v.get("error").and_then(|e| e.get("kind")).and_then(|k| k.as_str()),
+            v.get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(|k| k.as_str()),
             Some("overloaded")
         );
     }

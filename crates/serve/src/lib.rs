@@ -36,6 +36,6 @@ pub mod signal;
 pub use chaos::{Chaos, ChaosAction};
 pub use daemon::{run, ServeOptions, ServeSummary, SharedWriter};
 pub use engine::{EngineConfig, ServeEngine};
-pub use flight::{FlightEntry, FlightRecorder};
 pub use error::ServeError;
 pub use fingerprint::fingerprint;
+pub use flight::{FlightEntry, FlightRecorder};

@@ -601,7 +601,10 @@ mod tests {
                 r#"{"type":"schedule","fingerprint":"f","nodes":["a"],"edges":[[0,5,1,0]]}"#,
                 "bad_request",
             ),
-            (r#"{"type":"suite","fingerprint":"f","loops":0}"#, "bad_request"),
+            (
+                r#"{"type":"suite","fingerprint":"f","loops":0}"#,
+                "bad_request",
+            ),
             (r#"{"type":"status","id":[1]}"#, "bad_request"),
             (r#"{"type":"status","deadline_ms":-4}"#, "bad_request"),
         ];

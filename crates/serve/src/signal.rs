@@ -68,11 +68,13 @@ mod tests {
     #[test]
     fn flag_roundtrip() {
         install_sigterm_handler();
-        assert!(!sigterm_received() || {
-            // Another test may have set it; normalize.
-            set_shutdown(false);
-            !sigterm_received()
-        });
+        assert!(
+            !sigterm_received() || {
+                // Another test may have set it; normalize.
+                set_shutdown(false);
+                !sigterm_received()
+            }
+        );
         set_shutdown(true);
         assert!(sigterm_received());
         set_shutdown(false);

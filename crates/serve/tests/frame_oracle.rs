@@ -203,9 +203,9 @@ fn numeric_ids_outside_the_old_rendering_are_the_only_difference() {
 mod oracle {
     #![allow(dead_code)]
 
-    use rmd_serve::error::ServeError;
     use rmd_obs::export::push_json_string;
     use rmd_sched::DepKind;
+    use rmd_serve::error::ServeError;
     use serde_json::Value;
 
     /// Default per-frame size limit (bytes). A megabyte comfortably holds
@@ -452,11 +452,11 @@ mod oracle {
                     })?
                     .iter()
                     .map(|n| {
-                        n.as_str().map(str::to_string).ok_or_else(|| {
-                            ServeError::BadRequest {
+                        n.as_str()
+                            .map(str::to_string)
+                            .ok_or_else(|| ServeError::BadRequest {
                                 detail: "every node must be an operation name string".to_string(),
-                            }
-                        })
+                            })
                     })
                     .collect::<Result<_, _>>()?;
                 if nodes.is_empty() {

@@ -110,10 +110,12 @@ fn hostile_frames_get_typed_replies_and_service_continues() {
     ];
 
     let fp = {
-        let (reply, _) =
-            engine.handle_line(r#"{"type":"machine","model":"fig1"}"#, Instant::now());
+        let (reply, _) = engine.handle_line(r#"{"type":"machine","model":"fig1"}"#, Instant::now());
         let v: serde_json::Value = serde_json::from_str(&reply).unwrap();
-        v.get("fingerprint").and_then(|f| f.as_str()).unwrap().to_string()
+        v.get("fingerprint")
+            .and_then(|f| f.as_str())
+            .unwrap()
+            .to_string()
     };
 
     for case in cases {

@@ -62,7 +62,9 @@ fn threaded_snapshot_equals_sum_of_worker_registries() {
     // after every request; the collector plays the role of a `metrics`
     // frame, merging whatever the workers have published at an instant.
     let slots: Arc<Vec<Mutex<MetricRegistry>>> = Arc::new(
-        (0..WORKERS).map(|_| Mutex::new(MetricRegistry::new())).collect(),
+        (0..WORKERS)
+            .map(|_| Mutex::new(MetricRegistry::new()))
+            .collect(),
     );
 
     thread::scope(|scope| {
@@ -71,8 +73,8 @@ fn threaded_snapshot_equals_sum_of_worker_registries() {
             scope.spawn(move || {
                 let mut engine = ServeEngine::new(EngineConfig::default());
                 for i in 0..REQUESTS_PER_WORKER {
-                    let (reply, _) =
-                        engine.handle_line(&format!(r#"{{"type":"status","id":{i}}}"#), Instant::now());
+                    let (reply, _) = engine
+                        .handle_line(&format!(r#"{{"type":"status","id":{i}}}"#), Instant::now());
                     assert!(reply.contains("\"ok\":true"), "{reply}");
                     *slots[w].lock().unwrap() = engine.metrics_snapshot();
                 }
@@ -116,8 +118,10 @@ fn threaded_snapshot_equals_sum_of_worker_registries() {
                     .filter_map(|s| s.histogram("serve.latency_ns"))
                     .map(|h| h.count())
                     .sum();
-                let merged_lat =
-                    ltr.histogram("serve.latency_ns").map(|h| h.count()).unwrap_or(0);
+                let merged_lat = ltr
+                    .histogram("serve.latency_ns")
+                    .map(|h| h.count())
+                    .unwrap_or(0);
                 assert_eq!(merged_lat, sum_lat);
                 thread::yield_now();
             }

@@ -11,9 +11,7 @@
 use rmd_core::{reduce_with_fallback, Objective, ReduceOptions};
 use rmd_machine::models;
 use rmd_query::WordLayout;
-use rmd_sched::{
-    mii::mii, DepGraph, DepKind, ImsConfig, IterativeModuloScheduler, Representation,
-};
+use rmd_sched::{mii::mii, DepGraph, DepKind, ImsConfig, IterativeModuloScheduler, Representation};
 use rmd_serve::daemon::{serve_stream, SharedWriter};
 use rmd_serve::engine::suite_digest;
 use rmd_serve::{signal, Chaos, EngineConfig, ServeEngine, ServeOptions};
@@ -51,7 +49,11 @@ fn schedule_line(i: usize, fp: &str) -> String {
         .map(|(f, t, d, dist)| format!("[{f},{t},{d},{dist}]"))
         .collect::<Vec<_>>()
         .join(",");
-    let deadline = if i % 7 == 0 { r#","deadline_ms":1"# } else { "" };
+    let deadline = if i % 7 == 0 {
+        r#","deadline_ms":1"#
+    } else {
+        ""
+    };
     let trace = if i % 11 == 0 { r#","trace":true"# } else { "" };
     format!(
         r#"{{"type":"schedule","id":{i},"fingerprint":"{fp}","nodes":[{nodes_json}],"edges":[{edges_json}]{deadline}{trace}}}"#
@@ -61,7 +63,10 @@ fn schedule_line(i: usize, fp: &str) -> String {
 fn build_line(i: usize, fig1_fp: &str, cydra_fp: &str) -> String {
     if i % 113 == 0 {
         // Oversized: blows the 4096-byte frame limit.
-        format!(r#"{{"type":"status","id":{i},"pad":"{}"}}"#, "x".repeat(16384))
+        format!(
+            r#"{{"type":"status","id":{i},"pad":"{}"}}"#,
+            "x".repeat(16384)
+        )
     } else if i % 101 == 0 {
         format!(
             r#"{{"type":"suite","id":{i},"fingerprint":"{cydra_fp}","loops":{SUITE_LOOPS},"seed":{SUITE_SEED},"threads":{SUITE_THREADS}}}"#
@@ -125,8 +130,12 @@ fn offline_schedule(
 
 fn reduced(m: &rmd_machine::MachineDescription) -> rmd_machine::MachineDescription {
     let layout = WordLayout::widest(64, m.num_resources());
-    reduce_with_fallback(m, Objective::KCycleWord { k: layout.k }, &ReduceOptions::default())
-        .machine
+    reduce_with_fallback(
+        m,
+        Objective::KCycleWord { k: layout.k },
+        &ReduceOptions::default(),
+    )
+    .machine
 }
 
 #[test]
@@ -176,7 +185,10 @@ fn chaos_soak_ten_thousand_requests() {
         let line = build_line(i, &fig1_fp, &cydra_fp);
         let (reply, shutdown) = engine.handle_line(&line, Instant::now());
         assert!(!shutdown, "nothing in the soak requests shutdown");
-        assert!(!reply.contains('\n'), "request {i}: reply broke line framing");
+        assert!(
+            !reply.contains('\n'),
+            "request {i}: reply broke line framing"
+        );
         let v: serde_json::Value = serde_json::from_str(&reply)
             .unwrap_or_else(|e| panic!("request {i}: reply not JSON ({e}): {reply}"));
         answered += 1;
@@ -248,7 +260,10 @@ fn chaos_soak_ten_thousand_requests() {
                         Some(expected_digest.as_str()),
                         "request {i}: suite digest diverged from offline"
                     );
-                    assert_eq!(v.get("loops").and_then(|l| l.as_u64()), Some(SUITE_LOOPS as u64));
+                    assert_eq!(
+                        v.get("loops").and_then(|l| l.as_u64()),
+                        Some(SUITE_LOOPS as u64)
+                    );
                     ok_suites += 1;
                 }
                 _ => {}
@@ -274,13 +289,25 @@ fn chaos_soak_ten_thousand_requests() {
     }
 
     assert_eq!(answered, SOAK_REQUESTS as u64, "every request answered");
-    assert!(ok_schedules >= 1_000, "only {ok_schedules} schedules verified");
+    assert!(
+        ok_schedules >= 1_000,
+        "only {ok_schedules} schedules verified"
+    );
     assert!(ok_suites >= 1, "no suite request succeeded");
     assert!(ok_metrics >= 1, "no metrics frame succeeded mid-burst");
     assert!(traced_schedules >= 1, "no traced schedule survived chaos");
-    assert!(kinds.get("malformed").copied().unwrap_or(0) >= 1, "{kinds:?}");
-    assert!(kinds.get("oversized").copied().unwrap_or(0) >= 1, "{kinds:?}");
-    assert!(kinds.get("panicked").copied().unwrap_or(0) >= 1, "{kinds:?}");
+    assert!(
+        kinds.get("malformed").copied().unwrap_or(0) >= 1,
+        "{kinds:?}"
+    );
+    assert!(
+        kinds.get("oversized").copied().unwrap_or(0) >= 1,
+        "{kinds:?}"
+    );
+    assert!(
+        kinds.get("panicked").copied().unwrap_or(0) >= 1,
+        "{kinds:?}"
+    );
     assert!(kinds.get("timeout").copied().unwrap_or(0) >= 1, "{kinds:?}");
     assert!(engine.counter("serve.quarantined") >= 1);
     // No reply kind outside the typed taxonomy leaked out.
@@ -329,15 +356,25 @@ fn chaos_soak_ten_thousand_requests() {
             Some("rmd-flight/1"),
             "dump lacks schema tag"
         );
-        let reason = d.get("reason").and_then(|s| s.as_str()).expect("dump carries reason");
-        assert!(reason.starts_with("panic"), "unexpected dump reason {reason:?}");
+        let reason = d
+            .get("reason")
+            .and_then(|s| s.as_str())
+            .expect("dump carries reason");
+        assert!(
+            reason.starts_with("panic"),
+            "unexpected dump reason {reason:?}"
+        );
         let entries = d
             .get("entries")
             .and_then(|e| e.as_array())
             .expect("dump carries entries");
         assert!(!entries.is_empty(), "empty flight dump");
         assert_eq!(
-            entries.last().unwrap().get("outcome").and_then(|o| o.as_str()),
+            entries
+                .last()
+                .unwrap()
+                .get("outcome")
+                .and_then(|o| o.as_str()),
             Some("panicked"),
             "newest flight entry is not the panicking request"
         );

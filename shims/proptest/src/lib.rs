@@ -129,10 +129,10 @@ macro_rules! tuple_strategy {
     };
 }
 
-tuple_strategy!(A/a/0);
-tuple_strategy!(A/a/0, B/b/1);
-tuple_strategy!(A/a/0, B/b/1, C/c/2);
-tuple_strategy!(A/a/0, B/b/1, C/c/2, D/d/3);
+tuple_strategy!(A / a / 0);
+tuple_strategy!(A / a / 0, B / b / 1);
+tuple_strategy!(A / a / 0, B / b / 1, C / c / 2);
+tuple_strategy!(A / a / 0, B / b / 1, C / c / 2, D / d / 3);
 
 /// A strategy producing one fixed value.
 #[derive(Clone, Debug)]
@@ -152,8 +152,33 @@ impl Strategy for str {
     type Value = String;
     fn generate(&self, rng: &mut TestRng) -> String {
         const POOL: &[char] = &[
-            'a', 'b', 'z', 'A', 'Z', '0', '9', '_', ' ', '\t', '\n', '"', '\\', '{', '}', '[',
-            ']', ';', ',', '.', '@', '/', '*', '%', '\u{00e9}', '\u{4e16}', '\u{1F600}',
+            'a',
+            'b',
+            'z',
+            'A',
+            'Z',
+            '0',
+            '9',
+            '_',
+            ' ',
+            '\t',
+            '\n',
+            '"',
+            '\\',
+            '{',
+            '}',
+            '[',
+            ']',
+            ';',
+            ',',
+            '.',
+            '@',
+            '/',
+            '*',
+            '%',
+            '\u{00e9}',
+            '\u{4e16}',
+            '\u{1F600}',
         ];
         let len = (rng.next_u64() % 61) as usize;
         (0..len)
@@ -356,8 +381,10 @@ where
     for i in 0..config.cases {
         let (inputs, result) = case(&mut rng);
         if let Err(msg) = result {
-            panic!("property `{name}` failed at case {i}/{}:\n  {msg}\n  inputs: {inputs}",
-                config.cases);
+            panic!(
+                "property `{name}` failed at case {i}/{}:\n  {msg}\n  inputs: {inputs}",
+                config.cases
+            );
         }
     }
 }
@@ -469,7 +496,9 @@ macro_rules! prop_assert_ne {
         if *__l == *__r {
             return ::std::result::Result::Err(::std::format!(
                 "assertion failed: `{} != {}`\n    both: {:?}",
-                ::std::stringify!($left), ::std::stringify!($right), __l
+                ::std::stringify!($left),
+                ::std::stringify!($right),
+                __l
             ));
         }
     }};
@@ -515,10 +544,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "property `always_fails`")]
     fn failures_panic_with_inputs() {
-        crate::run_property(
-            &ProptestConfig::with_cases(4),
-            "always_fails",
-            |_rng| ("x = 1".to_string(), Err("nope".to_string())),
-        );
+        crate::run_property(&ProptestConfig::with_cases(4), "always_fails", |_rng| {
+            ("x = 1".to_string(), Err("nope".to_string()))
+        });
     }
 }
