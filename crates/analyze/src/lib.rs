@@ -43,5 +43,5 @@ pub mod lints;
 mod model;
 
 pub use diag::{Diagnostic, Report, Severity};
-pub use lint::{all_lints, lint_alt, lint_machine, lint_subject, Lint, INVALID_MACHINE};
+pub use lint::{lint_alt, lint_machine, lint_subject, INVALID_MACHINE};
 pub use model::{LintSubject, OpGroup};

@@ -1,7 +1,7 @@
-//! The lint trait, the registry, and the lint runners.
+//! The lint runners.
 
 use crate::diag::{Diagnostic, Report, Severity};
-use crate::lints;
+use crate::lints::{Findings, CATALOG};
 use crate::model::LintSubject;
 use rmd_machine::alternatives::AltDescription;
 use rmd_machine::mdl::SourceMap;
@@ -11,40 +11,7 @@ use rmd_machine::MachineDescription;
 /// expand into a valid machine at all.
 pub const INVALID_MACHINE: &str = "RMD-L000";
 
-/// One description lint.
-///
-/// A lint inspects a [`LintSubject`] and appends [`Diagnostic`]s; it
-/// must not assume the subject expanded (matrix lints return early when
-/// [`LintSubject::machine`] is `None`).
-pub trait Lint {
-    /// Catalog id, e.g. `RMD-L001`.
-    fn id(&self) -> &'static str;
-    /// Short kebab-case name, e.g. `dead-resource`.
-    fn name(&self) -> &'static str;
-    /// Severity this lint reports at by default.
-    fn default_severity(&self) -> Severity;
-    /// Runs the lint, appending findings to `out`.
-    fn run(&self, subject: &LintSubject, out: &mut Vec<Diagnostic>);
-}
-
-/// Every registered description lint, in catalog order.
-pub fn all_lints() -> Vec<Box<dyn Lint>> {
-    vec![
-        Box::new(lints::DeadResource),
-        Box::new(lints::DuplicateResource),
-        Box::new(lints::DominatedResource),
-        Box::new(lints::IdenticalTables),
-        Box::new(lints::TableOverrun),
-        Box::new(lints::EmptyTable),
-        Box::new(lints::MatrixInvariant),
-        Box::new(lints::DominatedAlternative),
-        Box::new(lints::Redundancy),
-        Box::new(lints::NeverSelectable),
-        Box::new(lints::IiInfeasible),
-    ]
-}
-
-/// Runs every registered lint over `subject`.
+/// Runs every catalog lint over `subject`.
 ///
 /// A subject that failed to expand additionally yields one
 /// [`INVALID_MACHINE`] error carrying the expansion failure.
@@ -59,8 +26,9 @@ pub fn lint_subject(subject: &LintSubject) -> Report {
             span: None,
         });
     }
-    for lint in all_lints() {
-        lint.run(subject, &mut report.diagnostics);
+    for &(id, severity, body) in CATALOG {
+        let out = &mut report.diagnostics;
+        body(subject, &mut Findings { id, severity, out });
     }
     report
 }
@@ -84,12 +52,11 @@ mod tests {
 
     #[test]
     fn registry_ids_are_unique_and_ordered() {
-        let lints = all_lints();
-        let ids: Vec<&str> = lints.iter().map(|l| l.id()).collect();
+        let ids: Vec<&str> = CATALOG.iter().map(|&(id, ..)| id).collect();
         let mut sorted = ids.clone();
         sorted.sort_unstable();
         sorted.dedup();
-        assert_eq!(sorted.len(), lints.len(), "duplicate lint ids: {ids:?}");
+        assert_eq!(sorted.len(), CATALOG.len(), "duplicate lint ids: {ids:?}");
         assert_eq!(ids, sorted, "registry must stay in catalog order");
         assert!(ids.iter().all(|i| i.starts_with("RMD-L")));
     }

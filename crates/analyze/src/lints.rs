@@ -21,20 +21,55 @@
 //! headroom to report, not a defect to deny.
 
 use crate::diag::{Diagnostic, Severity};
-use crate::lint::Lint;
 use crate::model::{LintSubject, OpGroup};
-use rmd_core::{dominated_by, generating_set, prune_dominated, Limits, SynthResource, SynthUsage};
+use rmd_core::{
+    dominated_by, generating_set, prune_dominated, SynthResource, SynthUsage, MAX_TABLE_CYCLES,
+};
 use rmd_latency::{ClassPartition, ForbiddenMatrix};
 use rmd_machine::mdl::Span;
 use rmd_machine::{ReservationTable, ResourceId};
 use std::collections::HashMap;
 
-fn diag(lint: &dyn Lint, span: Option<Span>, message: String) -> Diagnostic {
-    Diagnostic {
-        id: lint.id(),
-        severity: lint.default_severity(),
-        message,
-        span,
+/// The catalog, in id order: each lint's id, its default severity and
+/// its body. A body must not assume the subject expanded (matrix lints
+/// return early when [`LintSubject::machine`] is `None`).
+pub(crate) const CATALOG: &[(&str, Severity, Body)] = &[
+    ("RMD-L001", Severity::Warning, dead_resource),
+    ("RMD-L002", Severity::Info, duplicate_resource),
+    ("RMD-L003", Severity::Info, dominated_resource),
+    ("RMD-L004", Severity::Info, identical_tables),
+    ("RMD-L005", Severity::Error, table_overrun),
+    ("RMD-L006", Severity::Error, empty_table),
+    ("RMD-L007", Severity::Error, matrix_invariant),
+    ("RMD-L008", Severity::Warning, dominated_alternative),
+    ("RMD-L009", Severity::Info, redundancy),
+    ("RMD-L010", Severity::Warning, never_selectable),
+    ("RMD-L011", Severity::Info, ii_infeasible),
+];
+
+type Body = fn(&LintSubject, &mut Findings<'_>);
+
+/// Collects one lint's findings under its catalog id.
+pub(crate) struct Findings<'a> {
+    pub(crate) id: &'static str,
+    pub(crate) severity: Severity,
+    pub(crate) out: &'a mut Vec<Diagnostic>,
+}
+
+impl Findings<'_> {
+    /// Reports a finding at the lint's default severity.
+    fn push(&mut self, span: Option<Span>, message: String) {
+        self.push_at(self.severity, span, message);
+    }
+
+    /// Reports a finding at `severity`.
+    fn push_at(&mut self, severity: Severity, span: Option<Span>, message: String) {
+        self.out.push(Diagnostic {
+            id: self.id,
+            severity,
+            message,
+            span,
+        });
     }
 }
 
@@ -55,28 +90,14 @@ fn used_resources(s: &LintSubject) -> Vec<bool> {
 
 /// RMD-L001: a declared resource no operation ever reserves. It
 /// constrains nothing and is either leftover or a typo.
-pub struct DeadResource;
-
-impl Lint for DeadResource {
-    fn id(&self) -> &'static str {
-        "RMD-L001"
-    }
-    fn name(&self) -> &'static str {
-        "dead-resource"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn run(&self, s: &LintSubject, out: &mut Vec<Diagnostic>) {
-        let used = used_resources(s);
-        for (i, name) in s.resource_names().iter().enumerate() {
-            if !used[i] {
-                out.push(diag(
-                    self,
-                    s.resource_spans()[i],
-                    format!("resource `{name}` is never used by any operation"),
-                ));
-            }
+fn dead_resource(s: &LintSubject, out: &mut Findings<'_>) {
+    let used = used_resources(s);
+    for (i, name) in s.resource_names().iter().enumerate() {
+        if !used[i] {
+            out.push(
+                s.resource_spans()[i],
+                format!("resource `{name}` is never used by any operation"),
+            );
         }
     }
 }
@@ -85,45 +106,31 @@ impl Lint for DeadResource {
 /// alternative of every operation. They impose the same constraints
 /// twice; one is redundant by construction (lockstep pipeline stages
 /// do this legitimately, hence info).
-pub struct DuplicateResource;
-
-impl Lint for DuplicateResource {
-    fn id(&self) -> &'static str {
-        "RMD-L002"
-    }
-    fn name(&self) -> &'static str {
-        "duplicate-resource"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Info
-    }
-    fn run(&self, s: &LintSubject, out: &mut Vec<Diagnostic>) {
-        let used = used_resources(s);
-        // Signature: usage cycles in every alternative, in declaration
-        // order — equal signatures ⇒ interchangeable resources.
-        let mut first_with: HashMap<Vec<Vec<u32>>, usize> = HashMap::new();
-        for (i, name) in s.resource_names().iter().enumerate() {
-            if !used[i] {
-                continue; // dead resources are RMD-L001's finding
-            }
-            let sig: Vec<Vec<u32>> = s
-                .groups()
-                .iter()
-                .flat_map(|g| &g.alternatives)
-                .map(|t| t.usage_set(ResourceId(i as u32)))
-                .collect();
-            match first_with.get(&sig) {
-                Some(&j) => out.push(diag(
-                    self,
-                    s.resource_spans()[i],
-                    format!(
-                        "resource `{name}` is used identically to `{}`; one of them is redundant",
-                        s.resource_names()[j]
-                    ),
-                )),
-                None => {
-                    first_with.insert(sig, i);
-                }
+fn duplicate_resource(s: &LintSubject, out: &mut Findings<'_>) {
+    let used = used_resources(s);
+    // Signature: usage cycles in every alternative, in declaration
+    // order — equal signatures ⇒ interchangeable resources.
+    let mut first_with: HashMap<Vec<Vec<u32>>, usize> = HashMap::new();
+    for (i, name) in s.resource_names().iter().enumerate() {
+        if !used[i] {
+            continue; // dead resources are RMD-L001's finding
+        }
+        let sig: Vec<Vec<u32>> = s
+            .groups()
+            .iter()
+            .flat_map(|g| &g.alternatives)
+            .map(|t| t.usage_set(ResourceId(i as u32)))
+            .collect();
+        match first_with.get(&sig) {
+            Some(&j) => out.push(
+                s.resource_spans()[i],
+                format!(
+                    "resource `{name}` is used identically to `{}`; one of them is redundant",
+                    s.resource_names()[j]
+                ),
+            ),
+            None => {
+                first_with.insert(sig, i);
             }
         }
     }
@@ -132,122 +139,79 @@ impl Lint for DuplicateResource {
 /// RMD-L003: a resource whose every forbidden latency is already
 /// forbidden by a single other resource — exactly the domination
 /// relation `prune_dominated` removes during reduction.
-pub struct DominatedResource;
-
-impl Lint for DominatedResource {
-    fn id(&self) -> &'static str {
-        "RMD-L003"
-    }
-    fn name(&self) -> &'static str {
-        "dominated-resource"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Info
-    }
-    fn run(&self, s: &LintSubject, out: &mut Vec<Diagnostic>) {
-        let Some(m) = s.machine() else { return };
-        // View each declared resource as a synthesized resource over the
-        // expanded operations (one class per op), then reuse the
-        // reduction's own domination scan.
-        let mut ids = Vec::new();
-        let mut synth = Vec::new();
-        for r in 0..m.num_resources() {
-            let rid = ResourceId(r as u32);
-            let usages: Vec<SynthUsage> = m
-                .ops()
-                .flat_map(|(id, op)| {
-                    op.table()
-                        .usage_set(rid)
-                        .into_iter()
-                        .map(move |c| SynthUsage::new(id.0, c))
-                })
-                .collect();
-            if !usages.is_empty() {
-                ids.push(r);
-                synth.push(SynthResource::from_usages(usages));
-            }
+fn dominated_resource(s: &LintSubject, out: &mut Findings<'_>) {
+    let Some(m) = s.machine() else { return };
+    // View each declared resource as a synthesized resource over the
+    // expanded operations (one class per op), then reuse the
+    // reduction's own domination scan.
+    let mut ids = Vec::new();
+    let mut synth = Vec::new();
+    for r in 0..m.num_resources() {
+        let rid = ResourceId(r as u32);
+        let usages: Vec<SynthUsage> = m
+            .ops()
+            .flat_map(|(id, op)| {
+                op.table()
+                    .usage_set(rid)
+                    .into_iter()
+                    .map(move |c| SynthUsage::new(id.0, c))
+            })
+            .collect();
+        if !usages.is_empty() {
+            ids.push(r);
+            synth.push(SynthResource::from_usages(usages));
         }
-        for (k, dom) in dominated_by(&synth).iter().enumerate() {
-            if let Some(j) = dom {
-                let name = &s.resource_names()[ids[k]];
-                let by = &s.resource_names()[ids[*j]];
-                out.push(diag(
-                    self,
-                    s.resource_spans()[ids[k]],
-                    format!(
-                        "resource `{name}` is dominated by `{by}`: every latency it \
-                         forbids is already forbidden by `{by}` (reduction would prune it)"
-                    ),
-                ));
-            }
+    }
+    for (k, dom) in dominated_by(&synth).iter().enumerate() {
+        if let Some(j) = dom {
+            let name = &s.resource_names()[ids[k]];
+            let by = &s.resource_names()[ids[*j]];
+            out.push(
+                s.resource_spans()[ids[k]],
+                format!(
+                    "resource `{name}` is dominated by `{by}`: every latency it \
+                     forbids is already forbidden by `{by}` (reduction would prune it)"
+                ),
+            );
         }
     }
 }
 
 /// RMD-L004: two operations with identical alternative tables. They form
 /// one latency equivalence class and could share a definition.
-pub struct IdenticalTables;
-
-impl Lint for IdenticalTables {
-    fn id(&self) -> &'static str {
-        "RMD-L004"
-    }
-    fn name(&self) -> &'static str {
-        "identical-tables"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Info
-    }
-    fn run(&self, s: &LintSubject, out: &mut Vec<Diagnostic>) {
-        let gs = s.groups();
-        for (i, g) in gs.iter().enumerate() {
-            if let Some(first) = gs[..i].iter().find(|o| o.alternatives == g.alternatives) {
-                out.push(diag(
-                    self,
-                    g.span,
-                    format!(
-                        "operations `{}` and `{}` have identical reservation tables; \
-                         they behave as one class and could be merged",
-                        first.name, g.name
-                    ),
-                ));
-            }
+fn identical_tables(s: &LintSubject, out: &mut Findings<'_>) {
+    let gs = s.groups();
+    for (i, g) in gs.iter().enumerate() {
+        if let Some(first) = gs[..i].iter().find(|o| o.alternatives == g.alternatives) {
+            out.push(
+                g.span,
+                format!(
+                    "operations `{}` and `{}` have identical reservation tables; \
+                     they behave as one class and could be merged",
+                    first.name, g.name
+                ),
+            );
         }
     }
 }
 
 /// RMD-L005: a reservation past the pipeline's maximum table length —
-/// the validation [`Limits`] every pipeline entry point enforces would
-/// reject the machine.
-pub struct TableOverrun;
-
-impl Lint for TableOverrun {
-    fn id(&self) -> &'static str {
-        "RMD-L005"
-    }
-    fn name(&self) -> &'static str {
-        "table-overrun"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn run(&self, s: &LintSubject, out: &mut Vec<Diagnostic>) {
-        let max = Limits::default().max_table_cycles;
-        for g in s.groups() {
-            for (i, t) in g.alternatives.iter().enumerate() {
-                if t.length() > max {
-                    out.push(diag(
-                        self,
-                        g.span,
-                        format!(
-                            "operation `{}`{} reserves through cycle {}, past the \
-                             pipeline's maximum table length of {max} cycles",
-                            g.name,
-                            alt_label(g, i),
-                            t.length() - 1
-                        ),
-                    ));
-                }
+/// the input limit ([`MAX_TABLE_CYCLES`]) every pipeline entry point
+/// enforces would reject the machine.
+fn table_overrun(s: &LintSubject, out: &mut Findings<'_>) {
+    for g in s.groups() {
+        for (i, t) in g.alternatives.iter().enumerate() {
+            if t.length() > MAX_TABLE_CYCLES {
+                out.push(
+                    g.span,
+                    format!(
+                        "operation `{}`{} reserves through cycle {}, past the \
+                         pipeline's maximum table length of {MAX_TABLE_CYCLES} cycles",
+                        g.name,
+                        alt_label(g, i),
+                        t.length() - 1
+                    ),
+                );
             }
         }
     }
@@ -255,32 +219,18 @@ impl Lint for TableOverrun {
 
 /// RMD-L006: an operation (or one of its alternatives) reserving
 /// nothing. It would contend with nothing — including itself.
-pub struct EmptyTable;
-
-impl Lint for EmptyTable {
-    fn id(&self) -> &'static str {
-        "RMD-L006"
-    }
-    fn name(&self) -> &'static str {
-        "empty-table"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn run(&self, s: &LintSubject, out: &mut Vec<Diagnostic>) {
-        for g in s.groups() {
-            for (i, t) in g.alternatives.iter().enumerate() {
-                if t.is_empty() {
-                    out.push(diag(
-                        self,
-                        g.span,
-                        format!(
-                            "operation `{}`{} has an empty reservation table",
-                            g.name,
-                            alt_label(g, i)
-                        ),
-                    ));
-                }
+fn empty_table(s: &LintSubject, out: &mut Findings<'_>) {
+    for g in s.groups() {
+        for (i, t) in g.alternatives.iter().enumerate() {
+            if t.is_empty() {
+                out.push(
+                    g.span,
+                    format!(
+                        "operation `{}`{} has an empty reservation table",
+                        g.name,
+                        alt_label(g, i)
+                    ),
+                );
             }
         }
     }
@@ -289,63 +239,47 @@ impl Lint for EmptyTable {
 /// RMD-L007: the forbidden-matrix invariants the whole pipeline rests
 /// on — mirror symmetry `f ∈ F[X][Y] ⇔ −f ∈ F[Y][X]` and structural
 /// self-contention `0 ∈ F[X][X]` (paper §3).
-pub struct MatrixInvariant;
-
-impl Lint for MatrixInvariant {
-    fn id(&self) -> &'static str {
-        "RMD-L007"
-    }
-    fn name(&self) -> &'static str {
-        "matrix-invariant"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn run(&self, s: &LintSubject, out: &mut Vec<Diagnostic>) {
-        // Self-contention is checkable without expansion: an alternative
-        // reserving nothing can issue concurrently with itself, so
-        // 0 ∈ F[X][X] cannot hold.
-        for g in s.groups() {
-            if g.alternatives.iter().any(ReservationTable::is_empty) {
-                out.push(diag(
-                    self,
-                    g.span,
-                    format!(
-                        "self-contention invariant 0 ∈ F[X][X] cannot hold for \
-                         `{}`: it reserves no resource",
-                        g.name
-                    ),
-                ));
-            }
+fn matrix_invariant(s: &LintSubject, out: &mut Findings<'_>) {
+    // Self-contention is checkable without expansion: an alternative
+    // reserving nothing can issue concurrently with itself, so
+    // 0 ∈ F[X][X] cannot hold.
+    for g in s.groups() {
+        if g.alternatives.iter().any(ReservationTable::is_empty) {
+            out.push(
+                g.span,
+                format!(
+                    "self-contention invariant 0 ∈ F[X][X] cannot hold for \
+                     `{}`: it reserves no resource",
+                    g.name
+                ),
+            );
         }
-        let Some(m) = s.machine() else { return };
-        let f = crate::lints::matrix_of(m);
-        if let Err((x, y, lat)) = f.check_symmetry() {
-            out.push(diag(
-                self,
+    }
+    let Some(m) = s.machine() else { return };
+    let f = crate::lints::matrix_of(m);
+    if let Err((x, y, lat)) = f.check_symmetry() {
+        out.push(
+            None,
+            format!(
+                "forbidden matrix violates mirror symmetry: {lat} ∈ F[`{}`][`{}`] \
+                 but {} ∉ F[`{}`][`{}`]",
+                m.operations()[x].name(),
+                m.operations()[y].name(),
+                -lat,
+                m.operations()[y].name(),
+                m.operations()[x].name()
+            ),
+        );
+    }
+    for (id, op) in m.ops() {
+        if !op.table().is_empty() && !f.forbids(id, 0, id) {
+            out.push(
                 None,
                 format!(
-                    "forbidden matrix violates mirror symmetry: {lat} ∈ F[`{}`][`{}`] \
-                     but {} ∉ F[`{}`][`{}`]",
-                    m.operations()[x].name(),
-                    m.operations()[y].name(),
-                    -lat,
-                    m.operations()[y].name(),
-                    m.operations()[x].name()
+                    "self-contention invariant violated: 0 ∉ F[`{0}`][`{0}`]",
+                    op.name()
                 ),
-            ));
-        }
-        for (id, op) in m.ops() {
-            if !op.table().is_empty() && !f.forbids(id, 0, id) {
-                out.push(diag(
-                    self,
-                    None,
-                    format!(
-                        "self-contention invariant violated: 0 ∉ F[`{0}`][`{0}`]",
-                        op.name()
-                    ),
-                ));
-            }
+            );
         }
     }
 }
@@ -354,42 +288,27 @@ impl Lint for MatrixInvariant {
 /// (warning — pure redundancy that skews weights), or reserves a strict
 /// superset of another's usages (info — any placement where it is free,
 /// the subset alternative is free too, so it is never *required*).
-pub struct DominatedAlternative;
-
-impl Lint for DominatedAlternative {
-    fn id(&self) -> &'static str {
-        "RMD-L008"
-    }
-    fn name(&self) -> &'static str {
-        "dominated-alternative"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn run(&self, s: &LintSubject, out: &mut Vec<Diagnostic>) {
-        for g in s.groups() {
-            let alts = &g.alternatives;
-            for j in 0..alts.len() {
-                if let Some(k) = (0..j).find(|&k| alts[k] == alts[j]) {
-                    out.push(diag(
-                        self,
-                        g.span,
-                        format!("alternative {j} of `{}` duplicates alternative {k}", g.name),
-                    ));
-                } else if let Some(k) =
-                    (0..alts.len()).find(|&k| k != j && table_strict_subset(&alts[k], &alts[j]))
-                {
-                    out.push(Diagnostic {
-                        id: self.id(),
-                        severity: Severity::Info,
-                        message: format!(
-                            "alternative {j} of `{}` reserves a strict superset of \
-                             alternative {k}; it is dominated and never required",
-                            g.name
-                        ),
-                        span: g.span,
-                    });
-                }
+fn dominated_alternative(s: &LintSubject, out: &mut Findings<'_>) {
+    for g in s.groups() {
+        let alts = &g.alternatives;
+        for j in 0..alts.len() {
+            if let Some(k) = (0..j).find(|&k| alts[k] == alts[j]) {
+                out.push(
+                    g.span,
+                    format!("alternative {j} of `{}` duplicates alternative {k}", g.name),
+                );
+            } else if let Some(k) =
+                (0..alts.len()).find(|&k| k != j && table_strict_subset(&alts[k], &alts[j]))
+            {
+                out.push_at(
+                    Severity::Info,
+                    g.span,
+                    format!(
+                        "alternative {j} of `{}` reserves a strict superset of \
+                         alternative {k}; it is dominated and never required",
+                        g.name
+                    ),
+                );
             }
         }
     }
@@ -398,43 +317,29 @@ impl Lint for DominatedAlternative {
 /// RMD-L009: the redundancy report. Fingerprints the forbidden matrix
 /// and estimates reduction headroom by running the paper's generating
 /// set + pruning over the class machine.
-pub struct Redundancy;
-
-impl Lint for Redundancy {
-    fn id(&self) -> &'static str {
-        "RMD-L009"
-    }
-    fn name(&self) -> &'static str {
-        "redundancy"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Info
-    }
-    fn run(&self, s: &LintSubject, out: &mut Vec<Diagnostic>) {
-        let Some(m) = s.machine() else { return };
-        let f = matrix_of(m);
-        let fp = rmd_core::fingerprints::matrix_fingerprint(&f);
-        let classes = ClassPartition::compute(m, &f);
-        let Ok(cm) = classes.class_machine(m) else {
-            return;
-        };
-        let cf = matrix_of(&cm);
-        let pruned = prune_dominated(&generating_set(&cf));
-        out.push(diag(
-            self,
-            None,
-            format!(
-                "matrix fingerprint {fp:016x}: {} forbidden latencies (max {}) over {} \
-                 classes; {} resources / {} usages could reduce to {} maximal resources",
-                f.total_nonneg(),
-                f.max_latency(),
-                classes.num_classes(),
-                m.num_resources(),
-                m.total_usages(),
-                pruned.len()
-            ),
-        ));
-    }
+fn redundancy(s: &LintSubject, out: &mut Findings<'_>) {
+    let Some(m) = s.machine() else { return };
+    let f = matrix_of(m);
+    let fp = rmd_core::fingerprints::matrix_fingerprint(&f);
+    let classes = ClassPartition::compute(m, &f);
+    let Ok(cm) = classes.class_machine(m) else {
+        return;
+    };
+    let cf = matrix_of(&cm);
+    let pruned = prune_dominated(&generating_set(&cf));
+    out.push(
+        None,
+        format!(
+            "matrix fingerprint {fp:016x}: {} forbidden latencies (max {}) over {} \
+             classes; {} resources / {} usages could reduce to {} maximal resources",
+            f.total_nonneg(),
+            f.max_latency(),
+            classes.num_classes(),
+            m.num_resources(),
+            m.total_usages(),
+            pruned.len()
+        ),
+    );
 }
 
 /// RMD-L010: an alternative that can never be *selected*.
@@ -445,33 +350,19 @@ impl Lint for Redundancy {
 /// reaches the later alternative — it is dead weight in every schedule.
 /// (Equal tables are RMD-L008's duplicate finding; a subset declared
 /// *after* its superset is still selectable and only draws L008's info.)
-pub struct NeverSelectable;
-
-impl Lint for NeverSelectable {
-    fn id(&self) -> &'static str {
-        "RMD-L010"
-    }
-    fn name(&self) -> &'static str {
-        "never-selectable"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn run(&self, s: &LintSubject, out: &mut Vec<Diagnostic>) {
-        for g in s.groups() {
-            let alts = &g.alternatives;
-            for j in 1..alts.len() {
-                if let Some(k) = (0..j).find(|&k| table_strict_subset(&alts[k], &alts[j])) {
-                    out.push(diag(
-                        self,
-                        g.span,
-                        format!(
-                            "alternative {j} of `{}` is never selectable: alternative {k} \
-                             reserves a strict subset of its cells and is probed first",
-                            g.name
-                        ),
-                    ));
-                }
+fn never_selectable(s: &LintSubject, out: &mut Findings<'_>) {
+    for g in s.groups() {
+        let alts = &g.alternatives;
+        for j in 1..alts.len() {
+            if let Some(k) = (0..j).find(|&k| table_strict_subset(&alts[k], &alts[j])) {
+                out.push(
+                    g.span,
+                    format!(
+                        "alternative {j} of `{}` is never selectable: alternative {k} \
+                         reserves a strict subset of its cells and is probed first",
+                        g.name
+                    ),
+                );
             }
         }
     }
@@ -484,59 +375,45 @@ impl Lint for NeverSelectable {
 /// ResMII apart, the operation conflicts with its own next initiation at
 /// II = ResMII, so its true per-op minimum II is strictly larger than
 /// the bound a scheduler would compute from usage counts.
-pub struct IiInfeasible;
-
-impl Lint for IiInfeasible {
-    fn id(&self) -> &'static str {
-        "RMD-L011"
-    }
-    fn name(&self) -> &'static str {
-        "ii-infeasible"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Info
-    }
-    fn run(&self, s: &LintSubject, out: &mut Vec<Diagnostic>) {
-        for g in s.groups() {
-            for (i, table) in g.alternatives.iter().enumerate() {
-                let mut cycles_by_res: Vec<(u32, Vec<u32>)> = Vec::new();
-                for u in table.usages() {
-                    match cycles_by_res.iter_mut().find(|(r, _)| *r == u.resource.0) {
-                        Some((_, cs)) => cs.push(u.cycle),
-                        None => cycles_by_res.push((u.resource.0, vec![u.cycle])),
-                    }
+fn ii_infeasible(s: &LintSubject, out: &mut Findings<'_>) {
+    for g in s.groups() {
+        for (i, table) in g.alternatives.iter().enumerate() {
+            let mut cycles_by_res: Vec<(u32, Vec<u32>)> = Vec::new();
+            for u in table.usages() {
+                match cycles_by_res.iter_mut().find(|(r, _)| *r == u.resource.0) {
+                    Some((_, cs)) => cs.push(u.cycle),
+                    None => cycles_by_res.push((u.resource.0, vec![u.cycle])),
                 }
-                let Some(resmii) = cycles_by_res.iter().map(|(_, cs)| cs.len()).max() else {
-                    continue; // empty table: RMD-L006's finding
-                };
-                let resmii = resmii as u32;
-                if resmii < 2 {
-                    continue; // no resource reused; II=1 is trivially clean
-                }
-                let collision = cycles_by_res.iter().find_map(|&(r, ref cs)| {
-                    cs.iter()
-                        .flat_map(|&c1| cs.iter().map(move |&c2| (c1, c2)))
-                        .find(|&(c1, c2)| c1 < c2 && (c2 - c1) % resmii == 0)
-                        .map(|(c1, c2)| (r, c1, c2))
-                });
-                if let Some((r, c1, c2)) = collision {
-                    let rname = s
-                        .resource_names()
-                        .get(r as usize)
-                        .map(String::as_str)
-                        .unwrap_or("?");
-                    out.push(diag(
-                        self,
-                        g.span,
-                        format!(
-                            "`{}`{}: cannot sustain II={resmii} (its ResMII): `{rname}`@{c1} \
-                             and `{rname}`@{c2} are {} cycles apart, a multiple of {resmii}",
-                            g.name,
-                            alt_label(g, i),
-                            c2 - c1
-                        ),
-                    ));
-                }
+            }
+            let Some(resmii) = cycles_by_res.iter().map(|(_, cs)| cs.len()).max() else {
+                continue; // empty table: RMD-L006's finding
+            };
+            let resmii = resmii as u32;
+            if resmii < 2 {
+                continue; // no resource reused; II=1 is trivially clean
+            }
+            let collision = cycles_by_res.iter().find_map(|&(r, ref cs)| {
+                cs.iter()
+                    .flat_map(|&c1| cs.iter().map(move |&c2| (c1, c2)))
+                    .find(|&(c1, c2)| c1 < c2 && (c2 - c1) % resmii == 0)
+                    .map(|(c1, c2)| (r, c1, c2))
+            });
+            if let Some((r, c1, c2)) = collision {
+                let rname = s
+                    .resource_names()
+                    .get(r as usize)
+                    .map(String::as_str)
+                    .unwrap_or("?");
+                out.push(
+                    g.span,
+                    format!(
+                        "`{}`{}: cannot sustain II={resmii} (its ResMII): `{rname}`@{c1} \
+                         and `{rname}`@{c2} are {} cycles apart, a multiple of {resmii}",
+                        g.name,
+                        alt_label(g, i),
+                        c2 - c1
+                    ),
+                );
             }
         }
     }
@@ -571,6 +448,21 @@ mod tests {
         LintSubject::from_alt(&d, Some(&map))
     }
 
+    /// Runs the catalog lint `id` alone.
+    fn run(id: &str, s: &LintSubject) -> Vec<Diagnostic> {
+        let &(id, severity, body) = CATALOG.iter().find(|row| row.0 == id).expect("listed");
+        let mut out = Vec::new();
+        body(
+            s,
+            &mut Findings {
+                id,
+                severity,
+                out: &mut out,
+            },
+        );
+        out
+    }
+
     fn ids(src: &str) -> Vec<&'static str> {
         let mut v: Vec<&'static str> = lint_subject(&subject(src))
             .diagnostics
@@ -584,8 +476,7 @@ mod tests {
     #[test]
     fn dead_resource_is_flagged_with_its_span() {
         let s = subject(r#"machine "m" { resources { alu; spare; } op x { use alu @ 0; } }"#);
-        let mut out = Vec::new();
-        DeadResource.run(&s, &mut out);
+        let out = run("RMD-L001", &s);
         assert_eq!(out.len(), 1);
         assert!(out[0].message.contains("`spare`"), "{}", out[0].message);
         assert!(out[0].span.is_some());
@@ -598,8 +489,7 @@ mod tests {
                 op x { use a @ 0; use b @ 0; }
                 op y { use a @ 2; use b @ 2; } }"#,
         );
-        let mut out = Vec::new();
-        DuplicateResource.run(&s, &mut out);
+        let out = run("RMD-L002", &s);
         assert_eq!(out.len(), 1);
         assert!(out[0].message.contains("`b` is used identically to `a`"));
     }
@@ -610,8 +500,7 @@ mod tests {
             r#"machine "m" { resources { light; heavy; }
                 op x { use light @ 0; use heavy @ 0..3; } }"#,
         );
-        let mut out = Vec::new();
-        DominatedResource.run(&s, &mut out);
+        let out = run("RMD-L003", &s);
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(
             out[0].message.contains("`light` is dominated by `heavy`"),
@@ -626,8 +515,7 @@ mod tests {
             r#"machine "m" { resources { p; q; }
                 op ld alt { { use p @ 0; } { use p @ 0; use q @ 1; } } }"#,
         );
-        let mut out = Vec::new();
-        DominatedAlternative.run(&s, &mut out);
+        let out = run("RMD-L008", &s);
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!(out[0].severity, Severity::Info);
         assert!(out[0].message.contains("strict superset"));
@@ -709,8 +597,7 @@ mod tests {
         ];
         for (src, expected, fragment) in cases {
             let s = subject(src);
-            let mut out = Vec::new();
-            NeverSelectable.run(&s, &mut out);
+            let out = run("RMD-L010", &s);
             assert_eq!(out.len(), expected, "{src}: {out:?}");
             if expected > 0 {
                 assert_eq!(out[0].severity, Severity::Warning);
@@ -752,8 +639,7 @@ mod tests {
         ];
         for (src, expected, fragment) in cases {
             let s = subject(src);
-            let mut out = Vec::new();
-            IiInfeasible.run(&s, &mut out);
+            let out = run("RMD-L011", &s);
             assert_eq!(out.len(), expected, "{src}: {out:?}");
             if expected > 0 {
                 assert_eq!(out[0].severity, Severity::Info);
@@ -769,10 +655,8 @@ mod tests {
         // and RMD-L011 stays informational wherever it fires.
         for m in rmd_machine::models::all_machines() {
             let s = LintSubject::from_machine(&m);
-            let mut out = Vec::new();
-            NeverSelectable.run(&s, &mut out);
-            assert_eq!(out, Vec::new(), "{}", m.name());
-            IiInfeasible.run(&s, &mut out);
+            assert_eq!(run("RMD-L010", &s), Vec::new(), "{}", m.name());
+            let out = run("RMD-L011", &s);
             assert!(
                 out.iter().all(|d| d.severity == Severity::Info),
                 "{}: {out:?}",

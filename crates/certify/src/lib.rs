@@ -196,9 +196,6 @@ impl fmt::Display for CertifyFailure {
 /// Tunables for a certification run.
 #[derive(Clone, Copy, Debug)]
 pub struct CertifyOptions {
-    /// Largest II the modulo pass checks explicitly; `None` uses the
-    /// complete bound (the larger machine span).
-    pub max_ii: Option<u32>,
     /// Product-state budget for the global commitment-product pass;
     /// exceeding it records the pass as skipped, not failed.
     pub global_budget: u64,
@@ -215,7 +212,6 @@ pub const ISSUE_CAP: u8 = 2;
 impl Default for CertifyOptions {
     fn default() -> Self {
         CertifyOptions {
-            max_ii: None,
             global_budget: 1_500_000,
             pair_state_cap: 1 << 22,
         }
@@ -310,9 +306,7 @@ fn prove_pair(
     }
 
     // Pass 2: cycle-normalized modulo states at every II up to the bound.
-    let span = a.span().max(b.span()).max(1);
-    let max_ii = options.max_ii.unwrap_or(span).max(1);
-    let modulo = modulo::certify_modulo(&a, &b, max_ii)?;
+    let modulo = modulo::certify_modulo(&a, &b)?;
 
     // Pass 3: IMS on the reduced description, re-validated on the
     // original.

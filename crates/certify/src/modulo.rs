@@ -34,12 +34,13 @@ pub struct ModuloStats {
 }
 
 /// Compare the folded modulo-conflict relations of the two machines for
-/// every II in `1..=max_ii`.
+/// every II in `1..=max_ii`, where `max_ii` is the complete bound: the
+/// larger span, and at least 1.
 pub(crate) fn certify_modulo(
     a: &ConflictVectors,
     b: &ConflictVectors,
-    max_ii: u32,
 ) -> Result<ModuloStats, CertifyFailure> {
+    let max_ii = a.span().max(b.span()).max(1);
     let n = a.num_ops();
     let mut comparisons = 0u64;
     for ii in 1..=max_ii {
@@ -117,7 +118,7 @@ mod tests {
     fn machine_equals_itself_at_every_ii() {
         let m = models::cydra5_subset();
         let cv = ConflictVectors::compute(&m).expect("span fits");
-        let stats = certify_modulo(&cv, &cv, cv.span()).expect("reflexive");
+        let stats = certify_modulo(&cv, &cv).expect("reflexive");
         assert_eq!(stats.max_ii, cv.span());
         assert!(stats.comparisons > 0);
     }
@@ -136,7 +137,7 @@ mod tests {
         };
         let a = ConflictVectors::compute(&mk(2)).expect("fits");
         let b = ConflictVectors::compute(&mk(3)).expect("fits");
-        let err = certify_modulo(&a, &b, 4).expect_err("different self-conflicts");
+        let err = certify_modulo(&a, &b).expect_err("different self-conflicts");
         match err {
             CertifyFailure::Mismatch(cex) => {
                 assert!(matches!(cex.kind, CexKind::Modulo { .. }));

@@ -2,10 +2,11 @@
 //! one: each `machines/*.mdl` file has exactly one certificate under
 //! `certs/`, and each certificate vouches for a shipped file. Editing a
 //! machine without regenerating its certificate (`rmd certify`) fails
-//! here.
+//! here, and so does a certificate whose modulo pass stopped short.
 
-use rmd_certify::Certificate;
-use rmd_machine::{content_fingerprint, mdl};
+use rmd_certify::{certificate_objectives, Certificate, ConflictVectors};
+use rmd_core::{try_reduce, ReduceOptions};
+use rmd_machine::{content_fingerprint, mdl, MachineDescription};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -70,5 +71,40 @@ fn every_shipped_machine_has_exactly_one_certificate() {
             "{}: certifies {fp}, which no file under machines/ describes",
             path.display()
         );
+    }
+}
+
+/// Every objective of every certificate ran the modulo pass to the
+/// complete bound: the larger span of the original and of its reduction
+/// under that objective, and at least 1.
+#[test]
+fn every_certificate_checks_every_ii_up_to_the_complete_bound() {
+    let mut machines = BTreeMap::new();
+    for (path, text) in read_all("machines", "mdl") {
+        let (m, _) =
+            mdl::parse_machine(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        machines.insert(content_fingerprint(&m), m);
+    }
+    let span = |m: &MachineDescription| ConflictVectors::compute(m).expect("span fits").span();
+    for (path, text) in read_all("certs", "json") {
+        let cert = Certificate::parse(&text)
+            .unwrap_or_else(|| panic!("{}: not a valid certificate", path.display()));
+        let m = &machines[&cert.fingerprint];
+        let objectives = certificate_objectives(m);
+        for o in &cert.objectives {
+            let (_, objective) = objectives
+                .iter()
+                .find(|(label, _)| *label == o.objective)
+                .unwrap_or_else(|| panic!("{}: unknown objective {}", path.display(), o.objective));
+            let red = try_reduce(m, *objective, &ReduceOptions::default()).expect("reduces");
+            let bound = span(m).max(span(&red.reduced)).max(1);
+            assert_eq!(
+                o.modulo_max_ii,
+                bound,
+                "{}: {} stopped below the complete bound",
+                path.display(),
+                o.objective
+            );
+        }
     }
 }

@@ -103,8 +103,6 @@ const SPECS: &[Spec] = &[
                                        through the runtime query\n\
                                        modules"),
             ("--format", "text|json|sarif", "result format [text]"),
-            ("--max-ii", "<N>", "cap the modulo pass's II bound\n\
-                                 (default: the complete bound)"),
             ("--budget", "<N>", "global-pass product-state\n\
                                  budget"),
         ],
@@ -369,7 +367,6 @@ fn certify(a: &Args<'_>) -> Result<Command, CliError> {
         mutant,
         out,
         format: report_format(a),
-        max_ii: a.positive("--max-ii")?,
         budget: a.num("--budget")?,
     })
 }

@@ -11,7 +11,9 @@ mod args;
 
 pub use args::{help, parse_args};
 
-use rmd_core::{try_reduce, verify_equivalence, Limits, Objective, ReduceOptions, RmdError};
+use rmd_core::{
+    try_reduce, validate_limits, verify_equivalence, Objective, ReduceOptions, RmdError,
+};
 use rmd_latency::{ClassPartition, ForbiddenMatrix};
 use rmd_machine::{mdl, models, MachineDescription};
 use std::fmt::Write as _;
@@ -224,9 +226,6 @@ pub enum Command {
         out: Option<String>,
         /// Result output format.
         format: ReportFormat,
-        /// Override the modulo pass's II bound (`None` = the complete
-        /// bound, the larger machine span).
-        max_ii: Option<u32>,
         /// Override the global pass's product-state budget.
         budget: Option<u64>,
     },
@@ -335,7 +334,7 @@ impl ReportFormat {
 }
 
 /// Loads a machine from a built-in model name or an `.mdl` file path,
-/// then checks it against the default validation [`Limits`].
+/// then checks it against the input limits ([`validate_limits`]).
 ///
 /// # Errors
 ///
@@ -347,11 +346,11 @@ pub fn load_machine(spec: &str) -> Result<MachineDescription, CliError> {
         Some(m) => m,
         None => parse_spec(spec, mdl::parse_machine)?.0,
     };
-    Limits::default().validate(&m).map_err(CliError::from)?;
+    validate_limits(&m).map_err(CliError::from)?;
     Ok(m)
 }
 
-/// Lints a machine spec without the [`Limits`] gate, so limit
+/// Lints a machine spec without the [`validate_limits`] gate, so limit
 /// violations surface as findings (`RMD-L005`) rather than hard
 /// failures. Built-in names lint the expanded model; `.mdl` paths are
 /// re-parsed with a source map so findings carry declaration spans.
@@ -616,7 +615,6 @@ fn run_fuzz(
     corpus: Option<&str>,
     replay: bool,
 ) -> Result<String, CliError> {
-    let cap = 1 << 18;
     if replay {
         let dir = corpus.unwrap_or("corpus");
         let mut entries: Vec<(String, String)> = Vec::new();
@@ -666,7 +664,6 @@ fn run_fuzz(
         size: rmd_fault::GenConfig::preset(size)
             .ok_or_else(|| CliError::Usage(format!("unknown size preset `{size}`")))?,
         mutant,
-        automata_cap: cap,
     };
     let report = rmd_fault::fuzz(&cfg);
     let mut rendered = report.render();
@@ -787,11 +784,9 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             mutant,
             out: out_dir,
             format,
-            max_ii,
             budget,
         } => {
             let options = rmd_certify::CertifyOptions {
-                max_ii: *max_ii,
                 global_budget: budget
                     .unwrap_or(rmd_certify::CertifyOptions::default().global_budget),
                 ..rmd_certify::CertifyOptions::default()
@@ -895,9 +890,7 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
                     default_deadline_ms: deadline_ms.unwrap_or(0),
                     chaos: chaos.map(rmd_serve::Chaos::new),
                     cert_dir,
-                    ..rmd_serve::EngineConfig::default()
                 },
-                ..rmd_serve::ServeOptions::default()
             };
             rmd_serve::run(&opts).map_err(|e| CliError::Serve {
                 message: e.to_string(),
@@ -1481,8 +1474,7 @@ mod certify_tests {
     #[test]
     fn parses_certify_with_options() {
         let c = parse_args(&args(&[
-            "certify", "fig1", "--out", "certs", "--format", "json", "--max-ii", "12", "--budget",
-            "1000",
+            "certify", "fig1", "--out", "certs", "--format", "json", "--budget", "1000",
         ]))
         .expect("valid command line");
         assert_eq!(
@@ -1493,7 +1485,6 @@ mod certify_tests {
                 mutant: None,
                 out: Some("certs".into()),
                 format: ReportFormat::Json,
-                max_ii: Some(12),
                 budget: Some(1000),
             }
         );
@@ -1507,7 +1498,6 @@ mod certify_tests {
                 mutant: Some((rmd_fault::MutationOp::DropUsage, 3)),
                 out: None,
                 format: ReportFormat::Text,
-                max_ii: None,
                 budget: None,
             }
         );
@@ -1532,6 +1522,7 @@ mod certify_tests {
             &["certify", "fig1", "--against", "mips", "--out", "certs"][..],
             &["certify", "fig1", "--format", "yaml"][..],
             &["certify", "fig1", "--max-ii", "0"][..],
+            &["certify", "fig1", "--max-ii", "12"][..],
             &["certify", "fig1", "--budget", "lots"][..],
             &["certify", "fig1", "--bogus"][..],
         ] {
@@ -1555,7 +1546,6 @@ mod certify_tests {
             mutant,
             out: out.map(str::to_owned),
             format,
-            max_ii: None,
             budget: None,
         }
     }

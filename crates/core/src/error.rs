@@ -5,8 +5,8 @@
 //! enum — instead of panicking. Errors sort into four families:
 //!
 //! - **Input errors** ([`RmdError::InvalidMachine`], [`RmdError::Parse`],
-//!   [`RmdError::LimitExceeded`], [`RmdError::DegenerateInput`]): the
-//!   caller handed us something malformed or unreasonably large.
+//!   [`RmdError::LimitExceeded`]): the caller handed us something
+//!   malformed or unreasonably large.
 //! - **Verification errors** ([`RmdError::VerificationFailed`]): a
 //!   reduction's forbidden-latency matrix diverged from the original's —
 //!   the one failure the paper's Theorem 1 says must never reach a
@@ -38,9 +38,6 @@ pub enum RmdError {
         /// The configured maximum.
         limit: u64,
     },
-    /// The input is structurally valid but degenerate in a way the
-    /// pipeline cannot meaningfully process.
-    DegenerateInput(String),
     /// A reduced description failed exact-equivalence verification
     /// against its original.
     VerificationFailed(EquivalenceError),
@@ -67,7 +64,6 @@ impl fmt::Display for RmdError {
             RmdError::LimitExceeded { what, value, limit } => {
                 write!(f, "limit exceeded: {value} {what} (maximum {limit})")
             }
-            RmdError::DegenerateInput(msg) => write!(f, "degenerate input: {msg}"),
             RmdError::VerificationFailed(e) => {
                 write!(f, "reduction failed equivalence verification: {e}")
             }
@@ -111,90 +107,63 @@ impl From<EquivalenceError> for RmdError {
     }
 }
 
-/// Explicit resource limits applied before the pipeline touches an
-/// input. Defaults are far above any real machine model but low enough
-/// to reject adversarial inputs long before they can exhaust memory or
-/// overflow latency arithmetic.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Limits {
-    /// Maximum declared resources.
-    pub max_resources: usize,
-    /// Maximum declared operations.
-    pub max_operations: usize,
-    /// Maximum reservation-table length in cycles. Also guards the
-    /// latency arithmetic: forbidden latencies span
-    /// `-(len-1) ..= len-1`, computed in `i32`, so this must stay far
-    /// below `i32::MAX`.
-    pub max_table_cycles: u32,
-    /// Maximum total usages summed over all operations.
-    pub max_total_usages: usize,
-}
+/// Most resources a machine may declare. The four input limits are far
+/// above any real machine model but low enough to reject adversarial
+/// inputs long before they can exhaust memory or overflow latency
+/// arithmetic; [`validate_limits`] applies them.
+pub const MAX_RESOURCES: usize = 4096;
+/// Most operations a machine may declare.
+pub const MAX_OPERATIONS: usize = 4096;
+/// Longest reservation table, in cycles.
+pub const MAX_TABLE_CYCLES: u32 = 1 << 16;
+/// Most usages summed over all operations.
+pub const MAX_TOTAL_USAGES: usize = 1 << 20;
 
-impl Default for Limits {
-    fn default() -> Self {
-        Limits {
-            max_resources: 4096,
-            max_operations: 4096,
-            max_table_cycles: 1 << 16,
-            max_total_usages: 1 << 20,
-        }
-    }
-}
+// Forbidden latencies span `-(len-1) ..= len-1` and are computed in
+// `i32`, so the table-length limit must stay far below `i32::MAX`.
+const _: () = assert!(MAX_TABLE_CYCLES <= i32::MAX as u32 / 4);
 
-impl Limits {
-    /// Validates `machine` against these limits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RmdError::LimitExceeded`] naming the first violated
-    /// limit, or [`RmdError::DegenerateInput`] for inputs no limit can
-    /// make sense of.
-    pub fn validate(&self, machine: &MachineDescription) -> Result<(), RmdError> {
-        if machine.num_resources() > self.max_resources {
-            return Err(RmdError::LimitExceeded {
-                what: "resources",
-                value: machine.num_resources() as u64,
-                limit: self.max_resources as u64,
-            });
-        }
-        if machine.num_operations() > self.max_operations {
-            return Err(RmdError::LimitExceeded {
-                what: "operations",
-                value: machine.num_operations() as u64,
-                limit: self.max_operations as u64,
-            });
-        }
-        let mut total_usages = 0usize;
-        for (_, op) in machine.ops() {
-            let len = op.table().length();
-            if len > self.max_table_cycles {
-                return Err(RmdError::LimitExceeded {
-                    what: "table cycles",
-                    value: u64::from(len),
-                    limit: u64::from(self.max_table_cycles),
-                });
-            }
-            // Redundant with the limit above for sane configurations,
-            // but keeps latency-offset arithmetic overflow-free even if
-            // a caller raises `max_table_cycles` recklessly.
-            if len > (i32::MAX as u32) / 4 {
-                return Err(RmdError::DegenerateInput(format!(
-                    "operation `{}` spans {len} cycles; forbidden-latency \
-                     offsets would overflow i32",
-                    op.name()
-                )));
-            }
-            total_usages += op.table().num_usages();
-        }
-        if total_usages > self.max_total_usages {
-            return Err(RmdError::LimitExceeded {
-                what: "total usages",
-                value: total_usages as u64,
-                limit: self.max_total_usages as u64,
-            });
-        }
-        Ok(())
+/// Validates `machine` against the input limits ([`MAX_RESOURCES`],
+/// [`MAX_OPERATIONS`], [`MAX_TABLE_CYCLES`], [`MAX_TOTAL_USAGES`]).
+///
+/// # Errors
+///
+/// Returns [`RmdError::LimitExceeded`] naming the first violated limit.
+pub fn validate_limits(machine: &MachineDescription) -> Result<(), RmdError> {
+    if machine.num_resources() > MAX_RESOURCES {
+        return Err(RmdError::LimitExceeded {
+            what: "resources",
+            value: machine.num_resources() as u64,
+            limit: MAX_RESOURCES as u64,
+        });
     }
+    if machine.num_operations() > MAX_OPERATIONS {
+        return Err(RmdError::LimitExceeded {
+            what: "operations",
+            value: machine.num_operations() as u64,
+            limit: MAX_OPERATIONS as u64,
+        });
+    }
+    let mut total_usages = 0usize;
+    for (_, op) in machine.ops() {
+        let len = op.table().length();
+        if len > MAX_TABLE_CYCLES {
+            return Err(RmdError::LimitExceeded {
+                what: "table cycles",
+                value: u64::from(len),
+                limit: u64::from(MAX_TABLE_CYCLES),
+            });
+        }
+        total_usages += op.table().num_usages();
+    }
+    if total_usages > MAX_TOTAL_USAGES {
+        return Err(RmdError::LimitExceeded {
+            what: "total usages",
+            value: total_usages as u64,
+            limit: MAX_TOTAL_USAGES as u64,
+        });
+    }
+    Ok(())
 }
 
 /// A countdown of pipeline work: each unit is roughly one usage-pair
@@ -245,40 +214,32 @@ mod tests {
     use super::*;
     use rmd_machine::MachineBuilder;
 
-    fn tiny() -> MachineDescription {
-        let mut b = MachineBuilder::new("t");
-        let r = b.resource("r");
-        b.operation("x").usage(r, 0).finish();
-        b.build().unwrap()
-    }
-
     #[test]
     fn default_limits_admit_real_models() {
         for m in rmd_machine::models::all_machines() {
-            assert!(Limits::default().validate(&m).is_ok(), "{}", m.name());
+            assert!(validate_limits(&m).is_ok(), "{}", m.name());
         }
     }
 
     #[test]
     fn tight_limits_reject_with_the_right_name() {
-        let m = tiny();
-        let limits = Limits {
-            max_resources: 0,
-            ..Limits::default()
-        };
-        match limits.validate(&m) {
+        let mut b = MachineBuilder::new("wide");
+        let rs: Vec<_> = (0..=MAX_RESOURCES)
+            .map(|i| b.resource(format!("r{i}")))
+            .collect();
+        b.operation("x").usage(rs[0], 0).finish();
+        match validate_limits(&b.build().unwrap()) {
             Err(RmdError::LimitExceeded { what, value, limit }) => {
                 assert_eq!(what, "resources");
-                assert_eq!((value, limit), (1, 0));
+                assert_eq!((value, limit), (4097, 4096));
             }
             other => panic!("expected LimitExceeded, got {other:?}"),
         }
-        let limits = Limits {
-            max_table_cycles: 0,
-            ..Limits::default()
-        };
+        let mut b = MachineBuilder::new("long");
+        let r = b.resource("r");
+        b.operation("x").usage(r, MAX_TABLE_CYCLES).finish();
         assert!(matches!(
-            limits.validate(&m),
+            validate_limits(&b.build().unwrap()),
             Err(RmdError::LimitExceeded {
                 what: "table cycles",
                 ..

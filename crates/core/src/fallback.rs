@@ -114,8 +114,8 @@ pub fn reduce_with_fallback(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::Limits;
     use rmd_machine::models::{all_machines, example_machine};
+    use rmd_machine::MachineBuilder;
 
     #[test]
     fn success_returns_a_verified_reduction() {
@@ -131,10 +131,7 @@ mod tests {
     #[test]
     fn exhausted_budget_falls_back_to_the_original() {
         let m = example_machine();
-        let options = ReduceOptions {
-            max_steps: Some(1),
-            ..ReduceOptions::default()
-        };
+        let options = ReduceOptions { max_steps: Some(1) };
         let out = reduce_with_fallback(&m, Objective::ResUses, &options);
         assert!(out.used_fallback());
         assert!(out.reduction.is_none());
@@ -149,15 +146,13 @@ mod tests {
 
     #[test]
     fn limit_violation_falls_back_to_the_original() {
-        let m = example_machine();
-        let options = ReduceOptions {
-            limits: Limits {
-                max_operations: 1,
-                ..Limits::default()
-            },
-            ..ReduceOptions::default()
-        };
-        let out = reduce_with_fallback(&m, Objective::ResUses, &options);
+        let mut b = MachineBuilder::new("many-ops");
+        let r = b.resource("r");
+        for i in 0..=crate::MAX_OPERATIONS {
+            b.operation(format!("op{i}")).usage(r, 0).finish();
+        }
+        let m = b.build().unwrap();
+        let out = reduce_with_fallback(&m, Objective::ResUses, &ReduceOptions::default());
         assert!(out.used_fallback());
         assert_eq!(out.machine, m);
         match out.fallback.unwrap().error() {
@@ -201,10 +196,7 @@ mod tests {
     #[test]
     fn fallback_emits_an_instant_event() {
         let (out, events) = with_tracing(|| {
-            let options = ReduceOptions {
-                max_steps: Some(1),
-                ..ReduceOptions::default()
-            };
+            let options = ReduceOptions { max_steps: Some(1) };
             let out = reduce_with_fallback(&example_machine(), Objective::ResUses, &options);
             (out, rmd_obs::drain_events())
         });
@@ -219,7 +211,6 @@ mod tests {
         let m = example_machine();
         let options = ReduceOptions {
             max_steps: Some(1_000_000),
-            ..ReduceOptions::default()
         };
         let out = reduce_with_fallback(&m, Objective::KCycleWord { k: 2 }, &options);
         assert!(!out.used_fallback());

@@ -50,7 +50,10 @@ mod stats;
 mod synth;
 mod verify;
 
-pub use error::{Limits, RmdError, StepBudget};
+pub use error::{
+    validate_limits, RmdError, StepBudget, MAX_OPERATIONS, MAX_RESOURCES, MAX_TABLE_CYCLES,
+    MAX_TOTAL_USAGES,
+};
 pub use fallback::{reduce_with_fallback, FallbackEvent, FallbackReduction};
 pub use genset::{
     generating_set, generating_set_budgeted, generating_set_traced, GenSetEvent, GenSetTrace,

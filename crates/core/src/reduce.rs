@@ -1,6 +1,6 @@
 //! The end-to-end reduction driver.
 
-use crate::error::{Limits, RmdError, StepBudget};
+use crate::error::{validate_limits, RmdError, StepBudget};
 use crate::genset::generating_set_budgeted;
 use crate::prune::prune_dominated;
 use crate::select::{select, Objective, Selection};
@@ -31,8 +31,6 @@ pub const REDUCTION_PHASES: &[&str] = &[
 /// [`reduce_with_fallback`](crate::reduce_with_fallback).
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct ReduceOptions {
-    /// Structural limits applied to the input before any work happens.
-    pub limits: Limits,
     /// Step budget for generating-set construction; `None` is unlimited.
     pub max_steps: Option<u64>,
 }
@@ -99,8 +97,8 @@ pub fn reduce(machine: &MachineDescription, objective: Objective) -> Reduction {
 ///
 /// # Errors
 ///
-/// - [`RmdError::LimitExceeded`] / [`RmdError::DegenerateInput`] if the
-///   input violates [`ReduceOptions::limits`];
+/// - [`RmdError::LimitExceeded`] if the input violates a limit of
+///   [`validate_limits`];
 /// - [`RmdError::BudgetExhausted`] if [`ReduceOptions::max_steps`] runs
 ///   out during generating-set construction;
 /// - [`RmdError::InvalidMachine`] if an internal build step rejects its
@@ -111,7 +109,7 @@ pub fn try_reduce(
     objective: Objective,
     options: &ReduceOptions,
 ) -> Result<Reduction, RmdError> {
-    options.limits.validate(machine)?;
+    validate_limits(machine)?;
     let mut budget = match options.max_steps {
         Some(limit) => StepBudget::new(limit),
         None => StepBudget::unlimited(),

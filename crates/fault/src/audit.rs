@@ -3,7 +3,7 @@
 
 use crate::mutate::{mutate, Mutant, ALL_OPERATORS};
 use crate::oracle::{matrix_oracle, trace_oracle};
-use crate::rng::mix_seed;
+use rand::mix_seed;
 use rmd_machine::MachineDescription;
 use std::fmt::Write as _;
 

@@ -31,7 +31,7 @@ use crate::mutate::{mutate, MutantPayload, MutationOp, ALL_OPERATORS};
 use crate::oracle::{
     record_linear_trace, record_modulo_trace, replay_backends, replay_diff, trace_oracle,
 };
-use crate::rng::mix_seed;
+use rand::mix_seed;
 use rmd_analyze::lint_machine;
 use rmd_automata::{AutomataModule, Automaton, Direction};
 use rmd_certify::{certify_machine, certify_pair, CertifyFailure, CertifyOptions};
@@ -54,21 +54,21 @@ pub struct FuzzConfig {
     pub size: GenConfig,
     /// Inject this seeded mutation into every case's reduction output.
     pub mutant: Option<(MutationOp, u64)>,
-    /// State cap for the automata baseline; a machine that exceeds it
-    /// skips that backend (counted, never silent).
-    pub automata_cap: usize,
 }
+
+/// State cap for the automata baseline; a machine that exceeds it skips
+/// that backend (counted, never silent).
+const AUTOMATA_CAP: usize = 1 << 18;
 
 impl FuzzConfig {
     /// The default campaign: `count` small machines from `seed`, no
-    /// mutant, automata capped at 2^18 states.
+    /// mutant.
     pub fn new(seed: u64, count: u32) -> Self {
         FuzzConfig {
             seed,
             count,
             size: GenConfig::small(),
             mutant: None,
-            automata_cap: 1 << 18,
         }
     }
 }
@@ -187,13 +187,12 @@ impl FuzzReport {
 /// Runs the full differential pipeline over one machine.
 ///
 /// `mutant` corrupts the reduction output before the replay phase;
-/// `trace_seed` drives the recorded query trace; `automata_cap` bounds
-/// the baseline automata build.
+/// `trace_seed` drives the recorded query trace; the baseline automata
+/// build stops at 2^18 states.
 pub fn check_machine(
     m: &MachineDescription,
     mutant: Option<(MutationOp, u64)>,
     trace_seed: u64,
-    automata_cap: usize,
 ) -> CaseOutcome {
     let mut flags = CaseFlags::default();
     let fail = |stage, detail, flags| CaseOutcome::Fail {
@@ -289,8 +288,8 @@ pub fn check_machine(
         // space can blow up on adversarial machines — skip with
         // accounting rather than hang.
         match (
-            Automaton::build(&rut, Direction::Forward, automata_cap),
-            Automaton::build(&rut, Direction::Reverse, automata_cap),
+            Automaton::build(&rut, Direction::Forward, AUTOMATA_CAP),
+            Automaton::build(&rut, Direction::Reverse, AUTOMATA_CAP),
         ) {
             (Ok(fwd), Ok(rev)) => {
                 let horizon = 4 * span + 2;
@@ -325,7 +324,7 @@ pub fn fuzz(cfg: &FuzzConfig) -> FuzzReport {
         let trace_seed = mix_seed(cfg.seed, TAG_TRACE, u64::from(i));
         let m = generate(case_seed, &cfg.size);
         report.cases += 1;
-        let outcome = check_machine(&m, cfg.mutant, trace_seed, cfg.automata_cap);
+        let outcome = check_machine(&m, cfg.mutant, trace_seed);
         let (flags, failure) = match outcome {
             CaseOutcome::Pass(flags) => (flags, None),
             CaseOutcome::Fail {
@@ -345,16 +344,15 @@ pub fn fuzz(cfg: &FuzzConfig) -> FuzzReport {
                 // morph a real divergence into an unrelated artifact.
                 let fails = |cand: &MachineDescription| {
                     matches!(
-                        check_machine(cand, cfg.mutant, trace_seed, cfg.automata_cap),
+                        check_machine(cand, cfg.mutant, trace_seed),
                         CaseOutcome::Fail { stage, .. } if stage == want_stage
                     )
                 };
                 let shrunk = shrink(&m, &fails);
-                let (stage, detail) =
-                    match check_machine(&shrunk, cfg.mutant, trace_seed, cfg.automata_cap) {
-                        CaseOutcome::Fail { stage, detail, .. } => (stage, detail),
-                        CaseOutcome::Pass(_) => unreachable!("shrink preserves failure"),
-                    };
+                let (stage, detail) = match check_machine(&shrunk, cfg.mutant, trace_seed) {
+                    CaseOutcome::Fail { stage, detail, .. } => (stage, detail),
+                    CaseOutcome::Pass(_) => unreachable!("shrink preserves failure"),
+                };
                 let certify = certify_verdict(&shrunk, cfg.mutant, CertifyOptions::default());
                 report.failures.push(FailedCase {
                     case_seed,
@@ -693,8 +691,8 @@ pub fn parse_corpus_entry(text: &str) -> Result<CorpusEntry, String> {
 ///
 /// The entry's expectation was not met (a pinned failure passed, or a
 /// pinned-clean machine failed).
-pub fn replay_corpus_entry(e: &CorpusEntry, automata_cap: usize) -> Result<String, String> {
-    let outcome = check_machine(&e.machine, e.mutant, e.trace_seed, automata_cap);
+pub fn replay_corpus_entry(e: &CorpusEntry) -> Result<String, String> {
+    let outcome = check_machine(&e.machine, e.mutant, e.trace_seed);
     match (e.expect_caught, outcome) {
         (true, CaseOutcome::Fail { stage, detail, .. }) => {
             Ok(format!("still caught at stage {stage}: {detail}"))
@@ -721,7 +719,7 @@ pub fn replay_corpus(entries: &[(String, String)]) -> Result<Vec<String>, String
     let mut summaries = Vec::with_capacity(entries.len());
     for (name, text) in entries {
         let entry = parse_corpus_entry(text).map_err(|e| format!("{name}: {e}"))?;
-        let summary = replay_corpus_entry(&entry, 1 << 18).map_err(|e| format!("{name}: {e}"))?;
+        let summary = replay_corpus_entry(&entry).map_err(|e| format!("{name}: {e}"))?;
         summaries.push(format!("{name}: {summary}"));
     }
     Ok(summaries)
@@ -788,7 +786,7 @@ mod tests {
             entry.machine, f.machine,
             "stored MDL reproduces the machine"
         );
-        let summary = replay_corpus_entry(&entry, 1 << 18).expect("replay re-catches");
+        let summary = replay_corpus_entry(&entry).expect("replay re-catches");
         assert!(summary.contains("still caught"));
     }
 
@@ -801,7 +799,7 @@ mod tests {
         );
         let entry = parse_corpus_entry(&text).unwrap();
         assert!(!entry.expect_caught);
-        assert!(replay_corpus_entry(&entry, 1 << 18).is_ok());
+        assert!(replay_corpus_entry(&entry).is_ok());
     }
 
     #[test]

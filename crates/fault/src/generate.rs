@@ -35,7 +35,8 @@
 //! `(seed, config)`, so a seed printed by a failing fuzz report
 //! reproduces the identical machine anywhere.
 
-use crate::rng::{mix_seed, SplitMix64};
+use rand::rngs::StdRng;
+use rand::{mix_seed, SeedableRng};
 use rmd_machine::{MachineBuilder, MachineDescription, ResourceId};
 
 /// Size envelope for [`generate`]. All bounds are inclusive maxima;
@@ -124,7 +125,7 @@ struct Cluster {
 /// description from `seed` within the `cfg` size envelope. Equal
 /// `(seed, cfg)` pairs yield byte-identical canonical MDL renderings.
 pub fn generate(seed: u64, cfg: &GenConfig) -> MachineDescription {
-    let mut rng = SplitMix64::new(mix_seed(seed, 0x0067_656e, 0)); // "gen"
+    let mut rng = StdRng::seed_from_u64(mix_seed(seed, 0x0067_656e, 0)); // "gen"
     let mut b = MachineBuilder::new(format!("fuzz-{seed:016x}"));
 
     // --- degenerate single-resource machines -------------------------
@@ -236,7 +237,7 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> MachineDescription {
 /// jittered second reservation (the two-usage shape that makes every
 /// issue distance up to the jitter a forbidden latency).
 fn generate_degenerate(
-    rng: &mut SplitMix64,
+    rng: &mut StdRng,
     mut b: MachineBuilder,
     cfg: &GenConfig,
 ) -> MachineDescription {
@@ -266,7 +267,7 @@ fn emit_alt<'a>(
     unit: usize,
     xbus: Option<ResourceId>,
     writeback: bool,
-    rng: &mut SplitMix64,
+    rng: &mut StdRng,
 ) -> rmd_machine::OperationBuilder<'a> {
     op = op.usage(cluster.issue, 0);
     let result_cycle = match &cluster.units[unit] {

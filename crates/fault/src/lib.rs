@@ -20,9 +20,9 @@
 //! and `cargo run -p rmd-fault --bin mutation-audit` reproduces the
 //! table from the command line.
 //!
-//! Determinism is part of the contract: the harness carries its own
-//! [splitmix64](rng::SplitMix64) generator, so a seed printed in a
-//! failing report replays the identical mutant anywhere.
+//! Determinism is part of the contract: the harness draws from the
+//! workspace's seeded splitmix64 (the `rand` shim's `StdRng`), so a seed
+//! printed in a failing report replays the identical mutant anywhere.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,7 +33,6 @@ pub mod generate;
 pub mod intake;
 pub mod mutate;
 pub mod oracle;
-pub mod rng;
 
 pub use audit::{audit_model, AuditReport, OperatorStats};
 pub use fuzz::{
@@ -47,4 +46,3 @@ pub use oracle::{
     matrix_oracle, record_linear_trace, record_modulo_trace, replay_backends, replay_diff,
     trace_oracle,
 };
-pub use rng::SplitMix64;

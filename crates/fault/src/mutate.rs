@@ -14,7 +14,8 @@
 //! mutant would be an oracle false positive, which the audit also
 //! reports.
 
-use crate::rng::SplitMix64;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use rmd_core::{try_reduce, verify_equivalence, Objective, ReduceOptions};
 use rmd_machine::{MachineBuilder, MachineDescription, ResourceId};
 
@@ -194,7 +195,7 @@ impl Parts {
 /// usage from a machine whose every operation has exactly one, which
 /// the validating builder would reject rather than mis-schedule).
 pub fn mutate(machine: &MachineDescription, op: MutationOp, seed: u64) -> Option<Mutant> {
-    let mut rng = SplitMix64::new(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let (what, payload) = match op {
         MutationOp::DropUsage => drop_usage(machine, &mut rng)?,
         MutationOp::ShiftUsage => shift_usage(machine, &mut rng)?,
@@ -213,7 +214,7 @@ pub fn mutate(machine: &MachineDescription, op: MutationOp, seed: u64) -> Option
     })
 }
 
-fn drop_usage(m: &MachineDescription, rng: &mut SplitMix64) -> Option<(String, MutantPayload)> {
+fn drop_usage(m: &MachineDescription, rng: &mut StdRng) -> Option<(String, MutantPayload)> {
     let mut parts = Parts::of(m);
     let candidates: Vec<usize> = (0..parts.ops.len())
         .filter(|&i| parts.ops[i].usages.len() >= 2)
@@ -231,7 +232,7 @@ fn drop_usage(m: &MachineDescription, rng: &mut SplitMix64) -> Option<(String, M
     Some((what, MutantPayload::Machine(parts.build("mut")?)))
 }
 
-fn shift_usage(m: &MachineDescription, rng: &mut SplitMix64) -> Option<(String, MutantPayload)> {
+fn shift_usage(m: &MachineDescription, rng: &mut StdRng) -> Option<(String, MutantPayload)> {
     let mut parts = Parts::of(m);
     let oi = rng.index(parts.ops.len());
     let op = &mut parts.ops[oi];
@@ -246,10 +247,7 @@ fn shift_usage(m: &MachineDescription, rng: &mut SplitMix64) -> Option<(String, 
     Some((what, MutantPayload::Machine(parts.build("mut")?)))
 }
 
-fn merge_resources(
-    m: &MachineDescription,
-    rng: &mut SplitMix64,
-) -> Option<(String, MutantPayload)> {
+fn merge_resources(m: &MachineDescription, rng: &mut StdRng) -> Option<(String, MutantPayload)> {
     if m.num_resources() < 2 {
         return None;
     }
@@ -273,10 +271,7 @@ fn merge_resources(
     Some((what, MutantPayload::Machine(parts.build("mut")?)))
 }
 
-fn drop_cover_latency(
-    m: &MachineDescription,
-    rng: &mut SplitMix64,
-) -> Option<(String, MutantPayload)> {
+fn drop_cover_latency(m: &MachineDescription, rng: &mut StdRng) -> Option<(String, MutantPayload)> {
     // Reduce for real, then knock one usage out of the selected cover —
     // the precise failure `reduce_with_fallback`'s mandatory
     // verification exists to contain.
@@ -306,7 +301,7 @@ fn drop_cover_latency(
     ))
 }
 
-fn corrupt_word(m: &MachineDescription, rng: &mut SplitMix64) -> Option<(String, MutantPayload)> {
+fn corrupt_word(m: &MachineDescription, rng: &mut StdRng) -> Option<(String, MutantPayload)> {
     // A packed word holds num_resources bits per cycle; the layout only
     // exists when a cycle's bits fit in one u64.
     if m.num_resources() > 64 {
@@ -336,7 +331,7 @@ fn corrupt_word(m: &MachineDescription, rng: &mut SplitMix64) -> Option<(String,
     ))
 }
 
-fn truncate_table(m: &MachineDescription, rng: &mut SplitMix64) -> Option<(String, MutantPayload)> {
+fn truncate_table(m: &MachineDescription, rng: &mut StdRng) -> Option<(String, MutantPayload)> {
     let mut parts = Parts::of(m);
     // Truncatable: dropping the final cycle leaves the table nonempty.
     let candidates: Vec<usize> = (0..parts.ops.len())
@@ -360,10 +355,7 @@ fn truncate_table(m: &MachineDescription, rng: &mut SplitMix64) -> Option<(Strin
     Some((what, MutantPayload::Machine(parts.build("mut")?)))
 }
 
-fn swap_alternative(
-    m: &MachineDescription,
-    rng: &mut SplitMix64,
-) -> Option<(String, MutantPayload)> {
+fn swap_alternative(m: &MachineDescription, rng: &mut StdRng) -> Option<(String, MutantPayload)> {
     if m.num_operations() < 2 {
         return None;
     }
@@ -399,7 +391,7 @@ fn swap_alternative(
     Some((what, MutantPayload::Machine(parts.build("mut")?)))
 }
 
-fn perturb_class(m: &MachineDescription, rng: &mut SplitMix64) -> Option<(String, MutantPayload)> {
+fn perturb_class(m: &MachineDescription, rng: &mut StdRng) -> Option<(String, MutantPayload)> {
     let mut parts = Parts::of(m);
     let oi = rng.index(parts.ops.len());
     let r = rng.index(parts.resources.len()) as u32;

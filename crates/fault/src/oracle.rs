@@ -32,7 +32,8 @@
 //! same traces.
 
 use crate::mutate::{Mutant, MutantPayload};
-use crate::rng::SplitMix64;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use rmd_core::verify_equivalence;
 use rmd_machine::{MachineDescription, OpId};
 use rmd_query::{
@@ -256,7 +257,7 @@ fn record_into<Q: ContentionQuery>(
 
     // ---- Phase 2: random walk exercising assign_free/free paths (the
     // optimistic→update transition, owner rebuilds, evictions).
-    let mut rng = SplitMix64::new(trace_seed);
+    let mut rng = StdRng::seed_from_u64(trace_seed);
     let mut live: Vec<(OpInstance, OpId, u32)> = Vec::new();
     let mut next_inst = 1u32;
     for _ in 0..400 {

@@ -56,7 +56,7 @@ mod work;
 
 pub use metrics::{Histogram, MetricRegistry, HIST_BUCKETS};
 pub use span::{
-    drain_events, dropped_events, instant, instant_with, is_enabled, now_ns, set_enabled,
-    set_ring_capacity, span, span_with, Event, EventKind, SpanGuard,
+    drain_events, dropped_events, instant, instant_with, is_enabled, now_ns, set_enabled, span,
+    span_with, Event, EventKind, SpanGuard,
 };
 pub use work::{FnCounter, QueryFn, WorkCounters};

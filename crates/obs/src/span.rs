@@ -24,9 +24,9 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Default per-thread ring capacity (events), enough for a full
-/// reduction + profile run without drops.
-const DEFAULT_CAPACITY: usize = 1 << 16;
+/// Per-thread ring capacity (events), enough for a full reduction +
+/// profile run without drops.
+const RING_CAPACITY: usize = 1 << 16;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static NEXT_TID: AtomicU32 = AtomicU32::new(0);
@@ -102,19 +102,16 @@ struct Recorder {
     buf: Vec<Event>,
     /// Next slot to overwrite once the ring is full.
     next: usize,
-    capacity: usize,
     dropped: u64,
 }
 
 impl Recorder {
     fn push(&mut self, e: Event) {
-        if self.buf.len() < self.capacity {
+        if self.buf.len() < RING_CAPACITY {
             self.buf.push(e);
-        } else if self.capacity > 0 {
-            self.buf[self.next] = e;
-            self.next = (self.next + 1) % self.capacity;
-            self.dropped += 1;
         } else {
+            self.buf[self.next] = e;
+            self.next = (self.next + 1) % RING_CAPACITY;
             self.dropped += 1;
         }
     }
@@ -133,7 +130,6 @@ thread_local! {
         tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
         buf: Vec::new(),
         next: 0,
-        capacity: DEFAULT_CAPACITY,
         dropped: 0,
     });
 }
@@ -177,12 +173,6 @@ pub fn drain_events() -> Vec<Event> {
 /// Events overwritten on this thread since the last drain (ring full).
 pub fn dropped_events() -> u64 {
     RECORDER.with(|r| r.borrow().dropped)
-}
-
-/// Resizes this thread's ring buffer (drops already-recorded events
-/// beyond the new capacity only lazily — existing events are kept).
-pub fn set_ring_capacity(capacity: usize) {
-    RECORDER.with(|r| r.borrow_mut().capacity = capacity);
 }
 
 /// Records an instant event if tracing is enabled.
@@ -332,19 +322,17 @@ mod tests {
     #[test]
     fn ring_overwrites_oldest_and_counts_drops() {
         with_tracing(|| {
-            set_ring_capacity(4);
-            for _ in 0..6 {
+            for _ in 0..RING_CAPACITY + 2 {
                 instant("t", "e");
             }
             assert_eq!(dropped_events(), 2);
             let ev = drain_events();
-            assert_eq!(ev.len(), 4);
+            assert_eq!(ev.len(), RING_CAPACITY);
             assert_eq!(dropped_events(), 0);
             // Oldest-first: timestamps are non-decreasing.
             for w in ev.windows(2) {
                 assert!(w[0].start_ns <= w[1].start_ns);
             }
-            set_ring_capacity(super::DEFAULT_CAPACITY);
         });
     }
 

@@ -9,6 +9,8 @@
 //! be recorded in `WorkCounters` exactly once, and post-transition
 //! evictions must stay bit-for-bit equivalent to the discrete module's.
 
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 use rmd_machine::models::{example_machine, mips_r3000};
 use rmd_machine::{MachineDescription, OpId};
 use rmd_query::{BitvecModule, ContentionQuery, DiscreteModule, OpInstance, WordLayout};
@@ -116,15 +118,8 @@ fn seeded_walk_keeps_owner_parity_on_mips() {
     let span = m.max_table_length().max(1);
     let horizon = 3 * span + m.max_table_length();
 
-    // splitmix64, inlined to keep the test dependency-free.
-    let mut state: u64 = 0x5EED_0FA1;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
+    let mut rng = StdRng::seed_from_u64(0x5EED_0FA1);
+    let mut next = move || rng.next_u64();
 
     let mut live: Vec<(OpInstance, OpId, u32)> = Vec::new();
     for inst in 0..200u32 {

@@ -37,8 +37,8 @@ pub enum ScheduleError {
         /// Resource index.
         resource: u32,
         /// The contended slot (modulo slot for modulo schedules,
-        /// absolute cycle otherwise).
-        slot: u32,
+        /// absolute cycle otherwise, negative before block entry).
+        slot: i64,
     },
 }
 
@@ -108,7 +108,7 @@ pub fn validate(
                     a: other,
                     b: v.index(),
                     resource: u.resource.0,
-                    slot,
+                    slot: i64::from(slot),
                 });
             }
             taken.insert((u.resource.0, slot), v.index());
@@ -153,7 +153,7 @@ pub fn validate_list(
                     a: other,
                     b: node,
                     resource: u.resource.0,
-                    slot: slot.max(0) as u32,
+                    slot,
                 });
             }
             taken.insert((u.resource.0, slot), node);
@@ -279,14 +279,17 @@ mod tests {
         let m = example_machine();
         let g = chain(&m, &["B"]);
         let b = m.op_by_name("B").unwrap();
-        let list = |issue_cycle| ListResult {
+        let list = |issue_cycles: &[i32]| ListResult {
             times: vec![0],
             length: 1,
             counters: WorkCounters::new(),
-            boundary: vec![BoundaryOp { op: b, issue_cycle }],
+            boundary: issue_cycles
+                .iter()
+                .map(|&issue_cycle| BoundaryOp { op: b, issue_cycle })
+                .collect(),
         };
         assert_eq!(
-            validate_list(&g, &m, &list(-1)),
+            validate_list(&g, &m, &list(&[-1])),
             Err(ScheduleError::ResourceConflict {
                 a: 1,
                 b: 0,
@@ -295,6 +298,17 @@ mod tests {
             })
         );
         // Issued eight cycles earlier, the boundary B has drained.
-        assert_eq!(validate_list(&g, &m, &list(-8)), Ok(()));
+        assert_eq!(validate_list(&g, &m, &list(&[-8])), Ok(()));
+        // Two boundary Bs issued together collide before block entry,
+        // and the cycle is reported as it is, negative.
+        assert_eq!(
+            validate_list(&g, &m, &list(&[-9, -9])),
+            Err(ScheduleError::ResourceConflict {
+                a: 1,
+                b: 2,
+                resource: resource(&m, "stage1"),
+                slot: -9,
+            })
+        );
     }
 }

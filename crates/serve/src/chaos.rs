@@ -1,12 +1,12 @@
 //! Deterministic fault injection for the daemon (`--chaos <seed>`).
 //!
-//! Reuses the `rmd-fault` SplitMix64 generator so a given seed yields
-//! the same action sequence on every run: the soak test can replay the
-//! exact mix of corrupted frames, slow handlers, and mid-request panics
-//! and assert every recovery path fired.
+//! Draws from the workspace's seeded splitmix64 (the `rand` shim) so a
+//! given seed yields the same action sequence on every run: the soak
+//! test can replay the exact mix of corrupted frames, slow handlers, and
+//! mid-request panics and assert every recovery path fired.
 
-use rmd_fault::rng::mix_seed;
-use rmd_fault::SplitMix64;
+use rand::rngs::StdRng;
+use rand::{mix_seed, SeedableRng};
 
 /// What the chaos layer does to one request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,7 +43,7 @@ impl Chaos {
     /// Roughly 1 in 10 requests is corrupted, 1 in 10 slowed, and
     /// 1 in 10 panics; the rest pass through untouched.
     pub fn action(&self, index: u64) -> ChaosAction {
-        let mut rng = SplitMix64::new(mix_seed(self.seed, CHAOS_TAG, index));
+        let mut rng = StdRng::seed_from_u64(mix_seed(self.seed, CHAOS_TAG, index));
         match rng.below(10) {
             0 => ChaosAction::CorruptFrame,
             1 => ChaosAction::SlowMs(5 + rng.below(20)),
@@ -73,12 +73,25 @@ mod tests {
     fn deterministic_and_mixed() {
         let c = Chaos::new(0xC5);
         let first: Vec<ChaosAction> = (0..200).map(|i| c.action(i)).collect();
-        let again: Vec<ChaosAction> = (0..200).map(|i| c.action(i)).collect();
-        assert_eq!(first, again);
-        assert!(first.contains(&ChaosAction::CorruptFrame));
-        assert!(first.contains(&ChaosAction::Panic));
-        assert!(first.iter().any(|a| matches!(a, ChaosAction::SlowMs(_))));
-        assert!(first.contains(&ChaosAction::None));
+        // The plan is pinned, not just repeatable: `.` passes, `c`
+        // corrupts, `p` panics and a number is a slow-down in ms.
+        let rendered: Vec<String> = first
+            .iter()
+            .map(|a| match a {
+                ChaosAction::None => ".".to_string(),
+                ChaosAction::CorruptFrame => "c".to_string(),
+                ChaosAction::Panic => "p".to_string(),
+                ChaosAction::SlowMs(ms) => ms.to_string(),
+            })
+            .collect();
+        let pinned = concat!(
+            ". 5 . . . . . 12 . . p . 10 . . . . p . p . . p . . . . 24 15 . . . . . . 8 . 17 . p ",
+            ". p . . . . 12 . p . c . . 12 . . 21 p . . . p . . . 5 . . . . . . . . c . . . . . ",
+            ". 23 . . . c . . . . . c . . c . . . . . . . . . . . . . 15 . . . c . . . 17 13 . . ",
+            "p 20 . . . . . . . . . . 24 . 17 c . c . . p . . . . 18 . . 8 p . . . . . p p . . . ",
+            ". c . p . 8 15 p . . . c . . . . p p p . . . 17 . . . . p . . 22 p c . . . c . . .",
+        );
+        assert_eq!(rendered.join(" "), pinned);
         let other: Vec<ChaosAction> = (0..200).map(|i| Chaos::new(0xC6).action(i)).collect();
         assert_ne!(first, other, "different seeds must differ");
     }

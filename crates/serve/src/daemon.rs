@@ -35,8 +35,6 @@ pub struct ServeOptions {
     pub socket: Option<PathBuf>,
     /// Admission-queue depth; requests beyond it are shed.
     pub queue_cap: usize,
-    /// Retry-after hint carried by `overloaded` replies, milliseconds.
-    pub retry_after_ms: u64,
     /// Where to write the flushed metrics JSON (stderr when `None`).
     pub metrics_path: Option<PathBuf>,
     /// Emit a metrics-snapshot JSONL line every N requests; `0`
@@ -58,7 +56,6 @@ impl Default for ServeOptions {
         ServeOptions {
             socket: None,
             queue_cap: 64,
-            retry_after_ms: 50,
             metrics_path: None,
             metrics_every: 0,
             slow_ms: 0,
@@ -81,6 +78,9 @@ pub struct ServeSummary {
     /// Cache entries quarantined after a panicking request.
     pub quarantined: u64,
 }
+
+/// Retry-after hint carried by `overloaded` replies, milliseconds.
+const RETRY_AFTER_MS: u64 = 50;
 
 /// Poll interval for the shutdown flag while the queue is idle.
 const IDLE_POLL: Duration = Duration::from_millis(25);
@@ -115,7 +115,6 @@ pub fn serve_stream<R>(
     let shed = Arc::new(AtomicU64::new(0));
     let reader_writer = Arc::clone(&writer);
     let reader_shed = Arc::clone(&shed);
-    let retry_after_ms = opts.retry_after_ms;
     let reader_thread = std::thread::spawn(move || {
         for line in reader.lines() {
             let Ok(line) = line else { break };
@@ -132,7 +131,9 @@ pub fn serve_stream<R>(
                 Ok(()) => {}
                 Err(TrySendError::Full(_)) => {
                     reader_shed.fetch_add(1, Ordering::Relaxed);
-                    let e = ServeError::Overloaded { retry_after_ms };
+                    let e = ServeError::Overloaded {
+                        retry_after_ms: RETRY_AFTER_MS,
+                    };
                     if !write_line(&reader_writer, &e.to_reply(None)) {
                         break;
                     }

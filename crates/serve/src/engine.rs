@@ -14,11 +14,11 @@
 use crate::chaos::{Chaos, ChaosAction};
 use crate::error::ServeError;
 use crate::fingerprint::fingerprint;
-use crate::flight::{FlightEntry, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
-use crate::proto::{
-    parse_frame, EdgeSpec, Frame, MachineSource, ReplyBuilder, Request, DEFAULT_MAX_FRAME_BYTES,
+use crate::flight::{FlightEntry, FlightRecorder};
+use crate::proto::{parse_frame, EdgeSpec, Frame, MachineSource, ReplyBuilder, Request};
+use rmd_core::{
+    reduce_with_fallback, validate_limits, FallbackEvent, Objective, ReduceOptions, RmdError,
 };
-use rmd_core::{reduce_with_fallback, FallbackEvent, Limits, Objective, ReduceOptions, RmdError};
 use rmd_machine::{mdl, models, MachineDescription};
 use rmd_obs::{Event, EventKind, MetricRegistry};
 use rmd_query::{ModuloMaskCache, WordLayout};
@@ -33,14 +33,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for a [`ServeEngine`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EngineConfig {
-    /// Maximum machines cached at once (LRU beyond that).
-    pub machine_cap: usize,
     /// Deadline applied when a request names none; `0` disables.
     pub default_deadline_ms: u64,
-    /// Per-frame size limit in bytes.
-    pub max_frame_bytes: usize,
     /// Deterministic fault injection, when enabled.
     pub chaos: Option<Chaos>,
     /// When set, a machine is admitted only if some `*.json` file in
@@ -48,18 +44,6 @@ pub struct EngineConfig {
     /// content fingerprint; others are refused with an `uncertified`
     /// reply. `None` (the default) disables the gate.
     pub cert_dir: Option<std::path::PathBuf>,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            machine_cap: 8,
-            default_deadline_ms: 0,
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-            chaos: None,
-            cert_dir: None,
-        }
-    }
 }
 
 /// Whether any `*.json` certificate in `dir` vouches for fingerprint
@@ -81,6 +65,9 @@ fn certificate_vouches(dir: &std::path::Path, fp: &str) -> bool {
     }
     false
 }
+
+/// Maximum machines cached at once (LRU beyond that).
+const MACHINE_CAP: usize = 8;
 
 /// Loops scheduled between deadline checks in a suite request.
 const SUITE_DEADLINE_CHUNK: usize = 32;
@@ -170,7 +157,7 @@ impl ServeEngine {
             started: Instant::now(),
             draining: false,
             touched: None,
-            flight: FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY),
+            flight: FlightRecorder::default(),
             graph_scratch: DepGraph::new(),
             tape: Tape::new(),
         }
@@ -232,7 +219,7 @@ impl ServeEngine {
         };
 
         let parse_start = rmd_obs::now_ns();
-        let frame = parse_frame(line, &mut self.tape, self.cfg.max_frame_bytes);
+        let frame = parse_frame(line, &mut self.tape);
         let parse_dur = rmd_obs::now_ns().saturating_sub(parse_start);
         self.tape.shrink_to(TAPE_TOKENS_KEPT);
         let id = frame.id.clone();
@@ -474,7 +461,7 @@ impl ServeEngine {
                 m
             }
         };
-        Limits::default().validate(&m).map_err(ServeError::Rmd)?;
+        validate_limits(&m).map_err(ServeError::Rmd)?;
         Ok(m)
     }
 
@@ -521,10 +508,7 @@ impl ServeEngine {
         }
         deadline.check()?;
         let layout = WordLayout::widest(64, m.num_resources());
-        let options = ReduceOptions {
-            limits: Limits::default(),
-            max_steps,
-        };
+        let options = ReduceOptions { max_steps };
         let reduce_span = rmd_obs::span_with("serve", "reduction", "req", idx);
         let red = reduce_with_fallback(&m, Objective::KCycleWord { k: layout.k }, &options);
         drop(reduce_span);
@@ -554,7 +538,7 @@ impl ServeEngine {
         };
         // Bound the machine cache itself: evict the least recently
         // used entry (mask caches and all) beyond the cap.
-        while self.machines.len() >= self.cfg.machine_cap {
+        while self.machines.len() >= MACHINE_CAP {
             if let Some(lru) = self
                 .machines
                 .iter()
@@ -1155,15 +1139,21 @@ mod tests {
 
     #[test]
     fn machine_cache_is_bounded() {
-        let mut e = ServeEngine::new(EngineConfig {
-            machine_cap: 1,
-            ..EngineConfig::default()
-        });
-        submit_fig1(&mut e);
-        ok_reply(&mut e, r#"{"type":"machine","model":"mips"}"#);
-        assert!(e.counter("serve.machine_evictions") >= 1);
+        let mut e = ServeEngine::new(EngineConfig::default());
+        for i in 0..=MACHINE_CAP {
+            ok_reply(
+                &mut e,
+                &format!(
+                    r#"{{"type":"machine","mdl":"machine \"m{i}\" {{ resources {{ r; }} op a {{ use r @ {i}; }} }}"}}"#
+                ),
+            );
+        }
+        assert_eq!(e.counter("serve.machine_evictions"), 1);
         let v = ok_reply(&mut e, r#"{"type":"status"}"#);
-        assert_eq!(v.get("machines_cached").and_then(|m| m.as_u64()), Some(1));
+        assert_eq!(
+            v.get("machines_cached").and_then(|m| m.as_u64()),
+            Some(MACHINE_CAP as u64)
+        );
     }
 
     #[test]

@@ -86,7 +86,6 @@ impl ServeError {
                 RmdError::Parse(_) => 110,
                 RmdError::InvalidMachine(_) => 111,
                 RmdError::LimitExceeded { .. } => 112,
-                RmdError::DegenerateInput(_) => 113,
                 RmdError::VerificationFailed(_) => 114,
                 RmdError::Io(_) => 115,
                 RmdError::BudgetExhausted { .. } => 120,
@@ -115,7 +114,6 @@ impl ServeError {
                 RmdError::Parse(_) => "parse",
                 RmdError::InvalidMachine(_) => "invalid_machine",
                 RmdError::LimitExceeded { .. } => "limit_exceeded",
-                RmdError::DegenerateInput(_) => "degenerate_input",
                 RmdError::VerificationFailed(_) => "verification_failed",
                 RmdError::Io(_) => "io",
                 RmdError::BudgetExhausted { .. } => "budget_exhausted",
@@ -199,7 +197,6 @@ impl From<RmdError> for ServeError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rmd_core::Limits;
     use rmd_machine::MachineBuilder;
 
     fn all_rmd_variants() -> Vec<RmdError> {
@@ -216,24 +213,21 @@ mod tests {
         let degenerate = rmd_core::try_reduce(
             &rmd_machine::models::example_machine(),
             rmd_core::Objective::ResUses,
-            &rmd_core::ReduceOptions {
-                max_steps: Some(0),
-                ..Default::default()
-            },
+            &rmd_core::ReduceOptions { max_steps: Some(0) },
         )
         .unwrap_err();
-        let limits = Limits {
-            max_resources: 0,
-            ..Limits::default()
+        let limited = {
+            let mut b = MachineBuilder::new("wide");
+            let rs: Vec<_> = (0..=rmd_core::MAX_RESOURCES)
+                .map(|i| b.resource(format!("r{i}")))
+                .collect();
+            b.operation("x").usage(rs[0], 0).finish();
+            rmd_core::validate_limits(&b.build().unwrap()).unwrap_err()
         };
-        let limited = limits
-            .validate(&rmd_machine::models::example_machine())
-            .unwrap_err();
         vec![
             RmdError::Parse(parse),
             RmdError::InvalidMachine(invalid),
             limited,
-            RmdError::DegenerateInput("empty".to_string()),
             degenerate,
             RmdError::Unschedulable { max_ii: 4096 },
             RmdError::Io("pipe closed".to_string()),

@@ -24,8 +24,8 @@ use std::fmt::Write as _;
 /// drift.
 pub const FLIGHT_SCHEMA: &str = "rmd-flight/1";
 
-/// Default number of request summaries the ring retains.
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 64;
+/// Number of request summaries the ring retains.
+pub const FLIGHT_CAPACITY: usize = 64;
 
 /// One request summary retained by the recorder.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -45,11 +45,11 @@ pub struct FlightEntry {
     pub outcome: String,
 }
 
-/// A fixed-size ring of [`FlightEntry`] values plus the queue of dumps
-/// tripped since the last [`take_dumps`](FlightRecorder::take_dumps).
-#[derive(Debug)]
+/// A ring of the last [`FLIGHT_CAPACITY`] [`FlightEntry`] values plus
+/// the queue of dumps tripped since the last
+/// [`take_dumps`](FlightRecorder::take_dumps).
+#[derive(Debug, Default)]
 pub struct FlightRecorder {
-    capacity: usize,
     entries: Vec<FlightEntry>,
     /// Index the next entry overwrites once the ring is full.
     next: usize,
@@ -58,26 +58,14 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// Creates a recorder retaining the last `capacity` requests
-    /// (clamped to at least 1).
-    pub fn new(capacity: usize) -> Self {
-        FlightRecorder {
-            capacity: capacity.max(1),
-            entries: Vec::new(),
-            next: 0,
-            recorded: 0,
-            dumps: Vec::new(),
-        }
-    }
-
     /// Records one request summary, overwriting the oldest once full.
     pub fn record(&mut self, e: FlightEntry) {
         self.recorded += 1;
-        if self.entries.len() < self.capacity {
+        if self.entries.len() < FLIGHT_CAPACITY {
             self.entries.push(e);
         } else {
             self.entries[self.next] = e;
-            self.next = (self.next + 1) % self.capacity;
+            self.next = (self.next + 1) % FLIGHT_CAPACITY;
         }
     }
 
@@ -102,7 +90,7 @@ impl FlightRecorder {
         let _ = write!(
             out,
             ",\"recorded\":{},\"capacity\":{},\"entries\":[",
-            self.recorded, self.capacity
+            self.recorded, FLIGHT_CAPACITY
         );
         for (i, e) in self.entries().enumerate() {
             if i > 0 {
@@ -156,18 +144,19 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest_first() {
-        let mut fr = FlightRecorder::new(3);
-        for i in 0..5 {
+        let mut fr = FlightRecorder::default();
+        let n = FLIGHT_CAPACITY as u64 + 2;
+        for i in 0..n {
             fr.record(entry(i, "ok"));
         }
         let reqs: Vec<u64> = fr.entries().map(|e| e.req).collect();
-        assert_eq!(reqs, vec![2, 3, 4]);
-        assert_eq!(fr.recorded(), 5);
+        assert_eq!(reqs, (2..n).collect::<Vec<u64>>());
+        assert_eq!(fr.recorded(), n);
     }
 
     #[test]
     fn dump_is_self_describing_parseable_json() {
-        let mut fr = FlightRecorder::new(4);
+        let mut fr = FlightRecorder::default();
         fr.record(entry(0, "ok"));
         fr.record(FlightEntry {
             req: 1,
@@ -197,7 +186,7 @@ mod tests {
 
     #[test]
     fn trip_queues_dumps_until_taken() {
-        let mut fr = FlightRecorder::new(2);
+        let mut fr = FlightRecorder::default();
         fr.record(entry(0, "panicked"));
         fr.trip("panic");
         fr.record(entry(1, "ok"));

@@ -39,9 +39,9 @@ use serde_json::{Tape, ValueRef};
 use std::borrow::Cow;
 use std::fmt::Write;
 
-/// Default per-frame size limit (bytes). A megabyte comfortably holds
-/// the largest `.mdl` sources while bounding a hostile client's memory.
-pub const DEFAULT_MAX_FRAME_BYTES: usize = 1 << 20;
+/// Per-frame size limit (bytes). A megabyte comfortably holds the
+/// largest `.mdl` sources while bounding a hostile client's memory.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
 /// Upper bound on the `loops` member of a suite request.
 pub const MAX_SUITE_LOOPS: usize = 100_000;
@@ -379,10 +379,10 @@ fn parse_body<'a>(v: ValueRef<'a, '_>) -> Result<Request<'a>, ServeError> {
 /// Parses one protocol line into a [`Frame`], using `tape` as the
 /// decoding buffer. Never panics: every malformation maps to a typed
 /// error carried in the frame body.
-pub fn parse_frame<'a>(line: &'a str, tape: &mut Tape, max_bytes: usize) -> Frame<'a> {
-    if line.len() > max_bytes {
+pub fn parse_frame<'a>(line: &'a str, tape: &mut Tape) -> Frame<'a> {
+    if line.len() > MAX_FRAME_BYTES {
         return Frame::broken(ServeError::Oversized {
-            limit: max_bytes,
+            limit: MAX_FRAME_BYTES,
             actual: line.len(),
         });
     }
@@ -517,7 +517,7 @@ mod tests {
     use super::*;
 
     fn parse(line: &str) -> Frame<'_> {
-        parse_frame(line, &mut Tape::new(), DEFAULT_MAX_FRAME_BYTES)
+        parse_frame(line, &mut Tape::new())
     }
 
     #[test]
@@ -613,8 +613,11 @@ mod tests {
             let e = f.body.expect_err(line);
             assert_eq!(e.kind(), kind, "{line}");
         }
-        let f = parse_frame("{\"type\":\"status\"}", &mut Tape::new(), 4);
-        assert_eq!(f.body.unwrap_err().kind(), "oversized");
+        let line = format!(
+            r#"{{"type":"status","pad":"{}"}}"#,
+            "x".repeat(MAX_FRAME_BYTES)
+        );
+        assert_eq!(parse(&line).body.unwrap_err().kind(), "oversized");
     }
 
     #[test]

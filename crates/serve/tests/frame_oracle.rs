@@ -11,8 +11,9 @@
 //! an `i64` cast. For those the test checks that the echoed token is a
 //! JSON number with the value the client sent.
 
-use rmd_fault::SplitMix64;
-use rmd_serve::proto::{parse_frame, Frame, DEFAULT_MAX_FRAME_BYTES};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use rmd_serve::proto::{parse_frame, Frame, MAX_FRAME_BYTES};
 use serde_json::Tape;
 
 /// Frames the mutations start from: every request type and member,
@@ -70,7 +71,7 @@ const SNIPPETS: &[&str] = &[
 ];
 
 /// One to four random edits of `seed`.
-fn mutate(rng: &mut SplitMix64, seed: &str) -> Vec<u8> {
+fn mutate(rng: &mut StdRng, seed: &str) -> Vec<u8> {
     let mut b = seed.as_bytes().to_vec();
     for _ in 0..1 + rng.index(4) {
         let at = rng.index(b.len() + 1);
@@ -110,8 +111,8 @@ fn id_member(line: &str) -> Option<f64> {
 }
 
 fn check(line: &str, tape: &mut Tape) {
-    let want = oracle::parse_frame(line, DEFAULT_MAX_FRAME_BYTES);
-    let got: Frame<'_> = parse_frame(line, tape, DEFAULT_MAX_FRAME_BYTES);
+    let want = oracle::parse_frame(line, MAX_FRAME_BYTES);
+    let got: Frame<'_> = parse_frame(line, tape);
     match (&want.id, got.id.as_deref()) {
         (Some(old), Some(new)) if old != new => {
             // Only a numeric id may differ; a string id must not.
@@ -161,7 +162,7 @@ fn every_truncation_decodes_as_before() {
 fn seeded_mutations_decode_as_before() {
     let mut tape = Tape::new();
     // Seeded: the campaign is the same on every run.
-    let mut rng = SplitMix64::new(0x5EED_F2A3);
+    let mut rng = StdRng::seed_from_u64(0x5EED_F2A3);
     let mut decoded = 0;
     for i in 0..500_000 {
         let bytes = mutate(&mut rng, SEEDS[i % SEEDS.len()]);
@@ -190,9 +191,9 @@ fn numeric_ids_outside_the_old_rendering_are_the_only_difference() {
         ("9007199254740993", "9007199254740992"),
     ] {
         let line = format!(r#"{{"type":"status","id":{id}}}"#);
-        let want = oracle::parse_frame(&line, DEFAULT_MAX_FRAME_BYTES);
+        let want = oracle::parse_frame(&line, MAX_FRAME_BYTES);
         assert_eq!(want.id.as_deref(), Some(old), "{line}");
-        let got = parse_frame(&line, &mut tape, DEFAULT_MAX_FRAME_BYTES);
+        let got = parse_frame(&line, &mut tape);
         assert_eq!(got.id.as_deref(), Some(id), "{line}");
         assert_eq!(old_renders_verbatim(id), id == old, "{id}");
     }

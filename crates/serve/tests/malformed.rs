@@ -1,6 +1,7 @@
 //! Table-driven malformed-request tests: every hostile frame yields a
 //! typed error reply, and the daemon keeps serving afterwards.
 
+use rmd_serve::proto::MAX_FRAME_BYTES;
 use rmd_serve::{EngineConfig, ServeEngine};
 use std::time::Instant;
 
@@ -21,10 +22,7 @@ fn code_of(v: &serde_json::Value) -> Option<u64> {
 
 #[test]
 fn hostile_frames_get_typed_replies_and_service_continues() {
-    let mut engine = ServeEngine::new(EngineConfig {
-        max_frame_bytes: 4096,
-        ..EngineConfig::default()
-    });
+    let mut engine = ServeEngine::new(EngineConfig::default());
 
     // A real fingerprint so the mismatch case is the only wrong bit.
     let (reply, _) = engine.handle_line(r#"{"type":"machine","model":"fig1"}"#, Instant::now());
@@ -46,7 +44,10 @@ fn hostile_frames_get_typed_replies_and_service_continues() {
         },
         Case {
             name: "oversized line",
-            line: format!(r#"{{"type":"status","pad":"{}"}}"#, "x".repeat(8192)),
+            line: format!(
+                r#"{{"type":"status","pad":"{}"}}"#,
+                "x".repeat(MAX_FRAME_BYTES)
+            ),
             want_kind: "oversized",
             want_code: 101,
         },

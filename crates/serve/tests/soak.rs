@@ -14,6 +14,7 @@ use rmd_query::WordLayout;
 use rmd_sched::{mii::mii, DepGraph, DepKind, ImsConfig, IterativeModuloScheduler, Representation};
 use rmd_serve::daemon::{serve_stream, SharedWriter};
 use rmd_serve::engine::suite_digest;
+use rmd_serve::proto::MAX_FRAME_BYTES;
 use rmd_serve::{signal, Chaos, EngineConfig, ServeEngine, ServeOptions};
 use std::collections::HashMap;
 use std::io::{BufReader, Cursor, Read, Write};
@@ -62,10 +63,10 @@ fn schedule_line(i: usize, fp: &str) -> String {
 
 fn build_line(i: usize, fig1_fp: &str, cydra_fp: &str) -> String {
     if i % 113 == 0 {
-        // Oversized: blows the 4096-byte frame limit.
+        // Oversized: blows the frame limit.
         format!(
             r#"{{"type":"status","id":{i},"pad":"{}"}}"#,
-            "x".repeat(16384)
+            "x".repeat(MAX_FRAME_BYTES)
         )
     } else if i % 101 == 0 {
         format!(
@@ -142,7 +143,6 @@ fn reduced(m: &rmd_machine::MachineDescription) -> rmd_machine::MachineDescripti
 fn chaos_soak_ten_thousand_requests() {
     let mut engine = ServeEngine::new(EngineConfig {
         chaos: Some(Chaos::new(CHAOS_SEED)),
-        max_frame_bytes: 4096,
         ..EngineConfig::default()
     });
     let fig1_line = r#"{"type":"machine","model":"fig1"}"#;

@@ -16,29 +16,26 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 use std::collections::BTreeSet;
 use std::marker::PhantomData;
 use std::ops::{Range, RangeInclusive};
 
-/// Deterministic splitmix64 generator threaded through strategies.
+/// Deterministic splitmix64 generator (the `rand` shim's) threaded
+/// through strategies.
 #[derive(Clone, Debug)]
-pub struct TestRng {
-    state: u64,
-}
+pub struct TestRng(StdRng);
 
 impl TestRng {
     /// Seed a generator; every stream is fully determined by `seed`.
     pub fn new(seed: u64) -> Self {
-        TestRng { state: seed }
+        TestRng(StdRng::seed_from_u64(seed))
     }
 
     /// Next 64 random bits.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.0.next_u64()
     }
 
     /// Uniform value in `0..bound` (`bound > 0`).

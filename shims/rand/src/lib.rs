@@ -7,6 +7,13 @@
 //! mirrors `rand 0.8` closely enough that callers written against the
 //! real crate (`seed_from_u64`, `gen`, `gen_range`, `gen_bool`) compile
 //! unchanged.
+//!
+//! It is the workspace's one splitmix64, so it also carries what the
+//! fault harness and the daemon's chaos plan draw with:
+//! [`StdRng::below`](rngs::StdRng::below) (multiply-shift, unlike
+//! `gen_range`'s modulo), [`index`](rngs::StdRng::index),
+//! [`flip`](rngs::StdRng::flip) and [`mix_seed`]. Each caller keeps its
+//! own range mapping, because recorded seeds replay only under it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -179,6 +186,37 @@ pub mod rngs {
             StdRng { state: seed }
         }
     }
+
+    impl StdRng {
+        /// A uniform value in `0..n`. Returns 0 for `n == 0`.
+        pub fn below(&mut self, n: u64) -> u64 {
+            if n == 0 {
+                0
+            } else {
+                // Multiply-shift range reduction; bias is < 2^-32 for
+                // the small ranges the harness draws from.
+                ((u128::from(self.next_u64()) * u128::from(n)) >> 64) as u64
+            }
+        }
+
+        /// A uniform index into a slice of `len` elements (`len > 0`).
+        pub fn index(&mut self, len: usize) -> usize {
+            self.below(len as u64) as usize
+        }
+
+        /// A fair coin flip.
+        pub fn flip(&mut self) -> bool {
+            self.next_u64() & 1 == 1
+        }
+    }
+}
+
+/// Mixes an operator tag and a per-mutant counter into a base seed so
+/// each (operator, index) pair gets an independent stream.
+pub fn mix_seed(base: u64, tag: u64, index: u64) -> u64 {
+    use rngs::StdRng;
+    let mut r = StdRng::seed_from_u64(base ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    r.next_u64() ^ StdRng::seed_from_u64(index.wrapping_add(0xA076_1D64_78BD_642F)).next_u64()
 }
 
 #[cfg(test)]
@@ -196,6 +234,13 @@ mod tests {
     }
 
     #[test]
+    fn different_seeds_differ() {
+        let mut a = StdRng::seed_from_u64(1);
+        let mut b = StdRng::seed_from_u64(2);
+        assert_ne!(a.gen::<u64>(), b.gen::<u64>());
+    }
+
+    #[test]
     fn ranges_stay_in_bounds() {
         let mut rng = StdRng::seed_from_u64(42);
         for _ in 0..1000 {
@@ -208,6 +253,27 @@ mod tests {
             let u: f64 = rng.gen();
             assert!((0.0..1.0).contains(&u));
         }
+    }
+
+    #[test]
+    fn below_stays_in_range_and_covers() {
+        let mut r = StdRng::seed_from_u64(7);
+        let mut seen = [false; 5];
+        for _ in 0..200 {
+            let v = r.below(5);
+            assert!(v < 5);
+            seen[v as usize] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "all residues reachable");
+        assert_eq!(r.below(0), 0);
+    }
+
+    #[test]
+    fn mix_seed_separates_operators_and_indices() {
+        use super::mix_seed;
+        assert_ne!(mix_seed(0, 1, 0), mix_seed(0, 2, 0));
+        assert_ne!(mix_seed(0, 1, 0), mix_seed(0, 1, 1));
+        assert_eq!(mix_seed(3, 1, 2), mix_seed(3, 1, 2));
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! [`Value`] (compared through `Debug`, so `-0` and `0` differ) or the
 //! same [`ParseJsonError`] message and offset from both.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serde_json::{from_str, ParseJsonError, Value};
 
 /// Documents the mutations start from: escapes, surrogate pairs,
@@ -70,40 +72,23 @@ const SNIPPETS: &[&str] = &[
     "é😀",
 ];
 
-/// SplitMix64, seeded: the campaign is the same on every run.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
 /// One to four random edits of `seed`.
-fn mutate(rng: &mut Rng, seed: &str) -> Vec<u8> {
+fn mutate(rng: &mut StdRng, seed: &str) -> Vec<u8> {
     let mut b = seed.as_bytes().to_vec();
-    for _ in 0..1 + rng.below(4) {
-        let at = rng.below(b.len() + 1);
-        match rng.below(6) {
-            0 if at < b.len() => b[at] = ALPHABET[rng.below(ALPHABET.len())],
-            1 => b.insert(at, ALPHABET[rng.below(ALPHABET.len())]),
+    for _ in 0..1 + rng.gen_range(0..4) {
+        let at = rng.gen_range(0..b.len() + 1);
+        match rng.gen_range(0..6) {
+            0 if at < b.len() => b[at] = ALPHABET[rng.gen_range(0..ALPHABET.len())],
+            1 => b.insert(at, ALPHABET[rng.gen_range(0..ALPHABET.len())]),
             2 if at < b.len() => {
                 b.remove(at);
             }
             3 => {
-                let s = SNIPPETS[rng.below(SNIPPETS.len())].as_bytes();
+                let s = SNIPPETS[rng.gen_range(0..SNIPPETS.len())].as_bytes();
                 b.splice(at..at, s.iter().copied());
             }
             4 if at < b.len() => {
-                let end = at + rng.below((b.len() - at).min(16)) + 1;
+                let end = at + rng.gen_range(0..(b.len() - at).min(16)) + 1;
                 let copy = b[at..end].to_vec();
                 b.splice(at..at, copy);
             }
@@ -131,7 +116,8 @@ fn every_truncation_agrees_with_the_old_parser() {
 #[test]
 fn seeded_mutations_agree_with_the_old_parser() {
     let seeds = seeds();
-    let mut rng = Rng(0x5EED_0021);
+    // Seeded: the campaign is the same on every run.
+    let mut rng = StdRng::seed_from_u64(0x5EED_0021);
     let mut parsed = 0;
     for i in 0..500_000 {
         let bytes = mutate(&mut rng, &seeds[i % seeds.len()]);

@@ -211,12 +211,10 @@ mod oracle {
     }
 }
 
-/// Options under which the passes after the linear one cost little:
-/// the modulo pass stops at II 1 and the global pass at its first
-/// expansion.
+/// Options under which the global pass, the costliest after the linear
+/// one, stops at its first expansion.
 fn cheap() -> CertifyOptions {
     CertifyOptions {
-        max_ii: Some(1),
         global_budget: 0,
         ..CertifyOptions::default()
     }

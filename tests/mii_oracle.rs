@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rmd_fault::{generate, GenConfig, SplitMix64};
+use rmd_fault::{generate, GenConfig};
 use rmd_loops::random::{random_loop, RandomLoopParams};
 use rmd_loops::OpSet;
 use rmd_machine::{models, MachineBuilder, MachineDescription, OpId, ReservationTable};
@@ -205,7 +205,7 @@ fn raw_case() -> impl Strategy<Value = RawCase> {
 /// pipelines, such tables self-overlap at IIs above their usage counts,
 /// which lifts ResMII above the pressure bound.
 fn scattered(seed: u64) -> MachineDescription {
-    let mut rng = SplitMix64::new(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut b = MachineBuilder::new("scattered");
     let res: Vec<_> = (0..1 + rng.below(3))
         .map(|i| b.resource(format!("r{i}")))
