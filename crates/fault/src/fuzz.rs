@@ -43,6 +43,10 @@ use std::fmt::Write as _;
 const TAG_CASE: u64 = 0x6361_7365; // "case"
 const TAG_TRACE: u64 = 0x7472_6163; // "trac"
 
+/// State cap for the automata baseline; a machine that exceeds it skips
+/// that backend (counted, never silent).
+const AUTOMATA_CAP: usize = 1 << 18;
+
 /// A fuzz campaign's knobs.
 #[derive(Clone, Debug)]
 pub struct FuzzConfig {
@@ -55,10 +59,6 @@ pub struct FuzzConfig {
     /// Inject this seeded mutation into every case's reduction output.
     pub mutant: Option<(MutationOp, u64)>,
 }
-
-/// State cap for the automata baseline; a machine that exceeds it skips
-/// that backend (counted, never silent).
-const AUTOMATA_CAP: usize = 1 << 18;
 
 impl FuzzConfig {
     /// The default campaign: `count` small machines from `seed`, no
