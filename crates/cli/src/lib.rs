@@ -600,6 +600,57 @@ fn run_certify(
     }
 }
 
+/// The daemon options a `serve` command resolves to (`None` for any
+/// other command): [`rmd_serve::ServeOptions::default`], overwritten
+/// only where the command line gives a value, so each default has one
+/// home.
+///
+/// The certificate gate is on by default: a machine is only admitted
+/// when some certificate under the cert directory (default `certs/`)
+/// vouches for its content fingerprint.
+fn serve_options(cmd: &Command) -> Option<rmd_serve::ServeOptions> {
+    let Command::Serve {
+        socket,
+        queue,
+        deadline_ms,
+        chaos,
+        metrics,
+        metrics_every,
+        slow_ms,
+        certs,
+        uncertified,
+    } = cmd
+    else {
+        return None;
+    };
+    let mut opts = rmd_serve::ServeOptions::default();
+    if let Some(path) = socket {
+        opts.socket = Some(path.into());
+    }
+    if let Some(cap) = queue {
+        opts.queue_cap = *cap;
+    }
+    if let Some(path) = metrics {
+        opts.metrics_path = Some(path.into());
+    }
+    if let Some(every) = metrics_every {
+        opts.metrics_every = *every;
+    }
+    if let Some(ms) = slow_ms {
+        opts.slow_ms = *ms;
+    }
+    if let Some(ms) = deadline_ms {
+        opts.engine.default_deadline_ms = *ms;
+    }
+    if let Some(seed) = chaos {
+        opts.engine.chaos = Some(rmd_serve::Chaos::new(*seed));
+    }
+    if !uncertified {
+        opts.engine.cert_dir = Some(certs.as_deref().unwrap_or("certs").into());
+    }
+    Some(opts)
+}
+
 /// The `rmd fuzz` command body.
 ///
 /// Campaign mode generates `count` machines from `seed` and pushes each
@@ -855,46 +906,15 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
                 let _ = writeln!(out, "[recorded {}]", path.display());
             }
         }
-        Command::Serve {
-            socket,
-            queue,
-            deadline_ms,
-            chaos,
-            metrics,
-            metrics_every,
-            slow_ms,
-            certs,
-            uncertified,
-        } => {
+        Command::Serve { .. } => {
             // Replies go to stdout (stdio mode) or the socket; the run
             // summary goes to stderr inside the daemon. Nothing is
             // returned here so stdout stays a pure reply stream.
-            //
-            // The certificate gate is on by default: a machine is only
-            // admitted when some certificate under the cert directory
-            // (default `certs/`) vouches for its content fingerprint.
-            let cert_dir = if *uncertified {
-                None
-            } else {
-                Some(std::path::PathBuf::from(
-                    certs.as_deref().unwrap_or("certs"),
-                ))
-            };
-            let opts = rmd_serve::ServeOptions {
-                socket: socket.as_ref().map(std::path::PathBuf::from),
-                queue_cap: queue.unwrap_or(64),
-                metrics_path: metrics.as_ref().map(std::path::PathBuf::from),
-                metrics_every: metrics_every.unwrap_or(0),
-                slow_ms: slow_ms.unwrap_or(0),
-                engine: rmd_serve::EngineConfig {
-                    default_deadline_ms: deadline_ms.unwrap_or(0),
-                    chaos: chaos.map(rmd_serve::Chaos::new),
-                    cert_dir,
-                },
-            };
-            rmd_serve::run(&opts).map_err(|e| CliError::Serve {
-                message: e.to_string(),
-            })?;
+            if let Some(opts) = serve_options(cmd) {
+                rmd_serve::run(&opts).map_err(|e| CliError::Serve {
+                    message: e.to_string(),
+                })?;
+            }
         }
         Command::Verify { left, right } => {
             let a = load_machine(left)?;
@@ -1042,6 +1062,21 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn serve_options_overwrite_only_what_the_line_gives() {
+        // `ServeOptions` has no `PartialEq`; its `Debug` shows every field.
+        let resolve = |line: &[&str]| {
+            let cmd = parse_args(&args(line)).expect("valid serve line");
+            format!("{:?}", serve_options(&cmd).expect("a serve command"))
+        };
+        let mut want = rmd_serve::ServeOptions::default();
+        want.engine.cert_dir = Some("certs".into());
+        assert_eq!(resolve(&["serve"]), format!("{want:?}"));
+        want.queue_cap = 8;
+        assert_eq!(resolve(&["serve", "--queue", "8"]), format!("{want:?}"));
+        assert!(serve_options(&Command::Models).is_none());
     }
 
     #[test]

@@ -383,13 +383,36 @@ impl<'src, 't> ValueRef<'src, 't> {
     /// The number as a `u64`, if it is one exactly (as
     /// [`Value::as_u64`]).
     pub fn as_u64(&self) -> Option<u64> {
-        Value::Number(self.as_f64()?).as_u64()
+        match self.small_integer() {
+            Some((false, n)) => Some(n),
+            _ => Value::Number(self.as_f64()?).as_u64(),
+        }
     }
 
     /// The number as an `i64`, if it is one exactly (as
     /// [`Value::as_i64`]).
     pub fn as_i64(&self) -> Option<i64> {
-        Value::Number(self.as_f64()?).as_i64()
+        match self.small_integer() {
+            Some((negative, n)) => Some(if negative { -(n as i64) } else { n as i64 }),
+            None => Value::Number(self.as_f64()?).as_i64(),
+        }
+    }
+
+    /// A plain integer literal of at most 15 digits, read straight from
+    /// its digits as (negative, magnitude). Below 10^15 the `f64` route
+    /// is exact too, so both give the same number; any other literal
+    /// (fraction, exponent, 16 or more digits) is `None`.
+    fn small_integer(&self) -> Option<(bool, u64)> {
+        let text = self.number_text()?;
+        let (negative, digits) = match text.strip_prefix('-') {
+            Some(digits) => (true, digits),
+            None => (false, text),
+        };
+        if digits.len() > 15 || !digits.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
+        }
+        let n = digits.bytes().fold(0, |n, b| n * 10 + u64::from(b - b'0'));
+        Some((negative, n))
     }
 
     /// The number's source text, if this is a number.
@@ -791,6 +814,56 @@ mod tests {
         assert_eq!(from_str("-3").unwrap().as_i64(), Some(-3));
         assert_eq!(from_str("-3").unwrap().as_u64(), None);
         assert_eq!(from_str("1.5").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn integer_accessors_agree_with_the_f64_route() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut texts: Vec<String> = [
+            "0",
+            "-0",
+            "7",
+            "-7",
+            "999999999999999",
+            "-999999999999999",
+            "1000000000000000",
+            "-1000000000000000",
+            "9007199254740991",
+            "-9007199254740991",
+            "9007199254740992",
+            "9007199254740993",
+            "-9007199254740993",
+            "18446744073709551615",
+            "-9223372036854775808",
+            "1.0",
+            "1e2",
+            "-1e-2",
+            "1.5",
+            "-0.0",
+            "1E400",
+        ]
+        .map(String::from)
+        .to_vec();
+        let mut rng = StdRng::seed_from_u64(0x1D16);
+        for digits in 1..=20 {
+            for _ in 0..50 {
+                let mut text = String::from(if rng.gen_bool(0.5) { "-" } else { "" });
+                text.push(char::from(b'1' + rng.gen_range(0..9u8)));
+                for _ in 1..digits {
+                    text.push(char::from(b'0' + rng.gen_range(0..10u8)));
+                }
+                texts.push(text);
+            }
+        }
+        let mut tape = Tape::new();
+        for text in &texts {
+            let want = Value::Number(text.parse().expect("a JSON number"));
+            let got = tape.parse(text).expect("a JSON number");
+            assert_eq!(got.as_u64(), want.as_u64(), "as_u64({text})");
+            assert_eq!(got.as_i64(), want.as_i64(), "as_i64({text})");
+        }
     }
 
     #[test]
