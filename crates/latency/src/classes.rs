@@ -135,10 +135,7 @@ impl ClassPartition {
         }
         for (c, members) in self.iter() {
             let rep = machine.operation(self.representative(c));
-            let weight: f64 = members
-                .iter()
-                .map(|&m| machine.operation(m).weight())
-                .sum();
+            let weight: f64 = members.iter().map(|&m| machine.operation(m).weight()).sum();
             let mut ob = b.operation(rep.name().to_owned()).weight(weight);
             for u in rep.table().usages() {
                 ob = ob.usage(u.resource, u.cycle);

@@ -38,12 +38,7 @@ impl ForbiddenMatrix {
         let mut by_resource: Vec<Vec<(usize, Vec<i64>)>> = vec![Vec::new(); nr];
         for (id, op) in machine.ops() {
             for r in op.table().resources() {
-                let cycles = op
-                    .table()
-                    .usage_set(r)
-                    .into_iter()
-                    .map(i64::from)
-                    .collect();
+                let cycles = op.table().usage_set(r).into_iter().map(i64::from).collect();
                 by_resource[r.index()].push((id.index(), cycles));
             }
         }
@@ -114,7 +109,11 @@ impl ForbiddenMatrix {
 
     /// The largest forbidden latency anywhere in the matrix.
     pub fn max_latency(&self) -> i32 {
-        self.sets.iter().filter_map(LatencySet::max).max().unwrap_or(0)
+        self.sets
+            .iter()
+            .filter_map(LatencySet::max)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Verifies the mirror invariant `f ∈ F[X][Y] ⇔ −f ∈ F[Y][X]`;

@@ -285,7 +285,6 @@ pub fn copy_loop(ops: &OpSet, unroll: usize) -> DepGraph {
     g
 }
 
-
 /// LFK 2 (ICCG, incomplete Cholesky conjugate gradient): a log-depth
 /// gather-and-combine — deep dependence chains, no recurrence.
 pub fn iccg(ops: &OpSet, unroll: usize) -> DepGraph {

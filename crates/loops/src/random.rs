@@ -3,8 +3,8 @@
 use crate::opset::OpSet;
 use rand::rngs::StdRng;
 use rand::Rng;
-use rmd_sched::{DepGraph, DepKind, NodeId};
 use rmd_machine::OpId;
+use rmd_sched::{DepGraph, DepKind, NodeId};
 
 /// Parameters of the random generator.
 #[derive(Clone, Copy, Debug)]

@@ -183,7 +183,10 @@ mod tests {
     #[test]
     fn suite_mixes_kernels_and_random() {
         let loops = the_suite();
-        let kernels = loops.iter().filter(|l| !l.name.starts_with("rand#")).count();
+        let kernels = loops
+            .iter()
+            .filter(|l| !l.name.starts_with("rand#"))
+            .count();
         let random = loops.len() - kernels;
         assert!(kernels > 200, "kernels: {kernels}");
         assert!(random > 200, "random: {random}");

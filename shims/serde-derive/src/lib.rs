@@ -34,15 +34,13 @@ fn generate(input: TokenStream) -> Result<TokenStream, String> {
                     }
                 }
             }
-            Some(TokenTree::Ident(id)) if id.to_string() == "struct" => {
-                match tokens.next() {
-                    Some(TokenTree::Ident(n)) => {
-                        name = n.to_string();
-                        break;
-                    }
-                    other => return Err(format!("expected struct name, found {other:?}")),
+            Some(TokenTree::Ident(id)) if id.to_string() == "struct" => match tokens.next() {
+                Some(TokenTree::Ident(n)) => {
+                    name = n.to_string();
+                    break;
                 }
-            }
+                other => return Err(format!("expected struct name, found {other:?}")),
+            },
             Some(TokenTree::Ident(id)) if id.to_string() == "enum" || id.to_string() == "union" => {
                 return Err(format!(
                     "the in-tree serde_derive shim only supports structs, not `{id}`s"
@@ -76,9 +74,7 @@ fn generate(input: TokenStream) -> Result<TokenStream, String> {
                 if i > 0 {
                     writes.push_str("out.push(',');");
                 }
-                writes.push_str(&format!(
-                    "::serde::Serialize::write_json(&self.{i}, out);"
-                ));
+                writes.push_str(&format!("::serde::Serialize::write_json(&self.{i}, out);"));
             }
             writes.push_str("out.push(']');");
             writes
@@ -97,7 +93,8 @@ fn generate(input: TokenStream) -> Result<TokenStream, String> {
              fn write_json(&self, out: &mut ::std::string::String) {{ {body} }}\
          }}"
     );
-    out.parse().map_err(|e| format!("derive expansion failed to parse: {e:?}"))
+    out.parse()
+        .map_err(|e| format!("derive expansion failed to parse: {e:?}"))
 }
 
 /// Field names of a named-field struct body, in declaration order.

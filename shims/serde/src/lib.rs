@@ -158,10 +158,10 @@ macro_rules! tuple_serialize {
     };
 }
 
-tuple_serialize!(A/0);
-tuple_serialize!(A/0, B/1);
-tuple_serialize!(A/0, B/1, C/2);
-tuple_serialize!(A/0, B/1, C/2, D/3);
+tuple_serialize!(A / 0);
+tuple_serialize!(A / 0, B / 1);
+tuple_serialize!(A / 0, B / 1, C / 2);
+tuple_serialize!(A / 0, B / 1, C / 2, D / 3);
 
 #[cfg(test)]
 mod tests {
@@ -184,10 +184,7 @@ mod tests {
         assert_eq!(json(&vec![1u8, 2, 3]), "[1,2,3]");
         assert_eq!(json(&Some(1u8)), "1");
         assert_eq!(json(&None::<u8>), "null");
-        assert_eq!(
-            json(&vec![("x".to_string(), 4usize)]),
-            "[[\"x\",4]]"
-        );
+        assert_eq!(json(&vec![("x".to_string(), 4usize)]), "[[\"x\",4]]");
     }
 
     #[test]

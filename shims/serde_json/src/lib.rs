@@ -713,7 +713,9 @@ impl Parser<'_> {
     fn hex4(&mut self) -> Result<u32, ParseJsonError> {
         let mut v = 0u32;
         for _ in 0..4 {
-            let b = self.peek().ok_or_else(|| self.err("truncated \\u escape"))?;
+            let b = self
+                .peek()
+                .ok_or_else(|| self.err("truncated \\u escape"))?;
             let d = match b {
                 b'0'..=b'9' => b - b'0',
                 b'a'..=b'f' => b - b'a' + 10,

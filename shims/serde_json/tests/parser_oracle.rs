@@ -317,8 +317,7 @@ impl Parser<'_> {
                                     if !(0xDC00..0xE000).contains(&lo) {
                                         return Err(self.err("invalid low surrogate"));
                                     }
-                                    let cp =
-                                        0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                                    let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
                                     char::from_u32(cp)
                                 } else {
                                     None
@@ -340,7 +339,9 @@ impl Parser<'_> {
     fn hex4(&mut self) -> Result<u32, ParseJsonError> {
         let mut v = 0u32;
         for _ in 0..4 {
-            let b = self.peek().ok_or_else(|| self.err("truncated \\u escape"))?;
+            let b = self
+                .peek()
+                .ok_or_else(|| self.err("truncated \\u escape"))?;
             let d = match b {
                 b'0'..=b'9' => b - b'0',
                 b'a'..=b'f' => b - b'a' + 10,
