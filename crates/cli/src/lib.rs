@@ -624,27 +624,13 @@ fn serve_options(cmd: &Command) -> Option<rmd_serve::ServeOptions> {
         return None;
     };
     let mut opts = rmd_serve::ServeOptions::default();
-    if let Some(path) = socket {
-        opts.socket = Some(path.into());
-    }
-    if let Some(cap) = queue {
-        opts.queue_cap = *cap;
-    }
-    if let Some(path) = metrics {
-        opts.metrics_path = Some(path.into());
-    }
-    if let Some(every) = metrics_every {
-        opts.metrics_every = *every;
-    }
-    if let Some(ms) = slow_ms {
-        opts.slow_ms = *ms;
-    }
-    if let Some(ms) = deadline_ms {
-        opts.engine.default_deadline_ms = *ms;
-    }
-    if let Some(seed) = chaos {
-        opts.engine.chaos = Some(rmd_serve::Chaos::new(*seed));
-    }
+    opts.socket = socket.as_ref().map(Into::into).or(opts.socket);
+    opts.queue_cap = queue.unwrap_or(opts.queue_cap);
+    opts.metrics_path = metrics.as_ref().map(Into::into).or(opts.metrics_path);
+    opts.metrics_every = metrics_every.unwrap_or(opts.metrics_every);
+    opts.slow_ms = slow_ms.unwrap_or(opts.slow_ms);
+    opts.engine.default_deadline_ms = deadline_ms.unwrap_or(opts.engine.default_deadline_ms);
+    opts.engine.chaos = chaos.map(rmd_serve::Chaos::new).or(opts.engine.chaos);
     if !uncertified {
         opts.engine.cert_dir = Some(certs.as_deref().unwrap_or("certs").into());
     }
