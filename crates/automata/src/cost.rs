@@ -1,7 +1,6 @@
 //! Memory-cost models for the paper's §6 comparison between automata and
 //! reduced bitvector reservation tables.
 
-use crate::automaton::Automaton;
 use crate::factored::FactoredAutomata;
 
 /// Bits needed to encode one state id of an automaton with `states`
@@ -15,17 +14,12 @@ pub fn state_bits(states: usize) -> u32 {
 }
 
 /// Per-schedule-cycle state-cache cost (bits) of supporting an
-/// *unrestricted* scheduler with a forward/reverse automaton pair: one
-/// forward and one reverse state must be stored per cycle (Bala & Rubin;
-/// paper §2/§6).
-pub fn unrestricted_cache_bits_per_cycle(forward: &Automaton, reverse: &Automaton) -> u32 {
-    state_bits(forward.num_states()) + state_bits(reverse.num_states())
-}
-
-/// The same for factored pairs: the sum over factors, each rounded up to
-/// 8 bits as in the paper's Alpha 21064 arithmetic ("encoding each
-/// factored state in 8 bits ... 64 bits of memory per schedule cycle" for
-/// 4 forward + 4 reverse factors).
+/// *unrestricted* scheduler with a factored forward/reverse automaton
+/// pair: one state of every factor must be stored per cycle (Bala &
+/// Rubin; paper §2/§6). Each factor is rounded up to 8 bits as in the
+/// paper's Alpha 21064 arithmetic ("encoding each factored state in 8
+/// bits ... 64 bits of memory per schedule cycle" for 4 forward + 4
+/// reverse factors).
 pub fn factored_cache_bits_per_cycle(
     forward: &FactoredAutomata,
     reverse: &FactoredAutomata,
@@ -57,8 +51,6 @@ pub fn bitvector_bits_per_cycle(num_reduced_resources: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::automaton::Direction;
-    use rmd_machine::models::example_machine;
 
     #[test]
     fn state_bits_rounds_up() {
@@ -68,19 +60,6 @@ mod tests {
         assert_eq!(state_bits(256), 8);
         assert_eq!(state_bits(257), 9);
         assert_eq!(state_bits(6175), 13);
-    }
-
-    #[test]
-    fn unrestricted_cache_cost_combines_directions() {
-        let m = example_machine();
-        let f = Automaton::build(&m, Direction::Forward, 1 << 16).unwrap();
-        let r = Automaton::build(&m, Direction::Reverse, 1 << 16).unwrap();
-        let bits = unrestricted_cache_bits_per_cycle(&f, &r);
-        assert_eq!(
-            bits,
-            state_bits(f.num_states()) + state_bits(r.num_states())
-        );
-        assert!(bits > 0);
     }
 
     #[test]

@@ -31,9 +31,6 @@ pub struct Cursor<'a> {
     fsa: &'a Automaton,
     state: StateId,
     cycle: u32,
-    /// State at the start of each completed cycle — what an unrestricted
-    /// scheduler would have to keep (one entry per schedule cycle).
-    history: Vec<StateId>,
     issues: u64,
     lookups: u64,
 }
@@ -45,7 +42,6 @@ impl<'a> Cursor<'a> {
             fsa,
             state: fsa.start(),
             cycle: 0,
-            history: vec![fsa.start()],
             issues: 0,
             lookups: 0,
         }
@@ -79,7 +75,6 @@ impl<'a> Cursor<'a> {
     pub fn advance(&mut self) {
         self.state = self.fsa.advance(self.state);
         self.cycle += 1;
-        self.history.push(self.state);
     }
 
     /// Advances to the given (current or later) cycle.
@@ -98,12 +93,6 @@ impl<'a> Cursor<'a> {
     /// Successful issues so far.
     pub fn issues(&self) -> u64 {
         self.issues
-    }
-
-    /// Cached states (one per schedule cycle) — the per-cycle state
-    /// storage an unrestricted scheduler must maintain.
-    pub fn cached_states(&self) -> usize {
-        self.history.len()
     }
 }
 
@@ -129,6 +118,5 @@ mod tests {
         assert_eq!(cur.cycle(), 4);
         assert_eq!(cur.issues(), 3);
         assert_eq!(cur.lookups(), 4);
-        assert_eq!(cur.cached_states(), 5);
     }
 }

@@ -54,7 +54,7 @@ pub mod unrestricted;
 pub use automaton::{Automaton, BuildError, Direction, StateId};
 pub use cursor::Cursor;
 pub use factored::{partition_resources, FactoredAutomata};
-pub use minimize::{build_minimized, minimize, Minimized};
+pub use minimize::{minimize, Minimized};
 pub use module::AutomataModule;
 pub use space::StateSpace;
 pub use state::StateArena;

@@ -10,7 +10,7 @@
 //! states are accepting, so admissibility plus successor blocks fully
 //! determine equivalence.
 
-use crate::automaton::{Automaton, Direction, StateId};
+use crate::automaton::{Automaton, StateId};
 use std::collections::HashMap;
 
 /// The result of minimizing an automaton.
@@ -140,23 +140,10 @@ fn num_blocks(block: &[u32]) -> u32 {
     block.iter().copied().max().map_or(0, |m| m + 1)
 }
 
-/// Convenience: build and minimize in one step.
-///
-/// # Errors
-///
-/// Propagates [`BuildError`](crate::BuildError) from construction.
-pub fn build_minimized(
-    machine: &rmd_machine::MachineDescription,
-    direction: Direction,
-    max_states: usize,
-) -> Result<Automaton, crate::BuildError> {
-    let a = Automaton::build(machine, direction, max_states)?;
-    Ok(minimize(&a).automaton)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::automaton::Direction;
     use rmd_machine::models::example_machine;
     use rmd_machine::{MachineBuilder, OpId};
 

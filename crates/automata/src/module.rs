@@ -17,7 +17,7 @@
 use crate::automaton::{Automaton, Direction};
 use crate::unrestricted::PairScheduler;
 use rmd_machine::{MachineDescription, OpId};
-use rmd_query::{ContentionQuery, OpInstance, QueryFn, WorkCounters};
+use rmd_query::{ContentionQuery, OpInstance, WorkCounters};
 use std::collections::HashMap;
 
 /// Contention query module backed by a forward/reverse automaton pair.
@@ -163,60 +163,6 @@ impl ContentionQuery for AutomataModule<'_> {
         let ok = self.sched.check(op, cycle);
         self.charge_lookups(before, |c| &mut c.check.units);
         ok
-    }
-
-    fn check_window(&mut self, op: OpId, start: u32, len: u32) -> u64 {
-        // The pair scheduler caches one automaton state per cycle, so a
-        // run of consecutive probes reuses its cursor; the override
-        // batches the lookup accounting over the whole window instead
-        // of snapshotting the stats around every cycle.
-        let len = len.min(64);
-        let before = self.sched.stats().lookups;
-        let mut mask = 0u64;
-        let mut probed = 0u64;
-        for i in 0..len {
-            let Some(cycle) = start.checked_add(i) else {
-                break;
-            };
-            probed += 1;
-            if self.sched.check(op, cycle) {
-                mask |= 1u64 << i;
-            }
-        }
-        let lookups = self.sched.stats().lookups - before;
-        self.counters.charge_equivalent_checks(probed, lookups);
-        self.counters.record(QueryFn::CheckWindow, lookups);
-        mask
-    }
-
-    fn first_free_in(&mut self, op: OpId, start: u32, len: u32) -> Option<u32> {
-        let end = u64::from(start) + u64::from(len);
-        let mut cursor = u64::from(start);
-        while cursor < end && cursor <= u64::from(u32::MAX) {
-            let chunk = (end - cursor).min(64) as u32;
-            let chunk_start = cursor as u32;
-            let before = self.sched.stats().lookups;
-            let mut probed = 0u64;
-            let mut found = None;
-            for i in 0..chunk {
-                let Some(cycle) = chunk_start.checked_add(i) else {
-                    break;
-                };
-                probed += 1;
-                if self.sched.check(op, cycle) {
-                    found = Some(cycle);
-                    break;
-                }
-            }
-            let lookups = self.sched.stats().lookups - before;
-            self.counters.charge_equivalent_checks(probed, lookups);
-            self.counters.record(QueryFn::CheckWindow, lookups);
-            if found.is_some() {
-                return found;
-            }
-            cursor += u64::from(chunk);
-        }
-        None
     }
 
     fn assign(&mut self, inst: OpInstance, op: OpId, cycle: u32) {

@@ -321,6 +321,13 @@ pub fn render_work_table(p: &Profile) -> String {
         "per-function work units of `{}` (Table 6 accounting):",
         p.machine
     );
+    push_work_rows(&mut out, p);
+    out
+}
+
+/// Appends the work-unit table's header and one row per
+/// `scope.function`.
+fn push_work_rows(out: &mut String, p: &Profile) {
     let _ = writeln!(
         out,
         "  {:34} {:>12} {:>12} {:>10}",
@@ -336,7 +343,6 @@ pub fn render_work_table(p: &Profile) -> String {
             row.avg_units
         );
     }
-    out
 }
 
 /// Renders the human-readable profile report.
@@ -384,21 +390,7 @@ pub fn render_profile(p: &Profile) -> String {
     }
 
     let _ = writeln!(out, "\nwork units per call (Table 6 accounting):");
-    let _ = writeln!(
-        out,
-        "  {:34} {:>12} {:>12} {:>10}",
-        "scope.function", "calls", "units", "avg"
-    );
-    for row in work_rows(&p.registry) {
-        let _ = writeln!(
-            out,
-            "  {:34} {:>12} {:>12} {:>10.2}",
-            format!("{}.{}", row.scope, row.function),
-            row.calls,
-            row.units,
-            row.avg_units
-        );
-    }
+    push_work_rows(&mut out, p);
 
     if p.registry.counter("sched.loops") > 0 {
         let _ = writeln!(out, "\nscheduler:");

@@ -30,13 +30,6 @@ impl DescriptionStats {
             avg_usages_per_op: m.avg_usages_per_op(),
         }
     }
-
-    /// Bits needed per schedule cycle to store a reserved table for this
-    /// machine (one flag per resource) — the paper's memory-storage
-    /// comparison ("22 to 90% of the memory storage").
-    pub fn reserved_bits_per_cycle(&self) -> usize {
-        self.num_resources
-    }
 }
 
 /// Number of nonempty `k`-cycle words in `table` when its cycles are
@@ -117,6 +110,5 @@ mod tests {
         assert_eq!(s.num_operations, 2);
         assert_eq!(s.total_usages, 11);
         assert!((s.avg_usages_per_op - 5.5).abs() < 1e-12);
-        assert_eq!(s.reserved_bits_per_cycle(), 5);
     }
 }

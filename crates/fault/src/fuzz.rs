@@ -27,7 +27,7 @@
 //! survives all backends is itself reported (stage `oracle-gap`).
 
 use crate::generate::{generate, GenConfig};
-use crate::mutate::{mutate, MutantPayload, MutationOp, ALL_OPERATORS};
+use crate::mutate::{mutate, MutantPayload, MutationOp, Parts, ALL_OPERATORS};
 use crate::oracle::{
     record_linear_trace, record_modulo_trace, replay_backends, replay_diff, trace_oracle,
 };
@@ -36,7 +36,7 @@ use rmd_analyze::lint_machine;
 use rmd_automata::{AutomataModule, Automaton, Direction};
 use rmd_certify::{certify_machine, certify_pair, CertifyFailure, CertifyOptions};
 use rmd_core::{try_reduce, verify_equivalence, Objective, ReduceOptions};
-use rmd_machine::{mdl, MachineBuilder, MachineDescription, ResourceId};
+use rmd_machine::{mdl, MachineDescription};
 use std::fmt::Write as _;
 
 /// Seed-stream tags separating the generator and trace streams.
@@ -410,65 +410,16 @@ fn certify_verdict(
 // Shrinking
 // ---------------------------------------------------------------------
 
-/// One operation's rebuildable form: name, `(resource, cycle)` usage
-/// pairs, the alternative-group label, and the weight.
-type OpParts = (String, Vec<(u32, u32)>, Option<String>, f64);
-
-/// A rebuildable copy of a machine description (same idiom as the
-/// mutation operators' rebuild path).
-#[derive(Clone)]
-struct Parts {
-    name: String,
-    resources: Vec<String>,
-    ops: Vec<OpParts>,
-}
-
-impl Parts {
-    fn of(m: &MachineDescription) -> Parts {
-        Parts {
-            name: m.name().to_owned(),
-            resources: m.resources().iter().map(|r| r.name().to_owned()).collect(),
-            ops: m
-                .operations()
-                .iter()
-                .map(|op| {
-                    (
-                        op.name().to_owned(),
-                        op.table()
-                            .usages()
-                            .iter()
-                            .map(|u| (u.resource.0, u.cycle))
-                            .collect(),
-                        // Base attribution is dropped: removals leave
-                        // partial alternative groups whose rendering
-                        // cannot preserve the base, and a flat machine
-                        // always round-trips. Semantics (the forbidden
-                        // matrix) are unaffected.
-                        None,
-                        op.weight(),
-                    )
-                })
-                .collect(),
-        }
+/// `m`'s parts without base attribution: removals leave partial
+/// alternative groups whose rendering cannot preserve the base, and a
+/// flat machine always round-trips. Semantics (the forbidden matrix)
+/// are unaffected.
+fn flat_parts(m: &MachineDescription) -> Parts {
+    let mut parts = Parts::of(m);
+    for op in &mut parts.ops {
+        op.base = None;
     }
-
-    fn build(self) -> Option<MachineDescription> {
-        let mut b = MachineBuilder::new(self.name);
-        for r in &self.resources {
-            b.resource(r.clone());
-        }
-        for (name, usages, base, weight) in self.ops {
-            let mut ob = b.operation(name).weight(weight);
-            if let Some(base) = base {
-                ob = ob.base(base);
-            }
-            for (r, c) in usages {
-                ob = ob.usage(ResourceId(r), c);
-            }
-            ob.finish();
-        }
-        b.build().ok()
-    }
+    parts
 }
 
 /// Greedy structural minimization: drop operations, then usages, then
@@ -489,7 +440,7 @@ fn shrink(
                 break;
             }
             for i in 0..cur.num_operations() {
-                let mut p = Parts::of(&cur);
+                let mut p = flat_parts(&cur);
                 p.ops.remove(i);
                 if let Some(cand) = p.build() {
                     if fails(&cand) {
@@ -510,8 +461,8 @@ fn shrink(
                     continue;
                 }
                 for ui in 0..n {
-                    let mut p = Parts::of(&cur);
-                    p.ops[oi].1.remove(ui);
+                    let mut p = flat_parts(&cur);
+                    p.ops[oi].usages.remove(ui);
                     if let Some(cand) = p.build() {
                         if fails(&cand) {
                             cur = cand;
@@ -525,9 +476,13 @@ fn shrink(
         }
 
         // Drop resources no usage references.
-        let p = Parts::of(&cur);
+        let p = flat_parts(&cur);
         let used: Vec<bool> = (0..p.resources.len() as u32)
-            .map(|r| p.ops.iter().any(|op| op.1.iter().any(|&(ur, _)| ur == r)))
+            .map(|r| {
+                p.ops
+                    .iter()
+                    .any(|op| op.usages.iter().any(|&(ur, _)| ur == r))
+            })
             .collect();
         if used.iter().any(|&u| !u) && used.iter().any(|&u| u) {
             let remap: Vec<Option<u32>> = {
@@ -551,7 +506,7 @@ fn shrink(
                 .map(|(r, _)| r.clone())
                 .collect();
             for op in &mut q.ops {
-                for u in &mut op.1 {
+                for u in &mut op.usages {
                     u.0 = remap[u.0 as usize].expect("used resource survives");
                 }
             }

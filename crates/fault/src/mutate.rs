@@ -131,22 +131,25 @@ impl Mutant {
     }
 }
 
-/// A mutable, builder-friendly copy of a machine description.
-struct Parts {
-    name: String,
-    resources: Vec<String>,
-    ops: Vec<OpParts>,
+/// A mutable, builder-friendly copy of a machine description: the
+/// mutation operators and the fuzz shrinker edit one and rebuild it.
+#[derive(Clone)]
+pub(crate) struct Parts {
+    pub(crate) name: String,
+    pub(crate) resources: Vec<String>,
+    pub(crate) ops: Vec<OpParts>,
 }
 
-struct OpParts {
-    name: String,
-    usages: Vec<(u32, u32)>, // (resource index, cycle)
-    base: Option<String>,
-    weight: f64,
+#[derive(Clone)]
+pub(crate) struct OpParts {
+    pub(crate) name: String,
+    pub(crate) usages: Vec<(u32, u32)>, // (resource index, cycle)
+    pub(crate) base: Option<String>,
+    pub(crate) weight: f64,
 }
 
 impl Parts {
-    fn of(m: &MachineDescription) -> Parts {
+    pub(crate) fn of(m: &MachineDescription) -> Parts {
         Parts {
             name: m.name().to_owned(),
             resources: m.resources().iter().map(|r| r.name().to_owned()).collect(),
@@ -168,10 +171,10 @@ impl Parts {
         }
     }
 
-    /// Rebuilds a description; `None` if the mutation produced a machine
+    /// Rebuilds a description; `None` if the edit produced a machine
     /// the validating builder refuses (empty operation, dangling id).
-    fn build(self, suffix: &str) -> Option<MachineDescription> {
-        let mut b = MachineBuilder::new(format!("{}-{suffix}", self.name));
+    pub(crate) fn build(self) -> Option<MachineDescription> {
+        let mut b = MachineBuilder::new(self.name);
         for r in &self.resources {
             b.resource(r.clone());
         }
@@ -187,6 +190,13 @@ impl Parts {
         }
         b.build().ok()
     }
+}
+
+/// The parts of `m` under the mutant's name, `<name>-<suffix>`.
+fn mutant_parts(m: &MachineDescription, suffix: &str) -> Parts {
+    let mut parts = Parts::of(m);
+    parts.name = format!("{}-{suffix}", parts.name);
+    parts
 }
 
 /// Applies `op` to `machine` under `seed`.
@@ -215,7 +225,7 @@ pub fn mutate(machine: &MachineDescription, op: MutationOp, seed: u64) -> Option
 }
 
 fn drop_usage(m: &MachineDescription, rng: &mut StdRng) -> Option<(String, MutantPayload)> {
-    let mut parts = Parts::of(m);
+    let mut parts = mutant_parts(m, "mut");
     let candidates: Vec<usize> = (0..parts.ops.len())
         .filter(|&i| parts.ops[i].usages.len() >= 2)
         .collect();
@@ -229,11 +239,11 @@ fn drop_usage(m: &MachineDescription, rng: &mut StdRng) -> Option<(String, Mutan
         "dropped usage {}@{c} from `{}`",
         parts.resources[r as usize], parts.ops[oi].name
     );
-    Some((what, MutantPayload::Machine(parts.build("mut")?)))
+    Some((what, MutantPayload::Machine(parts.build()?)))
 }
 
 fn shift_usage(m: &MachineDescription, rng: &mut StdRng) -> Option<(String, MutantPayload)> {
-    let mut parts = Parts::of(m);
+    let mut parts = mutant_parts(m, "mut");
     let oi = rng.index(parts.ops.len());
     let op = &mut parts.ops[oi];
     let ui = rng.index(op.usages.len());
@@ -244,14 +254,14 @@ fn shift_usage(m: &MachineDescription, rng: &mut StdRng) -> Option<(String, Muta
         "shifted usage {}@{c} of `{}` to cycle {c2}",
         parts.resources[r as usize], parts.ops[oi].name
     );
-    Some((what, MutantPayload::Machine(parts.build("mut")?)))
+    Some((what, MutantPayload::Machine(parts.build()?)))
 }
 
 fn merge_resources(m: &MachineDescription, rng: &mut StdRng) -> Option<(String, MutantPayload)> {
     if m.num_resources() < 2 {
         return None;
     }
-    let mut parts = Parts::of(m);
+    let mut parts = mutant_parts(m, "mut");
     let a = rng.index(parts.resources.len()) as u32;
     let mut b = rng.index(parts.resources.len()) as u32;
     if a == b {
@@ -268,7 +278,7 @@ fn merge_resources(m: &MachineDescription, rng: &mut StdRng) -> Option<(String, 
         "merged resource `{}` into `{}`",
         parts.resources[b as usize], parts.resources[a as usize]
     );
-    Some((what, MutantPayload::Machine(parts.build("mut")?)))
+    Some((what, MutantPayload::Machine(parts.build()?)))
 }
 
 fn drop_cover_latency(m: &MachineDescription, rng: &mut StdRng) -> Option<(String, MutantPayload)> {
@@ -281,7 +291,7 @@ fn drop_cover_latency(m: &MachineDescription, rng: &mut StdRng) -> Option<(Strin
         Objective::KCycleWord { k: 4 }
     };
     let red = try_reduce(m, objective, &ReduceOptions::default()).ok()?;
-    let mut parts = Parts::of(&red.reduced);
+    let mut parts = mutant_parts(&red.reduced, "cover-mut");
     let candidates: Vec<usize> = (0..parts.ops.len())
         .filter(|&i| parts.ops[i].usages.len() >= 2)
         .collect();
@@ -295,10 +305,7 @@ fn drop_cover_latency(m: &MachineDescription, rng: &mut StdRng) -> Option<(Strin
         "dropped selected cover usage {}@{c} from `{}` ({objective:?})",
         parts.resources[r as usize], parts.ops[oi].name
     );
-    Some((
-        what,
-        MutantPayload::ReducedMachine(parts.build("cover-mut")?),
-    ))
+    Some((what, MutantPayload::ReducedMachine(parts.build()?)))
 }
 
 fn corrupt_word(m: &MachineDescription, rng: &mut StdRng) -> Option<(String, MutantPayload)> {
@@ -332,7 +339,7 @@ fn corrupt_word(m: &MachineDescription, rng: &mut StdRng) -> Option<(String, Mut
 }
 
 fn truncate_table(m: &MachineDescription, rng: &mut StdRng) -> Option<(String, MutantPayload)> {
-    let mut parts = Parts::of(m);
+    let mut parts = mutant_parts(m, "mut");
     // Truncatable: dropping the final cycle leaves the table nonempty.
     let candidates: Vec<usize> = (0..parts.ops.len())
         .filter(|&i| {
@@ -352,14 +359,14 @@ fn truncate_table(m: &MachineDescription, rng: &mut StdRng) -> Option<(String, M
         "truncated `{}` at cycle {last} (dropped its final-cycle usages)",
         parts.ops[oi].name
     );
-    Some((what, MutantPayload::Machine(parts.build("mut")?)))
+    Some((what, MutantPayload::Machine(parts.build()?)))
 }
 
 fn swap_alternative(m: &MachineDescription, rng: &mut StdRng) -> Option<(String, MutantPayload)> {
     if m.num_operations() < 2 {
         return None;
     }
-    let mut parts = Parts::of(m);
+    let mut parts = mutant_parts(m, "mut");
     // Prefer swapping two alternatives expanded from one base operation;
     // fall back to any two operations.
     let mut pairs: Vec<(usize, usize)> = Vec::new();
@@ -388,11 +395,11 @@ fn swap_alternative(m: &MachineDescription, rng: &mut StdRng) -> Option<(String,
         "swapped reservation tables of `{}` and `{}`",
         parts.ops[i].name, parts.ops[j].name
     );
-    Some((what, MutantPayload::Machine(parts.build("mut")?)))
+    Some((what, MutantPayload::Machine(parts.build()?)))
 }
 
 fn perturb_class(m: &MachineDescription, rng: &mut StdRng) -> Option<(String, MutantPayload)> {
-    let mut parts = Parts::of(m);
+    let mut parts = mutant_parts(m, "mut");
     let oi = rng.index(parts.ops.len());
     let r = rng.index(parts.resources.len()) as u32;
     let len = parts.ops[oi]
@@ -417,7 +424,7 @@ fn perturb_class(m: &MachineDescription, rng: &mut StdRng) -> Option<(String, Mu
         "added spurious usage {}@{cycle} to `{}`",
         parts.resources[r as usize], parts.ops[oi].name
     );
-    Some((what, MutantPayload::Machine(parts.build("mut")?)))
+    Some((what, MutantPayload::Machine(parts.build()?)))
 }
 
 #[cfg(test)]

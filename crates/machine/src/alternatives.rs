@@ -183,29 +183,6 @@ impl AltOpBuilder<'_> {
         self
     }
 
-    /// Adds the cross product of `base` with one choice from each list in
-    /// `choices` — convenient for "use either port" stages.
-    pub fn alternatives_cross(
-        mut self,
-        base: &ReservationTable,
-        choices: &[Vec<(ResourceId, u32)>],
-    ) -> Self {
-        let mut tables = vec![base.clone()];
-        for choice in choices {
-            let mut next = Vec::with_capacity(tables.len() * choice.len());
-            for t in &tables {
-                for &(r, c) in choice {
-                    let mut t2 = t.clone();
-                    t2.reserve(r, c);
-                    next.push(t2);
-                }
-            }
-            tables = next;
-        }
-        self.op.alternatives.extend(tables);
-        self
-    }
-
     /// Sets the relative issue frequency.
     pub fn weight(mut self, weight: f64) -> Self {
         self.op.weight = weight;
@@ -289,11 +266,6 @@ impl AltGroups {
         Self::new(all, m.num_operations())
     }
 
-    /// Number of source (pre-expansion) operations.
-    pub fn num_groups(&self) -> usize {
-        self.groups.len()
-    }
-
     /// The alternative operations expanded from the same source as `op`
     /// (always includes `op` itself).
     pub fn alternatives_of(&self, op: OpId) -> &[OpId] {
@@ -362,22 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_product_generates_all_combinations() {
-        let mut d = AltDescription::new("m");
-        let a0 = d.resource("a0");
-        let a1 = d.resource("a1");
-        let b0 = d.resource("b0");
-        let b1 = d.resource("b1");
-        let base = ReservationTable::new();
-        d.operation("x")
-            .alternatives_cross(&base, &[vec![(a0, 0), (a1, 0)], vec![(b0, 1), (b1, 1)]])
-            .finish();
-        let (m, g) = d.expand().unwrap();
-        assert_eq!(m.num_operations(), 4);
-        assert_eq!(g.group_of_base("x").unwrap().len(), 4);
-    }
-
-    #[test]
     fn identity_groups_every_op_alone() {
         let mut b = MachineBuilder::new("m");
         let r = b.resource("r");
@@ -385,7 +341,6 @@ mod tests {
         b.operation("y").usage(r, 1).finish();
         let m = b.build().unwrap();
         let g = AltGroups::identity(&m);
-        assert_eq!(g.num_groups(), 2);
         assert_eq!(g.alternatives_of(OpId(1)), &[OpId(1)]);
         assert_eq!(g.group_of_base("x").unwrap(), &[OpId(0)]);
     }

@@ -100,9 +100,8 @@ fn write_line(writer: &SharedWriter, line: &str) -> bool {
 
 /// Serves one framed stream until EOF or shutdown. The reader runs on
 /// its own thread feeding the bounded admission queue; this thread
-/// processes and replies in admission order. Public so tests and the
-/// load driver can run the full admission pipeline over in-memory
-/// streams.
+/// processes and replies in admission order. Public so the soak test
+/// can run the full admission pipeline over in-memory streams.
 pub fn serve_stream<R>(
     reader: R,
     writer: SharedWriter,
@@ -186,22 +185,25 @@ fn after_request(engine: &mut ServeEngine, opts: &ServeOptions) {
     for dump in engine.take_flight_dumps() {
         eprintln!("rmd serve: flight {dump}");
     }
-    if opts.slow_ms > 0 {
-        if let Some(entry) = engine.last_flight_entry() {
-            if entry.latency_ns / 1_000_000 >= opts.slow_ms {
-                eprintln!("{}", render_slow_record(entry, opts.slow_ms));
-            }
-        }
+    if let Some(record) = engine
+        .last_flight_entry()
+        .and_then(|entry| slow_record(entry, opts.slow_ms))
+    {
+        eprintln!("{record}");
     }
     if opts.metrics_every > 0 && engine.counter("serve.requests") % opts.metrics_every == 0 {
-        emit_metrics_line(engine, opts);
+        write_metrics(engine, opts, true);
     }
 }
 
-/// One structured JSONL record for a request over the `--slow-ms`
-/// threshold.
-fn render_slow_record(entry: &crate::flight::FlightEntry, slow_ms: u64) -> String {
+/// The structured JSONL record of a request whose latency reaches the
+/// `--slow-ms` threshold; `None` when it stays under it or the
+/// threshold is `0` (off).
+fn slow_record(entry: &crate::flight::FlightEntry, slow_ms: u64) -> Option<String> {
     use rmd_obs::export::push_json_string;
+    if slow_ms == 0 || entry.latency_ns / 1_000_000 < slow_ms {
+        return None;
+    }
     let mut out = String::with_capacity(128);
     out.push_str("{\"slow_request\":true,\"req\":");
     out.push_str(&entry.req.to_string());
@@ -216,56 +218,28 @@ fn render_slow_record(entry: &crate::flight::FlightEntry, slow_ms: u64) -> Strin
     out.push_str(",\"outcome\":");
     push_json_string(&mut out, &entry.outcome);
     out.push('}');
-    out
+    Some(out)
 }
 
-/// Appends one non-destructive metrics-snapshot line to the metrics
-/// path (or stderr).
-fn emit_metrics_line(engine: &ServeEngine, opts: &ServeOptions) {
+/// Writes one metrics-snapshot line ([`ServeEngine::metrics_snapshot`],
+/// which leaves the live registry untouched) to the metrics path,
+/// appended to it or replacing its contents, or to stderr without one.
+fn write_metrics(engine: &ServeEngine, opts: &ServeOptions, append: bool) {
     let json = rmd_obs::export::registry_to_json(&engine.metrics_snapshot());
-    match &opts.metrics_path {
-        Some(path) => {
-            let appended = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .and_then(|mut f| {
-                    use std::io::Write as _;
-                    writeln!(f, "{json}")
-                });
-            if let Err(e) = appended {
-                eprintln!("rmd serve: cannot write metrics to {}: {e}", path.display());
-                eprintln!("rmd serve: metrics {json}");
-            }
-        }
-        None => eprintln!("rmd serve: metrics {json}"),
-    }
-}
-
-fn flush_metrics(engine: &mut ServeEngine, opts: &ServeOptions) {
-    let json = engine.flush_metrics();
-    match &opts.metrics_path {
-        Some(path) => {
-            // With periodic emission active the file is JSONL history;
-            // append the final flush instead of truncating it away.
-            let written = if opts.metrics_every > 0 {
-                std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                    .and_then(|mut f| {
-                        use std::io::Write as _;
-                        writeln!(f, "{json}")
-                    })
-            } else {
-                std::fs::write(path, format!("{json}\n"))
-            };
-            if let Err(e) = written {
-                eprintln!("rmd serve: cannot write metrics to {}: {e}", path.display());
-                eprintln!("rmd serve: metrics {json}");
-            }
-        }
-        None => eprintln!("rmd serve: metrics {json}"),
+    let Some(path) = &opts.metrics_path else {
+        eprintln!("rmd serve: metrics {json}");
+        return;
+    };
+    let written = std::fs::OpenOptions::new()
+        .create(true)
+        .write(true)
+        .append(append)
+        .truncate(!append)
+        .open(path)
+        .and_then(|mut f| writeln!(f, "{json}"));
+    if let Err(e) = written {
+        eprintln!("rmd serve: cannot write metrics to {}: {e}", path.display());
+        eprintln!("rmd serve: metrics {json}");
     }
 }
 
@@ -303,7 +277,9 @@ pub fn run(opts: &ServeOptions) -> Result<ServeSummary, ServeError> {
     for dump in engine.take_flight_dumps() {
         eprintln!("rmd serve: flight {dump}");
     }
-    flush_metrics(&mut engine, opts);
+    // With periodic emission active the file is JSONL history; append
+    // the final snapshot instead of truncating it away.
+    write_metrics(&engine, opts, opts.metrics_every > 0);
     let s = summary_of(&engine);
     eprintln!(
         "rmd serve: drained; requests={} ok={} errors={} shed={} quarantined={}",
@@ -363,9 +339,6 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
-    /// Serializes daemon tests: the shutdown flag is process-global.
-    static FLAG_LOCK: Mutex<()> = Mutex::new(());
-
     #[derive(Clone, Default)]
     struct SharedBuf(Arc<Mutex<Vec<u8>>>);
 
@@ -380,7 +353,9 @@ mod tests {
     }
 
     fn run_lines(lines: &str, opts: &ServeOptions) -> (Vec<serde_json::Value>, ServeSummary) {
-        let _g = FLAG_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _g = signal::TEST_FLAG_LOCK
+            .lock()
+            .unwrap_or_else(|p| p.into_inner());
         signal::set_shutdown(false);
         let mut engine = ServeEngine::new(opts.engine.clone());
         let buf = SharedBuf::default();
@@ -499,21 +474,34 @@ mod tests {
 
     #[test]
     fn slow_record_is_structured_jsonl() {
-        let entry = crate::flight::FlightEntry {
-            req: 7,
-            id: Some("\"a b\"".to_string()),
-            kind: "schedule",
-            fingerprint: None,
-            latency_ns: 12_000_000,
-            outcome: "ok".to_string(),
-        };
-        let line = render_slow_record(&entry, 10);
-        let v: serde_json::Value = serde_json::from_str(&line).expect("parses");
-        assert_eq!(v.get("slow_request").and_then(|b| b.as_bool()), Some(true));
-        assert_eq!(v.get("req").and_then(|n| n.as_u64()), Some(7));
-        assert_eq!(v.get("id").and_then(|s| s.as_str()), Some("a b"));
-        assert_eq!(v.get("latency_ms").and_then(|n| n.as_u64()), Some(12));
-        assert_eq!(v.get("threshold_ms").and_then(|n| n.as_u64()), Some(10));
-        assert_eq!(v.get("outcome").and_then(|s| s.as_str()), Some("ok"));
+        // Both requests were admitted 12 ms ago, so they reach a 10 ms
+        // threshold; their ids are recorded as the engine echoes them.
+        let admitted = Instant::now() - Duration::from_millis(12);
+        let mut engine = ServeEngine::new(EngineConfig::default());
+        let cases = [
+            (r#"{"type":"status","id":42}"#, "42", "status", "ok"),
+            (
+                r#"{"type":"nope","id":"a \"b\"\n"}"#,
+                r#""a \"b\"\n""#,
+                "invalid",
+                "unknown_type",
+            ),
+        ];
+        for (req, (frame, id, kind, outcome)) in cases.into_iter().enumerate() {
+            engine.handle_line(frame, admitted);
+            let entry = engine.last_flight_entry().expect("request recorded");
+            assert_eq!(slow_record(entry, 0), None, "0 turns the log off");
+            assert_eq!(slow_record(entry, 60_000), None, "{frame} is not slow");
+            let line = slow_record(entry, 10).expect("12 ms reaches 10 ms");
+            let v: serde_json::Value = serde_json::from_str(&line).expect("parses");
+            let text = |k: &str| v.get(k).and_then(|s| s.as_str());
+            assert_eq!(v.get("slow_request").and_then(|b| b.as_bool()), Some(true));
+            assert_eq!(v.get("req").and_then(|n| n.as_u64()), Some(req as u64));
+            assert_eq!(v.get("id"), Some(&serde_json::from_str(id).unwrap()));
+            assert_eq!(text("kind"), Some(kind), "{line}");
+            assert!(v.get("latency_ms").and_then(|n| n.as_u64()) >= Some(12));
+            assert_eq!(v.get("threshold_ms").and_then(|n| n.as_u64()), Some(10));
+            assert_eq!(text("outcome"), Some(outcome), "{line}");
+        }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! [`ServeEngine::handle_line`] takes one frame and returns one reply
 //! line — the daemon loop in [`crate::daemon`] only does framing,
-//! admission control, and shutdown around it, and the bench load
-//! driver and the soak tests drive it directly. Every request runs
+//! admission control, and shutdown around it, and perfbench's serve
+//! phase and the soak tests drive it directly. Every request runs
 //! under [`std::panic::catch_unwind`]: a panicking request yields a
 //! typed `panicked` reply and *quarantines* the cached machine entry
 //! it touched, so no partially mutated state survives into later
@@ -13,13 +13,12 @@
 
 use crate::chaos::{Chaos, ChaosAction};
 use crate::error::ServeError;
-use crate::fingerprint::fingerprint;
 use crate::flight::{FlightEntry, FlightRecorder};
 use crate::proto::{parse_frame, EdgeSpec, Frame, MachineSource, ReplyBuilder, Request};
 use rmd_core::{
     reduce_with_fallback, validate_limits, FallbackEvent, Objective, ReduceOptions, RmdError,
 };
-use rmd_machine::{mdl, models, MachineDescription};
+use rmd_machine::{content_fingerprint, mdl, models, MachineDescription};
 use rmd_obs::{Event, EventKind, MetricRegistry};
 use rmd_query::{ModuloMaskCache, WordLayout};
 use rmd_sched::{
@@ -133,7 +132,6 @@ pub struct ServeEngine {
     req_index: u64,
     metrics: MetricRegistry,
     started: Instant,
-    draining: bool,
     /// Fingerprint the currently executing request resolved; read back
     /// for quarantine when the request panics.
     touched: Option<String>,
@@ -155,7 +153,6 @@ impl ServeEngine {
             req_index: 0,
             metrics: MetricRegistry::new(),
             started: Instant::now(),
-            draining: false,
             touched: None,
             flight: FlightRecorder::default(),
             graph_scratch: DepGraph::new(),
@@ -163,22 +160,9 @@ impl ServeEngine {
         }
     }
 
-    /// The engine's metric registry (counters, latency histograms).
-    pub fn metrics(&self) -> &MetricRegistry {
-        &self.metrics
-    }
-
     /// Counter accessor for summaries.
     pub fn counter(&self, name: &str) -> u64 {
         self.metrics.counter(name)
-    }
-
-    /// Marks the engine as draining: subsequent requests are answered
-    /// with `shutting_down` (the daemon still drains what was admitted
-    /// before the flag flipped — it calls this only for frames read
-    /// *after* shutdown began).
-    pub fn set_draining(&mut self, v: bool) {
-        self.draining = v;
     }
 
     /// Records `n` requests shed by the daemon's admission queue.
@@ -314,9 +298,6 @@ impl ServeEngine {
         action: ChaosAction,
         idx: u64,
     ) -> (Result<String, ServeError>, bool) {
-        if self.draining {
-            return (Err(ServeError::ShuttingDown), false);
-        }
         let req = match frame.body {
             Ok(r) => r,
             Err(e) => return (Err(e), false),
@@ -478,25 +459,14 @@ impl ServeEngine {
     ) -> Result<String, ServeError> {
         let m = self.load_source(&source)?;
         let lookup_span = rmd_obs::span_with("serve", "cache_lookup", "req", idx);
-        let fp = fingerprint(&m);
+        let fp = content_fingerprint(&m);
         self.touched = Some(fp.clone());
         drop(lookup_span);
         self.chaos_panic_point(action);
         if let Some(entry) = self.machines.get_mut(&fp) {
             self.tick += 1;
             entry.last_used = self.tick;
-            let reply = ReplyBuilder::ok(id, "machine")
-                .str("fingerprint", &fp)
-                .bool("cached", true)
-                .bool("fallback", entry.fallback.is_some())
-                .num("resources", entry.original.num_resources() as u64)
-                .num(
-                    "reduced_resources",
-                    entry.sched_machine.num_resources() as u64,
-                )
-                .num("operations", entry.original.num_operations() as u64)
-                .finish();
-            return Ok(reply);
+            return Ok(machine_reply(id, &fp, true, entry));
         }
         // Certificate gate: an uncached machine is admitted only when a
         // certificate on disk vouches for its content fingerprint.
@@ -551,17 +521,7 @@ impl ServeEngine {
                 break;
             }
         }
-        let reply = ReplyBuilder::ok(id, "machine")
-            .str("fingerprint", &fp)
-            .bool("cached", false)
-            .bool("fallback", entry.fallback.is_some())
-            .num("resources", entry.original.num_resources() as u64)
-            .num(
-                "reduced_resources",
-                entry.sched_machine.num_resources() as u64,
-            )
-            .num("operations", entry.original.num_operations() as u64)
-            .finish();
+        let reply = machine_reply(id, &fp, false, &entry);
         self.machines.insert(fp, entry);
         self.metrics
             .set_gauge("serve.machines_cached", self.machines.len() as u64);
@@ -721,7 +681,7 @@ impl ServeEngine {
             .num("quarantined", self.metrics.counter("serve.quarantined"))
             .num("machines_cached", self.machines.len() as u64)
             .num("uptime_ms", self.started.elapsed().as_millis() as u64)
-            .bool("draining", self.draining)
+            .bool("draining", crate::signal::sigterm_received())
             .finish()
     }
 
@@ -739,14 +699,6 @@ impl ServeEngine {
         }
         snap.set_gauge("serve.machines_cached", self.machines.len() as u64);
         snap
-    }
-
-    /// Exports per-machine mask-cache statistics into the registry and
-    /// returns the full registry as compact JSON — called once by the
-    /// daemon when it drains.
-    pub fn flush_metrics(&mut self) -> String {
-        self.metrics = self.metrics_snapshot();
-        rmd_obs::export::registry_to_json(&self.metrics)
     }
 
     /// Queues a flight-recorder dump for `reason` ("drain", …); the
@@ -768,6 +720,21 @@ impl ServeEngine {
     pub fn last_flight_entry(&self) -> Option<&FlightEntry> {
         self.flight.entries().last()
     }
+}
+
+/// The reply to a `machine` request for `entry`, cached under `fp`.
+fn machine_reply(id: Option<&str>, fp: &str, cached: bool, entry: &MachineEntry) -> String {
+    ReplyBuilder::ok(id, "machine")
+        .str("fingerprint", fp)
+        .bool("cached", cached)
+        .bool("fallback", entry.fallback.is_some())
+        .num("resources", entry.original.num_resources() as u64)
+        .num(
+            "reduced_resources",
+            entry.sched_machine.num_resources() as u64,
+        )
+        .num("operations", entry.original.num_operations() as u64)
+        .finish()
 }
 
 /// The request kind recorded in the flight ring — the protocol type
@@ -1082,15 +1049,23 @@ mod tests {
         let (reply, shutdown) = e.handle_line(r#"{"type":"shutdown"}"#, Instant::now());
         assert!(shutdown);
         assert!(reply.contains("\"draining\":true"));
-        e.set_draining(true);
-        let (reply, _) = e.handle_line(r#"{"type":"status"}"#, Instant::now());
-        let v = serde_json::from_str(&reply).unwrap();
-        assert_eq!(
-            v.get("error")
-                .and_then(|e| e.get("kind"))
-                .and_then(|k| k.as_str()),
-            Some("shutting_down")
-        );
+    }
+
+    #[test]
+    fn status_reports_the_drain() {
+        let _g = crate::signal::TEST_FLAG_LOCK
+            .lock()
+            .unwrap_or_else(|p| p.into_inner());
+        let mut e = engine();
+        let mut draining = || {
+            ok_reply(&mut e, r#"{"type":"status"}"#)
+                .get("draining")
+                .and_then(|d| d.as_bool())
+        };
+        crate::signal::set_shutdown(true);
+        assert_eq!(draining(), Some(true));
+        crate::signal::set_shutdown(false);
+        assert_eq!(draining(), Some(false));
     }
 
     #[test]

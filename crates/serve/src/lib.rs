@@ -17,10 +17,14 @@
 //! - [`engine`] — the request engine: caching, scheduling, isolation.
 //! - [`daemon`] — transports, admission queue, drain, metrics flush.
 //! - [`error`] — the typed error taxonomy and its JSON rendering.
-//! - [`chaos`] — seeded fault injection reusing rmd-fault generators.
+//! - [`chaos`] — seeded fault injection from the `rand` shim's
+//!   splitmix64.
 //! - [`signal`] — SIGTERM flag (the workspace's one unsafe block).
 //! - [`flight`] — the crash flight recorder (black-box ring + dumps).
-//! - [`mod@fingerprint`] — machine fingerprints keying the cache.
+//!
+//! The cache key of a machine is [`fingerprint`]: rmd-machine's content
+//! fingerprint, which `rmd certify` and `rmd lint` key their artifacts
+//! by too.
 
 #![warn(missing_docs)]
 
@@ -28,7 +32,6 @@ pub mod chaos;
 pub mod daemon;
 pub mod engine;
 pub mod error;
-pub mod fingerprint;
 pub mod flight;
 pub mod proto;
 pub mod signal;
@@ -37,5 +40,5 @@ pub use chaos::{Chaos, ChaosAction};
 pub use daemon::{run, ServeOptions, ServeSummary, SharedWriter};
 pub use engine::{EngineConfig, ServeEngine};
 pub use error::ServeError;
-pub use fingerprint::fingerprint;
 pub use flight::{FlightEntry, FlightRecorder};
+pub use rmd_machine::content_fingerprint as fingerprint;

@@ -61,12 +61,18 @@ pub fn set_shutdown(v: bool) {
     SIGTERM.store(v, Ordering::SeqCst);
 }
 
+/// Serializes the crate's tests that set the process-global flag or
+/// read it back.
+#[cfg(test)]
+pub(crate) static TEST_FLAG_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn flag_roundtrip() {
+        let _g = TEST_FLAG_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         install_sigterm_handler();
         assert!(
             !sigterm_received() || {

@@ -381,7 +381,7 @@ fn chaos_soak_ten_thousand_requests() {
     }
 
     // Metrics survive the whole ordeal and still flush as valid JSON.
-    let metrics = engine.flush_metrics();
+    let metrics = rmd_obs::export::registry_to_json(&engine.metrics_snapshot());
     assert!(serde_json::from_str(&metrics).is_ok(), "{metrics}");
 }
 
@@ -481,6 +481,6 @@ fn sigterm_mid_burst_drains_cleanly() {
     );
     assert_eq!(engine.counter("serve.shed"), overloaded);
     // The drain flushed usable metrics.
-    let metrics = engine.flush_metrics();
+    let metrics = rmd_obs::export::registry_to_json(&engine.metrics_snapshot());
     assert!(serde_json::from_str(&metrics).is_ok(), "{metrics}");
 }

@@ -1,6 +1,7 @@
 //! Edge-case coverage for `check_window` / `first_free_in`, pinned
-//! across all four query backends (discrete, bitvec, modulo-discrete,
-//! modulo-bitvec).
+//! across the four reservation-table backends (discrete, bitvec,
+//! modulo-discrete, modulo-bitvec) and the forward/reverse automaton
+//! pair.
 //!
 //! The window contract (rmd-query traits): bit `i` of
 //! `check_window(op, start, len)` is set iff `check(op, start + i)`
@@ -15,11 +16,12 @@
 //! saving itself: on fig1's word-packed layout the window scan loads
 //! strictly fewer backend words than the scalar scan.
 
+use rmd_automata::{AutomataModule, Automaton, Direction};
 use rmd_machine::alternatives::AltGroups;
 use rmd_machine::{MachineBuilder, MachineDescription, OpId};
 use rmd_query::{
     check_with_alt, first_free_with_alt, BitvecModule, ContentionQuery, DiscreteModule, FnCounter,
-    ModuloBitvecModule, ModuloDiscreteModule, OpInstance, WordLayout,
+    ModuloBitvecModule, ModuloDiscreteModule, OpInstance, WordLayout, WorkCounters,
 };
 
 /// A machine built for window probing: `nop` reserves one resource in
@@ -35,9 +37,26 @@ fn window_machine() -> MachineDescription {
     b.build().expect("test machine builds")
 }
 
-/// One of each of the four query backends over `m`. The modulo modules
+/// The automata backend's schedule horizon. The automata cache one state
+/// per cycle up to a fixed horizon; this one covers every window below
+/// (the farthest starts at cycle 1,000,000 and spans 130 cycles) except
+/// those at the end of the cycle domain.
+const AUTOMATA_HORIZON: u32 = 1 << 20;
+
+/// The forward/reverse automaton pair of `m`.
+fn automata(m: &MachineDescription) -> (Automaton, Automaton) {
+    (
+        Automaton::build(m, Direction::Forward, 1 << 20).expect("forward automaton"),
+        Automaton::build(m, Direction::Reverse, 1 << 20).expect("reverse automaton"),
+    )
+}
+
+/// One of each of the five query backends over `m`. The modulo modules
 /// use the longest reservation table as II, so every operation fits.
-fn backends(m: &MachineDescription) -> Vec<(&'static str, Box<dyn ContentionQuery>)> {
+fn backends<'a>(
+    m: &'a MachineDescription,
+    (fwd, rev): &'a (Automaton, Automaton),
+) -> Vec<(&'static str, Box<dyn ContentionQuery + 'a>)> {
     let layout = WordLayout::widest(64, m.num_resources());
     let ii = m.max_table_length().max(1);
     vec![
@@ -50,6 +69,10 @@ fn backends(m: &MachineDescription) -> Vec<(&'static str, Box<dyn ContentionQuer
         (
             "modulo_bitvec",
             Box::new(ModuloBitvecModule::new(m, ii, layout)),
+        ),
+        (
+            "automata",
+            Box::new(AutomataModule::new(m, fwd, rev, AUTOMATA_HORIZON)),
         ),
     ]
 }
@@ -172,7 +195,8 @@ fn zero_length_windows_are_empty_and_find_nothing() {
     let m = window_machine();
     let nop = m.op_by_name("nop").unwrap();
     let div = m.op_by_name("div").unwrap();
-    for (name, mut q) in backends(&m) {
+    let pair = automata(&m);
+    for (name, mut q) in backends(&m, &pair) {
         for start in [0u32, 1, 63, 64, 65, 10_000, u32::MAX] {
             for op in [nop, div] {
                 assert_eq!(
@@ -195,7 +219,8 @@ fn zero_length_windows_are_empty_and_find_nothing() {
 fn window_length_clamps_to_64() {
     let m = window_machine();
     let div = m.op_by_name("div").unwrap();
-    for (name, mut q) in backends(&m) {
+    let pair = automata(&m);
+    for (name, mut q) in backends(&m, &pair) {
         q.assign(OpInstance(0), div, 3);
         let clamped = q.check_window(div, 0, 64);
         for len in [65u32, 100, u32::MAX] {
@@ -221,11 +246,10 @@ fn window_length_clamps_to_64() {
 fn first_free_crosses_the_chunk_boundary() {
     let m = window_machine();
     let div = m.op_by_name("div").unwrap();
-    let layout = WordLayout::widest(64, m.num_resources());
-    let linear: Vec<(&str, Box<dyn ContentionQuery>)> = vec![
-        ("discrete", Box::new(DiscreteModule::new(&m))),
-        ("bitvec", Box::new(BitvecModule::new(&m, layout))),
-    ];
+    let pair = automata(&m);
+    let linear = backends(&m, &pair)
+        .into_iter()
+        .filter(|(name, _)| !name.starts_with("modulo"));
     for (name, mut q) in linear {
         // div holds the divider for 8 cycles, so placements at
         // 0, 8, …, 64 leave every cycle in 0..=71 busy; 72 is free.
@@ -263,7 +287,8 @@ fn far_beyond_horizon_windows_conform() {
     let m = window_machine();
     let nop = m.op_by_name("nop").unwrap();
     let div = m.op_by_name("div").unwrap();
-    for (name, mut q) in backends(&m) {
+    let pair = automata(&m);
+    for (name, mut q) in backends(&m, &pair) {
         q.assign(OpInstance(0), div, 2);
         for start in [1_000u32, 65_536, 1_000_000] {
             for op in [nop, div] {
@@ -290,12 +315,18 @@ fn far_beyond_horizon_windows_conform() {
 /// `u32::MAX` read as busy, so only the in-domain prefix of the mask
 /// can have bits set, and `first_free_in` never reports a cycle it
 /// could not represent. `nop`'s reservation table is a single cycle-0
-/// usage, so its checks are well-defined at `u32::MAX` itself.
+/// usage, so its checks are well-defined at `u32::MAX` itself. The
+/// automata's fixed horizon cannot reach the end of the domain, so the
+/// reservation-table backends alone are pinned here.
 #[test]
 fn windows_saturate_at_the_cycle_domain_boundary() {
     let m = window_machine();
     let nop = m.op_by_name("nop").unwrap();
-    for (name, mut q) in backends(&m) {
+    let pair = automata(&m);
+    let tables = backends(&m, &pair)
+        .into_iter()
+        .filter(|(name, _)| *name != "automata");
+    for (name, mut q) in tables {
         // Empty schedule: the four representable cycles are free, the
         // sixty past-the-end bits are busy.
         let start = u32::MAX - 3;
@@ -356,5 +387,44 @@ fn window_scan_loads_strictly_fewer_words_than_scalar_on_fig1() {
     assert!(
         0 < window_loads && window_loads < scalar_loads,
         "window loads {window_loads} vs scalar loads {scalar_loads}"
+    );
+}
+
+/// One fixed window trace on the automata backend, pinned counter for
+/// counter: each probed cycle is one `check` carrying its automaton
+/// lookups, and each window (or 64-cycle chunk of a longer one) is one
+/// `check_window` whose units are the lookups of its probes. The
+/// horizon is short enough that the last window runs past it, where
+/// every cycle reads busy.
+#[test]
+fn automata_window_trace_counters_are_pinned() {
+    let m = window_machine();
+    let nop = m.op_by_name("nop").unwrap();
+    let div = m.op_by_name("div").unwrap();
+    let (fwd, rev) = automata(&m);
+    let mut q = AutomataModule::new(&m, &fwd, &rev, 96);
+    for (i, t) in (0..=64).step_by(8).enumerate() {
+        q.assign(OpInstance(i as u32), div, t);
+    }
+    let pair = AltGroups::from_groups(&m, vec![("pair".to_owned(), vec![nop, div])]);
+    assert_eq!(q.first_free_in(div, 0, 200), Some(72));
+    assert_eq!(q.check_window(div, 60, 64), 0x1fff_f000);
+    assert_eq!(q.first_free_in(nop, 3, 10), Some(3));
+    assert_eq!(q.check_window(nop, 80, 64), 0xffff);
+    assert_eq!(
+        first_free_with_alt(&mut q, &pair, div, 4, 80),
+        Some((4, nop))
+    );
+    let fn_counter = |calls, units| FnCounter { calls, units };
+    assert_eq!(
+        *q.counters(),
+        WorkCounters {
+            check: fn_counter(204, 167),
+            assign: fn_counter(9, 18),
+            assign_free: fn_counter(0, 0),
+            free: fn_counter(0, 0),
+            check_window: fn_counter(5, 164),
+            transitions: 0,
+        }
     );
 }
