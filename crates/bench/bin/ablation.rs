@@ -104,5 +104,11 @@ fn main() {
     }
     println!("(each extra cycle per word shaves check work; paper Table 6's ladder)");
 
-    write_record("ablation", &Record { budget_sweep, k_sweep });
+    write_record(
+        "ablation",
+        &Record {
+            budget_sweep,
+            k_sweep,
+        },
+    );
 }

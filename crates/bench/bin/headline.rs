@@ -75,8 +75,8 @@ fn headline(m: &MachineDescription) -> MachineHeadline {
     let wallclock_speedup = t_orig.as_secs_f64() / t_red.as_secs_f64();
 
     // Memory: reserved-table bits per schedule cycle.
-    let storage_percent = 100.0 * n_red.min(red_bitvec.reduced.num_resources()) as f64
-        / m.num_resources() as f64;
+    let storage_percent =
+        100.0 * n_red.min(red_bitvec.reduced.num_resources()) as f64 / m.num_resources() as f64;
 
     MachineHeadline {
         machine: m.name().to_owned(),

@@ -35,13 +35,20 @@ fn main() {
     let ops = OpSet::for_cydra_subset(&m);
     let loops = suite(&ops, 1327, 0xC5);
 
-    println!("Scheduling {} loops on `{}` (discrete representation)\n", loops.len(), m.name());
+    println!(
+        "Scheduling {} loops on `{}` (discrete representation)\n",
+        loops.len(),
+        m.name()
+    );
     let s6 = aggregate(
         &run_suite_runs(&m, &m, &loops, Representation::Discrete, 6.0, 1),
         6.0,
     );
 
-    println!("{:24} {:>8} {:>8} {:>8} {:>8}", "measurement", "min", "at-min", "avg", "max");
+    println!(
+        "{:24} {:>8} {:>8} {:>8} {:>8}",
+        "measurement", "min", "at-min", "avg", "max"
+    );
     row("number of operations", &s6.ops);
     row("initiation interval", &s6.ii);
     row("II / MII", &s6.ii_ratio);

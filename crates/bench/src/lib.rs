@@ -146,7 +146,11 @@ pub fn render_report(r: &ReductionReport) -> String {
     let _ = writeln!(out);
     let _ = write!(out, "{:34}", "avg word usages / operation");
     for c in &r.columns {
-        let _ = write!(out, "{:>w$}", format!("{:.1} (k={})", c.avg_word_usages, c.k));
+        let _ = write!(
+            out,
+            "{:>w$}",
+            format!("{:.1} (k={})", c.avg_word_usages, c.k)
+        );
     }
     let _ = writeln!(out);
     out
@@ -206,8 +210,14 @@ impl Distribution {
         let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let at_min = xs.iter().filter(|&&x| (x - min).abs() < 1e-9).count() as f64 / xs.len() as f64;
-        Distribution { min, at_min, mean, max }
+        let at_min =
+            xs.iter().filter(|&&x| (x - min).abs() < 1e-9).count() as f64 / xs.len() as f64;
+        Distribution {
+            min,
+            at_min,
+            mean,
+            max,
+        }
     }
 }
 

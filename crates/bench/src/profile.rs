@@ -15,12 +15,12 @@
 use rmd_core::{reduce_with_fallback, Objective, ReduceOptions, REDUCTION_PHASES};
 use rmd_loops::OpSet;
 use rmd_machine::{MachineDescription, OpId};
+use rmd_obs::{Event, EventKind, MetricRegistry};
 use rmd_query::{
     BitvecModule, ContentionQuery, DiscreteModule, MeteredQuery, ModuloBitvecModule,
     ModuloDiscreteModule, ModuloMaskCache, OpInstance, QueryFn, WordLayout,
 };
 use rmd_sched::{mii, ImsConfig, IterativeModuloScheduler, Representation, SchedScratch};
-use rmd_obs::{Event, EventKind, MetricRegistry};
 use serde::Serialize;
 use std::fmt::Write as _;
 
@@ -464,9 +464,10 @@ mod tests {
         let p = with_profile_lock(|| profile_machine(&example_machine(), DEFAULT_PROFILE_LOOPS));
         for backend in ["discrete", "bitvec", "modulo_discrete", "modulo_bitvec"] {
             let key = format!("query.{backend}.check.latency_ns");
-            let h = p.registry.histogram(&key).unwrap_or_else(|| {
-                panic!("missing latency histogram `{key}`")
-            });
+            let h = p
+                .registry
+                .histogram(&key)
+                .unwrap_or_else(|| panic!("missing latency histogram `{key}`"));
             assert!(h.count() > 0, "{key} is empty");
             assert!(p.registry.counter(&format!("query.{backend}.check.calls")) > 0);
         }
@@ -482,7 +483,11 @@ mod tests {
                 .histogram(&key)
                 .unwrap_or_else(|| panic!("missing latency histogram `{key}`"));
             assert!(h.count() > 0, "{key} is empty");
-            assert!(p.registry.counter(&format!("query.{backend}.check_window.calls")) > 0);
+            assert!(
+                p.registry
+                    .counter(&format!("query.{backend}.check_window.calls"))
+                    > 0
+            );
         }
         // The window rows ride along in the Table-6-style report.
         assert!(work_rows(&p.registry)

@@ -34,7 +34,10 @@ fn suite_results_identical_across_thread_counts() {
             // structs: the JSON record is what trajectories compare.
             let parallel_stats =
                 serde_json::to_string(&aggregate(&parallel, budget_ratio)).expect("serialize");
-            assert_eq!(serial_stats, parallel_stats, "{repr:?} at {threads} threads");
+            assert_eq!(
+                serial_stats, parallel_stats,
+                "{repr:?} at {threads} threads"
+            );
         }
     }
 }

@@ -250,10 +250,7 @@ impl AltGroups {
         let mut all = Vec::new();
         for (name, members) in groups {
             for &mem in &members {
-                assert!(
-                    !seen[mem.index()],
-                    "operation {mem} appears in two groups"
-                );
+                assert!(!seen[mem.index()], "operation {mem} appears in two groups");
                 seen[mem.index()] = true;
             }
             all.push((name, members));
@@ -274,7 +271,9 @@ impl AltGroups {
 
     /// The members of the group for the source operation named `base`.
     pub fn group_of_base(&self, base: &str) -> Option<&[OpId]> {
-        self.by_name.get(base).map(|&gi| self.groups[gi].1.as_slice())
+        self.by_name
+            .get(base)
+            .map(|&gi| self.groups[gi].1.as_slice())
     }
 
     /// Iterates over `(base name, members)` pairs.

@@ -73,11 +73,7 @@ impl MachineBuilder {
     }
 
     /// Adds a fully-formed operation.
-    pub fn add_operation(
-        &mut self,
-        name: impl Into<String>,
-        table: ReservationTable,
-    ) -> &mut Self {
+    pub fn add_operation(&mut self, name: impl Into<String>, table: ReservationTable) -> &mut Self {
         let name = name.into();
         self.push_op(Operation::new(name, table, None, 1.0));
         self
@@ -196,7 +192,11 @@ mod tests {
     fn weight_and_base_are_recorded() {
         let mut b = MachineBuilder::new("m");
         let r = b.resource("r");
-        b.operation("mv0").base("mv").weight(0.25).usage(r, 0).finish();
+        b.operation("mv0")
+            .base("mv")
+            .weight(0.25)
+            .usage(r, 0)
+            .finish();
         let m = b.build().unwrap();
         let op = m.operation(m.op_by_name("mv0").unwrap());
         assert_eq!(op.base(), Some("mv"));

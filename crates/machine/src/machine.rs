@@ -107,8 +107,14 @@ impl fmt::Display for MachineError {
                 write!(f, "operation `{n}` reserves no resources")
             }
             MachineError::NoOperations => write!(f, "machine declares no operations"),
-            MachineError::UnknownResource { operation, resource } => {
-                write!(f, "operation `{operation}` uses undeclared resource {resource}")
+            MachineError::UnknownResource {
+                operation,
+                resource,
+            } => {
+                write!(
+                    f,
+                    "operation `{operation}` uses undeclared resource {resource}"
+                )
             }
         }
     }

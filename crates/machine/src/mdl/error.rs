@@ -139,10 +139,7 @@ mod tests {
 
     #[test]
     fn display_includes_location() {
-        let e = ParseError::new(
-            ParseErrorKind::UnexpectedChar('%'),
-            Span::new(10, 11, 3, 7),
-        );
+        let e = ParseError::new(ParseErrorKind::UnexpectedChar('%'), Span::new(10, 11, 3, 7));
         assert_eq!(e.to_string(), "3:7: unexpected character `%`");
     }
 

@@ -334,7 +334,10 @@ mod tests {
     fn big_integers_lex_as_floats() {
         // 10^20 does not fit a u32; it must still lex (as a float) so
         // printed weights of any magnitude round-trip through the parser.
-        assert_eq!(toks("100000000000000000000"), vec![Tok::Float(1e20), Tok::Eof]);
+        assert_eq!(
+            toks("100000000000000000000"),
+            vec![Tok::Float(1e20), Tok::Eof]
+        );
     }
 
     #[test]

@@ -97,9 +97,7 @@ pub fn parse_machine(src: &str) -> Result<(MachineDescription, AltGroups), Parse
 /// name.
 fn semantic_span(e: &MachineError, desc: &AltDescription, map: &SourceMap) -> Span {
     let span = match e {
-        MachineError::DuplicateResource(name) => {
-            map.resource_span(desc.resource_names(), name)
-        }
+        MachineError::DuplicateResource(name) => map.resource_span(desc.resource_names(), name),
         MachineError::DuplicateOperation(name) | MachineError::EmptyOperation(name) => {
             let names: Vec<&str> = desc.operations().iter().map(|o| o.name()).collect();
             map.op_span(&names, name)

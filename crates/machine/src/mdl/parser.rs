@@ -305,10 +305,8 @@ mod tests {
 
     #[test]
     fn parses_minimal_machine() {
-        let (m, _) = parse_machine(
-            r#"machine "m" { resources { r; } op x { use r @ 0; } }"#,
-        )
-        .unwrap();
+        let (m, _) =
+            parse_machine(r#"machine "m" { resources { r; } op x { use r @ 0; } }"#).unwrap();
         assert_eq!(m.name(), "m");
         assert_eq!(m.num_operations(), 1);
         assert_eq!(m.max_table_length(), 1);
@@ -379,8 +377,7 @@ mod tests {
 
     #[test]
     fn trailing_garbage_is_rejected() {
-        let e = parse(r#"machine "m" { resources { r; } op x { use r @ 0; } } extra"#)
-            .unwrap_err();
+        let e = parse(r#"machine "m" { resources { r; } op x { use r @ 0; } } extra"#).unwrap_err();
         assert!(matches!(e.kind(), ParseErrorKind::Expected { .. }));
     }
 

@@ -71,9 +71,11 @@ fn collapsible_group_end(m: &MachineDescription, i: usize) -> Option<usize> {
         return None;
     }
     let w = ops[i].weight();
-    let faithful = ops[i..j].iter().enumerate().all(|(k, op)| {
-        op.name() == format!("{base}#{k}") && op.weight() == w
-    }) && (w * n as f64) / n as f64 == w;
+    let faithful = ops[i..j]
+        .iter()
+        .enumerate()
+        .all(|(k, op)| op.name() == format!("{base}#{k}") && op.weight() == w)
+        && (w * n as f64) / n as f64 == w;
     faithful.then_some(j)
 }
 
@@ -173,7 +175,10 @@ mod tests {
         )
         .unwrap();
         let printed = print(&m);
-        assert!(printed.contains("op ld weight 3 alt {"), "printed:\n{printed}");
+        assert!(
+            printed.contains("op ld weight 3 alt {"),
+            "printed:\n{printed}"
+        );
         let (m2, groups2) = parse_machine(&printed).unwrap();
         assert_eq!(m, m2);
         assert_eq!(

@@ -8,8 +8,18 @@ use crate::MachineDescription;
 /// FP add/multiply (divide was compiled to reciprocal iterations), integer
 /// ALU ops on the adder unit, and the `brtop` loop-control branch.
 pub const CYDRA5_SUBSET_OPS: [&str; 12] = [
-    "load.w.0", "load.w.1", "store.w.0", "store.w.1", "aadd.0", "aadd.1", "fadd", "fmul",
-    "fmul.d", "iadd", "recip", "brtop",
+    "load.w.0",
+    "load.w.1",
+    "store.w.0",
+    "store.w.1",
+    "aadd.0",
+    "aadd.1",
+    "fadd",
+    "fmul",
+    "fmul.d",
+    "iadd",
+    "recip",
+    "brtop",
 ];
 
 /// The full Cydra 5 machine description, parsed from `machines/cydra5.mdl`.
@@ -88,7 +98,10 @@ mod tests {
 
     #[test]
     fn subset_is_the_restriction_of_the_full_machine() {
-        assert_eq!(cydra5_subset(), cydra5().restrict(&CYDRA5_SUBSET_OPS).unwrap());
+        assert_eq!(
+            cydra5_subset(),
+            cydra5().restrict(&CYDRA5_SUBSET_OPS).unwrap()
+        );
     }
 
     #[test]

@@ -36,7 +36,10 @@ const SOURCES: [(&str, &str); 5] = [
     ("mips", include_str!("../../../../machines/mips_r3000.mdl")),
     ("alpha", include_str!("../../../../machines/alpha21064.mdl")),
     ("cydra5", include_str!("../../../../machines/cydra5.mdl")),
-    ("cydra5-subset", include_str!("../../../../machines/cydra5_subset.mdl")),
+    (
+        "cydra5-subset",
+        include_str!("../../../../machines/cydra5_subset.mdl"),
+    ),
 ];
 
 /// Builds the prebuilt machine called `name` (one of [`NAMES`]) by parsing
@@ -77,7 +80,11 @@ mod tests {
         let alpha = alpha21064();
         assert!(alpha.num_operations() >= 10 && alpha.num_operations() <= 16);
         let cydra = cydra5();
-        assert!(cydra.num_operations() >= 40, "cydra has {} classes", cydra.num_operations());
+        assert!(
+            cydra.num_operations() >= 40,
+            "cydra has {} classes",
+            cydra.num_operations()
+        );
         assert!(cydra.num_resources() >= 40);
         let sub = cydra5_subset();
         assert!(sub.num_operations() >= 10 && sub.num_operations() <= 16);

@@ -39,7 +39,12 @@ pub fn table(m: &MachineDescription, t: &ReservationTable, mark: char) -> String
         let _ = write!(out, "{c:>3}");
     }
     let _ = writeln!(out);
-    let _ = writeln!(out, "{}-+{}", "-".repeat(name_w), "-".repeat(3 * width as usize));
+    let _ = writeln!(
+        out,
+        "{}-+{}",
+        "-".repeat(name_w),
+        "-".repeat(3 * width as usize)
+    );
     for (i, r) in m.resources().iter().enumerate() {
         let _ = write!(out, "{:>name_w$} |", r.name());
         for c in 0..width {
@@ -64,7 +69,12 @@ pub fn machine(m: &MachineDescription) -> String {
     );
     for op in m.operations() {
         let mark = op.name().chars().next().unwrap_or('?').to_ascii_uppercase();
-        let _ = writeln!(out, "\noperation {} ({} usages):", op.name(), op.table().num_usages());
+        let _ = writeln!(
+            out,
+            "\noperation {} ({} usages):",
+            op.name(),
+            op.table().num_usages()
+        );
         let _ = write!(out, "{}", table(m, op.table(), mark));
     }
     out
@@ -88,7 +98,12 @@ pub fn overview(m: &MachineDescription) -> String {
         let _ = write!(out, "{:>3}", c % 100);
     }
     let _ = writeln!(out);
-    let _ = writeln!(out, "{}-+{}", "-".repeat(name_w), "-".repeat(3 * width as usize));
+    let _ = writeln!(
+        out,
+        "{}-+{}",
+        "-".repeat(name_w),
+        "-".repeat(3 * width as usize)
+    );
     for (i, r) in m.resources().iter().enumerate() {
         let rid = crate::ids::ResourceId(i as u32);
         let _ = write!(out, "{:>name_w$} |", r.name());

@@ -8,10 +8,7 @@
 
 use rmd_machine::mdl::{parse_machine, ParseError, ParseErrorKind};
 
-const FIXTURE: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/../../machines/vliw_dsp.mdl"
-);
+const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../machines/vliw_dsp.mdl");
 
 fn fixture_source() -> String {
     std::fs::read_to_string(FIXTURE).expect("machines/vliw_dsp.mdl ships with the repo")

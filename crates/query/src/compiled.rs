@@ -29,7 +29,11 @@ impl CompiledUsages {
                 v
             })
             .collect();
-        let length = m.operations().iter().map(|op| op.table().length()).collect();
+        let length = m
+            .operations()
+            .iter()
+            .map(|op| op.table().length())
+            .collect();
         CompiledUsages {
             num_resources: m.num_resources(),
             usages,

@@ -232,7 +232,7 @@ mod tests {
         let (_, mut q, _, b) = setup();
         q.assign(OpInstance(0), b, 0);
         q.assign(OpInstance(1), b, 4); // 4 ∉ F[B][B]: legal
-        // B at 2 conflicts with both (|Δ| ≤ 3).
+                                       // B at 2 conflicts with both (|Δ| ≤ 3).
         let evicted = q.assign_free(OpInstance(2), b, 2);
         let mut e = evicted.clone();
         e.sort();

@@ -118,7 +118,10 @@ impl<Q: ContentionQuery> MeteredQuery<Q> {
     pub fn export_registry(&self, prefix: &str) -> MetricRegistry {
         let mut reg = MetricRegistry::new();
         for f in QueryFn::ALL {
-            reg.merge_histogram(&format!("{prefix}.{}.latency_ns", f.name()), self.latency(f));
+            reg.merge_histogram(
+                &format!("{prefix}.{}.latency_ns", f.name()),
+                self.latency(f),
+            );
         }
         self.inner.counters().export_to(&mut reg, prefix);
         reg
@@ -190,7 +193,11 @@ mod tests {
         r
     }
 
-    fn metered() -> (rmd_machine::MachineDescription, MeteredQuery<DiscreteModule>, OpId) {
+    fn metered() -> (
+        rmd_machine::MachineDescription,
+        MeteredQuery<DiscreteModule>,
+        OpId,
+    ) {
         let m = example_machine();
         let b = m.op_by_name("B").unwrap();
         let q = MeteredQuery::new(DiscreteModule::new(&m));
@@ -242,7 +249,12 @@ mod tests {
             q.check(b, 1);
         });
         let reg = q.export_registry("query.discrete");
-        assert_eq!(reg.histogram("query.discrete.check.latency_ns").unwrap().count(), 1);
+        assert_eq!(
+            reg.histogram("query.discrete.check.latency_ns")
+                .unwrap()
+                .count(),
+            1
+        );
         assert_eq!(reg.counter("query.discrete.assign.calls"), 1);
         assert_eq!(reg.counter("query.discrete.check.calls"), 1);
     }
@@ -260,7 +272,9 @@ mod tests {
         assert_eq!(q.counters().check_window.calls, 2);
         let reg = q.export_registry("query.discrete");
         assert_eq!(
-            reg.histogram("query.discrete.check_window.latency_ns").unwrap().count(),
+            reg.histogram("query.discrete.check_window.latency_ns")
+                .unwrap()
+                .count(),
             2
         );
         assert_eq!(reg.counter("query.discrete.check_window.calls"), 2);

@@ -827,7 +827,10 @@ impl ModuloMaskCache {
         reg.inc(&format!("{prefix}.misses"), self.misses);
         reg.inc(&format!("{prefix}.evictions"), self.evictions);
         reg.set_gauge(&format!("{prefix}.cached_iis"), self.by_ii.len() as u64);
-        reg.set_gauge(&format!("{prefix}.mask_entries"), self.mask_entries() as u64);
+        reg.set_gauge(
+            &format!("{prefix}.mask_entries"),
+            self.mask_entries() as u64,
+        );
     }
 }
 

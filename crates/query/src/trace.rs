@@ -365,8 +365,7 @@ impl ProtocolChecker {
             .map(|us| match ii {
                 None => true,
                 Some(ii) => {
-                    let mut slots: Vec<(u32, u32)> =
-                        us.iter().map(|&(r, c)| (r, c % ii)).collect();
+                    let mut slots: Vec<(u32, u32)> = us.iter().map(|&(r, c)| (r, c % ii)).collect();
                     slots.sort_unstable();
                     slots.windows(2).all(|w| w[0] != w[1])
                 }
@@ -391,9 +390,7 @@ impl ProtocolChecker {
 
     fn fit_violation(&self, op: OpId) -> Option<ProtocolViolation> {
         match self.ii {
-            Some(ii) if !self.fits[op.index()] => {
-                Some(ProtocolViolation::ModuloMisfit { op, ii })
-            }
+            Some(ii) if !self.fits[op.index()] => Some(ProtocolViolation::ModuloMisfit { op, ii }),
             _ => None,
         }
     }
@@ -699,10 +696,7 @@ mod tests {
         let answers = t.replay(&mut DiscreteModule::new(&m));
         assert_eq!(answers[0].response, Response::Admitted(true));
         assert_eq!(answers[2].response, Response::Admitted(false));
-        assert_eq!(
-            answers[3].response,
-            Response::Evicted(vec![OpInstance(0)])
-        );
+        assert_eq!(answers[3].response, Response::Evicted(vec![OpInstance(0)]));
         assert_eq!(answers[3].scheduled, 1);
     }
 }

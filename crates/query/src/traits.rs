@@ -90,7 +90,9 @@ pub trait ContentionQuery {
         let before = self.counters().check.units;
         let mut mask = 0u64;
         for i in 0..len {
-            let Some(cycle) = start.checked_add(i) else { break };
+            let Some(cycle) = start.checked_add(i) else {
+                break;
+            };
             if self.check(op, cycle) {
                 mask |= 1u64 << i;
             }

@@ -108,11 +108,18 @@ fn metered_check_path_does_not_allocate_when_tracing_is_off() {
         check_storm(&mut bitvec, num_ops);
 
         for (name, allocs) in [
-            ("discrete", allocations_during(|| check_storm(&mut discrete, num_ops))),
-            ("bitvec", allocations_during(|| check_storm(&mut bitvec, num_ops))),
+            (
+                "discrete",
+                allocations_during(|| check_storm(&mut discrete, num_ops)),
+            ),
+            (
+                "bitvec",
+                allocations_during(|| check_storm(&mut bitvec, num_ops)),
+            ),
         ] {
             assert_eq!(
-                allocs, 0,
+                allocs,
+                0,
                 "{name} check path allocated {allocs} times on `{}` with tracing off",
                 m.name()
             );
@@ -139,7 +146,8 @@ fn metered_window_path_does_not_allocate_when_tracing_is_off() {
 
         let allocs = allocations_during(|| window_storm(&mut bitvec, num_ops));
         assert_eq!(
-            allocs, 0,
+            allocs,
+            0,
             "bitvec window path allocated {allocs} times on `{}` with tracing off",
             m.name()
         );

@@ -105,7 +105,13 @@ fn mixed_assign_before_transition_is_visible_in_rebuilt_owners() {
     assert_eq!(ev_bv, vec![OpInstance(0)], "assigned instance evicted");
     assert_eq!(ev_bv, ev_ds);
     assert_eq!(bv.counters().transitions, 1);
-    assert_owner_parity(&m, &bv, &ds, 8 + m.max_table_length(), "rebuilt from registry");
+    assert_owner_parity(
+        &m,
+        &bv,
+        &ds,
+        8 + m.max_table_length(),
+        "rebuilt from registry",
+    );
 }
 
 #[test]

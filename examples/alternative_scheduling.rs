@@ -64,7 +64,10 @@ fn main() {
         port_counts[0], port_counts[1]
     );
     rmd_sched::validate(&g, &m, &alt).expect("valid against the machine");
-    assert!(alt.ii < fixed.ii, "alternatives must relieve the bottleneck");
+    assert!(
+        alt.ii < fixed.ii,
+        "alternatives must relieve the bottleneck"
+    );
     println!(
         "\nthe alternative-aware schedule is {:.1}x denser ({} -> {} cycles/iteration)",
         f64::from(fixed.ii) / f64::from(alt.ii),

@@ -69,8 +69,7 @@ fn main() {
 
     section("3b. Unrestricted scheduling via a forward/reverse pair");
     let mips_rev = Automaton::build(&mips, Direction::Reverse, 2_000_000).expect("fits");
-    let mut pairsched =
-        rmd_automata::unrestricted::PairScheduler::new(&mips, &fsa, &mips_rev, 128);
+    let mut pairsched = rmd_automata::unrestricted::PairScheduler::new(&mips, &fsa, &mips_rev, 128);
     let mut tables = DiscreteModule::new(&mips); // fresh empty schedule
     tables.reset();
     let mut placed = 0u32;

@@ -62,11 +62,7 @@ fn main() {
     );
 }
 
-fn print_schedule(
-    machine: &rmd_machine::MachineDescription,
-    g: &DepGraph,
-    times: &[i32],
-) {
+fn print_schedule(machine: &rmd_machine::MachineDescription, g: &DepGraph, times: &[i32]) {
     for n in g.nodes() {
         println!(
             "  {:8} @ {:3}",

@@ -60,7 +60,10 @@ fn main() {
     );
 
     section("4. The schedules are identical; validation runs on the original");
-    assert_eq!(orig.times, fast.times, "same schedule from both descriptions");
+    assert_eq!(
+        orig.times, fast.times,
+        "same schedule from both descriptions"
+    );
     rmd_sched::validate(&g, &machine, &fast).expect("valid against the original description");
     println!("kernel (issue slot per op, modulo II = {}):", fast.ii);
     for n in g.nodes() {
@@ -71,8 +74,7 @@ fn main() {
             fast.times[n.index()] % fast.ii
         );
     }
-    let speedup =
-        orig.counters.weighted_avg_units() / fast.counters.weighted_avg_units();
+    let speedup = orig.counters.weighted_avg_units() / fast.counters.weighted_avg_units();
     println!(
         "\nquery work units per call: {:.2} (original) vs {:.2} (reduced) — {speedup:.1}x",
         orig.counters.weighted_avg_units(),

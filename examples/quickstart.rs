@@ -19,7 +19,11 @@ fn main() {
     let alu = b.resource("alu");
     let div = b.resource("divider");
     let bus = b.resource("result-bus");
-    b.operation("add").usage(issue, 0).usage(alu, 0).usage(bus, 1).finish();
+    b.operation("add")
+        .usage(issue, 0)
+        .usage(alu, 0)
+        .usage(bus, 1)
+        .finish();
     b.operation("div")
         .usage(issue, 0)
         .span(div, 0, 8)
@@ -51,7 +55,11 @@ fn main() {
         for (name, op) in [("add", add), ("div", dv)] {
             println!(
                 "  check({name:3} @ {cycle}): {}",
-                if q.check(op, cycle) { "free" } else { "conflict" }
+                if q.check(op, cycle) {
+                    "free"
+                } else {
+                    "conflict"
+                }
             );
         }
     }

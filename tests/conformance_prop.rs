@@ -40,7 +40,10 @@ fn replay(m: &MachineDescription, seed: u64) {
             "bitvec-k1",
             Box::new(BitvecModule::new(m, WordLayout::with_k(64, 1))),
         ),
-        ("automata", Box::new(AutomataModule::new(m, &fwd, &rev, HORIZON))),
+        (
+            "automata",
+            Box::new(AutomataModule::new(m, &fwd, &rev, HORIZON)),
+        ),
     ];
 
     let max_len = m

@@ -118,7 +118,6 @@ fn cydra_reduction_matches_paper_regime() {
     // reconstruction is sparser, but the multi-x shape must hold.
     let res_ratio = m.num_resources() as f64 / red.reduced_classes.num_resources() as f64;
     assert!(res_ratio >= 1.5, "resource ratio {res_ratio}");
-    let use_ratio =
-        red.class_machine.avg_usages_per_op() / red.reduced_classes.avg_usages_per_op();
+    let use_ratio = red.class_machine.avg_usages_per_op() / red.reduced_classes.avg_usages_per_op();
     assert!(use_ratio >= 1.3, "usage ratio {use_ratio}");
 }

@@ -26,12 +26,7 @@ pub fn arb_machine_spec(
 /// Builds the machine a spec describes. Resources are allocated densely
 /// (`r0..`); duplicate usages collapse.
 pub fn build_machine(spec: &MachineSpec) -> MachineDescription {
-    let max_res = spec
-        .iter()
-        .flatten()
-        .map(|&(r, _)| r)
-        .max()
-        .unwrap_or(0);
+    let max_res = spec.iter().flatten().map(|&(r, _)| r).max().unwrap_or(0);
     let mut b = MachineBuilder::new("prop");
     let rs: Vec<_> = (0..=max_res).map(|i| b.resource(format!("r{i}"))).collect();
     for (i, usages) in spec.iter().enumerate() {
@@ -69,8 +64,7 @@ pub fn build_single_issue_machine(spec: &MachineSpec) -> MachineDescription {
 /// machine in failure messages.
 pub fn assert_mdl_round_trip(m: &MachineDescription, what: &str) {
     let printed = mdl::print(m);
-    let (back, _) =
-        mdl::parse_machine(&printed).unwrap_or_else(|e| panic!("{what} reprint: {e}"));
+    let (back, _) = mdl::parse_machine(&printed).unwrap_or_else(|e| panic!("{what} reprint: {e}"));
     assert_eq!(&back, m, "{what}: print/reparse equality");
     assert_eq!(
         ForbiddenMatrix::compute(&back),

@@ -32,7 +32,9 @@ fn semantic_mutants_change_the_lint_fingerprint() {
         let mut neutral = 0;
         for op in ALL_OPERATORS {
             for seed in 0..8u64 {
-                let Some(mu) = mutate(&m, op, seed) else { continue };
+                let Some(mu) = mutate(&m, op, seed) else {
+                    continue;
+                };
                 // Description-level payloads only; bitvector word
                 // corruption never touches the description.
                 let mutant = match &mu.payload {
@@ -43,7 +45,8 @@ fn semantic_mutants_change_the_lint_fingerprint() {
                 if mu.is_semantic(&m) {
                     semantic += 1;
                     assert_ne!(
-                        fp, base_fp,
+                        fp,
+                        base_fp,
                         "{}: semantic mutant invisible to lint: {} ({})",
                         m.name(),
                         mu.what,
@@ -52,7 +55,8 @@ fn semantic_mutants_change_the_lint_fingerprint() {
                 } else {
                     neutral += 1;
                     assert_eq!(
-                        fp, base_fp,
+                        fp,
+                        base_fp,
                         "{}: neutral mutant changed the fingerprint: {} ({})",
                         m.name(),
                         mu.what,
@@ -63,7 +67,11 @@ fn semantic_mutants_change_the_lint_fingerprint() {
         }
         // The operator set must have exercised both sides of the
         // semantic/neutral split for the oracle claim to mean anything.
-        assert!(semantic >= 8, "{}: only {semantic} semantic mutants", m.name());
+        assert!(
+            semantic >= 8,
+            "{}: only {semantic} semantic mutants",
+            m.name()
+        );
         assert!(neutral >= 1, "{}: no neutral mutants seen", m.name());
     }
 }
@@ -79,12 +87,17 @@ fn a_dead_resource_mutant_is_flagged_by_name() {
         let Some(mu) = mutate(&m, rmd_fault::MutationOp::MergeResources, seed) else {
             continue;
         };
-        let MutantPayload::Machine(m2) = &mu.payload else { continue };
+        let MutantPayload::Machine(m2) = &mu.payload else {
+            continue;
+        };
         let report = lint_machine(m2);
         if report.diagnostics.iter().any(|d| d.id == "RMD-L001") {
             seen = true;
             break;
         }
     }
-    assert!(seen, "merge-resources never produced a dead-resource finding");
+    assert!(
+        seen,
+        "merge-resources never produced a dead-resource finding"
+    );
 }

@@ -35,5 +35,9 @@ fn file_only_machines_round_trip_through_the_printer() {
         "each built-in model is the parse of one file under {}",
         dir.display()
     );
-    assert!(file_only > 0, "no file-only machines under {}", dir.display());
+    assert!(
+        file_only > 0,
+        "no file-only machines under {}",
+        dir.display()
+    );
 }

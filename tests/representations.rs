@@ -235,7 +235,8 @@ fn update_mode_matches_discrete_after_transition() {
     let b_op = m.op_by_name("B").unwrap();
     let a_op = m.op_by_name("A").unwrap();
     let mut d: Box<dyn ContentionQuery> = Box::new(DiscreteModule::new(&m));
-    let mut v: Box<dyn ContentionQuery> = Box::new(BitvecModule::new(&m, WordLayout::with_k(64, 4)));
+    let mut v: Box<dyn ContentionQuery> =
+        Box::new(BitvecModule::new(&m, WordLayout::with_k(64, 4)));
     for (i, (op, cycle)) in [(b_op, 0u32), (b_op, 1), (a_op, 0), (b_op, 5), (b_op, 6)]
         .into_iter()
         .enumerate()

@@ -114,8 +114,18 @@ fn budget_trades_quality_for_decisions() {
     let mut ii_tight = 0u64;
     let mut ii_roomy = 0u64;
     for l in &loops {
-        ii_tight += u64::from(tight.schedule(&l.graph, &machine, Representation::Discrete).unwrap().ii);
-        ii_roomy += u64::from(roomy.schedule(&l.graph, &machine, Representation::Discrete).unwrap().ii);
+        ii_tight += u64::from(
+            tight
+                .schedule(&l.graph, &machine, Representation::Discrete)
+                .unwrap()
+                .ii,
+        );
+        ii_roomy += u64::from(
+            roomy
+                .schedule(&l.graph, &machine, Representation::Discrete)
+                .unwrap()
+                .ii,
+        );
     }
     assert!(
         ii_roomy <= ii_tight,
@@ -151,7 +161,9 @@ fn alternative_scheduling_balances_ports_and_validates() {
     for v in g.nodes() {
         let base = g.op(v);
         assert!(
-            groups.alternatives_of(base).contains(&alt.chosen[v.index()]),
+            groups
+                .alternatives_of(base)
+                .contains(&alt.chosen[v.index()]),
             "chosen op must come from the base's group"
         );
     }

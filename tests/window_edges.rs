@@ -95,12 +95,7 @@ fn scalar_mask(q: &mut dyn ContentionQuery, op: OpId, start: u32, len: u32) -> u
 
 /// The scalar reference for `first_free_in` over the full (unclamped)
 /// window.
-fn scalar_first_free(
-    q: &mut dyn ContentionQuery,
-    op: OpId,
-    start: u32,
-    len: u32,
-) -> Option<u32> {
+fn scalar_first_free(q: &mut dyn ContentionQuery, op: OpId, start: u32, len: u32) -> Option<u32> {
     let end = u64::from(start) + u64::from(len);
     (u64::from(start)..end)
         .take_while(|&c| c <= u64::from(u32::MAX))
