@@ -126,7 +126,8 @@ impl<'a> PairScheduler<'a> {
 
     /// Whether `op` fits within the horizon at `t`.
     fn in_horizon(&self, op: OpId, t: u32) -> bool {
-        t + self.machine.operation(op).table().length().max(1) <= self.horizon
+        let len = self.machine.operation(op).table().length().max(1);
+        t.checked_add(len).is_some_and(|end| end <= self.horizon)
     }
 
     /// Can `op` issue at cycle `t` without contention?
@@ -356,5 +357,7 @@ mod tests {
         // B is 8 cycles long: latest legal issue is cycle 2.
         assert!(s.check(b, 2));
         assert!(!s.check(b, 3));
+        // A placement whose end is past u32::MAX is outside too.
+        assert!(!s.check(b, u32::MAX));
     }
 }

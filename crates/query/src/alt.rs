@@ -172,9 +172,10 @@ mod tests {
         }
         let got = first_free_with_alt(&mut windowed, &g, l0, 0, 8);
         assert_eq!(got, expect);
-        assert_eq!(got, Some((1, l1))); // port 1 is free from cycle 1 on
-                                        // Identical `check` accounting: both paths probed the same ops
-                                        // in the same cycles.
+        // Port 1 is free from cycle 1 on.
+        assert_eq!(got, Some((1, l1)));
+        // Identical `check` accounting: both paths probed the same ops
+        // in the same cycles.
         assert_eq!(scalar.counters().check, windowed.counters().check);
     }
 

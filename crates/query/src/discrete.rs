@@ -231,8 +231,9 @@ mod tests {
     fn assign_free_evicts_all_conflicting_instances() {
         let (_, mut q, _, b) = setup();
         q.assign(OpInstance(0), b, 0);
-        q.assign(OpInstance(1), b, 4); // 4 ∉ F[B][B]: legal
-                                       // B at 2 conflicts with both (|Δ| ≤ 3).
+        // 4 ∉ F[B][B]: legal.
+        q.assign(OpInstance(1), b, 4);
+        // B at 2 conflicts with both (|Δ| ≤ 3).
         let evicted = q.assign_free(OpInstance(2), b, 2);
         let mut e = evicted.clone();
         e.sort();

@@ -192,7 +192,7 @@ fn after_request(engine: &mut ServeEngine, opts: &ServeOptions) {
         eprintln!("{record}");
     }
     if opts.metrics_every > 0 && engine.counter("serve.requests") % opts.metrics_every == 0 {
-        write_metrics(engine, opts, true);
+        write_metrics(engine, opts);
     }
 }
 
@@ -222,9 +222,11 @@ fn slow_record(entry: &crate::flight::FlightEntry, slow_ms: u64) -> Option<Strin
 }
 
 /// Writes one metrics-snapshot line ([`ServeEngine::metrics_snapshot`],
-/// which leaves the live registry untouched) to the metrics path,
-/// appended to it or replacing its contents, or to stderr without one.
-fn write_metrics(engine: &ServeEngine, opts: &ServeOptions, append: bool) {
+/// which leaves the live registry untouched) to the metrics path, or to
+/// stderr without one. With periodic emission on the file is JSONL
+/// history, so the line is appended; otherwise it replaces the file.
+fn write_metrics(engine: &ServeEngine, opts: &ServeOptions) {
+    let append = opts.metrics_every > 0;
     let json = rmd_obs::export::registry_to_json(&engine.metrics_snapshot());
     let Some(path) = &opts.metrics_path else {
         eprintln!("rmd serve: metrics {json}");
@@ -277,9 +279,7 @@ pub fn run(opts: &ServeOptions) -> Result<ServeSummary, ServeError> {
     for dump in engine.take_flight_dumps() {
         eprintln!("rmd serve: flight {dump}");
     }
-    // With periodic emission active the file is JSONL history; append
-    // the final snapshot instead of truncating it away.
-    write_metrics(&engine, opts, opts.metrics_every > 0);
+    write_metrics(&engine, opts);
     let s = summary_of(&engine);
     eprintln!(
         "rmd serve: drained; requests={} ok={} errors={} shed={} quarantined={}",
@@ -499,9 +499,29 @@ mod tests {
             assert_eq!(v.get("req").and_then(|n| n.as_u64()), Some(req as u64));
             assert_eq!(v.get("id"), Some(&serde_json::from_str(id).unwrap()));
             assert_eq!(text("kind"), Some(kind), "{line}");
-            assert!(v.get("latency_ms").and_then(|n| n.as_u64()) >= Some(12));
+            assert_eq!(
+                v.get("latency_ms").and_then(|n| n.as_u64()),
+                Some(entry.latency_ns / 1_000_000)
+            );
+            assert!(entry.latency_ns >= 12_000_000);
             assert_eq!(v.get("threshold_ms").and_then(|n| n.as_u64()), Some(10));
             assert_eq!(text("outcome"), Some(outcome), "{line}");
         }
+        // A fixed latency pins the unit: whole milliseconds, truncated.
+        let entry = crate::flight::FlightEntry {
+            req: 7,
+            id: Some("\"a b\"".to_string()),
+            kind: "schedule",
+            fingerprint: None,
+            latency_ns: 12_999_999,
+            outcome: "ok".to_string(),
+        };
+        assert_eq!(slow_record(&entry, 13), None, "12.99 ms is under 13 ms");
+        let line = slow_record(&entry, 12).expect("12.99 ms reaches 12 ms");
+        let v: serde_json::Value = serde_json::from_str(&line).expect("parses");
+        assert_eq!(v.get("req").and_then(|n| n.as_u64()), Some(7));
+        assert_eq!(v.get("id").and_then(|s| s.as_str()), Some("a b"));
+        assert_eq!(v.get("latency_ms").and_then(|n| n.as_u64()), Some(12));
+        assert_eq!(v.get("threshold_ms").and_then(|n| n.as_u64()), Some(12));
     }
 }
