@@ -17,7 +17,7 @@
 use crate::automaton::{Automaton, Direction};
 use crate::unrestricted::PairScheduler;
 use rmd_machine::{MachineDescription, OpId};
-use rmd_query::{ContentionQuery, OpInstance, WorkCounters};
+use rmd_query::{CompiledUsages, ContentionQuery, OpInstance, WorkCounters};
 use std::collections::HashMap;
 
 /// Contention query module backed by a forward/reverse automaton pair.
@@ -55,10 +55,9 @@ pub struct AutomataModule<'a> {
     rev: &'a Automaton,
     horizon: u32,
     sched: PairScheduler<'a>,
-    /// Per-op `(resource, cycle)` usages sorted by (cycle, resource) —
-    /// the eviction-scan order every reservation-table module uses, so
-    /// `assign_free` reports evictions in the identical order.
-    usages: Vec<Vec<(u32, u32)>>,
+    /// The eviction-scan order every reservation-table module uses, so
+    /// `assign_free_into` reports evictions in the identical order.
+    usages: CompiledUsages,
     /// Scheduled instances in insertion order (the replay script).
     insts: Vec<(OpInstance, OpId, u32)>,
     /// Shadow owner map: `(resource, cycle)` -> holding instance.
@@ -81,27 +80,13 @@ impl<'a> AutomataModule<'a> {
     ) -> Self {
         assert_eq!(fwd.direction(), Direction::Forward);
         assert_eq!(rev.direction(), Direction::Reverse);
-        let usages = machine
-            .operations()
-            .iter()
-            .map(|op| {
-                let mut v: Vec<(u32, u32)> = op
-                    .table()
-                    .usages()
-                    .iter()
-                    .map(|u| (u.resource.0, u.cycle))
-                    .collect();
-                v.sort_unstable_by_key(|&(r, c)| (c, r));
-                v
-            })
-            .collect();
         AutomataModule {
             machine,
             fwd,
             rev,
             horizon,
             sched: PairScheduler::new(machine, fwd, rev, horizon),
-            usages,
+            usages: CompiledUsages::new(machine),
             insts: Vec::new(),
             owner: HashMap::new(),
             counters: WorkCounters::new(),
@@ -134,7 +119,7 @@ impl<'a> AutomataModule<'a> {
     }
 
     fn record(&mut self, inst: OpInstance, op: OpId, cycle: u32) {
-        for &(r, c) in &self.usages[op.index()] {
+        for &(r, c) in self.usages.of(op) {
             self.owner.insert((r, cycle + c), inst);
         }
         self.insts.push((inst, op, cycle));
@@ -149,7 +134,7 @@ impl<'a> AutomataModule<'a> {
             .position(|&(x, _, _)| x == inst)
             .expect("strike of unscheduled instance");
         let (_, op, cycle) = self.insts.remove(i);
-        for &(r, c) in &self.usages[op.index()] {
+        for &(r, c) in self.usages.of(op) {
             self.owner.remove(&(r, cycle + c));
         }
         (op, cycle)
@@ -173,19 +158,25 @@ impl ContentionQuery for AutomataModule<'_> {
         self.record(inst, op, cycle);
     }
 
-    fn assign_free(&mut self, inst: OpInstance, op: OpId, cycle: u32) -> Vec<OpInstance> {
+    fn assign_free_into(
+        &mut self,
+        inst: OpInstance,
+        op: OpId,
+        cycle: u32,
+        evicted: &mut Vec<OpInstance>,
+    ) {
         self.counters.assign_free.calls += 1;
         // Scan the new reservation's usage slots in the shared (cycle,
         // resource) order, striking out every conflicting holder — the
         // same walk the discrete module performs over its owner table.
-        let mut evicted = Vec::new();
-        for ui in 0..self.usages[op.index()].len() {
-            let (r, c) = self.usages[op.index()][ui];
+        evicted.clear();
+        for ui in 0..self.usages.of(op).len() {
+            let (r, c) = self.usages.of(op)[ui];
             self.counters.assign_free.units += 1;
             if let Some(&holder) = self.owner.get(&(r, cycle + c)) {
                 if holder != inst {
                     let (hop, _) = self.strike(holder);
-                    self.counters.assign_free.units += self.usages[hop.index()].len() as u64;
+                    self.counters.assign_free.units += self.usages.of(hop).len() as u64;
                     evicted.push(holder);
                 }
             }
@@ -200,7 +191,6 @@ impl ContentionQuery for AutomataModule<'_> {
             self.sched.insert(op, cycle);
         }
         self.record(inst, op, cycle);
-        evicted
     }
 
     fn free(&mut self, inst: OpInstance, op: OpId, cycle: u32) {
@@ -216,13 +206,6 @@ impl ContentionQuery for AutomataModule<'_> {
 
     fn counters_mut(&mut self) -> &mut WorkCounters {
         &mut self.counters
-    }
-
-    fn reset(&mut self) {
-        self.sched = PairScheduler::new(self.machine, self.fwd, self.rev, self.horizon);
-        self.insts.clear();
-        self.owner.clear();
-        self.counters.reset();
     }
 
     fn num_scheduled(&self) -> usize {
@@ -300,6 +283,27 @@ mod tests {
                 assert_eq!(am.check(op, t), ds.check(op, t), "{op:?} @ {t}");
             }
         }
+    }
+
+    #[test]
+    fn assign_free_into_matches_assign_free() {
+        // The automata half of rmd-query's test of the same name: the
+        // provided `assign_free` reports the same evictions and books
+        // the same work, and the buffer form drops stale content.
+        let m = example_machine();
+        let (f, r) = pair(&m);
+        let a = m.op_by_name("A").unwrap();
+        let b = m.op_by_name("B").unwrap();
+        let mut q1 = AutomataModule::new(&m, &f, &r, 64);
+        let mut q2 = AutomataModule::new(&m, &f, &r, 64);
+        for (inst, op, cycle) in [(0, b, 0), (1, b, 4), (2, b, 2), (3, a, 9)] {
+            let e1 = q1.assign_free(OpInstance(inst), op, cycle);
+            let mut e2 = vec![OpInstance(99)];
+            q2.assign_free_into(OpInstance(inst), op, cycle, &mut e2);
+            assert_eq!(e1, e2, "inst={inst} cycle={cycle}");
+        }
+        assert_eq!(q1.counters(), q2.counters());
+        assert_eq!(q1.num_scheduled(), q2.num_scheduled());
     }
 
     #[test]

@@ -386,9 +386,16 @@ mod tests {
 
     #[test]
     fn shipped_reductions_certify() {
+        // `x` collides with its own next iteration at II 3, the MII of
+        // the sample recurrence x -> y -> x.
+        let (overlap, _) = rmd_machine::mdl::parse_machine(
+            r#"machine "m" { resources { r; s; } op x { use r @ 0, 3; } op y { use s @ 0; } }"#,
+        )
+        .expect("valid MDL");
         for (name, m) in [
             ("fig1", models::example_machine()),
             ("cydra5-subset", models::cydra5_subset()),
+            ("m", overlap),
         ] {
             let cert = certify_machine(&m, name, &CertifyOptions::default())
                 .unwrap_or_else(|e| panic!("{name}: {e}"));

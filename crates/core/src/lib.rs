@@ -61,6 +61,6 @@ pub use genset::{
 pub use prune::{dominated_by, prune_dominated};
 pub use reduce::{reduce, try_reduce, ReduceOptions, Reduction, REDUCTION_PHASES};
 pub use select::{select, Objective, Selection};
-pub use stats::{avg_word_usages, word_usages_of_table, DescriptionStats};
+pub use stats::avg_word_usages;
 pub use synth::{SynthResource, SynthUsage};
 pub use verify::{verify_equivalence, EquivalenceError};

@@ -2,41 +2,11 @@
 
 use rmd_machine::{MachineDescription, ReservationTable};
 
-/// Summary statistics of a machine description, one row of the paper's
-/// Tables 1–4.
-///
-/// All per-operation averages use uniform weights over the machine's
-/// operations (the paper's §6 assumption; the machines handed to these
-/// functions have one operation per class).
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct DescriptionStats {
-    /// Total number of resources modeled.
-    pub num_resources: usize,
-    /// Number of operations (classes).
-    pub num_operations: usize,
-    /// Total resource usages over all reservation tables.
-    pub total_usages: usize,
-    /// Average resource usages per operation.
-    pub avg_usages_per_op: f64,
-}
-
-impl DescriptionStats {
-    /// Computes the statistics of `m`.
-    pub fn of(m: &MachineDescription) -> Self {
-        DescriptionStats {
-            num_resources: m.num_resources(),
-            num_operations: m.num_operations(),
-            total_usages: m.total_usages(),
-            avg_usages_per_op: m.avg_usages_per_op(),
-        }
-    }
-}
-
 /// Number of nonempty `k`-cycle words in `table` when its cycles are
 /// shifted by `alignment` before packing — i.e. how many memory words a
 /// bitvector `check` touches for a query at a cycle congruent to
 /// `alignment (mod k)`.
-pub fn word_usages_of_table(table: &ReservationTable, k: u32, alignment: u32) -> usize {
+fn word_usages_of_table(table: &ReservationTable, k: u32, alignment: u32) -> usize {
     assert!(k >= 1, "word size must be at least one cycle");
     let mut words: Vec<u32> = table
         .usages()
@@ -100,15 +70,5 @@ mod tests {
         // alignment 1 (cycles 1,2 -> words 0,1). Average over ops and
         // alignments: (1+1+1+2)/4 = 1.25.
         assert!((avg_word_usages(&m, 2) - 1.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stats_of_reports_counts() {
-        let m = rmd_machine::models::example_machine();
-        let s = DescriptionStats::of(&m);
-        assert_eq!(s.num_resources, 5);
-        assert_eq!(s.num_operations, 2);
-        assert_eq!(s.total_usages, 11);
-        assert!((s.avg_usages_per_op - 5.5).abs() < 1e-12);
     }
 }

@@ -169,6 +169,37 @@ impl ReservationTable {
         t
     }
 
+    /// Whether the operation can issue every `ii` cycles without
+    /// colliding with its own next iterations: no two usages of one
+    /// resource fall in the same slot modulo `ii`. This is the one
+    /// modulo-fit rule of ResMII and of the modulo reservation tables.
+    ///
+    /// Fit is not monotone in `ii`: usages at cycles 0 and 3 collide at
+    /// II 1 and 3 but not at II 2. Every II above the widest distance
+    /// between two usages of one resource fits.
+    ///
+    /// ```
+    /// use rmd_machine::{ReservationTable, ResourceId};
+    ///
+    /// let t = ReservationTable::from_usages([(ResourceId(0), 0), (ResourceId(0), 3)]);
+    /// let fits: Vec<bool> = (1..=4).map(|ii| t.fits_modulo(ii)).collect();
+    /// assert_eq!(fits, [false, true, false, true]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ii` is zero.
+    pub fn fits_modulo(&self, ii: u32) -> bool {
+        // Usages are sorted by (resource, cycle), so each resource's
+        // usages form one run and only pairs within a run are compared.
+        !self.usages.iter().enumerate().any(|(i, a)| {
+            self.usages[i + 1..]
+                .iter()
+                .take_while(|b| b.resource == a.resource)
+                .any(|b| a.cycle % ii == b.cycle % ii)
+        })
+    }
+
     /// Returns `true` if issuing `other` exactly `latency` cycles after
     /// `self` creates a simultaneous use of some shared resource.
     ///

@@ -275,10 +275,17 @@ impl ContentionQuery for BitvecModule {
         self.registry.insert(inst, op, cycle);
     }
 
-    fn assign_free(&mut self, inst: OpInstance, op: OpId, cycle: u32) -> Vec<OpInstance> {
+    fn assign_free_into(
+        &mut self,
+        inst: OpInstance,
+        op: OpId,
+        cycle: u32,
+        evicted: &mut Vec<OpInstance>,
+    ) {
         #[cfg(debug_assertions)]
         self.guard(QueryEvent::AssignFree { inst, op, cycle });
         self.ensure_horizon(cycle + self.usages.length[op.index()]);
+        evicted.clear();
         let mut units = 0;
 
         if self.owner.is_none() {
@@ -303,7 +310,7 @@ impl ContentionQuery for BitvecModule {
                 }
                 self.counters.record(QueryFn::AssignFree, units);
                 self.registry.insert(inst, op, cycle);
-                return Vec::new();
+                return;
             }
             // Conflict: rebuild owner fields and stay in update mode
             // (the scan is charged to assign&free inside the call).
@@ -311,7 +318,6 @@ impl ContentionQuery for BitvecModule {
         }
 
         // Update mode: per-usage processing with owner maintenance.
-        let mut evicted = Vec::new();
         for i in 0..self.usages.of(op).len() {
             let (r, c) = self.usages.of(op)[i];
             units += 1;
@@ -343,7 +349,6 @@ impl ContentionQuery for BitvecModule {
         }
         self.counters.record(QueryFn::AssignFree, units);
         self.registry.insert(inst, op, cycle);
-        evicted
     }
 
     fn free(&mut self, inst: OpInstance, op: OpId, cycle: u32) {
@@ -381,15 +386,6 @@ impl ContentionQuery for BitvecModule {
 
     fn counters_mut(&mut self) -> &mut WorkCounters {
         &mut self.counters
-    }
-
-    fn reset(&mut self) {
-        self.words.fill(0);
-        self.owner = None;
-        self.registry.clear();
-        self.counters.reset();
-        #[cfg(debug_assertions)]
-        self.guard.reset();
     }
 
     fn num_scheduled(&self) -> usize {
@@ -497,17 +493,5 @@ mod tests {
         q.assign(OpInstance(0), b, 0);
         let evicted = q.assign_free(OpInstance(1), b, 3);
         assert_eq!(evicted, vec![OpInstance(0)]);
-    }
-
-    #[test]
-    fn reset_returns_to_optimistic_mode() {
-        let (_, mut q, _, b) = module(4);
-        q.assign_free(OpInstance(0), b, 0);
-        q.assign_free(OpInstance(1), b, 1);
-        assert!(q.in_update_mode());
-        q.reset();
-        assert!(!q.in_update_mode());
-        assert!(q.check(b, 0));
-        assert_eq!(q.counters().transitions, 0);
     }
 }

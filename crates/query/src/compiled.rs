@@ -3,17 +3,19 @@
 use rmd_machine::{MachineDescription, OpId};
 
 /// Per-operation usage lists: `(resource index, cycle)` pairs sorted by
-/// cycle then resource — the iteration order of the discrete functions.
+/// cycle then resource — the iteration order of the discrete functions,
+/// and so the order in which every module reports evictions.
 #[derive(Clone, Debug)]
-pub(crate) struct CompiledUsages {
-    pub num_resources: usize,
+pub struct CompiledUsages {
+    pub(crate) num_resources: usize,
     /// `usages[op] = [(resource, cycle), ...]`, sorted by (cycle, resource).
-    pub usages: Vec<Vec<(u32, u32)>>,
+    pub(crate) usages: Vec<Vec<(u32, u32)>>,
     /// Table length (cycles) per op.
-    pub length: Vec<u32>,
+    pub(crate) length: Vec<u32>,
 }
 
 impl CompiledUsages {
+    /// Compiles the usage lists of every operation of `m`.
     pub fn new(m: &MachineDescription) -> Self {
         let usages = m
             .operations()
@@ -41,6 +43,8 @@ impl CompiledUsages {
         }
     }
 
+    /// The `(resource index, cycle)` usages of `op`, sorted by
+    /// (cycle, resource).
     #[inline]
     pub fn of(&self, op: OpId) -> &[(u32, u32)] {
         &self.usages[op.index()]

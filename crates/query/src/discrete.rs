@@ -124,12 +124,18 @@ impl ContentionQuery for DiscreteModule {
         self.registry.insert(inst, op, cycle);
     }
 
-    fn assign_free(&mut self, inst: OpInstance, op: OpId, cycle: u32) -> Vec<OpInstance> {
+    fn assign_free_into(
+        &mut self,
+        inst: OpInstance,
+        op: OpId,
+        cycle: u32,
+        evicted: &mut Vec<OpInstance>,
+    ) {
         #[cfg(debug_assertions)]
         self.guard(QueryEvent::AssignFree { inst, op, cycle });
         self.ensure_horizon(cycle + self.compiled.length[op.index()]);
+        evicted.clear();
         let mut units = 0;
-        let mut evicted = Vec::new();
         for ui in 0..self.compiled.of(op).len() {
             let (r, c) = self.compiled.of(op)[ui];
             units += 1;
@@ -153,7 +159,6 @@ impl ContentionQuery for DiscreteModule {
         }
         self.counters.record(QueryFn::AssignFree, units);
         self.registry.insert(inst, op, cycle);
-        evicted
     }
 
     fn free(&mut self, inst: OpInstance, op: OpId, cycle: u32) {
@@ -176,14 +181,6 @@ impl ContentionQuery for DiscreteModule {
 
     fn counters_mut(&mut self) -> &mut WorkCounters {
         &mut self.counters
-    }
-
-    fn reset(&mut self) {
-        self.owner.fill(None);
-        self.registry.clear();
-        self.counters.reset();
-        #[cfg(debug_assertions)]
-        self.guard.reset();
     }
 
     fn num_scheduled(&self) -> usize {
@@ -265,17 +262,6 @@ mod tests {
         q.check(b, 1);
         assert!(q.counters().check.units <= 3 + 8);
         assert!(q.counters().check.units > 3);
-    }
-
-    #[test]
-    fn reset_clears_state_and_counters() {
-        let (_, mut q, a, _) = setup();
-        q.assign(OpInstance(0), a, 0);
-        q.check(a, 0);
-        q.reset();
-        assert!(q.check(a, 0));
-        assert_eq!(q.counters().check.calls, 1);
-        assert_eq!(q.num_scheduled(), 0);
     }
 
     #[test]

@@ -68,6 +68,7 @@ mod window;
 
 pub use alt::{check_with_alt, first_free_with_alt};
 pub use bitvec::{BitvecModule, WordLayout};
+pub use compiled::CompiledUsages;
 pub use counters::{FnCounter, QueryFn, WorkCounters};
 pub use discrete::DiscreteModule;
 pub use metered::MeteredQuery;

@@ -137,8 +137,16 @@ impl<Q: ContentionQuery> ContentionQuery for MeteredQuery<Q> {
         self.timed(QueryFn::Assign, |q| q.assign(inst, op, cycle));
     }
 
-    fn assign_free(&mut self, inst: OpInstance, op: OpId, cycle: u32) -> Vec<OpInstance> {
-        self.timed(QueryFn::AssignFree, |q| q.assign_free(inst, op, cycle))
+    fn assign_free_into(
+        &mut self,
+        inst: OpInstance,
+        op: OpId,
+        cycle: u32,
+        evicted: &mut Vec<OpInstance>,
+    ) {
+        self.timed(QueryFn::AssignFree, |q| {
+            q.assign_free_into(inst, op, cycle, evicted)
+        });
     }
 
     fn free(&mut self, inst: OpInstance, op: OpId, cycle: u32) {
@@ -161,15 +169,6 @@ impl<Q: ContentionQuery> ContentionQuery for MeteredQuery<Q> {
 
     fn counters_mut(&mut self) -> &mut WorkCounters {
         self.inner.counters_mut()
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-        self.check_ns = Histogram::new();
-        self.assign_ns = Histogram::new();
-        self.assign_free_ns = Histogram::new();
-        self.free_ns = Histogram::new();
-        self.check_window_ns = Histogram::new();
     }
 
     fn num_scheduled(&self) -> usize {
@@ -278,17 +277,5 @@ mod tests {
             2
         );
         assert_eq!(reg.counter("query.discrete.check_window.calls"), 2);
-    }
-
-    #[test]
-    fn reset_clears_histograms_and_inner_state() {
-        let (_, mut q, b) = metered();
-        with_tracing(|| {
-            q.assign(OpInstance(0), b, 0);
-        });
-        q.reset();
-        assert_eq!(q.latency(QueryFn::Assign).count(), 0);
-        assert_eq!(q.counters().assign.calls, 0);
-        assert_eq!(q.num_scheduled(), 0);
     }
 }

@@ -12,7 +12,7 @@ use crate::registry::{OpInstance, Registry};
 use crate::traits::ContentionQuery;
 use crate::window::{self, LoadCache, WindowScan};
 use crate::WordLayout;
-use rmd_machine::{MachineDescription, OpId};
+use rmd_machine::{MachineDescription, OpId, ReservationTable};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -50,25 +50,6 @@ pub struct ModuloDiscreteModule {
     counters: WorkCounters,
 }
 
-/// Computes, for every op, whether its table avoids mapping two usages of
-/// one resource to the same modulo slot.
-fn compute_fits(usages: &CompiledUsages, ii: u32) -> Vec<bool> {
-    usages
-        .usages
-        .iter()
-        .map(|us| {
-            for (i, &(r, c)) in us.iter().enumerate() {
-                for &(r2, c2) in &us[i + 1..] {
-                    if r == r2 && (c % ii) == (c2 % ii) {
-                        return false;
-                    }
-                }
-            }
-            true
-        })
-        .collect()
-}
-
 impl ModuloDiscreteModule {
     /// Creates an empty modulo reservation table with the given
     /// initiation interval.
@@ -80,7 +61,11 @@ impl ModuloDiscreteModule {
         assert!(ii > 0, "initiation interval must be positive");
         let compiled = CompiledUsages::new(machine);
         let owner = vec![None; ii as usize * compiled.num_resources];
-        let fits = compute_fits(&compiled, ii);
+        let fits = machine
+            .operations()
+            .iter()
+            .map(|op| op.table().fits_modulo(ii))
+            .collect();
         ModuloDiscreteModule {
             compiled,
             ii,
@@ -143,12 +128,6 @@ impl ContentionQuery for ModuloDiscreteModule {
         self.registry.insert(inst, op, cycle);
     }
 
-    fn assign_free(&mut self, inst: OpInstance, op: OpId, cycle: u32) -> Vec<OpInstance> {
-        let mut evicted = Vec::new();
-        self.assign_free_into(inst, op, cycle, &mut evicted);
-        evicted
-    }
-
     fn assign_free_into(
         &mut self,
         inst: OpInstance,
@@ -200,12 +179,6 @@ impl ContentionQuery for ModuloDiscreteModule {
 
     fn counters_mut(&mut self) -> &mut WorkCounters {
         &mut self.counters
-    }
-
-    fn reset(&mut self) {
-        self.owner.fill(None);
-        self.registry.clear();
-        self.counters.reset();
     }
 
     fn num_scheduled(&self) -> usize {
@@ -283,18 +256,15 @@ pub struct ModuloBitvecModule {
 }
 
 impl ModuloBitvecModule {
-    /// Creates an empty modulo reservation table.
+    /// Creates an empty modulo reservation table, through a
+    /// [`ModuloMaskCache`] of its own.
     ///
     /// # Panics
     ///
     /// Panics if `ii == 0` or a word cannot hold `layout.k`
     /// cycle-bitvectors of this machine.
     pub fn new(machine: &MachineDescription, ii: u32, layout: WordLayout) -> Self {
-        assert!(ii > 0, "initiation interval must be positive");
-        let usages = Arc::new(CompiledUsages::new(machine));
-        let masks = Arc::new(ModuloMasks::new(&usages, ii, layout.k));
-        let fits: Arc<[bool]> = compute_fits(&usages, ii).into();
-        Self::from_parts(usages, masks, fits, layout)
+        ModuloMaskCache::new(machine, layout).module(ii)
     }
 
     /// Assembles a module from precompiled (possibly shared) parts; the
@@ -472,12 +442,6 @@ impl ContentionQuery for ModuloBitvecModule {
         self.registry.insert(inst, op, cycle);
     }
 
-    fn assign_free(&mut self, inst: OpInstance, op: OpId, cycle: u32) -> Vec<OpInstance> {
-        let mut evicted = Vec::new();
-        self.assign_free_into(inst, op, cycle, &mut evicted);
-        evicted
-    }
-
     fn assign_free_into(
         &mut self,
         inst: OpInstance,
@@ -584,14 +548,6 @@ impl ContentionQuery for ModuloBitvecModule {
         &mut self.counters
     }
 
-    fn reset(&mut self) {
-        self.words.fill(0);
-        self.owner.clear();
-        self.in_update = false;
-        self.registry.clear();
-        self.counters.reset();
-    }
-
     fn num_scheduled(&self) -> usize {
         self.registry.len()
     }
@@ -639,6 +595,9 @@ struct CacheEntry {
 #[derive(Clone, Debug)]
 pub struct ModuloMaskCache {
     usages: Arc<CompiledUsages>,
+    /// The machine's reservation tables, which the per-II fit tables
+    /// are built from.
+    tables: Vec<ReservationTable>,
     layout: WordLayout,
     /// Per-II expansion plus the last-use tick driving LRU eviction.
     by_ii: HashMap<u32, CacheEntry>,
@@ -669,6 +628,11 @@ impl ModuloMaskCache {
         );
         ModuloMaskCache {
             usages,
+            tables: machine
+                .operations()
+                .iter()
+                .map(|op| op.table().clone())
+                .collect(),
             layout,
             by_ii: HashMap::new(),
             tick: 0,
@@ -769,7 +733,7 @@ impl ModuloMaskCache {
         } else {
             self.misses += 1;
             let masks = Arc::new(ModuloMasks::new(&self.usages, ii, self.layout.k));
-            let fits: Arc<[bool]> = compute_fits(&self.usages, ii).into();
+            let fits: Arc<[bool]> = self.tables.iter().map(|t| t.fits_modulo(ii)).collect();
             if let Some(cap) = self.entry_cap {
                 while self.by_ii.len() >= cap {
                     self.evict_lru();
@@ -958,8 +922,6 @@ mod tests {
         // q2 shares masks with q1 but not reservation state.
         assert!(!q1.check(b, 1));
         assert!(q2.check(b, 1));
-        q2.reset();
-        assert!(q2.check(b, 0));
     }
 
     #[test]
@@ -1087,17 +1049,38 @@ mod tests {
 
     #[test]
     fn assign_free_into_matches_assign_free() {
-        let (m, _, b) = ops();
-        let mut q1 = ModuloDiscreteModule::new(&m, 8);
-        let mut q2 = ModuloDiscreteModule::new(&m, 8);
-        for (inst, cyc) in [(0u32, 0u32), (1, 4), (2, 2)] {
-            let e1 = q1.assign_free(OpInstance(inst), b, cyc);
-            let mut e2 = vec![OpInstance(99)];
-            q2.assign_free_into(OpInstance(inst), b, cyc, &mut e2);
-            assert_eq!(e1, e2, "inst={inst} cycle={cyc}");
+        // Each backend writes only `assign_free_into`: the provided
+        // `assign_free` must report the same evictions and book the same
+        // work, and the buffer form must drop stale buffer content. The
+        // script evicts, so the bitvector backends leave optimistic mode.
+        fn same<Q: ContentionQuery>(name: &str, mut q1: Q, mut q2: Q, script: &[(u32, OpId, u32)]) {
+            for &(inst, op, cycle) in script {
+                let e1 = q1.assign_free(OpInstance(inst), op, cycle);
+                let mut e2 = vec![OpInstance(99)];
+                q2.assign_free_into(OpInstance(inst), op, cycle, &mut e2);
+                assert_eq!(e1, e2, "{name}: inst={inst} cycle={cycle}");
+            }
+            assert_eq!(q1.counters(), q2.counters(), "{name}");
+            assert_eq!(q1.num_scheduled(), q2.num_scheduled(), "{name}");
         }
-        assert_eq!(q1.counters(), q2.counters());
-        assert_eq!(q1.num_scheduled(), q2.num_scheduled());
+        let (m, a, b) = ops();
+        let layout = WordLayout::with_k(64, 4);
+        let script = [(0, b, 0), (1, b, 4), (2, b, 2), (3, a, 9)];
+        let discrete = || crate::DiscreteModule::new(&m);
+        let bitvec = || crate::BitvecModule::new(&m, layout);
+        let modulo_discrete = || ModuloDiscreteModule::new(&m, 8);
+        let modulo_bitvec = || ModuloBitvecModule::new(&m, 8, layout);
+        let metered = || crate::MeteredQuery::new(crate::DiscreteModule::new(&m));
+        same("discrete", discrete(), discrete(), &script);
+        same("bitvec", bitvec(), bitvec(), &script);
+        same(
+            "modulo discrete",
+            modulo_discrete(),
+            modulo_discrete(),
+            &script,
+        );
+        same("modulo bitvec", modulo_bitvec(), modulo_bitvec(), &script);
+        same("metered", metered(), metered(), &script);
     }
 
     #[test]

@@ -489,12 +489,6 @@ impl ProtocolChecker {
         }
         violation.map_or(Ok(()), Err)
     }
-
-    /// Forgets all scheduled state (mirrors a module `reset`).
-    pub fn reset(&mut self) {
-        self.live.clear();
-        self.owner.clear();
-    }
 }
 
 #[cfg(test)]

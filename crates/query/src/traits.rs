@@ -2,6 +2,7 @@
 
 use crate::counters::{QueryFn, WorkCounters};
 use crate::registry::OpInstance;
+use crate::window;
 use rmd_machine::OpId;
 
 /// The query interface of paper §7: `check`, `assign`, `assign&free`,
@@ -13,9 +14,13 @@ use rmd_machine::OpId;
 /// schedule (the latter relies on owner fields the former does not
 /// maintain in the bitvector representation) — mirroring the paper's
 /// note; in this implementation `assign` is safe to mix as long as
-/// `assign_free` is never asked to evict an `assign`ed instance that was
+/// `assign&free` is never asked to evict an `assign`ed instance that was
 /// never registered. The provided modules register every instance, so
 /// mixing works and the restriction is purely a performance-model one.
+///
+/// `assign&free` has one implementation per module,
+/// [`assign_free_into`](Self::assign_free_into);
+/// [`assign_free`](Self::assign_free) is its allocating form.
 pub trait ContentionQuery {
     /// Can `op` issue in `cycle` without resource contention?
     fn check(&mut self, op: OpId, cycle: u32) -> bool;
@@ -27,27 +32,25 @@ pub trait ContentionQuery {
     fn assign(&mut self, inst: OpInstance, op: OpId, cycle: u32);
 
     /// Reserves the resources of `op` issued at `cycle` for `inst`,
-    /// first unscheduling every instance that holds any of them. Returns
-    /// the evicted instances (possibly empty).
-    fn assign_free(&mut self, inst: OpInstance, op: OpId, cycle: u32) -> Vec<OpInstance>;
-
-    /// [`assign_free`](Self::assign_free) writing the evicted instances
-    /// into a caller-owned buffer (cleared first) instead of returning a
-    /// fresh `Vec` — the allocation-free form schedulers with reusable
-    /// scratch use. The provided implementation delegates to
-    /// [`assign_free`](Self::assign_free); the modulo modules override
-    /// it to write eviction victims directly into `evicted`, so a
-    /// steady-state scheduler allocates nothing here. Semantics and
-    /// work accounting are identical to `assign_free`.
+    /// first unscheduling every instance that holds any of them, and
+    /// writes the evicted instances (possibly none) into `evicted`,
+    /// which is cleared first. Schedulers with reusable scratch call
+    /// this form, so a steady-state scheduler allocates nothing here.
     fn assign_free_into(
         &mut self,
         inst: OpInstance,
         op: OpId,
         cycle: u32,
         evicted: &mut Vec<OpInstance>,
-    ) {
-        evicted.clear();
-        evicted.extend(self.assign_free(inst, op, cycle));
+    );
+
+    /// [`assign_free_into`](Self::assign_free_into) returning the
+    /// evicted instances in a fresh `Vec`, with the same semantics and
+    /// work accounting.
+    fn assign_free(&mut self, inst: OpInstance, op: OpId, cycle: u32) -> Vec<OpInstance> {
+        let mut evicted = Vec::new();
+        self.assign_free_into(inst, op, cycle, &mut evicted);
+        evicted
     }
 
     /// Releases the resources of `inst` (which must be `op` at `cycle`).
@@ -64,9 +67,6 @@ pub trait ContentionQuery {
     /// read-only and use [`counters`](Self::counters).
     #[doc(hidden)]
     fn counters_mut(&mut self) -> &mut WorkCounters;
-
-    /// Clears the partial schedule and the counters.
-    fn reset(&mut self);
 
     /// Number of currently scheduled instances.
     fn num_scheduled(&self) -> usize;
@@ -113,30 +113,15 @@ pub trait ContentionQuery {
     /// plus one `check_window` call per chunk actually scanned (units
     /// = backend word loads for that prefix).
     fn first_free_in(&mut self, op: OpId, start: u32, len: u32) -> Option<u32> {
-        let end = u64::from(start) + u64::from(len);
-        let mut cursor = u64::from(start);
-        while cursor < end && cursor <= u64::from(u32::MAX) {
-            let chunk = (end - cursor).min(64) as u32;
-            let chunk_start = cursor as u32;
+        window::first_free_chunked(start, len, |chunk_start, chunk| {
             let before = self.counters().check.units;
-            let mut found = None;
-            for i in 0..chunk {
-                let Some(cycle) = chunk_start.checked_add(i) else {
-                    break;
-                };
-                if self.check(op, cycle) {
-                    found = Some(cycle);
-                    break;
-                }
-            }
+            let found = (0..chunk)
+                .map_while(|i| chunk_start.checked_add(i))
+                .find(|&cycle| self.check(op, cycle));
             let loads = self.counters().check.units - before;
             self.counters_mut().record(QueryFn::CheckWindow, loads);
-            if found.is_some() {
-                return found;
-            }
-            cursor += u64::from(chunk);
-        }
-        None
+            found
+        })
     }
 }
 
@@ -158,8 +143,14 @@ mod tests {
         fn assign(&mut self, inst: OpInstance, op: OpId, cycle: u32) {
             self.0.assign(inst, op, cycle);
         }
-        fn assign_free(&mut self, inst: OpInstance, op: OpId, cycle: u32) -> Vec<OpInstance> {
-            self.0.assign_free(inst, op, cycle)
+        fn assign_free_into(
+            &mut self,
+            inst: OpInstance,
+            op: OpId,
+            cycle: u32,
+            evicted: &mut Vec<OpInstance>,
+        ) {
+            self.0.assign_free_into(inst, op, cycle, evicted);
         }
         fn free(&mut self, inst: OpInstance, op: OpId, cycle: u32) {
             self.0.free(inst, op, cycle);
@@ -169,9 +160,6 @@ mod tests {
         }
         fn counters_mut(&mut self) -> &mut WorkCounters {
             self.0.counters_mut()
-        }
-        fn reset(&mut self) {
-            self.0.reset();
         }
         fn num_scheduled(&self) -> usize {
             self.0.num_scheduled()

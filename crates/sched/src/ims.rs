@@ -86,7 +86,8 @@ pub struct ImsResult {
     /// Scheduling decisions reversed because a dependence constraint was
     /// violated by a forced placement.
     pub reversed_by_dependence: u64,
-    /// Number of scheduling attempts (II values tried).
+    /// Number of scheduling attempts (II values tried). An II at which
+    /// some node's base operation does not fit is skipped, not tried.
     pub attempts: u32,
     /// `decisions / N` for each attempt, including failed ones — the
     /// paper's Table 5 "sched. decisions / operation" statistic.
@@ -274,33 +275,42 @@ impl IterativeModuloScheduler {
         // rather than panic.
         let mut ii = mii.max(1);
         while ii <= self.config.max_ii {
-            attempts += 1;
-            let span = rmd_obs::span_with("sched", "attempt", "ii", u64::from(ii));
             // Per-attempt reservation table. The bitvector path refits
             // the module held in the scratch in place (no boxing, no
             // per-attempt construction); the discrete path builds a
-            // fresh module.
+            // fresh module. An II at which some node's base op does not
+            // fit is skipped without an attempt: no slot is legal for
+            // that op, and a forced placement would be invalid. Fit is
+            // not monotone in II, so this happens above the MII too.
             let outcome = match cache.as_deref_mut() {
                 None => {
                     let mut module = ModuloDiscreteModule::new(machine, ii);
-                    let o = self.attempt(g, ii, budget_total, &mut module, groups, scratch);
+                    let fits = g.nodes().all(|v| module.fits(g.op(v)));
+                    let o = fits
+                        .then(|| self.attempt(g, ii, budget_total, &mut module, groups, scratch));
                     counters.merge(module.counters());
                     o
                 }
                 Some(c) => {
                     let mut slot = scratch.module.take();
                     let module = c.module_reusing(ii, &mut slot);
-                    let o = self.attempt(g, ii, budget_total, module, groups, scratch);
+                    let fits = g.nodes().all(|v| module.fits(g.op(v)));
+                    let o =
+                        fits.then(|| self.attempt(g, ii, budget_total, module, groups, scratch));
                     counters.merge(module.counters());
                     scratch.module = slot;
                     o
                 }
             };
+            let Some(outcome) = outcome else {
+                ii += 1;
+                continue;
+            };
+            attempts += 1;
             decisions_total += outcome.decisions;
             reversed_by_resource += outcome.reversed_by_resource;
             reversed_by_dependence += outcome.reversed_by_dependence;
             per_attempt_ratio.push(outcome.decisions as f64 / n as f64);
-            drop(span);
             if outcome.reversed_by_resource > 0 {
                 rmd_obs::instant_with("sched", "evictions", "count", outcome.reversed_by_resource);
             }
@@ -337,6 +347,7 @@ impl IterativeModuloScheduler {
         groups: Option<&AltGroups>,
         s: &mut SchedScratch,
     ) -> AttemptOutcome {
+        let _span = rmd_obs::span_with("sched", "attempt", "ii", u64::from(ii));
         let n = g.num_nodes();
         heights_into(g, ii, &mut s.height);
         s.time.clear();
@@ -737,8 +748,14 @@ mod tests {
         fn assign(&mut self, inst: OpInstance, op: OpId, cycle: u32) {
             self.0.assign(inst, op, cycle);
         }
-        fn assign_free(&mut self, inst: OpInstance, op: OpId, cycle: u32) -> Vec<OpInstance> {
-            self.0.assign_free(inst, op, cycle)
+        fn assign_free_into(
+            &mut self,
+            inst: OpInstance,
+            op: OpId,
+            cycle: u32,
+            evicted: &mut Vec<OpInstance>,
+        ) {
+            self.0.assign_free_into(inst, op, cycle, evicted);
         }
         fn free(&mut self, inst: OpInstance, op: OpId, cycle: u32) {
             self.0.free(inst, op, cycle);
@@ -748,9 +765,6 @@ mod tests {
         }
         fn counters_mut(&mut self) -> &mut WorkCounters {
             self.0.counters_mut()
-        }
-        fn reset(&mut self) {
-            self.0.reset();
         }
         fn num_scheduled(&self) -> usize {
             self.0.num_scheduled()
@@ -1106,6 +1120,56 @@ mod edge_tests {
         }
         for v in g.nodes() {
             assert_eq!(h[v.index()], dfs(&g, v, i64::from(ii), 0), "{v:?}");
+        }
+    }
+
+    #[test]
+    fn iis_where_a_base_op_does_not_fit_are_skipped() {
+        // `x` reserves `r` at cycles 0 and 3: it collides with its own
+        // next iteration at II 1 and 3, fits II 2 and every II from 4.
+        let mut b = MachineBuilder::new("m");
+        let r = b.resource("r");
+        let s = b.resource("s");
+        b.operation("x").usage(r, 0).usage(r, 3).finish();
+        b.operation("y").usage(s, 0).finish();
+        let m = b.build().expect("test setup");
+        let x = m.op_by_name("x").expect("test setup");
+        let y = m.op_by_name("y").expect("test setup");
+        let mut lone = DepGraph::new();
+        lone.add_node(x);
+        // x -> y -> x: RecMII 3, which x does not fit.
+        let mut rec = DepGraph::new();
+        let (a, c) = (rec.add_node(x), rec.add_node(y));
+        rec.add_edge(a, c, 1, 0, DepKind::Flow);
+        rec.add_edge(c, a, 2, 1, DepKind::Flow);
+        assert_eq!(crate::mii::mii(&rec, &m), 3);
+
+        let ims = IterativeModuloScheduler::default();
+        let groups = AltGroups::identity(&m);
+        let layout = WordLayout::widest(64, m.num_resources());
+        for repr in [Representation::Discrete, Representation::Bitvec(layout)] {
+            for (g, mii, want) in [(&lone, 1, 2), (&lone, 3, 4), (&rec, 3, 4)] {
+                let mut cache = ModuloMaskCache::new(&m, layout);
+                let mut scratch = SchedScratch::new();
+                let runs = [
+                    ims.schedule_with_mii(g, &m, repr, mii),
+                    ims.schedule_with_alternatives(g, &m, &groups, repr, mii),
+                    ims.schedule_with_mii_cached_scratch(
+                        g,
+                        &m,
+                        repr,
+                        mii,
+                        &mut cache,
+                        &mut scratch,
+                    ),
+                ];
+                for (i, run) in runs.into_iter().enumerate() {
+                    let ctx = format!("{repr:?}, {} nodes, mii {mii}, run {i}", g.num_nodes());
+                    let r = run.expect("a larger II fits");
+                    assert_eq!((r.ii, r.attempts), (want, 1), "{ctx}");
+                    crate::validate(g, &m, &r).expect(&ctx);
+                }
+            }
         }
     }
 

@@ -20,13 +20,14 @@ use rmd_machine::{MachineDescription, Usage};
 /// iteration and every usage claims one, so ResMII is at least the
 /// pressure `max_r Σ_nodes usages_r(op(node))`.
 ///
-/// Additionally, one operation's own table must not self-overlap (two
-/// usages of a resource in cycles `c ≡ c' (mod II)`). Self-overlap is not
-/// monotone in II: usages at cycles 0 and 3 collide at II 1 and II 3 but
-/// not at II 2. So the result is the smallest II at or above the pressure
-/// at which no operation of the graph self-overlaps. No operation does
-/// once II exceeds the widest distance between two usages of one
-/// resource by one operation, so the scan stops there.
+/// Additionally, each operation's own table must fit II
+/// ([`ReservationTable::fits_modulo`](rmd_machine::ReservationTable::fits_modulo)).
+/// Fit is not monotone in II, so the result is the smallest II at or
+/// above the pressure at which every operation of the graph fits. Every
+/// operation fits once II exceeds the widest distance between two usages
+/// of one resource by one operation, so the scan stops there. The II
+/// search of [`IterativeModuloScheduler`](crate::IterativeModuloScheduler)
+/// skips the IIs above this bound at which some operation does not fit.
 pub fn res_mii(g: &DepGraph, m: &MachineDescription) -> u32 {
     let mut per_resource = vec![0u32; m.num_resources()];
     let mut widest = 0;
@@ -44,23 +45,11 @@ pub fn res_mii(g: &DepGraph, m: &MachineDescription) -> u32 {
     let mut ii = per_resource.into_iter().max().unwrap_or(1).max(1);
     while ii <= widest
         && g.nodes()
-            .any(|n| self_overlaps(m.operation(g.op(n)).table().usages(), ii))
+            .any(|n| !m.operation(g.op(n)).table().fits_modulo(ii))
     {
         ii += 1;
     }
     ii
-}
-
-/// Whether two usages of one resource fall in the same slot modulo `ii`.
-/// `usages` is sorted by `(resource, cycle)`, so each resource's usages
-/// form one run and only pairs within a run are compared.
-fn self_overlaps(usages: &[Usage], ii: u32) -> bool {
-    usages.iter().enumerate().any(|(i, a)| {
-        usages[i + 1..]
-            .iter()
-            .take_while(|b| b.resource == a.resource)
-            .any(|b| a.cycle % ii == b.cycle % ii)
-    })
 }
 
 /// Recurrence-constrained MII: the smallest II such that no dependence

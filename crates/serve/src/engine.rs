@@ -929,6 +929,52 @@ mod tests {
     }
 
     #[test]
+    fn schedule_skips_an_ii_an_op_does_not_fit() {
+        // `x` reserves `r` at cycles 0 and 3, so it collides with its own
+        // next iteration at II 3, the MII of this recurrence.
+        let src =
+            r#"machine "m" { resources { r; s; } op x { use r @ 0, 3; } op y { use s @ 0; } }"#;
+        let mut e = engine();
+        let frame = format!(
+            r#"{{"type":"machine","mdl":"{}"}}"#,
+            src.replace('"', r#"\""#)
+        );
+        let v = ok_reply(&mut e, &frame);
+        let fp = v.get("fingerprint").and_then(|f| f.as_str()).unwrap();
+        let line = format!(
+            r#"{{"type":"schedule","fingerprint":"{fp}","nodes":["x","y"],"edges":[[0,1,1,0],[1,0,2,1]]}}"#
+        );
+        let v = ok_reply(&mut e, &line);
+        let num = |k: &str| v.get(k).and_then(|n| n.as_u64()).unwrap();
+        assert_eq!((num("ii"), num("mii")), (4, 3));
+        let (m, _) = mdl::parse_machine(src).unwrap();
+        let mut g = DepGraph::new();
+        let (x, y) = (m.op_by_name("x").unwrap(), m.op_by_name("y").unwrap());
+        let (n0, n1) = (g.add_node(x), g.add_node(y));
+        g.add_edge(n0, n1, 1, 0, rmd_sched::DepKind::Flow);
+        g.add_edge(n1, n0, 2, 1, rmd_sched::DepKind::Flow);
+        let r = rmd_sched::ImsResult {
+            times: v
+                .get("times")
+                .and_then(|t| t.as_array())
+                .unwrap()
+                .iter()
+                .map(|t| t.as_u64().unwrap() as u32)
+                .collect(),
+            chosen: vec![x, y],
+            ii: 4,
+            mii: 3,
+            decisions: 0,
+            reversed_by_resource: 0,
+            reversed_by_dependence: 0,
+            attempts: 0,
+            per_attempt_ratio: Vec::new(),
+            counters: rmd_query::WorkCounters::new(),
+        };
+        rmd_sched::validate(&g, &m, &r).expect("the reply validates");
+    }
+
+    #[test]
     fn positive_zero_distance_self_loop_is_unschedulable() {
         let mut e = engine();
         let fp = submit_fig1(&mut e);

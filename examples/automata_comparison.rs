@@ -71,7 +71,6 @@ fn main() {
     let mips_rev = Automaton::build(&mips, Direction::Reverse, 2_000_000).expect("fits");
     let mut pairsched = rmd_automata::unrestricted::PairScheduler::new(&mips, &fsa, &mips_rev, 128);
     let mut tables = DiscreteModule::new(&mips); // fresh empty schedule
-    tables.reset();
     let mut placed = 0u32;
     for i in 0..200u32 {
         let op = rmd_machine::OpId((i * 7) % mips.num_operations() as u32);

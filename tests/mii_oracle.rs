@@ -6,16 +6,20 @@
 //! version it replaced: a `usage_set` per resource on every II step, and
 //! a binary search for RecMII from II = 1. All three functions must
 //! agree with it on the paper suite, on seeded loops shaped like the
-//! benchmark's, and on random graphs over generated machines.
+//! benchmark's, and on random graphs over generated machines. The
+//! modulo-fit rule behind the self-overlap bound must agree with the
+//! certifier's derivation of it on shipped and generated machines.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rmd_certify::ConflictVectors;
 use rmd_fault::{generate, GenConfig};
 use rmd_loops::random::{random_loop, RandomLoopParams};
 use rmd_loops::OpSet;
-use rmd_machine::{models, MachineBuilder, MachineDescription, OpId, ReservationTable};
+use rmd_machine::{mdl, models, MachineBuilder, MachineDescription, OpId, ReservationTable};
 use rmd_sched::{mii, DepGraph, DepKind, NodeId};
+use std::path::Path;
 
 /// `res_mii`, `rec_mii` and `mii` as they were before the cheap MII.
 mod oracle {
@@ -246,6 +250,44 @@ proptest! {
     fn random_graphs_on_generated_machines_match_oracle(raw in raw_case()) {
         let (m, g) = build(&raw);
         prop_assert_eq!(mismatch(&g, &m), None);
+    }
+}
+
+#[test]
+fn fit_rule_matches_the_certifiers_derivation() {
+    // `ReservationTable::fits_modulo` decides ResMII's self-overlap
+    // bound, the modulo tables' fit tables and the IMS II search. The
+    // certifier derives fit on its own, from each op's self-conflict
+    // vector. Scattered tables are the ones whose fit is not monotone.
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../machines");
+    let mut machines: Vec<MachineDescription> = std::fs::read_dir(&dir)
+        .expect("machines/ is readable")
+        .map(|e| e.expect("directory entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "mdl"))
+        .map(|p| {
+            let text = std::fs::read_to_string(&p).expect("readable");
+            mdl::parse_machine(&text).expect("shipped MDL parses").0
+        })
+        .collect();
+    assert_eq!(machines.len(), 9);
+    for seed in 0..100 {
+        machines.push(generate(seed, &GenConfig::small()));
+        machines.push(generate(seed, &GenConfig::medium()));
+        machines.push(scattered(seed));
+    }
+    for m in &machines {
+        let cv = ConflictVectors::compute(m).expect("span fits");
+        for (i, op) in m.operations().iter().enumerate() {
+            for ii in 1..=cv.span() + 1 {
+                assert_eq!(
+                    op.table().fits_modulo(ii),
+                    cv.fits(i, ii),
+                    "{} {} ii {ii}",
+                    m.name(),
+                    op.name()
+                );
+            }
+        }
     }
 }
 
