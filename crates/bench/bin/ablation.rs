@@ -52,7 +52,7 @@ fn main() {
     );
     let mut budget_sweep = Vec::new();
     for budget in [1.0f64, 2.0, 4.0, 6.0, 8.0] {
-        let runs = run_suite_runs(&m, &m, &loops, Representation::Discrete, budget, 1);
+        let runs = run_suite_runs(&m, &m, &loops, Representation::Discrete, budget);
         let s: SuiteStats = aggregate(&runs, budget);
         println!(
             "{:>7}N {:>9.1}% {:>14.2} {:>10.2} {:>13.1}%",
@@ -89,7 +89,7 @@ fn main() {
             break;
         }
         let repr = Representation::Bitvec(WordLayout::with_k(64, k));
-        let s = aggregate(&run_suite_runs(&red.reduced, &m, &loops, repr, 6.0, 1), 6.0);
+        let s = aggregate(&run_suite_runs(&red.reduced, &m, &loops, repr, 6.0), 6.0);
         println!(
             "{:>4} {:>10} {:>16.2} {:>12.2}",
             k, nres, s.counters.weighted_avg, s.counters.check_avg

@@ -41,7 +41,7 @@ fn main() {
         m.name()
     );
     let s6 = aggregate(
-        &run_suite_runs(&m, &m, &loops, Representation::Discrete, 6.0, 1),
+        &run_suite_runs(&m, &m, &loops, Representation::Discrete, 6.0),
         6.0,
     );
 
@@ -67,7 +67,7 @@ fn main() {
 
     println!("\n--- budget 2N (paper: decisions/op drops to 1.14) ---");
     let s2 = aggregate(
-        &run_suite_runs(&m, &m, &loops, Representation::Discrete, 2.0, 1),
+        &run_suite_runs(&m, &m, &loops, Representation::Discrete, 2.0),
         2.0,
     );
     row("sched. decisions / op", &s2.decisions_per_op);

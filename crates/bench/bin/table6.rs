@@ -51,14 +51,7 @@ fn main() {
 
     // Column 1: the original (unreduced) description, discrete module.
     println!("running: original description (discrete) ...");
-    let runs = run_suite_runs(
-        &original,
-        &original,
-        &loops,
-        Representation::Discrete,
-        6.0,
-        1,
-    );
+    let runs = run_suite_runs(&original, &original, &loops, Representation::Discrete, 6.0);
     let s = aggregate(&runs, 6.0);
     columns.push(column("original discrete", &s));
 
@@ -79,7 +72,7 @@ fn main() {
             other => other,
         };
         let s = aggregate(
-            &run_suite_runs(&red.reduced, &original, &loops, repr, 6.0, 1),
+            &run_suite_runs(&red.reduced, &original, &loops, repr, 6.0),
             6.0,
         );
         columns.push(column(&label, &s));

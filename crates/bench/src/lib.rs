@@ -1,5 +1,5 @@
 //! Shared infrastructure for the table/figure binaries: reduction
-//! sweeps, suite scheduling runs, plain-text table rendering, and
+//! sweeps, the serial suite runner, plain-text table rendering, and
 //! machine-readable experiment records.
 
 use rmd_core::{avg_word_usages, reduce, verify_equivalence, Objective, Reduction};
@@ -7,11 +7,12 @@ use rmd_latency::{ClassPartition, ForbiddenMatrix};
 use rmd_loops::Loop;
 use rmd_machine::MachineDescription;
 use rmd_query::{ModuloMaskCache, WordLayout, WorkCounters};
-use rmd_sched::{mii, ImsConfig, IterativeModuloScheduler, Representation, SchedScratch};
+use rmd_sched::{
+    mii, ImsConfig, ImsResult, IterativeModuloScheduler, Representation, SchedScratch,
+};
 use serde::Serialize;
 use std::path::Path;
 
-pub mod parallel;
 pub mod profile;
 
 /// One column of a paper Table 1–4 style report.
@@ -264,120 +265,54 @@ impl From<&WorkCounters> for CounterSummary {
     }
 }
 
-/// Per-loop outcome of a suite run — the unit of work claimed by the
-/// parallel runner and folded (always in suite order) by [`aggregate`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct LoopRun {
-    /// Operations in the loop body.
-    pub ops: usize,
-    /// Achieved initiation interval.
-    pub ii: u32,
-    /// The MII lower bound (computed from the MII machine).
-    pub mii: u32,
-    /// Issue time per node — schedule-identity checks between serial and
-    /// parallel runs compare these directly.
-    pub times: Vec<u32>,
-    /// Scheduling decisions per operation, one entry per II attempt.
-    pub per_attempt_ratio: Vec<f64>,
-    /// Decisions reversed by resource eviction.
-    pub reversed_by_resource: u64,
-    /// Decisions reversed by dependence violation.
-    pub reversed_by_dependence: u64,
-    /// Query-module work counters for this loop.
-    pub counters: WorkCounters,
-}
-
-/// Per-worker steady-state buffers — a mask cache and scheduling
-/// scratch — when the representation can use a cache.
-fn worker_state(
-    machine: &MachineDescription,
-    repr: Representation,
-) -> Option<(ModuloMaskCache, SchedScratch)> {
-    match repr {
-        Representation::Bitvec(layout) => {
-            Some((ModuloMaskCache::new(machine, layout), SchedScratch::new()))
-        }
-        Representation::Discrete => None,
-    }
-}
-
-/// Schedules one loop: the worker body of [`run_suite_runs`].
-fn run_one(
-    ims: &IterativeModuloScheduler,
-    machine: &MachineDescription,
-    mii_machine: &MachineDescription,
-    l: &Loop,
-    repr: Representation,
-    state: &mut Option<(ModuloMaskCache, SchedScratch)>,
-) -> LoopRun {
-    let m = mii::mii(&l.graph, mii_machine);
-    let mut r = match state {
-        Some((cache, scratch)) => {
-            ims.schedule_with_mii_cached_scratch(&l.graph, machine, repr, m, cache, scratch)
-        }
-        None => ims.schedule_with_mii(&l.graph, machine, repr, m),
-    }
-    .unwrap_or_else(|e| panic!("{}: {e}", l.name));
-    // `times`/`per_attempt_ratio` are retained in the record; the ops
-    // vector is not, so hand its capacity back to the scratch.
-    if let Some((_, scratch)) = state {
-        scratch.recycle_ops(std::mem::take(&mut r.chosen));
-    }
-    LoopRun {
-        ops: l.graph.num_nodes(),
-        ii: r.ii,
-        mii: r.mii,
-        times: std::mem::take(&mut r.times),
-        per_attempt_ratio: std::mem::take(&mut r.per_attempt_ratio),
-        reversed_by_resource: r.reversed_by_resource,
-        reversed_by_dependence: r.reversed_by_dependence,
-        counters: r.counters,
-    }
-}
-
 /// Schedules every loop of `loops` on `machine` with the given
-/// representation and budget ratio, returning per-loop results in suite
-/// order; [`aggregate`] folds them into the paper's [`SuiteStats`].
-/// `mii_machine` supplies the MII (pass the original description when
-/// `machine` is a reduction so trajectories are comparable).
+/// representation and budget ratio, serially and in suite order, and
+/// returns one [`ImsResult`] per loop; [`aggregate`] folds them into the
+/// paper's [`SuiteStats`]. `mii_machine` supplies the MII (pass the
+/// original description when `machine` is a reduction so trajectories
+/// are comparable). A bitvector run reuses one [`ModuloMaskCache`] and
+/// one [`SchedScratch`] for the whole suite.
 ///
-/// `threads` is a parallelism budget for [`parallel::run_indexed`]: at
-/// one worker the loops run inline in suite order; otherwise workers,
-/// capped at the host's available parallelism, claim one loop at a
-/// time.
+/// # Panics
 ///
-/// Results are identical at every thread count: each loop is scheduled
-/// independently by a deterministic scheduler, each worker owns a
-/// private [`ModuloMaskCache`] + [`SchedScratch`] pair (sharing is only
-/// of immutable compiled masks, never of reservation or scratch state),
-/// and merging is positional. Only wall-clock time depends on the
-/// thread count.
+/// Panics, naming the loop, if some loop has no feasible II: the table
+/// binaries are experiment drivers, and every loop of the paper's suite
+/// schedules on the shipped machines.
 pub fn run_suite_runs(
     machine: &MachineDescription,
     mii_machine: &MachineDescription,
     loops: &[Loop],
     repr: Representation,
     budget_ratio: f64,
-    threads: usize,
-) -> Vec<LoopRun> {
+) -> Vec<ImsResult> {
     let ims = IterativeModuloScheduler::new(ImsConfig {
         budget_ratio,
         ..ImsConfig::default()
     });
-    parallel::run_indexed(
-        loops.len(),
-        threads,
-        || worker_state(machine, repr),
-        |state, i| run_one(&ims, machine, mii_machine, &loops[i], repr, state),
-    )
+    let mut cached = match repr {
+        Representation::Bitvec(layout) => {
+            Some((ModuloMaskCache::new(machine, layout), SchedScratch::new()))
+        }
+        Representation::Discrete => None,
+    };
+    loops
+        .iter()
+        .map(|l| {
+            let m = mii::mii(&l.graph, mii_machine);
+            match &mut cached {
+                Some((cache, scratch)) => {
+                    ims.schedule_with_mii_cached_scratch(&l.graph, machine, repr, m, cache, scratch)
+                }
+                None => ims.schedule_with_mii(&l.graph, machine, repr, m),
+            }
+            .unwrap_or_else(|e| panic!("{}: {e}", l.name))
+        })
+        .collect()
 }
 
-/// Folds per-loop results into the paper's Table 5/6 statistics.
-///
-/// Deterministic in the input order: [`run_suite_runs`] presents runs
-/// in suite order at every thread count, so their [`SuiteStats`] agree
-/// bit-for-bit.
-pub fn aggregate(runs: &[LoopRun], budget_ratio: f64) -> SuiteStats {
+/// Folds per-loop results, in suite order, into the paper's Table 5/6
+/// statistics.
+pub fn aggregate(runs: &[ImsResult], budget_ratio: f64) -> SuiteStats {
     let mut ops_v = Vec::new();
     let mut ii_v = Vec::new();
     let mut ratio_v = Vec::new();
@@ -391,7 +326,7 @@ pub fn aggregate(runs: &[LoopRun], budget_ratio: f64) -> SuiteStats {
     let mut counters = WorkCounters::new();
 
     for r in runs {
-        ops_v.push(r.ops as f64);
+        ops_v.push(r.times.len() as f64);
         ii_v.push(f64::from(r.ii));
         ratio_v.push(f64::from(r.ii) / f64::from(r.mii));
         for &ratio in &r.per_attempt_ratio {
@@ -697,24 +632,11 @@ mod tests {
         let m = cydra5_subset();
         let ops = rmd_loops::OpSet::for_cydra_subset(&m);
         let loops = rmd_loops::suite(&ops, 25, 42);
-        let runs = run_suite_runs(&m, &m, &loops, Representation::Discrete, 6.0, 1);
+        let runs = run_suite_runs(&m, &m, &loops, Representation::Discrete, 6.0);
         let stats = aggregate(&runs, 6.0);
         assert_eq!(stats.loops, 25);
         assert!(stats.at_mii > 0.5, "at_mii = {}", stats.at_mii);
         assert!(stats.counters.check_calls > 0);
-    }
-
-    #[test]
-    fn suite_is_byte_identical_at_all_thread_counts() {
-        let m = cydra5_subset();
-        let ops = rmd_loops::OpSet::for_cydra_subset(&m);
-        let loops = rmd_loops::suite(&ops, 24, 0xC5);
-        let repr = Representation::Bitvec(WordLayout::widest(64, m.num_resources()));
-        let serial = run_suite_runs(&m, &m, &loops, repr, 6.0, 1);
-        for threads in [2, 8] {
-            let par = run_suite_runs(&m, &m, &loops, repr, 6.0, threads);
-            assert_eq!(serial, par, "threads = {threads}");
-        }
     }
 
     #[test]
@@ -728,7 +650,7 @@ mod tests {
         let ops = rmd_loops::OpSet::for_cydra_subset(&m);
         let loops = rmd_loops::suite(&ops, 24, 0xC5);
         let repr = Representation::Bitvec(WordLayout::widest(64, m.num_resources()));
-        let runs = run_suite_runs(&m, &m, &loops, repr, 6.0, 1);
+        let runs = run_suite_runs(&m, &m, &loops, repr, 6.0);
         let mut merged = WorkCounters::new();
         for r in &runs {
             merged.merge(&r.counters);

@@ -15,8 +15,9 @@
 //! * **Metrics** ([`MetricRegistry`], [`Histogram`]) — monotonic
 //!   counters, gauges, and log2-bucketed histograms whose `merge` is
 //!   associative and commutative with the empty registry as identity,
-//!   so the `rmd-bench::parallel` work-stealing workers can each record
-//!   privately and merge deterministically by index.
+//!   so registries recorded apart (per query backend in `rmd profile`,
+//!   per cached machine in a serve metrics snapshot) combine into the
+//!   same totals in any grouping.
 //! * **Work units** ([`WorkCounters`], [`FnCounter`], [`QueryFn`]) —
 //!   the paper's §8 accounting ("one unit of work handles a single
 //!   resource usage or a single non-empty word"), shared by every query

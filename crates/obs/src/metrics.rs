@@ -1,6 +1,6 @@
 //! Counters, gauges, and log2-bucketed histograms with an associative,
-//! commutative `merge` — the property the parallel bench runner needs to
-//! record per-worker metrics privately and combine them in any grouping
+//! commutative `merge` — the property that lets metrics recorded apart
+//! (per query backend, per cached machine) be combined in any grouping
 //! without changing the totals.
 
 use std::collections::BTreeMap;

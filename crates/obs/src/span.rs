@@ -15,9 +15,8 @@
 //!    `Vec` used as a ring: once full, the oldest events are
 //!    overwritten and counted in [`dropped_events`].
 //! 3. **No cross-thread coordination on the hot path.** Each thread
-//!    records privately; a drain ([`drain_events`]) is explicit and
-//!    per-thread, which is exactly the shape the work-stealing bench
-//!    runner wants (record privately, merge by index).
+//!    records privately, and a drain ([`drain_events`]) is explicit
+//!    and per-thread.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};

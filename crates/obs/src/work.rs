@@ -362,9 +362,9 @@ mod tests {
         w
     }
 
-    /// The parallel suite runner merges per-shard counters in whatever
-    /// grouping the shard boundaries induce; totals must not depend on
-    /// it. Merge is plain `u64` addition, so this pins associativity and
+    /// Counters merge per attempt inside IMS and per loop in the suite
+    /// runner; totals must not depend on the grouping. Merge is plain
+    /// `u64` addition, so this pins associativity and
     /// commutativity rather than fixing drift — any future non-linear
     /// field (say, a max or an average cached as a float) would fail
     /// here.
@@ -395,7 +395,7 @@ mod tests {
         }
         assert_eq!(left, permuted, "shard order changed merge totals");
 
-        // Pairwise tree reduction, as a work-stealing runner might do.
+        // Pairwise tree reduction.
         let mut level: Vec<WorkCounters> = parts.clone();
         while level.len() > 1 {
             let mut next_level = Vec::new();

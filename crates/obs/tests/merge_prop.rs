@@ -1,8 +1,8 @@
-//! Property tests for [`MetricRegistry::merge`]: the parallel suite
-//! runner folds per-shard registries in whatever grouping and order the
-//! shard boundaries induce, so merge must be associative and
-//! commutative with the empty registry as identity — otherwise merged
-//! metrics would depend on thread count.
+//! Property tests for [`MetricRegistry::merge`]: registries recorded
+//! apart (per query backend, per cached machine) are folded in whatever
+//! grouping and order their sources come in, so merge must be
+//! associative and commutative with the empty registry as identity —
+//! otherwise merged metrics would depend on that order.
 
 use proptest::prelude::*;
 use rmd_obs::MetricRegistry;

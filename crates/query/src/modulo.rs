@@ -574,8 +574,9 @@ struct CacheEntry {
 /// table for that II is two reference-count bumps plus a zeroed word
 /// vector.
 ///
-/// Each worker thread of a parallel suite run owns one cache; sharing
-/// is by `clone` of the compiled parts, never by locking.
+/// A suite run owns one cache, as does each machine cached by the
+/// serve daemon; sharing is by `clone` of the compiled parts, never by
+/// locking.
 ///
 /// # Example
 ///

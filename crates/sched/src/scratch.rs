@@ -16,9 +16,9 @@
 //! Scratch never changes results: schedules, statistics, and work
 //! counters are byte-identical with or without it (the buffers are
 //! cleared and re-filled exactly as a fresh allocation would be). One
-//! scratch per worker thread is the intended shape — the suite runner
-//! threads one through each worker's state, and a serial run uses one
-//! for the whole suite so the comparison stays honest.
+//! scratch per scheduling thread is the intended shape: the suite
+//! runner uses one for the whole suite, and each machine cached by the
+//! serve daemon owns one that its schedule and suite frames share.
 
 use core::cmp::Reverse;
 use rmd_machine::OpId;
@@ -27,7 +27,7 @@ use rmd_query::{ModuloBitvecModule, OpInstance};
 use crate::ims::ImsResult;
 
 /// Reusable buffers for [`IterativeModuloScheduler`] attempts; see the
-/// module docs. Create one per worker thread with
+/// module docs. Create one per scheduling thread with
 /// [`new`](Self::new) and pass it to
 /// [`schedule_with_mii_cached_scratch`]; [`recycle`](Self::recycle)
 /// returns a consumed result's
@@ -76,14 +76,6 @@ impl SchedScratch {
         self.pool_times.push(r.times);
         self.pool_ops.push(r.chosen);
         self.pool_ratios.push(r.per_attempt_ratio);
-    }
-
-    /// Returns just an op vector (e.g. a result's `chosen` field) to
-    /// the pool — for callers that keep the other result vectors alive
-    /// (the bench runner stores `times` in its per-loop record but
-    /// drops `chosen`).
-    pub fn recycle_ops(&mut self, ops: Vec<OpId>) {
-        self.pool_ops.push(ops);
     }
 
     /// A cleared `Vec<u32>` from the pool (or a fresh one).

@@ -18,12 +18,13 @@ use crate::proto::{parse_frame, EdgeSpec, Frame, MachineSource, ReplyBuilder, Re
 use rmd_core::{
     reduce_with_fallback, validate_limits, FallbackEvent, Objective, ReduceOptions, RmdError,
 };
+use rmd_machine::fnv::Fnv64;
 use rmd_machine::{content_fingerprint, mdl, models, MachineDescription};
 use rmd_obs::{Event, EventKind, MetricRegistry};
 use rmd_query::{ModuloMaskCache, WordLayout};
 use rmd_sched::{
-    mii::mii, DepGraph, ImsConfig, ImsError, IterativeModuloScheduler, NodeId, Representation,
-    SchedScratch,
+    mii::mii, DepGraph, ImsConfig, ImsError, ImsResult, IterativeModuloScheduler, NodeId,
+    Representation, SchedScratch,
 };
 use serde_json::Tape;
 use std::borrow::Cow;
@@ -68,13 +69,6 @@ fn certificate_vouches(dir: &std::path::Path, fp: &str) -> bool {
 /// Maximum machines cached at once (LRU beyond that).
 const MACHINE_CAP: usize = 8;
 
-/// Loops scheduled between deadline checks in a suite request.
-const SUITE_DEADLINE_CHUNK: usize = 32;
-
-/// Worker-thread cap for suite requests; a larger `threads` field is
-/// clamped to it (and the reply echoes the clamped value).
-const MAX_SUITE_THREADS: usize = 8;
-
 /// Entry cap for each cached machine's [`ModuloMaskCache`].
 const MASK_CACHE_CAP: usize = 64;
 
@@ -85,7 +79,7 @@ const TAPE_TOKENS_KEPT: usize = 4096;
 
 /// A cached machine: the description to schedule against plus the
 /// shared (LRU-bounded) mask cache and reusable scheduling scratch for
-/// it.
+/// it, which its schedule and suite frames share.
 struct MachineEntry {
     original: MachineDescription,
     /// The verified reduced machine, or the original after a fallback.
@@ -98,6 +92,41 @@ struct MachineEntry {
     scratch: SchedScratch,
     fallback: Option<&'static str>,
     last_used: u64,
+}
+
+impl MachineEntry {
+    /// Schedules `g`, the one scheduling path of schedule and suite
+    /// frames: the MII from the original description, then IMS on the
+    /// scheduling machine through the entry's mask cache and scratch. A
+    /// graph with no feasible II is `unschedulable`.
+    fn schedule(
+        &mut self,
+        ims: &IterativeModuloScheduler,
+        g: &DepGraph,
+        idx: u64,
+    ) -> Result<ImsResult, ServeError> {
+        let lower = {
+            let _g = rmd_obs::span_with("sched", "mii", "nodes", g.num_nodes() as u64);
+            mii(g, &self.original)
+        };
+        let _span = rmd_obs::span_with("serve", "schedule", "req", idx);
+        ims.schedule_with_mii_cached_scratch(
+            g,
+            &self.sched_machine,
+            Representation::Bitvec(self.layout),
+            lower,
+            &mut self.mask_cache,
+            &mut self.scratch,
+        )
+        .map_err(|e| match e {
+            ImsError::NoFeasibleIi { max_ii } => {
+                ServeError::Rmd(RmdError::Unschedulable { max_ii })
+            }
+            other => ServeError::BadRequest {
+                detail: format!("scheduler error: {other}"),
+            },
+        })
+    }
 }
 
 /// The deadline attached to one request.
@@ -122,9 +151,9 @@ impl Deadline {
     }
 }
 
-/// The fault-isolated request engine. One instance per daemon; it is
-/// driven from a single thread and fans suite work out through the
-/// `rmd-bench` parallel engine internally.
+/// The fault-isolated request engine. One instance per daemon, driven
+/// from a single thread; schedule and suite frames both schedule on
+/// the cached machine's warm mask cache and scratch.
 pub struct ServeEngine {
     cfg: EngineConfig,
     machines: HashMap<String, MachineEntry>,
@@ -398,17 +427,7 @@ impl ServeEngine {
                 fingerprint,
                 loops,
                 seed,
-                threads,
-            } => self.exec_suite(
-                id,
-                &fingerprint,
-                loops,
-                seed,
-                threads,
-                deadline,
-                action,
-                idx,
-            ),
+            } => self.exec_suite(id, &fingerprint, loops, seed, deadline, action, idx),
             Request::Status => Ok(self.exec_status(id)),
             Request::Metrics => Ok(ReplyBuilder::ok(id, "metrics")
                 .raw(
@@ -578,30 +597,7 @@ impl ServeEngine {
             return Err(e);
         }
         deadline.check()?;
-        let lower = {
-            let _g = rmd_obs::span_with("sched", "mii", "nodes", g.num_nodes() as u64);
-            mii(&g, &entry.original)
-        };
-        let ims = IterativeModuloScheduler::new(config);
-        let sched_span = rmd_obs::span_with("serve", "schedule", "req", idx);
-        let r = ims
-            .schedule_with_mii_cached_scratch(
-                &g,
-                &entry.sched_machine,
-                Representation::Bitvec(entry.layout),
-                lower,
-                &mut entry.mask_cache,
-                &mut entry.scratch,
-            )
-            .map_err(|e| match e {
-                ImsError::NoFeasibleIi { max_ii } => {
-                    ServeError::Rmd(RmdError::Unschedulable { max_ii })
-                }
-                other => ServeError::BadRequest {
-                    detail: format!("scheduler error: {other}"),
-                },
-            })?;
-        drop(sched_span);
+        let r = entry.schedule(&IterativeModuloScheduler::new(config), &g, idx)?;
         deadline.check()?;
         let reply = ReplyBuilder::ok(id, "schedule")
             .str("fingerprint", fp)
@@ -616,6 +612,9 @@ impl ServeEngine {
         Ok(reply)
     }
 
+    /// Schedules each loop of a generated suite on the cached machine,
+    /// folding the reply's counts and digest as it goes and checking
+    /// the deadline after every loop.
     #[allow(clippy::too_many_arguments)]
     fn exec_suite(
         &mut self,
@@ -623,7 +622,6 @@ impl ServeEngine {
         fp: &str,
         loops: usize,
         seed: u64,
-        threads: Option<usize>,
         deadline: Deadline,
         action: ChaosAction,
         idx: u64,
@@ -633,8 +631,7 @@ impl ServeEngine {
             self.lookup(fp)?;
         }
         self.chaos_panic_point(action);
-        let threads = threads.unwrap_or(1).clamp(1, MAX_SUITE_THREADS);
-        let entry = self.machines.get(fp).expect("looked up above");
+        let entry = self.machines.get_mut(fp).expect("looked up above");
         // The generator vocabulary must resolve against this machine;
         // a missing op is a client error, not a panic.
         let ops = rmd_loops::OpSet::try_for_cydra_subset(&entry.original).map_err(|name| {
@@ -644,31 +641,23 @@ impl ServeEngine {
         })?;
         let suite = rmd_loops::suite(&ops, loops, seed);
         deadline.check()?;
-        // Dispatch in chunks through the existing parallel engine so
-        // long suites still honor their deadline between chunks.
-        let _suite_span = rmd_obs::span_with("serve", "schedule", "req", idx);
-        let mut runs = Vec::with_capacity(suite.len());
-        for chunk in suite.chunks(SUITE_DEADLINE_CHUNK) {
-            runs.extend(rmd_bench::run_suite_runs(
-                &entry.sched_machine,
-                &entry.original,
-                chunk,
-                Representation::Bitvec(entry.layout),
-                ImsConfig::default().budget_ratio,
-                threads,
-            ));
+        let ims = IterativeModuloScheduler::new(ImsConfig::default());
+        let (mut at_mii, mut sum_ii) = (0u64, 0u64);
+        let mut digest = SuiteDigest::default();
+        for l in &suite {
+            let r = entry.schedule(&ims, &l.graph, idx)?;
+            at_mii += u64::from(r.ii == r.mii);
+            sum_ii += u64::from(r.ii);
+            digest.push(&r);
+            entry.scratch.recycle(r);
             deadline.check()?;
         }
-        let at_mii = runs.iter().filter(|r| r.ii == r.mii).count();
-        let sum_ii: u64 = runs.iter().map(|r| u64::from(r.ii)).sum();
-        let digest = suite_digest(&runs);
         Ok(ReplyBuilder::ok(id, "suite")
             .str("fingerprint", fp)
-            .num("loops", runs.len() as u64)
-            .num("at_mii", at_mii as u64)
+            .num("loops", suite.len() as u64)
+            .num("at_mii", at_mii)
             .num("sum_ii", sum_ii)
-            .num("threads", threads as u64)
-            .str("schedule_digest", &digest)
+            .str("schedule_digest", &digest.hex())
             .finish())
     }
 
@@ -791,19 +780,26 @@ fn build_graph_into(
     Ok(())
 }
 
-/// FNV-1a digest over every loop's achieved II and issue times — a
-/// compact, order-sensitive schedule identity: a suite reply's
-/// `schedule_digest`, and the offline reference the soak test compares
-/// daemon replies against.
-pub fn suite_digest(runs: &[rmd_bench::LoopRun]) -> String {
-    let mut h = rmd_machine::fnv::Fnv64::new();
-    for r in runs {
-        h.write(&u64::from(r.ii).to_le_bytes());
+/// A suite reply's `schedule_digest`: FNV-1a over each loop's achieved
+/// II and then its issue times, as little-endian `u64`s, in suite order.
+/// The engine folds it loop by loop; the offline reference folds the
+/// suite runner's results through the same [`push`](Self::push).
+#[derive(Debug, Default)]
+pub struct SuiteDigest(Fnv64);
+
+impl SuiteDigest {
+    /// Folds in one loop's schedule.
+    pub fn push(&mut self, r: &ImsResult) {
+        self.0.write(&u64::from(r.ii).to_le_bytes());
         for &t in &r.times {
-            h.write(&u64::from(t).to_le_bytes());
+            self.0.write(&u64::from(t).to_le_bytes());
         }
     }
-    format!("{:016x}", h.finish())
+
+    /// The digest as 16 lowercase hex digits.
+    pub fn hex(&self) -> String {
+        format!("{:016x}", self.0.finish())
+    }
 }
 
 #[cfg(test)]
@@ -1114,34 +1110,22 @@ mod tests {
         assert_eq!(draining(), Some(false));
     }
 
-    #[test]
-    fn suite_runs_and_is_deterministic() {
-        // 80 loops span three deadline chunks; every thread count must
-        // give the reply of one offline serial run over the same loops.
-        let mut e = engine();
-        let v = ok_reply(&mut e, r#"{"type":"machine","model":"cydra5-subset"}"#);
-        let fp = v
-            .get("fingerprint")
+    fn submit_cydra5_subset(engine: &mut ServeEngine) -> String {
+        let v = ok_reply(engine, r#"{"type":"machine","model":"cydra5-subset"}"#);
+        v.get("fingerprint")
             .and_then(|f| f.as_str())
             .unwrap()
-            .to_string();
-        let mut replies = Vec::new();
-        for (threads, clamped) in [(1u64, 1u64), (2, 2), (8, 8), (16, 8)] {
-            let line = format!(
-                r#"{{"type":"suite","fingerprint":"{fp}","loops":80,"seed":7,"threads":{threads}}}"#
-            );
-            let v = ok_reply(&mut e, &line);
-            let echoed = v.get("threads").and_then(|t| t.as_u64());
-            assert_eq!(echoed, Some(clamped), "{v:?}");
-            assert_eq!(v.get("loops").and_then(|l| l.as_u64()), Some(80));
-            replies.push(v);
-        }
-        for v in &replies[1..] {
-            for k in ["schedule_digest", "at_mii", "sum_ii"] {
-                assert!(v.get(k).is_some(), "{k} missing");
-                assert_eq!(v.get(k), replies[0].get(k), "{k}");
-            }
-        }
+            .to_string()
+    }
+
+    #[test]
+    fn suite_runs_and_is_deterministic() {
+        // The same frame on a cold and then a warm mask cache and
+        // scratch: both replies equal one offline run over the loops.
+        let mut e = engine();
+        let fp = submit_cydra5_subset(&mut e);
+        let line = format!(r#"{{"type":"suite","fingerprint":"{fp}","loops":80,"seed":7}}"#);
+        let replies = [ok_reply(&mut e, &line), ok_reply(&mut e, &line)];
         let entry = &e.machines[&fp];
         let ops = rmd_loops::OpSet::for_cydra_subset(&entry.original);
         let offline = rmd_bench::run_suite_runs(
@@ -1150,12 +1134,85 @@ mod tests {
             &rmd_loops::suite(&ops, 80, 7),
             Representation::Bitvec(entry.layout),
             ImsConfig::default().budget_ratio,
-            1,
         );
-        assert_eq!(
-            replies[0].get("schedule_digest").and_then(|d| d.as_str()),
-            Some(suite_digest(&offline).as_str())
+        let mut digest = SuiteDigest::default();
+        offline.iter().for_each(|r| digest.push(r));
+        let at_mii = offline.iter().filter(|r| r.ii == r.mii).count() as u64;
+        let sum_ii: u64 = offline.iter().map(|r| u64::from(r.ii)).sum();
+        for v in &replies {
+            let num = |k: &str| v.get(k).and_then(|n| n.as_u64());
+            assert_eq!(num("loops"), Some(80), "{v:?}");
+            assert_eq!(num("at_mii"), Some(at_mii), "{v:?}");
+            assert_eq!(num("sum_ii"), Some(sum_ii), "{v:?}");
+            assert_eq!(
+                v.get("schedule_digest").and_then(|d| d.as_str()),
+                Some(digest.hex().as_str())
+            );
+            assert!(v.get("threads").is_none(), "{v:?}");
+        }
+    }
+
+    #[test]
+    fn suite_loop_with_no_feasible_ii_is_unschedulable() {
+        // `brtop` holds r11 for 4,097 cycles, so it collides with its
+        // own next iteration at every II up to the default cap of 4,096;
+        // `state_eq@12`, which every suite schedules second, uses it.
+        // The suite frame answers like the schedule frame, and the
+        // machine stays cached.
+        let ops = models::CYDRA5_SUBSET_OPS;
+        let resources: Vec<String> = (0..ops.len()).map(|i| format!("r{i};")).collect();
+        let mut src = format!("machine \"m\" {{ resources {{ {} }}", resources.join(" "));
+        for (i, op) in ops.iter().enumerate() {
+            let cycles = if *op == "brtop" { "0..4097" } else { "0" };
+            src.push_str(&format!(" op {op} {{ use r{i} @ {cycles}; }}"));
+        }
+        src.push_str(" }");
+        let mut e = engine();
+        let frame = format!(
+            r#"{{"type":"machine","mdl":"{}","max_steps":1}}"#,
+            src.replace('"', r#"\""#)
         );
+        let fp = ok_reply(&mut e, &frame)
+            .get("fingerprint")
+            .and_then(|f| f.as_str())
+            .unwrap()
+            .to_string();
+        let schedule = format!(r#"{{"type":"schedule","fingerprint":"{fp}","nodes":["brtop"]}}"#);
+        let (want, _) = e.handle_line(&schedule, Instant::now());
+        assert!(want.contains(r#""kind":"unschedulable""#), "{want}");
+        let suite = format!(r#"{{"type":"suite","fingerprint":"{fp}","loops":1,"seed":7}}"#);
+        let (got, _) = e.handle_line(&suite, Instant::now());
+        assert_eq!(got, want);
+        assert_eq!(e.counter("serve.quarantined"), 0);
+        assert!(e.take_flight_dumps().is_empty());
+        let v = ok_reply(&mut e, r#"{"type":"status"}"#);
+        assert_eq!(v.get("machines_cached").and_then(|m| m.as_u64()), Some(1));
+    }
+
+    #[test]
+    fn suite_leaves_no_trace_in_schedule_replies() {
+        // A suite frame shares the entry's mask cache and scratch with
+        // schedule frames; the schedule reply after it equals the one
+        // before it and a fresh engine's.
+        let schedule = |fp: &str| {
+            format!(
+                r#"{{"type":"schedule","fingerprint":"{fp}","nodes":["load.w.0","fmul","fadd","store.w.0","brtop"],"edges":[[0,1,13,0],[1,2,4,0],[2,3,3,0],[2,2,3,1]]}}"#
+            )
+        };
+        let mut e = engine();
+        let fp = submit_cydra5_subset(&mut e);
+        let (before, _) = e.handle_line(&schedule(&fp), Instant::now());
+        ok_reply(
+            &mut e,
+            &format!(r#"{{"type":"suite","fingerprint":"{fp}","loops":80,"seed":7}}"#),
+        );
+        let (after, _) = e.handle_line(&schedule(&fp), Instant::now());
+        let mut fresh = engine();
+        let fresh_fp = submit_cydra5_subset(&mut fresh);
+        let (want, _) = fresh.handle_line(&schedule(&fresh_fp), Instant::now());
+        assert!(want.starts_with(r#"{"ok":true,"#), "{want}");
+        assert_eq!(before, want);
+        assert_eq!(after, want);
     }
 
     #[test]

@@ -107,8 +107,6 @@ pub enum Request<'a> {
         loops: usize,
         /// Suite generator seed.
         seed: u64,
-        /// Worker thread cap (clamped by the daemon's own limit).
-        threads: Option<usize>,
     },
     /// Report daemon counters.
     Status,
@@ -359,12 +357,10 @@ fn parse_body<'a>(v: ValueRef<'a, '_>) -> Result<Request<'a>, ServeError> {
                 });
             }
             let seed = opt_u64(v, "seed")?.unwrap_or(0xC5);
-            let threads = opt_u64(v, "threads")?.map(|n| n as usize);
             Ok(Request::Suite {
                 fingerprint,
                 loops,
                 seed,
-                threads,
             })
         }
         "status" => Ok(Request::Status),

@@ -1,6 +1,7 @@
 //! Differential test of `parse_frame` against the `Value`-walking
-//! decoder it replaced, kept below verbatim in `mod oracle` (only its
-//! `use crate::error` path is spelled `rmd_serve::error`). Every
+//! decoder it replaced, kept below in `mod oracle` (its `use
+//! crate::error` path is spelled `rmd_serve::error`, and its suite
+//! request lost the `threads` member with the protocol's). Every
 //! truncation of a fixed set of protocol frames, and 500,000 seeded
 //! byte mutations of them, must give the same id, deadline, trace and
 //! request (compared through `Debug`), or the same error-reply bytes.
@@ -18,7 +19,8 @@ use serde_json::Tape;
 
 /// Frames the mutations start from: every request type and member,
 /// string and numeric ids, escapes, duplicate keys, exponents, `-0`
-/// and integers past 2^53 and past `u64`.
+/// and integers past 2^53 and past `u64`. The two suite frames that
+/// carry `threads` carry a member both decoders ignore.
 const SEEDS: &[&str] = &[
     r#"{"type":"machine","model":"fig1","id":7,"deadline_ms":250}"#,
     r#"{"type":"machine","mdl":"machine \"m\" {\n resources { r; }\n op a { use r @ 0; }\n}","strict":true,"max_steps":12}"#,
@@ -277,8 +279,6 @@ mod oracle {
             loops: usize,
             /// Suite generator seed.
             seed: u64,
-            /// Worker thread cap (clamped by the daemon's own limit).
-            threads: Option<usize>,
         },
         /// Report daemon counters.
         Status,
@@ -527,12 +527,10 @@ mod oracle {
                     });
                 }
                 let seed = opt_u64(v, "seed")?.unwrap_or(0xC5);
-                let threads = opt_u64(v, "threads")?.map(|n| n as usize);
                 Ok(Request::Suite {
                     fingerprint,
                     loops,
                     seed,
-                    threads,
                 })
             }
             "status" => Ok(Request::Status),

@@ -13,7 +13,7 @@ use rmd_machine::models;
 use rmd_query::WordLayout;
 use rmd_sched::{mii::mii, DepGraph, DepKind, ImsConfig, IterativeModuloScheduler, Representation};
 use rmd_serve::daemon::{serve_stream, SharedWriter};
-use rmd_serve::engine::suite_digest;
+use rmd_serve::engine::SuiteDigest;
 use rmd_serve::proto::MAX_FRAME_BYTES;
 use rmd_serve::{signal, Chaos, EngineConfig, ServeEngine, ServeOptions};
 use std::collections::HashMap;
@@ -25,7 +25,6 @@ const SOAK_REQUESTS: usize = 10_000;
 const CHAOS_SEED: u64 = 0xC5;
 const SUITE_LOOPS: usize = 2;
 const SUITE_SEED: u64 = 7;
-const SUITE_THREADS: usize = 2;
 
 /// A `(from, to, delay, distance)` dependence edge.
 type Edge = (usize, usize, i32, u32);
@@ -70,7 +69,7 @@ fn build_line(i: usize, fig1_fp: &str, cydra_fp: &str) -> String {
         )
     } else if i % 101 == 0 {
         format!(
-            r#"{{"type":"suite","id":{i},"fingerprint":"{cydra_fp}","loops":{SUITE_LOOPS},"seed":{SUITE_SEED},"threads":{SUITE_THREADS}}}"#
+            r#"{{"type":"suite","id":{i},"fingerprint":"{cydra_fp}","loops":{SUITE_LOOPS},"seed":{SUITE_SEED}}}"#
         )
     } else if i % 73 == 0 {
         // Live telemetry mid-burst: a metrics frame between requests.
@@ -163,15 +162,17 @@ fn chaos_soak_ten_thousand_requests() {
         let ops = rmd_loops::OpSet::for_cydra_subset(&cydra);
         let suite = rmd_loops::suite(&ops, SUITE_LOOPS, SUITE_SEED);
         let layout = WordLayout::widest(64, cydra_red.num_resources());
-        let runs = rmd_bench::run_suite_runs(
+        let mut digest = SuiteDigest::default();
+        for r in &rmd_bench::run_suite_runs(
             &cydra_red,
             &cydra,
             &suite,
             Representation::Bitvec(layout),
             ImsConfig::default().budget_ratio,
-            SUITE_THREADS,
-        );
-        suite_digest(&runs)
+        ) {
+            digest.push(r);
+        }
+        digest.hex()
     };
 
     let mut kinds: HashMap<String, u64> = HashMap::new();
