@@ -93,11 +93,6 @@ impl Report {
         self.count(Severity::Warning)
     }
 
-    /// The most severe finding present, if any.
-    pub fn worst(&self) -> Option<Severity> {
-        self.diagnostics.iter().map(|d| d.severity).min()
-    }
-
     /// Escalates every warning to an error (`--deny warnings`).
     pub fn escalate_warnings(&mut self) {
         for d in &mut self.diagnostics {
@@ -229,16 +224,13 @@ mod tests {
     }
 
     #[test]
-    fn counts_and_worst() {
+    fn counts_follow_escalation() {
         let mut r = Report::new("m");
-        assert_eq!(r.worst(), None);
         r.diagnostics.push(diag("RMD-L001", Severity::Warning, "w"));
         r.diagnostics.push(diag("RMD-L009", Severity::Info, "i"));
         assert_eq!((r.errors(), r.warnings()), (0, 1));
-        assert_eq!(r.worst(), Some(Severity::Warning));
         r.escalate_warnings();
         assert_eq!((r.errors(), r.warnings()), (1, 0));
-        assert_eq!(r.worst(), Some(Severity::Error));
     }
 
     #[test]

@@ -5,10 +5,9 @@
 //! declaration spans, or an already-built
 //! [`MachineDescription`](rmd_machine::MachineDescription) — for
 //! declaration smells (dead, duplicate, dominated resources; dominated
-//! alternatives; empty or over-long tables), violations of the
-//! forbidden-matrix invariants the pipeline rests on (paper §3), and
-//! redundancy headroom the reduction could reclaim (paper §5). See the
-//! [`lints`] catalog.
+//! or never-selectable alternatives; empty or over-long tables),
+//! operations that cannot sustain their ResMII, and redundancy headroom
+//! the reduction could reclaim (paper §5). See the [`lints`] catalog.
 //!
 //! Findings are [`Diagnostic`]s with a stable catalog id, a
 //! [`Severity`], and (for MDL input) the declaration span to point an
@@ -30,8 +29,8 @@
 //! let report = lint_alt(&d, Some(&map));
 //! // `spare` is never used: RMD-L001, a warning.
 //! assert_eq!(report.errors(), 0);
-//! assert!(report.diagnostics.iter().any(|d| d.id == "RMD-L001"));
-//! assert_eq!(report.worst(), Some(Severity::Warning));
+//! let dead = report.diagnostics.iter().find(|d| d.id == "RMD-L001").unwrap();
+//! assert_eq!(dead.severity, Severity::Warning);
 //! ```
 
 #![warn(missing_docs)]

@@ -1,5 +1,9 @@
 //! The description-lint catalog, `RMD-L001` … `RMD-L011`.
 //!
+//! Ids are never reused. The seventh, matrix-invariant, is retired:
+//! [`ForbiddenMatrix::compute`] guarantees the §3 invariants it tested,
+//! and its one reachable finding, an empty alternative, is `RMD-L006`'s.
+//!
 //! | id       | name                  | default severity |
 //! |----------|-----------------------|------------------|
 //! | RMD-L001 | dead-resource         | warning          |
@@ -8,7 +12,6 @@
 //! | RMD-L004 | identical-tables      | info             |
 //! | RMD-L005 | table-overrun         | error            |
 //! | RMD-L006 | empty-table           | error            |
-//! | RMD-L007 | matrix-invariant      | error            |
 //! | RMD-L008 | dominated-alternative | warning / info   |
 //! | RMD-L009 | redundancy            | info             |
 //! | RMD-L010 | never-selectable      | warning          |
@@ -40,7 +43,6 @@ pub(crate) const CATALOG: &[(&str, Severity, Body)] = &[
     ("RMD-L004", Severity::Info, identical_tables),
     ("RMD-L005", Severity::Error, table_overrun),
     ("RMD-L006", Severity::Error, empty_table),
-    ("RMD-L007", Severity::Error, matrix_invariant),
     ("RMD-L008", Severity::Warning, dominated_alternative),
     ("RMD-L009", Severity::Info, redundancy),
     ("RMD-L010", Severity::Warning, never_selectable),
@@ -236,54 +238,6 @@ fn empty_table(s: &LintSubject, out: &mut Findings<'_>) {
     }
 }
 
-/// RMD-L007: the forbidden-matrix invariants the whole pipeline rests
-/// on — mirror symmetry `f ∈ F[X][Y] ⇔ −f ∈ F[Y][X]` and structural
-/// self-contention `0 ∈ F[X][X]` (paper §3).
-fn matrix_invariant(s: &LintSubject, out: &mut Findings<'_>) {
-    // Self-contention is checkable without expansion: an alternative
-    // reserving nothing can issue concurrently with itself, so
-    // 0 ∈ F[X][X] cannot hold.
-    for g in s.groups() {
-        if g.alternatives.iter().any(ReservationTable::is_empty) {
-            out.push(
-                g.span,
-                format!(
-                    "self-contention invariant 0 ∈ F[X][X] cannot hold for \
-                     `{}`: it reserves no resource",
-                    g.name
-                ),
-            );
-        }
-    }
-    let Some(m) = s.machine() else { return };
-    let f = crate::lints::matrix_of(m);
-    if let Err((x, y, lat)) = f.check_symmetry() {
-        out.push(
-            None,
-            format!(
-                "forbidden matrix violates mirror symmetry: {lat} ∈ F[`{}`][`{}`] \
-                 but {} ∉ F[`{}`][`{}`]",
-                m.operations()[x].name(),
-                m.operations()[y].name(),
-                -lat,
-                m.operations()[y].name(),
-                m.operations()[x].name()
-            ),
-        );
-    }
-    for (id, op) in m.ops() {
-        if !op.table().is_empty() && !f.forbids(id, 0, id) {
-            out.push(
-                None,
-                format!(
-                    "self-contention invariant violated: 0 ∉ F[`{0}`][`{0}`]",
-                    op.name()
-                ),
-            );
-        }
-    }
-}
-
 /// RMD-L008: an alternative that duplicates another in its group
 /// (warning — pure redundancy that skews weights), or reserves a strict
 /// superset of another's usages (info — any placement where it is free,
@@ -319,13 +273,13 @@ fn dominated_alternative(s: &LintSubject, out: &mut Findings<'_>) {
 /// set + pruning over the class machine.
 fn redundancy(s: &LintSubject, out: &mut Findings<'_>) {
     let Some(m) = s.machine() else { return };
-    let f = matrix_of(m);
+    let f = ForbiddenMatrix::compute(m);
     let fp = rmd_core::fingerprints::matrix_fingerprint(&f);
     let classes = ClassPartition::compute(m, &f);
     let Ok(cm) = classes.class_machine(m) else {
         return;
     };
-    let cf = matrix_of(&cm);
+    let cf = ForbiddenMatrix::compute(&cm);
     let pruned = prune_dominated(&generating_set(&cf));
     out.push(
         None,
@@ -378,43 +332,42 @@ fn never_selectable(s: &LintSubject, out: &mut Findings<'_>) {
 fn ii_infeasible(s: &LintSubject, out: &mut Findings<'_>) {
     for g in s.groups() {
         for (i, table) in g.alternatives.iter().enumerate() {
-            let mut cycles_by_res: Vec<(u32, Vec<u32>)> = Vec::new();
-            for u in table.usages() {
-                match cycles_by_res.iter_mut().find(|(r, _)| *r == u.resource.0) {
-                    Some((_, cs)) => cs.push(u.cycle),
-                    None => cycles_by_res.push((u.resource.0, vec![u.cycle])),
-                }
-            }
-            let Some(resmii) = cycles_by_res.iter().map(|(_, cs)| cs.len()).max() else {
+            let Some(resmii) = table
+                .resources()
+                .map(|r| table.usage_set(r).len() as u32)
+                .max()
+            else {
                 continue; // empty table: RMD-L006's finding
             };
-            let resmii = resmii as u32;
-            if resmii < 2 {
-                continue; // no resource reused; II=1 is trivially clean
+            if table.fits_modulo(resmii) {
+                continue;
             }
-            let collision = cycles_by_res.iter().find_map(|&(r, ref cs)| {
-                cs.iter()
-                    .flat_map(|&c1| cs.iter().map(move |&c2| (c1, c2)))
-                    .find(|&(c1, c2)| c1 < c2 && (c2 - c1) % resmii == 0)
-                    .map(|(c1, c2)| (r, c1, c2))
-            });
-            if let Some((r, c1, c2)) = collision {
-                let rname = s
-                    .resource_names()
-                    .get(r as usize)
-                    .map(String::as_str)
-                    .unwrap_or("?");
-                out.push(
-                    g.span,
-                    format!(
-                        "`{}`{}: cannot sustain II={resmii} (its ResMII): `{rname}`@{c1} \
-                         and `{rname}`@{c2} are {} cycles apart, a multiple of {resmii}",
-                        g.name,
-                        alt_label(g, i),
-                        c2 - c1
-                    ),
-                );
-            }
+            // Name the first colliding pair in (resource, cycle) order.
+            let (r, c1, c2) = table
+                .resources()
+                .find_map(|r| {
+                    let cs = table.usage_set(r);
+                    cs.iter()
+                        .flat_map(|&c1| cs.iter().map(move |&c2| (c1, c2)))
+                        .find(|&(c1, c2)| c1 < c2 && (c2 - c1) % resmii == 0)
+                        .map(|(c1, c2)| (r, c1, c2))
+                })
+                .expect("a table that misfits at II has two usages a multiple of II apart");
+            let rname = s
+                .resource_names()
+                .get(r.index())
+                .map(String::as_str)
+                .unwrap_or("?");
+            out.push(
+                g.span,
+                format!(
+                    "`{}`{}: cannot sustain II={resmii} (its ResMII): `{rname}`@{c1} \
+                     and `{rname}`@{c2} are {} cycles apart, a multiple of {resmii}",
+                    g.name,
+                    alt_label(g, i),
+                    c2 - c1
+                ),
+            );
         }
     }
 }
@@ -432,15 +385,10 @@ fn table_strict_subset(a: &ReservationTable, b: &ReservationTable) -> bool {
     a.num_usages() < b.num_usages() && a.usages().iter().all(|u| b.uses(u.resource, u.cycle))
 }
 
-pub(crate) fn matrix_of(m: &rmd_machine::MachineDescription) -> ForbiddenMatrix {
-    ForbiddenMatrix::compute(m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lint::lint_subject;
-    use rmd_latency::LatencySet;
     use rmd_machine::mdl;
 
     fn subject(src: &str) -> LintSubject {
@@ -522,22 +470,9 @@ mod tests {
     }
 
     #[test]
-    fn symmetry_violation_is_reported_on_a_forged_matrix() {
-        // Construction can never violate mirror symmetry, so forge a
-        // matrix: 2 ∈ F[x][y] without −2 ∈ F[y][x].
-        let mut sets = vec![LatencySet::new(); 4];
-        sets[0].insert(0);
-        sets[3].insert(0);
-        sets[1].insert(2); // F[0][1] ∋ 2, mirror missing
-        let f = ForbiddenMatrix::from_sets(2, sets);
-        assert_eq!(f.check_symmetry(), Err((0, 1, 2)));
-    }
-
-    #[test]
-    fn empty_alternative_flags_both_l006_and_l007() {
+    fn empty_alternative_flags_l006() {
         let found = ids(r#"machine "m" { resources { r; } op nop { } op x { use r @ 0; } }"#);
         assert!(found.contains(&"RMD-L006"), "{found:?}");
-        assert!(found.contains(&"RMD-L007"), "{found:?}");
         assert!(found.contains(&"RMD-L000"), "{found:?}");
     }
 

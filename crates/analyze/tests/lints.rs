@@ -19,8 +19,8 @@ fn lint_file(path: &Path) -> Report {
 #[test]
 fn every_fixture_is_flagged_by_its_lint() {
     for id in [
-        "RMD-L001", "RMD-L002", "RMD-L003", "RMD-L004", "RMD-L005", "RMD-L006", "RMD-L007",
-        "RMD-L008", "RMD-L009",
+        "RMD-L001", "RMD-L002", "RMD-L003", "RMD-L004", "RMD-L005", "RMD-L006", "RMD-L008",
+        "RMD-L009",
     ] {
         let file = format!(
             "l{:03}_{}.mdl",
@@ -32,7 +32,6 @@ fn every_fixture_is_flagged_by_its_lint() {
                 "RMD-L004" => "identical_tables",
                 "RMD-L005" => "table_overrun",
                 "RMD-L006" => "empty_table",
-                "RMD-L007" => "matrix_invariant",
                 "RMD-L008" => "dominated_alternative",
                 _ => "redundancy",
             }

@@ -36,7 +36,6 @@ pub enum Direction {
 
 /// Construction failure.
 #[derive(Clone, PartialEq, Eq, Debug)]
-#[non_exhaustive]
 pub enum BuildError {
     /// The state count exceeded the caller's limit; the machine is too
     /// complex for an explicit automaton (the paper's §2 size concern).

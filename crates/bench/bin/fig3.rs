@@ -71,7 +71,6 @@ fn main() {
                     name(*class)
                 );
             }
-            other => println!("    {other}"),
         }
     }
 

@@ -85,7 +85,6 @@ use rmd_query::WordLayout;
 /// Why certification could not be *attempted* (as opposed to a proof
 /// failure, which is a [`CertifyFailure::Mismatch`]).
 #[derive(Clone, PartialEq, Eq, Debug)]
-#[non_exhaustive]
 pub enum CertifyError {
     /// A reservation table is too long for the conflict-mask encoding.
     TableTooLong {

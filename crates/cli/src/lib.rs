@@ -38,7 +38,6 @@ use std::fmt::Write as _;
 /// |                  |           | corpus replay violated an expectation     |
 /// | `Internal`       | 1         | unexpected pipeline failure               |
 #[derive(Clone, PartialEq, Debug)]
-#[non_exhaustive]
 pub enum CliError {
     /// The command line itself is malformed.
     Usage(String),

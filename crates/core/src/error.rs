@@ -23,7 +23,6 @@ use rmd_machine::{MachineDescription, MachineError};
 
 /// The unified error type for the reduction pipeline and its drivers.
 #[derive(Clone, PartialEq, Debug)]
-#[non_exhaustive]
 pub enum RmdError {
     /// The machine description violates a structural invariant.
     InvalidMachine(MachineError),

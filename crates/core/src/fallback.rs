@@ -20,7 +20,6 @@ use rmd_machine::MachineDescription;
 
 /// Why [`reduce_with_fallback`] declined to use a reduction.
 #[derive(Clone, PartialEq, Debug)]
-#[non_exhaustive]
 pub enum FallbackEvent {
     /// The input failed validation or the pipeline errored before
     /// producing a reduction.

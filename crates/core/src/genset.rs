@@ -11,7 +11,6 @@ use rmd_latency::ForbiddenMatrix;
 /// subsumed resources are dropped from the final set but keep their
 /// indices in the trace).
 #[derive(Clone, PartialEq, Eq, Debug)]
-#[non_exhaustive]
 pub enum GenSetEvent {
     /// Started processing the elementary pair for `latency ∈ F[x][y]`.
     ProcessPair {

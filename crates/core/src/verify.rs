@@ -7,7 +7,6 @@ use rmd_machine::MachineDescription;
 /// A witness that two machine descriptions are *not* scheduling-
 /// equivalent.
 #[derive(Clone, PartialEq, Eq, Debug)]
-#[non_exhaustive]
 pub enum EquivalenceError {
     /// The machines declare different numbers of operations.
     OpCountMismatch {

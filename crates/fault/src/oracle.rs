@@ -26,10 +26,8 @@
 //!
 //! Because recording gates every `assign` on an admitting `check` and
 //! replay stops at the first divergent answer, replayed traces are
-//! protocol-clean on both sides — the debug-build
-//! [`ProtocolChecker`](rmd_query::ProtocolChecker) embedded in the
-//! modules never fires, and [`QueryTrace::check_protocol`] accepts the
-//! same traces.
+//! protocol-clean on both sides — the modules' debug assertions never
+//! fire, and [`QueryTrace::check_protocol`] accepts the same traces.
 
 use crate::mutate::{Mutant, MutantPayload};
 use rand::rngs::StdRng;

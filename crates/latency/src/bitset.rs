@@ -117,34 +117,12 @@ impl BitSet {
         }
     }
 
-    /// `self ∩= other`.
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        for (i, a) in self.blocks.iter_mut().enumerate() {
-            *a &= other.blocks.get(i).copied().unwrap_or(0);
-        }
-    }
-
-    /// `self −= other`.
-    pub fn difference_with(&mut self, other: &BitSet) {
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a &= !b;
-        }
-    }
-
     /// Whether every element of `self` is in `other`.
     pub fn is_subset(&self, other: &BitSet) -> bool {
         self.blocks
             .iter()
             .enumerate()
             .all(|(i, &b)| b & !other.blocks.get(i).copied().unwrap_or(0) == 0)
-    }
-
-    /// Whether `self` and `other` share no element.
-    pub fn is_disjoint(&self, other: &BitSet) -> bool {
-        self.blocks
-            .iter()
-            .zip(&other.blocks)
-            .all(|(&a, &b)| a & b == 0)
     }
 
     /// Iterates over elements in ascending order.
@@ -252,33 +230,14 @@ mod tests {
         let mut u = a.clone();
         u.union_with(&b);
         assert_eq!(u.iter().collect::<Vec<_>>(), vec![1, 2, 3, 4]);
-
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert_eq!(i.iter().collect::<Vec<_>>(), vec![2, 3]);
-
-        let mut d = a.clone();
-        d.difference_with(&b);
-        assert_eq!(d.iter().collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]
-    fn subset_and_disjoint_handle_length_mismatch() {
+    fn subset_handles_length_mismatch() {
         let small: BitSet = [1].into_iter().collect();
         let big: BitSet = [1, 100].into_iter().collect();
         assert!(small.is_subset(&big));
         assert!(!big.is_subset(&small));
-        let far: BitSet = [200].into_iter().collect();
-        assert!(big.is_disjoint(&far));
-        assert!(!big.is_disjoint(&small));
-    }
-
-    #[test]
-    fn intersect_with_shorter_other_clears_tail() {
-        let mut big: BitSet = [1, 100].into_iter().collect();
-        let small: BitSet = [1].into_iter().collect();
-        big.intersect_with(&small);
-        assert_eq!(big.iter().collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]

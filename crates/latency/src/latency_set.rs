@@ -22,7 +22,6 @@ use core::fmt;
 /// assert!(s.contains(-2));
 /// assert!(!s.contains(2));
 /// assert_eq!(s.iter().collect::<Vec<_>>(), vec![-2, 0, 3]);
-/// assert_eq!(s.mirrored().iter().collect::<Vec<_>>(), vec![-3, 0, 2]);
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct LatencySet {
@@ -82,16 +81,6 @@ impl LatencySet {
     /// Whether every latency in `self` is in `other`.
     pub fn is_subset(&self, other: &LatencySet) -> bool {
         self.neg.is_subset(&other.neg) && self.nonneg.is_subset(&other.nonneg)
-    }
-
-    /// The mirror image `{ -f | f ∈ self }` — by the paper's symmetry
-    /// property, `F[Y][X]` is the mirror of `F[X][Y]`.
-    pub fn mirrored(&self) -> LatencySet {
-        let mut m = LatencySet::new();
-        for f in self.iter() {
-            m.insert(-f);
-        }
-        m
     }
 
     /// Iterates over latencies in ascending order.
@@ -164,14 +153,6 @@ mod tests {
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![-5, -1, 0, 3, 7]);
         assert_eq!(s.iter_nonneg().collect::<Vec<_>>(), vec![0, 3, 7]);
         assert_eq!(s.max(), Some(7));
-    }
-
-    #[test]
-    fn mirrored_negates() {
-        let s: LatencySet = [-2, 0, 5].into_iter().collect();
-        let m = s.mirrored();
-        assert_eq!(m.iter().collect::<Vec<_>>(), vec![-5, 0, 2]);
-        assert_eq!(m.mirrored(), s);
     }
 
     #[test]

@@ -8,7 +8,8 @@ use rmd_machine::{MachineDescription, OpId};
 /// (paper §3, Equation 1).
 ///
 /// `get(x, y)` is `F[X][Y] = { j | X may not issue j cycles after Y }`.
-/// Two invariants hold by construction and are enforced in tests:
+/// [`compute`](Self::compute) is the only constructor, and two
+/// invariants hold by construction (checked in tests):
 ///
 /// * `0 ∈ F[X][X]` for every operation that uses any resource;
 /// * `f ∈ F[X][Y] ⇔ −f ∈ F[Y][X]`.
@@ -58,22 +59,6 @@ impl ForbiddenMatrix {
         ForbiddenMatrix { n, sets }
     }
 
-    /// Builds a matrix directly from per-pair latency sets, row-major:
-    /// `sets[x * n + y] = F[X][Y]`.
-    ///
-    /// Unlike [`compute`](Self::compute), nothing guarantees the mirror
-    /// or self-contention invariants here — this exists precisely so
-    /// diagnostics ([`check_symmetry`](Self::check_symmetry)) can be
-    /// exercised against matrices that violate them.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `sets.len() == n * n`.
-    pub fn from_sets(n: usize, sets: Vec<LatencySet>) -> Self {
-        assert_eq!(sets.len(), n * n, "need one latency set per op pair");
-        ForbiddenMatrix { n, sets }
-    }
-
     /// Number of operations the matrix covers.
     pub fn num_ops(&self) -> usize {
         self.n
@@ -115,21 +100,6 @@ impl ForbiddenMatrix {
             .max()
             .unwrap_or(0)
     }
-
-    /// Verifies the mirror invariant `f ∈ F[X][Y] ⇔ −f ∈ F[Y][X]`;
-    /// returns the first violating triple if any.
-    pub fn check_symmetry(&self) -> Result<(), (usize, usize, i32)> {
-        for x in 0..self.n {
-            for y in 0..self.n {
-                for f in self.get_idx(x, y).iter() {
-                    if !self.get_idx(y, x).contains(-f) {
-                        return Err((x, y, f));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 impl fmt::Debug for ForbiddenMatrix {
@@ -151,6 +121,20 @@ impl fmt::Debug for ForbiddenMatrix {
 mod tests {
     use super::*;
     use rmd_machine::models::{all_machines, example_machine};
+
+    /// The first `(x, y, f)` with `f ∈ F[X][Y]` but `−f ∉ F[Y][X]`.
+    fn check_symmetry(f: &ForbiddenMatrix) -> Result<(), (usize, usize, i32)> {
+        for x in 0..f.num_ops() {
+            for y in 0..f.num_ops() {
+                for lat in f.get_idx(x, y).iter() {
+                    if !f.get_idx(y, x).contains(-lat) {
+                        return Err((x, y, lat));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
 
     #[test]
     fn example_machine_matches_figure_1b() {
@@ -198,7 +182,7 @@ mod tests {
     fn symmetry_holds_for_all_models() {
         for m in all_machines() {
             let f = ForbiddenMatrix::compute(&m);
-            assert_eq!(f.check_symmetry(), Ok(()), "{}", m.name());
+            assert_eq!(check_symmetry(&f), Ok(()), "{}", m.name());
         }
     }
 

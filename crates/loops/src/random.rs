@@ -6,24 +6,21 @@ use rand::Rng;
 use rmd_machine::OpId;
 use rmd_sched::{DepGraph, DepKind, NodeId};
 
+/// Probability that a loop carries a data recurrence.
+const RECURRENCE_PROB: f64 = 0.35;
+/// Probability that a value op takes a second operand edge.
+const SECOND_OPERAND_PROB: f64 = 0.6;
+
 /// Parameters of the random generator.
 #[derive(Clone, Copy, Debug)]
 pub struct RandomLoopParams {
     /// Number of operations (excluding the implicit `brtop`).
     pub size: usize,
-    /// Probability that the loop carries a data recurrence.
-    pub recurrence_prob: f64,
-    /// Probability that a value op takes a second operand edge.
-    pub second_operand_prob: f64,
 }
 
 impl Default for RandomLoopParams {
     fn default() -> Self {
-        RandomLoopParams {
-            size: 16,
-            recurrence_prob: 0.35,
-            second_operand_prob: 0.6,
-        }
+        RandomLoopParams { size: 16 }
     }
 }
 
@@ -82,7 +79,7 @@ pub fn random_loop(ops: &OpSet, rng: &mut StdRng, params: RandomLoopParams) -> D
             // Consume one or two earlier values.
             if let Some(&p) = pick(rng, &producers) {
                 g.add_edge(p, v, ops.latency(g.op(p)), 0, DepKind::Flow);
-                if rng.gen_bool(params.second_operand_prob) {
+                if rng.gen_bool(SECOND_OPERAND_PROB) {
                     if let Some(&p2) = pick(rng, &producers) {
                         if p2 != p {
                             g.add_edge(p2, v, ops.latency(g.op(p2)), 0, DepKind::Flow);
@@ -120,7 +117,7 @@ pub fn random_loop(ops: &OpSet, rng: &mut StdRng, params: RandomLoopParams) -> D
             op == ops.fadd || op == ops.fmul || op == ops.fmuld || op == ops.iadd
         })
         .collect();
-    if rng.gen_bool(params.recurrence_prob) && arith.len() >= 2 {
+    if rng.gen_bool(RECURRENCE_PROB) && arith.len() >= 2 {
         let i = rng.gen_range(1..arith.len());
         let j = i.saturating_sub(rng.gen_range(1..=2)).min(i - 1);
         let (from, to) = (arith[i], arith[j]);
@@ -152,14 +149,7 @@ mod tests {
         let ops = OpSet::for_cydra_subset(&m);
         let mut rng = StdRng::seed_from_u64(7);
         for size in [1usize, 4, 16, 64, 160] {
-            let g = random_loop(
-                &ops,
-                &mut rng,
-                RandomLoopParams {
-                    size,
-                    ..Default::default()
-                },
-            );
+            let g = random_loop(&ops, &mut rng, RandomLoopParams { size });
             assert_eq!(g.num_nodes(), size + 1); // + brtop
             assert!(g.intra_iteration_acyclic());
         }
@@ -174,27 +164,5 @@ mod tests {
         assert_eq!(g1, g2);
         let g3 = random_loop(&ops, &mut StdRng::seed_from_u64(43), Default::default());
         assert_ne!(g1, g3);
-    }
-
-    #[test]
-    fn recurrence_probability_zero_yields_recurrence_only_from_bookkeeping() {
-        let m = cydra5_subset();
-        let ops = OpSet::for_cydra_subset(&m);
-        let mut rng = StdRng::seed_from_u64(9);
-        let g = random_loop(
-            &ops,
-            &mut rng,
-            RandomLoopParams {
-                size: 20,
-                recurrence_prob: 0.0,
-                ..Default::default()
-            },
-        );
-        // Only brtop/address self-edges carry distance > 0.
-        for e in g.edges() {
-            if e.distance > 0 {
-                assert_eq!(e.from, e.to, "unexpected data recurrence");
-            }
-        }
     }
 }

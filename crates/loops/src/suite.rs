@@ -19,6 +19,8 @@ pub struct Loop {
 
 /// Builds a deterministic suite of `count` loops (the paper uses 1327)
 /// from kernel templates at varying unroll factors plus random bodies.
+/// The first two loops are always the pinned extremes, `copy@1` and
+/// `state_eq@12`, so a suite of fewer than two loops is a prefix of them.
 ///
 /// The size distribution is tuned to the paper's Table 5: smallest loop
 /// 2 operations, mean ≈ 17.5, largest capped at 161.
@@ -35,14 +37,17 @@ pub fn suite(ops: &OpSet, count: usize, seed: u64) -> Vec<Loop> {
 
     // Pin the extremes so every suite spans the paper's range:
     // a 2-op copy loop and one near-161-op unrolled kernel.
-    loops.push(Loop {
-        name: "copy@1".into(),
-        graph: minimal_copy(ops),
-    });
-    loops.push(Loop {
-        name: "state_eq@12".into(),
-        graph: kernels::state_eq(ops, 12), // 157 ops, near the 161 cap
-    });
+    let pinned = [
+        Loop {
+            name: "copy@1".into(),
+            graph: minimal_copy(ops),
+        },
+        Loop {
+            name: "state_eq@12".into(),
+            graph: kernels::state_eq(ops, 12), // 157 ops, near the 161 cap
+        },
+    ];
+    loops.extend(pinned.into_iter().take(count));
 
     while loops.len() < count {
         let i = loops.len();
@@ -61,14 +66,7 @@ pub fn suite(ops: &OpSet, count: usize, seed: u64) -> Vec<Loop> {
             }
         } else {
             let size = sample_size(&mut rng).clamp(1, 160);
-            let g = random_loop(
-                ops,
-                &mut rng,
-                RandomLoopParams {
-                    size,
-                    ..Default::default()
-                },
-            );
+            let g = random_loop(ops, &mut rng, RandomLoopParams { size });
             loops.push(Loop {
                 name: format!("rand#{i}"),
                 graph: g,

@@ -30,14 +30,13 @@
 //!     .finish();
 //! let (machine, groups) = d.expand().unwrap();
 //! assert_eq!(machine.num_operations(), 2);
-//! assert_eq!(groups.group_of_base("load").unwrap().len(), 2);
+//! assert_eq!(groups.alternatives_of(machine.op_by_name("load#1").unwrap()).len(), 2);
 //! ```
 
 use crate::ids::{OpId, ResourceId};
 use crate::machine::{MachineDescription, MachineError};
 use crate::table::ReservationTable;
 use crate::MachineBuilder;
-use std::collections::HashMap;
 
 /// An operation that may execute using any one of several reservation
 /// tables.
@@ -205,34 +204,17 @@ pub struct AltGroups {
     groups: Vec<(String, Vec<OpId>)>,
     /// For each expanded op id: index into `groups`.
     group_of: Vec<usize>,
-    by_name: HashMap<String, usize>,
 }
 
 impl AltGroups {
     fn new(groups: Vec<(String, Vec<OpId>)>, num_ops: usize) -> Self {
         let mut group_of = vec![0usize; num_ops];
-        let mut by_name = HashMap::new();
-        for (gi, (name, members)) in groups.iter().enumerate() {
-            by_name.insert(name.clone(), gi);
+        for (gi, (_, members)) in groups.iter().enumerate() {
             for &m in members {
                 group_of[m.index()] = gi;
             }
         }
-        AltGroups {
-            groups,
-            group_of,
-            by_name,
-        }
-    }
-
-    /// Builds the trivial grouping in which every operation of `m` is its
-    /// own single-member group.
-    pub fn identity(m: &MachineDescription) -> Self {
-        let groups = m
-            .ops()
-            .map(|(id, op)| (op.name().to_owned(), vec![id]))
-            .collect();
-        Self::new(groups, m.num_operations())
+        AltGroups { groups, group_of }
     }
 
     /// Builds a grouping from explicit `(base name, members)` lists over
@@ -240,7 +222,8 @@ impl AltGroups {
     /// written as distinct operations rather than expanded from an
     /// [`AltDescription`] (e.g. the per-port load/store classes of the
     /// Cydra 5 model). Operations not mentioned become single-member
-    /// groups.
+    /// groups, so `from_groups(m, Vec::new())` puts every operation in a
+    /// group of its own.
     ///
     /// # Panics
     ///
@@ -267,13 +250,6 @@ impl AltGroups {
     /// (always includes `op` itself).
     pub fn alternatives_of(&self, op: OpId) -> &[OpId] {
         &self.groups[self.group_of[op.index()]].1
-    }
-
-    /// The members of the group for the source operation named `base`.
-    pub fn group_of_base(&self, base: &str) -> Option<&[OpId]> {
-        self.by_name
-            .get(base)
-            .map(|&gi| self.groups[gi].1.as_slice())
     }
 
     /// Iterates over `(base name, members)` pairs.
@@ -314,7 +290,10 @@ mod tests {
         assert_eq!(m.operations()[1].name(), "load#1");
         assert_eq!(m.operations()[0].base(), Some("load"));
         assert_eq!(g.alternatives_of(OpId(1)), &[OpId(0), OpId(1)]);
-        assert_eq!(g.group_of_base("load").unwrap().len(), 2);
+        assert_eq!(
+            g.iter().collect::<Vec<_>>(),
+            [("load", &[OpId(0), OpId(1)][..])]
+        );
     }
 
     #[test]
@@ -339,8 +318,11 @@ mod tests {
         b.operation("x").usage(r, 0).finish();
         b.operation("y").usage(r, 1).finish();
         let m = b.build().unwrap();
-        let g = AltGroups::identity(&m);
+        let g = AltGroups::from_groups(&m, Vec::new());
         assert_eq!(g.alternatives_of(OpId(1)), &[OpId(1)]);
-        assert_eq!(g.group_of_base("x").unwrap(), &[OpId(0)]);
+        assert_eq!(
+            g.iter().collect::<Vec<_>>(),
+            [("x", &[OpId(0)][..]), ("y", &[OpId(1)][..])]
+        );
     }
 }

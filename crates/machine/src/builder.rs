@@ -72,13 +72,6 @@ impl MachineBuilder {
         }
     }
 
-    /// Adds a fully-formed operation.
-    pub fn add_operation(&mut self, name: impl Into<String>, table: ReservationTable) -> &mut Self {
-        let name = name.into();
-        self.push_op(Operation::new(name, table, None, 1.0));
-        self
-    }
-
     fn push_op(&mut self, op: Operation) {
         if !self.op_names.insert(op.name().to_owned()) && self.error.is_none() {
             self.error = Some(MachineError::DuplicateOperation(op.name().to_owned()));

@@ -73,7 +73,6 @@ impl Operation {
 
 /// Errors arising while building or validating a machine description.
 #[derive(Clone, PartialEq, Eq, Debug)]
-#[non_exhaustive]
 pub enum MachineError {
     /// Two resources were declared with the same name.
     DuplicateResource(String),

@@ -42,7 +42,6 @@ impl fmt::Display for Span {
 
 /// What went wrong while parsing MDL.
 #[derive(Clone, PartialEq, Eq, Debug)]
-#[non_exhaustive]
 pub enum ParseErrorKind {
     /// A character that can't start any token.
     UnexpectedChar(char),

@@ -50,7 +50,7 @@ mod printer;
 
 pub use error::{ParseError, ParseErrorKind, Span};
 pub use parser::SourceMap;
-pub use printer::{print, print_alt};
+pub use printer::print;
 
 use crate::alternatives::{AltDescription, AltGroups};
 use crate::machine::{MachineDescription, MachineError};
@@ -123,10 +123,10 @@ mod tests {
                 }
             }
         "#;
-        let d1 = parse(src).unwrap();
-        let printed = print_alt(&d1);
-        let d2 = parse(&printed).unwrap();
-        assert_eq!(d1, d2);
+        let (m1, g1) = parse_machine(src).unwrap();
+        let (m2, g2) = parse_machine(&print(&m1)).unwrap();
+        assert_eq!(m1, m2);
+        assert_eq!(g1, g2);
     }
 
     #[test]

@@ -338,7 +338,10 @@ mod tests {
         assert_eq!(d.operations()[0].alternatives().len(), 2);
         let (m, g) = d.expand().unwrap();
         assert_eq!(m.num_operations(), 2);
-        assert_eq!(g.group_of_base("ld").unwrap().len(), 2);
+        assert_eq!(
+            g.alternatives_of(crate::OpId(0)),
+            &[crate::OpId(0), crate::OpId(1)]
+        );
     }
 
     #[test]

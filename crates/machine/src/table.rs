@@ -82,19 +82,6 @@ impl ReservationTable {
         }
     }
 
-    /// Removes the reservation of `resource` in `cycle`, if present.
-    /// Returns `true` if a usage was removed.
-    pub fn release(&mut self, resource: ResourceId, cycle: u32) -> bool {
-        let u = Usage::new(resource, cycle);
-        match self.usages.binary_search(&u) {
-            Ok(pos) => {
-                self.usages.remove(pos);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
     /// Returns `true` if `resource` is reserved in `cycle`.
     pub fn uses(&self, resource: ResourceId, cycle: u32) -> bool {
         self.usages
@@ -258,14 +245,14 @@ mod tests {
     }
 
     #[test]
-    fn reserve_and_release_round_trip() {
+    fn reserve_marks_exactly_its_cell() {
         let mut t = ReservationTable::new();
+        assert!(t.is_empty());
         t.reserve(r(1), 4);
         assert!(t.uses(r(1), 4));
-        assert!(t.release(r(1), 4));
-        assert!(!t.uses(r(1), 4));
-        assert!(!t.release(r(1), 4));
-        assert!(t.is_empty());
+        assert!(!t.uses(r(1), 3));
+        assert!(!t.uses(r(0), 4));
+        assert!(!t.is_empty());
     }
 
     #[test]

@@ -109,7 +109,8 @@ fn pristine_fixture_parses_cleanly() {
     assert_eq!(m.name(), "vliw-dsp");
     // `load` expands to two alternatives; every other op is singleton.
     assert_eq!(m.num_operations(), 7);
-    assert_eq!(groups.group_of_base("load").map(<[_]>::len), Some(2));
+    let load = m.op_by_name("load#0").expect("`load` has alternatives");
+    assert_eq!(groups.alternatives_of(load).len(), 2);
 }
 
 #[test]

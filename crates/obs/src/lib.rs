@@ -11,7 +11,7 @@
 //!   ([`set_enabled`] / [`is_enabled`]); with tracing off (the default)
 //!   a [`span`] call is one relaxed atomic load and constructs nothing,
 //!   so release hot paths pay essentially zero — the same philosophy as
-//!   the `debug_assertions`-gated `ProtocolChecker` in `rmd-query`.
+//!   the query modules' debug-only protocol assertions in `rmd-query`.
 //! * **Metrics** ([`MetricRegistry`], [`Histogram`]) — monotonic
 //!   counters, gauges, and log2-bucketed histograms whose `merge` is
 //!   associative and commutative with the empty registry as identity,

@@ -185,7 +185,7 @@ mod tests {
         // delegates to the backend's first_free_in, which meters
         // check_window.
         let m = rmd_machine::models::example_machine();
-        let g = AltGroups::identity(&m);
+        let g = AltGroups::from_groups(&m, Vec::new());
         let b = m.op_by_name("B").unwrap();
         let mut q = DiscreteModule::new(&m);
         q.assign(OpInstance(0), b, 0);

@@ -3,8 +3,6 @@
 use crate::compiled::{CompiledMasks, CompiledUsages};
 use crate::counters::{QueryFn, WorkCounters};
 use crate::registry::{OpInstance, Registry};
-#[cfg(debug_assertions)]
-use crate::trace::{ProtocolChecker, QueryEvent};
 use crate::traits::ContentionQuery;
 use crate::window::{self, LoadCache, WindowScan};
 use rmd_machine::{MachineDescription, OpId};
@@ -62,9 +60,6 @@ pub struct BitvecModule {
     horizon_cycles: u32,
     registry: Registry,
     counters: WorkCounters,
-    /// Debug builds validate the query protocol on every call.
-    #[cfg(debug_assertions)]
-    guard: ProtocolChecker,
 }
 
 impl BitvecModule {
@@ -84,18 +79,6 @@ impl BitvecModule {
             horizon_cycles: 0,
             registry: Registry::new(),
             counters: WorkCounters::new(),
-            #[cfg(debug_assertions)]
-            guard: ProtocolChecker::new(machine),
-        }
-    }
-
-    /// Debug-only protocol enforcement; see
-    /// [`DiscreteModule`](crate::DiscreteModule) for the same hook.
-    #[cfg(debug_assertions)]
-    #[inline]
-    fn guard(&mut self, event: QueryEvent) {
-        if let Err(v) = self.guard.observe(&event) {
-            panic!("query-protocol violation in BitvecModule: {v}");
         }
     }
 
@@ -261,8 +244,6 @@ impl ContentionQuery for BitvecModule {
     }
 
     fn assign(&mut self, inst: OpInstance, op: OpId, cycle: u32) {
-        #[cfg(debug_assertions)]
-        self.guard(QueryEvent::Assign { inst, op, cycle });
         self.ensure_horizon(cycle + self.usages.length[op.index()]);
         let units = self.word_apply(op, cycle, true);
         self.counters.record(QueryFn::Assign, units);
@@ -282,8 +263,6 @@ impl ContentionQuery for BitvecModule {
         cycle: u32,
         evicted: &mut Vec<OpInstance>,
     ) {
-        #[cfg(debug_assertions)]
-        self.guard(QueryEvent::AssignFree { inst, op, cycle });
         self.ensure_horizon(cycle + self.usages.length[op.index()]);
         evicted.clear();
         let mut units = 0;
@@ -352,8 +331,6 @@ impl ContentionQuery for BitvecModule {
     }
 
     fn free(&mut self, inst: OpInstance, op: OpId, cycle: u32) {
-        #[cfg(debug_assertions)]
-        self.guard(QueryEvent::Free { inst, op, cycle });
         let removed = self.registry.remove(inst);
         debug_assert_eq!(removed, Some((op, cycle)), "free of unscheduled instance");
         let units = self.word_apply(op, cycle, false);

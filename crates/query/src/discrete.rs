@@ -3,8 +3,6 @@
 use crate::compiled::CompiledUsages;
 use crate::counters::{QueryFn, WorkCounters};
 use crate::registry::{OpInstance, Registry};
-#[cfg(debug_assertions)]
-use crate::trace::{ProtocolChecker, QueryEvent};
 use crate::traits::ContentionQuery;
 use rmd_machine::{MachineDescription, OpId};
 
@@ -38,9 +36,6 @@ pub struct DiscreteModule {
     horizon: u32,
     registry: Registry,
     counters: WorkCounters,
-    /// Debug builds validate the query protocol on every call.
-    #[cfg(debug_assertions)]
-    guard: ProtocolChecker,
 }
 
 impl DiscreteModule {
@@ -52,19 +47,6 @@ impl DiscreteModule {
             horizon: 0,
             registry: Registry::new(),
             counters: WorkCounters::new(),
-            #[cfg(debug_assertions)]
-            guard: ProtocolChecker::new(machine),
-        }
-    }
-
-    /// Debug-only protocol enforcement: panics with a structured
-    /// [`crate::ProtocolViolation`] message on misuse of the four query
-    /// functions. Release builds compile this away entirely.
-    #[cfg(debug_assertions)]
-    #[inline]
-    fn guard(&mut self, event: QueryEvent) {
-        if let Err(v) = self.guard.observe(&event) {
-            panic!("query-protocol violation in DiscreteModule: {v}");
         }
     }
 
@@ -111,8 +93,6 @@ impl ContentionQuery for DiscreteModule {
     }
 
     fn assign(&mut self, inst: OpInstance, op: OpId, cycle: u32) {
-        #[cfg(debug_assertions)]
-        self.guard(QueryEvent::Assign { inst, op, cycle });
         self.ensure_horizon(cycle + self.compiled.length[op.index()]);
         for &(r, c) in self.compiled.of(op) {
             let s = self.slot(r, cycle + c);
@@ -131,8 +111,6 @@ impl ContentionQuery for DiscreteModule {
         cycle: u32,
         evicted: &mut Vec<OpInstance>,
     ) {
-        #[cfg(debug_assertions)]
-        self.guard(QueryEvent::AssignFree { inst, op, cycle });
         self.ensure_horizon(cycle + self.compiled.length[op.index()]);
         evicted.clear();
         let mut units = 0;
@@ -162,8 +140,6 @@ impl ContentionQuery for DiscreteModule {
     }
 
     fn free(&mut self, inst: OpInstance, op: OpId, cycle: u32) {
-        #[cfg(debug_assertions)]
-        self.guard(QueryEvent::Free { inst, op, cycle });
         let removed = self.registry.remove(inst);
         debug_assert_eq!(removed, Some((op, cycle)), "free of unscheduled instance");
         for &(r, c) in self.compiled.of(op) {

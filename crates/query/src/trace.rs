@@ -13,10 +13,10 @@
 //!   double-assigns, frees without a matching assign, frees naming a
 //!   foreign owner, and modulo-wraparound misfits.
 //!
-//! The same [`ProtocolChecker`] is embedded (under `debug_assertions`)
-//! in [`DiscreteModule`](crate::DiscreteModule) and
-//! [`BitvecModule`](crate::BitvecModule), turning each violation into a
-//! panic at the offending call instead of a corrupted schedule later.
+//! No module embeds the checker: [`DiscreteModule`](crate::DiscreteModule)
+//! and [`BitvecModule`](crate::BitvecModule) debug-assert the same
+//! protocol on their own state, so each violation panics at the
+//! offending call in a debug build.
 
 use crate::registry::OpInstance;
 use crate::traits::ContentionQuery;
@@ -360,16 +360,10 @@ impl ProtocolChecker {
                     .collect()
             })
             .collect();
-        let fits = usages
+        let fits = machine
+            .operations()
             .iter()
-            .map(|us| match ii {
-                None => true,
-                Some(ii) => {
-                    let mut slots: Vec<(u32, u32)> = us.iter().map(|&(r, c)| (r, c % ii)).collect();
-                    slots.sort_unstable();
-                    slots.windows(2).all(|w| w[0] != w[1])
-                }
-            })
+            .map(|op| ii.map_or(true, |ii| op.table().fits_modulo(ii)))
             .collect();
         ProtocolChecker {
             usages,
@@ -692,5 +686,56 @@ mod tests {
         assert_eq!(answers[2].response, Response::Admitted(false));
         assert_eq!(answers[3].response, Response::Evicted(vec![OpInstance(0)]));
         assert_eq!(answers[3].scheduled, 1);
+    }
+
+    /// The linear modules assert the protocol on their own state: every
+    /// misuse `check_protocol` flags panics both of them at the call.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn linear_modules_panic_on_each_protocol_violation() {
+        use crate::bitvec::{BitvecModule, WordLayout};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let (m, a, b) = ops();
+        let assign = |inst, op, cycle| QueryEvent::Assign {
+            inst: OpInstance(inst),
+            op,
+            cycle,
+        };
+        let free = |inst, op, cycle| QueryEvent::Free {
+            inst: OpInstance(inst),
+            op,
+            cycle,
+        };
+        let reassign = QueryEvent::AssignFree {
+            inst: OpInstance(0),
+            op: b,
+            cycle: 8,
+        };
+        let cases = [
+            // One instance assigned twice, plainly and by assign_free.
+            vec![assign(0, b, 0), assign(0, b, 8)],
+            vec![assign(0, b, 0), reassign],
+            // A plain assign over another instance's reservation.
+            vec![assign(0, b, 0), assign(1, b, 1)],
+            // A free of an instance that is not scheduled.
+            vec![free(0, b, 0)],
+            // A free under the wrong op, and under the wrong cycle.
+            vec![assign(0, b, 0), free(0, a, 0)],
+            vec![assign(0, b, 0), free(0, b, 1)],
+        ];
+        let layout = WordLayout::widest(64, m.num_resources());
+        for events in cases {
+            let mut t = QueryTrace::new(m.name());
+            events.iter().for_each(|&e| t.push(e));
+            assert!(!t.check_protocol(&m).is_empty(), "{events:?}");
+            let discrete = catch_unwind(AssertUnwindSafe(|| {
+                t.replay(&mut DiscreteModule::new(&m));
+            }));
+            assert!(discrete.is_err(), "DiscreteModule accepted {events:?}");
+            let bitvec = catch_unwind(AssertUnwindSafe(|| {
+                t.replay(&mut BitvecModule::new(&m, layout));
+            }));
+            assert!(bitvec.is_err(), "BitvecModule accepted {events:?}");
+        }
     }
 }

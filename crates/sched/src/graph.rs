@@ -317,11 +317,7 @@ mod tests {
         let ops = rmd_loops::OpSet::for_cydra_subset(&m);
         let mut rng = StdRng::seed_from_u64(0x0F5A);
         for size in 1..=160 {
-            let params = RandomLoopParams {
-                size,
-                ..Default::default()
-            };
-            assert_chains_follow_edges!(random_loop(&ops, &mut rng, params));
+            assert_chains_follow_edges!(random_loop(&ops, &mut rng, RandomLoopParams { size }));
         }
         // Node and edge additions interleaved at random, self and
         // parallel edges included.

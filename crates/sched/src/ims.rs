@@ -42,7 +42,6 @@ impl Default for ImsConfig {
 
 /// Why scheduling failed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[non_exhaustive]
 pub enum ImsError {
     /// Budget exhausted at every II up to the configured maximum.
     NoFeasibleIi {
@@ -1145,7 +1144,7 @@ mod edge_tests {
         assert_eq!(crate::mii::mii(&rec, &m), 3);
 
         let ims = IterativeModuloScheduler::default();
-        let groups = AltGroups::identity(&m);
+        let groups = AltGroups::from_groups(&m, Vec::new());
         let layout = WordLayout::widest(64, m.num_resources());
         for repr in [Representation::Discrete, Representation::Bitvec(layout)] {
             for (g, mii, want) in [(&lone, 1, 2), (&lone, 3, 4), (&rec, 3, 4)] {

@@ -59,6 +59,6 @@ mod validate;
 
 pub use graph::{DepGraph, DepKind, Edge, NodeId};
 pub use ims::{ImsConfig, ImsError, ImsResult, IterativeModuloScheduler, Representation};
-pub use list::{schedule_trace, BoundaryOp, ListResult, ListScheduler, TraceResult};
+pub use list::{BoundaryOp, ListResult, ListScheduler};
 pub use scratch::SchedScratch;
 pub use validate::{validate, validate_list, ScheduleError};

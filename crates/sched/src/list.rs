@@ -141,86 +141,6 @@ impl ListScheduler {
     }
 }
 
-/// The schedule of a trace (a sequence of basic blocks executed in
-/// order), with dangling resource requirements carried precisely across
-/// every boundary.
-#[derive(Clone, Debug)]
-pub struct TraceResult {
-    /// Per-block list-scheduling results (times relative to each block's
-    /// entry).
-    pub blocks: Vec<ListResult>,
-    /// Absolute entry cycle of each block.
-    pub entries: Vec<i64>,
-    /// Total trace length in cycles (one past the last reservation).
-    pub total_cycles: i64,
-}
-
-/// Schedules a trace of acyclic blocks in order, carrying each block's
-/// unfinished reservations into the next block as [`BoundaryOp`]s —
-/// paper §1: "the resource requirements at the beginning of a basic
-/// block consist of the union of all the resource requirements dangling
-/// from predecessor basic blocks."
-///
-/// Block `i+1` begins issuing the cycle after block `i`'s last issue;
-/// any reservation table still occupying resources at that point
-/// becomes a dangling requirement with a negative issue cycle.
-///
-/// # Panics
-///
-/// Panics if any block is cyclic (see [`ListScheduler::schedule`]).
-pub fn schedule_trace(
-    blocks: &[DepGraph],
-    machine: &MachineDescription,
-    repr: Representation,
-) -> TraceResult {
-    let mut results = Vec::with_capacity(blocks.len());
-    let mut entries = Vec::with_capacity(blocks.len());
-    let mut entry: i64 = 0;
-    let mut dangling: Vec<BoundaryOp> = Vec::new();
-    let mut total: i64 = 0;
-
-    for g in blocks {
-        entries.push(entry);
-        let r = ListScheduler::with_boundary(dangling.clone()).schedule(g, machine, repr);
-        // Next block starts the cycle after this block's last issue.
-        let block_len = i64::from(r.length.max(1));
-
-        // Reservations still live past the boundary: this block's ops...
-        let mut next_dangling = Vec::new();
-        for v in g.nodes() {
-            let t = i64::from(r.times[v.index()]);
-            let len = i64::from(machine.operation(g.op(v)).table().length());
-            total = total.max(entry + t + len);
-            if t + len > block_len {
-                next_dangling.push(BoundaryOp {
-                    op: g.op(v),
-                    issue_cycle: (t - block_len) as i32,
-                });
-            }
-        }
-        // ...plus inherited danglers that outlive this block too.
-        for b in &dangling {
-            let len = i64::from(machine.operation(b.op).table().length());
-            if i64::from(b.issue_cycle) + len > block_len {
-                next_dangling.push(BoundaryOp {
-                    op: b.op,
-                    issue_cycle: (i64::from(b.issue_cycle) - block_len) as i32,
-                });
-            }
-        }
-        dangling = next_dangling;
-        entry += block_len;
-        total = total.max(entry);
-        results.push(r);
-    }
-
-    TraceResult {
-        blocks: results,
-        entries,
-        total_cycles: total,
-    }
-}
-
 fn topo_ranks(g: &DepGraph) -> Vec<usize> {
     let n = g.num_nodes();
     let mut indeg = vec![0usize; n];
@@ -323,67 +243,6 @@ mod tests {
         );
         assert_eq!(d.times, v.times);
         validate_list(&g, &m, &d).expect("test setup");
-    }
-
-    #[test]
-    fn trace_carries_dangling_reservations() {
-        let m = mips_r3000();
-        let div = m.op_by_name("div.s").expect("test setup");
-        let alu = m.op_by_name("alu").expect("test setup");
-        // Block 1: a div.s issued near its end dangles into block 2.
-        let mut b1 = DepGraph::new();
-        let a = b1.add_node(alu);
-        let d = b1.add_node(div);
-        b1.add_edge(a, d, 1, 0, DepKind::Flow);
-        // Block 2: another div.s, which must wait for the divider.
-        let mut b2 = DepGraph::new();
-        b2.add_node(div);
-
-        let tr = schedule_trace(&[b1.clone(), b2.clone()], &m, Representation::Discrete);
-        assert_eq!(tr.blocks.len(), 2);
-        assert_eq!(tr.entries[0], 0);
-        assert!(tr.entries[1] > 0);
-        // The divider is busy across the boundary: block 2's div can't
-        // start at its entry cycle.
-        assert!(
-            tr.blocks[1].times[0] > 0,
-            "block-2 div at {}",
-            tr.blocks[1].times[0]
-        );
-        // And each block validates with its inherited boundary.
-        crate::validate_list(&b1, &m, &tr.blocks[0]).expect("test setup");
-        crate::validate_list(&b2, &m, &tr.blocks[1]).expect("test setup");
-        assert!(tr.total_cycles >= tr.entries[1]);
-    }
-
-    #[test]
-    fn trace_reservations_never_collide_globally() {
-        // Simulate all blocks' reservations on one absolute timeline and
-        // assert exclusivity — the global form of boundary correctness.
-        let m = mips_r3000();
-        let names = ["load", "mul.s", "div.s", "alu", "store", "div.s"];
-        let blocks: Vec<DepGraph> = names
-            .chunks(2)
-            .map(|pair| {
-                let mut g = DepGraph::new();
-                let x = g.add_node(m.op_by_name(pair[0]).expect("test setup"));
-                let y = g.add_node(m.op_by_name(pair[1]).expect("test setup"));
-                g.add_edge(x, y, 1, 0, DepKind::Flow);
-                g
-            })
-            .collect();
-        let tr = schedule_trace(&blocks, &m, Representation::Discrete);
-        let mut taken = std::collections::HashMap::new();
-        for (bi, (g, r)) in blocks.iter().zip(&tr.blocks).enumerate() {
-            for v in g.nodes() {
-                let abs = tr.entries[bi] + i64::from(r.times[v.index()]);
-                for u in m.operation(g.op(v)).table().usages() {
-                    let key = (u.resource.0, abs + i64::from(u.cycle));
-                    let prev = taken.insert(key, (bi, v));
-                    assert!(prev.is_none(), "{key:?} reserved twice: {prev:?}");
-                }
-            }
-        }
     }
 
     #[test]

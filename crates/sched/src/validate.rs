@@ -15,7 +15,6 @@ use std::collections::HashMap;
 
 /// A witness that a schedule is invalid.
 #[derive(Clone, PartialEq, Eq, Debug)]
-#[non_exhaustive]
 pub enum ScheduleError {
     /// A dependence `from → to` is violated.
     DependenceViolated {

@@ -375,7 +375,6 @@ fn loops(original: &MachineDescription) -> Vec<Loop> {
         for i in 0..12 {
             let params = RandomLoopParams {
                 size: rng.gen_range(2..61),
-                ..RandomLoopParams::default()
             };
             loops.push(Loop {
                 name: format!("seed {seed} loop {i}"),

@@ -118,13 +118,8 @@ impl MachineEntry {
             &mut self.mask_cache,
             &mut self.scratch,
         )
-        .map_err(|e| match e {
-            ImsError::NoFeasibleIi { max_ii } => {
-                ServeError::Rmd(RmdError::Unschedulable { max_ii })
-            }
-            other => ServeError::BadRequest {
-                detail: format!("scheduler error: {other}"),
-            },
+        .map_err(|ImsError::NoFeasibleIi { max_ii }| {
+            ServeError::Rmd(RmdError::Unschedulable { max_ii })
         })
     }
 }
@@ -510,7 +505,6 @@ impl ServeEngine {
         let fallback = red.fallback.as_ref().map(|ev| match ev {
             FallbackEvent::ReductionFailed(_) => "reduction_failed",
             FallbackEvent::VerificationFailed(_) => "verification_failed",
-            _ => "fallback",
         });
         let sched_machine = red.machine;
         let sched_layout = WordLayout::widest(64, sched_machine.num_resources());
@@ -1120,28 +1114,39 @@ mod tests {
 
     #[test]
     fn suite_runs_and_is_deterministic() {
-        // The same frame on a cold and then a warm mask cache and
-        // scratch: both replies equal one offline run over the loops.
+        suite_matches_offline_run(80);
+    }
+
+    #[test]
+    fn one_loop_suite_frame_schedules_one_loop() {
+        suite_matches_offline_run(1);
+    }
+
+    /// Sends the same suite frame on a cold and then a warm mask cache
+    /// and scratch: both replies must equal one offline run over
+    /// `suite(ops, loops, 7)`.
+    fn suite_matches_offline_run(loops: usize) {
         let mut e = engine();
         let fp = submit_cydra5_subset(&mut e);
-        let line = format!(r#"{{"type":"suite","fingerprint":"{fp}","loops":80,"seed":7}}"#);
+        let line = format!(r#"{{"type":"suite","fingerprint":"{fp}","loops":{loops},"seed":7}}"#);
         let replies = [ok_reply(&mut e, &line), ok_reply(&mut e, &line)];
         let entry = &e.machines[&fp];
         let ops = rmd_loops::OpSet::for_cydra_subset(&entry.original);
         let offline = rmd_bench::run_suite_runs(
             &entry.sched_machine,
             &entry.original,
-            &rmd_loops::suite(&ops, 80, 7),
+            &rmd_loops::suite(&ops, loops, 7),
             Representation::Bitvec(entry.layout),
             ImsConfig::default().budget_ratio,
         );
+        assert_eq!(offline.len(), loops);
         let mut digest = SuiteDigest::default();
         offline.iter().for_each(|r| digest.push(r));
         let at_mii = offline.iter().filter(|r| r.ii == r.mii).count() as u64;
         let sum_ii: u64 = offline.iter().map(|r| u64::from(r.ii)).sum();
         for v in &replies {
             let num = |k: &str| v.get(k).and_then(|n| n.as_u64());
-            assert_eq!(num("loops"), Some(80), "{v:?}");
+            assert_eq!(num("loops"), Some(loops as u64), "{v:?}");
             assert_eq!(num("at_mii"), Some(at_mii), "{v:?}");
             assert_eq!(num("sum_ii"), Some(sum_ii), "{v:?}");
             assert_eq!(
@@ -1156,7 +1161,8 @@ mod tests {
     fn suite_loop_with_no_feasible_ii_is_unschedulable() {
         // `brtop` holds r11 for 4,097 cycles, so it collides with its
         // own next iteration at every II up to the default cap of 4,096;
-        // `state_eq@12`, which every suite schedules second, uses it.
+        // `state_eq@12`, which a suite of two or more loops schedules
+        // second, uses it.
         // The suite frame answers like the schedule frame, and the
         // machine stays cached.
         let ops = models::CYDRA5_SUBSET_OPS;
@@ -1180,7 +1186,7 @@ mod tests {
         let schedule = format!(r#"{{"type":"schedule","fingerprint":"{fp}","nodes":["brtop"]}}"#);
         let (want, _) = e.handle_line(&schedule, Instant::now());
         assert!(want.contains(r#""kind":"unschedulable""#), "{want}");
-        let suite = format!(r#"{{"type":"suite","fingerprint":"{fp}","loops":1,"seed":7}}"#);
+        let suite = format!(r#"{{"type":"suite","fingerprint":"{fp}","loops":2,"seed":7}}"#);
         let (got, _) = e.handle_line(&suite, Instant::now());
         assert_eq!(got, want);
         assert_eq!(e.counter("serve.quarantined"), 0);

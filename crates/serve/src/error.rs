@@ -90,9 +90,6 @@ impl ServeError {
                 RmdError::Io(_) => 115,
                 RmdError::BudgetExhausted { .. } => 120,
                 RmdError::Unschedulable { .. } => 121,
-                // `RmdError` is non-exhaustive; future variants get a
-                // catch-all code in the RmdError band.
-                _ => 119,
             },
             ServeError::Timeout { .. } => 130,
             ServeError::Overloaded { .. } => 131,
@@ -118,7 +115,6 @@ impl ServeError {
                 RmdError::Io(_) => "io",
                 RmdError::BudgetExhausted { .. } => "budget_exhausted",
                 RmdError::Unschedulable { .. } => "unschedulable",
-                _ => "rmd_error",
             },
             ServeError::Timeout { .. } => "timeout",
             ServeError::Overloaded { .. } => "overloaded",

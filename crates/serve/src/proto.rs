@@ -262,15 +262,9 @@ fn parse_body<'a>(v: ValueRef<'a, '_>) -> Result<Request<'a>, ServeError> {
                     })
                 }
             };
-            let strict = match v.get("strict") {
-                None => false,
-                Some(b) => b.as_bool().ok_or_else(|| ServeError::BadRequest {
-                    detail: "\"strict\" must be a boolean".to_string(),
-                })?,
-            };
             Ok(Request::Machine {
                 source,
-                strict,
+                strict: opt_bool(v, "strict")?,
                 max_steps: opt_u64(v, "max_steps")?,
             })
         }

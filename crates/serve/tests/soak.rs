@@ -323,7 +323,6 @@ fn chaos_soak_ten_thousand_requests() {
                 "parse",
                 "invalid_machine",
                 "limit_exceeded",
-                "degenerate_input",
                 "verification_failed",
                 "io",
                 "budget_exhausted",
@@ -332,7 +331,6 @@ fn chaos_soak_ten_thousand_requests() {
                 "overloaded",
                 "shutting_down",
                 "panicked",
-                "rmd_error",
             ]
             .contains(&kind.as_str()),
             "untyped error kind {kind}"

@@ -17,7 +17,7 @@ use rmd_certify::ConflictVectors;
 use rmd_fault::{generate, GenConfig};
 use rmd_loops::random::{random_loop, RandomLoopParams};
 use rmd_loops::OpSet;
-use rmd_machine::{mdl, models, MachineBuilder, MachineDescription, OpId, ReservationTable};
+use rmd_machine::{mdl, models, MachineBuilder, MachineDescription, OpId};
 use rmd_sched::{mii, DepGraph, DepKind, NodeId};
 use std::path::Path;
 
@@ -165,7 +165,6 @@ fn seeded_loops_match_oracle_on_both_cydra_descriptions() {
             for i in 0..64 {
                 let params = RandomLoopParams {
                     size: rng.gen_range(2..25),
-                    ..RandomLoopParams::default()
                 };
                 let g = random_loop(&ops, &mut rng, params);
                 if let Some(why) = mismatch(&g, &m) {
@@ -215,10 +214,11 @@ fn scattered(seed: u64) -> MachineDescription {
         .map(|i| b.resource(format!("r{i}")))
         .collect();
     for o in 0..1 + rng.below(4) {
-        let usages: Vec<_> = (0..1 + rng.below(6))
-            .map(|_| (res[rng.index(res.len())], rng.below(40) as u32))
-            .collect();
-        b.add_operation(format!("op{o}"), ReservationTable::from_usages(usages));
+        let mut op = b.operation(format!("op{o}"));
+        for _ in 0..1 + rng.below(6) {
+            op = op.usage(res[rng.index(res.len())], rng.below(40) as u32);
+        }
+        op.finish();
     }
     b.build().expect("every operation reserves a resource")
 }

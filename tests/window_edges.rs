@@ -141,7 +141,7 @@ fn groupings() -> [AltGroups; 2] {
     let m = window_machine();
     let pair = vec![m.op_by_name("nop").unwrap(), m.op_by_name("div").unwrap()];
     [
-        AltGroups::identity(&m),
+        AltGroups::from_groups(&m, Vec::new()),
         AltGroups::from_groups(&m, vec![("pair".to_owned(), pair)]),
     ]
 }
