@@ -11,22 +11,34 @@ use crate::metrics::MetricRegistry;
 use crate::span::{Event, EventKind};
 use std::fmt::Write as _;
 
-/// Appends `s` to `out` as a JSON string literal (with quotes).
+/// Appends `s` to `out` as a JSON string literal (with quotes). `"`,
+/// `\` and control characters are escaped, everything else is copied,
+/// each run of bytes that needs no escape with one `push_str`. Every
+/// escaped byte is ASCII, so each run ends on a character boundary.
 pub fn push_json_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !(b == b'"' || b == b'\\' || b < 0x20) {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 

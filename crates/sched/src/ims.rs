@@ -266,7 +266,7 @@ impl IterativeModuloScheduler {
         let mut decisions_total = 0u64;
         let mut reversed_by_resource = 0u64;
         let mut reversed_by_dependence = 0u64;
-        let mut per_attempt_ratio = scratch.take_ratios();
+        scratch.ratios.clear();
         let mut attempts = 0u32;
 
         // A caller-supplied MII of 0 is meaningless (an II is at least 1
@@ -309,7 +309,7 @@ impl IterativeModuloScheduler {
             decisions_total += outcome.decisions;
             reversed_by_resource += outcome.reversed_by_resource;
             reversed_by_dependence += outcome.reversed_by_dependence;
-            per_attempt_ratio.push(outcome.decisions as f64 / n as f64);
+            scratch.ratios.push(outcome.decisions as f64 / n as f64);
             if outcome.reversed_by_resource > 0 {
                 rmd_obs::instant_with("sched", "evictions", "count", outcome.reversed_by_resource);
             }
@@ -326,7 +326,7 @@ impl IterativeModuloScheduler {
                     reversed_by_resource,
                     reversed_by_dependence,
                     attempts,
-                    per_attempt_ratio,
+                    per_attempt_ratio: scratch.copy_ratios(),
                     counters,
                 });
             }

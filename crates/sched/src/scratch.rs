@@ -54,6 +54,10 @@ pub struct SchedScratch {
     /// The reservation-table module reused across bitvector
     /// attempts (words, owner table, and registry keep their capacity).
     pub(crate) module: Option<ModuloBitvecModule>,
+    /// Decisions per node of each attempt of the schedule in progress;
+    /// a result gets a copy, and the buffer stays here whether or not
+    /// some II was feasible.
+    pub(crate) ratios: Vec<f64>,
     /// Pools of returned result vectors (see [`recycle`](Self::recycle)).
     pub(crate) pool_times: Vec<Vec<u32>>,
     pub(crate) pool_ops: Vec<Vec<OpId>>,
@@ -92,10 +96,12 @@ impl SchedScratch {
         v
     }
 
-    /// A cleared `Vec<f64>` from the pool (or a fresh one).
-    pub(crate) fn take_ratios(&mut self) -> Vec<f64> {
+    /// A copy of the finished schedule's [`ratios`](Self::ratios) in a
+    /// `Vec<f64>` from the pool (or a fresh one).
+    pub(crate) fn copy_ratios(&mut self) -> Vec<f64> {
         let mut v = self.pool_ratios.pop().unwrap_or_default();
         v.clear();
+        v.extend_from_slice(&self.ratios);
         v
     }
 }

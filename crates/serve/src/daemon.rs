@@ -216,7 +216,7 @@ fn slow_record(entry: &crate::flight::FlightEntry, slow_ms: u64) -> Option<Strin
     out.push_str(",\"threshold_ms\":");
     out.push_str(&slow_ms.to_string());
     out.push_str(",\"outcome\":");
-    push_json_string(&mut out, &entry.outcome);
+    push_json_string(&mut out, entry.outcome);
     out.push('}');
     Some(out)
 }
@@ -514,7 +514,7 @@ mod tests {
             kind: "schedule",
             fingerprint: None,
             latency_ns: 12_999_999,
-            outcome: "ok".to_string(),
+            outcome: "ok",
         };
         assert_eq!(slow_record(&entry, 13), None, "12.99 ms is under 13 ms");
         let line = slow_record(&entry, 12).expect("12.99 ms reaches 12 ms");

@@ -156,9 +156,10 @@ pub struct ServeEngine {
     req_index: u64,
     metrics: MetricRegistry,
     started: Instant,
-    /// Fingerprint the currently executing request resolved; read back
-    /// for quarantine when the request panics.
-    touched: Option<String>,
+    /// Fingerprint the currently executing request resolved, empty when
+    /// none; read back for quarantine when the request panics. One
+    /// buffer for the engine's life, so resolving allocates nothing.
+    touched: String,
     flight: FlightRecorder,
     /// Dependence graph reused across `schedule` requests (node and
     /// edge arenas keep their capacity; see [`DepGraph::clear`]).
@@ -177,7 +178,7 @@ impl ServeEngine {
             req_index: 0,
             metrics: MetricRegistry::new(),
             started: Instant::now(),
-            touched: None,
+            touched: String::new(),
             flight: FlightRecorder::default(),
             graph_scratch: DepGraph::new(),
             tape: Tape::new(),
@@ -227,53 +228,54 @@ impl ServeEngine {
         };
 
         let parse_start = rmd_obs::now_ns();
-        let frame = parse_frame(line, &mut self.tape);
-        let parse_dur = rmd_obs::now_ns().saturating_sub(parse_start);
-        self.tape.shrink_to(TAPE_TOKENS_KEPT);
-        let id = frame.id.clone();
-        let kind = request_kind(&frame);
-        let tracing_was = if frame.trace {
+        let Frame {
+            id,
+            deadline_ms,
+            trace,
+            body,
+        } = parse_frame(line, &mut self.tape);
+        // Only a traced reply carries the parse span, so only it reads
+        // the clock at the parse's end.
+        let traced = trace.then(|| {
+            let parse_end = rmd_obs::now_ns();
             let was = rmd_obs::is_enabled();
             rmd_obs::set_enabled(true);
             rmd_obs::drain_events(); // discard this thread's stale events
-            Some(was)
-        } else {
-            None
-        };
-        let trace = frame.trace;
+            (was, parse_end)
+        });
+        self.tape.shrink_to(TAPE_TOKENS_KEPT);
+        let kind = request_kind(&body);
 
         let quarantined_before = self.metrics.counter("serve.quarantined");
-        self.touched = None;
-        let (reply, shutdown) = self.handle_frame(frame, admitted_at, action, idx);
-        let outcome = match &reply {
-            Ok(_) => "ok".to_string(),
-            Err(e) => e.kind().to_string(),
-        };
+        self.touched.clear();
+        let (reply, shutdown, started) =
+            self.handle_frame(body, deadline_ms, id.as_deref(), admitted_at, action, idx);
         let panicked = matches!(&reply, Err(ServeError::Panicked { .. }));
-        let reply = match reply {
+        let (reply, outcome) = match reply {
             Ok(r) => {
                 self.metrics.inc("serve.ok", 1);
-                r
+                (r, "ok")
             }
             Err(e) => {
                 self.metrics.inc("serve.errors", 1);
                 self.metrics.inc(&format!("serve.errors.{}", e.kind()), 1);
-                e.to_reply(id.as_deref())
+                (e.to_reply(id.as_deref()), e.kind())
             }
         };
-        let elapsed = admitted_at.elapsed().as_nanos() as u64;
+        // One end reading serves both latency histograms.
+        let done = Instant::now();
+        let elapsed = done.saturating_duration_since(admitted_at).as_nanos() as u64;
         self.metrics.observe("serve.latency_ns", elapsed);
+        if let Some((histogram, t0)) = started {
+            let ns = done.saturating_duration_since(t0).as_nanos() as u64;
+            self.metrics.observe(histogram, ns);
+        }
 
         // Flight recorder: every request leaves a summary, and a panic
         // trips a black-box dump that includes the offender itself.
-        self.flight.record(FlightEntry {
-            req: idx,
-            id: id.map(Cow::into_owned),
-            kind,
-            fingerprint: self.touched.clone(),
-            latency_ns: elapsed,
-            outcome,
-        });
+        let touched = (!self.touched.is_empty()).then_some(self.touched.as_str());
+        self.flight
+            .record(idx, id.as_deref(), kind, touched, elapsed, outcome);
         if panicked {
             let reason = if self.metrics.counter("serve.quarantined") > quarantined_before {
                 "panic+quarantine"
@@ -283,7 +285,7 @@ impl ServeEngine {
             self.flight.trip(reason);
         }
 
-        let reply = if let Some(was) = tracing_was {
+        let reply = if let Some((was, parse_end)) = traced {
             let mut events = rmd_obs::drain_events();
             events.insert(
                 0,
@@ -292,7 +294,7 @@ impl ServeEngine {
                     name: "parse",
                     kind: EventKind::Span,
                     start_ns: parse_start,
-                    dur_ns: parse_dur,
+                    dur_ns: parse_end.saturating_sub(parse_start),
                     tid: 0,
                     arg: Some(("req", idx)),
                 },
@@ -309,24 +311,33 @@ impl ServeEngine {
             rmd_obs::set_enabled(was);
             splice_trace(reply, &events)
         } else {
-            debug_assert!(!trace);
             reply
         };
         (reply, shutdown)
     }
 
+    /// Runs one decoded request under `catch_unwind`. Returns the reply,
+    /// whether it asked for a drain, and, when it got as far as
+    /// executing, the latency histogram of its kind with the instant
+    /// execution began.
     fn handle_frame(
         &mut self,
-        frame: Frame<'_>,
+        body: Result<Request<'_>, ServeError>,
+        deadline_ms: Option<u64>,
+        id: Option<&str>,
         admitted_at: Instant,
         action: ChaosAction,
         idx: u64,
-    ) -> (Result<String, ServeError>, bool) {
-        let req = match frame.body {
+    ) -> (
+        Result<String, ServeError>,
+        bool,
+        Option<(&'static str, Instant)>,
+    ) {
+        let req = match body {
             Ok(r) => r,
-            Err(e) => return (Err(e), false),
+            Err(e) => return (Err(e), false, None),
         };
-        let deadline_ms = frame.deadline_ms.unwrap_or(self.cfg.default_deadline_ms);
+        let deadline_ms = deadline_ms.unwrap_or(self.cfg.default_deadline_ms);
         let deadline = if deadline_ms == 0 {
             Deadline::none()
         } else {
@@ -337,10 +348,9 @@ impl ServeEngine {
         };
         // Time spent queued counts against the deadline.
         if let Err(e) = deadline.check() {
-            return (Err(e), false);
+            return (Err(e), false, None);
         }
         let shutdown = matches!(req, Request::Shutdown);
-        let id = frame.id.as_deref();
         let latency_histogram = match &req {
             Request::Machine { .. } => "serve.latency_ns.machine",
             Request::Schedule { .. } => "serve.latency_ns.schedule",
@@ -349,24 +359,20 @@ impl ServeEngine {
             Request::Metrics => "serve.latency_ns.metrics",
             Request::Shutdown => "serve.latency_ns.shutdown",
         };
-        self.touched = None;
         let t0 = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             self.execute(req, id, deadline, action, idx)
         }));
-        self.metrics
-            .observe(latency_histogram, t0.elapsed().as_nanos() as u64);
+        let started = Some((latency_histogram, t0));
         match outcome {
-            Ok(r) => (r, shutdown),
+            Ok(r) => (r, shutdown, started),
             Err(payload) => {
                 // Quarantine: drop the entry this request touched so a
                 // partial mutation can never serve a later request. The
                 // fingerprint stays readable in `touched` so the flight
                 // recorder can attribute the incident.
-                if let Some(fp) = self.touched.clone() {
-                    if self.machines.remove(&fp).is_some() {
-                        self.metrics.inc("serve.quarantined", 1);
-                    }
+                if !self.touched.is_empty() && self.machines.remove(&self.touched).is_some() {
+                    self.metrics.inc("serve.quarantined", 1);
                 }
                 let detail = if let Some(s) = payload.downcast_ref::<&str>() {
                     (*s).to_string()
@@ -375,7 +381,7 @@ impl ServeEngine {
                 } else {
                     "non-string panic payload".to_string()
                 };
-                (Err(ServeError::Panicked { detail }), false)
+                (Err(ServeError::Panicked { detail }), false, started)
             }
         }
     }
@@ -436,13 +442,6 @@ impl ServeEngine {
         }
     }
 
-    fn chaos_panic_point(&mut self, action: ChaosAction) {
-        if action == ChaosAction::Panic {
-            self.metrics.inc("serve.chaos.panicked", 1);
-            panic!("chaos: injected mid-request panic");
-        }
-    }
-
     fn load_source(&self, source: &MachineSource<'_>) -> Result<MachineDescription, ServeError> {
         let m = match source {
             MachineSource::Model(name) => {
@@ -474,9 +473,9 @@ impl ServeEngine {
         let m = self.load_source(&source)?;
         let lookup_span = rmd_obs::span_with("serve", "cache_lookup", "req", idx);
         let fp = content_fingerprint(&m);
-        self.touched = Some(fp.clone());
+        self.touched.push_str(&fp);
         drop(lookup_span);
-        self.chaos_panic_point(action);
+        chaos_panic_point(&mut self.metrics, action);
         if let Some(entry) = self.machines.get_mut(&fp) {
             self.tick += 1;
             entry.last_used = self.tick;
@@ -541,22 +540,6 @@ impl ServeEngine {
         Ok(reply)
     }
 
-    fn lookup(&mut self, fp: &str) -> Result<(), ServeError> {
-        if self.machines.contains_key(fp) {
-            self.tick += 1;
-            let tick = self.tick;
-            if let Some(e) = self.machines.get_mut(fp) {
-                e.last_used = tick;
-            }
-            self.touched = Some(fp.to_string());
-            Ok(())
-        } else {
-            Err(ServeError::UnknownFingerprint {
-                got: fp.to_string(),
-            })
-        }
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn exec_schedule(
         &mut self,
@@ -570,40 +553,36 @@ impl ServeEngine {
         action: ChaosAction,
         idx: u64,
     ) -> Result<String, ServeError> {
-        {
+        let entry = {
             let _g = rmd_obs::span_with("serve", "cache_lookup", "req", idx);
-            self.lookup(fp)?;
-        }
-        self.chaos_panic_point(action);
+            lookup(&mut self.machines, &mut self.tick, &mut self.touched, fp)?
+        };
+        chaos_panic_point(&mut self.metrics, action);
         let defaults = ImsConfig::default();
         let config = ImsConfig {
             budget_ratio: budget_ratio.unwrap_or(defaults.budget_ratio),
             max_ii: max_ii.unwrap_or(defaults.max_ii),
         };
-        // The request graph is built in a reused arena taken off the
-        // engine; it is put back after a successful reply. Early error
-        // returns drop it (losing only retained capacity, never
-        // correctness) — the next request just starts from a fresh one.
-        let mut g = std::mem::take(&mut self.graph_scratch);
-        let entry = self.machines.get_mut(fp).expect("looked up above");
-        if let Err(e) = build_graph_into(&mut g, &entry.original, nodes, edges) {
-            self.graph_scratch = g;
-            return Err(e);
-        }
+        // The request graph is built in the engine's reused arena, and
+        // the result's vectors go back to the entry's scratch whatever
+        // the deadline says, so no reply leaves the next request to
+        // allocate them again.
+        let g = &mut self.graph_scratch;
+        build_graph_into(g, &entry.original, nodes, edges)?;
         deadline.check()?;
-        let r = entry.schedule(&IterativeModuloScheduler::new(config), &g, idx)?;
-        deadline.check()?;
-        let reply = ReplyBuilder::ok(id, "schedule")
-            .str("fingerprint", fp)
-            .num("ii", u64::from(r.ii))
-            .num("mii", u64::from(r.mii))
-            .num("decisions", r.decisions)
-            .num("attempts", u64::from(r.attempts))
-            .nums("times", r.times.iter().map(|&t| u64::from(t)))
-            .finish();
+        let r = entry.schedule(&IterativeModuloScheduler::new(config), g, idx)?;
+        let reply = deadline.check().map(|()| {
+            ReplyBuilder::with_room(id, "schedule", r.times.len())
+                .str("fingerprint", fp)
+                .num("ii", u64::from(r.ii))
+                .num("mii", u64::from(r.mii))
+                .num("decisions", r.decisions)
+                .num("attempts", u64::from(r.attempts))
+                .nums("times", r.times.iter().map(|&t| u64::from(t)))
+                .finish()
+        });
         entry.scratch.recycle(r);
-        self.graph_scratch = g;
-        Ok(reply)
+        reply
     }
 
     /// Schedules each loop of a generated suite on the cached machine,
@@ -620,12 +599,11 @@ impl ServeEngine {
         action: ChaosAction,
         idx: u64,
     ) -> Result<String, ServeError> {
-        {
+        let entry = {
             let _g = rmd_obs::span_with("serve", "cache_lookup", "req", idx);
-            self.lookup(fp)?;
-        }
-        self.chaos_panic_point(action);
-        let entry = self.machines.get_mut(fp).expect("looked up above");
+            lookup(&mut self.machines, &mut self.tick, &mut self.touched, fp)?
+        };
+        chaos_panic_point(&mut self.metrics, action);
         // The generator vocabulary must resolve against this machine;
         // a missing op is a client error, not a panic.
         let ops = rmd_loops::OpSet::try_for_cydra_subset(&entry.original).map_err(|name| {
@@ -705,6 +683,34 @@ impl ServeEngine {
     }
 }
 
+/// Resolves `fp` to its cached machine with one hash lookup, marks it
+/// most recently used, and records `fp` in `touched` for quarantine.
+fn lookup<'m>(
+    machines: &'m mut HashMap<String, MachineEntry>,
+    tick: &mut u64,
+    touched: &mut String,
+    fp: &str,
+) -> Result<&'m mut MachineEntry, ServeError> {
+    let entry = machines
+        .get_mut(fp)
+        .ok_or_else(|| ServeError::UnknownFingerprint {
+            got: fp.to_string(),
+        })?;
+    *tick += 1;
+    entry.last_used = *tick;
+    touched.push_str(fp);
+    Ok(entry)
+}
+
+/// Chaos mid-request panic: fires after the request resolved its
+/// machine, so the quarantine path has an entry to drop.
+fn chaos_panic_point(metrics: &mut MetricRegistry, action: ChaosAction) {
+    if action == ChaosAction::Panic {
+        metrics.inc("serve.chaos.panicked", 1);
+        panic!("chaos: injected mid-request panic");
+    }
+}
+
 /// The reply to a `machine` request for `entry`, cached under `fp`.
 fn machine_reply(id: Option<&str>, fp: &str, cached: bool, entry: &MachineEntry) -> String {
     ReplyBuilder::ok(id, "machine")
@@ -722,8 +728,8 @@ fn machine_reply(id: Option<&str>, fp: &str, cached: bool, entry: &MachineEntry)
 
 /// The request kind recorded in the flight ring — the protocol type
 /// name, or `"invalid"` when the body never parsed.
-fn request_kind(frame: &Frame) -> &'static str {
-    match &frame.body {
+fn request_kind(body: &Result<Request<'_>, ServeError>) -> &'static str {
+    match body {
         Ok(Request::Machine { .. }) => "machine",
         Ok(Request::Schedule { .. }) => "schedule",
         Ok(Request::Suite { .. }) => "suite",

@@ -9,8 +9,10 @@
 //! is rendered as one JSON object whose `entries` array reads oldest →
 //! newest: the last N requests leading up to the incident, which is
 //! exactly what a post-mortem needs. Recording is plain single-threaded
-//! code on the engine's request thread — no locks anywhere — and
-//! rendering never allocates more than the output string.
+//! code on the engine's request thread — no locks anywhere — and once
+//! the ring is full it copies each request's strings into the buffers
+//! of the entry it overwrites, so it allocates nothing. Rendering never
+//! allocates more than the output string.
 //!
 //! Dumps are *queued* on the recorder rather than printed, so the
 //! transport layer decides where they go (stderr for the daemon) and
@@ -28,7 +30,7 @@ pub const FLIGHT_SCHEMA: &str = "rmd-flight/1";
 pub const FLIGHT_CAPACITY: usize = 64;
 
 /// One request summary retained by the recorder.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FlightEntry {
     /// The engine's request index (monotonic admission order).
     pub req: u64,
@@ -42,7 +44,7 @@ pub struct FlightEntry {
     /// Wall-clock latency from admission to reply, nanoseconds.
     pub latency_ns: u64,
     /// `"ok"` or the typed error kind (`"timeout"`, `"panicked"`, …).
-    pub outcome: String,
+    pub outcome: &'static str,
 }
 
 /// A ring of the last [`FLIGHT_CAPACITY`] [`FlightEntry`] values plus
@@ -59,14 +61,32 @@ pub struct FlightRecorder {
 
 impl FlightRecorder {
     /// Records one request summary, overwriting the oldest once full.
-    pub fn record(&mut self, e: FlightEntry) {
+    /// `id` and `fingerprint` are copied into the overwritten entry's
+    /// strings, which keep their capacity.
+    pub fn record(
+        &mut self,
+        req: u64,
+        id: Option<&str>,
+        kind: &'static str,
+        fingerprint: Option<&str>,
+        latency_ns: u64,
+        outcome: &'static str,
+    ) {
         self.recorded += 1;
-        if self.entries.len() < FLIGHT_CAPACITY {
-            self.entries.push(e);
+        let e = if self.entries.len() < FLIGHT_CAPACITY {
+            self.entries.push(FlightEntry::default());
+            self.entries.last_mut().expect("just pushed")
         } else {
-            self.entries[self.next] = e;
-            self.next = (self.next + 1) % FLIGHT_CAPACITY;
-        }
+            let at = self.next;
+            self.next = (at + 1) % FLIGHT_CAPACITY;
+            &mut self.entries[at]
+        };
+        e.req = req;
+        e.kind = kind;
+        e.latency_ns = latency_ns;
+        e.outcome = outcome;
+        copy_into(&mut e.id, id);
+        copy_into(&mut e.fingerprint, fingerprint);
     }
 
     /// Total requests ever recorded (not just the retained window).
@@ -106,7 +126,7 @@ impl FlightRecorder {
                 None => out.push_str("null"),
             }
             let _ = write!(out, ",\"latency_ns\":{},\"outcome\":", e.latency_ns);
-            push_json_string(&mut out, &e.outcome);
+            push_json_string(&mut out, e.outcome);
             out.push('}');
         }
         out.push_str("]}");
@@ -126,20 +146,33 @@ impl FlightRecorder {
     }
 }
 
+/// Sets `slot` to a copy of `v`, in the string `slot` already holds
+/// when there is one.
+fn copy_into(slot: &mut Option<String>, v: Option<&str>) {
+    match (slot.as_mut(), v) {
+        (Some(s), Some(v)) => {
+            s.clear();
+            s.push_str(v);
+        }
+        (_, v) => *slot = v.map(str::to_owned),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use serde_json::Value;
 
-    fn entry(req: u64, outcome: &str) -> FlightEntry {
-        FlightEntry {
+    fn record(fr: &mut FlightRecorder, req: u64, outcome: &'static str) {
+        let id = format!("{req}");
+        fr.record(
             req,
-            id: Some(format!("{req}")),
-            kind: "schedule",
-            fingerprint: Some("rmd-test".to_string()),
-            latency_ns: 1000 + req,
-            outcome: outcome.to_string(),
-        }
+            Some(&id),
+            "schedule",
+            Some("rmd-test"),
+            1000 + req,
+            outcome,
+        );
     }
 
     #[test]
@@ -147,7 +180,7 @@ mod tests {
         let mut fr = FlightRecorder::default();
         let n = FLIGHT_CAPACITY as u64 + 2;
         for i in 0..n {
-            fr.record(entry(i, "ok"));
+            record(&mut fr, i, "ok");
         }
         let reqs: Vec<u64> = fr.entries().map(|e| e.req).collect();
         assert_eq!(reqs, (2..n).collect::<Vec<u64>>());
@@ -155,17 +188,40 @@ mod tests {
     }
 
     #[test]
+    fn overwritten_entries_hold_only_the_new_request() {
+        let mut fr = FlightRecorder::default();
+        for i in 0..FLIGHT_CAPACITY as u64 {
+            record(&mut fr, i, "ok");
+        }
+        fr.record(64, None, "invalid", None, 7, "malformed");
+        fr.record(65, Some("\"a longer id\""), "suite", Some("rmd-x"), 8, "ok");
+        let newest: Vec<&FlightEntry> = fr.entries().skip(FLIGHT_CAPACITY - 2).collect();
+        let want = [
+            FlightEntry {
+                req: 64,
+                id: None,
+                kind: "invalid",
+                fingerprint: None,
+                latency_ns: 7,
+                outcome: "malformed",
+            },
+            FlightEntry {
+                req: 65,
+                id: Some("\"a longer id\"".to_string()),
+                kind: "suite",
+                fingerprint: Some("rmd-x".to_string()),
+                latency_ns: 8,
+                outcome: "ok",
+            },
+        ];
+        assert_eq!(newest, want.iter().collect::<Vec<_>>());
+    }
+
+    #[test]
     fn dump_is_self_describing_parseable_json() {
         let mut fr = FlightRecorder::default();
-        fr.record(entry(0, "ok"));
-        fr.record(FlightEntry {
-            req: 1,
-            id: None,
-            kind: "invalid",
-            fingerprint: None,
-            latency_ns: 7,
-            outcome: "malformed".to_string(),
-        });
+        record(&mut fr, 0, "ok");
+        fr.record(1, None, "invalid", None, 7, "malformed");
         let dump = fr.render_dump("panic");
         let v = serde_json::from_str(&dump).expect("dump parses");
         assert_eq!(
@@ -187,9 +243,9 @@ mod tests {
     #[test]
     fn trip_queues_dumps_until_taken() {
         let mut fr = FlightRecorder::default();
-        fr.record(entry(0, "panicked"));
+        record(&mut fr, 0, "panicked");
         fr.trip("panic");
-        fr.record(entry(1, "ok"));
+        record(&mut fr, 1, "ok");
         fr.trip("drain");
         let dumps = fr.take_dumps();
         assert_eq!(dumps.len(), 2);

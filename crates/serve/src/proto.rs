@@ -37,7 +37,6 @@ use rmd_obs::export::push_json_string;
 use rmd_sched::DepKind;
 use serde_json::{Tape, ValueRef};
 use std::borrow::Cow;
-use std::fmt::Write;
 
 /// Per-frame size limit (bytes). A megabyte comfortably holds the
 /// largest `.mdl` sources while bounding a hostile client's memory.
@@ -431,6 +430,14 @@ pub fn parse_frame<'a>(line: &'a str, tape: &mut Tape) -> Frame<'a> {
     }
 }
 
+/// Bytes a reply holds besides its id and any integer array: room for
+/// the members of every fixed-shape reply (a machine reply with its
+/// fingerprint is about 150).
+const REPLY_BYTES: usize = 192;
+
+/// Bytes one `u32` array element takes at most: ten digits and a comma.
+const ELEMENT_BYTES: usize = 11;
+
 /// Incrementally builds one `{"ok":true,...}` reply line.
 pub struct ReplyBuilder {
     out: String,
@@ -439,9 +446,18 @@ pub struct ReplyBuilder {
 impl ReplyBuilder {
     /// Starts a success reply for request `id` of the given `type`.
     pub fn ok(id: Option<&str>, ty: &str) -> Self {
-        let mut out = String::with_capacity(96);
+        Self::with_room(id, ty, 0)
+    }
+
+    /// As [`ok`](Self::ok), with room for `elements` more `u32` array
+    /// elements, so a reply with an array of known length (a
+    /// schedule's `times`) is written into the one buffer allocated
+    /// here.
+    pub fn with_room(id: Option<&str>, ty: &str, elements: usize) -> Self {
+        let id = id.unwrap_or("null");
+        let mut out = String::with_capacity(REPLY_BYTES + id.len() + elements * ELEMENT_BYTES);
         out.push_str("{\"ok\":true,\"id\":");
-        out.push_str(id.unwrap_or("null"));
+        out.push_str(id);
         out.push_str(",\"type\":");
         push_json_string(&mut out, ty);
         ReplyBuilder { out }
@@ -457,7 +473,7 @@ impl ReplyBuilder {
     /// Appends a numeric member.
     pub fn num(mut self, key: &str, v: u64) -> Self {
         self.key(key);
-        let _ = write!(self.out, "{v}");
+        push_u64(&mut self.out, v);
         self
     }
 
@@ -476,7 +492,7 @@ impl ReplyBuilder {
             if i > 0 {
                 self.out.push(',');
             }
-            let _ = write!(self.out, "{v}");
+            push_u64(&mut self.out, v);
         }
         self.out.push(']');
         self
@@ -500,6 +516,22 @@ impl ReplyBuilder {
         self.out.push('}');
         self.out
     }
+}
+
+/// Appends `v` in decimal, the digits `format!("{v}")` writes, without
+/// going through `core::fmt`.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 #[cfg(test)]
@@ -608,6 +640,25 @@ mod tests {
             "x".repeat(MAX_FRAME_BYTES)
         );
         assert_eq!(parse(&line).body.unwrap_err().kind(), "oversized");
+    }
+
+    /// The integer writer against `core::fmt`: both ends of every
+    /// digit count, the type limits, and seeded values of every width.
+    #[test]
+    fn integers_render_as_format_does() {
+        use rand::{RngCore, SeedableRng};
+        let mut values = vec![0, 9, 10, u64::from(u32::MAX), u64::MAX];
+        for k in 1..=19 {
+            let p = 10u64.pow(k);
+            values.extend([p - 1, p, p + 1]);
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1e7_d161);
+        values.extend((0..10_000).map(|i| rng.next_u64() >> (i % 64)));
+        for v in values {
+            let mut out = String::from("[");
+            push_u64(&mut out, v);
+            assert_eq!(out, format!("[{v}"), "{v}");
+        }
     }
 
     #[test]

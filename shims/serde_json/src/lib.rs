@@ -333,11 +333,24 @@ impl<'src, 't> ValueRef<'src, 't> {
         };
         let mut items = self.children(2 * len);
         while let (Some(k), Some(v)) = (items.next(), items.next()) {
-            if k.as_str().as_deref() == Some(key) {
+            if k.is_key(key) {
                 return Some(v);
             }
         }
         None
+    }
+
+    /// Whether this member key reads `key`. An unescaped key is
+    /// compared as raw bytes; only an escaped one is decoded.
+    fn is_key(&self, key: &str) -> bool {
+        match self.token() {
+            Token::String {
+                start,
+                end,
+                escaped: false,
+            } => self.src.as_bytes()[start + 1..end - 1] == *key.as_bytes(),
+            _ => self.as_str().as_deref() == Some(key),
+        }
     }
 
     /// The string payload, if this is a string: borrowed from the
@@ -399,19 +412,25 @@ impl<'src, 't> ValueRef<'src, 't> {
     }
 
     /// A plain integer literal of at most 15 digits, read straight from
-    /// its digits as (negative, magnitude). Below 10^15 the `f64` route
-    /// is exact too, so both give the same number; any other literal
-    /// (fraction, exponent, 16 or more digits) is `None`.
+    /// its digits in one pass as (negative, magnitude). Below 10^15 the
+    /// `f64` route is exact too, so both give the same number; any
+    /// other literal (fraction, exponent, 16 or more digits) is `None`.
     fn small_integer(&self) -> Option<(bool, u64)> {
-        let text = self.number_text()?;
-        let (negative, digits) = match text.strip_prefix('-') {
-            Some(digits) => (true, digits),
-            None => (false, text),
+        let text = self.number_text()?.as_bytes();
+        let (negative, digits) = match text {
+            [b'-', digits @ ..] => (true, digits),
+            digits => (false, digits),
         };
-        if digits.len() > 15 || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        if digits.len() > 15 {
             return None;
         }
-        let n = digits.bytes().fold(0, |n, b| n * 10 + u64::from(b - b'0'));
+        let mut n = 0;
+        for &b in digits {
+            if !b.is_ascii_digit() {
+                return None;
+            }
+            n = n * 10 + u64::from(b - b'0');
+        }
         Some((negative, n))
     }
 
@@ -942,6 +961,25 @@ mod tests {
         assert_eq!(big.as_u64(), None);
         assert_eq!(root.get("missing").map(|v| v.as_bool()), None);
         assert!(root.as_str().is_none() && root.as_array().is_none());
+    }
+
+    #[test]
+    fn escaped_member_keys_resolve_by_their_decoded_text() {
+        let mut tape = Tape::new();
+        let root = tape.parse(r#"{"\u0074ype":"status"}"#).unwrap();
+        let ty = root.get("type").and_then(|t| t.as_str());
+        assert_eq!(ty.as_deref(), Some("status"));
+        assert!(root.get("\\u0074ype").is_none());
+        // Raw-byte keys match whole keys only, and the first of an
+        // escaped and an unescaped spelling wins.
+        let src = r#"{"typ":1,"types":2,"t\"ype":3,"\u0069d":4,"id":5,"":6}"#;
+        let root = tape.parse(src).unwrap();
+        let num = |k: &str| root.get(k).and_then(|v| v.as_u64());
+        assert_eq!(num("type"), None);
+        assert_eq!(num("typ"), Some(1));
+        assert_eq!(num("t\"ype"), Some(3));
+        assert_eq!(num("id"), Some(4));
+        assert_eq!(num(""), Some(6));
     }
 
     #[test]
