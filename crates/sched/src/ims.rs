@@ -1,7 +1,7 @@
 //! Rau's Iterative Modulo Scheduler (MICRO-27, 1994) — the paper's §8
 //! evaluation harness.
 
-use crate::graph::{DepGraph, NodeId};
+use crate::graph::{DepGraph, Edge, NodeId};
 use crate::mii;
 use crate::scratch::SchedScratch;
 use core::fmt;
@@ -490,13 +490,33 @@ pub(crate) fn heights(g: &DepGraph, ii: u32) -> Vec<i64> {
 /// from each node onward under `w(e) = delay − II · distance`, computed
 /// by relaxation (no positive circuit exists for II ≥ RecMII), written
 /// into a reusable buffer (cleared first).
+///
+/// The sweeps visit the edges in reverse insertion order, which settles
+/// a graph whose distance-0 edges were added in node order in about two
+/// sweeps. A relaxation that settles reaches the longest paths in any
+/// order. One that is still changing after n + 1 sweeps has met a
+/// positive circuit, which only happens below RecMII; its capped result
+/// depends on the order, so it is redone in insertion order.
 fn heights_into(g: &DepGraph, ii: u32, h: &mut Vec<i64>) {
-    let n = g.num_nodes();
     h.clear();
-    h.resize(n, 0);
-    for _ in 0..=n {
+    h.resize(g.num_nodes(), 0);
+    if !relax_heights(g, ii, h, g.edges().iter().rev()) {
+        h.fill(0);
+        relax_heights(g, ii, h, g.edges().iter());
+    }
+}
+
+/// Up to n + 1 sweeps of [`heights_into`]'s relaxation over the edges
+/// in `order`; whether a sweep changed nothing.
+fn relax_heights<'g>(
+    g: &DepGraph,
+    ii: u32,
+    h: &mut [i64],
+    order: impl Iterator<Item = &'g Edge> + Clone,
+) -> bool {
+    for _ in 0..=g.num_nodes() {
         let mut changed = false;
-        for e in g.edges() {
+        for e in order.clone() {
             let w = i64::from(e.delay) - i64::from(ii) * i64::from(e.distance);
             let cand = h[e.to.index()] + w;
             if cand > h[e.from.index()] {
@@ -505,9 +525,10 @@ fn heights_into(g: &DepGraph, ii: u32, h: &mut Vec<i64>) {
             }
         }
         if !changed {
-            break;
+            return true;
         }
     }
+    false
 }
 
 #[cfg(test)]
@@ -1190,5 +1211,128 @@ mod edge_tests {
         assert_eq!(r.ii, 1);
         assert!(r.times[y.index()] >= r.times[x.index()]);
         crate::validate(&g, &m, &r).expect("test setup");
+    }
+
+    /// `heights_into` as it was before it swept in reverse: n + 1
+    /// capped sweeps in insertion order, the reference for its heights.
+    fn insertion_order_heights(g: &DepGraph, ii: u32) -> Vec<i64> {
+        let n = g.num_nodes();
+        let mut h = vec![0i64; n];
+        for _ in 0..=n {
+            let mut changed = false;
+            for e in g.edges() {
+                let w = i64::from(e.delay) - i64::from(ii) * i64::from(e.distance);
+                let cand = h[e.to.index()] + w;
+                if cand > h[e.from.index()] {
+                    h[e.from.index()] = cand;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn heights_equal_the_insertion_order_relaxation() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use rmd_loops::random::{random_loop, RandomLoopParams};
+
+        let m = rmd_machine::models::cydra5_subset();
+        let ops = rmd_loops::OpSet::for_cydra_subset(&m);
+        let mut rng = StdRng::seed_from_u64(0x4E16);
+        // `rmd_loops` builds its own copy of this crate, so its graphs
+        // are copied edge for edge.
+        let mut graphs: Vec<DepGraph> = (0..160)
+            .map(|_| {
+                let size = rng.gen_range(2..48);
+                let l = random_loop(&ops, &mut rng, RandomLoopParams { size });
+                let mut g = DepGraph::new();
+                for v in l.nodes() {
+                    g.add_node(l.op(v));
+                }
+                for e in l.edges() {
+                    let (from, to) = (NodeId(e.from.0), NodeId(e.to.0));
+                    g.add_edge(from, to, e.delay, e.distance, DepKind::Flow);
+                }
+                g
+            })
+            .collect();
+        // Hand-built, each `(from, to, delay, distance)` over four nodes:
+        // carried back edges, parallel edges, negative delays, circuits
+        // of weight zero (of distance-0 edges, and of a carried edge at
+        // II 4), a positive distance-0 circuit, and edges added against
+        // node order, so the reverse sweep is the slow order.
+        let shapes: [&[(u32, u32, i32, u32)]; 6] = [
+            &[
+                (0, 1, 3, 0),
+                (1, 2, 2, 0),
+                (2, 3, 1, 0),
+                (3, 1, 2, 2),
+                (2, 0, 5, 1),
+            ],
+            &[
+                (0, 1, 3, 0),
+                (0, 1, 7, 0),
+                (1, 0, 1, 1),
+                (1, 0, 6, 1),
+                (1, 1, 4, 1),
+            ],
+            &[
+                (0, 1, -4, 0),
+                (1, 2, 6, 0),
+                (2, 0, -2, 1),
+                (2, 3, -1, 0),
+                (3, 3, -5, 2),
+            ],
+            &[
+                (0, 1, 0, 0),
+                (1, 0, 0, 0),
+                (1, 2, 2, 0),
+                (2, 1, 2, 1),
+                (2, 3, 1, 0),
+            ],
+            &[
+                (0, 1, 1, 0),
+                (1, 2, 1, 0),
+                (2, 0, 1, 0),
+                (2, 3, 3, 0),
+                (3, 0, 2, 1),
+            ],
+            &[
+                (2, 3, 4, 0),
+                (1, 2, 3, 0),
+                (0, 1, 2, 0),
+                (3, 0, 9, 2),
+                (3, 1, 1, 1),
+            ],
+        ];
+        let x = m.op_by_name("fadd").expect("test setup");
+        for edges in shapes {
+            let mut g = DepGraph::new();
+            for _ in 0..4 {
+                g.add_node(x);
+            }
+            for &(from, to, delay, distance) in edges {
+                g.add_edge(NodeId(from), NodeId(to), delay, distance, DepKind::Flow);
+            }
+            graphs.push(g);
+        }
+        let mut below_rec_mii = 0;
+        for (i, g) in graphs.iter().enumerate() {
+            let rec = crate::mii::rec_mii(g);
+            for ii in 1..=crate::mii::mii(g, &m) + 3 {
+                assert_eq!(
+                    heights(g, ii),
+                    insertion_order_heights(g, ii),
+                    "graph {i} at II {ii}"
+                );
+                below_rec_mii += usize::from(ii < rec);
+            }
+        }
+        assert!(below_rec_mii > 0, "no II below RecMII reached the fallback");
     }
 }

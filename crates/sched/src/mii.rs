@@ -7,14 +7,22 @@
 //! which schedule quality (II/MII) is judged.
 //!
 //! Every loop computes [`mii`] before it is scheduled, so it does no work
-//! the maximum does not need. ResMII comes first. A circuit's weight
-//! `Σ delay − II · Σ distance` never rises with II, so one positive-circuit
-//! probe at II = ResMII settles most loops: without a positive circuit
-//! there, RecMII ≤ ResMII. Only when the probe finds one does [`mii`]
-//! search for RecMII, and then only above ResMII.
+//! the maximum does not need. ResMII comes first, counted once per
+//! distinct operation. A circuit needs an edge that does not go forward
+//! in node order; when every such edge is a loop-carried self-loop, those
+//! self-loops are the only circuits and RecMII has a closed form. Any
+//! other graph is probed: a circuit's weight `Σ delay − II · Σ distance`
+//! never rises with II, so one positive-circuit probe at II = ResMII
+//! settles most loops: without a positive circuit there, RecMII ≤ ResMII.
+//! Only when the probe finds one does [`mii`] search for RecMII, and then
+//! only above ResMII.
 
 use crate::graph::DepGraph;
 use rmd_machine::{MachineDescription, Usage};
+
+/// Operations and resources [`res_mii`] counts on the stack; a machine
+/// with more of either counts in a heap buffer.
+const STACK_COUNTS: usize = 64;
 
 /// Resource-constrained MII: each resource has II modulo slots per
 /// iteration and every usage claims one, so ResMII is at least the
@@ -28,25 +36,46 @@ use rmd_machine::{MachineDescription, Usage};
 /// of one resource by one operation, so the scan stops there. The II
 /// search of [`IterativeModuloScheduler`](crate::IterativeModuloScheduler)
 /// skips the IIs above this bound at which some operation does not fit.
+///
+/// Nodes are counted per operation first, so each distinct operation's
+/// usages are added once, times its count, and its fit is tested once
+/// per II.
 pub fn res_mii(g: &DepGraph, m: &MachineDescription) -> u32 {
-    let mut per_resource = vec![0u32; m.num_resources()];
-    let mut widest = 0;
+    let (num_ops, num_res) = (m.num_operations(), m.num_resources());
+    let mut stack = [0u32; 2 * STACK_COUNTS];
+    let mut heap = Vec::new();
+    let counts = if num_ops <= STACK_COUNTS && num_res <= STACK_COUNTS {
+        &mut stack[..num_ops + num_res]
+    } else {
+        heap.resize(num_ops + num_res, 0);
+        &mut heap[..]
+    };
+    let (per_op, per_resource) = counts.split_at_mut(num_ops);
     for n in g.nodes() {
+        per_op[g.op(n).index()] += 1;
+    }
+    // Each distinct operation's node count and table.
+    let distinct = || {
+        per_op
+            .iter()
+            .zip(m.operations())
+            .filter(|(&count, _)| count > 0)
+            .map(|(&count, op)| (count, op.table()))
+    };
+    let mut widest = 0;
+    for (count, table) in distinct() {
         // The first usage of the current resource's run.
         let mut first: Option<&Usage> = None;
-        for u in m.operation(g.op(n)).table().usages() {
-            per_resource[u.resource.index()] += 1;
+        for u in table.usages() {
+            per_resource[u.resource.index()] += count;
             match first {
                 Some(f) if f.resource == u.resource => widest = widest.max(u.cycle - f.cycle),
                 _ => first = Some(u),
             }
         }
     }
-    let mut ii = per_resource.into_iter().max().unwrap_or(1).max(1);
-    while ii <= widest
-        && g.nodes()
-            .any(|n| !m.operation(g.op(n)).table().fits_modulo(ii))
-    {
+    let mut ii = per_resource.iter().copied().max().unwrap_or(1).max(1);
+    while ii <= widest && distinct().any(|(_, t)| !t.fits_modulo(ii)) {
         ii += 1;
     }
     ii
@@ -56,11 +85,16 @@ pub fn res_mii(g: &DepGraph, m: &MachineDescription) -> u32 {
 /// circuit has positive weight `Σ delay − II · Σ distance`; i.e.
 /// `RecMII = max over circuits ⌈Σ delay / Σ distance⌉`.
 ///
-/// Computed by binary search on II over `[1, Σ positive delays]`, each
-/// probe a Bellman-Ford positive-circuit check. Returns 1 for graphs
-/// without a loop-carried edge, and `Σ positive delays` when a circuit of
-/// distance-0 edges is positive, which no II satisfies.
+/// Read off the self-loops when they are the only circuits
+/// ([`self_loop_bound`]); otherwise computed by binary search on II over
+/// `[1, Σ positive delays]`, each probe a Bellman-Ford positive-circuit
+/// check. Returns 1 for graphs without a loop-carried edge, and
+/// `Σ positive delays` when a circuit of distance-0 edges is positive,
+/// which no II satisfies.
 pub fn rec_mii(g: &DepGraph) -> u32 {
+    if let Some(rec) = self_loop_bound(g) {
+        return rec;
+    }
     if !g.has_recurrence() {
         return 1;
     }
@@ -70,10 +104,15 @@ pub fn rec_mii(g: &DepGraph) -> u32 {
 /// The minimum initiation interval: `max(ResMII, RecMII)`.
 ///
 /// Equal to `res_mii(g, m).max(rec_mii(g))`, but RecMII is searched for
-/// only above ResMII, and only when some circuit is still positive at
-/// II = ResMII. At most two heap allocations per call, whatever the graph.
+/// only above ResMII, and only when some circuit other than a carried
+/// self-loop is still positive at II = ResMII. No heap allocation on a
+/// machine of at most 64 operations and 64 resources when the self-loops
+/// are the only circuits, and at most one otherwise.
 pub fn mii(g: &DepGraph, m: &MachineDescription) -> u32 {
     let res = res_mii(g, m);
+    if let Some(rec) = self_loop_bound(g) {
+        return res.max(rec);
+    }
     if !g.has_recurrence() {
         return res;
     }
@@ -124,6 +163,34 @@ pub(crate) fn has_overlong_chain(g: &DepGraph) -> bool {
         }
     }
     dist.iter().any(|&d| d > limit)
+}
+
+/// RecMII of a graph whose only circuits are loop-carried self-loops:
+/// the largest `⌈delay / distance⌉` of a self-loop, at least 1. `None`
+/// when some other edge does not go forward in node order.
+///
+/// A circuit returns to its first node, so it holds an edge to the same
+/// or a lower-numbered node. When every such edge is a carried
+/// self-loop, every circuit is one of them (or a walk around several, no
+/// heavier than its heaviest), and a self-loop is positive exactly below
+/// its own bound. The bound is at most the loop's delay, below the
+/// search's `Σ positive delays` ceiling, so the search's answer is this
+/// bound.
+fn self_loop_bound(g: &DepGraph) -> Option<u32> {
+    let mut bound = 1;
+    for e in g.edges() {
+        if e.to > e.from {
+            continue;
+        }
+        if e.to < e.from || e.distance == 0 {
+            return None;
+        }
+        if e.delay > 0 {
+            let (delay, distance) = (e.delay as u32, e.distance);
+            bound = bound.max(delay.div_ceil(distance));
+        }
+    }
+    Some(bound)
 }
 
 /// The sum of positive edge delays, at least 1. No circuit with a

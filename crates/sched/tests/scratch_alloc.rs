@@ -9,8 +9,9 @@
 //! the result vectors via [`SchedScratch::recycle`]) was sized by the
 //! first run and is reused in place.
 //!
-//! The MII every loop computes before it is scheduled is held to a
-//! fixed number of allocations per call, whatever the graph's size and
+//! The MII every loop computes before it is scheduled allocates nothing
+//! when its graph's only circuits are carried self-loops, and once when
+//! a longer recurrence is searched for, whatever the graph's size and
 //! however many IIs its search probes.
 
 use rmd_machine::models::cydra5_subset;
@@ -137,7 +138,7 @@ fn warm_scratch_schedules_without_allocating() {
 }
 
 #[test]
-fn mii_allocates_at_most_twice_per_call() {
+fn mii_allocates_nothing_for_self_loops_and_once_for_longer_recurrences() {
     let m = cydra5_subset();
     // Recurrence-bound at about 150 nodes: a latency chain of `fadd`s,
     // each node with a loop-carried edge back up the chain, so the
@@ -159,11 +160,29 @@ fn mii_allocates_at_most_twice_per_call() {
         rmd_sched::mii::mii(&heavy, &m) > rmd_sched::mii::res_mii(&heavy, &m),
         "test setup: the heavy graph must be recurrence-bound"
     );
-    let graphs = guard_graphs(&m);
-    for (i, g) in graphs.iter().chain([&heavy]).enumerate() {
+    // An accumulator chain: every circuit is a carried self-loop, and
+    // one of them binds the MII.
+    let mut accumulators = chain(&m, &["load.w.0", "fadd", "fmul", "store.w.0"], 8);
+    for (v, delay, distance) in [(1, 40, 1), (2, 90, 4)] {
+        let v = rmd_sched::NodeId(v);
+        accumulators.add_edge(v, v, delay, distance, DepKind::Flow);
+    }
+    assert_eq!(rmd_sched::mii::mii(&accumulators, &m), 40, "test setup");
+    let [latency_chain, pressured, recurrence] = guard_graphs(&m);
+    let cases = [
+        (latency_chain, 0),
+        (pressured, 0),
+        (accumulators, 0),
+        (recurrence, 1),
+        (heavy, 1),
+    ];
+    for (i, (g, bound)) in cases.iter().enumerate() {
         let mut mii = 0;
         let allocs = allocations_during(|| mii = rmd_sched::mii::mii(g, &m));
-        assert!(allocs <= 2, "graph {i} (MII {mii}): {allocs} allocations");
+        assert!(
+            allocs <= *bound,
+            "graph {i} (MII {mii}): {allocs} allocations, bound {bound}"
+        );
     }
 }
 

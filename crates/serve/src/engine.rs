@@ -20,7 +20,7 @@ use rmd_core::{
 };
 use rmd_machine::fnv::Fnv64;
 use rmd_machine::{content_fingerprint, mdl, models, MachineDescription};
-use rmd_obs::{Event, EventKind, MetricRegistry};
+use rmd_obs::{Event, EventKind, Histogram, MetricRegistry};
 use rmd_query::{ModuloMaskCache, WordLayout};
 use rmd_sched::{
     mii::mii, DepGraph, ImsConfig, ImsError, ImsResult, IterativeModuloScheduler, NodeId,
@@ -124,6 +124,59 @@ impl MachineEntry {
     }
 }
 
+/// Each request kind's latency histogram, indexed as
+/// [`ServeEngine::handle_frame`] numbers the kinds.
+const KIND_LATENCIES: [&str; 6] = [
+    "serve.latency_ns.machine",
+    "serve.latency_ns.schedule",
+    "serve.latency_ns.suite",
+    "serve.latency_ns.status",
+    "serve.latency_ns.metrics",
+    "serve.latency_ns.shutdown",
+];
+
+/// The counters and histograms every request updates, kept in fields
+/// so that a request looks up no metric names.
+/// [`ServeEngine::metrics_snapshot`] and [`ServeEngine::counter`] read
+/// them under their names.
+#[derive(Default)]
+struct RequestTally {
+    requests: u64,
+    ok: u64,
+    quarantined: u64,
+    latency: Histogram,
+    by_kind: [Histogram; KIND_LATENCIES.len()],
+}
+
+impl RequestTally {
+    const COUNTERS: [&'static str; 3] = ["serve.requests", "serve.ok", "serve.quarantined"];
+
+    fn counters(&self) -> [u64; 3] {
+        [self.requests, self.ok, self.quarantined]
+    }
+
+    /// Counter `name`, if the tally keeps it.
+    fn counter(&self, name: &str) -> Option<u64> {
+        let i = Self::COUNTERS.iter().position(|&c| c == name)?;
+        Some(self.counters()[i])
+    }
+
+    /// Adds the tally to `reg` under its names, leaving out what
+    /// recorded nothing, as a registry holds no name never recorded.
+    fn fold_into(&self, reg: &mut MetricRegistry) {
+        for (name, v) in Self::COUNTERS.into_iter().zip(self.counters()) {
+            if v > 0 {
+                reg.inc(name, v);
+            }
+        }
+        let histograms = std::iter::once(("serve.latency_ns", &self.latency))
+            .chain(KIND_LATENCIES.into_iter().zip(&self.by_kind));
+        for (name, h) in histograms.filter(|(_, h)| !h.is_empty()) {
+            reg.merge_histogram(name, h);
+        }
+    }
+}
+
 /// The deadline attached to one request.
 #[derive(Clone, Copy, Debug)]
 struct Deadline {
@@ -154,6 +207,7 @@ pub struct ServeEngine {
     machines: HashMap<String, MachineEntry>,
     tick: u64,
     req_index: u64,
+    tally: RequestTally,
     metrics: MetricRegistry,
     started: Instant,
     /// Fingerprint the currently executing request resolved, empty when
@@ -176,6 +230,7 @@ impl ServeEngine {
             machines: HashMap::new(),
             tick: 0,
             req_index: 0,
+            tally: RequestTally::default(),
             metrics: MetricRegistry::new(),
             started: Instant::now(),
             touched: String::new(),
@@ -187,7 +242,9 @@ impl ServeEngine {
 
     /// Counter accessor for summaries.
     pub fn counter(&self, name: &str) -> u64 {
-        self.metrics.counter(name)
+        self.tally
+            .counter(name)
+            .unwrap_or_else(|| self.metrics.counter(name))
     }
 
     /// Records `n` requests shed by the daemon's admission queue.
@@ -212,7 +269,7 @@ impl ServeEngine {
     pub fn handle_line(&mut self, line: &str, admitted_at: Instant) -> (String, bool) {
         let idx = self.req_index;
         self.req_index += 1;
-        self.metrics.inc("serve.requests", 1);
+        self.tally.requests += 1;
 
         let action = match self.cfg.chaos {
             Some(c) => c.action(idx),
@@ -246,29 +303,29 @@ impl ServeEngine {
         self.tape.shrink_to(TAPE_TOKENS_KEPT);
         let kind = request_kind(&body);
 
-        let quarantined_before = self.metrics.counter("serve.quarantined");
+        let quarantined_before = self.tally.quarantined;
         self.touched.clear();
         let (reply, shutdown, started) =
             self.handle_frame(body, deadline_ms, id.as_deref(), admitted_at, action, idx);
         let panicked = matches!(&reply, Err(ServeError::Panicked { .. }));
         let (reply, outcome) = match reply {
             Ok(r) => {
-                self.metrics.inc("serve.ok", 1);
+                self.tally.ok += 1;
                 (r, "ok")
             }
             Err(e) => {
                 self.metrics.inc("serve.errors", 1);
-                self.metrics.inc(&format!("serve.errors.{}", e.kind()), 1);
+                self.metrics.inc(e.counter_name(), 1);
                 (e.to_reply(id.as_deref()), e.kind())
             }
         };
         // One end reading serves both latency histograms.
         let done = Instant::now();
         let elapsed = done.saturating_duration_since(admitted_at).as_nanos() as u64;
-        self.metrics.observe("serve.latency_ns", elapsed);
-        if let Some((histogram, t0)) = started {
+        self.tally.latency.record(elapsed);
+        if let Some((kind_index, t0)) = started {
             let ns = done.saturating_duration_since(t0).as_nanos() as u64;
-            self.metrics.observe(histogram, ns);
+            self.tally.by_kind[kind_index].record(ns);
         }
 
         // Flight recorder: every request leaves a summary, and a panic
@@ -277,7 +334,7 @@ impl ServeEngine {
         self.flight
             .record(idx, id.as_deref(), kind, touched, elapsed, outcome);
         if panicked {
-            let reason = if self.metrics.counter("serve.quarantined") > quarantined_before {
+            let reason = if self.tally.quarantined > quarantined_before {
                 "panic+quarantine"
             } else {
                 "panic"
@@ -318,8 +375,8 @@ impl ServeEngine {
 
     /// Runs one decoded request under `catch_unwind`. Returns the reply,
     /// whether it asked for a drain, and, when it got as far as
-    /// executing, the latency histogram of its kind with the instant
-    /// execution began.
+    /// executing, its kind's index in [`KIND_LATENCIES`] with the
+    /// instant execution began.
     fn handle_frame(
         &mut self,
         body: Result<Request<'_>, ServeError>,
@@ -328,11 +385,7 @@ impl ServeEngine {
         admitted_at: Instant,
         action: ChaosAction,
         idx: u64,
-    ) -> (
-        Result<String, ServeError>,
-        bool,
-        Option<(&'static str, Instant)>,
-    ) {
+    ) -> (Result<String, ServeError>, bool, Option<(usize, Instant)>) {
         let req = match body {
             Ok(r) => r,
             Err(e) => return (Err(e), false, None),
@@ -351,19 +404,19 @@ impl ServeEngine {
             return (Err(e), false, None);
         }
         let shutdown = matches!(req, Request::Shutdown);
-        let latency_histogram = match &req {
-            Request::Machine { .. } => "serve.latency_ns.machine",
-            Request::Schedule { .. } => "serve.latency_ns.schedule",
-            Request::Suite { .. } => "serve.latency_ns.suite",
-            Request::Status => "serve.latency_ns.status",
-            Request::Metrics => "serve.latency_ns.metrics",
-            Request::Shutdown => "serve.latency_ns.shutdown",
+        let kind = match &req {
+            Request::Machine { .. } => 0,
+            Request::Schedule { .. } => 1,
+            Request::Suite { .. } => 2,
+            Request::Status => 3,
+            Request::Metrics => 4,
+            Request::Shutdown => 5,
         };
         let t0 = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             self.execute(req, id, deadline, action, idx)
         }));
-        let started = Some((latency_histogram, t0));
+        let started = Some((kind, t0));
         match outcome {
             Ok(r) => (r, shutdown, started),
             Err(payload) => {
@@ -372,7 +425,7 @@ impl ServeEngine {
                 // fingerprint stays readable in `touched` so the flight
                 // recorder can attribute the incident.
                 if !self.touched.is_empty() && self.machines.remove(&self.touched).is_some() {
-                    self.metrics.inc("serve.quarantined", 1);
+                    self.tally.quarantined += 1;
                 }
                 let detail = if let Some(s) = payload.downcast_ref::<&str>() {
                     (*s).to_string()
@@ -635,11 +688,11 @@ impl ServeEngine {
 
     fn exec_status(&mut self, id: Option<&str>) -> String {
         ReplyBuilder::ok(id, "status")
-            .num("requests", self.metrics.counter("serve.requests"))
-            .num("ok", self.metrics.counter("serve.ok"))
+            .num("requests", self.tally.requests)
+            .num("ok", self.tally.ok)
             .num("errors", self.metrics.counter("serve.errors"))
             .num("shed", self.metrics.counter("serve.shed"))
-            .num("quarantined", self.metrics.counter("serve.quarantined"))
+            .num("quarantined", self.tally.quarantined)
             .num("machines_cached", self.machines.len() as u64)
             .num("uptime_ms", self.started.elapsed().as_millis() as u64)
             .bool("draining", crate::signal::sigterm_received())
@@ -647,14 +700,15 @@ impl ServeEngine {
     }
 
     /// A point-in-time copy of the full metric registry: the engine's
-    /// own counters/gauges/histograms plus every cached machine's
-    /// mask-cache statistics. The live registry is untouched, so
+    /// own counters/gauges/histograms, its per-request tally, and every
+    /// cached machine's mask-cache statistics. The live registry is untouched, so
     /// snapshots are repeatable — taking one every N requests (the
     /// daemon's `--metrics-every`) never double-counts the additively
     /// exported mask-cache counters, and a snapshot equals the merge of
     /// the per-source registries at that instant.
     pub fn metrics_snapshot(&self) -> MetricRegistry {
         let mut snap = self.metrics.clone();
+        self.tally.fold_into(&mut snap);
         for entry in self.machines.values() {
             entry.mask_cache.export_to(&mut snap, "serve.mask_cache");
         }

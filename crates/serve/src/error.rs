@@ -100,26 +100,32 @@ impl ServeError {
 
     /// The machine-readable kind string for this error.
     pub fn kind(&self) -> &'static str {
+        &self.counter_name()["serve.errors.".len()..]
+    }
+
+    /// The counter of this error's kind, `serve.errors.<kind>`: one
+    /// static name per kind, so counting an error formats nothing.
+    pub(crate) fn counter_name(&self) -> &'static str {
         match self {
-            ServeError::Malformed { .. } => "malformed",
-            ServeError::Oversized { .. } => "oversized",
-            ServeError::UnknownType { .. } => "unknown_type",
-            ServeError::BadRequest { .. } => "bad_request",
-            ServeError::UnknownFingerprint { .. } => "unknown_fingerprint",
-            ServeError::Uncertified { .. } => "uncertified",
+            ServeError::Malformed { .. } => "serve.errors.malformed",
+            ServeError::Oversized { .. } => "serve.errors.oversized",
+            ServeError::UnknownType { .. } => "serve.errors.unknown_type",
+            ServeError::BadRequest { .. } => "serve.errors.bad_request",
+            ServeError::UnknownFingerprint { .. } => "serve.errors.unknown_fingerprint",
+            ServeError::Uncertified { .. } => "serve.errors.uncertified",
             ServeError::Rmd(e) => match e {
-                RmdError::Parse(_) => "parse",
-                RmdError::InvalidMachine(_) => "invalid_machine",
-                RmdError::LimitExceeded { .. } => "limit_exceeded",
-                RmdError::VerificationFailed(_) => "verification_failed",
-                RmdError::Io(_) => "io",
-                RmdError::BudgetExhausted { .. } => "budget_exhausted",
-                RmdError::Unschedulable { .. } => "unschedulable",
+                RmdError::Parse(_) => "serve.errors.parse",
+                RmdError::InvalidMachine(_) => "serve.errors.invalid_machine",
+                RmdError::LimitExceeded { .. } => "serve.errors.limit_exceeded",
+                RmdError::VerificationFailed(_) => "serve.errors.verification_failed",
+                RmdError::Io(_) => "serve.errors.io",
+                RmdError::BudgetExhausted { .. } => "serve.errors.budget_exhausted",
+                RmdError::Unschedulable { .. } => "serve.errors.unschedulable",
             },
-            ServeError::Timeout { .. } => "timeout",
-            ServeError::Overloaded { .. } => "overloaded",
-            ServeError::ShuttingDown => "shutting_down",
-            ServeError::Panicked { .. } => "panicked",
+            ServeError::Timeout { .. } => "serve.errors.timeout",
+            ServeError::Overloaded { .. } => "serve.errors.overloaded",
+            ServeError::ShuttingDown => "serve.errors.shutting_down",
+            ServeError::Panicked { .. } => "serve.errors.panicked",
         }
     }
 

@@ -5,8 +5,10 @@
 //! counting allocator installed. The frame is decoded into the engine's
 //! reused token tape with its strings borrowed from the line, the graph
 //! is rebuilt in the engine's reused arena, and IMS runs on a warm
-//! `SchedScratch`, so what is left is five buffers: the node and edge
-//! lists, MII's two, and the reply line, sized once. The flight
+//! `SchedScratch`, so what is left is four buffers: the node and edge
+//! lists, MII's positive-circuit probe (the frame has carried back
+//! edges, so its RecMII has no closed form), and the reply line, sized
+//! once. The flight
 //! recorder copies the id and fingerprint into the strings of the entry
 //! it overwrites, and the engine resolves the machine into a reused
 //! buffer. Decoding into a `serde_json::Value` tree and formatting each
@@ -87,7 +89,7 @@ fn bytes_retained_by(body: impl FnOnce()) -> i64 {
 }
 
 /// Allocations one warm schedule frame may make: exactly what it makes.
-const MAX_ALLOCATIONS: u64 = 5;
+const MAX_ALLOCATIONS: u64 = 4;
 
 /// Bytes a large frame may leave held once a small frame follows it:
 /// room for the 96 KiB of tape the engine keeps between frames. A tape

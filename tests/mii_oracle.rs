@@ -243,6 +243,59 @@ fn build(((seed, shape), nodes, edges): &RawCase) -> (MachineDescription, DepGra
     (m, g)
 }
 
+/// A random case reshaped so that its only edges that do not go
+/// forward in node order are its family's: carried self-loops `(node,
+/// delay, distance)` (family 0, where RecMII has a closed form), those
+/// plus one distance-0 back edge or self-loop (family 1), or plus one
+/// carried back edge `(a, b, delay, distance)` (family 2), both of which
+/// send `mii` to the search.
+type ShapedCase = (
+    RawCase,
+    u8,
+    Vec<(usize, (u8, i32, i32), u32)>,
+    (usize, usize, i32, u32),
+);
+
+fn shaped_case() -> impl Strategy<Value = ShapedCase> {
+    (
+        raw_case(),
+        0u8..3,
+        prop::collection::vec(
+            (0usize..16, (0u8..4, -8i32..24, 100i32..500), 1u32..5),
+            1..6,
+        ),
+        (0usize..16, 0usize..16, -8i32..40, 0u32..5),
+    )
+}
+
+fn build_shaped(
+    (raw, family, loops, (a, b, delay, distance)): &ShapedCase,
+) -> (MachineDescription, DepGraph) {
+    let (m, g) = build(raw);
+    let n = g.num_nodes();
+    let mut shaped = DepGraph::new();
+    for v in g.nodes() {
+        shaped.add_node(g.op(v));
+    }
+    for e in g.edges().iter().filter(|e| e.from != e.to) {
+        let (from, to) = (e.from.min(e.to), e.from.max(e.to));
+        shaped.add_edge(from, to, e.delay, e.distance, e.kind);
+    }
+    for &(v, (pick, small, large), distance) in loops {
+        let v = NodeId((v % n) as u32);
+        let delay = if pick == 0 { large } else { small };
+        shaped.add_edge(v, v, delay, distance, DepKind::Flow);
+    }
+    let (lo, hi) = (NodeId((a.min(b) % n) as u32), NodeId((a.max(b) % n) as u32));
+    let (lo, hi) = (lo.min(hi), lo.max(hi));
+    match family {
+        0 => {}
+        1 => shaped.add_edge(hi, lo, *delay, 0, DepKind::Flow),
+        _ => shaped.add_edge(hi, lo, *delay, (*distance).max(1), DepKind::Flow),
+    }
+    (m, shaped)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2048))]
 
@@ -251,6 +304,31 @@ proptest! {
         let (m, g) = build(&raw);
         prop_assert_eq!(mismatch(&g, &m), None);
     }
+
+    #[test]
+    fn self_loop_and_back_edge_families_match_oracle(case in shaped_case()) {
+        let (m, g) = build_shaped(&case);
+        prop_assert_eq!(mismatch(&g, &m), None);
+    }
+}
+
+#[test]
+fn shaped_cases_reach_both_recurrence_paths() {
+    // Each family must bind the MII by its recurrences in some cases:
+    // the closed form (family 0) and the search (families 1 and 2).
+    let mut rng = TestRng::new(0x5E1F);
+    let mut bound = [0usize; 3];
+    for _ in 0..768 {
+        let case = shaped_case().generate(&mut rng);
+        let (m, g) = build_shaped(&case);
+        if oracle::rec_mii(&g) > oracle::res_mii(&g, &m) {
+            bound[usize::from(case.1)] += 1;
+        }
+    }
+    assert!(
+        bound.iter().all(|&b| b >= 8),
+        "recurrence-bound per family: {bound:?}"
+    );
 }
 
 #[test]
