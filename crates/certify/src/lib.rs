@@ -77,8 +77,7 @@ pub use global::GlobalStats;
 pub use modulo::ModuloStats;
 
 use core::fmt;
-use rmd_core::{fingerprints, Objective, ReduceOptions};
-use rmd_latency::ForbiddenMatrix;
+use rmd_core::{fingerprints, Objective, ReduceOptions, ReductionFront, RmdError};
 use rmd_machine::{content_fingerprint, MachineDescription};
 use rmd_query::WordLayout;
 
@@ -346,12 +345,16 @@ pub fn certify_machine(
     name: &str,
     options: &CertifyOptions,
 ) -> Result<Certificate, CertifyFailure> {
-    let matrix = ForbiddenMatrix::compute(machine);
+    let reduce_error = |e: RmdError| CertifyFailure::Error(CertifyError::Reduce(e.to_string()));
+    // Classes and the pruned generating set do not depend on the
+    // objective: both reductions finish one front half.
+    let front =
+        ReductionFront::compute(machine, &ReduceOptions::default()).map_err(reduce_error)?;
+    let matrix_fingerprint = fingerprints::matrix_fingerprint_hex(front.ops_matrix());
     let mut scratch = Scratch::new();
     let mut objectives = Vec::new();
     for (label, objective) in certificate_objectives(machine) {
-        let red = rmd_core::try_reduce(machine, objective, &ReduceOptions::default())
-            .map_err(|e| CertifyFailure::Error(CertifyError::Reduce(e.to_string())))?;
+        let red = front.clone().finish(objective).map_err(reduce_error)?;
         let stats = prove_pair(machine, &red.reduced, options, &mut scratch)?;
         objectives.push(ObjectiveCert {
             objective: label,
@@ -371,7 +374,7 @@ pub fn certify_machine(
     Ok(Certificate {
         machine: name.to_string(),
         fingerprint: content_fingerprint(machine),
-        matrix_fingerprint: fingerprints::matrix_fingerprint_hex(&matrix),
+        matrix_fingerprint,
         operations: machine.num_operations(),
         resources: machine.num_resources(),
         objectives,

@@ -206,6 +206,19 @@ impl StepBudget {
             Ok(())
         }
     }
+
+    /// Charges `n` single steps: the same outcome, and the same count in
+    /// the error, as `n` calls of `charge(1)`, without making them.
+    pub(crate) fn charge_steps(&mut self, n: u64) -> Result<(), RmdError> {
+        if n <= self.limit.saturating_sub(self.used) || self.limit == u64::MAX {
+            self.used = self.used.saturating_add(n);
+            Ok(())
+        } else {
+            // The first step past the limit trips.
+            self.used = self.used.max(self.limit).saturating_add(1);
+            Err(RmdError::BudgetExhausted { steps: self.used })
+        }
+    }
 }
 
 #[cfg(test)]
@@ -254,6 +267,23 @@ mod tests {
         match b.charge(1) {
             Err(RmdError::BudgetExhausted { steps }) => assert_eq!(steps, 11),
             other => panic!("expected BudgetExhausted, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn bulk_steps_trip_where_single_steps_would() {
+        for limit in [0, 1, 5, u64::MAX] {
+            for used in [0, 1, 4, 5, 6, u64::MAX - 1, u64::MAX] {
+                for n in [0, 1, 2, 7] {
+                    let mut start = StepBudget::new(limit);
+                    start.used = used;
+                    let mut single = start;
+                    let expect = (0..n).try_for_each(|_| single.charge(1));
+                    let mut bulk = start;
+                    assert_eq!(bulk.charge_steps(n), expect, "{limit} {used} {n}");
+                    assert_eq!(bulk.used, single.used, "{limit} {used} {n}");
+                }
+            }
         }
     }
 

@@ -146,65 +146,270 @@ pub fn generating_set_budgeted(
 }
 
 /// A 64-bit inclusion signature: `sig(a) & !sig(b) != 0` proves `a ⊄ b`.
-fn signature(r: &SynthResource) -> u64 {
+fn signature(usages: &[SynthUsage]) -> u64 {
     let mut s = 0u64;
-    for u in r.usages() {
+    for u in usages {
         s |= 1u64 << ((u.class.wrapping_mul(31).wrapping_add(u.cycle)) % 64);
     }
     s
 }
 
+/// One word of a resource's usage bitmap: the usages
+/// `class@(64 * word + b)` for the set bits `b`.
+#[derive(Clone, Copy, Debug)]
+struct Word {
+    class: u32,
+    word: u32,
+    bits: u64,
+}
+
+/// A resource of the working set, with its usages also as a bitmap
+/// (nonzero words only, sorted by `(class, word)`) and a signature.
+struct Slot {
+    resource: SynthResource,
+    words: Vec<Word>,
+    sig: u64,
+}
+
+impl Slot {
+    fn new(resource: SynthResource) -> Self {
+        let mut slot = Slot {
+            resource,
+            words: Vec::new(),
+            sig: 0,
+        };
+        slot.refresh();
+        slot
+    }
+
+    /// Rebuilds the bitmap and the signature from the usages.
+    fn refresh(&mut self) {
+        let usages = self.resource.usages();
+        self.sig = signature(usages);
+        self.words.clear();
+        for u in usages {
+            let (word, bit) = (u.cycle / 64, 1u64 << (u.cycle % 64));
+            match self.words.last_mut() {
+                Some(w) if w.class == u.class && w.word == word => w.bits |= bit,
+                _ => self.words.push(Word {
+                    class: u.class,
+                    word,
+                    bits: bit,
+                }),
+            }
+        }
+    }
+
+    /// Whether this resource holds every usage of `q` that fits the
+    /// pair `fit` is on.
+    fn holds_fitting(&self, q: &Slot, fit: &mut PairFit) -> bool {
+        let mut own = self.words.iter().peekable();
+        q.words.iter().all(|w| {
+            let hit = w.bits & fit.fitting(w.class, w.word);
+            hit == 0 || {
+                while own
+                    .next_if(|o| (o.class, o.word) < (w.class, w.word))
+                    .is_some()
+                {}
+                own.peek()
+                    .is_some_and(|o| (o.class, o.word) == (w.class, w.word) && hit & !o.bits == 0)
+            }
+        })
+    }
+}
+
+/// Which usages fit both usages of the current pair, worked out once per
+/// pair and class from a flat copy of the matrix.
+///
+/// A usage `w` may share a resource with `u0 = x@0` iff
+/// `w.cycle ∈ F[x][w.class]`, and with `u1 = y@lat` iff
+/// `w.cycle − lat ∈ F[y][w.class]` (the mirrors of `−w.cycle ∈
+/// F[w.class][x]` and `lat − w.cycle ∈ F[w.class][y]`). Both are windows
+/// of one cell's bits, so a class's fitting cycles take a few word
+/// shifts, and testing a word of usages after that is one `and`.
+struct PairFit {
+    n: usize,
+    /// Cell `k = r * n + c` is `words[cell_start[k]..cell_start[k + 1]]`,
+    /// whose bit `d + cell_bias[k]` is set iff `d ∈ F[r][c]`.
+    cell_start: Vec<usize>,
+    cell_bias: Vec<u32>,
+    words: Vec<u64>,
+    /// Where each class's fitting cycles are in `mask`.
+    classes: Vec<ClassMask>,
+    mask: Vec<u64>,
+    pair: u64,
+    x: usize,
+    y: usize,
+    lat: i32,
+}
+
+impl PairFit {
+    fn new(f: &ForbiddenMatrix) -> Self {
+        let n = f.num_ops();
+        let mut cell_start = Vec::with_capacity(n * n + 1);
+        let mut cell_bias = Vec::with_capacity(n * n);
+        let mut words = Vec::new();
+        let mut top = vec![0usize; n];
+        cell_start.push(0);
+        for r in 0..n {
+            for (c, top) in top.iter_mut().enumerate() {
+                // The negative half of `F[r][c]` mirrors the nonnegative
+                // half of `F[c][r]`.
+                let bias = f.get_idx(c, r).iter_nonneg().last().unwrap_or(0);
+                let base = words.len();
+                let mut set = |bit: usize| {
+                    let w = base + bit / 64;
+                    if w >= words.len() {
+                        words.resize(w + 1, 0);
+                    }
+                    words[w] |= 1 << (bit % 64);
+                };
+                for d in f.get_idx(c, r).iter_nonneg().filter(|&d| d > 0) {
+                    set((bias - d) as usize);
+                }
+                for d in f.get_idx(r, c).iter_nonneg() {
+                    set((bias + d) as usize);
+                    *top = (*top).max(d as usize);
+                }
+                cell_start.push(words.len());
+                cell_bias.push(bias as u32);
+            }
+        }
+        let mut lo = 0;
+        let classes: Vec<ClassMask> = top
+            .into_iter()
+            .map(|t| {
+                let c = ClassMask {
+                    lo,
+                    len: t / 64 + 1,
+                    pair: 0,
+                };
+                lo += c.len;
+                c
+            })
+            .collect();
+        PairFit {
+            n,
+            cell_start,
+            cell_bias,
+            words,
+            classes,
+            mask: vec![0; lo],
+            pair: 0,
+            x: 0,
+            y: 0,
+            lat: 0,
+        }
+    }
+
+    /// Starts the pair `x@0`, `y@lat`.
+    fn start(&mut self, x: usize, y: usize, lat: i32) {
+        self.pair += 1;
+        (self.x, self.y, self.lat) = (x, y, lat);
+    }
+
+    /// Bits `from .. from + 64` of cell `k`, zero outside it.
+    fn cell_bits(&self, k: usize, from: i64) -> u64 {
+        let cell = &self.words[self.cell_start[k]..self.cell_start[k + 1]];
+        let word = |i: i64| usize::try_from(i).ok().and_then(|i| cell.get(i)).copied();
+        let (w, s) = (from.div_euclid(64), from.rem_euclid(64) as u32);
+        let low = word(w).unwrap_or(0) >> s;
+        if s == 0 {
+            low
+        } else {
+            low | word(w + 1).unwrap_or(0) << (64 - s)
+        }
+    }
+
+    /// The usages `class@(64 * word + b)` that fit both usages of the
+    /// pair, as bits `b`.
+    fn fitting(&mut self, class: u32, word: u32) -> u64 {
+        let c = class as usize;
+        let ClassMask { lo, len, pair } = self.classes[c];
+        if pair != self.pair {
+            self.classes[c].pair = self.pair;
+            let kx = self.x * self.n + c;
+            let ky = self.y * self.n + c;
+            let from_x = i64::from(self.cell_bias[kx]);
+            let from_y = i64::from(self.cell_bias[ky]) - i64::from(self.lat);
+            for j in 0..len {
+                let at = 64 * j as i64;
+                self.mask[lo + j] =
+                    self.cell_bits(kx, from_x + at) & self.cell_bits(ky, from_y + at);
+            }
+        }
+        let word = word as usize;
+        debug_assert!(word < len, "class c{class} has no usage in word {word}");
+        if word < len {
+            self.mask[lo + word]
+        } else {
+            0
+        }
+    }
+
+    /// Whether `w` fits both usages of the pair.
+    fn fits(&mut self, w: SynthUsage) -> bool {
+        self.fitting(w.class, w.cycle / 64) >> (w.cycle % 64) & 1 == 1
+    }
+}
+
+/// Class `c`'s fitting cycles: `mask[lo..lo + len]`, wide enough for
+/// every cycle a class-`c` usage can take (the largest nonnegative latency
+/// in column `c`), and the pair they were last set for.
+#[derive(Clone, Copy)]
+struct ClassMask {
+    lo: usize,
+    len: usize,
+    pair: u64,
+}
+
 struct WorkingSet {
     /// Slot is `None` once the resource has been subsumed.
-    slots: Vec<Option<SynthResource>>,
-    sigs: Vec<u64>,
+    slots: Vec<Option<Slot>>,
+    /// Indices of the live slots, ascending; entries whose slot died
+    /// since the last [`compact`](Self::compact) are skipped.
+    live: Vec<usize>,
+    /// Whether a slot died since the last compaction.
+    died: bool,
 }
 
 impl WorkingSet {
     fn new() -> Self {
         WorkingSet {
             slots: Vec::new(),
-            sigs: Vec::new(),
+            live: Vec::new(),
+            died: false,
         }
     }
 
-    /// Is `cand` a subset of (or equal to) some live resource?
-    fn subsumed(&self, cand: &SynthResource, sig: u64) -> bool {
-        self.slots
-            .iter()
-            .zip(&self.sigs)
-            .any(|(s, &rs)| sig & !rs == 0 && s.as_ref().is_some_and(|r| cand.is_subset(r)))
-    }
-
     /// Drops live resources that are strict subsets of `cand`.
-    fn drop_subsets_of(&mut self, cand: &SynthResource, sig: u64, except: usize) {
-        for i in 0..self.slots.len() {
-            if i == except {
-                continue;
-            }
-            if self.sigs[i] & !sig != 0 {
-                continue;
-            }
-            if let Some(r) = &self.slots[i] {
-                if r.len() < cand.len() && r.is_subset(cand) {
-                    self.slots[i] = None;
-                }
+    fn drop_subsets_of(&mut self, cand: &SynthResource, sig: u64) {
+        for &i in &self.live {
+            let slot = &mut self.slots[i];
+            if slot.as_ref().is_some_and(|r| {
+                r.sig & !sig == 0 && r.resource.len() < cand.len() && r.resource.is_subset(cand)
+            }) {
+                *slot = None;
+                self.died = true;
             }
         }
     }
 
     /// Adds `cand` (assumed not subsumed); returns its index.
     fn push(&mut self, cand: SynthResource) -> usize {
-        let sig = signature(&cand);
-        self.drop_subsets_of(&cand, sig, usize::MAX);
-        self.slots.push(Some(cand));
-        self.sigs.push(sig);
-        self.slots.len() - 1
+        let slot = Slot::new(cand);
+        self.drop_subsets_of(&slot.resource, slot.sig);
+        let idx = self.slots.len();
+        self.slots.push(Some(slot));
+        self.live.push(idx);
+        idx
     }
 
-    fn refresh_sig(&mut self, i: usize) {
-        if let Some(r) = &self.slots[i] {
-            self.sigs[i] = signature(r);
+    /// Forgets the live-list entries of slots that died.
+    fn compact(&mut self) {
+        if std::mem::take(&mut self.died) {
+            let slots = &self.slots;
+            self.live.retain(|&i| slots[i].is_some());
         }
     }
 }
@@ -216,14 +421,12 @@ fn build(
 ) -> Result<Vec<SynthResource>, RmdError> {
     let n = f.num_ops();
     let mut set = WorkingSet::new();
-
-    macro_rules! charge {
-        ($n:expr) => {
-            if let Some(b) = budget.as_deref_mut() {
-                b.charge($n)?;
-            }
-        };
-    }
+    let mut fit = PairFit::new(f);
+    // The Rule 2 combination under construction, kept only if it is new.
+    let mut cand: Vec<SynthUsage> = Vec::new();
+    // The live resources holding both usages of the current pair: the
+    // only ones that can contain a combination, which holds the pair.
+    let mut holders: Vec<usize> = Vec::new();
 
     macro_rules! emit {
         ($e:expr) => {
@@ -242,7 +445,13 @@ fn build(
                 if lat == 0 && x == y {
                     continue;
                 }
-                charge!(1);
+                // One step for the pair and one per slot of the snapshot
+                // below, dead slots included, charged as that many single
+                // steps: exhaustion reports the same count wherever in
+                // the pair it would have tripped.
+                if let Some(b) = budget.as_deref_mut() {
+                    b.charge_steps(1 + set.slots.len() as u64)?;
+                }
                 let u0 = SynthUsage::new(x as u32, 0);
                 let u1 = SynthUsage::new(y as u32, lat as u32);
                 emit!(GenSetEvent::ProcessPair {
@@ -250,67 +459,91 @@ fn build(
                     y: y as u32,
                     latency: lat,
                 });
+                fit.start(x, y, lat);
+                // The pair's own bits in a bitmap word.
+                let pair_bits = |w: &Word| {
+                    u64::from(w.class == u0.class && w.word == 0)
+                        | u64::from(w.class == u1.class && w.word == u1.cycle / 64)
+                            << (u1.cycle % 64)
+                };
+                let pair_sig = signature(&[u0, u1]);
+                holders.clear();
+                holders.extend(set.live.iter().copied().filter(|&i| {
+                    let q = set.slots[i].as_ref().expect("compacted");
+                    q.sig & pair_sig == pair_sig
+                        && q.resource.contains(u0)
+                        && q.resource.contains(u1)
+                }));
 
                 // Step 2: try the pair against every resource currently
                 // in the set (snapshot; later additions already hold it).
-                let snapshot = set.slots.len();
+                let snapshot = set.live.len();
                 let mut co_resident = false;
-                for qi in 0..snapshot {
-                    charge!(1);
+                for pos in 0..snapshot {
+                    let qi = set.live[pos];
                     let Some(q) = &set.slots[qi] else { continue };
-                    if q.accepts(f, u0) && q.accepts(f, u1) {
+                    // One pass over q's bitmap settles the rule: Rule 1 iff
+                    // every usage fits both; otherwise Rule 2's combination
+                    // is the pair plus the usages that fit both, which adds
+                    // nothing unless one of them is not the pair itself.
+                    let mut all = true;
+                    let mut extra = false;
+                    for w in &q.words {
+                        let hit = w.bits & fit.fitting(w.class, w.word);
+                        all &= hit == w.bits;
+                        extra |= hit & !pair_bits(w) != 0;
+                    }
+                    if all {
                         // Rule 1: merge the pair into q.
-                        let q = set.slots[qi].as_mut().expect("checked live");
-                        let grew = q.insert(u0) | q.insert(u1);
+                        let mut q = set.slots[qi].take().expect("checked live");
+                        let grew = q.resource.insert(u0) | q.resource.insert(u1);
                         co_resident = true;
                         if grew {
-                            set.refresh_sig(qi);
-                            let grown = set.slots[qi].clone().expect("live");
-                            let sig = set.sigs[qi];
-                            set.drop_subsets_of(&grown, sig, qi);
+                            q.refresh();
+                            set.drop_subsets_of(&q.resource, q.sig);
+                            holders.push(qi);
                         }
+                        set.slots[qi] = Some(q);
                         emit!(GenSetEvent::Rule1 { resource: qi });
-                    } else {
+                    } else if extra {
                         // Rule 2: combine the pair with the compatible
-                        // subset of q.
-                        let q = set.slots[qi].as_ref().expect("checked live");
-                        let mut cand = SynthResource::from_usages([u0, u1]);
-                        for &w in q.usages() {
-                            if crate::synth::usages_compatible(f, w, u0)
-                                && crate::synth::usages_compatible(f, w, u1)
-                            {
-                                cand.insert(w);
-                            }
-                        }
-                        // "If this new resource is not simply p itself
-                        // with no other usages, then it is added" — and
-                        // a combination an existing resource already
-                        // contains adds nothing (antichain invariant).
-                        if cand.len() > 2 {
-                            let sig = signature(&cand);
-                            if set.subsumed(&cand, sig) {
-                                co_resident = true;
-                                emit!(GenSetEvent::Rule2Discarded { from: qi });
-                            } else {
-                                let idx = set.push(cand);
-                                co_resident = true;
-                                emit!(GenSetEvent::Rule2 { from: qi, new: idx });
-                            }
-                        } else {
+                        // subset of q — unless a resource already holds
+                        // the combination (antichain invariant).
+                        co_resident = true;
+                        let held = holders.iter().any(|&h| {
+                            set.slots[h]
+                                .as_ref()
+                                .is_some_and(|r| r.holds_fitting(q, &mut fit))
+                        });
+                        if held {
                             emit!(GenSetEvent::Rule2Discarded { from: qi });
+                        } else {
+                            cand.clear();
+                            let fitting = q.resource.usages().iter().filter(|&&w| fit.fits(w));
+                            cand.extend(fitting);
+                            for u in [u0, u1] {
+                                if let Err(at) = cand.binary_search(&u) {
+                                    cand.insert(at, u);
+                                }
+                            }
+                            let idx = set.push(SynthResource::from_sorted(cand.clone()));
+                            holders.push(idx);
+                            emit!(GenSetEvent::Rule2 { from: qi, new: idx });
                         }
+                    } else {
+                        // "If this new resource is not simply p itself
+                        // with no other usages, then it is added."
+                        emit!(GenSetEvent::Rule2Discarded { from: qi });
                     }
                 }
 
-                // Rule 3: the pair is not yet co-resident in any resource.
-                if !co_resident {
-                    let pair = SynthResource::from_usages([u0, u1]);
-                    let sig = signature(&pair);
-                    if !set.subsumed(&pair, sig) {
-                        let idx = set.push(pair);
-                        emit!(GenSetEvent::Rule3 { new: idx });
-                    }
+                // Rule 3: the pair is not yet co-resident in any resource
+                // (and no live resource holds it).
+                if !co_resident && !holders.iter().any(|&h| set.slots[h].is_some()) {
+                    let idx = set.push(SynthResource::from_usages([u0, u1]));
+                    emit!(GenSetEvent::Rule3 { new: idx });
                 }
+                set.compact();
             }
         }
     }
@@ -337,7 +570,12 @@ fn build(
         }
     }
 
-    Ok(set.slots.into_iter().flatten().collect())
+    Ok(set
+        .slots
+        .into_iter()
+        .flatten()
+        .map(|s| s.resource)
+        .collect())
 }
 
 #[cfg(test)]

@@ -59,7 +59,7 @@ pub use genset::{
     generating_set, generating_set_budgeted, generating_set_traced, GenSetEvent, GenSetTrace,
 };
 pub use prune::{dominated_by, prune_dominated};
-pub use reduce::{reduce, try_reduce, ReduceOptions, Reduction, REDUCTION_PHASES};
+pub use reduce::{reduce, try_reduce, ReduceOptions, Reduction, ReductionFront, REDUCTION_PHASES};
 pub use select::{select, Objective, Selection};
 pub use stats::avg_word_usages;
 pub use synth::{SynthResource, SynthUsage};

@@ -4,6 +4,7 @@ use crate::error::{validate_limits, RmdError, StepBudget};
 use crate::genset::generating_set_budgeted;
 use crate::prune::prune_dominated;
 use crate::select::{select, Objective, Selection};
+use crate::synth::SynthResource;
 use rmd_latency::{ClassPartition, ForbiddenMatrix};
 use rmd_machine::{MachineBuilder, MachineDescription};
 
@@ -95,6 +96,9 @@ pub fn reduce(machine: &MachineDescription, objective: Objective) -> Reduction {
 /// optional step budget, reporting failures as [`RmdError`] instead of
 /// panicking.
 ///
+/// This is [`ReductionFront::compute`] followed by
+/// [`ReductionFront::finish`].
+///
 /// # Errors
 ///
 /// - [`RmdError::LimitExceeded`] if the input violates a limit of
@@ -109,108 +113,169 @@ pub fn try_reduce(
     objective: Objective,
     options: &ReduceOptions,
 ) -> Result<Reduction, RmdError> {
-    validate_limits(machine)?;
-    let mut budget = match options.max_steps {
-        Some(limit) => StepBudget::new(limit),
-        None => StepBudget::unlimited(),
-    };
+    ReductionFront::compute(machine, options)?.finish(objective)
+}
 
-    // Step 1: classes and the class-level matrix.
-    let f_ops = {
-        let _s = rmd_obs::span("reduce", "forbidden_matrix");
-        ForbiddenMatrix::compute(machine)
-    };
-    let (classes, class_machine, matrix) = {
-        let mut s = rmd_obs::span("reduce", "classes");
-        let classes = ClassPartition::compute(machine, &f_ops);
-        let class_machine = classes.class_machine(machine)?;
-        let matrix = ForbiddenMatrix::compute(&class_machine);
-        s.set_arg("classes", matrix.num_ops() as u64);
-        (classes, class_machine, matrix)
-    };
+/// The objective-independent front half of the pipeline: the matrices,
+/// the classes and the pruned generating set. A caller that reduces one
+/// machine under several objectives computes it once and
+/// [`finish`](Self::finish)es a clone per objective.
+#[derive(Clone, Debug)]
+pub struct ReductionFront<'m> {
+    machine: &'m MachineDescription,
+    ops_matrix: ForbiddenMatrix,
+    classes: ClassPartition,
+    class_machine: MachineDescription,
+    matrix: ForbiddenMatrix,
+    genset_size: usize,
+    pruned: Vec<SynthResource>,
+}
 
-    // Step 2: generating set of maximal resources.
-    let genset = {
-        let mut s = rmd_obs::span("reduce", "genset");
-        let genset = generating_set_budgeted(&matrix, &mut budget)?;
-        s.set_arg("resources", genset.len() as u64);
-        genset
-    };
-    let genset_size = genset.len();
-    let pruned = {
-        let mut s = rmd_obs::span("reduce", "prune");
-        let pruned = prune_dominated(&genset);
-        s.set_arg("kept", pruned.len() as u64);
-        pruned
-    };
-    let pruned_size = pruned.len();
+impl<'m> ReductionFront<'m> {
+    /// Validates `machine` and runs the pipeline up to cover selection,
+    /// charging [`ReduceOptions::max_steps`] for the generating set and
+    /// for the selection to come.
+    ///
+    /// # Errors
+    ///
+    /// As [`try_reduce`].
+    pub fn compute(
+        machine: &'m MachineDescription,
+        options: &ReduceOptions,
+    ) -> Result<Self, RmdError> {
+        validate_limits(machine)?;
+        let mut budget = match options.max_steps {
+            Some(limit) => StepBudget::new(limit),
+            None => StepBudget::unlimited(),
+        };
 
-    // Cover selection touches every (resource, latency) pair; charge it
-    // against the same budget before doing the work.
-    budget.charge((pruned.len() as u64).saturating_mul(matrix.num_ops() as u64))?;
+        // Step 1: classes and the class-level matrix.
+        let ops_matrix = {
+            let _s = rmd_obs::span("reduce", "forbidden_matrix");
+            ForbiddenMatrix::compute(machine)
+        };
+        let (classes, class_machine, matrix) = {
+            let mut s = rmd_obs::span("reduce", "classes");
+            let classes = ClassPartition::compute(machine, &ops_matrix);
+            let class_machine = classes.class_machine(machine)?;
+            let matrix = classes.class_matrix(&ops_matrix);
+            s.set_arg("classes", matrix.num_ops() as u64);
+            (classes, class_machine, matrix)
+        };
 
-    // Step 3: cover selection.
-    let selection = {
-        let mut s = rmd_obs::span("reduce", "select");
-        let selection = select(&matrix, &pruned, objective);
-        s.set_arg("selected", selection.resources.len() as u64);
-        selection
-    };
+        // Step 2: generating set of maximal resources.
+        let genset = {
+            let mut s = rmd_obs::span("reduce", "genset");
+            let genset = generating_set_budgeted(&matrix, &mut budget)?;
+            s.set_arg("resources", genset.len() as u64);
+            genset
+        };
+        let genset_size = genset.len();
+        let pruned = {
+            let mut s = rmd_obs::span("reduce", "prune");
+            let pruned = prune_dominated(&genset);
+            s.set_arg("kept", pruned.len() as u64);
+            pruned
+        };
 
-    let _materialize_span = rmd_obs::span("reduce", "materialize");
+        // Cover selection touches every (resource, latency) pair; charge
+        // it against the same budget before doing the work.
+        budget.charge((pruned.len() as u64).saturating_mul(matrix.num_ops() as u64))?;
 
-    // Materialize the reduced class machine.
-    let mut b = MachineBuilder::new(format!("{}-reduced", machine.name()));
-    let mut qids = Vec::with_capacity(selection.resources.len());
-    for i in 0..selection.resources.len() {
-        qids.push(b.resource(format!("q{i}")));
+        Ok(ReductionFront {
+            machine,
+            ops_matrix,
+            classes,
+            class_machine,
+            matrix,
+            genset_size,
+            pruned,
+        })
     }
-    for (ci, _) in classes.iter() {
-        let rep = class_machine.operation(rmd_machine::OpId(ci.0));
-        let mut ob = b.operation(rep.name().to_owned()).weight(rep.weight());
-        for (ri, r) in selection.resources.iter().enumerate() {
-            for u in r.usages() {
-                if u.class == ci.0 {
-                    ob = ob.usage(qids[ri], u.cycle);
+
+    /// The machine's own forbidden-latency matrix.
+    pub fn ops_matrix(&self) -> &ForbiddenMatrix {
+        &self.ops_matrix
+    }
+
+    /// Step 3 under `objective`: cover selection and the reduced
+    /// machines.
+    ///
+    /// # Errors
+    ///
+    /// [`RmdError::InvalidMachine`] as in [`try_reduce`].
+    pub fn finish(self, objective: Objective) -> Result<Reduction, RmdError> {
+        let ReductionFront {
+            machine,
+            classes,
+            class_machine,
+            matrix,
+            genset_size,
+            pruned,
+            ..
+        } = self;
+        let selection = {
+            let mut s = rmd_obs::span("reduce", "select");
+            let selection = select(&matrix, &pruned, objective);
+            s.set_arg("selected", selection.resources.len() as u64);
+            selection
+        };
+
+        let _materialize_span = rmd_obs::span("reduce", "materialize");
+
+        // Materialize the reduced class machine.
+        let mut b = MachineBuilder::new(format!("{}-reduced", machine.name()));
+        let mut qids = Vec::with_capacity(selection.resources.len());
+        for i in 0..selection.resources.len() {
+            qids.push(b.resource(format!("q{i}")));
+        }
+        for (ci, _) in classes.iter() {
+            let rep = class_machine.operation(rmd_machine::OpId(ci.0));
+            let mut ob = b.operation(rep.name().to_owned()).weight(rep.weight());
+            for (ri, r) in selection.resources.iter().enumerate() {
+                for u in r.usages() {
+                    if u.class == ci.0 {
+                        ob = ob.usage(qids[ri], u.cycle);
+                    }
                 }
             }
+            ob.finish();
         }
-        ob.finish();
-    }
-    let reduced_classes = b.build()?;
+        let reduced_classes = b.build()?;
 
-    // Materialize the reduced full machine: each original op carries its
-    // class's reduced table.
-    let mut b = MachineBuilder::new(format!("{}-reduced", machine.name()));
-    for i in 0..selection.resources.len() {
-        b.resource(format!("q{i}"));
-    }
-    for (id, op) in machine.ops() {
-        let class_table = reduced_classes
-            .operation(rmd_machine::OpId(classes.class_of(id).0))
-            .table()
-            .clone();
-        let mut ob = b.operation(op.name().to_owned()).weight(op.weight());
-        if let Some(base) = op.base() {
-            ob = ob.base(base.to_owned());
+        // Materialize the reduced full machine: each original op carries
+        // its class's reduced table.
+        let mut b = MachineBuilder::new(format!("{}-reduced", machine.name()));
+        for i in 0..selection.resources.len() {
+            b.resource(format!("q{i}"));
         }
-        for u in class_table.usages() {
-            ob = ob.usage(u.resource, u.cycle);
+        for (id, op) in machine.ops() {
+            let class_table = reduced_classes
+                .operation(rmd_machine::OpId(classes.class_of(id).0))
+                .table()
+                .clone();
+            let mut ob = b.operation(op.name().to_owned()).weight(op.weight());
+            if let Some(base) = op.base() {
+                ob = ob.base(base.to_owned());
+            }
+            for u in class_table.usages() {
+                ob = ob.usage(u.resource, u.cycle);
+            }
+            ob.finish();
         }
-        ob.finish();
-    }
-    let reduced = b.build()?;
+        let reduced = b.build()?;
 
-    Ok(Reduction {
-        classes,
-        class_machine,
-        matrix,
-        genset_size,
-        pruned_size,
-        selection,
-        reduced_classes,
-        reduced,
-    })
+        Ok(Reduction {
+            classes,
+            class_machine,
+            matrix,
+            genset_size,
+            pruned_size: pruned.len(),
+            selection,
+            reduced_classes,
+            reduced,
+        })
+    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,6 @@
 
 use crate::synth::{SynthResource, SynthUsage};
 use rmd_latency::ForbiddenMatrix;
-use std::collections::{HashMap, HashSet};
 
 /// The objective the selection heuristic minimizes, matching the paper's
 /// two internal representations of partial schedules.
@@ -49,12 +48,260 @@ impl Selection {
     }
 }
 
-/// A candidate usage pair within a pruned resource.
+/// A candidate usage pair within a pruned resource: usages `a ≤ b` of
+/// resource `res`.
 #[derive(Clone, Copy, Debug)]
 struct Candidate {
-    res: usize,
-    a: usize,
-    b: usize,
+    res: u32,
+    a: u32,
+    b: u32,
+}
+
+/// The nonnegative forbidden latencies of a matrix, numbered densely in
+/// row-major order, latency ascending within a cell.
+struct Targets {
+    n: usize,
+    /// Cell `x * n + y`'s targets are `list[cell_start[x * n + y]..]`, up
+    /// to the next cell's start.
+    cell_start: Vec<usize>,
+    list: Vec<(u32, u32, i32)>,
+}
+
+impl Targets {
+    fn new(f: &ForbiddenMatrix) -> Self {
+        let n = f.num_ops();
+        let mut cell_start = Vec::with_capacity(n * n + 1);
+        let mut list = Vec::with_capacity(f.total_nonneg());
+        cell_start.push(0);
+        for x in 0..n {
+            for y in 0..n {
+                list.extend(
+                    f.get_idx(x, y)
+                        .iter_nonneg()
+                        .map(|lat| (x as u32, y as u32, lat)),
+                );
+                cell_start.push(list.len());
+            }
+        }
+        Targets {
+            n,
+            cell_start,
+            list,
+        }
+    }
+
+    /// The id of target `t`, if `t` is one.
+    fn id(&self, (x, y, lat): (u32, u32, i32)) -> Option<usize> {
+        let (x, y) = (x as usize, y as usize);
+        if x >= self.n || y >= self.n {
+            return None;
+        }
+        let k = x * self.n + y;
+        let from = self.cell_start[k];
+        self.list[from..self.cell_start[k + 1]]
+            .binary_search_by_key(&lat, |t| t.2)
+            .ok()
+            .map(|i| from + i)
+    }
+}
+
+/// The pruned resources' usages, numbered flat, with the selection state
+/// of the greedy cover.
+struct Cover<'a> {
+    pruned: &'a [SynthResource],
+    targets: Targets,
+    /// Resource `r`'s usage `i` is flat usage `first[r] + i`.
+    first: Vec<usize>,
+    selected: Vec<bool>,
+    covered: Vec<bool>,
+    uncovered: usize,
+    /// The word of each flat usage, for the bitvector objective: a dense
+    /// id of `(class, cycle / k)`.
+    word: Vec<usize>,
+    nonempty: Vec<bool>,
+    k: Option<u32>,
+    /// `stamp[t] == epoch` iff target `t` was counted for the candidate
+    /// being scored.
+    stamp: Vec<u32>,
+    epoch: u32,
+    newly: Vec<usize>,
+}
+
+impl<'a> Cover<'a> {
+    fn new(f: &ForbiddenMatrix, pruned: &'a [SynthResource], k: Option<u32>) -> Self {
+        let targets = Targets::new(f);
+        let mut first = Vec::with_capacity(pruned.len() + 1);
+        first.push(0);
+        for r in pruned {
+            first.push(first[first.len() - 1] + r.len());
+        }
+        let usages = first[pruned.len()];
+        let mut word = vec![0; usages];
+        let mut words = 0;
+        if let Some(k) = k {
+            let key = |u: &SynthUsage| (u.class, u.cycle / k);
+            let mut keys: Vec<(u32, u32)> = pruned
+                .iter()
+                .flat_map(|r| r.usages().iter().map(key))
+                .collect();
+            keys.sort_unstable();
+            keys.dedup();
+            for (w, u) in word.iter_mut().zip(pruned.iter().flat_map(|r| r.usages())) {
+                *w = keys.binary_search(&key(u)).expect("every usage's key");
+            }
+            words = keys.len();
+        }
+        let t = targets.list.len();
+        Cover {
+            pruned,
+            targets,
+            first,
+            selected: vec![false; usages],
+            covered: vec![false; t],
+            uncovered: t,
+            word,
+            nonempty: vec![false; words],
+            k,
+            stamp: vec![0; t],
+            epoch: 0,
+            newly: Vec::new(),
+        }
+    }
+
+    /// Candidate lists per target, each in resource-then-pair order, as
+    /// one array and each target's start in it.
+    fn candidates(&self) -> (Vec<usize>, Vec<Candidate>) {
+        let mut found: Vec<(usize, Candidate)> = Vec::new();
+        for (ri, r) in self.pruned.iter().enumerate() {
+            let us = r.usages();
+            for i in 0..us.len() {
+                for j in i..us.len() {
+                    for t in pair_triples(us[i], us[j]) {
+                        if let Some(ti) = self.targets.id(t) {
+                            let (res, a, b) = (ri as u32, i as u32, j as u32);
+                            found.push((ti, Candidate { res, a, b }));
+                        }
+                    }
+                }
+            }
+        }
+        let t = self.targets.list.len();
+        let mut start = vec![0; t + 1];
+        for &(ti, _) in &found {
+            start[ti + 1] += 1;
+        }
+        for ti in 0..t {
+            start[ti + 1] += start[ti];
+        }
+        let mut next = start.clone();
+        let mut list = vec![Candidate { res: 0, a: 0, b: 0 }; found.len()];
+        for (ti, c) in found {
+            list[next[ti]] = c;
+            next[ti] += 1;
+        }
+        (start, list)
+    }
+
+    /// How many uncovered targets selecting `c` would cover, and the sum
+    /// of their latencies.
+    fn gain(&mut self, c: Candidate) -> (i64, i64) {
+        if self.epoch == u32::MAX {
+            self.stamp.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        let us = self.pruned[c.res as usize].usages();
+        let sel = &self.selected[self.first[c.res as usize]..];
+        let new_usages: &[u32] = if c.a == c.b { &[c.a] } else { &[c.a, c.b] };
+        let (mut newly, mut sum) = (0, 0);
+        let mut count = |t: (u32, u32, i32)| {
+            if let Some(ti) = self.targets.id(t) {
+                if !self.covered[ti] && self.stamp[ti] != self.epoch {
+                    self.stamp[ti] = self.epoch;
+                    newly += 1;
+                    sum += i64::from(t.2);
+                }
+            }
+        };
+        for (idx, &nu) in new_usages.iter().enumerate() {
+            let u = us[nu as usize];
+            // vs previously selected usages of this resource
+            for (wi, &w) in us.iter().enumerate() {
+                if sel[wi] {
+                    pair_triples(w, u).for_each(&mut count);
+                }
+            }
+            // vs the other new usage (and itself)
+            for &nv in &new_usages[idx..] {
+                pair_triples(u, us[nv as usize]).for_each(&mut count);
+            }
+        }
+        (newly, sum)
+    }
+
+    /// Lexicographic score of `c`: fewer new words, more newly covered,
+    /// larger sum, then fewer new usages (consolidating into
+    /// already-selected usages). New words are always 0 for ResUses.
+    fn score(&mut self, c: Candidate) -> (i64, i64, i64, i64) {
+        let (newly, sum) = self.gain(c);
+        let first = self.first[c.res as usize];
+        let (a, b) = (first + c.a as usize, first + c.b as usize);
+        let opens =
+            |g: usize| (!self.selected[g] && !self.nonempty[self.word[g]]).then_some(self.word[g]);
+        let new_words = match self.k.map(|_| (opens(a), opens(b))) {
+            None => 0,
+            Some((Some(wa), Some(wb))) => 1 + i64::from(wa != wb),
+            Some((wa, wb)) => i64::from(wa.is_some() || wb.is_some()),
+        };
+        let new_usages = if a == b {
+            i64::from(!self.selected[a])
+        } else {
+            i64::from(!self.selected[a]) + i64::from(!self.selected[b])
+        };
+        (-new_words, newly, sum, -new_usages)
+    }
+
+    fn apply(&mut self, c: Candidate) {
+        let us = self.pruned[c.res as usize].usages();
+        let first = self.first[c.res as usize];
+        self.newly.clear();
+        for ui in [c.a as usize, c.b as usize] {
+            if !self.selected[first + ui] {
+                self.selected[first + ui] = true;
+                self.newly.push(ui);
+            }
+        }
+        // Free same-word packing within this resource and class.
+        if self.k.is_some() {
+            for &ui in &self.newly {
+                self.nonempty[self.word[first + ui]] = true;
+            }
+            for wi in 0..us.len() {
+                let g = first + wi;
+                if !self.selected[g] && self.nonempty[self.word[g]] {
+                    self.selected[g] = true;
+                    self.newly.push(wi);
+                }
+            }
+        }
+        // Update coverage: new usages against all selected usages of this
+        // resource (including each other and themselves).
+        for &ni in &self.newly {
+            let u = us[ni];
+            for (wi, &w) in us.iter().enumerate() {
+                if self.selected[first + wi] {
+                    for t in pair_triples(w, u) {
+                        if let Some(ti) = self.targets.id(t) {
+                            if !self.covered[ti] {
+                                self.covered[ti] = true;
+                                self.uncovered -= 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Greedily selects a subset of the pruned generating set's resources and
@@ -74,126 +321,48 @@ struct Candidate {
 /// Panics if `pruned` cannot cover some forbidden latency of `f` — that
 /// would mean it is not a valid (pruned) generating set for `f`.
 pub fn select(f: &ForbiddenMatrix, pruned: &[SynthResource], objective: Objective) -> Selection {
-    let n = f.num_ops();
-    // ---- Target list: all nonnegative forbidden latencies. ----
-    let mut targets: Vec<(u32, u32, i32)> = Vec::new();
-    let mut target_idx: HashMap<(u32, u32, i32), usize> = HashMap::new();
-    for x in 0..n {
-        for y in 0..n {
-            for lat in f.get_idx(x, y).iter_nonneg() {
-                let t = (x as u32, y as u32, lat);
-                target_idx.insert(t, targets.len());
-                targets.push(t);
-            }
-        }
-    }
-    let mut covered = vec![false; targets.len()];
-    let mut uncovered_count = targets.len();
-
-    // ---- Candidate lists per target. ----
-    let mut candidates: Vec<Vec<Candidate>> = vec![Vec::new(); targets.len()];
-    for (ri, r) in pruned.iter().enumerate() {
-        let us = r.usages();
-        for i in 0..us.len() {
-            for j in i..us.len() {
-                for t in pair_triples(us[i], us[j]) {
-                    if let Some(&ti) = target_idx.get(&t) {
-                        candidates[ti].push(Candidate {
-                            res: ri,
-                            a: i,
-                            b: j,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    // ---- Greedy cover. ----
-    // Selected usage flags per resource.
-    let mut sel: Vec<Vec<bool>> = pruned.iter().map(|r| vec![false; r.len()]).collect();
-    // Nonempty words per class table: (class, word) — bitvector objective.
-    let mut words: HashSet<(u32, u32)> = HashSet::new();
     let k = objective.k();
+    let mut cover = Cover::new(f, pruned, k);
+    let (start, candidates) = cover.candidates();
+    let cands = |ti: usize| &candidates[start[ti]..start[ti + 1]];
 
-    // Pre-sort target visit order by candidate-list length.
-    let mut order: Vec<usize> = (0..targets.len()).collect();
-    order.sort_by_key(|&ti| (candidates[ti].len(), ti));
-
+    // ---- Greedy cover, visiting targets by candidate-list length. ----
+    let mut order: Vec<usize> = (0..cover.covered.len()).collect();
+    order.sort_unstable_by_key(|&ti| (cands(ti).len(), ti));
     for &ti in &order {
-        if covered[ti] {
+        if cover.covered[ti] {
             continue;
         }
         assert!(
-            !candidates[ti].is_empty(),
+            !cands(ti).is_empty(),
             "no candidate generates forbidden latency {:?}; not a generating set",
-            targets[ti]
+            cover.targets.list[ti]
         );
-        // Evaluate candidates.
         let mut best: Option<(Candidate, (i64, i64, i64, i64))> = None;
-        for &c in &candidates[ti] {
-            let gain = candidate_gain(pruned, &sel, c, &covered, &target_idx);
-            let new_words = match k {
-                None => 0,
-                Some(k) => {
-                    let us = pruned[c.res].usages();
-                    let mut nw: HashSet<(u32, u32)> = HashSet::new();
-                    for &ui in &[c.a, c.b] {
-                        if !sel[c.res][ui] {
-                            let u = us[ui];
-                            let w = (u.class, u.cycle / k);
-                            if !words.contains(&w) {
-                                nw.insert(w);
-                            }
-                        }
-                    }
-                    nw.len() as i64
-                }
-            };
-            let newly = gain.len() as i64;
-            let sum: i64 = gain.iter().map(|&(_, _, l)| i64::from(l)).sum();
-            let new_usages = if c.a == c.b {
-                i64::from(!sel[c.res][c.a])
-            } else {
-                i64::from(!sel[c.res][c.a]) + i64::from(!sel[c.res][c.b])
-            };
-            // Lexicographic score: fewer new words, more newly covered,
-            // larger sum, then fewer new usages (consolidating into
-            // already-selected usages). new_words is always 0 for
-            // ResUses.
-            let score = (-new_words, newly, sum, -new_usages);
+        for &c in cands(ti) {
+            let score = cover.score(c);
             if best.as_ref().map_or(true, |(_, s)| score > *s) {
                 best = Some((c, score));
             }
         }
         let (c, _) = best.expect("candidate list nonempty");
-        apply_candidate(
-            pruned,
-            &mut sel,
-            c,
-            k,
-            &mut words,
-            &mut covered,
-            &mut uncovered_count,
-            &target_idx,
-        );
-        if uncovered_count == 0 {
+        cover.apply(c);
+        if cover.uncovered == 0 {
             break;
         }
     }
-    debug_assert_eq!(uncovered_count, 0);
+    debug_assert_eq!(cover.uncovered, 0);
 
     // ---- Bitvector free-packing: a usage in an already-nonempty word of
     // its class's table costs nothing, so select every such usage of the
     // selected resources (paper: "marks every other usage of marked
     // resources within the same word").
-    if let Some(k) = k {
-        for (ri, r) in pruned.iter().enumerate() {
-            if sel[ri].iter().any(|&s| s) {
-                for (ui, &u) in r.usages().iter().enumerate() {
-                    if !sel[ri][ui] && words.contains(&(u.class, u.cycle / k)) {
-                        sel[ri][ui] = true;
-                    }
+    if k.is_some() {
+        for ri in 0..pruned.len() {
+            let flat = cover.first[ri]..cover.first[ri + 1];
+            if cover.selected[flat.clone()].contains(&true) {
+                for g in flat {
+                    cover.selected[g] |= cover.nonempty[cover.word[g]];
                 }
             }
         }
@@ -202,8 +371,9 @@ pub fn select(f: &ForbiddenMatrix, pruned: &[SynthResource], objective: Objectiv
     // ---- Materialize. ----
     let resources: Vec<SynthResource> = pruned
         .iter()
-        .zip(&sel)
-        .filter_map(|(r, flags)| {
+        .enumerate()
+        .filter_map(|(ri, r)| {
+            let flags = &cover.selected[cover.first[ri]..cover.first[ri + 1]];
             let picked: Vec<SynthUsage> = r
                 .usages()
                 .iter()
@@ -211,16 +381,12 @@ pub fn select(f: &ForbiddenMatrix, pruned: &[SynthResource], objective: Objectiv
                 .filter(|(_, &s)| s)
                 .map(|(&u, _)| u)
                 .collect();
-            if picked.is_empty() {
-                None
-            } else {
-                Some(SynthResource::from_usages(picked))
-            }
+            (!picked.is_empty()).then(|| SynthResource::from_sorted(picked))
         })
         .collect();
-    let resources = drop_redundant(resources);
+    let resources = drop_redundant(&cover.targets, resources);
     let resources = consolidate(f, resources);
-    let resources = drop_redundant(resources);
+    let resources = drop_redundant(&cover.targets, resources);
     Selection {
         resources,
         objective,
@@ -232,28 +398,59 @@ pub fn select(f: &ForbiddenMatrix, pruned: &[SynthResource], objective: Objectiv
 /// stragglers, especially after word-packing adds free usages; removing
 /// them shrinks both the resource count and the usage count without
 /// touching coverage.
-fn drop_redundant(resources: Vec<SynthResource>) -> Vec<SynthResource> {
-    let mut kept: Vec<SynthResource> = resources;
-    loop {
-        let triples: Vec<Vec<(u32, u32, i32)>> =
-            kept.iter().map(SynthResource::forbidden_triples).collect();
-        let mut counts: HashMap<(u32, u32, i32), usize> = HashMap::new();
-        for ts in &triples {
-            for &t in ts {
-                *counts.entry(t).or_insert(0) += 1;
+///
+/// Each pass removes the largest (last among equals) fully redundant
+/// resource; the per-triple counts it leaves behind are updated in place.
+fn drop_redundant(targets: &Targets, resources: Vec<SynthResource>) -> Vec<SynthResource> {
+    // Triples that are not targets (only a resource the matrix does not
+    // allow generates one) are numbered after the targets.
+    let mut others: Vec<(u32, u32, i32)> = resources
+        .iter()
+        .flat_map(generated)
+        .filter(|&t| targets.id(t).is_none())
+        .collect();
+    others.sort_unstable();
+    others.dedup();
+    let base = targets.list.len();
+    let id = |t| {
+        targets
+            .id(t)
+            .unwrap_or_else(|| base + others.binary_search(&t).expect("collected above"))
+    };
+    // Each resource's distinct triples, and how many resources generate
+    // each one.
+    let mut counts = vec![0usize; base + others.len()];
+    let mut seen = vec![usize::MAX; counts.len()];
+    let ids: Vec<Vec<usize>> = resources
+        .iter()
+        .enumerate()
+        .map(|(ri, r)| {
+            let mut ids = Vec::new();
+            for t in generated(r).map(id) {
+                if seen[t] != ri {
+                    seen[t] = ri;
+                    counts[t] += 1;
+                    ids.push(t);
+                }
             }
-        }
-        // Remove the largest fully-redundant resource, if any.
-        let victim = (0..kept.len())
-            .filter(|&i| triples[i].iter().all(|t| counts[t] >= 2))
-            .max_by_key(|&i| kept[i].len());
-        match victim {
-            Some(i) => {
-                kept.remove(i);
-            }
-            None => return kept,
+            ids
+        })
+        .collect();
+    let mut kept = vec![true; resources.len()];
+    while let Some(victim) = (0..resources.len())
+        .filter(|&i| kept[i] && ids[i].iter().all(|&t| counts[t] >= 2))
+        .max_by_key(|&i| resources[i].len())
+    {
+        kept[victim] = false;
+        for &t in &ids[victim] {
+            counts[t] -= 1;
         }
     }
+    resources
+        .into_iter()
+        .zip(kept)
+        .filter_map(|(r, k)| k.then_some(r))
+        .collect()
 }
 
 /// Merges selected resources whose union is still valid (every cross
@@ -285,113 +482,22 @@ fn consolidate(f: &ForbiddenMatrix, mut resources: Vec<SynthResource>) -> Vec<Sy
     resources
 }
 
+/// The triples of every usage pair of `r`, repeats included.
+fn generated(r: &SynthResource) -> impl Iterator<Item = (u32, u32, i32)> + '_ {
+    let us = r.usages();
+    (0..us.len()).flat_map(move |i| us[i..].iter().flat_map(move |&v| pair_triples(us[i], v)))
+}
+
 /// The (oriented, nonnegative) forbidden triples a usage pair generates.
-fn pair_triples(u: SynthUsage, v: SynthUsage) -> Vec<(u32, u32, i32)> {
+fn pair_triples(u: SynthUsage, v: SynthUsage) -> impl Iterator<Item = (u32, u32, i32)> {
     let d = i64::from(v.cycle) - i64::from(u.cycle);
-    match d.cmp(&0) {
-        core::cmp::Ordering::Greater => vec![(u.class, v.class, d as i32)],
-        core::cmp::Ordering::Less => vec![(v.class, u.class, (-d) as i32)],
-        core::cmp::Ordering::Equal => {
-            if u == v {
-                vec![(u.class, u.class, 0)]
-            } else {
-                vec![(u.class, v.class, 0), (v.class, u.class, 0)]
-            }
-        }
-    }
-}
-
-/// Uncovered triples that selecting candidate `c` would cover.
-fn candidate_gain(
-    pruned: &[SynthResource],
-    sel: &[Vec<bool>],
-    c: Candidate,
-    covered: &[bool],
-    target_idx: &HashMap<(u32, u32, i32), usize>,
-) -> Vec<(u32, u32, i32)> {
-    let us = pruned[c.res].usages();
-    let mut new_usages = vec![c.a];
-    if c.b != c.a {
-        new_usages.push(c.b);
-    }
-    let mut gain = HashSet::new();
-    for (idx, &nu) in new_usages.iter().enumerate() {
-        let u = us[nu];
-        // vs previously selected usages of this resource
-        for (wi, &w) in us.iter().enumerate() {
-            if sel[c.res][wi] {
-                for t in pair_triples(w, u) {
-                    if let Some(&ti) = target_idx.get(&t) {
-                        if !covered[ti] {
-                            gain.insert(t);
-                        }
-                    }
-                }
-            }
-        }
-        // vs the other new usage (and itself)
-        for &nv in &new_usages[idx..] {
-            for t in pair_triples(u, us[nv]) {
-                if let Some(&ti) = target_idx.get(&t) {
-                    if !covered[ti] {
-                        gain.insert(t);
-                    }
-                }
-            }
-        }
-    }
-    gain.into_iter().collect()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn apply_candidate(
-    pruned: &[SynthResource],
-    sel: &mut [Vec<bool>],
-    c: Candidate,
-    k: Option<u32>,
-    words: &mut HashSet<(u32, u32)>,
-    covered: &mut [bool],
-    uncovered_count: &mut usize,
-    target_idx: &HashMap<(u32, u32, i32), usize>,
-) {
-    let us = pruned[c.res].usages();
-    let mut newly: Vec<usize> = Vec::new();
-    for &ui in &[c.a, c.b] {
-        if !sel[c.res][ui] {
-            sel[c.res][ui] = true;
-            newly.push(ui);
-        }
-    }
-    // Free same-word packing within this resource and class.
-    if let Some(k) = k {
-        for &ui in &newly.clone() {
-            let u = us[ui];
-            words.insert((u.class, u.cycle / k));
-        }
-        for (wi, &w) in us.iter().enumerate() {
-            if !sel[c.res][wi] && words.contains(&(w.class, w.cycle / k)) {
-                sel[c.res][wi] = true;
-                newly.push(wi);
-            }
-        }
-    }
-    // Update coverage: new usages against all selected usages of this
-    // resource (including each other and themselves).
-    for &ni in &newly {
-        let u = us[ni];
-        for (wi, &w) in us.iter().enumerate() {
-            if sel[c.res][wi] {
-                for t in pair_triples(w, u) {
-                    if let Some(&ti) = target_idx.get(&t) {
-                        if !covered[ti] {
-                            covered[ti] = true;
-                            *uncovered_count -= 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
+    let (first, second) = match d.cmp(&0) {
+        core::cmp::Ordering::Greater => ((u.class, v.class, d as i32), None),
+        core::cmp::Ordering::Less => ((v.class, u.class, (-d) as i32), None),
+        core::cmp::Ordering::Equal if u == v => ((u.class, u.class, 0), None),
+        core::cmp::Ordering::Equal => ((u.class, v.class, 0), Some((v.class, u.class, 0))),
+    };
+    core::iter::once(first).chain(second)
 }
 
 #[cfg(test)]
@@ -400,6 +506,7 @@ mod tests {
     use crate::genset::generating_set;
     use crate::prune::prune_dominated;
     use rmd_machine::models::example_machine;
+    use std::collections::HashSet;
 
     fn u(c: u32, cy: u32) -> SynthUsage {
         SynthUsage::new(c, cy)

@@ -68,6 +68,12 @@ impl SynthResource {
         SynthResource { usages: v }
     }
 
+    /// Wraps usages that are already sorted and deduplicated.
+    pub(crate) fn from_sorted(usages: Vec<SynthUsage>) -> Self {
+        debug_assert!(usages.windows(2).all(|w| w[0] < w[1]));
+        SynthResource { usages }
+    }
+
     /// Adds a usage; returns `true` if newly added.
     pub fn insert(&mut self, u: SynthUsage) -> bool {
         match self.usages.binary_search(&u) {
@@ -101,7 +107,12 @@ impl SynthResource {
 
     /// Whether every usage of `self` appears in `other`.
     pub fn is_subset(&self, other: &SynthResource) -> bool {
-        self.usages.iter().all(|u| other.contains(*u))
+        if self.len() > other.len() {
+            return false;
+        }
+        // Both are sorted: one merge pass.
+        let mut rest = other.usages.iter();
+        self.usages.iter().all(|u| rest.any(|w| w == u))
     }
 
     /// Whether `u` is compatible with *every* usage of this resource.

@@ -4,7 +4,8 @@
 use crate::matrix::ForbiddenMatrix;
 use core::fmt;
 use rmd_machine::{MachineDescription, MachineError, OpId};
-use std::collections::HashMap;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 
 /// Identifies an operation class within a [`ClassPartition`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -64,27 +65,51 @@ impl ClassPartition {
     pub fn compute(machine: &MachineDescription, f: &ForbiddenMatrix) -> Self {
         let n = machine.num_operations();
         assert_eq!(n, f.num_ops(), "matrix must match machine");
-        // Signature of X: its entire row and column of F.
-        let mut sig_to_class: HashMap<Vec<crate::LatencySet>, ClassId> = HashMap::new();
+        // Ops in one class have `F[X][R] = F[R][R] = F[R][X]`, which
+        // rejects most other ops after two cells. Past that, a hash of
+        // each op's row and column, read in place and worked out once,
+        // leaves only ops that are almost surely equal to compare cell by
+        // cell, so no input makes the grouping cubic in the op count.
+        let mut keys: Vec<Option<u64>> = vec![None; n];
+        let mut key = |x: usize| {
+            *keys[x].get_or_insert_with(|| {
+                let mut h = DefaultHasher::new();
+                for z in 0..n {
+                    f.get_idx(x, z).hash(&mut h);
+                    f.get_idx(z, x).hash(&mut h);
+                }
+                h.finish()
+            })
+        };
         let mut class_of = Vec::with_capacity(n);
         let mut members: Vec<Vec<OpId>> = Vec::new();
         for x in 0..n {
-            let mut sig = Vec::with_capacity(2 * n);
-            for z in 0..n {
-                sig.push(f.get_idx(x, z).clone());
-            }
-            for z in 0..n {
-                sig.push(f.get_idx(z, x).clone());
-            }
-            let next = ClassId(members.len() as u32);
-            let id = *sig_to_class.entry(sig).or_insert(next);
-            if id == next {
+            let found = members.iter().position(|m| {
+                let r = m[0].index();
+                let own = f.get_idx(r, r);
+                f.get_idx(x, r) == own
+                    && f.get_idx(r, x) == own
+                    && key(r) == key(x)
+                    && same_constraints(f, x, r)
+            });
+            let id = ClassId(found.unwrap_or(members.len()) as u32);
+            if found.is_none() {
                 members.push(Vec::new());
             }
             members[id.index()].push(OpId(x as u32));
             class_of.push(id);
         }
         ClassPartition { class_of, members }
+    }
+
+    /// The class machine's forbidden matrix: `f`, the matrix of the
+    /// machine the partition was computed from, restricted to the class
+    /// representatives. Each class operation carries its
+    /// representative's table, so this equals the matrix of
+    /// [`class_machine`](Self::class_machine) without recomputing it.
+    pub fn class_matrix(&self, f: &ForbiddenMatrix) -> ForbiddenMatrix {
+        let reps: Vec<usize> = self.members.iter().map(|m| m[0].index()).collect();
+        f.restrict(&reps)
     }
 
     /// Number of classes.
@@ -146,6 +171,12 @@ impl ClassPartition {
     }
 }
 
+/// Whether `x` and `r` have equal rows and columns of `f`.
+fn same_constraints(f: &ForbiddenMatrix, x: usize, r: usize) -> bool {
+    (0..f.num_ops())
+        .all(|z| f.get_idx(x, z) == f.get_idx(r, z) && f.get_idx(z, x) == f.get_idx(z, r))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,6 +233,7 @@ mod tests {
             let p = ClassPartition::compute(&m, &f);
             let cm = p.class_machine(&m).unwrap();
             let cf = ForbiddenMatrix::compute(&cm);
+            assert_eq!(p.class_matrix(&f), cf, "{}", m.name());
             // Each class-machine cell must equal the original cell of the
             // corresponding representatives.
             for (ci, _) in p.iter() {

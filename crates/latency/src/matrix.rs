@@ -8,8 +8,9 @@ use rmd_machine::{MachineDescription, OpId};
 /// (paper §3, Equation 1).
 ///
 /// `get(x, y)` is `F[X][Y] = { j | X may not issue j cycles after Y }`.
-/// [`compute`](Self::compute) is the only constructor, and two
-/// invariants hold by construction (checked in tests):
+/// [`compute`](Self::compute) is the only public constructor (a class
+/// partition restricts a matrix to its representatives, which keeps
+/// both), and two invariants hold by construction (checked in tests):
 ///
 /// * `0 ∈ F[X][X]` for every operation that uses any resource;
 /// * `f ∈ F[X][Y] ⇔ −f ∈ F[Y][X]`.
@@ -57,6 +58,16 @@ impl ForbiddenMatrix {
             }
         }
         ForbiddenMatrix { n, sets }
+    }
+
+    /// The matrix of the operations `ops` (indices into this one), in
+    /// that order.
+    pub(crate) fn restrict(&self, ops: &[usize]) -> Self {
+        let sets = ops
+            .iter()
+            .flat_map(|&x| ops.iter().map(move |&y| self.get_idx(x, y).clone()))
+            .collect();
+        ForbiddenMatrix { n: ops.len(), sets }
     }
 
     /// Number of operations the matrix covers.

@@ -86,7 +86,7 @@ pub fn res_mii(g: &DepGraph, m: &MachineDescription) -> u32 {
 /// `RecMII = max over circuits ⌈Σ delay / Σ distance⌉`.
 ///
 /// Read off the self-loops when they are the only circuits
-/// ([`self_loop_bound`]); otherwise computed by binary search on II over
+/// (`self_loop_bound`); otherwise computed by binary search on II over
 /// `[1, Σ positive delays]`, each probe a Bellman-Ford positive-circuit
 /// check. Returns 1 for graphs without a loop-carried edge, and
 /// `Σ positive delays` when a circuit of distance-0 edges is positive,
