@@ -270,17 +270,13 @@ fn dominated_alternative(s: &LintSubject, out: &mut Findings<'_>) {
 
 /// RMD-L009: the redundancy report. Fingerprints the forbidden matrix
 /// and estimates reduction headroom by running the paper's generating
-/// set + pruning over the class machine.
+/// set + pruning over the class-level matrix.
 fn redundancy(s: &LintSubject, out: &mut Findings<'_>) {
     let Some(m) = s.machine() else { return };
     let f = ForbiddenMatrix::compute(m);
     let fp = rmd_core::fingerprints::matrix_fingerprint(&f);
     let classes = ClassPartition::compute(m, &f);
-    let Ok(cm) = classes.class_machine(m) else {
-        return;
-    };
-    let cf = ForbiddenMatrix::compute(&cm);
-    let pruned = prune_dominated(&generating_set(&cf));
+    let pruned = prune_dominated(&generating_set(&classes.class_matrix(&f)));
     out.push(
         None,
         format!(

@@ -9,8 +9,8 @@
 //!    much of the query speedup comes from packing versus from the
 //!    reduction itself.
 
-use rmd_bench::{aggregate, checked_reduce, run_suite_runs, write_record, SuiteStats};
-use rmd_core::Objective;
+use rmd_bench::{aggregate, run_suite_runs, write_record, SuiteStats};
+use rmd_core::{reduce, Objective};
 use rmd_loops::{suite, OpSet};
 use rmd_machine::models::cydra5_subset;
 use rmd_query::WordLayout;
@@ -83,7 +83,7 @@ fn main() {
     let mut k_sweep = Vec::new();
     let mut k = 1u32;
     loop {
-        let red = checked_reduce(&m, Objective::KCycleWord { k });
+        let red = reduce(&m, Objective::KCycleWord { k });
         let nres = red.reduced.num_resources();
         if k * nres as u32 > 64 {
             break;

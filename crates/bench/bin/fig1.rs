@@ -4,8 +4,7 @@
 //! (b) the forbidden-latency matrix, (c) the generating set of maximal
 //! resources, and (d) the reduced machine description.
 
-use rmd_bench::checked_reduce;
-use rmd_core::{generating_set, prune_dominated, Objective};
+use rmd_core::{generating_set, prune_dominated, reduce, Objective};
 use rmd_latency::ForbiddenMatrix;
 use rmd_machine::{models::example_machine, render};
 use serde::Serialize;
@@ -45,7 +44,7 @@ fn main() {
     }
 
     println!("\n(d) Reduced machine description (res-uses objective)\n");
-    let red = checked_reduce(&m, Objective::ResUses);
+    let red = reduce(&m, Objective::ResUses);
     print!("{}", render::machine(&red.reduced));
 
     let usages = |mm: &rmd_machine::MachineDescription| {

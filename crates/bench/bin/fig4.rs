@@ -2,8 +2,7 @@
 //! (a) the original description, (b) the discrete (res-uses) reduction,
 //! and (c) the 64-bit-word bitvector reduction.
 
-use rmd_bench::checked_reduce;
-use rmd_core::Objective;
+use rmd_core::{reduce, Objective};
 use rmd_machine::{models::cydra5_subset, render, MachineDescription};
 use serde::Serialize;
 
@@ -32,7 +31,7 @@ fn main() {
     );
     print!("{}", render::overview(&m));
 
-    let discrete = checked_reduce(&m, Objective::ResUses);
+    let discrete = reduce(&m, Objective::ResUses);
     println!(
         "\n(b) Discrete-representation reduction ({} resources, {} resource usages)\n",
         discrete.reduced_classes.num_resources(),
@@ -41,7 +40,7 @@ fn main() {
     print!("{}", render::overview(&discrete.reduced_classes));
 
     let k = (64 / discrete.reduced_classes.num_resources().max(1) as u32).max(1);
-    let bitvec = checked_reduce(&m, Objective::KCycleWord { k });
+    let bitvec = reduce(&m, Objective::KCycleWord { k });
     println!(
         "\n(c) Bitvector-representation reduction, 64-bit word, k={k} \
          ({} resources, {} resource usages)\n",

@@ -8,8 +8,8 @@
 //! wall-clock over a fixed random query mix. Memory storage compares
 //! reserved-table bits per schedule cycle.
 
-use rmd_bench::{checked_reduce, write_record};
-use rmd_core::{avg_word_usages, Objective};
+use rmd_bench::write_record;
+use rmd_core::{avg_word_usages, reduce, Objective};
 use rmd_machine::models::{alpha21064, cydra5, cydra5_subset, mips_r3000};
 use rmd_machine::{MachineDescription, OpId};
 use rmd_query::{BitvecModule, ContentionQuery, DiscreteModule, OpInstance, WordLayout};
@@ -54,10 +54,10 @@ fn drive(q: &mut dyn ContentionQuery, num_ops: usize, iters: u32) -> std::time::
 }
 
 fn headline(m: &MachineDescription) -> MachineHeadline {
-    let red_discrete = checked_reduce(m, Objective::ResUses);
+    let red_discrete = reduce(m, Objective::ResUses);
     let n_red = red_discrete.reduced_classes.num_resources().max(1);
     let k = (64 / n_red as u32).max(1);
-    let red_bitvec = checked_reduce(m, Objective::KCycleWord { k });
+    let red_bitvec = reduce(m, Objective::KCycleWord { k });
     let k_fit = k.min((64 / red_bitvec.reduced.num_resources() as u32).max(1));
 
     // Work-unit model: original word usages at k=1 vs reduced at k.

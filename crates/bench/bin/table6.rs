@@ -6,10 +6,8 @@
 //!   original 3.46 -> discrete 2.11 -> bitvec 1-cycle 1.91 ->
 //!   2-cycle 1.35 -> 4-cycle 1.21, a 2.9x faster query module overall.
 
-use rmd_bench::{
-    aggregate, checked_reduce, run_suite_runs, table6_representations, write_record, SuiteStats,
-};
-use rmd_core::Objective;
+use rmd_bench::{aggregate, run_suite_runs, table6_representations, write_record, SuiteStats};
+use rmd_core::{reduce, Objective};
 use rmd_loops::{suite, OpSet};
 use rmd_machine::models::cydra5_subset;
 use rmd_sched::Representation;
@@ -57,11 +55,11 @@ fn main() {
 
     // Reduced columns: the query machine is the reduction, the MII comes
     // from the original so the search trajectory matches.
-    let res_uses = checked_reduce(&original, Objective::ResUses);
+    let res_uses = reduce(&original, Objective::ResUses);
     let reprs = table6_representations(res_uses.reduced_classes.num_resources());
     for (label, objective, repr) in reprs {
         println!("running: {label} ...");
-        let red = checked_reduce(&original, objective);
+        let red = reduce(&original, objective);
         // A k-cycle-word reduction may select more resources than fit k
         // per 64-bit word; clamp the module's packing to what fits.
         let repr = match repr {

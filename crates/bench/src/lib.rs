@@ -2,8 +2,7 @@
 //! sweeps, the serial suite runner, plain-text table rendering, and
 //! machine-readable experiment records.
 
-use rmd_core::{avg_word_usages, reduce, verify_equivalence, Objective, Reduction};
-use rmd_latency::{ClassPartition, ForbiddenMatrix};
+use rmd_core::{avg_word_usages, reduce, Objective};
 use rmd_loops::Loop;
 use rmd_machine::MachineDescription;
 use rmd_query::{ModuloMaskCache, WordLayout, WorkCounters};
@@ -51,18 +50,18 @@ pub struct ReductionReport {
 /// `word_bits / reduced resource count`, as the paper does), plus the
 /// 1-cycle-word column.
 ///
-/// Every reduction is verified to preserve the forbidden-latency matrix
-/// exactly before being reported.
+/// The class count, the class matrix and the original column come from
+/// the res-uses reduction's step 1, and every reduction is verified to
+/// preserve the forbidden-latency matrix exactly (by [`reduce`]) before
+/// being reported.
 ///
 /// # Panics
 ///
 /// Panics if any reduction fails verification (that would be a bug, not
 /// an input property).
 pub fn reduction_report(machine: &MachineDescription, word_bits: &[u32]) -> ReductionReport {
-    let f = ForbiddenMatrix::compute(machine);
-    let classes = ClassPartition::compute(machine, &f);
-    let class_machine = classes.class_machine(machine).expect("valid machine");
-    let cf = ForbiddenMatrix::compute(&class_machine);
+    let res_uses = reduce(machine, Objective::ResUses);
+    let class_machine = &res_uses.class_machine;
 
     let mut columns = Vec::new();
     columns.push(ColumnStats {
@@ -70,10 +69,9 @@ pub fn reduction_report(machine: &MachineDescription, word_bits: &[u32]) -> Redu
         num_resources: machine.num_resources(),
         avg_usages_per_op: class_machine.avg_usages_per_op(),
         k: 1,
-        avg_word_usages: avg_word_usages(&class_machine, 1),
+        avg_word_usages: avg_word_usages(class_machine, 1),
     });
 
-    let res_uses = checked_reduce(machine, Objective::ResUses);
     let n0 = res_uses.reduced_classes.num_resources().max(1);
     columns.push(ColumnStats {
         label: "res-uses".into(),
@@ -90,7 +88,7 @@ pub fn reduction_report(machine: &MachineDescription, word_bits: &[u32]) -> Redu
     ks.sort_unstable();
     ks.dedup();
     for k in ks {
-        let red = checked_reduce(machine, Objective::KCycleWord { k });
+        let red = reduce(machine, Objective::KCycleWord { k });
         columns.push(ColumnStats {
             label: format!("{k}-cycle-word"),
             num_resources: red.reduced_classes.num_resources(),
@@ -102,19 +100,11 @@ pub fn reduction_report(machine: &MachineDescription, word_bits: &[u32]) -> Redu
 
     ReductionReport {
         machine: machine.name().to_owned(),
-        num_classes: classes.num_classes(),
-        forbidden_latencies: cf.total_nonneg(),
-        max_latency: cf.max_latency(),
+        num_classes: res_uses.classes.num_classes(),
+        forbidden_latencies: res_uses.matrix.total_nonneg(),
+        max_latency: res_uses.matrix.max_latency(),
         columns,
     }
-}
-
-/// Reduces under `objective` and asserts exact equivalence.
-pub fn checked_reduce(machine: &MachineDescription, objective: Objective) -> Reduction {
-    let red = reduce(machine, objective);
-    verify_equivalence(machine, &red.reduced)
-        .unwrap_or_else(|e| panic!("{}: reduction broke equivalence: {e}", machine.name()));
-    red
 }
 
 /// Renders a [`ReductionReport`] in the layout of the paper's Tables 1–4.

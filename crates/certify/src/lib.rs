@@ -336,10 +336,14 @@ pub fn certificate_objectives(machine: &MachineDescription) -> Vec<(String, Obje
 /// Reduce `machine` under every certificate objective, prove each
 /// reduction equivalent, and assemble the [`Certificate`].
 ///
+/// Only a reduction that passed the pipeline's own equivalence check
+/// reaches the prover.
+///
 /// # Errors
 ///
 /// Any pass failure on any objective, as in [`certify_pair`]; reduction
-/// failures surface as [`CertifyError::Reduce`].
+/// failures, a failed equivalence check among them, surface as
+/// [`CertifyError::Reduce`].
 pub fn certify_machine(
     machine: &MachineDescription,
     name: &str,
@@ -354,7 +358,7 @@ pub fn certify_machine(
     let mut scratch = Scratch::new();
     let mut objectives = Vec::new();
     for (label, objective) in certificate_objectives(machine) {
-        let red = front.clone().finish(objective).map_err(reduce_error)?;
+        let red = front.finish(objective).map_err(reduce_error)?;
         let stats = prove_pair(machine, &red.reduced, options, &mut scratch)?;
         objectives.push(ObjectiveCert {
             objective: label,
@@ -409,6 +413,26 @@ mod tests {
                 assert!(o.schedules_checked >= 1, "{name}/{}", o.objective);
             }
         }
+    }
+
+    #[test]
+    fn each_certified_reduction_is_verified_once() {
+        rmd_obs::set_enabled(true);
+        let _ = rmd_obs::drain_events();
+        let cert = certify_machine(
+            &models::example_machine(),
+            "fig1",
+            &CertifyOptions::default(),
+        );
+        let events = rmd_obs::drain_events();
+        rmd_obs::set_enabled(false);
+        let cert = cert.expect("fig1 certifies");
+        let verified = events
+            .iter()
+            .filter(|e| e.cat == "reduce" && e.name == "verify")
+            .count();
+        assert_eq!(cert.objectives.len(), 2);
+        assert_eq!(verified, cert.objectives.len());
     }
 
     #[test]

@@ -1,42 +1,21 @@
-//! Graceful degradation: reduce, verify, and fall back to the original
-//! tables when anything goes wrong.
+//! Graceful degradation: fall back to the original tables when a
+//! reduction fails.
 //!
 //! The paper's correctness gate (Theorem 1, §5) is that a reduced
 //! description's forbidden-latency matrix is bit-for-bit identical to
-//! the original's. [`reduce_with_fallback`] enforces that gate at
-//! runtime: every reduction is re-verified with
-//! [`verify_equivalence`](crate::verify_equivalence) before being
-//! handed out, and any failure — invalid input, exhausted step budget,
-//! or (hypothetically) a verification miss — yields the **original**
-//! machine description instead, with the reason recorded. Scheduling
-//! against the original tables is always correct, merely slower, so a
-//! bad reduction can never miscompile a loop.
+//! the original's. The pipeline checks that itself, as its last phase
+//! ([`ReductionFront::finish`](crate::ReductionFront::finish)), so
+//! [`try_reduce`] never hands out an unverified reduction.
+//! [`reduce_with_fallback`] turns any failure — invalid input,
+//! exhausted step budget, or (hypothetically) a verification miss —
+//! into the **original** machine description, with the error recorded.
+//! Scheduling against the original tables is always correct, merely
+//! slower, so a bad reduction can never miscompile a loop.
 
 use crate::error::RmdError;
 use crate::reduce::{try_reduce, ReduceOptions, Reduction};
 use crate::select::Objective;
-use crate::verify::verify_equivalence;
 use rmd_machine::MachineDescription;
-
-/// Why [`reduce_with_fallback`] declined to use a reduction.
-#[derive(Clone, PartialEq, Debug)]
-pub enum FallbackEvent {
-    /// The input failed validation or the pipeline errored before
-    /// producing a reduction.
-    ReductionFailed(RmdError),
-    /// A reduction was produced but failed exact-equivalence
-    /// verification against the original.
-    VerificationFailed(RmdError),
-}
-
-impl FallbackEvent {
-    /// The underlying error.
-    pub fn error(&self) -> &RmdError {
-        match self {
-            FallbackEvent::ReductionFailed(e) | FallbackEvent::VerificationFailed(e) => e,
-        }
-    }
-}
 
 /// The outcome of [`reduce_with_fallback`]: always a usable machine
 /// description, never an unverified reduction.
@@ -46,27 +25,22 @@ pub struct FallbackReduction {
     /// or a clone of the original if the pipeline fell back.
     pub machine: MachineDescription,
     /// The full reduction artifacts, present only when the reduction
-    /// succeeded *and* verified.
+    /// succeeded (and so verified).
     pub reduction: Option<Reduction>,
-    /// Why the original tables were kept, if they were.
-    pub fallback: Option<FallbackEvent>,
+    /// Why the original tables were kept, if they were;
+    /// [`RmdError::VerificationFailed`] says the reduction failed its
+    /// equivalence check.
+    pub fallback: Option<RmdError>,
 }
 
-impl FallbackReduction {
-    /// `true` if the pipeline fell back to the original tables.
-    pub fn used_fallback(&self) -> bool {
-        self.fallback.is_some()
-    }
-}
-
-/// Reduces `machine`, verifies the result, and falls back to the
-/// original tables on any failure.
+/// Reduces `machine` and falls back to the original tables on any
+/// failure.
 ///
 /// The returned [`FallbackReduction::machine`] is **always** safe to
 /// schedule against:
 ///
-/// - on success it is the reduced machine, already re-verified to
-///   produce an identical forbidden-latency matrix;
+/// - on success it is the reduced machine, which [`try_reduce`] has
+///   verified to produce an identical forbidden-latency matrix;
 /// - on any failure (limit violation, degenerate input, exhausted step
 ///   budget, verification mismatch) it is the original machine, and
 ///   [`FallbackReduction::fallback`] records why.
@@ -78,23 +52,8 @@ pub fn reduce_with_fallback(
     objective: Objective,
     options: &ReduceOptions,
 ) -> FallbackReduction {
-    let red = match try_reduce(machine, objective, options) {
-        Ok(red) => red,
-        Err(e) => {
-            rmd_obs::instant("reduce", "fallback");
-            return FallbackReduction {
-                machine: machine.clone(),
-                reduction: None,
-                fallback: Some(FallbackEvent::ReductionFailed(e)),
-            };
-        }
-    };
-    let verified = {
-        let _s = rmd_obs::span("reduce", "verify");
-        verify_equivalence(machine, &red.reduced)
-    };
-    match verified {
-        Ok(()) => FallbackReduction {
+    match try_reduce(machine, objective, options) {
+        Ok(red) => FallbackReduction {
             machine: red.reduced.clone(),
             reduction: Some(red),
             fallback: None,
@@ -104,7 +63,7 @@ pub fn reduce_with_fallback(
             FallbackReduction {
                 machine: machine.clone(),
                 reduction: None,
-                fallback: Some(FallbackEvent::VerificationFailed(e.into())),
+                fallback: Some(e),
             }
         }
     }
@@ -113,6 +72,7 @@ pub fn reduce_with_fallback(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::verify_equivalence;
     use rmd_machine::models::{all_machines, example_machine};
     use rmd_machine::MachineBuilder;
 
@@ -120,7 +80,7 @@ mod tests {
     fn success_returns_a_verified_reduction() {
         for m in all_machines() {
             let out = reduce_with_fallback(&m, Objective::ResUses, &ReduceOptions::default());
-            assert!(!out.used_fallback(), "{}", m.name());
+            assert!(out.fallback.is_none(), "{}", m.name());
             let red = out.reduction.as_ref().expect("reduction present");
             assert_eq!(out.machine, red.reduced);
             assert!(verify_equivalence(&m, &out.machine).is_ok(), "{}", m.name());
@@ -132,11 +92,10 @@ mod tests {
         let m = example_machine();
         let options = ReduceOptions { max_steps: Some(1) };
         let out = reduce_with_fallback(&m, Objective::ResUses, &options);
-        assert!(out.used_fallback());
         assert!(out.reduction.is_none());
         assert_eq!(out.machine, m, "fallback must hand back the original");
         match out.fallback {
-            Some(FallbackEvent::ReductionFailed(RmdError::BudgetExhausted { steps })) => {
+            Some(RmdError::BudgetExhausted { steps }) => {
                 assert!(steps > 1);
             }
             other => panic!("expected BudgetExhausted, got {other:?}"),
@@ -152,10 +111,9 @@ mod tests {
         }
         let m = b.build().unwrap();
         let out = reduce_with_fallback(&m, Objective::ResUses, &ReduceOptions::default());
-        assert!(out.used_fallback());
         assert_eq!(out.machine, m);
-        match out.fallback.unwrap().error() {
-            RmdError::LimitExceeded { what, .. } => assert_eq!(*what, "operations"),
+        match out.fallback {
+            Some(RmdError::LimitExceeded { what, .. }) => assert_eq!(what, "operations"),
             other => panic!("expected LimitExceeded, got {other:?}"),
         }
     }
@@ -181,7 +139,7 @@ mod tests {
             );
             (out, rmd_obs::drain_events())
         });
-        assert!(!out.used_fallback());
+        assert!(out.fallback.is_none());
         for phase in crate::REDUCTION_PHASES {
             assert!(
                 events.iter().any(|e| e.cat == "reduce" && e.name == *phase),
@@ -193,13 +151,42 @@ mod tests {
     }
 
     #[test]
+    fn bare_try_reduce_emits_every_phase_once() {
+        let (red, events) = with_tracing(|| {
+            let red = try_reduce(
+                &example_machine(),
+                Objective::ResUses,
+                &ReduceOptions::default(),
+            );
+            (red, rmd_obs::drain_events())
+        });
+        assert!(red.is_ok());
+        let span = |phase: &str| {
+            let mut found = events
+                .iter()
+                .filter(|e| e.cat == "reduce" && e.name == phase);
+            let e = *found
+                .next()
+                .unwrap_or_else(|| panic!("missing span: {phase}"));
+            assert!(found.next().is_none(), "repeated span: {phase}");
+            e
+        };
+        for phase in crate::REDUCTION_PHASES {
+            span(phase);
+        }
+        // `verify` checks the materialized machine, after its span closed.
+        let (materialize, verify) = (span("materialize"), span("verify"));
+        assert!(materialize.start_ns + materialize.dur_ns <= verify.start_ns);
+    }
+
+    #[test]
     fn fallback_emits_an_instant_event() {
         let (out, events) = with_tracing(|| {
             let options = ReduceOptions { max_steps: Some(1) };
             let out = reduce_with_fallback(&example_machine(), Objective::ResUses, &options);
             (out, rmd_obs::drain_events())
         });
-        assert!(out.used_fallback());
+        assert!(out.fallback.is_some());
         assert!(events
             .iter()
             .any(|e| e.cat == "reduce" && e.name == "fallback"));
@@ -212,6 +199,6 @@ mod tests {
             max_steps: Some(1_000_000),
         };
         let out = reduce_with_fallback(&m, Objective::KCycleWord { k: 2 }, &options);
-        assert!(!out.used_fallback());
+        assert!(out.fallback.is_none());
     }
 }

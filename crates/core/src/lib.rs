@@ -18,10 +18,16 @@
 //!    minimizing either total usages ([`Objective::ResUses`], for the
 //!    discrete representation) or nonempty k-cycle words
 //!    ([`Objective::KCycleWord`], for the bitvector representation).
+//! 4. Materialize the reduced machine and verify it: its matrix must
+//!    equal the original's bit for bit (Theorem 1). The check compares
+//!    against the matrix step 1 computed, and a mismatch is
+//!    [`RmdError::VerificationFailed`].
 //!
-//! [`reduce`] runs the whole pipeline; [`verify_equivalence`] is the
-//! acceptance test, re-deriving the matrix from the reduced machine and
-//! comparing bit-for-bit.
+//! [`reduce`] and [`try_reduce`] run the whole pipeline, so every
+//! reduction they hand out is already verified, and
+//! [`reduce_with_fallback`] hands back the original tables when one
+//! fails. [`verify_equivalence`] is the same acceptance test for any
+//! two descriptions, re-deriving both matrices.
 //!
 //! # Example
 //!
@@ -33,6 +39,7 @@
 //! let red = reduce(&m, Objective::ResUses);
 //! // Figure 1d: 2 synthesized resources; A uses 1, B uses 4.
 //! assert_eq!(red.reduced.num_resources(), 2);
+//! // `reduce` verified this already; the public check agrees.
 //! assert!(verify_equivalence(&m, &red.reduced).is_ok());
 //! ```
 
@@ -54,7 +61,7 @@ pub use error::{
     validate_limits, RmdError, StepBudget, MAX_OPERATIONS, MAX_RESOURCES, MAX_TABLE_CYCLES,
     MAX_TOTAL_USAGES,
 };
-pub use fallback::{reduce_with_fallback, FallbackEvent, FallbackReduction};
+pub use fallback::{reduce_with_fallback, FallbackReduction};
 pub use genset::{
     generating_set, generating_set_budgeted, generating_set_traced, GenSetEvent, GenSetTrace,
 };

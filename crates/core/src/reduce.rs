@@ -3,8 +3,9 @@
 use crate::error::{validate_limits, RmdError, StepBudget};
 use crate::genset::generating_set_budgeted;
 use crate::prune::prune_dominated;
-use crate::select::{select, Objective, Selection};
+use crate::select::{select, Objective};
 use crate::synth::SynthResource;
+use crate::verify;
 use rmd_latency::{ClassPartition, ForbiddenMatrix};
 use rmd_machine::{MachineBuilder, MachineDescription};
 
@@ -13,10 +14,12 @@ use rmd_machine::{MachineBuilder, MachineDescription};
 /// [`rmd_obs`] tracing is enabled.
 ///
 /// Every phase listed here fires on **every** successful
-/// [`reduce_with_fallback`](crate::reduce_with_fallback) run, so trace
-/// consumers (the `rmd profile` report, the CI smoke check) can require
-/// all of them to be present. The `fallback` *instant* event is not in
-/// this list because it only fires when the pipeline degrades to the
+/// [`try_reduce`], and so on every reduction any entry point hands out,
+/// so trace consumers (the `rmd profile` report, the CI smoke check) can
+/// require all of them to be present. `verify` is the last: the
+/// pipeline checks its own output before returning it. The `fallback`
+/// *instant* event is not in this list because it only fires when
+/// [`reduce_with_fallback`](crate::reduce_with_fallback) degrades to the
 /// original tables.
 pub const REDUCTION_PHASES: &[&str] = &[
     "forbidden_matrix",
@@ -36,7 +39,8 @@ pub struct ReduceOptions {
     pub max_steps: Option<u64>,
 }
 
-/// The result of reducing a machine description (paper §3–§5).
+/// The result of reducing a machine description (paper §3–§5), already
+/// verified to forbid exactly the original's latencies.
 #[derive(Clone, Debug)]
 pub struct Reduction {
     /// Operation classes of the original machine.
@@ -50,8 +54,6 @@ pub struct Reduction {
     pub genset_size: usize,
     /// Size after pruning dominated resources.
     pub pruned_size: usize,
-    /// The selected synthesized resources and usages.
-    pub selection: Selection,
     /// The reduced machine with one operation per class.
     pub reduced_classes: MachineDescription,
     /// The reduced machine with every original operation (its table is
@@ -63,9 +65,9 @@ pub struct Reduction {
 /// Runs the full reduction pipeline on `machine` under `objective`.
 ///
 /// The returned [`Reduction::reduced`] machine produces **exactly** the
-/// same forbidden-latency matrix as `machine`
-/// (see [`verify_equivalence`](crate::verify_equivalence)), while using
-/// far fewer resources and usages.
+/// same forbidden-latency matrix as `machine` (the pipeline's last
+/// phase checks it, as [`verify_equivalence`](crate::verify_equivalence)
+/// would), while using far fewer resources and usages.
 ///
 /// # Example
 ///
@@ -82,8 +84,9 @@ pub struct Reduction {
 /// # Panics
 ///
 /// Panics if the internal invariants are violated (e.g. a class ends up
-/// with an empty reduced table) — this indicates a bug, not bad input, as
-/// any valid machine can be reduced. Callers that must not panic on
+/// with an empty reduced table, or the reduction fails its
+/// equivalence check) — this indicates a bug, not bad input, as any
+/// valid machine can be reduced. Callers that must not panic on
 /// hostile input should use [`try_reduce`] (typed errors) or
 /// [`reduce_with_fallback`](crate::reduce_with_fallback) (graceful
 /// degradation to the original tables).
@@ -107,7 +110,10 @@ pub fn reduce(machine: &MachineDescription, objective: Objective) -> Reduction {
 ///   out during generating-set construction;
 /// - [`RmdError::InvalidMachine`] if an internal build step rejects its
 ///   machine (unreachable for valid inputs; kept as a typed error so
-///   hostile inputs can never convert a bug into a panic).
+///   hostile inputs can never convert a bug into a panic);
+/// - [`RmdError::VerificationFailed`] if the reduced machine does not
+///   forbid exactly the original's latencies (paper Theorem 1; likewise
+///   unreachable unless the pipeline has a bug).
 pub fn try_reduce(
     machine: &MachineDescription,
     objective: Objective,
@@ -119,7 +125,7 @@ pub fn try_reduce(
 /// The objective-independent front half of the pipeline: the matrices,
 /// the classes and the pruned generating set. A caller that reduces one
 /// machine under several objectives computes it once and
-/// [`finish`](Self::finish)es a clone per objective.
+/// [`finish`](Self::finish)es it once per objective.
 #[derive(Clone, Debug)]
 pub struct ReductionFront<'m> {
     machine: &'m MachineDescription,
@@ -199,29 +205,31 @@ impl<'m> ReductionFront<'m> {
     }
 
     /// Step 3 under `objective`: cover selection and the reduced
-    /// machines.
+    /// machines, then the check that the reduced machine forbids
+    /// exactly the latencies of the machine's own matrix.
     ///
     /// # Errors
     ///
-    /// [`RmdError::InvalidMachine`] as in [`try_reduce`].
-    pub fn finish(self, objective: Objective) -> Result<Reduction, RmdError> {
+    /// [`RmdError::InvalidMachine`] and [`RmdError::VerificationFailed`]
+    /// as in [`try_reduce`].
+    pub fn finish(&self, objective: Objective) -> Result<Reduction, RmdError> {
         let ReductionFront {
             machine,
+            ops_matrix,
             classes,
             class_machine,
             matrix,
             genset_size,
             pruned,
-            ..
         } = self;
         let selection = {
             let mut s = rmd_obs::span("reduce", "select");
-            let selection = select(&matrix, &pruned, objective);
+            let selection = select(matrix, pruned, objective);
             s.set_arg("selected", selection.resources.len() as u64);
             selection
         };
 
-        let _materialize_span = rmd_obs::span("reduce", "materialize");
+        let materialize_span = rmd_obs::span("reduce", "materialize");
 
         // Materialize the reduced class machine.
         let mut b = MachineBuilder::new(format!("{}-reduced", machine.name()));
@@ -264,14 +272,21 @@ impl<'m> ReductionFront<'m> {
             ob.finish();
         }
         let reduced = b.build()?;
+        drop(materialize_span);
+
+        // Theorem 1: the reduced machine forbids exactly the original's
+        // latencies.
+        {
+            let _s = rmd_obs::span("reduce", "verify");
+            verify::compare(machine, ops_matrix, &reduced)?;
+        }
 
         Ok(Reduction {
-            classes,
-            class_machine,
-            matrix,
-            genset_size,
+            classes: classes.clone(),
+            class_machine: class_machine.clone(),
+            matrix: matrix.clone(),
+            genset_size: *genset_size,
             pruned_size: pruned.len(),
-            selection,
             reduced_classes,
             reduced,
         })

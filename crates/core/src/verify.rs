@@ -77,7 +77,17 @@ pub fn verify_equivalence(
             right: right.num_operations(),
         });
     }
-    let fl = ForbiddenMatrix::compute(left);
+    compare(left, &ForbiddenMatrix::compute(left), right)
+}
+
+/// The comparison behind [`verify_equivalence`], given `fl`, the
+/// forbidden-latency matrix of `left` already computed; `right` has as
+/// many operations as `left`.
+pub(crate) fn compare(
+    left: &MachineDescription,
+    fl: &ForbiddenMatrix,
+    right: &MachineDescription,
+) -> Result<(), EquivalenceError> {
     let fr = ForbiddenMatrix::compute(right);
     for x in 0..fl.num_ops() {
         for y in 0..fl.num_ops() {

@@ -7,8 +7,9 @@
 //! 1. **render → reparse** — the canonical MDL rendering must parse
 //!    back to an equal description;
 //! 2. **lint** — `rmd-analyze` must report no error-severity findings;
-//! 3. **reduce** — both certificate objectives must reduce and pass
-//!    [`verify_equivalence`];
+//! 3. **reduce** — one [`ReductionFront`] must finish under both
+//!    [`certificate_objectives`], passing the pipeline's own
+//!    equivalence check; later stages use the res-uses reduction;
 //! 4. **differential replay** — a query trace recorded against the
 //!    original (linear and modulo) must replay answer-for-answer over
 //!    every backend of the reduced description: discrete, bitvec,
@@ -34,8 +35,10 @@ use crate::oracle::{
 use rand::mix_seed;
 use rmd_analyze::lint_machine;
 use rmd_automata::{AutomataModule, Automaton, Direction};
-use rmd_certify::{certify_machine, certify_pair, CertifyFailure, CertifyOptions};
-use rmd_core::{try_reduce, verify_equivalence, Objective, ReduceOptions};
+use rmd_certify::{
+    certificate_objectives, certify_machine, certify_pair, CertifyFailure, CertifyOptions,
+};
+use rmd_core::{try_reduce, Objective, ReduceOptions, ReductionFront, RmdError};
 use rmd_machine::{mdl, MachineDescription};
 use std::fmt::Write as _;
 
@@ -232,15 +235,21 @@ pub fn check_machine(
     }
 
     // ---- 3. reduce + verify under both certificate objectives -------
+    let objectives = certificate_objectives(m);
+    let front = match ReductionFront::compute(m, &ReduceOptions::default()) {
+        Ok(front) => front,
+        // Reported under the first objective, the one the later stages use.
+        Err(e) => return fail("reduce", format!("{:?}: {e}", objectives[0].1), flags),
+    };
     let mut reduced = None;
-    for objective in [Objective::ResUses, Objective::KCycleWord { k: 4 }] {
-        let red = match try_reduce(m, objective, &ReduceOptions::default()) {
+    for (_, objective) in objectives {
+        let red = match front.finish(objective) {
             Ok(r) => r,
+            Err(RmdError::VerificationFailed(e)) => {
+                return fail("equivalence", format!("{objective:?}: {e}"), flags)
+            }
             Err(e) => return fail("reduce", format!("{objective:?}: {e}"), flags),
         };
-        if let Err(e) = verify_equivalence(m, &red.reduced) {
-            return fail("equivalence", format!("{objective:?}: {e}"), flags);
-        }
         if reduced.is_none() {
             reduced = Some(red.reduced);
         }

@@ -88,7 +88,8 @@ pub enum MutantPayload {
     Machine(MachineDescription),
     /// A corrupted *reduction output*: the reduced machine with one
     /// selected cover usage removed. Compared against the original
-    /// machine, exactly as `reduce_with_fallback` would verify it.
+    /// machine, exactly as the reduction pipeline's own last phase
+    /// verifies it.
     ReducedMachine(MachineDescription),
     /// A flipped bit in the packed reserved table of a bitvector query
     /// module over the (unmodified) original machine.
@@ -283,8 +284,8 @@ fn merge_resources(m: &MachineDescription, rng: &mut StdRng) -> Option<(String, 
 
 fn drop_cover_latency(m: &MachineDescription, rng: &mut StdRng) -> Option<(String, MutantPayload)> {
     // Reduce for real, then knock one usage out of the selected cover —
-    // the precise failure `reduce_with_fallback`'s mandatory
-    // verification exists to contain.
+    // the precise failure the pipeline's mandatory verification exists
+    // to contain.
     let objective = if rng.flip() {
         Objective::ResUses
     } else {

@@ -3,7 +3,7 @@
 //! * [`matrix_oracle`] — the exact-equivalence verifier of
 //!   `rmd_core::verify_equivalence`: a mutant is killed when its
 //!   forbidden-latency matrix differs from the original's. This is the
-//!   check `reduce_with_fallback` runs on every reduction.
+//!   check the reduction pipeline runs on every reduction it makes.
 //! * [`trace_oracle`] — a differential query-trace replayer built on
 //!   [`QueryTrace`]: a deterministic `check`/`assign`/`assign_free`/
 //!   `free` sequence is **recorded** once against modules over the

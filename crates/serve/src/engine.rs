@@ -15,9 +15,7 @@ use crate::chaos::{Chaos, ChaosAction};
 use crate::error::ServeError;
 use crate::flight::{FlightEntry, FlightRecorder};
 use crate::proto::{parse_frame, EdgeSpec, Frame, MachineSource, ReplyBuilder, Request};
-use rmd_core::{
-    reduce_with_fallback, validate_limits, FallbackEvent, Objective, ReduceOptions, RmdError,
-};
+use rmd_core::{reduce_with_fallback, validate_limits, Objective, ReduceOptions, RmdError};
 use rmd_machine::fnv::Fnv64;
 use rmd_machine::{content_fingerprint, mdl, models, MachineDescription};
 use rmd_obs::{Event, EventKind, Histogram, MetricRegistry};
@@ -90,7 +88,8 @@ struct MachineEntry {
     /// the first schedule of a given shape, repeat requests allocate
     /// nothing on the scheduling path.
     scratch: SchedScratch,
-    fallback: Option<&'static str>,
+    /// The reduction failed and `sched_machine` is the original.
+    fallback: bool,
     last_used: u64,
 }
 
@@ -548,16 +547,11 @@ impl ServeEngine {
         let reduce_span = rmd_obs::span_with("serve", "reduction", "req", idx);
         let red = reduce_with_fallback(&m, Objective::KCycleWord { k: layout.k }, &options);
         drop(reduce_span);
-        if strict {
-            if let Some(ev) = &red.fallback {
-                return Err(ServeError::Rmd(ev.error().clone()));
-            }
-        }
+        let fallback = match red.fallback {
+            Some(e) if strict => return Err(ServeError::Rmd(e)),
+            other => other.is_some(),
+        };
         deadline.check()?;
-        let fallback = red.fallback.as_ref().map(|ev| match ev {
-            FallbackEvent::ReductionFailed(_) => "reduction_failed",
-            FallbackEvent::VerificationFailed(_) => "verification_failed",
-        });
         let sched_machine = red.machine;
         let sched_layout = WordLayout::widest(64, sched_machine.num_resources());
         let mask_cache = ModuloMaskCache::with_cap(&sched_machine, sched_layout, MASK_CACHE_CAP);
@@ -770,7 +764,7 @@ fn machine_reply(id: Option<&str>, fp: &str, cached: bool, entry: &MachineEntry)
     ReplyBuilder::ok(id, "machine")
         .str("fingerprint", fp)
         .bool("cached", cached)
-        .bool("fallback", entry.fallback.is_some())
+        .bool("fallback", entry.fallback)
         .num("resources", entry.original.num_resources() as u64)
         .num(
             "reduced_resources",

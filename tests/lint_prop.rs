@@ -25,7 +25,7 @@ proptest! {
         prop_assert_eq!(report.errors(), 0, "{}", report.render_text());
         let out = reduce_with_fallback(&m, Objective::ResUses, &ReduceOptions::default());
         prop_assert!(
-            !out.used_fallback(),
+            out.fallback.is_none(),
             "{}: lint-clean machine fell back: {:?}",
             m.name(),
             out.fallback
