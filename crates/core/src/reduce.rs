@@ -126,7 +126,7 @@ pub fn try_reduce(
 /// the classes and the pruned generating set. A caller that reduces one
 /// machine under several objectives computes it once and
 /// [`finish`](Self::finish)es it once per objective.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct ReductionFront<'m> {
     machine: &'m MachineDescription,
     ops_matrix: ForbiddenMatrix,
@@ -206,7 +206,8 @@ impl<'m> ReductionFront<'m> {
 
     /// Step 3 under `objective`: cover selection and the reduced
     /// machines, then the check that the reduced machine forbids
-    /// exactly the latencies of the machine's own matrix.
+    /// exactly the original's latencies, against the matrix the front
+    /// already holds.
     ///
     /// # Errors
     ///

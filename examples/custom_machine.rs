@@ -6,7 +6,7 @@
 //! cargo run -p rmd-examples --bin custom_machine
 //! ```
 
-use rmd_core::{reduce, verify_equivalence, Objective};
+use rmd_core::{reduce, Objective};
 use rmd_examples::section;
 use rmd_query::{check_with_alt, ContentionQuery, DiscreteModule, OpInstance};
 
@@ -60,7 +60,6 @@ fn main() {
 
     section("2. Reduce for the discrete representation");
     let red = reduce(&machine, Objective::ResUses);
-    verify_equivalence(&machine, &red.reduced).expect("equivalent");
     println!(
         "resources {} -> {}, usages {} -> {}",
         machine.num_resources(),
