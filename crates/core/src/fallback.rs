@@ -131,52 +131,35 @@ mod tests {
 
     #[test]
     fn tracing_emits_every_reduction_phase() {
-        let (out, events) = with_tracing(|| {
-            let out = reduce_with_fallback(
-                &example_machine(),
-                Objective::ResUses,
-                &ReduceOptions::default(),
-            );
-            (out, rmd_obs::drain_events())
+        let (m, options) = (example_machine(), ReduceOptions::default());
+        let (red, bare, out, gated) = with_tracing(|| {
+            let red = try_reduce(&m, Objective::ResUses, &options);
+            let bare = rmd_obs::drain_events();
+            let out = reduce_with_fallback(&m, Objective::ResUses, &options);
+            (red, bare, out, rmd_obs::drain_events())
         });
-        assert!(out.fallback.is_none());
-        for phase in crate::REDUCTION_PHASES {
-            assert!(
-                events.iter().any(|e| e.cat == "reduce" && e.name == *phase),
-                "missing phase span: {phase}"
-            );
-        }
-        // No fallback happened, so no fallback instant was emitted.
-        assert!(!events.iter().any(|e| e.name == "fallback"));
-    }
-
-    #[test]
-    fn bare_try_reduce_emits_every_phase_once() {
-        let (red, events) = with_tracing(|| {
-            let red = try_reduce(
-                &example_machine(),
-                Objective::ResUses,
-                &ReduceOptions::default(),
-            );
-            (red, rmd_obs::drain_events())
-        });
-        assert!(red.is_ok());
+        assert!(red.is_ok() && out.fallback.is_none());
+        // A bare `try_reduce` runs every phase exactly once.
         let span = |phase: &str| {
-            let mut found = events
-                .iter()
-                .filter(|e| e.cat == "reduce" && e.name == phase);
+            let mut found = bare.iter().filter(|e| e.cat == "reduce" && e.name == phase);
             let e = *found
                 .next()
-                .unwrap_or_else(|| panic!("missing span: {phase}"));
-            assert!(found.next().is_none(), "repeated span: {phase}");
+                .unwrap_or_else(|| panic!("missing phase span: {phase}"));
+            assert!(found.next().is_none(), "repeated phase span: {phase}");
             e
         };
         for phase in crate::REDUCTION_PHASES {
             span(phase);
+            assert!(
+                gated.iter().any(|e| e.cat == "reduce" && e.name == *phase),
+                "missing phase span behind the fallback gate: {phase}"
+            );
         }
         // `verify` checks the materialized machine, after its span closed.
         let (materialize, verify) = (span("materialize"), span("verify"));
         assert!(materialize.start_ns + materialize.dur_ns <= verify.start_ns);
+        // No fallback happened, so no fallback instant was emitted.
+        assert!(!gated.iter().any(|e| e.name == "fallback"));
     }
 
     #[test]

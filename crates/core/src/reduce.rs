@@ -345,4 +345,22 @@ mod tests {
         assert!(red.pruned_size <= red.genset_size);
         assert_eq!(red.pruned_size, 2);
     }
+
+    #[test]
+    fn finish_rejects_a_reduction_its_matrix_does_not_forbid() {
+        // A front whose op matrix is another machine's: the reduction is
+        // fig1's, so the last phase must refuse it.
+        let m = example_machine();
+        let mut b = MachineBuilder::new("other");
+        let r = b.resource("r");
+        b.operation("A").usage(r, 0).finish();
+        b.operation("B").usage(r, 0).finish();
+        let other = b.build().unwrap();
+        let mut front = ReductionFront::compute(&m, &ReduceOptions::default()).unwrap();
+        front.ops_matrix = ForbiddenMatrix::compute(&other);
+        match front.finish(Objective::ResUses) {
+            Err(RmdError::VerificationFailed(_)) => {}
+            other => panic!("expected VerificationFailed, got {other:?}"),
+        }
+    }
 }
